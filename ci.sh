@@ -224,4 +224,12 @@ if [[ "$fast" -eq 0 ]]; then
   echo "    serve_demo answered both tenants, served /debug/slow + /debug/flight, and wrote a loadable flight dump"
 fi
 
+# The offline-buildable benchmark's smoke runs (its own workspace and
+# std-only shims, so they also work where no registry is reachable): all four
+# workloads with every self-check on, then the traced run, which ends with a
+# retrain + serve on the other pool width that must be bit-identical.
+echo "==> benchmark/run.sh --quick [--trace]"
+bash benchmark/run.sh --quick > /dev/null
+bash benchmark/run.sh --quick --trace > /dev/null
+
 echo "==> ci.sh: all gates passed"

@@ -200,7 +200,7 @@ impl SeqModel {
         };
         let mut tape = Tape::new();
         let vars = self.params.inject(&mut tape);
-        let rep = self.encoder.encode(&mut tape, &vars, &window);
+        let rep = self.encoder.encode(&mut tape, &vars, &window, BOS);
         let logits = self.head.forward(&mut tape, &vars, rep);
         let v = tape.value(logits);
         let mut best = 0;

@@ -87,7 +87,7 @@ fn encoder_forward(c: &mut Criterion) {
         b.iter(|| {
             let mut tape = Tape::new();
             let vars = params.inject(&mut tape);
-            black_box(enc.encode(&mut tape, &vars, &seq));
+            black_box(enc.encode(&mut tape, &vars, &seq, 1));
         })
     });
 }

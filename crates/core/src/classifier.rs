@@ -13,8 +13,8 @@ use rand::SeedableRng;
 
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
-use pythia_nn::tape::{bce_with_logits, ParamSet, Tape};
-use pythia_nn::{grad_l2_norm, Adam, Tensor};
+use pythia_nn::tape::{bce_with_logits, forward_only, ParamSet, Tape};
+use pythia_nn::{grad_l2_norm, Adam, Var};
 
 use crate::config::PythiaConfig;
 use crate::vocab::Vocab;
@@ -32,6 +32,11 @@ pub struct TrainReport {
     pub first_loss: f32,
     pub final_loss: f32,
 }
+
+/// Most sequences one inference forward packs. Rows of a packed batch are
+/// independent, so chunking changes no output; it bounds the working memory
+/// of [`PlanClassifier::scores_batch`] whatever the queue depth.
+const INFER_CHUNK: usize = 32;
 
 /// A trained (or trainable) multi-label classifier over `n_labels` classes.
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -98,9 +103,12 @@ impl PlanClassifier {
 
     /// Train with Adam on BCE-with-logits (paper's objective).
     ///
-    /// One [`Tape`] is reused across all minibatches: `reset` recycles every
-    /// node buffer and `absorb` returns gradient buffers to the pool, so
-    /// steady-state steps run allocation-free in the graph machinery.
+    /// One [`Tape`] is reused across all minibatches: `reset` and `absorb`
+    /// return every node, target and gradient buffer to its exact-size
+    /// arena, so a minibatch whose shape (batch × longest plan) was seen in
+    /// either of the two steps before it allocates no tensor storage. The
+    /// arena frees what two consecutive steps did not use, so the tape never
+    /// holds more than two steps' working sets.
     pub fn train(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
         self.train_phase(data, cfg, false)
     }
@@ -147,21 +155,16 @@ impl PlanClassifier {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 let seqs: Vec<&[usize]> = chunk.iter().map(|&i| self.clip(data[i].0)).collect();
-                let mut targets = Tensor::zeros(chunk.len(), self.n_labels);
+                tape.reset();
+                let mut targets = tape.zeros(chunk.len(), self.n_labels);
                 for (r, &i) in chunk.iter().enumerate() {
                     for &lbl in &data[i].1 {
                         debug_assert!(lbl < self.n_labels);
                         targets.set(r, lbl, 1.0);
                     }
                 }
-                tape.reset();
                 let vars = self.params.inject(&mut tape);
-                let reps = self
-                    .encoder
-                    .encode_batch(&mut tape, &vars, &seqs, Vocab::PAD);
-                let h = self.fc1.forward(&mut tape, &vars, reps);
-                let h = tape.relu(h);
-                let logits = self.fc2.forward(&mut tape, &vars, h);
+                let logits = self.logits(&mut tape, &vars, &seqs);
                 let loss = bce_with_logits(&mut tape, logits, targets, cfg.pos_weight);
                 let loss_val = tape.value(loss).get(0, 0);
                 if first_loss.is_nan() {
@@ -201,51 +204,52 @@ impl PlanClassifier {
         }
     }
 
-    /// Per-label sigmoid scores for one serialized plan.
-    pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let vars = self.params.inject(&mut tape);
-        let toks = self.clip(toks);
-        let rep = self.encoder.encode(&mut tape, &vars, toks);
-        let h = self.fc1.forward(&mut tape, &vars, rep);
+    /// The forward graph: packed encoder → hidden → one logit per label,
+    /// `[seqs.len(), n_labels]`.
+    fn logits(&self, tape: &mut Tape<'_>, vars: &[Var], seqs: &[&[usize]]) -> Var {
+        let reps = self.encoder.encode_batch(tape, vars, seqs, Vocab::PAD);
+        let h = self.fc1.forward(tape, vars, reps);
         let h = tape.relu(h);
-        let logits = self.fc2.forward(&mut tape, &vars, h);
-        tape.value(logits)
-            .as_slice()
-            .iter()
-            .map(|&z| 1.0 / (1.0 + (-z).exp()))
+        self.fc2.forward(tape, vars, h)
+    }
+
+    /// Per-label sigmoid scores for one serialized plan (an empty plan
+    /// scores as a single `PAD` token).
+    pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
+        self.scores_chunk(&[toks]).pop().expect("one row per plan")
+    }
+
+    /// Per-label sigmoid scores for a whole batch of serialized plans, at
+    /// most [`INFER_CHUNK`] per packed forward. Row `q` of the result is
+    /// bit-identical to `scores(toks_list[q])` — every op in the packed
+    /// forward (linear, layer-norm, per-sample masked attention, relu)
+    /// computes each row independently, in the same accumulation order
+    /// whatever else shares its batch.
+    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
+        toks_list
+            .chunks(INFER_CHUNK)
+            .flat_map(|chunk| self.scores_chunk(chunk))
             .collect()
     }
 
-    /// Per-label sigmoid scores for a whole batch of serialized plans in one
-    /// forward pass: parameters are injected once and every projection runs
-    /// as a single batch-major matmul over the packed `[batch*seq_len, dim]`
-    /// input. Row `q` of the result is bit-identical to `scores(toks_list[q])`
-    /// — every op in the packed forward (linear, layer-norm, per-sample
-    /// masked attention, relu) computes each row independently, in the same
-    /// accumulation order as the serial path.
-    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
-        if toks_list.is_empty() {
-            return Vec::new();
-        }
-        let mut tape = Tape::new();
-        let vars = self.params.inject(&mut tape);
+    /// One packed forward on this thread's forward-only tape: the parameters
+    /// are lent, not copied, no activation outlives its layer, and a repeat
+    /// call at the same shapes allocates nothing.
+    fn scores_chunk(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
         let clipped: Vec<&[usize]> = toks_list.iter().map(|t| self.clip(t)).collect();
-        let reps = self
-            .encoder
-            .encode_batch(&mut tape, &vars, &clipped, Vocab::PAD);
-        let h = self.fc1.forward(&mut tape, &vars, reps);
-        let h = tape.relu(h);
-        let logits = self.fc2.forward(&mut tape, &vars, h);
-        let vals = tape.value(logits);
-        (0..vals.rows())
-            .map(|r| {
-                vals.row(r)
-                    .iter()
-                    .map(|&z| 1.0 / (1.0 + (-z).exp()))
-                    .collect()
-            })
-            .collect()
+        forward_only(|tape| {
+            let vars = self.params.lend(tape);
+            let logits = self.logits(tape, &vars, &clipped);
+            let vals = tape.value(logits);
+            (0..vals.rows())
+                .map(|r| {
+                    vals.row(r)
+                        .iter()
+                        .map(|&z| 1.0 / (1.0 + (-z).exp()))
+                        .collect()
+                })
+                .collect()
+        })
     }
 
     /// Labels whose score exceeds the threshold.
@@ -377,6 +381,44 @@ mod tests {
         for (q, s) in seqs.iter().enumerate() {
             assert_eq!(pb[q], clf.predict(s));
         }
+    }
+
+    #[test]
+    fn batches_past_the_chunk_size_and_empty_plans_match_serial() {
+        let cfg = PythiaConfig::fast();
+        let clf = PlanClassifier::new(&cfg, 10, 7);
+        // 70 plans: three packed forwards (32 + 32 + 6), an empty plan in
+        // the middle of one.
+        let mut seqs: Vec<Vec<usize>> = (0..70)
+            .map(|q| (0..1 + q % 9).map(|i| 2 + (q + i) % 8).collect())
+            .collect();
+        seqs[40].clear();
+        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let batched = clf.scores_batch(&refs);
+        assert_eq!(batched.len(), seqs.len());
+        for (q, s) in seqs.iter().enumerate() {
+            assert_eq!(batched[q], clf.scores(s), "batch row {q}");
+        }
+        // Serial and batched agree on the edge: an empty plan is one PAD.
+        assert_eq!(clf.scores(&[]), clf.scores_batch(&[&[]])[0]);
+        assert_eq!(clf.scores(&[]), clf.scores(&[Vocab::PAD]));
+        assert!(clf.scores_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn warm_scores_allocate_nothing_and_never_copy_the_model() {
+        let cfg = PythiaConfig::fast();
+        let clf = PlanClassifier::new(&cfg, 10, 12);
+        let arena = || forward_only(|tape| (tape.allocations(), tape.retained_bytes()));
+        let first = clf.scores(&[2, 3, 4]);
+        let (warm, retained) = arena();
+        for _ in 0..5 {
+            assert_eq!(clf.scores(&[2, 3, 4]), first);
+        }
+        assert_eq!(arena(), (warm, retained), "a warm call allocated");
+        // Everything this thread's arena holds is one call's activations —
+        // far less than the parameters a copying forward would have pooled.
+        assert!(retained > 0 && retained < clf.size_bytes() / 4);
     }
 
     // One test covers all telemetry behavior: the capture flag is

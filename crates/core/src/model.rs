@@ -71,7 +71,7 @@ impl ObjectModel {
             // Rank pages by training-set frequency; model the top k.
             let mut freq: HashMap<u32, u32> = HashMap::new();
             for (_, pages) in examples {
-                for &p in pages {
+                for &p in pages.iter() {
                     *freq.entry(p).or_insert(0) += 1;
                 }
             }

@@ -953,7 +953,9 @@ mod tests {
             TrainedWorkload::load_json(&path).is_ok(),
             "unchecked load is the bug"
         );
-        let err = TrainedWorkload::load_json_checked(&path, &grown).unwrap_err();
+        let err = TrainedWorkload::load_json_checked(&path, &grown)
+            .err()
+            .expect("grown catalog must be rejected");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("pages"), "{err}");
 
@@ -963,7 +965,9 @@ mod tests {
         for i in 0..2000i64 {
             shrunk.insert(f2, Database::row(&[i, i / 2, 0]));
         }
-        let err = TrainedWorkload::load_json_checked(&path, &shrunk).unwrap_err();
+        let err = TrainedWorkload::load_json_checked(&path, &shrunk)
+            .err()
+            .expect("shrunk catalog must be rejected");
         assert!(err.to_string().contains("does not exist"), "{err}");
         let _ = std::fs::remove_file(&path);
 

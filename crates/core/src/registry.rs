@@ -463,7 +463,9 @@ mod tests {
             grown.insert(dim, Database::row(&[d, d % 7]));
         }
         grown.create_index("dim_pk", dim, 0);
-        let err = load_model(&path, &grown).unwrap_err();
+        let err = load_model(&path, &grown)
+            .err()
+            .expect("grown catalog must be rejected");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("pages"), "{err}");
 
@@ -473,7 +475,9 @@ mod tests {
         let tampered = json.replacen("\"vocab_hash\":", "\"vocab_hash\":1,\"_x\":", 1);
         assert_ne!(json, tampered, "test must actually tamper");
         std::fs::write(&path, tampered).unwrap();
-        let err = load_model(&path, &db).unwrap_err();
+        let err = load_model(&path, &db)
+            .err()
+            .expect("tampered header must be rejected");
         assert!(err.to_string().contains("header"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

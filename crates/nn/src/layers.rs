@@ -75,20 +75,12 @@ impl Embedding {
         }
     }
 
-    /// Embed a token sequence: `[len] -> [len, dim]` (with positions added).
+    /// Embed a packed batch of `batch` sequences of equal `seq_len`
+    /// (`ids.len() == batch * seq_len`): `[batch*seq_len, dim]` with
+    /// positions added, restarting per sequence.
     ///
     /// # Panics
-    /// Panics if the sequence is longer than `max_len` or an id exceeds the
-    /// vocabulary.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
-        assert!(ids.len() <= self.pe.rows(), "sequence longer than max_len");
-        let emb = tape.embed(vars[self.table.0], ids);
-        let pe_slice = Tensor::from_fn(ids.len(), self.dim, |r, c| self.pe.get(r, c));
-        tape.add_const(emb, &pe_slice)
-    }
-
-    /// Embed a packed batch of `batch` sequences of equal `seq_len`
-    /// (`ids.len() == batch * seq_len`); positions restart per sequence.
+    /// Panics if `seq_len` exceeds `max_len` or an id exceeds the vocabulary.
     pub fn forward_packed(
         &self,
         tape: &mut Tape,
@@ -103,8 +95,7 @@ impl Embedding {
             "packed batch not a multiple of seq_len"
         );
         let emb = tape.embed(vars[self.table.0], ids);
-        let pe_tiled = Tensor::from_fn(ids.len(), self.dim, |r, c| self.pe.get(r % seq_len, c));
-        tape.add_const(emb, &pe_tiled)
+        tape.add_const(emb, &self.pe, seq_len)
     }
 }
 
@@ -159,33 +150,12 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// `[len, dim] -> [len, dim]`.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var) -> Var {
-        let dh = self.dim / self.heads;
-        let q = self.wq.forward(tape, vars, x);
-        let k = self.wk.forward(tape, vars, x);
-        let v = self.wv.forward(tape, vars, x);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut head_outs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = tape.slice_cols(q, h * dh, dh);
-            let kh = tape.slice_cols(k, h * dh, dh);
-            let vh = tape.slice_cols(v, h * dh, dh);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
-            let scaled = tape.scale(scores, scale);
-            let attn = tape.softmax_rows(scaled);
-            head_outs.push(tape.matmul(attn, vh));
-        }
-        let merged = tape.concat_cols(&head_outs);
-        self.wo.forward(tape, vars, merged)
-    }
-
     /// Batched attention over a packed `[batch*seq_len, dim]` input. The QKV
     /// and output projections run as single large matmuls (the CPU-speed
-    /// trick); only the `[seq_len × seq_len]` attention itself is
-    /// per-sample. `lens[b]` is the real (un-padded) length of sequence `b`;
-    /// padded key positions are masked out of the softmax.
+    /// trick); the per-(sample, head) `[seq_len × seq_len]` attention is one
+    /// fused [`Tape::attention`] node. `lens[b]` is the real (un-padded)
+    /// length of sequence `b`; padded key positions are masked out of the
+    /// softmax.
     pub fn forward_packed(
         &self,
         tape: &mut Tape,
@@ -194,40 +164,14 @@ impl MultiHeadSelfAttention {
         seq_len: usize,
         lens: &[usize],
     ) -> Var {
-        let batch = lens.len();
-        assert_eq!(
-            tape.value(x).rows(),
-            batch * seq_len,
-            "packed shape mismatch"
-        );
-        let dh = self.dim / self.heads;
+        #[cfg(test)]
+        if tests::use_composed_attention() {
+            return self.forward_packed_composed(tape, vars, x, seq_len, lens);
+        }
         let q = self.wq.forward(tape, vars, x);
         let k = self.wk.forward(tape, vars, x);
         let v = self.wv.forward(tape, vars, x);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut sample_outs = Vec::with_capacity(batch);
-        for (b, &blen) in lens.iter().enumerate() {
-            let qb = tape.slice_rows(q, b * seq_len, seq_len);
-            let kb = tape.slice_rows(k, b * seq_len, seq_len);
-            let vb = tape.slice_rows(v, b * seq_len, seq_len);
-            // Mask: -1e9 on key columns past the sample's real length.
-            let real = blen.min(seq_len).max(1);
-            let mask = Tensor::from_fn(seq_len, seq_len, |_, c| if c < real { 0.0 } else { -1e9 });
-            let mut head_outs = Vec::with_capacity(self.heads);
-            for h in 0..self.heads {
-                let qh = tape.slice_cols(qb, h * dh, dh);
-                let kh = tape.slice_cols(kb, h * dh, dh);
-                let vh = tape.slice_cols(vb, h * dh, dh);
-                let kt = tape.transpose(kh);
-                let scores = tape.matmul(qh, kt);
-                let scaled = tape.scale(scores, scale);
-                let masked = tape.add_const(scaled, &mask);
-                let attn = tape.softmax_rows(masked);
-                head_outs.push(tape.matmul(attn, vh));
-            }
-            sample_outs.push(tape.concat_cols(&head_outs));
-        }
-        let merged = tape.concat_rows(&sample_outs);
+        let merged = tape.attention(q, k, v, seq_len, lens, self.heads);
         self.wo.forward(tape, vars, merged)
     }
 }
@@ -262,12 +206,8 @@ impl TransformerEncoderLayer {
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var) -> Var {
-        let a = self.attn.forward(tape, vars, x);
-        self.finish(tape, vars, x, a)
-    }
-
-    /// Batched variant over a packed `[batch*seq_len, dim]` input.
+    /// One layer over a packed `[batch*seq_len, dim]` input. On a
+    /// forward-only tape the layer's intermediates are freed on the way out.
     pub fn forward_packed(
         &self,
         tape: &mut Tape,
@@ -276,19 +216,16 @@ impl TransformerEncoderLayer {
         seq_len: usize,
         lens: &[usize],
     ) -> Var {
+        let mark = tape.len();
         let a = self.attn.forward_packed(tape, vars, x, seq_len, lens);
-        self.finish(tape, vars, x, a)
-    }
-
-    /// Residual + LN + feed-forward + residual + LN (shape-agnostic).
-    fn finish(&self, tape: &mut Tape, vars: &[Var], x: Var, attn_out: Var) -> Var {
-        let res1 = tape.add(x, attn_out);
+        let res1 = tape.add(x, a);
         let x = self.ln1.forward(tape, vars, res1);
         let h = self.ff1.forward(tape, vars, x);
         let h = tape.relu(h);
         let h = self.ff2.forward(tape, vars, h);
         let res2 = tape.add(x, h);
-        self.ln2.forward(tape, vars, res2)
+        let out = self.ln2.forward(tape, vars, res2);
+        tape.collapse(mark, out)
     }
 }
 
@@ -335,20 +272,11 @@ impl TransformerEncoder {
         }
     }
 
-    /// Encode a token sequence to its `[len, dim]` contextual embeddings.
-    pub fn forward_sequence(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
-        let mut x = self.embedding.forward(tape, vars, ids);
-        for layer in &self.layers {
-            x = layer.forward(tape, vars, x);
-        }
-        x
-    }
-
-    /// Encode and return the last token's `[1, dim]` representation.
-    pub fn encode(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
-        let seq = self.forward_sequence(tape, vars, ids);
-        let len = ids.len();
-        tape.gather_rows(seq, &[len - 1])
+    /// Encode one sequence to its last token's `[1, dim]` representation —
+    /// [`TransformerEncoder::encode_batch`] on a batch of one (an empty
+    /// sequence is one `pad_id` token there too).
+    pub fn encode(&self, tape: &mut Tape, vars: &[Var], ids: &[usize], pad_id: usize) -> Var {
+        self.encode_batch(tape, vars, &[ids], pad_id)
     }
 
     /// Encode a whole batch of sequences at once, padding to the longest with
@@ -391,10 +319,91 @@ impl TransformerEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::bce_with_logits;
+    use crate::kernels::{set_simd_override, SimdOverride};
+    use crate::optim::Adam;
+    use crate::pool::set_thread_override;
+    use crate::tape::{bce_with_logits, forward_only};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static COMPOSED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether this test thread routed attention to the composed-op oracle.
+    pub(super) fn use_composed_attention() -> bool {
+        COMPOSED.get()
+    }
+
+    /// Run `f` with attention routed to the composed-op oracle.
+    fn with_oracle<R>(f: impl FnOnce() -> R) -> R {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                COMPOSED.set(false);
+            }
+        }
+        let _restore = Restore;
+        COMPOSED.set(true);
+        f()
+    }
+
+    impl MultiHeadSelfAttention {
+        /// The oracle the fused node is pinned against: the same attention as a
+        /// chain of nine generic tape ops per (sample, head).
+        pub(super) fn forward_packed_composed(
+            &self,
+            tape: &mut Tape,
+            vars: &[Var],
+            x: Var,
+            seq_len: usize,
+            lens: &[usize],
+        ) -> Var {
+            let batch = lens.len();
+            assert_eq!(
+                tape.value(x).rows(),
+                batch * seq_len,
+                "packed shape mismatch"
+            );
+            let dh = self.dim / self.heads;
+            let q = self.wq.forward(tape, vars, x);
+            let k = self.wk.forward(tape, vars, x);
+            let v = self.wv.forward(tape, vars, x);
+            let scale = 1.0 / (dh as f32).sqrt();
+            let mut sample_outs = Vec::with_capacity(batch);
+            for (b, &blen) in lens.iter().enumerate() {
+                let qb = tape.slice_rows(q, b * seq_len, seq_len);
+                let kb = tape.slice_rows(k, b * seq_len, seq_len);
+                let vb = tape.slice_rows(v, b * seq_len, seq_len);
+                // Mask: -1e9 on key columns past the sample's real length.
+                let real = blen.min(seq_len).max(1);
+                let mask =
+                    Tensor::from_fn(seq_len, seq_len, |_, c| if c < real { 0.0 } else { -1e9 });
+                let mut head_outs = Vec::with_capacity(self.heads);
+                for h in 0..self.heads {
+                    let qh = tape.slice_cols(qb, h * dh, dh);
+                    let kh = tape.slice_cols(kb, h * dh, dh);
+                    let vh = tape.slice_cols(vb, h * dh, dh);
+                    let kt = tape.transpose(kh);
+                    let scores = tape.matmul(qh, kt);
+                    let scaled = tape.scale(scores, scale);
+                    let masked = tape.add_const(scaled, &mask, seq_len);
+                    let attn = tape.softmax_rows(masked);
+                    head_outs.push(tape.matmul(attn, vh));
+                }
+                sample_outs.push(tape.concat_cols(&head_outs));
+            }
+            let merged = tape.concat_rows(&sample_outs);
+            self.wo.forward(tape, vars, merged)
+        }
+    }
 
     fn setup() -> (ParamSet, Initializer) {
         (ParamSet::new(), Initializer::new(42))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -419,11 +428,14 @@ mod tests {
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 16);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        // Same token at two positions must differ (positional encoding).
-        let y = emb.forward(&mut tape, &vars, &[3, 3]);
+        // Same token at two positions must differ (positional encoding)...
+        let y = emb.forward_packed(&mut tape, &vars, &[3, 3, 3, 3], 2);
         let v = tape.value(y);
-        assert_eq!(v.shape(), (2, 6));
+        assert_eq!(v.shape(), (4, 6));
         assert_ne!(v.row(0), v.row(1));
+        // ...and positions restart with each packed sequence.
+        assert_eq!(v.row(0), v.row(2));
+        assert_eq!(v.row(1), v.row(3));
     }
 
     #[test]
@@ -433,7 +445,7 @@ mod tests {
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 2);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        emb.forward(&mut tape, &vars, &[1, 2, 3]);
+        emb.forward_packed(&mut tape, &vars, &[1, 2, 3], 3);
     }
 
     #[test]
@@ -443,7 +455,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(1).uniform(5, 8, 1.0));
-        let y = mha.forward(&mut tape, &vars, x);
+        let y = mha.forward_packed(&mut tape, &vars, x, 5, &[5]);
         assert_eq!(tape.value(y).shape(), (5, 8));
         // All attention params receive gradients.
         let targets = Tensor::zeros(5, 8);
@@ -461,7 +473,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(2).uniform(7, 8, 1.0));
-        let y = layer.forward(&mut tape, &vars, x);
+        let y = layer.forward_packed(&mut tape, &vars, x, 7, &[7]);
         assert_eq!(tape.value(y).shape(), (7, 8));
     }
 
@@ -471,10 +483,10 @@ mod tests {
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 2, 32);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        let q = enc.encode(&mut tape, &vars, &[1, 5, 7, 2]);
+        let q = enc.encode(&mut tape, &vars, &[1, 5, 7, 2], 0);
         assert_eq!(tape.value(q).shape(), (1, 8));
         // Different sequences produce different representations.
-        let q2 = enc.encode(&mut tape, &vars, &[1, 5, 7, 3]);
+        let q2 = enc.encode(&mut tape, &vars, &[1, 5, 7, 3], 0);
         assert!(tape.value(q).max_abs_diff(tape.value(q2)) > 1e-6);
     }
 
@@ -485,33 +497,33 @@ mod tests {
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 1, 32);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        let a = enc.encode(&mut tape, &vars, &[4, 9, 9, 4]);
-        let b = enc.encode(&mut tape, &vars, &[9, 4, 4, 9]);
+        let a = enc.encode(&mut tape, &vars, &[4, 9, 9, 4], 0);
+        let b = enc.encode(&mut tape, &vars, &[9, 4, 4, 9], 0);
         assert!(tape.value(a).max_abs_diff(tape.value(b)) > 1e-6);
     }
 
     #[test]
-    fn encode_batch_matches_single_encode() {
-        // Batched (packed, masked) encoding must agree with the per-sample
-        // path for every sequence, including ones shorter than the pad width.
+    fn encode_batch_rows_equal_single_encode() {
+        // Batched (packed, masked) encoding must give every sequence exactly
+        // the floats it gets alone — padding and masking are invisible to
+        // the real rows. An empty sequence is one pad token on both paths.
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 2, 32);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        let seqs: Vec<Vec<usize>> = vec![vec![1, 5, 7, 2, 9], vec![4, 4], vec![3, 1, 2]];
+        let seqs: Vec<Vec<usize>> = vec![vec![1, 5, 7, 2, 9], vec![4, 4], vec![], vec![3, 1, 2]];
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
         let batch = enc.encode_batch(&mut tape, &vars, &refs, 0);
         for (b, s) in seqs.iter().enumerate() {
-            let single = enc.encode(&mut tape, &vars, s);
-            let bv = tape.value(batch).row(b).to_vec();
-            let sv = tape.value(single).row(0).to_vec();
-            let diff = bv
-                .iter()
-                .zip(&sv)
-                .map(|(a, c)| (a - c).abs())
-                .fold(0.0f32, f32::max);
-            assert!(diff < 1e-4, "sample {b}: batched vs single diff {diff}");
+            let single = enc.encode(&mut tape, &vars, s, 0);
+            assert_eq!(
+                tape.value(batch).row(b),
+                tape.value(single).row(0),
+                "sample {b}"
+            );
         }
+        let pad = enc.encode(&mut tape, &vars, &[0], 0);
+        assert_eq!(tape.value(batch).row(2), tape.value(pad).row(0));
     }
 
     #[test]
@@ -520,7 +532,7 @@ mod tests {
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 10, 8, 2, 16, 1, 16);
         let head = Linear::new(&mut p, &mut init, "head", 8, 1);
-        let mut adam = crate::optim::Adam::new(&p, 0.01);
+        let mut adam = Adam::new(&p, 0.01);
         let data = [(vec![1usize, 2, 3], 1.0f32), (vec![3usize, 2, 1], 0.0)];
         let mut last_loss = f32::INFINITY;
         for epoch in 0..120 {
@@ -528,7 +540,7 @@ mod tests {
             let vars = p.inject(&mut tape);
             let reps: Vec<Var> = data
                 .iter()
-                .map(|(ids, _)| enc.encode(&mut tape, &vars, ids))
+                .map(|(ids, _)| enc.encode(&mut tape, &vars, ids, 0))
                 .collect();
             let batch = tape.stack_rows(&reps);
             let logits = head.forward(&mut tape, &vars, batch);
@@ -542,5 +554,190 @@ mod tests {
             }
         }
         assert!(last_loss < 0.05, "did not overfit: loss {last_loss}");
+    }
+
+    /// A classifier-shaped model (encoder → hidden → logits), as
+    /// `pythia-core`'s `PlanClassifier` wires it.
+    struct Model {
+        params: ParamSet,
+        enc: TransformerEncoder,
+        fc1: Linear,
+        fc2: Linear,
+    }
+
+    impl Model {
+        fn new(dim: usize, heads: usize, ff: usize, hidden: usize, labels: usize) -> Self {
+            let (mut params, mut init) = setup();
+            let enc =
+                TransformerEncoder::new(&mut params, &mut init, "enc", 40, dim, heads, ff, 2, 96);
+            let fc1 = Linear::new(&mut params, &mut init, "fc1", dim, hidden);
+            let fc2 = Linear::new(&mut params, &mut init, "fc2", hidden, labels);
+            Model {
+                params,
+                enc,
+                fc1,
+                fc2,
+            }
+        }
+
+        fn logits(&self, tape: &mut Tape, vars: &[Var], seqs: &[&[usize]]) -> Var {
+            let reps = self.enc.encode_batch(tape, vars, seqs, 0);
+            let h = self.fc1.forward(tape, vars, reps);
+            let h = tape.relu(h);
+            self.fc2.forward(tape, vars, h)
+        }
+
+        /// `epochs` passes of Adam over `seqs` in minibatches of `batch` on
+        /// one reused tape, the way `PlanClassifier::train` drives it.
+        fn train(&mut self, seqs: &[Vec<usize>], batch: usize, epochs: usize) {
+            let labels = self.fc2.out_dim;
+            let mut adam = Adam::new(&self.params, 5e-3);
+            let mut tape = Tape::new();
+            for _ in 0..epochs {
+                for (c, chunk) in seqs.chunks(batch).enumerate() {
+                    let refs: Vec<&[usize]> = chunk.iter().map(|s| s.as_slice()).collect();
+                    tape.reset();
+                    let mut targets = tape.zeros(chunk.len(), labels);
+                    for r in 0..chunk.len() {
+                        targets.set(r, (r + c) % labels, 1.0);
+                    }
+                    let vars = self.params.inject(&mut tape);
+                    let logits = self.logits(&mut tape, &vars, &refs);
+                    let loss = bce_with_logits(&mut tape, logits, targets, 2.0);
+                    let grads = tape.backward(loss);
+                    adam.step(&mut self.params, &vars, &grads);
+                    tape.absorb(grads);
+                }
+            }
+        }
+    }
+
+    fn ragged_seqs(n: usize, max_len: usize) -> Vec<Vec<usize>> {
+        (0..n)
+            .map(|s| {
+                let len = 1 + (s * 7 + 3) % max_len;
+                (0..len).map(|i| 1 + (s * 31 + i * 7) % 39).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn training_through_fused_attention_yields_the_oracle_weights() {
+        let seqs = ragged_seqs(10, 9);
+        let mut fused = Model::new(8, 2, 16, 16, 6);
+        fused.train(&seqs, 4, 5);
+        let mut oracle = Model::new(8, 2, 16, 16, 6);
+        with_oracle(|| oracle.train(&seqs, 4, 5));
+        for ((id, f), (_, o)) in fused.params.iter().zip(oracle.params.iter()) {
+            assert_eq!(bits(f), bits(o), "{}", fused.params.name(id));
+        }
+    }
+
+    #[test]
+    fn a_32_sequence_minibatch_records_68_nodes_not_2628() {
+        // The benchmark's model shape: 32 sequences × 77 tokens, 4 heads.
+        let model = Model::new(32, 4, 64, 128, 50);
+        let seqs = vec![vec![3usize; 77]; 32];
+        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let nodes = |model: &Model| {
+            let mut tape = Tape::new();
+            let vars = model.params.inject(&mut tape);
+            let logits = model.logits(&mut tape, &vars, &refs);
+            bce_with_logits(&mut tape, logits, Tensor::zeros(32, 50), 1.0);
+            tape.len()
+        };
+        assert_eq!(nodes(&model), 68);
+        assert_eq!(with_oracle(|| nodes(&model)), 2628);
+    }
+
+    #[test]
+    fn forward_only_tape_lends_params_and_keeps_one_layer() {
+        let model = Model::new(8, 2, 16, 16, 6);
+        let seqs = ragged_seqs(5, 9);
+        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let mut tape = Tape::new();
+        let vars = model.params.inject(&mut tape);
+        let logits = model.logits(&mut tape, &vars, &refs);
+        let recorded = tape.value(logits).clone();
+
+        let run = || {
+            forward_only(|tape| {
+                let vars = model.params.lend(tape);
+                let logits = model.logits(tape, &vars, &refs);
+                // Params + embedding (2) + one node per finished layer (2) +
+                // gather + decoder (3): no layer's intermediates survive it.
+                assert_eq!(tape.len(), model.params.len() + 8);
+                (tape.value(logits).clone(), tape.allocations())
+            })
+        };
+        let (first, warm) = run();
+        assert_eq!(bits(&first), bits(&recorded));
+        // A repeat call draws everything from the thread's arena.
+        let (_, after) = run();
+        assert_eq!(after, warm, "warm forward-only call allocated");
+    }
+
+    /// Restores the dispatch ladder and pool width even when a
+    /// `prop_assert!` failure unwinds mid-test.
+    struct RestoreDispatch;
+    impl Drop for RestoreDispatch {
+        fn drop(&mut self) {
+            set_simd_override(SimdOverride::Env);
+            set_thread_override(0);
+        }
+    }
+
+    /// Attention forward + backward on a packed ragged batch: the output and
+    /// the gradient of every parameter and of the input, as bit patterns.
+    fn attention_bits(lens: &[usize], heads: usize, dh: usize, seed: u64) -> Vec<Vec<u32>> {
+        let dim = heads * dh;
+        let seq_len = *lens.iter().max().expect("non-empty batch");
+        let mut params = ParamSet::new();
+        let mut init = Initializer::new(seed);
+        let mha = MultiHeadSelfAttention::new(&mut params, &mut init, "a", dim, heads);
+        let mut tape = Tape::new();
+        let vars = params.inject(&mut tape);
+        let x = tape.leaf(init.uniform(lens.len() * seq_len, dim, 1.5));
+        let y = mha.forward_packed(&mut tape, &vars, x, seq_len, lens);
+        let targets = Tensor::from_fn(lens.len() * seq_len, dim, |r, c| ((r + c) % 3) as f32 / 2.0);
+        let loss = bce_with_logits(&mut tape, y, targets, 1.5);
+        let grads = tape.backward(loss);
+        let mut out = vec![bits(tape.value(y)), bits(grads.get(x))];
+        out.extend(vars.iter().map(|&v| bits(grads.get(v))));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The fused attention node equals the composed-op oracle bit for bit
+        /// — forward values and every parameter / input gradient — on ragged
+        /// batches (incl. all-equal lengths and length-1 sequences), at any
+        /// head count, pool width and ISA arm.
+        #[test]
+        fn fused_attention_equals_composed_oracle(
+            raw_lens in prop::collection::vec(1usize..=24, 1..=6),
+            shape in 0usize..3,
+            heads in prop::sample::select(vec![1usize, 2, 4]),
+            // dh 24 at 4 heads makes the projections wide enough to fan out
+            // across the pool on the larger batches.
+            dh in prop::sample::select(vec![2usize, 5, 24]),
+            threads in prop::sample::select(vec![1usize, 4]),
+            scalar in prop::bool::ANY,
+            seed in 0u64..1000,
+        ) {
+            let mut lens = raw_lens;
+            match shape {
+                0 => {}
+                1 => lens = vec![lens[0]; lens.len()],
+                _ => lens[0] = 1,
+            }
+            let _restore = RestoreDispatch;
+            set_thread_override(threads);
+            set_simd_override(if scalar { SimdOverride::ForceScalar } else { SimdOverride::ForceDetect });
+            let fused = attention_bits(&lens, heads, dh, seed);
+            let oracle = with_oracle(|| attention_bits(&lens, heads, dh, seed));
+            prop_assert_eq!(fused, oracle);
+        }
     }
 }

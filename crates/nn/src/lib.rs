@@ -19,10 +19,11 @@
 //!   sparse page labels).
 //!
 //! Design: parameters live in a [`ParamSet`] of plain tensors. Every training
-//! step *injects* them into a fresh [`Tape`] as leaves, builds the forward
+//! step *injects* them into a (reset) [`Tape`] as leaves, builds the forward
 //! graph eagerly, calls [`Tape::backward`], and hands gradients to the
 //! optimizer. No graph caching, no aliasing — simple and easy to verify
-//! against finite differences (see the property tests).
+//! against finite differences (see the property tests). Inference *lends*
+//! the parameters to a [`tape::forward_only`] tape instead of copying them.
 
 //!
 //! Parallelism: [`pool`] owns the workspace-wide thread-count policy

@@ -20,7 +20,18 @@
 //! Values are computed eagerly when an op is recorded; `backward` walks the
 //! tape in reverse accumulating gradients. Every op's gradient is verified
 //! against central finite differences in this module's tests.
+//!
+//! Every op output, saved activation, gradient and backward temporary comes
+//! from the tape's exact-size [`Arena`] and goes back to it on
+//! [`Tape::reset`] / [`Tape::absorb`]: a step whose shapes repeat allocates
+//! nothing. Inference runs on a [`forward_only`] tape that borrows the
+//! parameters instead of copying them.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use crate::kernels::{a_bt_band, at_b_band, matmul_band};
 use crate::tensor::Tensor;
 
 /// Handle to a node on a [`Tape`].
@@ -87,9 +98,21 @@ impl ParamSet {
     }
 
     /// Copy all parameters onto `tape` as leaves; `result[i]` is the var for
-    /// `ParamId(i)`.
-    pub fn inject(&self, tape: &mut Tape) -> Vec<Var> {
+    /// `ParamId(i)`. Training uses this: the optimizer mutates the set while
+    /// the tape is alive.
+    pub fn inject(&self, tape: &mut Tape<'_>) -> Vec<Var> {
         self.tensors.iter().map(|t| tape.leaf_copy(t)).collect()
+    }
+
+    /// Lend all parameters to `tape` as borrowed leaves — same vars as
+    /// [`ParamSet::inject`], no copy. The inference path.
+    pub fn lend<'p>(&'p self, tape: &mut Tape<'p>) -> Vec<Var> {
+        let first = tape.nodes.len();
+        tape.nodes.extend(self.tensors.iter().map(|t| Node {
+            value: Cow::Borrowed(t),
+            op: Op::Leaf,
+        }));
+        (first..tape.nodes.len()).map(Var).collect()
     }
 
     /// Iterate `(id, tensor)` pairs.
@@ -98,6 +121,70 @@ impl ParamSet {
             .iter()
             .enumerate()
             .map(|(i, t)| (ParamId(i), t))
+    }
+}
+
+/// Exact-size `f32` buffer arena: free lists keyed by element count, so a
+/// buffer is only ever reused for a tensor of exactly its size and never
+/// grows. A buffer that sits unused through two consecutive steps (see
+/// [`Arena::trim`]) is freed, so the arena retains at most the working sets
+/// of the last two steps — one set when every step has the same shapes, two
+/// when a short last minibatch alternates with full ones.
+#[derive(Default)]
+struct Arena {
+    free: BTreeMap<usize, SizeClass>,
+    /// Fresh heap allocations made so far (a warm arena stops counting).
+    allocs: usize,
+}
+
+#[derive(Default)]
+struct SizeClass {
+    bufs: Vec<Vec<f32>>,
+    /// Fewest buffers that were free at any time in this step / the previous.
+    idle: usize,
+    idle_prev: usize,
+}
+
+impl Arena {
+    /// A buffer of exactly `len` elements with unspecified contents.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        if let Some(class) = self.free.get_mut(&len) {
+            if let Some(buf) = class.bufs.pop() {
+                class.idle = class.idle.min(class.bufs.len());
+                return buf;
+            }
+        }
+        self.allocs += 1;
+        vec![0.0; len]
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut data = self.take(rows * cols);
+        data.fill(0.0);
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    fn copy_of(&mut self, t: &Tensor) -> Tensor {
+        let mut data = self.take(t.len());
+        data.copy_from_slice(t.as_slice());
+        Tensor::from_vec(t.rows(), t.cols(), data)
+    }
+
+    fn recycle(&mut self, t: Tensor) {
+        let buf = t.into_data();
+        self.free.entry(buf.len()).or_default().bufs.push(buf);
+    }
+
+    /// Step boundary (everything is back in the free lists): free the
+    /// buffers that were needed by neither of the last two steps.
+    fn trim(&mut self) {
+        self.free.retain(|_, class| {
+            let stale = class.idle.min(class.idle_prev);
+            class.bufs.truncate(class.bufs.len() - stale);
+            class.idle_prev = class.idle - stale;
+            class.idle = class.bufs.len();
+            !class.bufs.is_empty()
+        });
     }
 }
 
@@ -121,32 +208,28 @@ enum Op {
         gain: Var,
         bias: Var,
     },
-    /// Row-gather from an embedding table.
-    Embed {
-        table: Var,
-        ids: Vec<usize>,
-    },
     Transpose(Var),
-    SliceCols {
-        x: Var,
-        start: usize,
-        len: usize,
+    /// The block of `x` at `(row, col)`, shaped like the node's value.
+    Slice(Var, (usize, usize)),
+    /// Blocks side by side (`cols`) or stacked (arbitrary heights).
+    Concat {
+        xs: Vec<Var>,
+        cols: bool,
     },
-    ConcatCols(Vec<Var>),
-    /// Stack `[1,n]` rows into `[k,n]`.
-    StackRows(Vec<Var>),
-    /// Rows `[start, start+len)` of `x`.
-    SliceRows {
-        x: Var,
-        start: usize,
-        len: usize,
-    },
-    /// Concatenate along rows (blocks of arbitrary heights).
-    ConcatRows(Vec<Var>),
-    /// Gather arbitrary rows of a non-leaf var (backward scatter-adds).
+    /// Gather arbitrary rows (backward scatter-adds) — also the embedding
+    /// lookup.
     GatherRows {
         x: Var,
         idxs: Vec<usize>,
+    },
+    /// Fused masked multi-head attention over a packed batch (see
+    /// [`Tape::attention`]). `probs` holds one `[seq_len, seq_len]` softmax
+    /// block per (sample, head) — the only activation saved for backward.
+    Attention {
+        qkv: [Var; 3],
+        seq_len: usize,
+        heads: usize,
+        probs: Tensor,
     },
     BceWithLogits {
         logits: Var,
@@ -155,9 +238,15 @@ enum Op {
     },
 }
 
-struct Node {
-    value: Tensor,
+struct Node<'p> {
+    /// Computed on the tape (owned, an arena buffer) or a parameter lent by
+    /// a [`ParamSet`] for the tape's lifetime.
+    value: Cow<'p, Tensor>,
     op: Op,
+}
+
+fn val<'a>(nodes: &'a [Node<'_>], var: Var) -> &'a Tensor {
+    &nodes[var.0].value
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -182,21 +271,46 @@ impl Gradients {
     }
 }
 
-/// The autograd tape.
+/// The autograd tape. `'p` is the lifetime of parameters lent to it
+/// ([`ParamSet::lend`]); a tape that only holds copies is `Tape<'static>`.
 #[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
-    /// Recycled `f32` buffers. [`Tape::reset`] and [`Tape::absorb`] return
-    /// node/gradient storage here so steady-state training (same graph shape
-    /// every minibatch) reuses allocations instead of hitting the allocator
-    /// per op.
-    pool: Vec<Vec<f32>>,
+pub struct Tape<'p> {
+    nodes: Vec<Node<'p>>,
+    /// Backing store of every node value, saved activation, gradient and
+    /// backward temporary. [`Tape::reset`] and [`Tape::absorb`] return
+    /// buffers here; see [`Arena`] for what it retains.
+    arena: Arena,
+    /// Set by [`forward_only`]: [`Tape::collapse`] frees finished
+    /// sub-graphs and [`Tape::backward`] is refused.
+    forward_only: bool,
+}
+
+thread_local! {
+    /// The calling thread's inference arena, kept warm across
+    /// [`forward_only`] calls.
+    static INFER_ARENA: RefCell<Arena> = RefCell::default();
+}
+
+/// Run `f` on a forward-only tape backed by this thread's reusable arena:
+/// parameters can be lent rather than copied, [`Tape::collapse`] frees each
+/// finished layer, and every buffer goes back to the thread's arena when `f`
+/// returns — a repeat call with the same shapes allocates nothing.
+pub fn forward_only<'p, R>(f: impl FnOnce(&mut Tape<'p>) -> R) -> R {
+    let mut tape = Tape {
+        nodes: Vec::new(),
+        arena: INFER_ARENA.with(RefCell::take),
+        forward_only: true,
+    };
+    let out = f(&mut tape);
+    tape.reset();
+    INFER_ARENA.with(|arena| arena.replace(tape.arena));
+    out
 }
 
 const LN_EPS: f32 = 1e-5;
 
-impl Tape {
-    /// An empty tape.
+impl<'p> Tape<'p> {
+    /// An empty recording tape.
     pub fn new() -> Self {
         Tape::default()
     }
@@ -211,14 +325,35 @@ impl Tape {
         self.nodes.is_empty()
     }
 
+    /// Fresh heap allocations the tape's arena has made so far. Stops
+    /// growing once the arena is warm for the shapes in use.
+    pub fn allocations(&self) -> usize {
+        self.arena.allocs
+    }
+
+    /// Bytes of free buffers the arena holds (everything, right after
+    /// [`Tape::reset`]).
+    pub fn retained_bytes(&self) -> usize {
+        let held = |(len, class): (&usize, &SizeClass)| len * class.bufs.len() * 4;
+        self.arena.free.iter().map(held).sum()
+    }
+
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let value = Cow::Owned(value);
         self.nodes.push(Node { value, op });
         Var(self.nodes.len() - 1)
     }
 
     /// The forward value of `var`.
     pub fn value(&self, var: Var) -> &Tensor {
-        &self.nodes[var.0].value
+        val(&self.nodes, var)
+    }
+
+    /// A zeroed `[rows, cols]` tensor from the tape's arena, for inputs the
+    /// caller fills and hands back (e.g. the targets of
+    /// [`bce_with_logits`]).
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        self.arena.zeros(rows, cols)
     }
 
     /// Record a leaf (input or parameter copy).
@@ -226,35 +361,54 @@ impl Tape {
         self.push(t, Op::Leaf)
     }
 
-    /// Record a leaf holding a copy of `t`, reusing a pooled buffer.
+    /// Record a leaf holding a copy of `t` in an arena buffer.
     pub fn leaf_copy(&mut self, t: &Tensor) -> Var {
-        let (r, c) = t.shape();
-        let v = pooled_from_slice(&mut self.pool, r, c, t.as_slice());
+        let v = self.arena.copy_of(t);
         self.push(v, Op::Leaf)
     }
 
-    /// Clear all recorded nodes, recycling their buffers. The tape is then
-    /// ready for the next minibatch's graph without reallocating.
+    /// Clear all recorded nodes, returning their buffers to the arena. The
+    /// tape is then ready for the next minibatch's graph; this is the step
+    /// boundary at which the arena frees what recent steps did not use.
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
-            self.pool.push(node.value.into_data());
-            if let Op::BceWithLogits { targets, .. } = node.op {
-                self.pool.push(targets.into_data());
-            }
+            release(&mut self.arena, node);
+        }
+        self.arena.trim();
+    }
+
+    /// Return gradient buffers to the arena once the optimizer is done with
+    /// them.
+    pub fn absorb(&mut self, grads: Gradients) {
+        for g in grads.grads.into_iter().flatten() {
+            self.arena.recycle(g);
         }
     }
 
-    /// Recycle gradient buffers into the pool once the optimizer is done
-    /// with them.
-    pub fn absorb(&mut self, grads: Gradients) {
-        for g in grads.grads.into_iter().flatten() {
-            self.pool.push(g.into_data());
+    /// On a [`forward_only`] tape: free every node recorded since `mark`
+    /// (an earlier [`Tape::len`]) except `keep`, which becomes node `mark` —
+    /// all other vars at or past `mark` are invalidated. A finished layer
+    /// calls this so inference holds one layer's activations, not the whole
+    /// network's. A recording tape needs them for backward and returns
+    /// `keep` unchanged.
+    pub fn collapse(&mut self, mark: usize, keep: Var) -> Var {
+        if !self.forward_only {
+            return keep;
         }
+        assert!(mark <= keep.0, "collapse keeps a node recorded before mark");
+        let kept = self.nodes.swap_remove(keep.0);
+        for node in self.nodes.drain(mark..) {
+            release(&mut self.arena, node);
+        }
+        self.nodes.push(kept);
+        Var(mark)
     }
 
     /// `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let (av, bv) = (val(&self.nodes, a), val(&self.nodes, b));
+        let mut v = self.arena.zeros(av.rows(), bv.cols());
+        av.matmul_into(bv, &mut v);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -265,57 +419,55 @@ impl Tape {
     /// uses the transpose-free kernels [`Tensor::matmul_a_bt`] /
     /// [`Tensor::matmul_at_b`].
     pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
-        assert_eq!(
-            self.nodes[x.0].value.cols(),
-            self.nodes[w.0].value.rows(),
-            "linear inner-dim mismatch"
-        );
-        let v = self.nodes[x.0]
-            .value
-            .matmul_bias(&self.nodes[w.0].value, &self.nodes[bias.0].value);
+        let (xv, wv) = (val(&self.nodes, x), val(&self.nodes, w));
+        let mut v = self.arena.zeros(xv.rows(), wv.cols());
+        xv.matmul_bias_into(wv, val(&self.nodes, bias), &mut v);
         self.push(v, Op::Linear(x, w, bias))
     }
 
     /// `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add(self.value(b));
+        let (av, bv) = (val(&self.nodes, a), val(&self.nodes, b));
+        assert_eq!(av.shape(), bv.shape(), "add shape mismatch");
+        let mut v = self.arena.copy_of(av);
+        for (x, y) in v.as_mut_slice().iter_mut().zip(bv.as_slice()) {
+            *x += y;
+        }
         self.push(v, Op::Add(a, b))
     }
 
     /// `[m,n] + [1,n]`: add `row` to every row of `a` (bias add).
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
-        let (m, n) = self.nodes[a.0].value.shape();
-        assert_eq!(
-            self.nodes[row.0].value.shape(),
-            (1, n),
-            "add_row shape mismatch"
-        );
-        let mut v = pooled_from_slice(&mut self.pool, m, n, self.nodes[a.0].value.as_slice());
-        let rt = &self.nodes[row.0].value;
-        for r in 0..m {
-            for (x, b) in v.row_mut(r).iter_mut().zip(rt.row(0)) {
-                *x += b;
-            }
-        }
+        let (av, rt) = (val(&self.nodes, a), val(&self.nodes, row));
+        assert_eq!(rt.shape(), (1, av.cols()), "add_row shape mismatch");
+        let v = add_tiled(&mut self.arena, av, rt, 1);
         self.push(v, Op::AddRow(a, row))
     }
 
     /// `a * s`.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).scale(s);
+        let mut v = self.arena.copy_of(val(&self.nodes, a));
+        for x in v.as_mut_slice() {
+            *x *= s;
+        }
         self.push(v, Op::Scale(a, s))
     }
 
-    /// `a + c` for a constant `c` (no gradient to `c`).
-    pub fn add_const(&mut self, a: Var, c: &Tensor) -> Var {
-        let v = self.value(a).add(c);
+    /// `a + c` for a constant `c` tiled down the rows with period `period`
+    /// (row `r` of `a` gets row `r % period` of `c`; no gradient to `c`).
+    /// Positional encodings restart per packed sequence this way without a
+    /// tiled copy.
+    pub fn add_const(&mut self, a: Var, c: &Tensor, period: usize) -> Var {
+        let av = val(&self.nodes, a);
+        assert_eq!(av.cols(), c.cols(), "add_const column mismatch");
+        assert!(0 < period && period <= c.rows(), "bad add_const period");
+        let v = add_tiled(&mut self.arena, av, c, period);
         self.push(v, Op::AddConst(a))
     }
 
     /// Elementwise ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
-        let (m, n) = self.nodes[a.0].value.shape();
-        let mut v = pooled_from_slice(&mut self.pool, m, n, self.nodes[a.0].value.as_slice());
+        let mut v = self.arena.copy_of(val(&self.nodes, a));
         for x in v.as_mut_slice() {
             *x = x.max(0.0);
         }
@@ -324,36 +476,21 @@ impl Tape {
 
     /// Row-wise softmax (attention weights).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let (m, n) = self.nodes[a.0].value.shape();
-        let mut v = pooled_zeros(&mut self.pool, m, n);
-        let x = &self.nodes[a.0].value;
-        for r in 0..m {
-            let row = x.row(r);
-            let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let out = v.row_mut(r);
-            let mut sum = 0.0;
-            for (o, &xv) in out.iter_mut().zip(row) {
-                let e = (xv - mx).exp();
-                *o = e;
-                sum += e;
-            }
-            let inv = 1.0 / sum;
-            for o in out.iter_mut() {
-                *o *= inv;
-            }
+        let mut v = self.arena.copy_of(val(&self.nodes, a));
+        for r in 0..v.rows() {
+            softmax_in_place(v.row_mut(r));
         }
         self.push(v, Op::SoftmaxRows(a))
     }
 
     /// Row-wise layer normalization with learned gain/bias (`[1,n]` each).
     pub fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
-        let (m, n) = self.nodes[x.0].value.shape();
-        assert_eq!(self.nodes[gain.0].value.shape(), (1, n));
-        assert_eq!(self.nodes[bias.0].value.shape(), (1, n));
-        let mut v = pooled_zeros(&mut self.pool, m, n);
-        let xv = &self.nodes[x.0].value;
-        let g = &self.nodes[gain.0].value;
-        let b = &self.nodes[bias.0].value;
+        let xv = val(&self.nodes, x);
+        let (g, b) = (val(&self.nodes, gain), val(&self.nodes, bias));
+        let (m, n) = xv.shape();
+        assert_eq!(g.shape(), (1, n));
+        assert_eq!(b.shape(), (1, n));
+        let mut v = self.arena.zeros(m, n);
         for r in 0..m {
             let row = xv.row(r);
             let mean = row.iter().sum::<f32>() / n as f32;
@@ -368,98 +505,103 @@ impl Tape {
         self.push(v, Op::LayerNorm { x, gain, bias })
     }
 
-    /// Gather rows `ids` from embedding `table` (`[vocab, dim]` → `[len, dim]`).
+    /// Gather rows `ids` from embedding `table` (`[vocab, dim]` → `[len, dim]`):
+    /// [`Tape::gather_rows`] under its usual name.
     pub fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
-        let dim = self.nodes[table.0].value.cols();
-        let mut v = pooled_zeros(&mut self.pool, ids.len(), dim);
-        let t = &self.nodes[table.0].value;
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < t.rows(), "embedding id {id} out of vocab {}", t.rows());
-            v.row_mut(r).copy_from_slice(t.row(id));
-        }
-        self.push(
-            v,
-            Op::Embed {
-                table,
-                ids: ids.to_vec(),
-            },
-        )
+        self.gather_rows(table, ids)
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
-        let v = self.value(a).transpose();
+        let v = transposed(&mut self.arena, val(&self.nodes, a));
         self.push(v, Op::Transpose(a))
     }
 
-    /// Columns `[start, start+len)` of `x` (attention head split).
-    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let (m, n) = self.nodes[x.0].value.shape();
-        assert!(start + len <= n, "slice_cols out of range");
-        let mut v = pooled_zeros(&mut self.pool, m, len);
-        let xv = &self.nodes[x.0].value;
-        for r in 0..m {
-            v.row_mut(r).copy_from_slice(&xv.row(r)[start..start + len]);
-        }
-        self.push(v, Op::SliceCols { x, start, len })
+    /// The `size` block of `x` at `at`, both `(rows, cols)`.
+    fn slice(&mut self, x: Var, at: (usize, usize), size: (usize, usize)) -> Var {
+        let xv = val(&self.nodes, x);
+        assert!(
+            at.0 + size.0 <= xv.rows() && at.1 + size.1 <= xv.cols(),
+            "slice out of range"
+        );
+        let mut v = self.arena.zeros(size.0, size.1);
+        blit(&mut v, (0, 0), xv, at, size);
+        self.push(v, Op::Slice(x, at))
     }
 
-    /// Concatenate along columns (attention head merge).
-    pub fn concat_cols(&mut self, xs: &[Var]) -> Var {
-        assert!(!xs.is_empty());
-        let m = self.nodes[xs[0].0].value.rows();
-        let total: usize = xs.iter().map(|&v| self.nodes[v.0].value.cols()).sum();
-        let mut v = pooled_zeros(&mut self.pool, m, total);
-        let mut off = 0;
-        for &x in xs {
-            let xv = &self.nodes[x.0].value;
-            assert_eq!(xv.rows(), m, "concat_cols row mismatch");
-            for r in 0..m {
-                v.row_mut(r)[off..off + xv.cols()].copy_from_slice(xv.row(r));
-            }
-            off += xv.cols();
-        }
-        self.push(v, Op::ConcatCols(xs.to_vec()))
+    /// Columns `[start, start+len)` of `x`.
+    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let m = self.value(x).rows();
+        self.slice(x, (0, start), (m, len))
     }
 
     /// Rows `[start, start+len)` of `x` (per-sample views into a packed
     /// batch).
     pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let (m, n) = self.nodes[x.0].value.shape();
-        assert!(start + len <= m, "slice_rows out of range");
-        let mut v = pooled_zeros(&mut self.pool, len, n);
-        let xv = &self.nodes[x.0].value;
-        for r in 0..len {
-            v.row_mut(r).copy_from_slice(xv.row(start + r));
-        }
-        self.push(v, Op::SliceRows { x, start, len })
+        let n = self.value(x).cols();
+        self.slice(x, (start, 0), (len, n))
     }
 
-    /// Concatenate blocks along rows (repacking per-sample attention outputs
-    /// into the batch matrix).
-    pub fn concat_rows(&mut self, xs: &[Var]) -> Var {
+    /// `xs` side by side (`cols`) or stacked on top of each other.
+    fn concat(&mut self, xs: &[Var], cols: bool) -> Var {
         assert!(!xs.is_empty());
-        let n = self.nodes[xs[0].0].value.cols();
-        let total: usize = xs.iter().map(|&v| self.nodes[v.0].value.rows()).sum();
-        let mut v = pooled_zeros(&mut self.pool, total, n);
+        // (extent along the joined axis, extent across it) of one block.
+        let dims = |t: &Tensor| {
+            if cols {
+                (t.cols(), t.rows())
+            } else {
+                t.shape()
+            }
+        };
+        let across = dims(val(&self.nodes, xs[0])).1;
+        let total: usize = xs.iter().map(|&x| dims(val(&self.nodes, x)).0).sum();
+        let mut v = if cols {
+            self.arena.zeros(across, total)
+        } else {
+            self.arena.zeros(total, across)
+        };
         let mut off = 0;
         for &x in xs {
-            let xv = &self.nodes[x.0].value;
-            assert_eq!(xv.cols(), n, "concat_rows col mismatch");
-            for r in 0..xv.rows() {
-                v.row_mut(off + r).copy_from_slice(xv.row(r));
-            }
-            off += xv.rows();
+            let xv = val(&self.nodes, x);
+            assert_eq!(dims(xv).1, across, "concat shape mismatch");
+            let at = if cols { (0, off) } else { (off, 0) };
+            blit(&mut v, at, xv, (0, 0), xv.shape());
+            off += dims(xv).0;
         }
-        self.push(v, Op::ConcatRows(xs.to_vec()))
+        self.push(
+            v,
+            Op::Concat {
+                xs: xs.to_vec(),
+                cols,
+            },
+        )
+    }
+
+    /// Concatenate along columns.
+    pub fn concat_cols(&mut self, xs: &[Var]) -> Var {
+        self.concat(xs, true)
+    }
+
+    /// Concatenate blocks along rows.
+    pub fn concat_rows(&mut self, xs: &[Var]) -> Var {
+        self.concat(xs, false)
+    }
+
+    /// Stack `[1,n]` vars into `[k,n]` (batching per-sample query embeddings
+    /// for the decoder).
+    pub fn stack_rows(&mut self, xs: &[Var]) -> Var {
+        for &x in xs {
+            assert_eq!(self.value(x).rows(), 1, "stack_rows expects [1,n] inputs");
+        }
+        self.concat(xs, false)
     }
 
     /// Gather rows `idxs` from `x` (extracting each sequence's last-token
-    /// representation from a packed batch). Duplicate indices are allowed.
+    /// representation from a packed batch, or looking up embeddings).
+    /// Duplicate indices are allowed.
     pub fn gather_rows(&mut self, x: Var, idxs: &[usize]) -> Var {
-        let n = self.nodes[x.0].value.cols();
-        let mut v = pooled_zeros(&mut self.pool, idxs.len(), n);
-        let xv = &self.nodes[x.0].value;
+        let xv = val(&self.nodes, x);
+        let mut v = self.arena.zeros(idxs.len(), xv.cols());
         for (r, &i) in idxs.iter().enumerate() {
             assert!(i < xv.rows(), "gather_rows index {i} out of range");
             v.row_mut(r).copy_from_slice(xv.row(i));
@@ -473,109 +615,161 @@ impl Tape {
         )
     }
 
-    /// Stack `[1,n]` vars into `[k,n]` (batching per-sample query embeddings
-    /// for the decoder).
-    pub fn stack_rows(&mut self, xs: &[Var]) -> Var {
-        assert!(!xs.is_empty());
-        let n = self.nodes[xs[0].0].value.cols();
-        let mut v = pooled_zeros(&mut self.pool, xs.len(), n);
-        for (r, &x) in xs.iter().enumerate() {
-            let xv = &self.nodes[x.0].value;
-            assert_eq!(xv.shape(), (1, n), "stack_rows expects [1,n] inputs");
-            v.row_mut(r).copy_from_slice(xv.row(0));
+    /// Masked multi-head self-attention over a packed batch as **one** node.
+    /// `q`, `k`, `v` are `[batch·seq_len, dim]` (sample `b` owns rows
+    /// `[b·seq_len, (b+1)·seq_len)`, head `h` columns `[h·dh, (h+1)·dh)` with
+    /// `dh = dim / heads`); key positions at or past `lens[b]` are masked
+    /// out of sample `b`'s softmax. Returns the merged `[batch·seq_len, dim]`
+    /// head outputs.
+    ///
+    /// Per (sample, head) this runs exactly what the composed ops
+    /// `softmax_rows(Q·Kᵀ·scale + mask)·V` run — the same band kernels on the
+    /// same operand values in the same order — over scratch buffers reused
+    /// across the loop, and writes each head's output straight into its
+    /// column block. Only the softmax probabilities are saved for backward.
+    pub fn attention(
+        &mut self,
+        q: Var,
+        k: Var,
+        v: Var,
+        seq_len: usize,
+        lens: &[usize],
+        heads: usize,
+    ) -> Var {
+        let [qv, kv, vv] = [q, k, v].map(|var| val(&self.nodes, var));
+        let (rows, dim) = qv.shape();
+        assert_eq!(rows, lens.len() * seq_len, "packed shape mismatch");
+        assert!(
+            kv.shape() == (rows, dim) && vv.shape() == (rows, dim),
+            "attention q/k/v shape mismatch"
+        );
+        assert!(
+            seq_len > 0 && heads > 0 && dim > 0 && dim % heads == 0,
+            "attention over {seq_len} positions, {dim} dims, {heads} heads"
+        );
+        let (s, dh) = (seq_len, dim / heads);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let arena = &mut self.arena;
+        let mut out = arena.zeros(rows, dim);
+        let mut probs = arena.zeros(lens.len() * heads * s, s);
+        let [mut qh, mut vh, mut oh] = [(); 3].map(|_| arena.zeros(s, dh));
+        let mut kt = arena.zeros(dh, s);
+        for (b, &len) in lens.iter().enumerate() {
+            let real = len.min(s).max(1);
+            for h in 0..heads {
+                let at = (b * s, h * dh);
+                blit(&mut qh, (0, 0), qv, at, (s, dh));
+                blit_t(&mut kt, (0, 0), kv, at, (s, dh));
+                blit(&mut vh, (0, 0), vv, at, (s, dh));
+                // Freshly zeroed above, and each block is visited once.
+                let p = &mut probs.as_mut_slice()[(b * heads + h) * s * s..][..s * s];
+                matmul_band(qh.as_slice(), kt.as_slice(), p, dh, s, 0, s);
+                for row in p.chunks_exact_mut(s) {
+                    for (c, x) in row.iter_mut().enumerate() {
+                        let scaled = *x * scale;
+                        *x = scaled + if c < real { 0.0 } else { -1e9 };
+                    }
+                    softmax_in_place(row);
+                }
+                oh.zero_();
+                matmul_band(p, vh.as_slice(), oh.as_mut_slice(), s, dh, 0, s);
+                blit(&mut out, at, &oh, (0, 0), (s, dh));
+            }
         }
-        self.push(v, Op::StackRows(xs.to_vec()))
+        for scratch in [qh, kt, vh, oh] {
+            arena.recycle(scratch);
+        }
+        self.push(
+            out,
+            Op::Attention {
+                qkv: [q, k, v],
+                seq_len,
+                heads,
+                probs,
+            },
+        )
     }
 
     /// Run reverse-mode accumulation from `loss` (seeded with ones).
+    ///
+    /// # Panics
+    /// Panics on a [`forward_only`] tape, whose layers freed what this walks.
     pub fn backward(&mut self, loss: Var) -> Gradients {
-        // Gradient work buffers come from (and interior grads return to) the
-        // tape's pool; `take` sidesteps the simultaneous `&self.nodes` borrow.
-        let mut pool = std::mem::take(&mut self.pool);
-        let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        let (lr, lc) = self.nodes[loss.0].value.shape();
-        let mut seed = pooled_zeros(&mut pool, lr, lc);
+        assert!(!self.forward_only, "backward on a forward-only tape");
+        let Tape { nodes, arena, .. } = self;
+        let mut grads: Vec<Option<Tensor>> = (0..nodes.len()).map(|_| None).collect();
+        let (lr, lc) = val(nodes, loss).shape();
+        let mut seed = arena.zeros(lr, lc);
         seed.as_mut_slice().fill(1.0);
         grads[loss.0] = Some(seed);
 
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
-            match &self.nodes[i].op {
-                Op::Leaf => {
-                    grads[i] = Some(g);
-                    continue;
+            // Every arm hands `g` on or returns it to the arena.
+            match &nodes[i].op {
+                Op::Leaf => grads[i] = Some(g),
+                &Op::MatMul(a, b) => {
+                    let ga = a_bt(arena, &g, val(nodes, b));
+                    let gb = at_b(arena, val(nodes, a), &g);
+                    accum(&mut grads, arena, a, ga);
+                    accum(&mut grads, arena, b, gb);
+                    arena.recycle(g);
                 }
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga = g.matmul_a_bt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_at_b(&g);
-                    accum(&mut grads, a, ga);
-                    accum(&mut grads, b, gb);
-                    pool.push(g.into_data());
+                &Op::Linear(x, w, b) => {
+                    let gx = a_bt(arena, &g, val(nodes, w));
+                    let gw = at_b(arena, val(nodes, x), &g);
+                    let gb = col_sums(arena, &g);
+                    accum(&mut grads, arena, x, gx);
+                    accum(&mut grads, arena, w, gw);
+                    accum(&mut grads, arena, b, gb);
+                    arena.recycle(g);
                 }
-                Op::Linear(x, w, b) => {
-                    let (x, w, b) = (*x, *w, *b);
-                    let gx = g.matmul_a_bt(&self.nodes[w.0].value);
-                    let gw = self.nodes[x.0].value.matmul_at_b(&g);
-                    let gb = g.col_sums();
-                    accum(&mut grads, x, gx);
-                    accum(&mut grads, w, gw);
-                    accum(&mut grads, b, gb);
-                    pool.push(g.into_data());
+                &Op::Add(a, b) => {
+                    let copy = arena.copy_of(&g);
+                    accum(&mut grads, arena, a, copy);
+                    accum(&mut grads, arena, b, g);
                 }
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    accum(&mut grads, a, g.clone());
-                    accum(&mut grads, b, g);
+                &Op::AddRow(a, row) => {
+                    let gr = col_sums(arena, &g);
+                    accum(&mut grads, arena, row, gr);
+                    accum(&mut grads, arena, a, g);
                 }
-                Op::AddRow(a, row) => {
-                    let (a, row) = (*a, *row);
-                    accum(&mut grads, row, g.col_sums());
-                    accum(&mut grads, a, g);
+                &Op::Scale(a, s) => {
+                    let mut ga = g;
+                    for x in ga.as_mut_slice() {
+                        *x *= s;
+                    }
+                    accum(&mut grads, arena, a, ga);
                 }
-                Op::Scale(a, s) => {
-                    let (a, s) = (*a, *s);
-                    accum(&mut grads, a, g.scale(s));
-                    pool.push(g.into_data());
-                }
-                Op::AddConst(a) => {
-                    let a = *a;
-                    accum(&mut grads, a, g);
-                }
-                Op::Relu(a) => {
-                    let a = *a;
-                    let x = &self.nodes[a.0].value;
+                &Op::AddConst(a) => accum(&mut grads, arena, a, g),
+                &Op::Relu(a) => {
                     let mut gx = g;
+                    let x = val(nodes, a);
                     for (gv, &xv) in gx.as_mut_slice().iter_mut().zip(x.as_slice()) {
                         if xv <= 0.0 {
                             *gv = 0.0;
                         }
                     }
-                    accum(&mut grads, a, gx);
+                    accum(&mut grads, arena, a, gx);
                 }
-                Op::SoftmaxRows(a) => {
-                    let a = *a;
-                    let y = &self.nodes[i].value;
-                    let (m, n) = y.shape();
-                    let mut gx = pooled_zeros(&mut pool, m, n);
-                    for r in 0..m {
-                        let dot: f32 = (0..n).map(|c| g.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..n {
-                            gx.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
-                        }
+                &Op::SoftmaxRows(a) => {
+                    let mut gx = g;
+                    let y = val(nodes, Var(i));
+                    for r in 0..y.rows() {
+                        softmax_backward_row(gx.row_mut(r), y.row(r));
                     }
-                    accum(&mut grads, a, gx);
-                    pool.push(g.into_data());
+                    accum(&mut grads, arena, a, gx);
                 }
-                Op::LayerNorm { x, gain, bias } => {
-                    let (x, gain, bias) = (*x, *gain, *bias);
-                    let xv = &self.nodes[x.0].value;
-                    let gv = &self.nodes[gain.0].value;
+                &Op::LayerNorm { x, gain, bias } => {
+                    let xv = val(nodes, x);
+                    let gv = val(nodes, gain);
                     let (m, n) = xv.shape();
                     let nf = n as f32;
-                    let mut gx = pooled_zeros(&mut pool, m, n);
-                    let mut ggain = pooled_zeros(&mut pool, 1, n);
-                    let mut gbias = pooled_zeros(&mut pool, 1, n);
+                    let mut gx = arena.zeros(m, n);
+                    let mut ggain = arena.zeros(1, n);
+                    let mut gbias = arena.zeros(1, n);
+                    let [mut xhat_buf, mut dxhat_buf] = [(); 2].map(|_| arena.zeros(1, n));
+                    let (xhat, dxhat) = (xhat_buf.as_mut_slice(), dxhat_buf.as_mut_slice());
                     for r in 0..m {
                         let row = xv.row(r);
                         let mean = row.iter().sum::<f32>() / nf;
@@ -584,8 +778,6 @@ impl Tape {
                         // xhat and dxhat for this row.
                         let mut sum_dxhat = 0.0;
                         let mut sum_dxhat_xhat = 0.0;
-                        let mut xhat = vec![0.0f32; n];
-                        let mut dxhat = vec![0.0f32; n];
                         for c in 0..n {
                             xhat[c] = (row[c] - mean) * inv;
                             dxhat[c] = g.get(r, c) * gv.get(0, c);
@@ -600,114 +792,71 @@ impl Tape {
                             gx.set(r, c, v);
                         }
                     }
-                    accum(&mut grads, x, gx);
-                    accum(&mut grads, gain, ggain);
-                    accum(&mut grads, bias, gbias);
-                    pool.push(g.into_data());
+                    arena.recycle(xhat_buf);
+                    arena.recycle(dxhat_buf);
+                    accum(&mut grads, arena, x, gx);
+                    accum(&mut grads, arena, gain, ggain);
+                    accum(&mut grads, arena, bias, gbias);
+                    arena.recycle(g);
                 }
-                Op::Embed { table, ids } => {
-                    let table = *table;
-                    let ids = ids.clone();
-                    let dim = self.nodes[table.0].value.cols();
-                    let vocab = self.nodes[table.0].value.rows();
-                    let mut gt = pooled_zeros(&mut pool, vocab, dim);
-                    for (r, id) in ids.iter().enumerate() {
-                        let grow = g.row(r);
-                        for (c, gvv) in grow.iter().enumerate() {
-                            let cur = gt.get(*id, c);
-                            gt.set(*id, c, cur + gvv);
-                        }
-                    }
-                    accum(&mut grads, table, gt);
-                    pool.push(g.into_data());
+                &Op::Transpose(a) => {
+                    let ga = transposed(arena, &g);
+                    accum(&mut grads, arena, a, ga);
+                    arena.recycle(g);
                 }
-                Op::Transpose(a) => {
-                    let a = *a;
-                    accum(&mut grads, a, g.transpose());
-                    pool.push(g.into_data());
+                &Op::Slice(x, at) => {
+                    let (m, n) = val(nodes, x).shape();
+                    let mut gx = arena.zeros(m, n);
+                    blit(&mut gx, at, &g, (0, 0), g.shape());
+                    accum(&mut grads, arena, x, gx);
+                    arena.recycle(g);
                 }
-                Op::SliceCols { x, start, len } => {
-                    let (x, start, len) = (*x, *start, *len);
-                    let (m, n) = self.nodes[x.0].value.shape();
-                    let mut gx = pooled_zeros(&mut pool, m, n);
-                    for r in 0..m {
-                        gx.row_mut(r)[start..start + len].copy_from_slice(g.row(r));
-                    }
-                    accum(&mut grads, x, gx);
-                    pool.push(g.into_data());
-                }
-                Op::ConcatCols(xs) => {
-                    let xs = xs.clone();
+                Op::Concat { xs, cols } => {
                     let mut off = 0;
-                    for xvar in xs {
-                        let (m, w) = self.nodes[xvar.0].value.shape();
-                        let mut gx = pooled_zeros(&mut pool, m, w);
-                        for r in 0..m {
-                            gx.row_mut(r).copy_from_slice(&g.row(r)[off..off + w]);
-                        }
-                        off += w;
-                        accum(&mut grads, xvar, gx);
+                    for &xvar in xs {
+                        let (m, n) = val(nodes, xvar).shape();
+                        let mut gx = arena.zeros(m, n);
+                        let from = if *cols { (0, off) } else { (off, 0) };
+                        blit(&mut gx, (0, 0), &g, from, (m, n));
+                        off += if *cols { n } else { m };
+                        accum(&mut grads, arena, xvar, gx);
                     }
-                    pool.push(g.into_data());
-                }
-                Op::SliceRows { x, start, len } => {
-                    let (x, start, len) = (*x, *start, *len);
-                    let (m, n) = self.nodes[x.0].value.shape();
-                    let mut gx = pooled_zeros(&mut pool, m, n);
-                    for r in 0..len {
-                        gx.row_mut(start + r).copy_from_slice(g.row(r));
-                    }
-                    accum(&mut grads, x, gx);
-                    pool.push(g.into_data());
-                }
-                Op::ConcatRows(xs) => {
-                    let xs = xs.clone();
-                    let mut off = 0;
-                    for xvar in xs {
-                        let (h, n) = self.nodes[xvar.0].value.shape();
-                        let mut gx = pooled_zeros(&mut pool, h, n);
-                        for r in 0..h {
-                            gx.row_mut(r).copy_from_slice(g.row(off + r));
-                        }
-                        off += h;
-                        accum(&mut grads, xvar, gx);
-                    }
-                    pool.push(g.into_data());
+                    arena.recycle(g);
                 }
                 Op::GatherRows { x, idxs } => {
-                    let x = *x;
-                    let idxs = idxs.clone();
-                    let (m, n) = self.nodes[x.0].value.shape();
-                    let mut gx = pooled_zeros(&mut pool, m, n);
+                    let (m, n) = val(nodes, *x).shape();
+                    let mut gx = arena.zeros(m, n);
                     for (r, &i) in idxs.iter().enumerate() {
-                        for c in 0..n {
-                            let cur = gx.get(i, c);
-                            gx.set(i, c, cur + g.get(r, c));
+                        for (t, gv) in gx.row_mut(i).iter_mut().zip(g.row(r)) {
+                            *t += gv;
                         }
                     }
-                    accum(&mut grads, x, gx);
-                    pool.push(g.into_data());
+                    accum(&mut grads, arena, *x, gx);
+                    arena.recycle(g);
                 }
-                Op::StackRows(xs) => {
-                    let xs = xs.clone();
-                    for (r, xvar) in xs.into_iter().enumerate() {
-                        let n = g.cols();
-                        let gx = pooled_from_slice(&mut pool, 1, n, g.row(r));
-                        accum(&mut grads, xvar, gx);
+                Op::Attention {
+                    qkv,
+                    seq_len,
+                    heads,
+                    probs,
+                } => {
+                    let vals = qkv.map(|var| val(nodes, var));
+                    let dqkv = attention_backward(arena, &g, vals, probs, *seq_len, *heads);
+                    for (&var, d) in qkv.iter().zip(dqkv) {
+                        accum(&mut grads, arena, var, d);
                     }
-                    pool.push(g.into_data());
+                    arena.recycle(g);
                 }
                 Op::BceWithLogits {
                     logits,
                     targets,
                     pos_weight,
                 } => {
-                    let (logits, p) = (*logits, *pos_weight);
-                    let targets = targets.clone();
-                    let z = &self.nodes[logits.0].value;
+                    let p = *pos_weight;
+                    let z = val(nodes, *logits);
                     let (m, n) = z.shape();
                     let scale = g.get(0, 0) / (m * n) as f32;
-                    let mut gz = pooled_zeros(&mut pool, m, n);
+                    let mut gz = arena.zeros(m, n);
                     for ((o, &zv), &t) in gz
                         .as_mut_slice()
                         .iter_mut()
@@ -718,40 +867,207 @@ impl Tape {
                         // d/dz of  t*p*softplus(-z) + (1-t)*(z + softplus(-z))
                         *o = (t * p * (s - 1.0) + (1.0 - t) * s) * scale;
                     }
-                    accum(&mut grads, logits, gz);
-                    pool.push(g.into_data());
+                    accum(&mut grads, arena, *logits, gz);
+                    arena.recycle(g);
                 }
             }
-            grads[i] = None; // interior grad no longer needed
         }
-        self.pool = pool;
-        // Leaf grads survive: the `continue` branch re-inserts them after the
-        // `take` at loop start.
+        // Only leaf gradients survive: every other arm consumed its own.
         Gradients { grads }
     }
 }
 
-fn accum(grads: &mut [Option<Tensor>], var: Var, delta: Tensor) {
+/// Return everything a finished node owns to the arena.
+fn release(arena: &mut Arena, node: Node<'_>) {
+    if let Cow::Owned(t) = node.value {
+        arena.recycle(t);
+    }
+    match node.op {
+        Op::BceWithLogits { targets, .. } => arena.recycle(targets),
+        Op::Attention { probs, .. } => arena.recycle(probs),
+        _ => {}
+    }
+}
+
+fn accum(grads: &mut [Option<Tensor>], arena: &mut Arena, var: Var, delta: Tensor) {
     match &mut grads[var.0] {
-        Some(g) => g.add_scaled(&delta, 1.0),
+        Some(g) => {
+            g.add_scaled(&delta, 1.0);
+            arena.recycle(delta);
+        }
         slot @ None => *slot = Some(delta),
     }
 }
 
-/// Pop a recycled buffer (or allocate one) and shape it into a zeroed tensor.
-fn pooled_zeros(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Tensor {
-    let mut data = pool.pop().unwrap_or_default();
-    data.clear();
-    data.resize(rows * cols, 0.0);
-    Tensor::from_vec(rows, cols, data)
+/// `a·bᵀ` into an arena tensor.
+fn a_bt(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = arena.zeros(a.rows(), b.rows());
+    a.matmul_a_bt_into(b, &mut out);
+    out
 }
 
-/// Pop a recycled buffer and fill it with a copy of `src`.
-fn pooled_from_slice(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize, src: &[f32]) -> Tensor {
-    let mut data = pool.pop().unwrap_or_default();
-    data.clear();
-    data.extend_from_slice(src);
-    Tensor::from_vec(rows, cols, data)
+/// `aᵀ·b` into an arena tensor.
+fn at_b(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = arena.zeros(a.cols(), b.cols());
+    a.matmul_at_b_into(b, &mut out);
+    out
+}
+
+fn col_sums(arena: &mut Arena, g: &Tensor) -> Tensor {
+    let mut out = arena.zeros(1, g.cols());
+    g.col_sums_into(&mut out);
+    out
+}
+
+/// `a` plus `c` tiled down the rows: row `r` gets row `r % period` of `c`.
+fn add_tiled(arena: &mut Arena, a: &Tensor, c: &Tensor, period: usize) -> Tensor {
+    let mut out = arena.copy_of(a);
+    for r in 0..out.rows() {
+        for (x, cv) in out.row_mut(r).iter_mut().zip(c.row(r % period)) {
+            *x += cv;
+        }
+    }
+    out
+}
+
+fn transposed(arena: &mut Arena, a: &Tensor) -> Tensor {
+    let mut out = arena.zeros(a.cols(), a.rows());
+    blit_t(&mut out, (0, 0), a, (0, 0), a.shape());
+    out
+}
+
+/// Copy the `size` block of `src` at `from` over the block of `dst` at `at`
+/// (all `(rows, cols)`).
+fn blit(
+    dst: &mut Tensor,
+    at: (usize, usize),
+    src: &Tensor,
+    from: (usize, usize),
+    size: (usize, usize),
+) {
+    for r in 0..size.0 {
+        dst.row_mut(at.0 + r)[at.1..at.1 + size.1]
+            .copy_from_slice(&src.row(from.0 + r)[from.1..from.1 + size.1]);
+    }
+}
+
+/// [`blit`] transposing on the way: the block lands as `[size.1, size.0]`.
+fn blit_t(
+    dst: &mut Tensor,
+    at: (usize, usize),
+    src: &Tensor,
+    from: (usize, usize),
+    size: (usize, usize),
+) {
+    for r in 0..size.0 {
+        for c in 0..size.1 {
+            dst.set(at.0 + c, at.1 + r, src.get(from.0 + r, from.1 + c));
+        }
+    }
+}
+
+/// Softmax of one row, in place (max-subtracted, summed left to right).
+fn softmax_in_place(row: &mut [f32]) {
+    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - mx).exp();
+        sum += *x;
+    }
+    let inv = 1.0 / sum;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+}
+
+/// Turn one row of `d loss / d softmax` into `d loss / d input`, in place:
+/// `g ← y · (g − Σ g·y)`.
+fn softmax_backward_row(g: &mut [f32], y: &[f32]) {
+    let dot: f32 = g.iter().zip(y).map(|(g, y)| g * y).sum();
+    for (g, y) in g.iter_mut().zip(y) {
+        *g = y * (*g - dot);
+    }
+}
+
+/// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`.
+/// Mirrors, per (sample, head), the backward of the composed ops with the
+/// same kernels on the same values; each block gradient is written straight
+/// into its rows and columns of the result (blocks are disjoint, so nothing
+/// is accumulated across them).
+fn attention_backward(
+    arena: &mut Arena,
+    g: &Tensor,
+    [q, k, v]: [&Tensor; 3],
+    probs: &Tensor,
+    s: usize,
+    heads: usize,
+) -> [Tensor; 3] {
+    let (rows, dim) = g.shape();
+    let dh = dim / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let [mut dq, mut dk, mut dv] = [(); 3].map(|_| arena.zeros(rows, dim));
+    let [mut qh, mut vh, mut goh, mut gqh, mut gvh] = [(); 5].map(|_| arena.zeros(s, dh));
+    let [mut kt, mut gkt] = [(); 2].map(|_| arena.zeros(dh, s));
+    let mut gp = arena.zeros(s, s);
+    for b in 0..rows / s {
+        for h in 0..heads {
+            let at = (b * s, h * dh);
+            let p = &probs.as_slice()[(b * heads + h) * s * s..][..s * s];
+            blit(&mut goh, (0, 0), g, at, (s, dh));
+            // out = P·V: dP = dOut·Vᵀ, dV = Pᵀ·dOut.
+            blit(&mut vh, (0, 0), v, at, (s, dh));
+            gp.zero_();
+            a_bt_band(
+                goh.as_slice(),
+                vh.as_slice(),
+                gp.as_mut_slice(),
+                dh,
+                s,
+                0,
+                s,
+            );
+            gvh.zero_();
+            at_b_band(p, goh.as_slice(), gvh.as_mut_slice(), s, s, dh, 0, s);
+            // P = softmax(S·scale + mask): the mask is a constant.
+            for (grow, prow) in gp.as_mut_slice().chunks_exact_mut(s).zip(p.chunks_exact(s)) {
+                softmax_backward_row(grow, prow);
+                for x in grow.iter_mut() {
+                    *x *= scale;
+                }
+            }
+            // S = Q·Kᵀ: dQ = dS·K, dKᵀ = Qᵀ·dS.
+            blit(&mut qh, (0, 0), q, at, (s, dh));
+            blit_t(&mut kt, (0, 0), k, at, (s, dh));
+            gqh.zero_();
+            a_bt_band(
+                gp.as_slice(),
+                kt.as_slice(),
+                gqh.as_mut_slice(),
+                s,
+                dh,
+                0,
+                s,
+            );
+            gkt.zero_();
+            at_b_band(
+                qh.as_slice(),
+                gp.as_slice(),
+                gkt.as_mut_slice(),
+                s,
+                dh,
+                s,
+                0,
+                dh,
+            );
+            blit(&mut dq, at, &gqh, (0, 0), (s, dh));
+            blit_t(&mut dk, at, &gkt, (0, 0), (dh, s));
+            blit(&mut dv, at, &gvh, (0, 0), (s, dh));
+        }
+    }
+    for scratch in [qh, vh, goh, gqh, gvh, kt, gkt, gp] {
+        arena.recycle(scratch);
+    }
+    [dq, dk, dv]
 }
 
 #[inline]
@@ -768,7 +1084,7 @@ fn softplus(z: f32) -> f32 {
 /// over all elements — PyTorch's `BCEWithLogitsLoss` with an optional
 /// `pos_weight` (useful here because almost all page labels are 0).
 /// Returns a `[1,1]` scalar var.
-pub fn bce_with_logits(tape: &mut Tape, logits: Var, targets: Tensor, pos_weight: f32) -> Var {
+pub fn bce_with_logits(tape: &mut Tape<'_>, logits: Var, targets: Tensor, pos_weight: f32) -> Var {
     let z = tape.value(logits);
     assert_eq!(z.shape(), targets.shape(), "bce shape mismatch");
     let (m, n) = z.shape();
@@ -777,21 +1093,16 @@ pub fn bce_with_logits(tape: &mut Tape, logits: Var, targets: Tensor, pos_weight
         let l = t * pos_weight * softplus(-zv) + (1.0 - t) * (zv + softplus(-zv));
         total += l as f64;
     }
-    let v = Tensor::full(1, 1, (total / (m * n) as f64) as f32);
-    tape.push_bce(v, logits, targets, pos_weight)
-}
-
-impl Tape {
-    fn push_bce(&mut self, value: Tensor, logits: Var, targets: Tensor, pos_weight: f32) -> Var {
-        self.push(
-            value,
-            Op::BceWithLogits {
-                logits,
-                targets,
-                pos_weight,
-            },
-        )
-    }
+    let mut v = tape.zeros(1, 1);
+    v.set(0, 0, (total / (m * n) as f64) as f32);
+    tape.push(
+        v,
+        Op::BceWithLogits {
+            logits,
+            targets,
+            pos_weight,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -973,6 +1284,104 @@ mod tests {
         assert_eq!(second_reused, run(&mut f2, 0.3));
     }
 
+    /// One training-shaped step on a reused tape: inputs drawn from the
+    /// arena, forward, backward, gradients absorbed.
+    fn arena_step(tape: &mut Tape, rows: usize) {
+        tape.reset();
+        let mut x = tape.zeros(rows, 4);
+        x.as_mut_slice().fill(0.3);
+        let mut wv = tape.zeros(4, 6);
+        wv.as_mut_slice().fill(0.1);
+        let (x, w) = (tape.leaf(x), tape.leaf(wv));
+        let b = tape.leaf_copy(&Tensor::zeros(1, 6));
+        let q = tape.linear(x, w, b);
+        let a = tape.attention(q, q, q, rows / 2, &[rows / 2, 1], 2);
+        let h = tape.relu(a);
+        let targets = tape.zeros(rows, 6);
+        let loss = bce_with_logits(tape, h, targets, 2.0);
+        let grads = tape.backward(loss);
+        tape.absorb(grads);
+    }
+
+    #[test]
+    fn arena_does_not_ratchet_and_a_warm_step_allocates_nothing() {
+        // The old LIFO pool grew every buffer to the largest tensor's size
+        // and kept every backward temporary: retained bytes rose with each
+        // step. The arena holds exactly one step's buffers, forever.
+        let mut tape = Tape::new();
+        for _ in 0..2 {
+            arena_step(&mut tape, 8);
+        }
+        tape.reset();
+        let (bytes, allocs) = (tape.retained_bytes(), tape.allocations());
+        assert!(bytes > 0);
+        for _ in 0..18 {
+            arena_step(&mut tape, 8);
+        }
+        tape.reset();
+        assert_eq!(tape.retained_bytes(), bytes, "retained bytes ratcheted");
+        assert_eq!(tape.allocations(), allocs, "a warm step allocated");
+    }
+
+    #[test]
+    fn arena_keeps_two_alternating_shapes_and_frees_a_stale_one() {
+        let mut tape = Tape::new();
+        // A short last minibatch alternating with full ones: both stay warm.
+        for _ in 0..3 {
+            arena_step(&mut tape, 8);
+            arena_step(&mut tape, 4);
+        }
+        let allocs = tape.allocations();
+        arena_step(&mut tape, 8);
+        arena_step(&mut tape, 4);
+        assert_eq!(tape.allocations(), allocs);
+        // Once only one shape recurs, the other's buffers are freed.
+        tape.reset();
+        let both = tape.retained_bytes();
+        for _ in 0..3 {
+            arena_step(&mut tape, 4);
+        }
+        tape.reset();
+        assert!(tape.retained_bytes() < both);
+        let small_only = tape.retained_bytes();
+        arena_step(&mut tape, 4);
+        tape.reset();
+        assert_eq!(tape.retained_bytes(), small_only);
+    }
+
+    #[test]
+    fn grad_attention_wrt_q_k_v() {
+        // Two packed samples of 3 positions (the second one token long, so
+        // its padded keys are masked), two heads.
+        let other =
+            |shift: f32| Tensor::from_fn(6, 4, |r, c| 0.17 * ((r * 4 + c) % 5) as f32 - shift);
+        gradcheck(test_input(6, 4), |tape, q| {
+            let (k, v) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
+            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            to_scalar(tape, y)
+        });
+        gradcheck(test_input(6, 4), |tape, k| {
+            let (q, v) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
+            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            to_scalar(tape, y)
+        });
+        gradcheck(test_input(6, 4), |tape, v| {
+            let (q, k) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
+            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            to_scalar(tape, y)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "forward-only")]
+    fn forward_only_tape_refuses_backward() {
+        forward_only(|tape| {
+            let x = tape.leaf(Tensor::full(1, 1, 0.5));
+            let loss = bce_with_logits(tape, x, Tensor::full(1, 1, 1.0), 1.0);
+            tape.backward(loss);
+        });
+    }
+
     #[test]
     fn grad_add_and_scale() {
         gradcheck(test_input(2, 2), |tape, x| {
@@ -1106,7 +1515,7 @@ mod tests {
     fn grad_add_const_passthrough() {
         gradcheck(test_input(2, 3), |tape, x| {
             let c = Tensor::from_fn(2, 3, |r, c| (r + c) as f32);
-            let y = tape.add_const(x, &c);
+            let y = tape.add_const(x, &c, 2);
             to_scalar(tape, y)
         });
     }

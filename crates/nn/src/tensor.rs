@@ -184,6 +184,14 @@ impl Tensor {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] accumulated into a caller-supplied **zeroed**
+    /// `[self.rows, other.cols]` tensor (the tape hands in arena buffers).
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
             other.rows,
@@ -191,41 +199,12 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        let work = self.rows * self.cols * other.cols;
-        if work < PAR_THRESHOLD || self.rows < 2 {
-            matmul_band(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                self.cols,
-                other.cols,
-                0,
-                self.rows,
-            );
-        } else {
-            let threads = crate::pool::configured_threads();
-            let band = self.rows.div_ceil(threads);
-            let a = &self.data;
-            let b = &other.data;
-            let k = self.cols;
-            let n = other.cols;
-            let chunks: Vec<(usize, &mut [f32])> = out
-                .data
-                .chunks_mut(band * n)
-                .enumerate()
-                .map(|(i, c)| (i * band, c))
-                .collect();
-            std::thread::scope(|scope| {
-                for (start_row, chunk) in chunks {
-                    let rows_here = chunk.len() / n;
-                    scope.spawn(move || {
-                        matmul_band(a, b, chunk, k, n, start_row, rows_here);
-                    });
-                }
-            });
-        }
-        out
+        let (m, k, n) = (self.rows, self.cols, other.cols);
+        assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
+        let (a, b) = (&self.data, &other.data);
+        for_each_band(&mut out.data, m, n, m * k * n, |band, start, rows| {
+            matmul_band(a, b, band, k, n, start, rows)
+        });
     }
 
     /// `selfᵀ × other` without materializing the transpose — the backward
@@ -235,6 +214,13 @@ impl Tensor {
     /// # Panics
     /// Panics if the row counts disagree.
     pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        self.matmul_at_b_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_at_b`] accumulated into a zeroed `[k,n]` tensor.
+    pub fn matmul_at_b_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows,
             other.rows,
@@ -243,31 +229,11 @@ impl Tensor {
             other.shape()
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(k, n);
-        let work = m * k * n;
-        if work < PAR_THRESHOLD || k < 2 {
-            at_b_band(&self.data, &other.data, &mut out.data, m, k, n, 0, k);
-        } else {
-            let threads = crate::pool::configured_threads();
-            let band = k.div_ceil(threads);
-            let a = &self.data;
-            let b = &other.data;
-            let chunks: Vec<(usize, &mut [f32])> = out
-                .data
-                .chunks_mut(band * n)
-                .enumerate()
-                .map(|(i, c)| (i * band, c))
-                .collect();
-            std::thread::scope(|scope| {
-                for (start, chunk) in chunks {
-                    let rows_here = chunk.len() / n;
-                    scope.spawn(move || {
-                        at_b_band(a, b, chunk, m, k, n, start, rows_here);
-                    });
-                }
-            });
-        }
-        out
+        assert_eq!(out.shape(), (k, n), "matmul_at_b output shape mismatch");
+        let (a, b) = (&self.data, &other.data);
+        for_each_band(&mut out.data, k, n, m * k * n, |band, start, rows| {
+            at_b_band(a, b, band, m, k, n, start, rows)
+        });
     }
 
     /// `self × otherᵀ` without materializing the transpose — the backward
@@ -277,6 +243,13 @@ impl Tensor {
     /// # Panics
     /// Panics if the column counts disagree.
     pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.rows);
+        self.matmul_a_bt_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_a_bt`] accumulated into a zeroed `[m,n]` tensor.
+    pub fn matmul_a_bt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
             other.cols,
@@ -285,31 +258,11 @@ impl Tensor {
             other.shape()
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Tensor::zeros(m, n);
-        let work = m * k * n;
-        if work < PAR_THRESHOLD || m < 2 {
-            a_bt_band(&self.data, &other.data, &mut out.data, k, n, 0, m);
-        } else {
-            let threads = crate::pool::configured_threads();
-            let band = m.div_ceil(threads);
-            let a = &self.data;
-            let b = &other.data;
-            let chunks: Vec<(usize, &mut [f32])> = out
-                .data
-                .chunks_mut(band * n)
-                .enumerate()
-                .map(|(i, c)| (i * band, c))
-                .collect();
-            std::thread::scope(|scope| {
-                for (start, chunk) in chunks {
-                    let rows_here = chunk.len() / n;
-                    scope.spawn(move || {
-                        a_bt_band(a, b, chunk, k, n, start, rows_here);
-                    });
-                }
-            });
-        }
-        out
+        assert_eq!(out.shape(), (m, n), "matmul_a_bt output shape mismatch");
+        let (a, b) = (&self.data, &other.data);
+        for_each_band(&mut out.data, m, n, m * k * n, |band, start, rows| {
+            a_bt_band(a, b, band, k, n, start, rows)
+        });
     }
 
     /// Fused `self × w + bias` (`bias: [1,n]`, broadcast over rows) — the
@@ -320,15 +273,21 @@ impl Tensor {
     /// # Panics
     /// Panics if inner dimensions disagree or `bias` is not `[1, w.cols]`.
     pub fn matmul_bias(&self, w: &Tensor, bias: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, w.cols);
+        self.matmul_bias_into(w, bias, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_bias`] into a zeroed `[self.rows, w.cols]` tensor.
+    pub fn matmul_bias_into(&self, w: &Tensor, bias: &Tensor, out: &mut Tensor) {
         assert_eq!(bias.shape(), (1, w.cols), "matmul_bias bias shape mismatch");
-        let mut out = self.matmul(w);
+        self.matmul_into(w, out);
         let b = bias.row(0);
         for r in 0..out.rows {
             for (o, &bv) in out.row_mut(r).iter_mut().zip(b) {
                 *o += bv;
             }
         }
-        out
     }
 
     /// Sum of all elements.
@@ -339,12 +298,22 @@ impl Tensor {
     /// Column-wise sums as a `[1, cols]` tensor.
     pub fn col_sums(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
+        self.col_sums_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::col_sums`] accumulated into a zeroed `[1, cols]` tensor.
+    pub fn col_sums_into(&self, out: &mut Tensor) {
+        assert_eq!(
+            out.shape(),
+            (1, self.cols),
+            "col_sums output shape mismatch"
+        );
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c] += self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -366,6 +335,34 @@ impl Tensor {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
     }
+}
+
+/// Run `band(chunk, start_row, rows_here)` over the `[rows, n]` output
+/// `out`: as one band when the work is small (or the pool is one thread
+/// wide), else as one scoped thread per contiguous row band. The kernels are
+/// bit-identical at any band split, so the fan-out never changes values.
+fn for_each_band(
+    out: &mut [f32],
+    rows: usize,
+    n: usize,
+    work: usize,
+    band: impl Fn(&mut [f32], usize, usize) + Sync,
+) {
+    let threads = if work < PAR_THRESHOLD || rows < 2 {
+        1
+    } else {
+        crate::pool::configured_threads()
+    };
+    if threads < 2 {
+        return band(out, 0, rows);
+    }
+    let per = rows.div_ceil(threads);
+    let band = &band;
+    std::thread::scope(|scope| {
+        for (i, chunk) in out.chunks_mut(per * n).enumerate() {
+            scope.spawn(move || band(chunk, i * per, chunk.len() / n));
+        }
+    });
 }
 
 impl fmt::Debug for Tensor {
