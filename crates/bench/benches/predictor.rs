@@ -1,7 +1,7 @@
 //! Model-fleet benchmarks: per-object training fan-out and batched inference
 //! on the shared worker pool, serial (one thread) vs pooled, over the
-//! multi-dimension star fixture. Pairs with the `perf_snapshot` binary, which
-//! records the same comparison to `BENCH_nn.json`.
+//! multi-dimension star fixture. The committed numbers for the same layers
+//! (`core.predictor.*`, `nn.*`) come from `benchmark/run.sh --trace`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -44,7 +44,7 @@ pub fn bench_db(
 /// A star-schema workload with `n_dims` dimension tables, each probed
 /// through its own index by a rotating subset of queries. Every dimension
 /// heap and index becomes an independent per-object model, which is what the
-/// parallel-training benchmarks and `perf_snapshot` fan out over.
+/// parallel-training benchmarks fan out over.
 ///
 /// The fact table's per-dim key columns are clustered by `date`, so a date
 /// range selects a learnable page range in each dimension (same construction

@@ -16,11 +16,13 @@
 //!   plan emitting operator tokens (`[NLJ]`, `[HJ]`, `[SEQ]`, `[IDX]`),
 //!   object names and `[PRED] col op value` tokens; numeric literals are
 //!   binned into digit tokens so unseen parameter values generalize.
-//! * **Algorithm 3 (inference)** — [`predictor::TrainedWorkload::infer`] and
-//!   [`workload::WorkloadRegistry`]: match the query to a trained workload
-//!   (fall back to default execution otherwise), run every applicable object
-//!   model, and hand the union of predicted pages to the prefetcher in file
-//!   storage order ([`prefetch`]).
+//! * **Algorithm 3 (inference)** — each step exists once:
+//!   [`registry::TenantFleet::match_plan`] matches the query to a trained
+//!   workload (fall back to default execution otherwise),
+//!   [`predictor::TrainedWorkload::infer_batch`] runs every applicable
+//!   object model, and [`prefetch::engage`] hands the predicted pages to the
+//!   prefetcher in file storage order. The serving loop, the `pythia`
+//!   facade and the experiment harness all call that one path.
 //!
 //! Beyond the paper's evaluated system, two §7 extensions are implemented —
 //! prefetch-aware query scheduling ([`scheduler`]) and incremental model
@@ -48,7 +50,6 @@ pub mod serde_utils;
 pub mod serialize;
 pub mod server;
 pub mod vocab;
-pub mod workload;
 
 pub use config::PythiaConfig;
 pub use frontend::{Arrival, Frontend, FrontendConfig, FrontendStats, HealthProvider, Responder};
@@ -61,4 +62,3 @@ pub use server::{
     ServerConfig, ServerRequest, TenantReport, WaveStats,
 };
 pub use vocab::Vocab;
-pub use workload::WorkloadRegistry;

@@ -193,38 +193,15 @@ impl ObjectModel {
         }
     }
 
-    /// Predicted pages (sorted ascending — the prefetcher contract).
+    /// Predicted pages for one plan: [`Self::predict_batch`] of one.
     pub fn predict(&self, toks: &[usize]) -> Vec<u32> {
-        let mut out = match &self.kind {
-            ModelKind::Partitioned {
-                classifiers,
-                partition_pages,
-            } => {
-                let mut pages = Vec::new();
-                for (part, c) in classifiers.iter().enumerate() {
-                    let base = part * partition_pages;
-                    pages.extend(c.predict(toks).into_iter().map(|l| (base + l) as u32));
-                }
-                pages
-            }
-            ModelKind::TopK {
-                classifier,
-                page_map,
-            } => classifier
-                .predict(toks)
-                .into_iter()
-                .map(|l| page_map[l])
-                .collect(),
-        };
-        out.sort_unstable();
-        out
+        self.predict_batch(&[toks]).pop().expect("one row per plan")
     }
 
-    /// [`Self::predict`] for a batch of plans: each partition's classifier
-    /// runs one packed forward over every plan in `toks_list` instead of one
-    /// forward per query. Element `q` is exactly `self.predict(toks_list[q])`
-    /// — partitions are visited in the same order and each per-query page
-    /// list gets the same final sort.
+    /// Predicted pages per plan, each list sorted ascending (the prefetcher
+    /// contract). Every partition's classifier runs one packed forward over
+    /// all of `toks_list`; partitions are visited in order, so a plan's
+    /// pages do not depend on what shares its batch.
     pub fn predict_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<u32>> {
         let mut out: Vec<Vec<u32>> = vec![Vec::new(); toks_list.len()];
         match &self.kind {
@@ -337,21 +314,14 @@ impl CombinedModel {
         }
     }
 
-    /// Predict `(table pages, index pages)`, each sorted.
+    /// `(table pages, index pages)` for one plan: [`Self::predict_batch`] of
+    /// one.
     pub fn predict(&self, toks: &[usize]) -> (Vec<u32>, Vec<u32>) {
-        let mut tp = Vec::new();
-        let mut ip = Vec::new();
-        for l in self.classifier.predict(toks) {
-            if (l as u32) < self.table_pages {
-                tp.push(l as u32);
-            } else {
-                ip.push(l as u32 - self.table_pages);
-            }
-        }
-        (tp, ip)
+        self.predict_batch(&[toks]).pop().expect("one row per plan")
     }
 
-    /// [`Self::predict`] for a batch of plans through one packed forward.
+    /// `(table pages, index pages)` per plan, each sorted, through one packed
+    /// forward.
     pub fn predict_batch(&self, toks_list: &[&[usize]]) -> Vec<(Vec<u32>, Vec<u32>)> {
         self.classifier
             .predict_batch(toks_list)

@@ -51,7 +51,7 @@ pub struct TrainedWorkload {
     /// used for matching incoming queries.
     pub object_union: BTreeSet<ObjectId>,
     pub cfg: PythiaConfig,
-    /// Plan → token-sequence memo for [`Self::infer`]. Encoding depends only
+    /// Plan → token-sequence memo for [`Self::infer_batch`]. Encoding depends only
     /// on the (frozen) vocabulary and binner, so entries never invalidate —
     /// not even across [`Self::refine`], which only moves model weights.
     #[serde(skip)]
@@ -333,95 +333,21 @@ impl TrainedWorkload {
         toks
     }
 
-    /// Algorithm 3's prediction step: run every applicable model, fanned out
-    /// over the worker pool. Each model's prediction is a pure function of
-    /// the token sequence and the assembly below consumes results in the
-    /// fixed job order, so output is identical to the serial loop.
+    /// Algorithm 3's prediction step for one query: [`Self::infer_batch`] of
+    /// one.
     pub fn infer(&self, db: &Database, plan: &PlanNode) -> Prediction {
-        let toks = self.encode_plan_cached(db, plan);
-
-        enum PredJob<'a> {
-            Separate(ObjectId, &'a ObjectModel),
-            Combined(&'a CombinedModel),
-        }
-        enum PredOut {
-            Separate(ObjectId, Vec<u32>),
-            Combined {
-                table: ObjectId,
-                tp: Vec<u32>,
-                index: ObjectId,
-                ip: Vec<u32>,
-            },
-        }
-        let jobs: Vec<PredJob<'_>> = self
-            .models
-            .iter()
-            .map(|(obj, m)| PredJob::Separate(*obj, m))
-            .chain(self.combined.iter().map(PredJob::Combined))
-            .collect();
-        // Shard-affine dispatch: each object's model is pinned to its home
-        // worker (`shard_key(obj) % width`), so repeated inference keeps a
-        // model's weights hot on one core. Training/refine keep the
-        // cursor-claimed map instead — there load balance across models of
-        // very different sizes dominates.
-        let keys: Vec<u64> = jobs
-            .iter()
-            .map(|j| match j {
-                PredJob::Separate(obj, _) => shard_key(*obj),
-                PredJob::Combined(c) => shard_key(c.table),
-            })
-            .collect();
-        let outs = parallel_map_sharded_labeled("nn.infer", &jobs, &keys, |_, job| match job {
-            PredJob::Separate(obj, model) => PredOut::Separate(*obj, model.predict(&toks)),
-            PredJob::Combined(c) => {
-                let (tp, ip) = c.predict(&toks);
-                PredOut::Combined {
-                    table: c.table,
-                    tp,
-                    index: c.index,
-                    ip,
-                }
-            }
-        });
-
-        let mut pages = BTreeMap::new();
-        for out in outs {
-            match out {
-                PredOut::Separate(obj, p) => {
-                    if !p.is_empty() {
-                        pages.insert(obj, p);
-                    }
-                }
-                PredOut::Combined {
-                    table,
-                    tp,
-                    index,
-                    ip,
-                } => {
-                    if !tp.is_empty() {
-                        pages.entry(table).or_insert_with(Vec::new).extend(tp);
-                    }
-                    if !ip.is_empty() {
-                        pages.entry(index).or_insert_with(Vec::new).extend(ip);
-                    }
-                }
-            }
-        }
-        for v in pages.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        Prediction { pages }
+        self.infer_batch(db, &[plan])
+            .pop()
+            .expect("one prediction per plan")
     }
 
-    /// [`Self::infer`] for a batch of queries — true batched inference. Every
-    /// applicable model sees the whole batch through one packed forward pass
-    /// (batch-major matmuls) instead of one forward per query, while the
-    /// model fleet still fans out over the worker pool. Element `q` of the
-    /// result is exactly `self.infer(db, plans[q])`: jobs run in the same
-    /// fixed order, batched rows are bit-identical to the serial forward, and
-    /// each query's pages go through the same assembly (insert in job order,
-    /// skip empty, sort + dedup).
+    /// Algorithm 3's prediction step for a batch of queries. Every applicable
+    /// model sees the whole batch through one packed forward pass
+    /// (batch-major matmuls) while the model fleet fans out over the worker
+    /// pool. A query's prediction does not depend on what shares its batch:
+    /// jobs run in a fixed order, batched rows are bit-identical whatever
+    /// the batch size, and each query's pages go through the same assembly
+    /// (insert in job order, skip empty, sort + dedup).
     pub fn infer_batch(&self, db: &Database, plans: &[&PlanNode]) -> Vec<Prediction> {
         if plans.is_empty() {
             return Vec::new();
@@ -450,7 +376,11 @@ impl TrainedWorkload {
             .map(|(obj, m)| PredJob::Separate(*obj, m))
             .chain(self.combined.iter().map(PredJob::Combined))
             .collect();
-        // Same shard-affine dispatch as [`Self::infer`].
+        // Shard-affine dispatch: each object's model is pinned to its home
+        // worker (`shard_key(obj) % width`), so repeated inference keeps a
+        // model's weights hot on one core. Training/refine keep the
+        // cursor-claimed map instead — there load balance across models of
+        // very different sizes dominates.
         let keys: Vec<u64> = jobs
             .iter()
             .map(|j| match j {
@@ -543,40 +473,6 @@ impl TrainedWorkload {
         for p in plans {
             self.object_union.extend(p.objects(db));
         }
-    }
-
-    /// Persist the trained workload (vocabulary, binner statistics and all
-    /// model weights) as JSON. The paper retrains cheaply, but a deployed
-    /// system wants to ship models without retraining.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Load a workload saved with [`Self::save_json`].
-    ///
-    /// This performs **no** catalog compatibility check — a model persisted
-    /// against a different database deserializes fine and then silently
-    /// mispredicts (its page labels index another catalog's files). Use
-    /// [`Self::load_json_checked`] whenever the serving database is at hand.
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<TrainedWorkload> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// [`Self::load_json`] + [`Self::check_compat`] against the serving
-    /// database: a model persisted against a different catalog fails loudly
-    /// here instead of silently mispredicting.
-    pub fn load_json_checked(
-        path: impl AsRef<std::path::Path>,
-        db: &Database,
-    ) -> std::io::Result<TrainedWorkload> {
-        let tw = Self::load_json(path)?;
-        tw.check_compat(db)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(tw)
     }
 
     /// Verify this model fleet was trained against (a catalog identical to)
@@ -678,6 +574,7 @@ impl TrainedWorkload {
 mod tests {
     use super::*;
     use crate::metrics::f1_score;
+    use crate::registry::{load_model, save_model};
     use pythia_db::exec::execute;
     use pythia_db::expr::{CmpOp, Pred};
     use pythia_db::types::Schema;
@@ -909,10 +806,10 @@ mod tests {
         let (db, plans, traces) = mini_star();
         let quick = PythiaConfig { epochs: 4, ..cfg() };
         let tw = train_workload(&db, "mini", &plans[..10], &traces[..10], None, &quick);
-        let dir = std::env::temp_dir().join("pythia_model_roundtrip.json");
-        tw.save_json(&dir).unwrap();
-        let loaded = TrainedWorkload::load_json(&dir).unwrap();
-        let _ = std::fs::remove_file(&dir);
+        let path = std::env::temp_dir().join("pythia_model_roundtrip.json");
+        save_model(&path, 1, &tw).unwrap();
+        let (_, loaded) = load_model(&path, &db).unwrap();
+        let _ = std::fs::remove_file(&path);
         assert_eq!(loaded.name, tw.name);
         assert_eq!(loaded.modeled_objects(), tw.modeled_objects());
         for p in &plans[10..14] {
@@ -923,52 +820,27 @@ mod tests {
     }
 
     #[test]
-    fn checked_load_rejects_mutated_catalog() {
+    fn load_rejects_a_catalog_missing_a_modeled_object() {
         let (db, plans, traces) = mini_star();
         let quick = PythiaConfig { epochs: 4, ..cfg() };
         let tw = train_workload(&db, "mini", &plans[..10], &traces[..10], None, &quick);
         let path = std::env::temp_dir().join("pythia_model_compat_check.json");
-        tw.save_json(&path).unwrap();
+        save_model(&path, 1, &tw).unwrap();
 
-        // Same catalog: the checked load succeeds and predicts identically.
-        let loaded = TrainedWorkload::load_json_checked(&path, &db).unwrap();
-        for p in &plans[10..12] {
-            assert_eq!(loaded.infer(&db, p).pages, tw.infer(&db, p).pages);
-        }
-
-        // Mutated catalog #1: same objects, but dim grew (different page
-        // count). The unchecked load silently accepts it; the checked load
-        // must fail loudly, naming the page mismatch.
-        let mut grown = Database::new();
-        let fact = grown.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
-        let dim = grown.create_table("dim", Schema::ints(&["d_id", "attr"]));
-        for i in 0..2000i64 {
-            grown.insert(fact, Database::row(&[i, i / 2, 0]));
-        }
-        for d in 0..1800i64 {
-            grown.insert(dim, Database::row(&[d, d % 9]));
-        }
-        grown.create_index("dim_pk", dim, 0);
-        assert!(
-            TrainedWorkload::load_json(&path).is_ok(),
-            "unchecked load is the bug"
-        );
-        let err = TrainedWorkload::load_json_checked(&path, &grown)
-            .err()
-            .expect("grown catalog must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("pages"), "{err}");
-
-        // Mutated catalog #2: an object the model predicts for is gone.
+        // An object the model predicts for is gone.
         let mut shrunk = Database::new();
         let f2 = shrunk.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         for i in 0..2000i64 {
             shrunk.insert(f2, Database::row(&[i, i / 2, 0]));
         }
-        let err = TrainedWorkload::load_json_checked(&path, &shrunk)
+        let err = load_model(&path, &shrunk)
             .err()
             .expect("shrunk catalog must be rejected");
-        assert!(err.to_string().contains("does not exist"), "{err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("objects"), "{err}");
+        // The body check behind the header names the same fault.
+        let err = tw.check_compat(&shrunk).unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
         let _ = std::fs::remove_file(&path);
 
         // duplicate(): a deep copy via the same serde path, bit-identical.
@@ -977,7 +849,6 @@ mod tests {
         for p in &plans[10..12] {
             assert_eq!(dup.infer(&db, p).pages, tw.infer(&db, p).pages);
         }
-        let _ = traces;
     }
 
     #[test]

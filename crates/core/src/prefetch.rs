@@ -12,9 +12,39 @@
 //! (§5.1, IMDB workload).
 
 use pythia_db::catalog::{Database, ObjectKind};
-use pythia_sim::PageId;
+use pythia_db::plan::PlanNode;
+use pythia_sim::{PageId, SimDuration};
 
-use crate::predictor::Prediction;
+use crate::predictor::{Prediction, TrainedWorkload};
+
+/// Algorithm 3 past the workload match: one batched forward over `plans`,
+/// each prediction turned into its prefetch list, and the measured
+/// wall-clock latency of the whole step amortised per query — what a
+/// deployed Pythia charges each query before its replay starts.
+///
+/// The lists are uncapped: callers apply their budget ([`cap_to_budget`])
+/// when they issue, because the overlap scheduler ranks queued queries on
+/// the full prediction.
+pub fn engage(
+    db: &Database,
+    tw: &TrainedWorkload,
+    plans: &[&PlanNode],
+) -> (Vec<Vec<PageId>>, SimDuration) {
+    if plans.is_empty() {
+        return (Vec::new(), SimDuration::ZERO);
+    }
+    let t0 = std::time::Instant::now();
+    let lists = tw
+        .infer_batch(db, plans)
+        .iter()
+        .map(|prediction| prefetch_list(db, prediction))
+        .collect();
+    let wall_us = t0.elapsed().as_micros() as u64;
+    (
+        lists,
+        SimDuration::from_micros(wall_us / plans.len() as u64),
+    )
+}
 
 /// Build the ordered prefetch list for a prediction.
 pub fn prefetch_list(db: &Database, prediction: &Prediction) -> Vec<PageId> {

@@ -1,9 +1,15 @@
-//! Versioned, multi-tenant model registry: N independent databases served
-//! from one process group, each with its own hot-swappable
-//! [`TrainedWorkload`] fleet.
+//! The model store: versioned, multi-tenant, and the one place a query is
+//! matched to a trained workload (Algorithm 3 lines 3–4 and 13–14). N
+//! independent databases are served from one process group, each with its
+//! own hot-swappable [`TrainedWorkload`] fleet.
 //!
-//! The ROADMAP north-star ("millions of users") needs three properties the
-//! plain [`crate::workload::WorkloadRegistry`] lacks:
+//! "We first ensure Q belongs to a workload that Pythia has trained a model
+//! for. If not, Pythia does not engage and the query is executed as it would
+//! in the absence of Pythia." Matching ([`TenantFleet::match_plan`]) is
+//! structural: the set of database objects a plan scans is compared
+//! (Jaccard) against each installed workload's object signature; below
+//! [`MATCH_THRESHOLD`] the query is out-of-distribution and falls back to
+//! default execution.
 //!
 //! * **Tenancy** — a [`ModelRegistry`] maps tenant name → [`TenantFleet`];
 //!   each fleet is an isolated set of trained workloads over that tenant's
@@ -40,10 +46,12 @@ use pythia_db::plan::PlanNode;
 
 use crate::predictor::TrainedWorkload;
 use crate::serde_utils::versioned;
-use crate::workload::MATCH_THRESHOLD;
 
 /// Envelope `kind` for persisted models.
 pub const MODEL_KIND: &str = "pythia.model";
+
+/// Minimum object-set Jaccard similarity to claim a query for a workload.
+pub const MATCH_THRESHOLD: f64 = 0.5;
 
 /// Catalog-compatibility header persisted alongside every model: everything
 /// needed to decide "was this trained against the catalog I'm serving?"
@@ -235,8 +243,7 @@ impl TenantFleet {
     }
 
     /// Find the installed workload a query belongs to, if any: highest
-    /// object-set Jaccard above [`MATCH_THRESHOLD`] (Algorithm 3 lines 3–4,
-    /// same rule as [`crate::workload::WorkloadRegistry::match_plan`]).
+    /// object-set Jaccard above [`MATCH_THRESHOLD`] (Algorithm 3 lines 3–4).
     pub fn match_plan(&self, db: &Database, plan: &PlanNode) -> Option<Arc<VersionedWorkload>> {
         let objs: std::collections::BTreeSet<_> = plan.objects(db).into_iter().collect();
         if objs.is_empty() {
@@ -326,6 +333,7 @@ mod tests {
     use pythia_db::expr::Pred;
     use pythia_db::types::Schema;
 
+    /// fact ⋈ dim through `dim_pk`, plus a table no plan below touches.
     fn star_db() -> (Database, Vec<PlanNode>) {
         let mut db = Database::new();
         let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
@@ -334,24 +342,31 @@ mod tests {
             db.insert(fact, Database::row(&[i, i % 100, i % 50]));
             db.insert(dim, Database::row(&[i % 50, i % 7]));
         }
-        let idx = db.create_index("dim_pk", dim, 0);
-        let plans: Vec<PlanNode> = (0..8)
-            .map(|i| PlanNode::IndexNLJoin {
-                outer: Box::new(PlanNode::SeqScan {
-                    table: fact,
-                    pred: Some(Pred::Between {
-                        col: 1,
-                        lo: i * 7,
-                        hi: i * 7 + 10,
-                    }),
-                }),
-                outer_key: 2,
-                inner: dim,
-                inner_index: idx,
-                inner_pred: None,
-            })
-            .collect();
+        db.create_index("dim_pk", dim, 0);
+        let other = db.create_table("other", Schema::ints(&["o_id"]));
+        for i in 0..600i64 {
+            db.insert(other, Database::row(&[i]));
+        }
+        let plans: Vec<PlanNode> = (0..8).map(|i| star_plan(&db, i * 7)).collect();
         (db, plans)
+    }
+
+    fn star_plan(db: &Database, lo: i64) -> PlanNode {
+        let dim = db.table("dim").unwrap();
+        PlanNode::IndexNLJoin {
+            outer: Box::new(fact_scan(db, lo, lo + 10)),
+            outer_key: 2,
+            inner: dim,
+            inner_index: db.index_on(dim, 0).unwrap().object,
+            inner_pred: None,
+        }
+    }
+
+    fn fact_scan(db: &Database, lo: i64, hi: i64) -> PlanNode {
+        PlanNode::SeqScan {
+            table: db.table("fact").unwrap(),
+            pred: Some(Pred::Between { col: 1, lo, hi }),
+        }
     }
 
     fn train(db: &Database, plans: &[PlanNode], name: &str) -> TrainedWorkload {
@@ -396,21 +411,50 @@ mod tests {
     }
 
     #[test]
-    fn fleet_matches_plans_like_the_flat_registry() {
+    fn matches_same_shape_rejects_foreign() {
         let (db, plans) = star_db();
         let fleet = TenantFleet::new("acme");
         fleet.publish(train(&db, &plans, "star"));
-        let hit = fleet.match_plan(&db, &plans[3]).expect("star matches");
-        assert_eq!(hit.workload.name, "star");
-        // A foreign-shaped query does not match.
-        let mut other = Database::new();
-        let t = other.create_table("lonely", Schema::ints(&["x"]));
-        other.insert(t, Database::row(&[1]));
+        assert_eq!(fleet.len(), 1);
+
+        // Same-shape unseen query matches.
+        let hit = fleet.match_plan(&db, &star_plan(&db, 55));
+        assert_eq!(hit.expect("star matches").workload.name, "star");
+
+        // A query over an unrelated table does not.
         let foreign = PlanNode::SeqScan {
-            table: t,
+            table: db.table("other").unwrap(),
             pred: None,
         };
-        assert!(fleet.match_plan(&other, &foreign).is_none());
+        assert!(fleet.match_plan(&db, &foreign).is_none());
+    }
+
+    #[test]
+    fn empty_fleet_never_matches() {
+        let (db, plans) = star_db();
+        let fleet = TenantFleet::new("acme");
+        assert!(fleet.is_empty());
+        assert!(fleet.match_plan(&db, &plans[0]).is_none());
+    }
+
+    #[test]
+    fn best_of_multiple_workloads_wins() {
+        let (db, plans) = star_db();
+        // Workload A: the star join. Workload B: fact-only scans.
+        let scans: Vec<PlanNode> = (0..6).map(|i| fact_scan(&db, i, i + 5)).collect();
+        let fleet = TenantFleet::new("acme");
+        fleet.publish(train(&db, &plans[..6], "star"));
+        fleet.publish(train(&db, &scans, "scan"));
+
+        let m = fleet.match_plan(&db, &star_plan(&db, 42));
+        assert_eq!(m.expect("matches").workload.name, "star");
+
+        let unfiltered = PlanNode::SeqScan {
+            table: db.table("fact").unwrap(),
+            pred: None,
+        };
+        let m2 = fleet.match_plan(&db, &unfiltered);
+        assert_eq!(m2.expect("matches").workload.name, "scan");
     }
 
     #[test]

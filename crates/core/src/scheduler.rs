@@ -35,14 +35,14 @@ fn jaccard(a: &BTreeSet<PageId>, b: &BTreeSet<PageId>) -> f64 {
 /// permutation is a deterministic function of the prediction sets — the
 /// serving loop relies on this to keep replays reproducible. In particular,
 /// all-empty prediction sets (every pair has Jaccard 1.0) degrade to FIFO.
-pub fn schedule_by_overlap(predictions: &[Vec<PageId>]) -> Vec<usize> {
+pub fn schedule_by_overlap(predictions: &[impl AsRef<[PageId]>]) -> Vec<usize> {
     let n = predictions.len();
     if n == 0 {
         return Vec::new();
     }
     let sets: Vec<BTreeSet<PageId>> = predictions
         .iter()
-        .map(|p| p.iter().copied().collect())
+        .map(|p| p.as_ref().iter().copied().collect())
         .collect();
 
     // `remaining` stays sorted by query index (we use `remove`, never
@@ -82,7 +82,7 @@ pub fn schedule_by_overlap(predictions: &[Vec<PageId>]) -> Vec<usize> {
 /// queue FIFO-ordered; with `prev` and all candidates empty every pair ties
 /// at Jaccard 1.0, so the pick degrades to FIFO — the same determinism
 /// contract as the batch scheduler.
-pub fn pick_next_by_overlap(prev: &[PageId], candidates: &[Vec<PageId>]) -> usize {
+pub fn pick_next_by_overlap(prev: &[PageId], candidates: &[impl AsRef<[PageId]>]) -> usize {
     pick_next_by_overlap_scored(prev, candidates).0
 }
 
@@ -91,13 +91,19 @@ pub fn pick_next_by_overlap(prev: &[PageId], candidates: &[Vec<PageId>]) -> usiz
 /// so a postmortem dump shows *how good* each overlap pick was, not just
 /// which query won. Same tie-break, so `pick_next_by_overlap(p, c) ==
 /// pick_next_by_overlap_scored(p, c).0` always.
-pub fn pick_next_by_overlap_scored(prev: &[PageId], candidates: &[Vec<PageId>]) -> (usize, f64) {
+pub fn pick_next_by_overlap_scored(
+    prev: &[PageId],
+    candidates: &[impl AsRef<[PageId]>],
+) -> (usize, f64) {
     assert!(!candidates.is_empty(), "no candidates to pick from");
     let prev_set: BTreeSet<PageId> = prev.iter().copied().collect();
     candidates
         .iter()
         .enumerate()
-        .map(|(i, c)| (i, jaccard(&prev_set, &c.iter().copied().collect())))
+        .map(|(i, c)| {
+            let set = c.as_ref().iter().copied().collect();
+            (i, jaccard(&prev_set, &set))
+        })
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(b.0.cmp(&a.0)))
         .expect("non-empty candidates")
 }
@@ -170,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert!(schedule_by_overlap(&[]).is_empty());
+        assert!(schedule_by_overlap(&Vec::<Vec<PageId>>::new()).is_empty());
         assert_eq!(schedule_by_overlap(&[pages(&[1])]), vec![0]);
     }
 

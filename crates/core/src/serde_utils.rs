@@ -1,7 +1,7 @@
 //! Serde adapters for maps with non-string keys, plus the versioned
 //! on-disk envelope shared by everything the registry persists.
 //!
-//! Trained models are persisted as JSON (`TrainedWorkload::save_json`), but
+//! Trained models are persisted as JSON ([`crate::registry::save_model`]), but
 //! JSON object keys must be strings; these adapters serialize
 //! `HashMap`/`BTreeMap` with structured keys as sequences of `(key, value)`
 //! pairs instead.

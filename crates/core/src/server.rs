@@ -30,7 +30,7 @@
 //!   scheduler [`schedule_by_overlap`]), the wave replays to completion
 //!   through [`Runtime::run`], and only then is the queue examined again.
 //!   Kept for comparison — the wave-vs-continuous gap under skewed per-query
-//!   cost is exactly what the `perf_snapshot` serving section measures.
+//!   cost is what `pythia-experiments`' serving section measures.
 //!
 //! In both modes the shared pool's counters are attributed to each admission
 //! event by snapshot diff ([`BufferStats::diff`]), so the per-event
@@ -59,7 +59,7 @@ use pythia_obs::{tid, FlowDir, Recorder, Track};
 use pythia_sim::{PageId, SimDuration, SimTime};
 
 use crate::predictor::TrainedWorkload;
-use crate::prefetch::{cap_to_budget, prefetch_list};
+use crate::prefetch::engage;
 use crate::registry::TenantFleet;
 use crate::scheduler::{pick_next_by_overlap_scored, schedule_by_overlap};
 
@@ -577,6 +577,12 @@ struct PredEntry {
     charge: SimDuration,
 }
 
+/// Request `i`'s full predicted prefetch list (empty before inference, or
+/// without a predictor) — what the overlap policies rank on.
+fn predicted_pages(preds: &[Option<PredEntry>], i: usize) -> &[PageId] {
+    preds[i].as_ref().map_or(&[], |e| &e.list)
+}
+
 /// Where the serving loop's model comes from.
 enum PredictorSource<'d> {
     /// No model: the DFLT baseline, every query replays unassisted.
@@ -918,21 +924,15 @@ impl<'d> PrefetchServer<'d> {
         // amortizes over several requests; the head stands for the batch).
         let head = missing.first().map(|&i| requests[i].request).unwrap_or(0);
         pythia_obs::wall::set_request(head);
-        let t0 = std::time::Instant::now();
-        let batch = tw.infer_batch(self.db, &plans);
+        let (lists, measured) = engage(self.db, tw, &plans);
         pythia_obs::wall::set_request(0);
         let charge = match self.cfg.charge {
             InferenceCharge::Fixed(d) => d,
-            InferenceCharge::Measured => {
-                SimDuration::from_micros(t0.elapsed().as_micros() as u64 / missing.len() as u64)
-            }
+            InferenceCharge::Measured => measured,
         };
         let inferred = missing.len();
-        for (&i, pred) in missing.iter().zip(batch) {
-            preds[i] = Some(PredEntry {
-                list: prefetch_list(self.db, &pred),
-                charge,
-            });
+        for (&i, list) in missing.iter().zip(lists) {
+            preds[i] = Some(PredEntry { list, charge });
         }
         let rec = self.rt.recorder_mut();
         rec.add("server.inferred", inferred as u64);
@@ -960,9 +960,10 @@ impl<'d> PrefetchServer<'d> {
         pred: &Option<PredEntry>,
         budget: usize,
     ) -> QueryRun<'q> {
+        // Limited prefetching (§5.1): only the budgeted prefix is issued.
         let (prefetch, inference) = match pred {
             Some(e) if !e.list.is_empty() => {
-                (Some(cap_to_budget(e.list.clone(), budget)), e.charge)
+                (Some(e.list[..e.list.len().min(budget)].to_vec()), e.charge)
             }
             Some(e) => (None, e.charge),
             None => (None, SimDuration::ZERO),
@@ -1034,15 +1035,8 @@ impl<'d> PrefetchServer<'d> {
             let prefer: Vec<usize> = match self.cfg.policy {
                 QueuePolicy::Fifo => (0..queue.len()).collect(),
                 QueuePolicy::Overlap => {
-                    let sets: Vec<Vec<PageId>> = queue
-                        .iter()
-                        .map(|&i| {
-                            preds[i]
-                                .as_ref()
-                                .map(|e| e.list.clone())
-                                .unwrap_or_default()
-                        })
-                        .collect();
+                    let sets: Vec<&[PageId]> =
+                        queue.iter().map(|&i| predicted_pages(&preds, i)).collect();
                     schedule_by_overlap(&sets)
                 }
             };
@@ -1202,9 +1196,9 @@ impl<'d> PrefetchServer<'d> {
         let mut last_stats = start_stats;
         let mut queue: Vec<usize> = Vec::new();
         let mut next = 0usize;
-        // Predicted pages of the most recent admission — what the overlap
-        // policy chains on.
-        let mut last_admitted_pages: Vec<PageId> = Vec::new();
+        // The most recent admission — the overlap policy chains on its
+        // predicted pages.
+        let mut last_admitted: Option<usize> = None;
         let server_track = self.server_track();
 
         let mut sess = ReplaySession::new();
@@ -1217,12 +1211,19 @@ impl<'d> PrefetchServer<'d> {
         let mut free: Vec<SimTime> = vec![base; cap];
 
         // Per-tenant admission tokens, same shape as `free`: a tenant's
-        // vector holds the instants its quota slots freed, lazily created at
+        // vector holds the instants its quota slots freed, starting at
         // `quota` tokens (all "free since serve start"). Empty vector means
         // the tenant is at its in-flight cap. `None` quota skips all tenant
         // accounting — the single-tenant path is bit-identical to before.
         let quota = self.cfg.tenant_quota.map(|q| q.max(1));
         let mut tenant_tokens: HashMap<u32, Vec<SimTime>> = HashMap::new();
+        if let Some(q) = quota {
+            for r in requests {
+                tenant_tokens
+                    .entry(r.tenant)
+                    .or_insert_with(|| vec![base; q]);
+            }
+        }
 
         // Same-instant event priority: arrivals first (so the admission
         // decision sees them queued), then admissions, then session steps.
@@ -1248,13 +1249,11 @@ impl<'d> PrefetchServer<'d> {
             } else if let Some(&fmin) = free.iter().min() {
                 match quota {
                     None => Some(fmin.max(abs[queue[0]])),
-                    Some(q) => {
+                    Some(_) => {
                         let mut best: Option<SimTime> = None;
                         for &i in &queue {
-                            let tokens = tenant_tokens
-                                .entry(requests[i].tenant)
-                                .or_insert_with(|| vec![base; q]);
-                            let Some(&tmin) = tokens.iter().min() else {
+                            let Some(&tmin) = tenant_tokens[&requests[i].tenant].iter().min()
+                            else {
                                 continue;
                             };
                             let at = fmin.max(abs[i]).max(tmin);
@@ -1285,7 +1284,8 @@ impl<'d> PrefetchServer<'d> {
             }
             let Some((t, kind)) = event else { break };
 
-            match kind {
+            // Each event yields at most one completion: `(request, timing)`.
+            let completed = match kind {
                 ARRIVE => {
                     let i = order[next];
                     next += 1;
@@ -1299,6 +1299,7 @@ impl<'d> PrefetchServer<'d> {
                         &[("query", i as u64)],
                     );
                     queue.push(i);
+                    None
                 }
                 ADMIT => {
                     // Consume the earliest-freed slot.
@@ -1319,11 +1320,9 @@ impl<'d> PrefetchServer<'d> {
                     // freed by now.
                     let feasible: Vec<usize> = match quota {
                         None => (0..queue.len()).collect(),
-                        Some(q) => (0..queue.len())
+                        Some(_) => (0..queue.len())
                             .filter(|&k| {
-                                tenant_tokens
-                                    .entry(requests[queue[k]].tenant)
-                                    .or_insert_with(|| vec![base; q])
+                                tenant_tokens[&requests[queue[k]].tenant]
                                     .iter()
                                     .min()
                                     .is_some_and(|&f| f <= t)
@@ -1338,28 +1337,24 @@ impl<'d> PrefetchServer<'d> {
                             None,
                         ),
                         QueuePolicy::Overlap => {
-                            let sets: Vec<Vec<PageId>> = feasible
+                            let prev =
+                                last_admitted.map_or(&[][..], |i| predicted_pages(&preds, i));
+                            let sets: Vec<&[PageId]> = feasible
                                 .iter()
-                                .map(|&k| {
-                                    preds[queue[k]]
-                                        .as_ref()
-                                        .map(|e| e.list.clone())
-                                        .unwrap_or_default()
-                                })
+                                .map(|&k| predicted_pages(&preds, queue[k]))
                                 .collect();
-                            let (k, score) =
-                                pick_next_by_overlap_scored(&last_admitted_pages, &sets);
+                            let (k, score) = pick_next_by_overlap_scored(prev, &sets);
                             (feasible[k], Some(score))
                         }
                     };
                     let queue_depth = queue.len();
                     let i = queue.remove(pick);
-                    if let Some(q) = quota {
+                    if quota.is_some() {
                         // Consume the tenant's earliest-freed token,
                         // mirroring the slot consumption above.
                         let tokens = tenant_tokens
-                            .entry(requests[i].tenant)
-                            .or_insert_with(|| vec![base; q]);
+                            .get_mut(&requests[i].tenant)
+                            .expect("every tenant holds tokens under a quota");
                         let pos = tokens
                             .iter()
                             .enumerate()
@@ -1368,10 +1363,7 @@ impl<'d> PrefetchServer<'d> {
                             .expect("admitted tenant holds a token");
                         tokens.swap_remove(pos);
                     }
-                    last_admitted_pages = preds[i]
-                        .as_ref()
-                        .map(|e| e.list.clone())
-                        .unwrap_or_default();
+                    last_admitted = Some(i);
                     let run = Self::build_run(&requests[i], &preds[i], budget);
                     let inference = run.inference_latency;
                     let event_idx = waves.len();
@@ -1436,77 +1428,47 @@ impl<'d> PrefetchServer<'d> {
                         tenant: Some(requests[i].tenant),
                     });
                     wave_meta.push((requests[i].span_name, t.since(abs[i]).as_micros()));
-                    if let Some(c) = done {
-                        // Empty trace: completed — and freed its slot — the
-                        // instant it was admitted.
-                        let info = admits[i].as_ref().expect("just admitted");
-                        let o = QueryOutcome {
-                            arrival: abs[i],
-                            admitted: info.at,
-                            start: c.timing.start,
-                            end: c.timing.end,
-                            wave: info.event,
-                            inference: info.inference,
-                            tenant: requests[i].tenant,
-                            request: requests[i].request,
-                        };
-                        outcomes[i] = Some(o);
-                        let rec = self.rt.recorder_mut();
-                        rec.add("server.completions", 1);
-                        rec.instant(
-                            server_track,
-                            "server",
-                            "server.complete",
-                            c.timing.end.as_micros(),
-                            &[("query", i as u64), ("request", o.request)],
-                        );
-                        self.emit_request_spans(&o, server_track);
-                        free.push(c.timing.end);
-                        if quota.is_some() {
-                            tenant_tokens
-                                .get_mut(&requests[i].tenant)
-                                .expect("token consumed at admission")
-                                .push(c.timing.end);
-                        }
-                    }
+                    // Empty trace: completed — and freed its slot — the
+                    // instant it was admitted.
+                    done.map(|c| (i, c.timing))
                 }
-                _ => {
-                    if let Some(c) = sess.step(&mut self.rt) {
-                        let i = slot_req[c.slot];
-                        let info = admits[i].as_ref().expect("completed query was admitted");
-                        let o = QueryOutcome {
-                            arrival: abs[i],
-                            admitted: info.at,
-                            start: c.timing.start,
-                            end: c.timing.end,
-                            wave: info.event,
-                            inference: info.inference,
-                            tenant: requests[i].tenant,
-                            request: requests[i].request,
-                        };
-                        outcomes[i] = Some(o);
-                        let rec = self.rt.recorder_mut();
-                        rec.add("server.completions", 1);
-                        rec.instant(
-                            server_track,
-                            "server",
-                            "server.complete",
-                            c.timing.end.as_micros(),
-                            &[("query", i as u64), ("request", o.request)],
-                        );
-                        self.emit_request_spans(&o, server_track);
-                        free.push(c.timing.end);
-                        if quota.is_some() {
-                            tenant_tokens
-                                .get_mut(&requests[i].tenant)
-                                .expect("token consumed at admission")
-                                .push(c.timing.end);
-                        }
-                        // Counters are consistent at completions — refresh the
-                        // live metrics endpoint (wave mode does so per wave).
-                        self.rt.recorder().publish();
-                    }
+                _ => sess
+                    .step(&mut self.rt)
+                    .map(|c| (slot_req[c.slot], c.timing)),
+            };
+            if let Some((i, timing)) = completed {
+                let info = admits[i].as_ref().expect("completed query was admitted");
+                let o = QueryOutcome {
+                    arrival: abs[i],
+                    admitted: info.at,
+                    start: timing.start,
+                    end: timing.end,
+                    wave: info.event,
+                    inference: info.inference,
+                    tenant: requests[i].tenant,
+                    request: requests[i].request,
+                };
+                outcomes[i] = Some(o);
+                let rec = self.rt.recorder_mut();
+                rec.add("server.completions", 1);
+                rec.instant(
+                    server_track,
+                    "server",
+                    "server.complete",
+                    o.end.as_micros(),
+                    &[("query", i as u64), ("request", o.request)],
+                );
+                self.emit_request_spans(&o, server_track);
+                free.push(o.end);
+                if quota.is_some() {
+                    tenant_tokens
+                        .get_mut(&o.tenant)
+                        .expect("token consumed at admission")
+                        .push(o.end);
                 }
+                // Counters are consistent at completions — refresh the live
+                // metrics endpoint (wave mode does so per wave).
+                self.rt.recorder().publish();
             }
             debug_assert_eq!(free.len() + sess.live(), cap, "slot accounting");
         }

@@ -6,7 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use pythia_core::predictor::TrainedWorkload;
-use pythia_core::prefetch::{cap_to_budget, prefetch_list};
+use pythia_core::prefetch::{cap_to_budget, engage};
 use pythia_core::{train_workload, PythiaConfig};
 use pythia_db::plan::PlanNode;
 use pythia_db::runtime::{QueryRun, RunConfig, Runtime};
@@ -230,49 +230,23 @@ impl Env {
         base.as_micros() as f64 / with.as_micros().max(1) as f64
     }
 
-    /// Run Pythia inference for a plan, returning the (budget-capped)
-    /// prefetch list and the *measured* wall-clock inference latency —
-    /// charged against the query like the paper charges its 1–1.5 s.
-    pub fn pythia_prefetch(
-        &self,
-        run_cfg: &RunConfig,
-        tw: &TrainedWorkload,
-        plan: &PlanNode,
-    ) -> (Vec<PageId>, SimDuration) {
-        let t0 = std::time::Instant::now();
-        let pred = tw.infer(&self.bench.db, plan);
-        let list = prefetch_list(&self.bench.db, &pred);
-        let inference = SimDuration::from_micros(t0.elapsed().as_micros() as u64);
-        // Limited prefetching: stay within buffer bounds (paper §5.1).
-        let budget = run_cfg.pool_frames * 3 / 4;
-        (cap_to_budget(list, budget), inference)
-    }
-
-    /// [`Env::pythia_prefetch`] for a whole batch of plans: one batched
-    /// forward pass per model serves every query, and each query is charged
-    /// an equal share of the measured wall-clock latency (the amortized cost
-    /// a deployed batching server would see). Page lists are identical to
-    /// the per-query path — batched inference is bit-identical to serial.
+    /// Run Pythia for a batch of plans ([`engage`]): per query, the
+    /// budget-capped prefetch list and its equal share of the *measured*
+    /// wall-clock latency of the one batched forward pass — charged against
+    /// the query like the paper charges its 1–1.5 s, amortized as a deployed
+    /// batching server would see it.
     pub fn pythia_prefetch_batch(
         &self,
         run_cfg: &RunConfig,
         tw: &TrainedWorkload,
         plans: &[&PlanNode],
     ) -> Vec<(Vec<PageId>, SimDuration)> {
-        if plans.is_empty() {
-            return Vec::new();
-        }
-        let t0 = std::time::Instant::now();
-        let preds = tw.infer_batch(&self.bench.db, plans);
-        let inference =
-            SimDuration::from_micros(t0.elapsed().as_micros() as u64 / plans.len() as u64);
+        let (lists, inference) = engage(&self.bench.db, tw, plans);
+        // Limited prefetching: stay within buffer bounds (paper §5.1).
         let budget = run_cfg.pool_frames * 3 / 4;
-        preds
+        lists
             .into_iter()
-            .map(|pred| {
-                let list = prefetch_list(&self.bench.db, &pred);
-                (cap_to_budget(list, budget), inference)
-            })
+            .map(|list| (cap_to_budget(list, budget), inference))
             .collect()
     }
 }
@@ -316,6 +290,7 @@ pub const BUCKET_NAMES: [&str; 3] = ["low (bottom 25%)", "medium (mid 50%)", "hi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pythia_core::prefetch::prefetch_list;
 
     fn tiny_env() -> Env {
         let cfg = ExpConfig {
@@ -379,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_prefetch_matches_serial_pages() {
+    fn batched_prefetch_is_the_capped_storage_order_list() {
         let env = tiny_env();
         let w = env.prepare_n(Template::T91, 8);
         let pythia = PythiaConfig {
@@ -391,9 +366,10 @@ mod tests {
         assert!(!plans.is_empty());
         let batched = env.pythia_prefetch_batch(&env.run_cfg, &tw, &plans);
         assert_eq!(batched.len(), plans.len());
+        let budget = env.run_cfg.pool_frames * 3 / 4;
         for (q, plan) in plans.iter().enumerate() {
-            let (serial_pages, _) = env.pythia_prefetch(&env.run_cfg, &tw, plan);
-            assert_eq!(batched[q].0, serial_pages, "query {q}");
+            let list = prefetch_list(&env.bench.db, &tw.infer(&env.bench.db, plan));
+            assert_eq!(batched[q].0, cap_to_budget(list, budget), "query {q}");
         }
         assert!(env.pythia_prefetch_batch(&env.run_cfg, &tw, &[]).is_empty());
     }

@@ -33,8 +33,8 @@
 //!   one event per line), loadable in Perfetto (<https://ui.perfetto.dev>)
 //!   or `chrome://tracing`.
 //! * [`Recorder::snapshot`] → [`snapshot::MetricsSnapshot`] — counters and
-//!   histogram summaries as deterministic JSON, merged into
-//!   `perf_snapshot`'s `BENCH_nn.json`, and as Prometheus text exposition
+//!   histogram summaries as deterministic JSON (the `obs.*` rows of
+//!   `benchmark/run.sh --trace` price it), and as Prometheus text exposition
 //!   ([`snapshot::MetricsSnapshot::to_prometheus`]) behind the live
 //!   [`serve::MetricsServer`] endpoint.
 //!

@@ -1,7 +1,7 @@
 //! Metrics snapshots: the counter/histogram side of a [`crate::Recorder`],
 //! exported as deterministic hand-rolled JSON (sorted keys, integer-only
-//! values) so it can be merged verbatim into `perf_snapshot`'s
-//! `BENCH_nn.json` without pulling a JSON dependency into this crate.
+//! values) so a benchmark report can embed it verbatim without pulling a
+//! JSON dependency into this crate.
 
 use crate::hist::HistSummary;
 

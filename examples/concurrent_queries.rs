@@ -39,7 +39,7 @@ fn main() {
         pos_weight: 2.0,
         ..PythiaConfig::fast()
     };
-    let mut pythia = PythiaSystem::new(cfg, pool_frames * 3 / 4);
+    let pythia = PythiaSystem::new(cfg, pool_frames * 3 / 4);
     let train_plans: Vec<_> = train_q.iter().map(|q| q.plan.clone()).collect();
     pythia.learn_workload(&bench.db, "dsb-t18", &train_plans, train_t, None);
     println!(

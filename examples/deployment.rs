@@ -5,10 +5,11 @@
 //! cargo run --release --example deployment
 //! ```
 //!
-//! 1. Train Pythia on a workload and save the models to JSON.
-//! 2. Start a [`pythia::service::PythiaService`], load the models from disk,
-//!    and serve engage-or-fallback decisions from multiple threads while a
-//!    background trainer installs a second workload.
+//! 1. Train Pythia on a workload and save the models to disk
+//!    (`registry::save_model`: enveloped, catalog-checked on load).
+//! 2. Share a [`pythia::PythiaSystem`] in an `Arc`, load the models from
+//!    disk, and serve engage-or-fallback decisions from multiple threads
+//!    while a background trainer installs a second workload.
 //! 3. Fold newly observed queries into existing models with
 //!    `TrainedWorkload::refine` instead of retraining from scratch.
 
@@ -16,10 +17,11 @@ use std::sync::Arc;
 
 use pythia::core::metrics::f1_score;
 use pythia::core::predictor::{ground_truth, TrainedWorkload};
+use pythia::core::registry::{load_model, save_model};
 use pythia::core::PythiaConfig;
-use pythia::service::{PythiaService, TrainRequest};
 use pythia::workloads::templates::{sample_workload, Template};
 use pythia::workloads::{build_benchmark, GeneratorConfig};
+use pythia::{PythiaSystem, TrainRequest};
 
 fn main() {
     let bench = build_benchmark(&GeneratorConfig {
@@ -43,7 +45,7 @@ fn main() {
     let plans: Vec<_> = queries[8..].iter().map(|q| q.plan.clone()).collect();
     let tw = pythia::core::train_workload(&bench.db, "t91", &plans, &traces[8..], None, &cfg);
     let path = std::env::temp_dir().join("pythia_t91.json");
-    tw.save_json(&path).expect("save");
+    save_model(&path, 1, &tw).expect("save");
     println!(
         "trained '{}' ({} object models, {:.1} MB) and saved to {}",
         tw.name,
@@ -54,14 +56,15 @@ fn main() {
 
     // ---- 2. Serve from disk + background training of a second workload ----
     let db = Arc::new(bench.db);
-    let service = Arc::new(PythiaService::new(Arc::clone(&db), cfg.clone(), 512));
-    let version = service
-        .install_trained(TrainedWorkload::load_json(&path).expect("load"))
+    let system = Arc::new(PythiaSystem::new(cfg.clone(), 512));
+    let (_, loaded) = load_model(&path, &db).expect("catalog-compatible");
+    let version = system
+        .install_trained(&db, loaded)
         .expect("catalog-compatible");
     let _ = std::fs::remove_file(&path);
     println!(
-        "service loaded persisted models; workloads = {}, fleet version = {version}",
-        service.workload_count()
+        "system loaded persisted models; workloads = {}, fleet version = {version}",
+        system.workload_count()
     );
 
     // Rebuild a cheap second workload request and train it in the background
@@ -75,7 +78,7 @@ fn main() {
         .iter()
         .map(|q| pythia::db::exec::execute(&q.plan, &db).1)
         .collect();
-    let (tx, trainer) = service.spawn_trainer();
+    let (tx, trainer) = system.spawn_trainer(Arc::clone(&db));
     tx.send(TrainRequest {
         name: "imdb-1a".into(),
         plans: q2.iter().map(|q| q.plan.clone()).collect(),
@@ -87,12 +90,12 @@ fn main() {
 
     let readers: Vec<_> = (0..2)
         .map(|r| {
-            let s = Arc::clone(&service);
+            let (s, db) = (Arc::clone(&system), Arc::clone(&db));
             let probe: Vec<_> = queries[..8].iter().map(|q| q.plan.clone()).collect();
             std::thread::spawn(move || {
                 let mut engaged = 0;
                 for p in &probe {
-                    if s.engage(p).is_some() {
+                    if s.engage(&db, p).is_some() {
                         engaged += 1;
                     }
                 }
@@ -109,7 +112,7 @@ fn main() {
     trainer.join().unwrap();
     println!(
         "background trainer done; workloads = {}",
-        service.workload_count()
+        system.workload_count()
     );
 
     // ---- 3. Incremental refinement ----

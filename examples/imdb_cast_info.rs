@@ -53,13 +53,14 @@ fn main() {
         pos_weight: 2.0,
         ..PythiaConfig::fast()
     };
-    let mut pythia = PythiaSystem::new(cfg, budget);
+    let pythia = PythiaSystem::new(cfg, budget);
     let train_plans: Vec<_> = train_q.iter().map(|q| q.plan.clone()).collect();
     // Only cast_info (heap + its movie_id index) gets models.
     let restrict = Template::Imdb1a.prefetch_objects(&bench).unwrap();
     pythia.learn_workload(&bench.db, "imdb-1a", &train_plans, train_t, Some(&restrict));
 
-    let tw = &pythia.workloads()[0];
+    let model = pythia.fleet().current("imdb-1a").expect("just learned");
+    let tw = &model.workload;
     println!(
         "models cover {} objects (cast_info heap + index), {:.1} MB",
         tw.modeled_objects().len(),

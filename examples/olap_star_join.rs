@@ -56,10 +56,11 @@ fn main() {
         ..PythiaConfig::fast()
     };
     let pool_frames = (bench.db.disk.total_pages() as usize / 8).max(256);
-    let mut pythia = PythiaSystem::new(cfg, pool_frames * 3 / 4);
+    let pythia = PythiaSystem::new(cfg, pool_frames * 3 / 4);
     let train_plans: Vec<_> = train_q.iter().map(|q| q.plan.clone()).collect();
     pythia.learn_workload(&bench.db, "dsb-t18", &train_plans, train_t, None);
-    let tw = &pythia.workloads()[0];
+    let model = pythia.fleet().current("dsb-t18").expect("just learned");
+    let tw = &model.workload;
     println!(
         "trained models for {} objects ({:.1} MB total)",
         tw.modeled_objects().len(),

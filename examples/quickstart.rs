@@ -79,12 +79,17 @@ fn main() {
         lr: 5e-3,
         ..PythiaConfig::fast()
     };
-    let mut pythia = PythiaSystem::new(cfg, 512);
+    let pythia = PythiaSystem::new(cfg, 512);
     pythia.learn_workload(&db, "orders-by-day", &plans, &traces, None);
+    let model = pythia
+        .fleet()
+        .current("orders-by-day")
+        .expect("just learned");
+    let tw = &model.workload;
     println!(
         "trained {} workload(s); model size {:.2} MB",
         pythia.workload_count(),
-        pythia.workloads()[0].size_bytes() as f64 / 1e6
+        tw.size_bytes() as f64 / 1e6
     );
 
     // ---- 5. An unseen query from the same workload.
@@ -102,7 +107,6 @@ fn main() {
     );
 
     // Prediction quality.
-    let tw = &pythia.workloads()[0];
     let truth = ground_truth(&unseen_trace, &tw.modeled_objects());
     let pred = tw.infer(&db, &unseen);
     let m = f1_score(&pred.as_set(), &truth);

@@ -41,12 +41,13 @@ fn pipeline_learns_and_speeds_up_t91() {
     let (test_t, train_t) = traces.split_at(6);
 
     let pool_frames = (bench.db.disk.total_pages() as usize / 8).max(256);
-    let mut system = PythiaSystem::new(quick_cfg(), pool_frames * 3 / 4);
+    let system = PythiaSystem::new(quick_cfg(), pool_frames * 3 / 4);
     let train_plans: Vec<_> = train_q.iter().map(|q| q.plan.clone()).collect();
     system.learn_workload(&bench.db, "t91", &train_plans, train_t, None);
     assert_eq!(system.workload_count(), 1);
 
-    let tw = &system.workloads()[0];
+    let model = system.fleet().current("t91").expect("just learned");
+    let tw = &model.workload;
     let modeled = tw.modeled_objects();
     assert!(modeled.len() >= 4, "T91 probes several dims: {modeled:?}");
 
@@ -99,7 +100,7 @@ fn out_of_distribution_query_falls_back() {
         epochs: 2,
         ..PythiaConfig::fast()
     };
-    let mut system = PythiaSystem::new(cfg, 512);
+    let system = PythiaSystem::new(cfg, 512);
     let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
     system.learn_workload(&bench.db, "t91", &plans, &traces, None);
 
@@ -149,7 +150,7 @@ fn multiple_workloads_route_correctly() {
         epochs: 2,
         ..PythiaConfig::fast()
     };
-    let mut system = PythiaSystem::new(cfg, 512);
+    let system = PythiaSystem::new(cfg, 512);
     for (name, template) in [("t18", Template::T18), ("imdb", Template::Imdb1a)] {
         let queries = sample_workload(&bench, template, 16, 4);
         let traces: Vec<_> = queries
