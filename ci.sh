@@ -181,15 +181,18 @@ if [[ "$fast" -eq 0 ]]; then
   demo_port=${demo_addr##*:}
   metrics_host=${metrics_addr%:*}
   metrics_port=${metrics_addr##*:}
+  # The request goes out through `cat`, i.e. in one write: bash flushes a
+  # printf to a socket line by line, and the front answers and closes as soon
+  # as it has the request line, so the later lines could meet a reset.
   demo_get() {
     exec 3<>"/dev/tcp/$demo_host/$demo_port"
-    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" >&3
+    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" | cat >&3
     cat <&3
     exec 3>&- 3<&-
   }
   metrics_get() {
     exec 3<>"/dev/tcp/$metrics_host/$metrics_port"
-    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" >&3
+    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" | cat >&3
     cat <&3
     exec 3>&- 3<&-
   }
@@ -250,7 +253,7 @@ if [[ "$fast" -eq 0 ]]; then
   fi
   # The anomaly triggers above (slow requests + the forced drift drill)
   # must leave a postmortem flight dump behind /debug/flight: a Chrome
-  # trace with flow-linked request.* spans from the always-on ring.
+  # trace with flow-linked request.* spans from the event log's tail.
   demo_flight=$(metrics_get /debug/flight)
   if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_flight" \
     || ! grep -q '"request\.' <<<"$demo_flight" \
@@ -259,6 +262,32 @@ if [[ "$fast" -eq 0 ]]; then
     echo "$demo_flight" >&2
     kill "$demo_pid" 2>/dev/null || true
     exit 1
+  fi
+  # Bounded memory: the demo's recorders keep counters, histograms and a
+  # fixed event ring, so its high-water mark must not follow the number of
+  # requests served. 100 requests warm every buffer; 400 more must add
+  # (almost) nothing. Linux only: the reading comes from /proc.
+  if [[ -r "/proc/$demo_pid/status" ]]; then
+    demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
+    demo_burst() { # first request ordinal, count
+      local i
+      for ((i = $1; i < $1 + $2; i++)); do
+        demo_get "/t/$((i % 2))/query/$((i % 12))" > /dev/null
+      done
+    }
+    demo_burst 0 100
+    hwm_100=$(demo_hwm_kb)
+    demo_burst 100 400
+    hwm_500=$(demo_hwm_kb)
+    if ((hwm_500 - hwm_100 > 2048 || hwm_500 > 40960)); then
+      echo "!!> serve_demo memory follows requests served: VmHWM ${hwm_100} kB" \
+        "after 100 requests, ${hwm_500} kB after 500 (limits: +2048 kB, 40960 kB)" >&2
+      kill "$demo_pid" 2>/dev/null || true
+      exit 1
+    fi
+    echo "    serve_demo VmHWM: ${hwm_100} kB after 100 requests, ${hwm_500} kB after 500"
+  else
+    echo "!!> no /proc/$demo_pid/status: serve_demo memory-bound check SKIPPED" >&2
   fi
   demo_get /shutdown > /dev/null
   wait "$demo_pid"

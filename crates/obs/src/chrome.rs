@@ -72,16 +72,21 @@ fn process_name(pid: u32) -> &'static str {
 
 /// Render `events` (+ track name metadata) as Chrome trace-event JSON.
 /// `pid_filter` restricts the output to one process (used to export the
-/// deterministic virtual-time trace on its own).
-pub fn trace_json(events: &[Event], tracks: &[(Track, String)], pid_filter: Option<u32>) -> String {
+/// deterministic virtual-time trace on its own). Both inputs are iterators
+/// so a wrapped ring and its bounded name table render in place.
+pub fn trace_json<'a>(
+    events: impl Iterator<Item = &'a Event> + Clone,
+    tracks: impl Iterator<Item = &'a (Track, String)> + Clone,
+    pid_filter: Option<u32>,
+) -> String {
     let keep = |pid: u32| pid_filter.map(|f| f == pid).unwrap_or(true);
     let mut lines: Vec<String> = Vec::new();
 
     // Process metadata for every pid that appears, in pid order.
     let mut pids: Vec<u32> = tracks
-        .iter()
+        .clone()
         .map(|(t, _)| t.pid)
-        .chain(events.iter().map(|e| e.track.pid))
+        .chain(events.clone().map(|e| e.track.pid))
         .filter(|&p| keep(p))
         .collect();
     pids.sort_unstable();
@@ -158,6 +163,7 @@ pub fn trace_json(events: &[Event], tracks: &[(Track, String)], pid_filter: Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Args;
 
     fn ev(tid: u32, name: &'static str, ts: u64, dur: Option<u64>) -> Event {
         Event {
@@ -167,20 +173,20 @@ mod tests {
             ts_us: ts,
             dur_us: dur,
             flow: None,
-            args: vec![("k", 7)],
+            args: Args::new(&[("k", 7)]),
         }
     }
 
     #[test]
     fn empty_trace_is_a_valid_array() {
-        assert_eq!(trace_json(&[], &[], None), "[\n]\n");
+        assert_eq!(trace_json([].iter(), [].iter(), None), "[\n]\n");
     }
 
     #[test]
     fn span_and_instant_shapes() {
         let events = [ev(3, "s", 10, Some(5)), ev(3, "i", 12, None)];
         let tracks = [(Track::virt(3), "q0".to_owned())];
-        let json = trace_json(&events, &tracks, None);
+        let json = trace_json(events.iter(), tracks.iter(), None);
         assert!(json.contains(
             "{\"ph\":\"X\",\"pid\":1,\"tid\":3,\"ts\":10,\"dur\":5,\"cat\":\"test\",\"name\":\"s\",\"args\":{\"k\":7}}"
         ));
@@ -202,11 +208,11 @@ mod tests {
     fn flow_event_shapes() {
         let mut start = ev(3, "request.flow", 10, None);
         start.flow = Some((42, FlowDir::Start));
-        start.args = vec![];
+        start.args = Args::new(&[]);
         let mut finish = ev(5, "request.flow", 12, None);
         finish.flow = Some((42, FlowDir::Finish));
-        finish.args = vec![];
-        let json = trace_json(&[start, finish], &[], None);
+        finish.args = Args::new(&[]);
+        let json = trace_json([start, finish].iter(), [].iter(), None);
         assert!(
             json.contains(
                 "{\"ph\":\"s\",\"pid\":1,\"tid\":3,\"ts\":10,\"id\":42,\"cat\":\"test\",\"name\":\"request.flow\",\"args\":{}}"
@@ -229,7 +235,7 @@ mod tests {
         let mut wall = ev(1, "w", 0, Some(1));
         wall.track = Track::wall(1);
         let events = [ev(1, "v", 0, Some(1)), wall];
-        let json = trace_json(&events, &[], Some(VIRTUAL_PID));
+        let json = trace_json(events.iter(), [].iter(), Some(VIRTUAL_PID));
         assert!(json.contains("\"name\":\"v\""));
         assert!(!json.contains("\"name\":\"w\""));
         assert!(!json.contains("pythia-wall"));
@@ -238,7 +244,7 @@ mod tests {
     #[test]
     fn escaping_is_applied() {
         let tracks = [(Track::virt(1), "a\"b\\c\nd".to_owned())];
-        let json = trace_json(&[], &tracks, None);
+        let json = trace_json([].iter(), tracks.iter(), None);
         assert!(json.contains("a\\\"b\\\\c\\nd"));
     }
 }

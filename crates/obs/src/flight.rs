@@ -1,137 +1,87 @@
-//! The always-on flight recorder: a fixed-memory ring of recent events.
+//! The event store: one log of fixed-size [`Event`] slots and one track-name
+//! table, kept under one of two retentions.
 //!
-//! A full [`crate::Recorder`] keeps *everything* and is therefore opt-in;
-//! by the time an anomaly fires in production the evidence is gone unless a
-//! trace export happened to be running. The flight recorder closes that gap:
-//! every span/instant/flow recorded through a `Recorder` — enabled *or*
-//! disabled — is also copied into a [`FlightRing`], a preallocated circular
-//! buffer that retains the last `capacity` events and nothing else. Recording
-//! is O(1), allocation-free after the first event (slots are `Copy`, argument
-//! storage is inline and truncated to [`SLOT_ARGS`] pairs), and costs one
-//! bounds-checked store — cheap enough to leave on for the untraced
-//! continuous-serve path (the `obs_flight_*` BENCH fields measure it).
+//! Every span/instant/flow recorded through a [`crate::Recorder`] is written
+//! once, into an [`EventLog`]. An [`Event`] is `Copy` with its arguments
+//! inline ([`crate::MAX_ARGS`] pairs, wide enough for every call site), so
+//! recording is one store and never allocates per event. The only variable is
+//! how much of the stream the log keeps:
 //!
-//! On an anomaly trigger (`drift.alert`, a shed burst, a slow request —
-//! see `Recorder::trigger_flight`) the ring is rendered to Chrome-trace
-//! JSON and published into a [`SharedFlight`] cell, where a
-//! [`crate::serve::MetricsServer`] exposes it at `/debug/flight`. The dump
-//! is a postmortem: the last `capacity` events *before* the trigger, across
-//! every track, loadable in Perfetto like any other trace.
+//! * [`Retention::All`] — everything, forever: a *capture*
+//!   (`Recorder::enabled()`), for tests, trace export and the trace-diff gate.
+//!   Memory is linear in events recorded, so it is opt-in.
+//! * [`Retention::LastN`] — the last `capacity` events in a preallocated ring,
+//!   and the track table FIFO-bounded to match: the black-box flight recorder
+//!   every other recorder carries (`Recorder::disabled()`,
+//!   `Recorder::bounded()`). Memory is fixed however long the process lives.
+//!
+//! Either way the log's *tail* — its last `capacity` events — is what an
+//! anomaly trigger (`drift.alert`, a shed burst, a slow request; see
+//! `Recorder::trigger_flight`) renders to Chrome-trace JSON and publishes
+//! into a [`SharedFlight`] cell, where a [`crate::serve::MetricsServer`]
+//! exposes it at `/debug/flight`: a postmortem of the events just *before*
+//! the trigger, across every track, loadable in Perfetto like any other trace.
 
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use crate::{Event, FlowDir, Track};
+use crate::{chrome, lock, Event, Track};
 
-/// Default ring capacity (events). ~80 bytes per slot, so the default ring
-/// holds the recent past in well under a megabyte.
+/// Default tail length (events). ~230 bytes per slot, so the default ring
+/// holds the recent past in under a megabyte.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Inline argument pairs kept per slot; longer argument lists are truncated
-/// (the full list still reaches the main trace when the recorder is enabled).
-pub const SLOT_ARGS: usize = 2;
-
-/// What a slot represents — the flight-side mirror of the event phases the
-/// Chrome emitter knows (`X`, `i`, `s`, `f`).
+/// How much of the event stream an [`EventLog`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
-    /// A complete span; `dur_us` is meaningful.
-    Span,
-    /// An instant event.
-    Instant,
-    /// A flow-start binding point; `flow_id` is meaningful.
-    FlowStart,
-    /// A flow-finish binding point; `flow_id` is meaningful.
-    FlowFinish,
+pub enum Retention {
+    /// Every event and every track name, forever (a capture).
+    All,
+    /// The last `capacity` events, in a fixed ring.
+    LastN,
 }
 
-/// One ring slot: a fixed-size, `Copy` rendering of an [`Event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightSlot {
-    pub track: Track,
-    pub cat: &'static str,
-    pub name: &'static str,
-    pub ts_us: u64,
-    /// Span duration; 0 and unused for non-span kinds.
-    pub dur_us: u64,
-    pub kind: SlotKind,
-    /// Flow-event id; 0 and unused for non-flow kinds.
-    pub flow_id: u64,
-    /// Inline argument storage; only the first `n_args` entries are live.
-    pub args: [(&'static str, u64); SLOT_ARGS],
-    pub n_args: u8,
-}
-
-impl FlightSlot {
-    /// Expand the slot back into a full [`Event`] for trace emission.
-    pub fn to_event(self) -> Event {
-        Event {
-            track: self.track,
-            cat: self.cat,
-            name: self.name,
-            ts_us: self.ts_us,
-            dur_us: match self.kind {
-                SlotKind::Span => Some(self.dur_us),
-                _ => None,
-            },
-            flow: match self.kind {
-                SlotKind::FlowStart => Some((self.flow_id, FlowDir::Start)),
-                SlotKind::FlowFinish => Some((self.flow_id, FlowDir::Finish)),
-                _ => None,
-            },
-            args: self.args[..self.n_args as usize].to_vec(),
-        }
-    }
-}
-
-/// The fixed-memory event ring. Storage is allocated lazily on the first
-/// recorded event (so a never-touched recorder costs nothing) and never
-/// grows past `capacity` slots.
+/// The one event store. Storage is allocated lazily on the first recorded
+/// event (so a never-touched recorder costs nothing); under
+/// [`Retention::LastN`] it never grows past `capacity` slots.
 #[derive(Debug, Clone)]
-pub struct FlightRing {
+pub struct EventLog {
+    retention: Retention,
+    /// Tail length: the ring size under `LastN`, the dump length under `All`.
     capacity: usize,
-    slots: Vec<FlightSlot>,
-    /// Next write position (== `slots.len()` until the ring first wraps).
+    events: Vec<Event>,
+    /// Ring write position (`LastN` only; `events.len()` until the first wrap).
     next: usize,
     /// Total events ever recorded (monotone; identifies trigger points).
     seq: u64,
+    /// Track metadata in declaration order: `(track, human name)`.
+    tracks: VecDeque<(Track, String)>,
+    declared: BTreeSet<Track>,
 }
 
-impl Default for FlightRing {
-    fn default() -> FlightRing {
-        FlightRing::with_capacity(DEFAULT_CAPACITY)
+impl Default for EventLog {
+    fn default() -> EventLog {
+        EventLog::new(Retention::LastN)
     }
 }
 
-impl FlightRing {
-    /// A ring retaining the last `capacity` events (0 disables recording).
-    pub fn with_capacity(capacity: usize) -> FlightRing {
-        FlightRing {
-            capacity,
-            slots: Vec::new(),
+impl EventLog {
+    /// An empty log with a tail of [`DEFAULT_CAPACITY`] events.
+    pub fn new(retention: Retention) -> EventLog {
+        EventLog {
+            retention,
+            capacity: DEFAULT_CAPACITY,
+            events: Vec::new(),
             next: 0,
             seq: 0,
+            tracks: VecDeque::new(),
+            declared: BTreeSet::new(),
         }
     }
 
-    /// Whether the ring records at all (capacity > 0).
+    /// Whether the log has a tail to dump (capacity > 0).
     #[inline]
     pub fn is_active(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// Configured capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently retained (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing has been recorded (or capacity is 0).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Total events ever recorded, including those already overwritten.
@@ -139,86 +89,114 @@ impl FlightRing {
         self.seq
     }
 
-    /// Record one slot. O(1); allocates only on the very first event (the
-    /// slot vector reserves full capacity up front so steady-state recording
-    /// never reallocates).
+    /// Record one event. O(1); a ring reserves its full capacity on the very
+    /// first event so steady-state recording never reallocates.
     #[inline]
-    pub fn record(&mut self, slot: FlightSlot) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.slots.len() < self.capacity {
-            if self.slots.capacity() == 0 {
-                self.slots.reserve_exact(self.capacity);
+    pub fn record(&mut self, event: Event) {
+        match self.retention {
+            Retention::All => self.events.push(event),
+            Retention::LastN if self.capacity == 0 => return,
+            Retention::LastN => {
+                if self.events.len() < self.capacity {
+                    if self.events.capacity() == 0 {
+                        self.events.reserve_exact(self.capacity);
+                    }
+                    self.events.push(event);
+                } else {
+                    self.events[self.next] = event;
+                }
+                self.next += 1;
+                if self.next == self.capacity {
+                    self.next = 0;
+                }
             }
-            self.slots.push(slot);
-        } else {
-            self.slots[self.next] = slot;
-        }
-        self.next += 1;
-        if self.next == self.capacity {
-            self.next = 0;
         }
         self.seq += 1;
     }
 
-    /// Build and record a slot from event parts, truncating `args` to the
-    /// inline limit. The single public entry point `Recorder` goes through.
-    #[inline]
-    pub fn record_parts(
-        &mut self,
-        track: Track,
-        cat: &'static str,
-        name: &'static str,
-        ts_us: u64,
-        dur_us: u64,
-        kind: SlotKind,
-        flow_id: u64,
-        args: &[(&'static str, u64)],
-    ) {
-        if self.capacity == 0 {
+    /// Name `track`; the first declaration wins and `name` is only built
+    /// then. Under `LastN` the table is FIFO-bounded at the ring capacity:
+    /// one new track costs at most one ring event, so it always covers the
+    /// retained tail.
+    pub fn declare_track(&mut self, track: Track, name: impl FnOnce() -> String) {
+        let off = self.retention == Retention::LastN && self.capacity == 0;
+        if off || !self.declared.insert(track) {
             return;
         }
-        let n = args.len().min(SLOT_ARGS);
-        let mut inline = [("", 0u64); SLOT_ARGS];
-        inline[..n].copy_from_slice(&args[..n]);
-        self.record(FlightSlot {
-            track,
-            cat,
-            name,
-            ts_us,
-            dur_us,
-            kind,
-            flow_id,
-            args: inline,
-            n_args: n as u8,
-        });
-    }
-
-    /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Event> {
-        if self.slots.len() < self.capacity {
-            self.slots.iter().map(|s| s.to_event()).collect()
-        } else {
-            self.slots[self.next..]
-                .iter()
-                .chain(&self.slots[..self.next])
-                .map(|s| s.to_event())
-                .collect()
+        self.tracks.push_back((track, name()));
+        if self.retention == Retention::LastN && self.tracks.len() > self.capacity {
+            if let Some((old, _)) = self.tracks.pop_front() {
+                self.declared.remove(&old);
+            }
         }
     }
 
-    /// Change the retention cap. Drops everything currently retained (the
-    /// ring layout depends on the capacity); 0 turns recording off.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.clear();
+    /// The capture: every event in insertion order under `All`; empty under
+    /// `LastN`, which holds a tail, not a trace.
+    pub fn captured(&self) -> &[Event] {
+        match self.retention {
+            Retention::All => &self.events,
+            Retention::LastN => &[],
+        }
     }
 
-    /// Drop all retained events (the monotone `seq` is preserved).
+    /// The retained tail as two runs, oldest first.
+    fn tail_runs(&self) -> (&[Event], &[Event]) {
+        match self.retention {
+            Retention::All => {
+                let from = self.events.len().saturating_sub(self.capacity);
+                (&self.events[from..], &[])
+            }
+            Retention::LastN => (&self.events[self.next..], &self.events[..self.next]),
+        }
+    }
+
+    /// Events in the tail (≤ capacity).
+    pub fn tail_len(&self) -> usize {
+        self.events.len().min(self.capacity)
+    }
+
+    /// The last `capacity` events, oldest first.
+    pub fn tail(&self) -> Vec<Event> {
+        let (a, b) = self.tail_runs();
+        [a, b].concat()
+    }
+
+    /// The capture as Chrome trace-event JSON, optionally one process only.
+    pub fn trace_json(&self, pid_filter: Option<u32>) -> String {
+        let named = match self.retention {
+            Retention::All => self.tracks.len(),
+            Retention::LastN => 0,
+        };
+        let tracks = self.tracks.iter().take(named);
+        chrome::trace_json(self.captured().iter(), tracks, pid_filter)
+    }
+
+    /// The tail, with the newest `capacity` track names, as Chrome
+    /// trace-event JSON — a flight dump.
+    pub fn tail_json(&self) -> String {
+        let (a, b) = self.tail_runs();
+        let skip = self.tracks.len().saturating_sub(self.capacity);
+        chrome::trace_json(a.iter().chain(b), self.tracks.iter().skip(skip), None)
+    }
+
+    /// Change the tail length (0 turns dumps off, and a ring with them).
+    /// A ring's layout depends on it, so `LastN` drops what it retains; a
+    /// capture keeps everything and only its dumps change length.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.capacity = capacity;
+        if self.retention == Retention::LastN {
+            self.clear();
+        }
+    }
+
+    /// Drop all retained events and track names (the monotone `seq`, the
+    /// retention and the capacity are preserved).
     pub fn clear(&mut self) {
-        self.slots = Vec::new();
+        self.events = Vec::new();
         self.next = 0;
+        self.tracks.clear();
+        self.declared.clear();
     }
 }
 
@@ -227,9 +205,9 @@ impl FlightRing {
 pub struct FlightDump {
     /// Trigger reason (`drift.alert`, `slow.request`, `shed.burst`, ...).
     pub reason: String,
-    /// The ring rendered as Chrome trace-event JSON.
+    /// The log's tail rendered as Chrome trace-event JSON.
     pub trace_json: String,
-    /// Ring sequence number at the trigger instant.
+    /// Log sequence number at the trigger instant.
     pub trigger_seq: u64,
 }
 
@@ -238,7 +216,7 @@ pub struct FlightDump {
 /// the *latest* dump only — a postmortem endpoint, not an archive.
 #[derive(Debug, Clone, Default)]
 pub struct SharedFlight {
-    cell: Arc<Mutex<Option<FlightDump>>>,
+    pub(crate) cell: Arc<Mutex<Option<FlightDump>>>,
 }
 
 impl SharedFlight {
@@ -249,127 +227,135 @@ impl SharedFlight {
 
     /// Replace the published dump.
     pub fn publish(&self, dump: FlightDump) {
-        *self.cell.lock().expect("flight cell poisoned") = Some(dump);
+        *lock(&self.cell) = Some(dump);
     }
 
     /// The most recent dump, if any anomaly has fired.
     pub fn get(&self) -> Option<FlightDump> {
-        self.cell.lock().expect("flight cell poisoned").clone()
+        lock(&self.cell).clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{tid, Args, FlowDir, Recorder};
 
-    fn slot(i: u64) -> FlightSlot {
-        FlightSlot {
+    fn ev(i: u64) -> Event {
+        Event {
             track: Track::virt(0),
             cat: "t",
             name: "e",
             ts_us: i,
-            dur_us: 1,
-            kind: SlotKind::Span,
-            flow_id: 0,
-            args: [("i", i), ("", 0)],
-            n_args: 1,
+            dur_us: Some(1),
+            flow: None,
+            args: Args::new(&[("i", i)]),
         }
+    }
+
+    fn log(retention: Retention, capacity: usize) -> EventLog {
+        let mut log = EventLog::new(retention);
+        log.set_capacity(capacity);
+        log
+    }
+
+    fn ts(events: &[Event]) -> Vec<u64> {
+        events.iter().map(|e| e.ts_us).collect()
     }
 
     #[test]
     fn ring_retains_exactly_the_last_capacity_events_in_order() {
-        let mut ring = FlightRing::with_capacity(4);
+        let mut ring = log(Retention::LastN, 4);
         for i in 0..10 {
-            ring.record(slot(i));
+            ring.record(ev(i));
         }
-        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.tail_len(), 4);
         assert_eq!(ring.seq(), 10);
-        let ts: Vec<u64> = ring.snapshot().iter().map(|e| e.ts_us).collect();
-        assert_eq!(ts, vec![6, 7, 8, 9], "oldest → newest tail");
+        assert_eq!(ts(&ring.tail()), vec![6, 7, 8, 9], "oldest → newest tail");
+        assert!(ring.captured().is_empty(), "a ring is not a capture");
         // Before wrapping, the partial fill comes back in insertion order.
-        let mut young = FlightRing::with_capacity(4);
-        young.record(slot(0));
-        young.record(slot(1));
-        let ts: Vec<u64> = young.snapshot().iter().map(|e| e.ts_us).collect();
-        assert_eq!(ts, vec![0, 1]);
+        let mut young = log(Retention::LastN, 4);
+        young.record(ev(0));
+        young.record(ev(1));
+        assert_eq!(ts(&young.tail()), vec![0, 1]);
+    }
+
+    #[test]
+    fn capture_keeps_everything_and_its_tail_is_the_same_last_n() {
+        let mut all = log(Retention::All, 4);
+        for i in 0..10 {
+            all.record(ev(i));
+        }
+        assert_eq!(all.captured().len(), 10);
+        assert_eq!((all.tail_len(), all.seq()), (4, 10));
+        assert_eq!(ts(&all.tail()), vec![6, 7, 8, 9]);
+        // Resizing a capture's tail changes dumps only; 0 leaves it recording.
+        all.set_capacity(0);
+        all.record(ev(10));
+        assert_eq!(all.captured().len(), 11);
+        assert!(!all.is_active() && all.tail().is_empty());
     }
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
-        let mut ring = FlightRing::with_capacity(0);
+        let mut ring = log(Retention::LastN, 0);
         assert!(!ring.is_active());
-        ring.record(slot(1));
-        ring.record_parts(Track::virt(0), "c", "n", 0, 0, SlotKind::Instant, 0, &[]);
-        assert!(ring.is_empty());
+        ring.record(ev(1));
+        ring.declare_track(Track::virt(0), || unreachable!("name not built"));
+        assert_eq!(ring.tail_len(), 0);
         assert_eq!(ring.seq(), 0);
-        assert_eq!(ring.snapshot(), Vec::new());
+        assert_eq!(ring.tail(), Vec::new());
     }
 
     #[test]
-    fn set_capacity_resets_retention() {
-        let mut ring = FlightRing::default();
-        assert_eq!(ring.capacity(), DEFAULT_CAPACITY);
-        ring.record(slot(1));
+    fn set_capacity_resets_a_ring() {
+        let mut ring = EventLog::default();
+        assert_eq!(ring.capacity, DEFAULT_CAPACITY);
+        ring.record(ev(1));
         ring.set_capacity(2);
-        assert!(ring.is_empty());
+        assert_eq!(ring.tail_len(), 0);
         for i in 0..5 {
-            ring.record(slot(i));
+            ring.record(ev(i));
         }
-        assert_eq!(ring.len(), 2);
-        let ts: Vec<u64> = ring.snapshot().iter().map(|e| e.ts_us).collect();
-        assert_eq!(ts, vec![3, 4]);
+        assert_eq!(ts(&ring.tail()), vec![3, 4]);
     }
 
+    /// The long-lived recorder's memory is fixed: a million events over a
+    /// hundred thousand tracks leave one ring and one ring's worth of names,
+    /// with sequence numbers and metrics as exact as a capture's. (The
+    /// capture twin is the expensive half: ~240 MB for the length of the test.)
     #[test]
-    fn record_parts_truncates_args_and_maps_kinds() {
-        let mut ring = FlightRing::with_capacity(8);
-        ring.record_parts(
-            Track::virt(1),
-            "c",
-            "span",
-            10,
-            5,
-            SlotKind::Span,
-            0,
-            &[("a", 1), ("b", 2), ("c", 3)], // third pair truncated away
-        );
-        ring.record_parts(
-            Track::virt(1),
-            "c",
-            "inst",
-            11,
-            0,
-            SlotKind::Instant,
-            0,
-            &[],
-        );
-        ring.record_parts(
-            Track::virt(1),
-            "c",
-            "fs",
-            12,
-            0,
-            SlotKind::FlowStart,
-            7,
-            &[],
-        );
-        ring.record_parts(
-            Track::virt(2),
-            "c",
-            "ff",
-            13,
-            0,
-            SlotKind::FlowFinish,
-            7,
-            &[],
-        );
-        let evs = ring.snapshot();
-        assert_eq!(evs[0].dur_us, Some(5));
-        assert_eq!(evs[0].args, vec![("a", 1), ("b", 2)]);
-        assert_eq!(evs[1].dur_us, None);
-        assert_eq!(evs[1].flow, None);
-        assert_eq!(evs[2].flow, Some((7, FlowDir::Start)));
-        assert_eq!(evs[3].flow, Some((7, FlowDir::Finish)));
+    fn bounded_recorder_stays_bounded_and_matches_a_capture_tail() {
+        const EVENTS: u64 = 1_000_000;
+        const TRACKS: u64 = 100_000;
+        let (mut live, mut twin) = (Recorder::bounded(), Recorder::enabled());
+        for i in 0..EVENTS {
+            for r in [&mut live, &mut twin] {
+                let track = Track::virt(tid::QUERY_BASE + (i % TRACKS) as u32);
+                r.declare_track(track, || format!("query-{}", i % TRACKS));
+                match i % 3 {
+                    0 => r.span(track, "c", "s", i, i + 7, &[("i", i), ("j", i / 2)]),
+                    1 => r.instant(track, "c", "i", i, &[("i", i)]),
+                    _ => r.flow(track, "c", "f", i, i, FlowDir::Start),
+                }
+                r.add("n", 1);
+                r.observe("h", i % 1000);
+            }
+        }
+        let cap = DEFAULT_CAPACITY;
+        let log = live.flight();
+        assert_eq!(log.seq(), EVENTS);
+        assert_eq!(log.tail_len(), cap);
+        assert!(log.events.len() <= cap && log.events.capacity() <= cap);
+        assert!(log.tracks.len() <= cap && log.declared.len() <= cap);
+        assert!(live.events().is_empty());
+        assert_eq!(live.counter("n"), EVENTS);
+        assert_eq!(live.snapshot(), twin.snapshot());
+        assert_eq!(twin.events().len() as u64, EVENTS);
+        assert_eq!(log.tail(), twin.events()[EVENTS as usize - cap..]);
+        assert_eq!(log.tail(), twin.flight().tail());
+        // Same tail, same names for it: the dumps are the same bytes.
+        assert_eq!(live.flight_dump_json(), twin.flight_dump_json());
     }
 
     #[test]

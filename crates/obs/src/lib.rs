@@ -23,9 +23,22 @@
 //!   pool ([`wall`]), inherently non-deterministic and therefore kept on a
 //!   separate process track (and excluded from [`Recorder::virtual_trace_json`]).
 //!
-//! A disabled recorder (the default) is a `None`: every record call is one
-//! branch and no allocation, so hot paths (the per-page-read path of the
-//! replay runtime) can call it unconditionally.
+//! Events have **one store**, [`flight::EventLog`]: a log of fixed-size,
+//! `Copy` [`Event`] slots plus one track-name table. Each
+//! `span`/`instant`/`flow` is one write and no allocation; what varies per
+//! recorder is only the log's *retention* and whether metrics are kept:
+//!
+//! | constructor | counters, histograms, series | events |
+//! |---|---|---|
+//! | [`Recorder::disabled`] (the default) | dropped (one branch each) | last N |
+//! | [`Recorder::bounded`] — a long-lived process | kept | last N |
+//! | [`Recorder::enabled`] — a capture | kept | all |
+//!
+//! *Last N* is a fixed ring (N = 4096; [`Recorder::set_flight_capacity`]),
+//! so memory does not depend on how long the process has served. *All*
+//! grows with every event: it is what tests, trace export and the
+//! trace-diff gate read through [`Recorder::events`] and the two trace
+//! exports, and nothing a server should run with. See [`flight`].
 //!
 //! Export formats:
 //!
@@ -44,14 +57,13 @@
 //! exported trace back into a structural summary so CI can gate on
 //! virtual-trace drift.
 //!
-//! Independently of the enabled/disabled state, every recorder mirrors the
-//! last N events into an always-on fixed-memory [`flight::FlightRing`] —
-//! the black-box flight recorder. Anomaly triggers
-//! ([`Recorder::trigger_flight`]: drift alerts, shed bursts, slow requests)
-//! dump the ring as a loadable Chrome trace to a [`flight::SharedFlight`]
-//! cell, served at `/debug/flight`. [`request`] carries the request
-//! identity (`RequestId`, per-request latency breakdowns, the `/debug/slow`
-//! top-K log) that the serving loop's `request.*` span trees are built on.
+//! Under either retention the log's tail is the black-box flight recorder:
+//! anomaly triggers ([`Recorder::trigger_flight`]: drift alerts, shed
+//! bursts, slow requests) dump the last N events — every argument intact —
+//! as a loadable Chrome trace to a [`flight::SharedFlight`] cell, served at
+//! `/debug/flight`. [`request`] carries the request identity (`RequestId`,
+//! per-request latency breakdowns, the `/debug/slow` top-K log) that the
+//! serving loop's `request.*` span trees are built on.
 
 pub mod chrome;
 pub mod diff;
@@ -64,10 +76,20 @@ pub mod snapshot;
 pub mod train;
 pub mod wall;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use flight::{EventLog, Retention};
 use hist::Histogram;
 use snapshot::MetricsSnapshot;
+
+/// Lock one of this crate's shared cells, taking the data back from a
+/// poisoned lock: every update (replace the value; insert into the slow log,
+/// then truncate it) leaves the cell readable at each step, and the pump and
+/// the metrics handler must not die of someone else's panic.
+pub(crate) fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Process id for deterministic virtual-time tracks.
 pub const VIRTUAL_PID: u32 = 1;
@@ -130,10 +152,55 @@ pub enum FlowDir {
     Finish,
 }
 
-/// One recorded trace event. Spans carry a duration; instants do not.
-/// Arguments are `(key, value)` pairs; keys are static so recording never
-/// allocates strings on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Most `(key, value)` argument pairs one event carries (the widest call
+/// site today, `quality.observe`, has exactly this many).
+pub const MAX_ARGS: usize = 6;
+
+/// An event's arguments, stored inline so an [`Event`] is `Copy` and
+/// recording never allocates. Derefs to the pairs it holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Args {
+    len: u8,
+    /// Slots past `len` stay `("", 0)`, which keeps the derived `Eq` exact.
+    pairs: [(&'static str, u64); MAX_ARGS],
+}
+
+impl Args {
+    /// Copy `args` inline. More than [`MAX_ARGS`] pairs is a bug at the call
+    /// site (widen the constant): it fails debug builds rather than being
+    /// truncated silently.
+    #[inline]
+    pub fn new(args: &[(&'static str, u64)]) -> Args {
+        debug_assert!(args.len() <= MAX_ARGS, "{} args > MAX_ARGS", args.len());
+        let len = args.len().min(MAX_ARGS);
+        let mut pairs = [("", 0); MAX_ARGS];
+        pairs[..len].copy_from_slice(&args[..len]);
+        Args {
+            len: len as u8,
+            pairs,
+        }
+    }
+}
+
+impl std::ops::Deref for Args {
+    type Target = [(&'static str, u64)];
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        &self.pairs[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Args {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// One recorded trace event — one fixed-size slot of the [`EventLog`].
+/// Spans carry a duration; instants do not. Arguments are `(key, value)`
+/// pairs with static keys, held inline: recording an event allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub track: Track,
     /// Chrome trace category (groups related events in the UI).
@@ -146,96 +213,113 @@ pub struct Event {
     /// `Some((id, dir))` marks a flow event — an arrow endpoint linking
     /// tracks. Flow events have no duration; `dur_us` is ignored for them.
     pub flow: Option<(u64, FlowDir)>,
-    pub args: Vec<(&'static str, u64)>,
+    pub args: Args,
 }
 
+/// A label set as stored: `(key, value)` pairs sorted by key then value.
+type Labels = Vec<(String, String)>;
+
 #[derive(Debug, Default)]
-struct Inner {
-    events: Vec<Event>,
-    /// Track metadata in declaration order: `(track, human name)`.
-    tracks: Vec<(Track, String)>,
-    declared: BTreeSet<Track>,
-    counters: std::collections::BTreeMap<&'static str, u64>,
-    hists: std::collections::BTreeMap<&'static str, Histogram>,
-    /// Labeled gauge/counter series: `(name, sorted label pairs) -> value`.
-    /// Unlike plain counters these are *set* (last write wins), so callers
-    /// can export windowed rates without delta bookkeeping.
-    labeled: std::collections::BTreeMap<(&'static str, Vec<(String, String)>), u64>,
+struct Metrics {
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, Histogram>,
+    /// Labeled gauge/counter series, sorted by `(name, labels)`. Unlike
+    /// plain counters these are *set* (last write wins), so callers can
+    /// export windowed rates without delta bookkeeping.
+    labeled: Vec<(&'static str, Labels, u64)>,
+}
+
+/// Most labels one series carries: lookups sort the caller's label set in a
+/// stack buffer this wide instead of allocating.
+const MAX_LABELS: usize = 4;
+
+impl Metrics {
+    /// Where the series `(name, labels)` is (`Ok`) or belongs (`Err`) in
+    /// `labeled`. Compares against the borrowed labels, so a lookup
+    /// allocates nothing.
+    fn find_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Result<usize, usize> {
+        assert!(labels.len() <= MAX_LABELS, "{} labels", labels.len());
+        let mut buf = [("", ""); MAX_LABELS];
+        let want = &mut buf[..labels.len()];
+        want.copy_from_slice(labels);
+        want.sort_unstable();
+        self.labeled.binary_search_by(|(n, have, _)| {
+            let have = have.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            (*n).cmp(name).then_with(|| have.cmp(want.iter().copied()))
+        })
+    }
+
+    /// The series' value slot, inserted at 0 (the only allocation) if new.
+    fn labeled_mut(&mut self, name: &'static str, labels: &[(&str, &str)]) -> &mut u64 {
+        let at = self.find_labeled(name, labels).unwrap_or_else(|at| {
+            let mut key: Labels = labels
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect();
+            key.sort();
+            self.labeled.insert(at, (name, key, 0));
+            at
+        });
+        &mut self.labeled[at].2
+    }
 }
 
 /// The recording sink threaded through the stack. Disabled by default:
-/// every method on a disabled recorder is a single branch — plus one store
-/// into the always-on flight ring (disable that too with
+/// metric calls on a disabled recorder are a single branch, and an event is
+/// one store into the fixed ring (turn that off too with
 /// [`Recorder::set_flight_capacity`]`(0)` if even that is too much).
 #[derive(Debug, Default)]
 pub struct Recorder {
-    inner: Option<Box<Inner>>,
+    /// Counters, histograms and labeled series; `None` drops them.
+    metrics: Option<Box<Metrics>>,
+    /// The one event store, under this recorder's retention.
+    log: EventLog,
     /// Live publication target for [`Recorder::publish`], if attached.
     publisher: Option<serve::SharedSnapshot>,
-    /// The always-on black box: retains the last N events regardless of the
-    /// enabled/disabled state above.
-    flight: flight::FlightRing,
     /// Live publication target for flight dumps, if attached.
     flight_publisher: Option<flight::SharedFlight>,
-    /// Track names for flight dumps, FIFO-bounded at the ring capacity so
-    /// long-running disabled recorders don't accumulate per-query names.
-    flight_tracks: std::collections::VecDeque<(Track, String)>,
-    flight_declared: BTreeSet<Track>,
 }
 
 impl Recorder {
-    /// A recorder that drops everything (the default).
+    /// A recorder that keeps no metrics and only the last N events (the
+    /// default).
     pub fn disabled() -> Recorder {
         Recorder::default()
     }
 
-    /// A recorder that keeps events, counters and histograms.
+    /// A capture: counters, histograms and **every** event. Memory grows
+    /// with each event, so this is for runs that end — tests, trace export.
     pub fn enabled() -> Recorder {
         Recorder {
-            inner: Some(Box::default()),
+            metrics: Some(Box::default()),
+            log: EventLog::new(Retention::All),
             ..Recorder::default()
         }
     }
 
-    /// Whether this recorder keeps anything. Hot paths with non-trivial
+    /// The long-lived recorder: counters, histograms and labeled series like
+    /// [`Recorder::enabled`], events like [`Recorder::disabled`] — the last N,
+    /// for flight dumps. Memory does not grow with requests served.
+    pub fn bounded() -> Recorder {
+        Recorder {
+            metrics: Some(Box::default()),
+            ..Recorder::default()
+        }
+    }
+
+    /// Whether this recorder keeps metrics. Hot paths with non-trivial
     /// argument preparation should check this first.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.metrics.is_some()
     }
 
     /// Give `track` a human-readable name in the trace (Perfetto shows it as
     /// the thread name). The name is built lazily so callers can pass a
     /// `format!` closure without paying for it on repeat declarations — the
-    /// first declaration wins, later ones are no-ops. (With the flight ring
-    /// active — the default — a disabled recorder still builds the name once
-    /// per track so postmortem dumps come out labeled.)
+    /// first declaration wins, later ones are no-ops.
     pub fn declare_track(&mut self, track: Track, name: impl FnOnce() -> String) {
-        let need_inner = self
-            .inner
-            .as_ref()
-            .is_some_and(|i| !i.declared.contains(&track));
-        let need_flight = self.flight.is_active() && !self.flight_declared.contains(&track);
-        if !need_inner && !need_flight {
-            return;
-        }
-        let name = name();
-        if need_flight {
-            self.flight_declared.insert(track);
-            self.flight_tracks.push_back((track, name.clone()));
-            // One new track costs at most one ring event, so a name table
-            // bounded at the ring capacity always covers the retained tail.
-            while self.flight_tracks.len() > self.flight.capacity() {
-                if let Some((old, _)) = self.flight_tracks.pop_front() {
-                    self.flight_declared.remove(&old);
-                }
-            }
-        }
-        if need_inner {
-            let inner = self.inner.as_mut().expect("checked above");
-            inner.declared.insert(track);
-            inner.tracks.push((track, name));
-        }
+        self.log.declare_track(track, name);
     }
 
     /// Record a span `[start_us, end_us]` (saturating if reversed).
@@ -249,28 +333,14 @@ impl Recorder {
         end_us: u64,
         args: &[(&'static str, u64)],
     ) {
-        let dur = end_us.saturating_sub(start_us);
-        self.flight.record_parts(
-            track,
-            cat,
-            name,
-            start_us,
-            dur,
-            flight::SlotKind::Span,
-            0,
-            args,
-        );
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.events.push(Event {
+        self.log.record(Event {
             track,
             cat,
             name,
             ts_us: start_us,
-            dur_us: Some(dur),
+            dur_us: Some(end_us.saturating_sub(start_us)),
             flow: None,
-            args: args.to_vec(),
+            args: Args::new(args),
         });
     }
 
@@ -284,27 +354,14 @@ impl Recorder {
         ts_us: u64,
         args: &[(&'static str, u64)],
     ) {
-        self.flight.record_parts(
-            track,
-            cat,
-            name,
-            ts_us,
-            0,
-            flight::SlotKind::Instant,
-            0,
-            args,
-        );
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.events.push(Event {
+        self.log.record(Event {
             track,
             cat,
             name,
             ts_us,
             dur_us: None,
             flow: None,
-            args: args.to_vec(),
+            args: Args::new(args),
         });
     }
 
@@ -322,107 +379,76 @@ impl Recorder {
         id: u64,
         dir: FlowDir,
     ) {
-        let kind = match dir {
-            FlowDir::Start => flight::SlotKind::FlowStart,
-            FlowDir::Finish => flight::SlotKind::FlowFinish,
-        };
-        self.flight
-            .record_parts(track, cat, name, ts_us, 0, kind, id, &[]);
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.events.push(Event {
+        self.log.record(Event {
             track,
             cat,
             name,
             ts_us,
             dur_us: None,
             flow: Some((id, dir)),
-            args: Vec::new(),
+            args: Args::new(&[]),
         });
     }
 
     /// Add `delta` to a named monotonic counter.
     #[inline]
     pub fn add(&mut self, counter: &'static str, delta: u64) {
-        let Some(inner) = self.inner.as_mut() else {
+        let Some(m) = self.metrics.as_mut() else {
             return;
         };
-        *inner.counters.entry(counter).or_insert(0) += delta;
+        *m.counters.entry(counter).or_insert(0) += delta;
     }
 
     /// Record `value` into a named histogram.
     #[inline]
     pub fn observe(&mut self, hist: &'static str, value: u64) {
-        let Some(inner) = self.inner.as_mut() else {
+        let Some(m) = self.metrics.as_mut() else {
             return;
         };
-        inner.hists.entry(hist).or_default().record(value);
+        m.hists.entry(hist).or_default().record(value);
     }
 
     /// Set a labeled series to `value` (last write wins). Labels are
-    /// `(key, value)` pairs; they are sorted here so the same logical
-    /// series always maps to one entry regardless of caller order.
+    /// `(key, value)` pairs, at most four; the same logical series maps to
+    /// one entry regardless of caller order. Allocates only when the series
+    /// is new.
     pub fn set_labeled(&mut self, name: &'static str, labels: &[(&str, &str)], value: u64) {
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        let mut key: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        key.sort();
-        inner.labeled.insert((name, key), value);
+        if let Some(m) = self.metrics.as_mut() {
+            *m.labeled_mut(name, labels) = value;
+        }
     }
 
     /// Add `delta` to a labeled series (creating it at 0).
     pub fn add_labeled(&mut self, name: &'static str, labels: &[(&str, &str)], delta: u64) {
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        let mut key: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        key.sort();
-        *inner.labeled.entry((name, key)).or_insert(0) += delta;
+        if let Some(m) = self.metrics.as_mut() {
+            *m.labeled_mut(name, labels) += delta;
+        }
     }
 
     /// Current value of a labeled series (0 if absent or disabled).
     pub fn labeled(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let Some(inner) = self.inner.as_ref() else {
+        let Some(m) = self.metrics.as_ref() else {
             return 0;
         };
-        let mut key: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_owned(), v.to_owned()))
-            .collect();
-        key.sort();
-        inner
-            .labeled
-            .iter()
-            .find(|((n, k), _)| *n == name && *k == key)
-            .map(|(_, &v)| v)
-            .unwrap_or(0)
+        m.find_labeled(name, labels).map_or(0, |at| m.labeled[at].2)
     }
 
     /// Current value of a counter (0 if never touched or disabled).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
+        self.metrics
             .as_ref()
-            .and_then(|i| i.counters.get(name).copied())
+            .and_then(|m| m.counters.get(name).copied())
             .unwrap_or(0)
     }
 
-    /// All recorded events in insertion order (empty when disabled).
+    /// The captured events in insertion order: everything recorded, for an
+    /// [`Recorder::enabled`] recorder; empty for the two that keep only a
+    /// tail (read that through [`Recorder::flight`]).
     pub fn events(&self) -> &[Event] {
-        self.inner
-            .as_ref()
-            .map(|i| i.events.as_slice())
-            .unwrap_or(&[])
+        self.log.captured()
     }
 
-    /// Number of recorded events with the given name.
+    /// Number of captured events with the given name.
     pub fn event_count(&self, name: &str) -> usize {
         self.events().iter().filter(|e| e.name == name).count()
     }
@@ -433,7 +459,7 @@ impl Recorder {
     /// inherently non-deterministic — they never appear in
     /// [`Self::virtual_trace_json`].
     pub fn absorb_wall_tasks(&mut self, mut tasks: Vec<wall::WallTask>) {
-        if self.inner.is_none() {
+        if self.metrics.is_none() {
             return;
         }
         tasks.sort_by_key(|t| (t.start_us, t.worker, t.item));
@@ -466,7 +492,7 @@ impl Recorder {
     /// `(start, worker, model, epoch)` for a stable layout; like wall tasks
     /// they never appear in [`Self::virtual_trace_json`].
     pub fn absorb_train_telemetry(&mut self, mut recs: Vec<train::TrainRec>) {
-        if self.inner.is_none() {
+        if self.metrics.is_none() {
             return;
         }
         fn key(r: &train::TrainRec) -> (u64, u32, u64, u32) {
@@ -550,36 +576,36 @@ impl Recorder {
     }
 
     /// Attach a live publication target for flight dumps:
-    /// [`Recorder::trigger_flight`] will render and publish the ring into
-    /// `shared`, which `/debug/flight` serves.
+    /// [`Recorder::trigger_flight`] will render and publish the log's tail
+    /// into `shared`, which `/debug/flight` serves.
     pub fn set_flight_publisher(&mut self, shared: flight::SharedFlight) {
         self.flight_publisher = Some(shared);
     }
 
-    /// Change the flight ring's retention cap (0 disables it entirely).
-    /// Drops whatever the ring currently retains.
+    /// Change the tail length: the ring size of a last-N recorder (0 stops
+    /// event recording entirely; whatever the ring held is dropped), the
+    /// dump length of a capture (0 only turns triggers off).
     pub fn set_flight_capacity(&mut self, capacity: usize) {
-        self.flight.set_capacity(capacity);
-        self.flight_tracks.clear();
-        self.flight_declared.clear();
+        self.log.set_capacity(capacity);
     }
 
-    /// The always-on flight ring (for retention checks and tests).
-    pub fn flight(&self) -> &flight::FlightRing {
-        &self.flight
+    /// The event log (for retention checks and tests); its tail is what a
+    /// flight dump renders.
+    pub fn flight(&self) -> &EventLog {
+        &self.log
     }
 
     /// Fire an anomaly trigger: stamp a `flight.trigger` instant (category
     /// = `reason`) on the flight track, bump the `flight.triggers` counter,
-    /// and — if a [`flight::SharedFlight`] is attached — render the ring to
+    /// and — if a [`flight::SharedFlight`] is attached — render the tail to
     /// Chrome-trace JSON and publish it as a postmortem dump. Without a
     /// publisher the trigger is cheap (no rendering), so hot-path callers
     /// (the per-completion slow-request check) can fire unconditionally.
     pub fn trigger_flight(&mut self, reason: &'static str, ts_us: u64) {
-        if !self.flight.is_active() {
+        if !self.log.is_active() {
             return;
         }
-        let seq = self.flight.seq();
+        let seq = self.log.seq();
         self.declare_track(Track::virt(tid::FLIGHT), || "flight-recorder".to_owned());
         self.instant(
             Track::virt(tid::FLIGHT),
@@ -599,67 +625,55 @@ impl Recorder {
         }
     }
 
-    /// Render the flight ring (plus its bounded track-name table) as
+    /// Render the log's tail (plus the track names that go with it) as
     /// Chrome trace-event JSON — the `/debug/flight` body and the
     /// `--flight-out` file format.
     pub fn flight_dump_json(&self) -> String {
-        let events = self.flight.snapshot();
-        let tracks: Vec<(Track, String)> = self.flight_tracks.iter().cloned().collect();
-        chrome::trace_json(&events, &tracks, None)
+        self.log.tail_json()
     }
 
-    /// The full trace (virtual + wall events) as Chrome trace-event JSON.
+    /// The captured trace (virtual + wall events) as Chrome trace-event JSON.
     pub fn chrome_trace_json(&self) -> String {
-        self.trace_json(None)
+        self.log.trace_json(None)
     }
 
     /// Only the deterministic virtual-time events — byte-identical across
     /// runs with the same seed (and a fixed inference charge).
     pub fn virtual_trace_json(&self) -> String {
-        self.trace_json(Some(VIRTUAL_PID))
-    }
-
-    fn trace_json(&self, pid_filter: Option<u32>) -> String {
-        let (events, tracks): (&[Event], &[(Track, String)]) = match self.inner.as_ref() {
-            Some(i) => (&i.events, &i.tracks),
-            None => (&[], &[]),
-        };
-        chrome::trace_json(events, tracks, pid_filter)
+        self.log.trace_json(Some(VIRTUAL_PID))
     }
 
     /// Snapshot of counters and histogram summaries.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        match self.inner.as_ref() {
+        match self.metrics.as_ref() {
             None => MetricsSnapshot::default(),
-            Some(i) => MetricsSnapshot {
-                counters: i
+            Some(m) => MetricsSnapshot {
+                counters: m
                     .counters
                     .iter()
                     .map(|(&k, &v)| (k.to_owned(), v))
                     .collect(),
-                hists: i
+                hists: m
                     .hists
                     .iter()
                     .map(|(&k, h)| (k.to_owned(), h.summary()))
                     .collect(),
-                labeled: i
+                labeled: m
                     .labeled
                     .iter()
-                    .map(|((name, labels), &v)| ((*name).to_owned(), labels.clone(), v))
+                    .map(|(name, labels, v)| ((*name).to_owned(), labels.clone(), *v))
                     .collect(),
             },
         }
     }
 
-    /// Drop all recorded data (including the flight ring's retained tail),
-    /// keeping the enabled/disabled state and the ring capacity.
+    /// Drop all recorded data (metrics, events, track names), keeping the
+    /// constructor's state and the tail length.
     pub fn clear(&mut self) {
-        if let Some(inner) = self.inner.as_mut() {
-            **inner = Inner::default();
+        if let Some(m) = self.metrics.as_mut() {
+            **m = Metrics::default();
         }
-        self.flight.clear();
-        self.flight_tracks.clear();
-        self.flight_declared.clear();
+        self.log.clear();
     }
 }
 
@@ -679,8 +693,8 @@ mod tests {
         assert!(r.events().is_empty());
         assert_eq!(r.counter("n"), 0);
         assert_eq!(r.chrome_trace_json(), "[\n]\n");
-        // ...but the always-on flight ring still retained the tail.
-        assert_eq!(r.flight().len(), 2);
+        // ...but the log still retained the tail, for flight dumps only.
+        assert_eq!(r.flight().tail_len(), 2);
         assert!(r.flight_dump_json().contains("\"name\":\"q\""));
         // With the ring capped to 0 the recorder is a true no-op: even the
         // lazy track name is never built.
@@ -688,7 +702,8 @@ mod tests {
         r.set_flight_capacity(0);
         r.declare_track(Track::virt(1), || unreachable!("lazy name not built"));
         r.span(Track::virt(1), "c", "s", 0, 10, &[]);
-        assert!(r.flight().is_empty());
+        assert_eq!(r.flight().tail_len(), 0);
+        assert_eq!(r.flight().seq(), 0);
         assert_eq!(r.flight_dump_json(), "[\n]\n");
     }
 
@@ -743,6 +758,59 @@ mod tests {
         assert!(full.contains("nn.train") && full.contains("virtual_span"));
         assert!(!virt.contains("nn.train"));
         assert!(virt.contains("virtual_span"));
+    }
+
+    /// Byte pin for the two capture exports: these strings were produced by
+    /// the two-store recorder this log replaced, so a capture's trace (what
+    /// the trace-diff gate and the golden summary read) has not moved.
+    #[test]
+    fn capture_exports_are_byte_pinned() {
+        let mut r = Recorder::enabled();
+        r.declare_track(Track::virt(1000), || "query-\"0\"".to_owned());
+        let q = Track::virt(1000);
+        r.span(
+            q,
+            "query",
+            "query.replay",
+            10,
+            35,
+            &[("q", 0), ("pages", 12)],
+        );
+        r.instant(q, "read", "read.hit", 12, &[]);
+        let six = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
+        r.instant(Track::virt(2), "quality", "quality.observe", 40, &six);
+        let lane = Track::virt(2_000_001);
+        r.flow(lane, "request", "request.flow", 41, 7, FlowDir::Start);
+        r.flow(q, "request", "request.flow", 42, 7, FlowDir::Finish);
+        r.absorb_wall_tasks(vec![wall::WallTask {
+            label: "nn.infer",
+            worker: 3,
+            item: 5,
+            req: 9,
+            start_us: 100,
+            dur_us: 8,
+        }]);
+        let virt = [
+            r#"{"ph":"M","pid":1,"tid":1000,"name":"thread_name","args":{"name":"query-\"0\""}}"#,
+            r#"{"ph":"X","pid":1,"tid":1000,"ts":10,"dur":25,"cat":"query","name":"query.replay","args":{"q":0,"pages":12}}"#,
+            r#"{"ph":"i","pid":1,"tid":1000,"ts":12,"s":"t","cat":"read","name":"read.hit","args":{}}"#,
+            r#"{"ph":"i","pid":1,"tid":2,"ts":40,"s":"t","cat":"quality","name":"quality.observe","args":{"a":1,"b":2,"c":3,"d":4,"e":5,"f":6}}"#,
+            r#"{"ph":"s","pid":1,"tid":2000001,"ts":41,"id":7,"cat":"request","name":"request.flow","args":{}}"#,
+            r#"{"ph":"f","bp":"e","pid":1,"tid":1000,"ts":42,"id":7,"cat":"request","name":"request.flow","args":{}}"#,
+        ];
+        let vproc = r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"pythia-virtual (sim time)"}}"#;
+        let wproc = r#"{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"pythia-wall (host time)"}}"#;
+        let wname =
+            r#"{"ph":"M","pid":2,"tid":3,"name":"thread_name","args":{"name":"nn-worker-3"}}"#;
+        let wtask = r#"{"ph":"X","pid":2,"tid":3,"ts":100,"dur":8,"cat":"nn","name":"nn.infer","args":{"item":5,"request":9}}"#;
+        let array = |lines: &[&str]| format!("[\n{}\n]\n", lines.join(",\n"));
+        let mut want = vec![vproc];
+        want.extend(virt);
+        assert_eq!(r.virtual_trace_json(), array(&want));
+        let mut want = vec![vproc, wproc, virt[0], wname];
+        want.extend(&virt[1..]);
+        want.push(wtask);
+        assert_eq!(r.chrome_trace_json(), array(&want));
     }
 
     #[test]
@@ -881,25 +949,21 @@ mod tests {
         assert!(json.contains("\"ph\":\"s\""), "{json}");
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\""), "{json}");
         assert!(json.contains("\"id\":42"), "{json}");
-        // The ring mirrors flow endpoints too.
-        assert_eq!(r.flight().len(), 2);
+        // Flow endpoints are part of the tail too.
+        assert_eq!(r.flight().tail_len(), 2);
         assert!(r.flight_dump_json().contains("\"ph\":\"s\""));
     }
 
     #[test]
-    fn flight_ring_mirrors_recording_regardless_of_enabled_state() {
-        for enabled in [false, true] {
-            let mut r = if enabled {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
-            };
+    fn flight_tail_is_the_last_n_events_under_every_constructor() {
+        for make in [Recorder::disabled, Recorder::bounded, Recorder::enabled] {
+            let mut r = make();
             r.set_flight_capacity(4);
             r.declare_track(Track::virt(7), || "q7".to_owned());
             for i in 0..9u64 {
                 r.span(Track::virt(7), "c", "s", i * 10, i * 10 + 5, &[("i", i)]);
             }
-            assert_eq!(r.flight().len(), 4, "enabled={enabled}");
+            assert_eq!(r.flight().tail_len(), 4);
             assert_eq!(r.flight().seq(), 9);
             let dump = r.flight_dump_json();
             // Only the last four spans survive: starts 50..=80.
@@ -909,6 +973,49 @@ mod tests {
             }
             assert!(dump.contains("\"name\":\"q7\""), "track name retained");
         }
+        // A tail is not a trace: only a capture reads back through events().
+        let mut r = Recorder::bounded();
+        r.span(Track::virt(7), "c", "s", 0, 5, &[]);
+        assert!(r.is_enabled() && r.events().is_empty());
+        assert_eq!(r.chrome_trace_json(), "[\n]\n");
+    }
+
+    #[test]
+    fn widest_event_reaches_a_flight_dump_intact() {
+        let args: [(&'static str, u64); MAX_ARGS] =
+            [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
+        for make in [Recorder::disabled, Recorder::bounded, Recorder::enabled] {
+            let mut r = make();
+            r.instant(Track::virt(1), "c", "wide", 9, &args);
+            assert_eq!(*r.flight().tail()[0].args, args);
+            assert!(
+                r.flight_dump_json()
+                    .contains("\"args\":{\"a\":1,\"b\":2,\"c\":3,\"d\":4,\"e\":5,\"f\":6}"),
+                "{}",
+                r.flight_dump_json()
+            );
+        }
+    }
+
+    #[test]
+    fn labeled_lookups_do_not_depend_on_label_order_or_insertion_order() {
+        let mut r = Recorder::enabled();
+        for (tenant, template) in [("1", "b"), ("0", "b"), ("1", "a"), ("0", "a")] {
+            r.set_labeled("q", &[("tenant", tenant), ("template", template)], 1);
+            r.add_labeled("q", &[("template", template), ("tenant", tenant)], 1);
+        }
+        r.set_labeled("p", &[], 7);
+        assert_eq!(r.labeled("q", &[("tenant", "0"), ("template", "b")]), 2);
+        assert_eq!(r.labeled("q", &[("tenant", "2"), ("template", "b")]), 0);
+        assert_eq!(r.labeled("p", &[]), 7);
+        let keys: Vec<String> = r
+            .snapshot()
+            .labeled
+            .iter()
+            .map(|(n, l, _)| l.iter().fold(n.clone(), |k, (_, v)| k + "/" + v))
+            .collect();
+        // Sorted by name, then by the sorted label pairs (template < tenant).
+        assert_eq!(keys, ["p", "q/a/0", "q/a/1", "q/b/0", "q/b/1"]);
     }
 
     #[test]
@@ -952,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_track_names_are_fifo_bounded_at_ring_capacity() {
+    fn track_names_are_fifo_bounded_at_ring_capacity() {
         let mut r = Recorder::disabled();
         r.set_flight_capacity(3);
         for i in 0..10u32 {

@@ -562,7 +562,7 @@ impl QualityTracker {
             rec.trigger_flight("drift.alert", a.at_us);
         }
 
-        // Refresh the labeled series (cheap: one BTreeMap insert each).
+        // Refresh the labeled series (cheap: a binary search and a store each).
         if rec.is_enabled() {
             let t = tenant.to_string();
             let labels: [(&str, &str); 2] = [("tenant", &t), ("template", template)];

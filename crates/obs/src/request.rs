@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::{tid, Track};
+use crate::{lock, tid, Track};
 
 static NEXT: AtomicU64 = AtomicU64::new(1);
 
@@ -154,7 +154,7 @@ impl SlowLog {
 /// serves from. Cheap to clone (an `Arc`); cloning shares the cell.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSlowLog {
-    cell: Arc<Mutex<SlowLog>>,
+    pub(crate) cell: Arc<Mutex<SlowLog>>,
 }
 
 impl SharedSlowLog {
@@ -165,17 +165,17 @@ impl SharedSlowLog {
 
     /// Offer one breakdown to the shared log.
     pub fn offer(&self, b: RequestBreakdown) {
-        self.cell.lock().expect("slow log poisoned").offer(b);
+        lock(&self.cell).offer(b);
     }
 
     /// JSON rendering of the current log.
     pub fn to_json(&self) -> String {
-        self.cell.lock().expect("slow log poisoned").to_json()
+        lock(&self.cell).to_json()
     }
 
     /// A snapshot of the current log.
     pub fn get(&self) -> SlowLog {
-        self.cell.lock().expect("slow log poisoned").clone()
+        lock(&self.cell).clone()
     }
 }
 

@@ -27,13 +27,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::lock;
 use crate::snapshot::MetricsSnapshot;
 
 /// The cell a serving loop publishes snapshots into and the endpoint reads
 /// from. Cheap to clone (an `Arc`); cloning shares the cell.
 #[derive(Debug, Clone, Default)]
 pub struct SharedSnapshot {
-    cell: Arc<Mutex<MetricsSnapshot>>,
+    pub(crate) cell: Arc<Mutex<MetricsSnapshot>>,
 }
 
 impl SharedSnapshot {
@@ -44,12 +45,12 @@ impl SharedSnapshot {
 
     /// Replace the published snapshot.
     pub fn publish(&self, snap: MetricsSnapshot) {
-        *self.cell.lock().expect("snapshot cell poisoned") = snap;
+        *lock(&self.cell) = snap;
     }
 
     /// The most recently published snapshot (cloned out of the cell).
     pub fn get(&self) -> MetricsSnapshot {
-        self.cell.lock().expect("snapshot cell poisoned").clone()
+        lock(&self.cell).clone()
     }
 }
 
@@ -318,5 +319,49 @@ mod tests {
         assert!(slow.contains("\"latency_us\":500"), "{slow}");
 
         server.shutdown();
+    }
+
+    /// A thread that panicked while holding a cell's lock must not take the
+    /// pump (publish/offer) or the metrics handler (get/to_json) down with it.
+    #[test]
+    fn poisoned_cells_keep_publishing_and_reading() {
+        use crate::flight::FlightDump;
+        use crate::request::RequestBreakdown;
+
+        fn poison<T: Send + 'static>(cell: &Arc<Mutex<T>>) {
+            let held = Arc::clone(cell);
+            let died = std::thread::spawn(move || {
+                let _guard = held.lock().unwrap();
+                panic!("poisoning the cell on purpose");
+            })
+            .join();
+            assert!(died.is_err() && cell.is_poisoned());
+        }
+
+        let snap = SharedSnapshot::new();
+        let debug = DebugEndpoints::default();
+        poison(&snap.cell);
+        poison(&debug.flight.cell);
+        poison(&debug.slow.cell);
+
+        let mut published = MetricsSnapshot::default();
+        published.counters.push(("reads.hit".to_owned(), 42));
+        snap.publish(published);
+        assert_eq!(snap.get().counter("reads.hit"), 42);
+
+        debug.flight.publish(FlightDump {
+            reason: "slow.request".to_owned(),
+            trace_json: "[\n]\n".to_owned(),
+            trigger_seq: 7,
+        });
+        assert_eq!(debug.flight.get().map(|d| d.trigger_seq), Some(7));
+
+        debug.slow.offer(RequestBreakdown {
+            request: 3,
+            replay_us: 500,
+            ..RequestBreakdown::default()
+        });
+        assert!(debug.slow.to_json().contains("\"request\":3"));
+        assert_eq!(debug.slow.get().to_json(), debug.slow.to_json());
     }
 }

@@ -46,9 +46,17 @@
 //!   drift-alert + postmortem-dump path deterministically (the CI anomaly
 //!   smoke).
 //!
-//! Anomaly triggers that snapshot the always-on flight recorder into
-//! `/debug/flight`: drift alerts (real or drilled), slow requests over
-//! `--slow-ms`, and shed bursts (8+ newly shed requests between drains).
+//! Anomaly triggers that dump the flight recorder into `/debug/flight`:
+//! drift alerts (real or drilled), slow requests over `--slow-ms`, and shed
+//! bursts (8+ newly shed requests between drains).
+//!
+//! **What a long-lived process retains.** Each tenant's recorder is
+//! [`Recorder::bounded`]: counters, histograms and labeled series (what
+//! `/metrics` serves), plus the last 4096 trace events and their track names
+//! in a fixed ring (what a flight dump renders). Its memory does not grow
+//! with requests served. A full trace is a *capture* — `Recorder::enabled()`,
+//! which keeps every event and is what `serving --trace-out` and the tests
+//! run for as long as a run lasts — not something a server holds by default.
 //!
 //! `/shutdown` drains the queue and exits cleanly — that is how the CI
 //! smoke test stops the demo.
@@ -243,7 +251,7 @@ fn main() {
             // Every tenant's recorder can publish postmortem dumps; tenant
             // 0's additionally feeds the /metrics snapshot (one snapshot
             // cell — per-tenant quality lives at /t/<tenant>/health).
-            let mut rec = Recorder::enabled();
+            let mut rec = Recorder::bounded();
             rec.set_flight_publisher(flight.clone());
             if t == 0 {
                 rec.set_publisher(snap.clone());

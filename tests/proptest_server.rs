@@ -445,7 +445,7 @@ proptest! {
         // Flight ring == tail of the full same-run event stream: the ring
         // drops only the oldest events, never reorders or rewrites.
         let events = rec.events();
-        let ring = rec.flight().snapshot();
+        let ring = rec.flight().tail();
         let tail_from = events.len().saturating_sub(flight_cap);
         prop_assert_eq!(ring.len(), events.len().min(flight_cap));
         prop_assert_eq!(ring.as_slice(), &events[tail_from..]);
