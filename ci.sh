@@ -39,13 +39,33 @@ offline_subset() {
         -o "$tmp/${crate}_tests" "crates/$crate/src/lib.rs" \
       && "$tmp/${crate}_tests" -q
   }
+  # `attempted virt_mean_ms virt_latency_speedup` of each result line.
+  virt_metrics() {
+    sed -nE 's/^\{"correct".*"attempted": ([0-9]+),.*"virt_mean_ms": \{"value": ([^,]+),.*"virt_latency_speedup": \{"value": ([^,]+),.*/\1 \2 \3/p' "$1"
+  }
+  same_virtual_time() { # two --quick outputs
+    # Compared as text, digit for digit. The two socket workloads (lines 1
+    # and 2) average virt_mean_ms over however many passes the wall clock
+    # allowed: theirs compares only between runs that attempted as much.
+    [[ $(virt_metrics "$1" | wc -l) -eq 4 ]] \
+      && paste -d' ' <(virt_metrics "$1") <(virt_metrics "$2") | awk '
+        $3 "" != $6 "" || (!(NR <= 2 && $1 != $4) && $2 "" != $5 "") {
+          print "!!> workload " NR ": " $0; bad = 1
+        }
+        END { exit bad }' >&2
+  }
   step cargo fmt --all -- --check
   step unit_tests sim
   step unit_tests obs
   step unit_tests buffer --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
     --extern "pythia_obs=$tmp/libpythia_obs.rlib"
-  step bash benchmark/run.sh --quick > /dev/null
+  step bash benchmark/run.sh --quick > "$tmp/quick.out"
   step bash benchmark/run.sh --quick --trace > /dev/null
+  # Tier-1's `PYTHIA_SIMD=off cargo test` cannot run here, so this is where
+  # the scalar kernels meet the whole stack: trained and served on them, no
+  # workload's virtual time may move by a digit.
+  step env PYTHIA_SIMD=off bash benchmark/run.sh --quick > "$tmp/quick_scalar.out"
+  step same_virtual_time "$tmp/quick.out" "$tmp/quick_scalar.out"
   rm -rf "$tmp"
   echo "!!> ================================================================" >&2
   echo "!!> OFFLINE SUBSET — tier-1 NOT run (crate registry unreachable):" >&2

@@ -88,8 +88,17 @@ impl PythiaConfig {
         }
     }
 
-    /// Validate invariants.
+    /// Validate invariants. `layers: 0` is valid: the query representation
+    /// is then the last token's positioned embedding.
     pub fn validate(&self) -> Result<(), String> {
+        if self.embed_dim == 0 || self.decoder_hidden == 0 {
+            return Err("embed_dim and decoder_hidden must be positive".into());
+        }
+        if self.max_seq_len == 0 {
+            return Err(
+                "max_seq_len must be positive: every plan encodes at least one token".into(),
+            );
+        }
         if !self.embed_dim.is_multiple_of(self.heads) {
             return Err(format!(
                 "embed_dim {} not divisible by heads {}",
@@ -136,5 +145,32 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_zero_widths_and_an_empty_sequence_budget() {
+        let base = PythiaConfig::fast;
+        for bad in [
+            PythiaConfig {
+                max_seq_len: 0,
+                ..base()
+            },
+            PythiaConfig {
+                embed_dim: 0,
+                ..base()
+            },
+            PythiaConfig {
+                decoder_hidden: 0,
+                ..base()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+        // No encoder layers is a model, not a mistake.
+        let embedding_only = PythiaConfig {
+            layers: 0,
+            ..base()
+        };
+        embedding_only.validate().unwrap();
     }
 }

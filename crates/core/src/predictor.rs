@@ -418,18 +418,10 @@ impl TrainedWorkload {
                 } => {
                     for (q, (tp, ip)) in preds.into_iter().enumerate() {
                         if !tp.is_empty() {
-                            results[q]
-                                .pages
-                                .entry(table)
-                                .or_insert_with(Vec::new)
-                                .extend(tp);
+                            results[q].pages.entry(table).or_default().extend(tp);
                         }
                         if !ip.is_empty() {
-                            results[q]
-                                .pages
-                                .entry(index)
-                                .or_insert_with(Vec::new)
-                                .extend(ip);
+                            results[q].pages.entry(index).or_default().extend(ip);
                         }
                     }
                 }

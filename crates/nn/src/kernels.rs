@@ -46,9 +46,9 @@
 //! # Blocking scheme
 //!
 //! `KC × NC` panels of `B` are packed once per block and reused across every
-//! row of the band (`KC*NC*4 = 128 KiB`, sized for L2; the `MR × NR`
+//! row of the band (`KC*NC*4 = 128 KiB`, sized for L2; the `MR × 16`
 //! register tile streams it from there). The microkernel holds an
-//! `MR=4`-row by `NR=16`-column accumulator tile in registers for the whole
+//! `MR=4`-row by 16-column accumulator tile in registers for the whole
 //! `KC` pass — 8 YMM accumulators on AVX2, 16 q-registers on NEON — cutting
 //! `C` traffic by `4·KC×` versus the naive axpy loop. [`at_b_band`]
 //! additionally packs the strided `A`-column tile (`MC` rows at a time) so
@@ -61,8 +61,6 @@ use std::sync::OnceLock;
 
 /// Register-tile height (output rows held in registers).
 const MR: usize = 4;
-/// Register-tile width in f32 columns (2×8 lanes on AVX2, 4×4 on NEON).
-const NR: usize = 16;
 /// Reduction-dimension block: the packed B panel covers `KC` steps.
 const KC: usize = 256;
 /// Output-column block: panel is `KC × NC` = 128 KiB of f32, sized for L2.
@@ -754,7 +752,7 @@ mod tests {
     }
 
     /// All three variants, dispatched vs forced-scalar, over shapes chosen
-    /// to hit every blocking boundary: lane tails (NR±1), panel edges
+    /// to hit every blocking boundary: lane tails (16±1), panel edges
     /// (NC±1, KC±1), row-tile remainders (MR±1, MC±1), and degenerate 1×N /
     /// N×1 bands.
     #[test]

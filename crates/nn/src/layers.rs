@@ -152,10 +152,15 @@ impl MultiHeadSelfAttention {
 
     /// Batched attention over a packed `[batch*seq_len, dim]` input. The QKV
     /// and output projections run as single large matmuls (the CPU-speed
-    /// trick); the per-(sample, head) `[seq_len × seq_len]` attention is one
-    /// fused [`Tape::attention`] node. `lens[b]` is the real (un-padded)
-    /// length of sequence `b`; padded key positions are masked out of the
-    /// softmax.
+    /// trick); the per-(sample, head) attention is one fused
+    /// [`Tape::attention`] node. `lens[b]` is the real (un-padded) length of
+    /// sequence `b`; padded key positions are masked out of the softmax.
+    ///
+    /// `rows` names the packed rows whose outputs the caller reads, the same
+    /// number from every sample in sample order; `None` is all of them. K and
+    /// V are projected for every token either way, while Q, the scores and
+    /// the output projection cover only `rows`, and the result has one row
+    /// per entry.
     pub fn forward_packed(
         &self,
         tape: &mut Tape,
@@ -163,12 +168,16 @@ impl MultiHeadSelfAttention {
         x: Var,
         seq_len: usize,
         lens: &[usize],
+        rows: Option<&[usize]>,
     ) -> Var {
         #[cfg(test)]
-        if tests::use_composed_attention() {
-            return self.forward_packed_composed(tape, vars, x, seq_len, lens);
+        if tests::use_oracle() {
+            return self.forward_packed_composed(tape, vars, x, seq_len, lens, rows);
         }
-        let q = self.wq.forward(tape, vars, x);
+        // Recorded before K and V so that backward adds wq's share of
+        // `d loss / d x` last, where the all-rows graph adds it (DESIGN.md).
+        let xq = rows.map_or(x, |rows| tape.gather_rows(x, rows));
+        let q = self.wq.forward(tape, vars, xq);
         let k = self.wk.forward(tape, vars, x);
         let v = self.wv.forward(tape, vars, x);
         let merged = tape.attention(q, k, v, seq_len, lens, self.heads);
@@ -206,8 +215,10 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// One layer over a packed `[batch*seq_len, dim]` input. On a
-    /// forward-only tape the layer's intermediates are freed on the way out.
+    /// One layer over a packed `[batch*seq_len, dim]` input, producing the
+    /// packed `rows` (see [`MultiHeadSelfAttention::forward_packed`]) or,
+    /// for `None`, every row. On a forward-only tape the layer's
+    /// intermediates are freed on the way out.
     pub fn forward_packed(
         &self,
         tape: &mut Tape,
@@ -215,9 +226,13 @@ impl TransformerEncoderLayer {
         x: Var,
         seq_len: usize,
         lens: &[usize],
+        rows: Option<&[usize]>,
     ) -> Var {
         let mark = tape.len();
-        let a = self.attn.forward_packed(tape, vars, x, seq_len, lens);
+        let a = self.attn.forward_packed(tape, vars, x, seq_len, lens, rows);
+        // A second gather, recorded after the projections: backward then
+        // starts `d loss / d x` from the residual's share, as for all rows.
+        let x = rows.map_or(x, |rows| tape.gather_rows(x, rows));
         let res1 = tape.add(x, a);
         let x = self.ln1.forward(tape, vars, res1);
         let h = self.ff1.forward(tape, vars, x);
@@ -282,7 +297,8 @@ impl TransformerEncoder {
     /// Encode a whole batch of sequences at once, padding to the longest with
     /// `pad_id`; returns the `[batch, dim]` matrix of last-real-token
     /// representations. All projection matmuls run batched, which is what
-    /// makes CPU training practical.
+    /// makes CPU training practical, and the final layer computes only the
+    /// rows returned: nothing reads its other outputs.
     pub fn encode_batch(
         &self,
         tape: &mut Tape,
@@ -303,17 +319,26 @@ impl TransformerEncoder {
             packed.extend_from_slice(s);
             packed.extend(std::iter::repeat_n(pad_id, seq_len - s.len()));
         }
+        let last_idxs = last_rows(&lens, seq_len);
         let mut x = self.embedding.forward_packed(tape, vars, &packed, seq_len);
-        for layer in &self.layers {
-            x = layer.forward_packed(tape, vars, x, seq_len, &lens);
+        #[cfg(test)]
+        if tests::use_oracle() {
+            return self.encode_unpruned(tape, vars, x, seq_len, &lens, &last_idxs);
         }
-        let last_idxs: Vec<usize> = lens
-            .iter()
-            .enumerate()
-            .map(|(b, &l)| b * seq_len + l - 1)
-            .collect();
-        tape.gather_rows(x, &last_idxs)
+        let Some((last, inner)) = self.layers.split_last() else {
+            return tape.gather_rows(x, &last_idxs);
+        };
+        for layer in inner {
+            x = layer.forward_packed(tape, vars, x, seq_len, &lens, None);
+        }
+        last.forward_packed(tape, vars, x, seq_len, &lens, Some(&last_idxs))
     }
+}
+
+/// Each packed sample's last real row — the one the encoder returns.
+fn last_rows(lens: &[usize], seq_len: usize) -> Vec<usize> {
+    let last = |(b, &len): (usize, &usize)| b * seq_len + len - 1;
+    lens.iter().enumerate().map(last).collect()
 }
 
 #[cfg(test)]
@@ -322,35 +347,74 @@ mod tests {
     use crate::kernels::{set_simd_override, SimdOverride};
     use crate::optim::Adam;
     use crate::pool::set_thread_override;
-    use crate::tape::{bce_with_logits, forward_only};
+    use crate::tape::{bce_with_logits, forward_only, Gradients};
     use proptest::prelude::*;
     use std::cell::Cell;
 
     thread_local! {
-        static COMPOSED: Cell<bool> = const { Cell::new(false) };
+        static ORACLE: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Whether this test thread routed attention to the composed-op oracle.
-    pub(super) fn use_composed_attention() -> bool {
-        COMPOSED.get()
+    /// Whether this test thread routed the encoder to its oracle.
+    pub(super) fn use_oracle() -> bool {
+        ORACLE.get()
     }
 
-    /// Run `f` with attention routed to the composed-op oracle.
+    /// Run `f` on the oracle: attention composed from generic tape ops, and
+    /// a final encoder layer that computes every row before the last-token
+    /// gather.
     fn with_oracle<R>(f: impl FnOnce() -> R) -> R {
         struct Restore;
         impl Drop for Restore {
             fn drop(&mut self) {
-                COMPOSED.set(false);
+                ORACLE.set(false);
             }
         }
         let _restore = Restore;
-        COMPOSED.set(true);
+        ORACLE.set(true);
         f()
     }
 
+    /// The oracle the fused node is pinned against: the same attention as a
+    /// chain of nine generic tape ops per (sample, head), with a query for
+    /// every row.
+    fn composed_attention(
+        tape: &mut Tape,
+        [q, k, v]: [Var; 3],
+        seq_len: usize,
+        lens: &[usize],
+        heads: usize,
+    ) -> Var {
+        let dh = tape.value(q).cols() / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut sample_outs = Vec::with_capacity(lens.len());
+        for (b, &blen) in lens.iter().enumerate() {
+            let qb = tape.slice_rows(q, b * seq_len, seq_len);
+            let kb = tape.slice_rows(k, b * seq_len, seq_len);
+            let vb = tape.slice_rows(v, b * seq_len, seq_len);
+            // Mask: -1e9 on key columns past the sample's real length.
+            let real = blen.min(seq_len).max(1);
+            let mask = Tensor::from_fn(seq_len, seq_len, |_, c| if c < real { 0.0 } else { -1e9 });
+            let mut head_outs = Vec::with_capacity(heads);
+            for h in 0..heads {
+                let qh = tape.slice_cols(qb, h * dh, dh);
+                let kh = tape.slice_cols(kb, h * dh, dh);
+                let vh = tape.slice_cols(vb, h * dh, dh);
+                let kt = tape.transpose(kh);
+                let scores = tape.matmul(qh, kt);
+                let scaled = tape.scale(scores, scale);
+                let masked = tape.add_const(scaled, &mask, seq_len);
+                let attn = tape.softmax_rows(masked);
+                head_outs.push(tape.matmul(attn, vh));
+            }
+            sample_outs.push(tape.concat_cols(&head_outs));
+        }
+        tape.concat_rows(&sample_outs)
+    }
+
     impl MultiHeadSelfAttention {
-        /// The oracle the fused node is pinned against: the same attention as a
-        /// chain of nine generic tape ops per (sample, head).
+        /// [`composed_attention`] between the projections, over every row;
+        /// `rows` are gathered from the result.
         pub(super) fn forward_packed_composed(
             &self,
             tape: &mut Tape,
@@ -358,43 +422,36 @@ mod tests {
             x: Var,
             seq_len: usize,
             lens: &[usize],
+            rows: Option<&[usize]>,
         ) -> Var {
-            let batch = lens.len();
             assert_eq!(
                 tape.value(x).rows(),
-                batch * seq_len,
+                lens.len() * seq_len,
                 "packed shape mismatch"
             );
-            let dh = self.dim / self.heads;
-            let q = self.wq.forward(tape, vars, x);
-            let k = self.wk.forward(tape, vars, x);
-            let v = self.wv.forward(tape, vars, x);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let mut sample_outs = Vec::with_capacity(batch);
-            for (b, &blen) in lens.iter().enumerate() {
-                let qb = tape.slice_rows(q, b * seq_len, seq_len);
-                let kb = tape.slice_rows(k, b * seq_len, seq_len);
-                let vb = tape.slice_rows(v, b * seq_len, seq_len);
-                // Mask: -1e9 on key columns past the sample's real length.
-                let real = blen.min(seq_len).max(1);
-                let mask =
-                    Tensor::from_fn(seq_len, seq_len, |_, c| if c < real { 0.0 } else { -1e9 });
-                let mut head_outs = Vec::with_capacity(self.heads);
-                for h in 0..self.heads {
-                    let qh = tape.slice_cols(qb, h * dh, dh);
-                    let kh = tape.slice_cols(kb, h * dh, dh);
-                    let vh = tape.slice_cols(vb, h * dh, dh);
-                    let kt = tape.transpose(kh);
-                    let scores = tape.matmul(qh, kt);
-                    let scaled = tape.scale(scores, scale);
-                    let masked = tape.add_const(scaled, &mask, seq_len);
-                    let attn = tape.softmax_rows(masked);
-                    head_outs.push(tape.matmul(attn, vh));
-                }
-                sample_outs.push(tape.concat_cols(&head_outs));
+            let qkv = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(tape, vars, x));
+            let merged = composed_attention(tape, qkv, seq_len, lens, self.heads);
+            let out = self.wo.forward(tape, vars, merged);
+            rows.map_or(out, |rows| tape.gather_rows(out, rows))
+        }
+    }
+
+    impl TransformerEncoder {
+        /// The oracle the pruned final layer is pinned against: every layer
+        /// over every row, then the last-token gather.
+        pub(super) fn encode_unpruned(
+            &self,
+            tape: &mut Tape,
+            vars: &[Var],
+            mut x: Var,
+            seq_len: usize,
+            lens: &[usize],
+            last_idxs: &[usize],
+        ) -> Var {
+            for layer in &self.layers {
+                x = layer.forward_packed(tape, vars, x, seq_len, lens, None);
             }
-            let merged = tape.concat_rows(&sample_outs);
-            self.wo.forward(tape, vars, merged)
+            tape.gather_rows(x, last_idxs)
         }
     }
 
@@ -455,7 +512,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(1).uniform(5, 8, 1.0));
-        let y = mha.forward_packed(&mut tape, &vars, x, 5, &[5]);
+        let y = mha.forward_packed(&mut tape, &vars, x, 5, &[5], None);
         assert_eq!(tape.value(y).shape(), (5, 8));
         // All attention params receive gradients.
         let targets = Tensor::zeros(5, 8);
@@ -473,7 +530,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(2).uniform(7, 8, 1.0));
-        let y = layer.forward_packed(&mut tape, &vars, x, 7, &[7]);
+        let y = layer.forward_packed(&mut tape, &vars, x, 7, &[7], None);
         assert_eq!(tape.value(y).shape(), (7, 8));
     }
 
@@ -566,10 +623,26 @@ mod tests {
     }
 
     impl Model {
-        fn new(dim: usize, heads: usize, ff: usize, hidden: usize, labels: usize) -> Self {
+        fn new(
+            layers: usize,
+            dim: usize,
+            heads: usize,
+            ff: usize,
+            hidden: usize,
+            labels: usize,
+        ) -> Self {
             let (mut params, mut init) = setup();
-            let enc =
-                TransformerEncoder::new(&mut params, &mut init, "enc", 40, dim, heads, ff, 2, 96);
+            let enc = TransformerEncoder::new(
+                &mut params,
+                &mut init,
+                "enc",
+                40,
+                dim,
+                heads,
+                ff,
+                layers,
+                96,
+            );
             let fc1 = Linear::new(&mut params, &mut init, "fc1", dim, hidden);
             let fc2 = Linear::new(&mut params, &mut init, "fc2", hidden, labels);
             Model {
@@ -621,38 +694,85 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn training_through_fused_attention_yields_the_oracle_weights() {
-        let seqs = ragged_seqs(10, 9);
-        let mut fused = Model::new(8, 2, 16, 16, 6);
-        fused.train(&seqs, 4, 5);
-        let mut oracle = Model::new(8, 2, 16, 16, 6);
-        with_oracle(|| oracle.train(&seqs, 4, 5));
+    /// Train one model through the fused, pruned encoder and one through the
+    /// oracle on the same minibatches: every weight must come out the same
+    /// bit for bit.
+    fn assert_trains_to_the_oracle_weights(layers: usize, dim: usize, seqs: &[Vec<usize>]) {
+        let new = || Model::new(layers, dim, 2, 2 * dim, 16, 6);
+        let mut fused = new();
+        fused.train(seqs, 4, 5);
+        let mut oracle = new();
+        with_oracle(|| oracle.train(seqs, 4, 5));
         for ((id, f), (_, o)) in fused.params.iter().zip(oracle.params.iter()) {
-            assert_eq!(bits(f), bits(o), "{}", fused.params.name(id));
+            let name = fused.params.name(id);
+            assert_eq!(bits(f), bits(o), "{name} at {layers} layers, dim {dim}");
         }
     }
 
     #[test]
-    fn a_32_sequence_minibatch_records_68_nodes_not_2628() {
+    fn training_through_fused_attention_yields_the_oracle_weights() {
+        assert_trains_to_the_oracle_weights(2, 8, &ragged_seqs(10, 9));
+    }
+
+    #[test]
+    fn training_through_the_pruned_final_layer_yields_the_oracle_weights() {
+        // One layer (the pruned one reads the embedding directly) and none
+        // (embedding-only: the last-token gather stays).
+        for layers in [1, 0] {
+            assert_trains_to_the_oracle_weights(layers, 8, &ragged_seqs(10, 9));
+        }
+        // A length-1 sample, an empty one (one pad token), and padded samples
+        // whose last real token is not their last packed row.
+        let padded = vec![
+            vec![7],
+            vec![1, 2, 3, 4, 5, 6],
+            vec![9, 8],
+            vec![],
+            vec![3, 3],
+        ];
+        for layers in [2, 1] {
+            assert_trains_to_the_oracle_weights(layers, 8, &padded);
+        }
+        // Wide and long enough for the SIMD kernels and the pool's row bands.
+        let _restore = RestoreDispatch;
+        for (threads, simd) in [
+            (1, SimdOverride::ForceScalar),
+            (1, SimdOverride::ForceDetect),
+            (4, SimdOverride::ForceScalar),
+            (4, SimdOverride::ForceDetect),
+        ] {
+            set_thread_override(threads);
+            set_simd_override(simd);
+            assert_trains_to_the_oracle_weights(2, 32, &ragged_seqs(10, 40));
+        }
+    }
+
+    #[test]
+    fn a_32_sequence_minibatch_records_69_nodes_not_2628() {
         // The benchmark's model shape: 32 sequences × 77 tokens, 4 heads.
-        let model = Model::new(32, 4, 64, 128, 50);
+        let model = Model::new(2, 32, 4, 64, 128, 50);
         let seqs = vec![vec![3usize; 77]; 32];
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let nodes = |model: &Model| {
+        let record = |model: &Model| {
             let mut tape = Tape::new();
             let vars = model.params.inject(&mut tape);
             let logits = model.logits(&mut tape, &vars, &refs);
             bce_with_logits(&mut tape, logits, Tensor::zeros(32, 50), 1.0);
-            tape.len()
+            tape
         };
-        assert_eq!(nodes(&model), 68);
-        assert_eq!(with_oracle(|| nodes(&model)), 2628);
+        // One attention node per layer either way; the final layer's two
+        // gathers replace the trailing one.
+        let tape = record(&model);
+        assert_eq!(tape.len(), 69);
+        assert_eq!(with_oracle(|| record(&model).len()), 2628);
+        // The final layer saves one softmax row per (sample, head), not one
+        // per token.
+        assert_eq!(tape.attention_probs_rows(), [32 * 4 * 77, 32 * 4]);
     }
 
     #[test]
     fn forward_only_tape_lends_params_and_keeps_one_layer() {
-        let model = Model::new(8, 2, 16, 16, 6);
+        let model = Model::new(2, 8, 2, 16, 16, 6);
         let seqs = ragged_seqs(5, 9);
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
         let mut tape = Tape::new();
@@ -665,8 +785,8 @@ mod tests {
                 let vars = model.params.lend(tape);
                 let logits = model.logits(tape, &vars, &refs);
                 // Params + embedding (2) + one node per finished layer (2) +
-                // gather + decoder (3): no layer's intermediates survive it.
-                assert_eq!(tape.len(), model.params.len() + 8);
+                // decoder (3): no layer's intermediates survive it.
+                assert_eq!(tape.len(), model.params.len() + 7);
                 (tape.value(logits).clone(), tape.allocations())
             })
         };
@@ -687,23 +807,67 @@ mod tests {
         }
     }
 
-    /// Attention forward + backward on a packed ragged batch: the output and
-    /// the gradient of every parameter and of the input, as bit patterns.
-    fn attention_bits(lens: &[usize], heads: usize, dh: usize, seed: u64) -> Vec<Vec<u32>> {
+    /// Gradients of a fixed BCE loss over `y`.
+    fn backward_from(tape: &mut Tape, y: Var) -> Gradients {
+        let (rows, cols) = tape.value(y).shape();
+        let targets = Tensor::from_fn(rows, cols, |r, c| ((r + c) % 3) as f32 / 2.0);
+        let loss = bce_with_logits(tape, y, targets, 1.5);
+        tape.backward(loss)
+    }
+
+    /// Attention forward + backward on a packed ragged batch — every row, or
+    /// with `last_only` each sample's last real one: the output and the
+    /// gradient of every parameter and of the input, as bit patterns.
+    fn attention_bits(
+        lens: &[usize],
+        heads: usize,
+        dh: usize,
+        seed: u64,
+        last_only: bool,
+    ) -> Vec<Vec<u32>> {
         let dim = heads * dh;
         let seq_len = *lens.iter().max().expect("non-empty batch");
+        let rows = last_only.then(|| last_rows(lens, seq_len));
         let mut params = ParamSet::new();
         let mut init = Initializer::new(seed);
         let mha = MultiHeadSelfAttention::new(&mut params, &mut init, "a", dim, heads);
         let mut tape = Tape::new();
         let vars = params.inject(&mut tape);
         let x = tape.leaf(init.uniform(lens.len() * seq_len, dim, 1.5));
-        let y = mha.forward_packed(&mut tape, &vars, x, seq_len, lens);
-        let targets = Tensor::from_fn(lens.len() * seq_len, dim, |r, c| ((r + c) % 3) as f32 / 2.0);
-        let loss = bce_with_logits(&mut tape, y, targets, 1.5);
-        let grads = tape.backward(loss);
+        let y = mha.forward_packed(&mut tape, &vars, x, seq_len, lens, rows.as_deref());
+        let grads = backward_from(&mut tape, y);
         let mut out = vec![bits(tape.value(y)), bits(grads.get(x))];
         out.extend(vars.iter().map(|&v| bits(grads.get(v))));
+        out
+    }
+
+    /// The attention node alone on leaf `q`, `k`, `v` (fused, or under
+    /// [`with_oracle`] composed over every row and then gathered): the output
+    /// and `dq`, `dk`, `dv`, as bit patterns.
+    fn qkv_bits(
+        lens: &[usize],
+        heads: usize,
+        dh: usize,
+        seed: u64,
+        last_only: bool,
+    ) -> Vec<Vec<u32>> {
+        let dim = heads * dh;
+        let seq_len = *lens.iter().max().expect("non-empty batch");
+        let rows = last_only.then(|| last_rows(lens, seq_len));
+        let mut init = Initializer::new(seed);
+        let mut tape = Tape::new();
+        let qkv = [(); 3].map(|_| tape.leaf(init.uniform(lens.len() * seq_len, dim, 1.5)));
+        let [q, k, v] = qkv;
+        let y = if use_oracle() {
+            let all = composed_attention(&mut tape, qkv, seq_len, lens, heads);
+            rows.map_or(all, |rows| tape.gather_rows(all, &rows))
+        } else {
+            let q = rows.map_or(q, |rows| tape.gather_rows(q, &rows));
+            tape.attention(q, k, v, seq_len, lens, heads)
+        };
+        let grads = backward_from(&mut tape, y);
+        let mut out = vec![bits(tape.value(y))];
+        out.extend(qkv.iter().map(|&var| bits(grads.get(var))));
         out
     }
 
@@ -711,13 +875,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The fused attention node equals the composed-op oracle bit for bit
-        /// — forward values and every parameter / input gradient — on ragged
-        /// batches (incl. all-equal lengths and length-1 sequences), at any
-        /// head count, pool width and ISA arm.
+        /// — forward values, `dq`/`dk`/`dv` and every parameter / input
+        /// gradient — on ragged batches (incl. all-equal lengths and length-1
+        /// sequences), with a query per token or only each sample's last, at
+        /// any head count, pool width and ISA arm.
         #[test]
         fn fused_attention_equals_composed_oracle(
             raw_lens in prop::collection::vec(1usize..=24, 1..=6),
             shape in 0usize..3,
+            last_only in prop::bool::ANY,
             heads in prop::sample::select(vec![1usize, 2, 4]),
             // dh 24 at 4 heads makes the projections wide enough to fan out
             // across the pool on the larger batches.
@@ -735,8 +901,12 @@ mod tests {
             let _restore = RestoreDispatch;
             set_thread_override(threads);
             set_simd_override(if scalar { SimdOverride::ForceScalar } else { SimdOverride::ForceDetect });
-            let fused = attention_bits(&lens, heads, dh, seed);
-            let oracle = with_oracle(|| attention_bits(&lens, heads, dh, seed));
+            let both = || {
+                let layer = attention_bits(&lens, heads, dh, seed, last_only);
+                (layer, qkv_bits(&lens, heads, dh, seed, last_only))
+            };
+            let fused = both();
+            let oracle = with_oracle(both);
             prop_assert_eq!(fused, oracle);
         }
     }

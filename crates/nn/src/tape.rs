@@ -223,7 +223,7 @@ enum Op {
         idxs: Vec<usize>,
     },
     /// Fused masked multi-head attention over a packed batch (see
-    /// [`Tape::attention`]). `probs` holds one `[seq_len, seq_len]` softmax
+    /// [`Tape::attention`]). `probs` holds one `[q_len, seq_len]` softmax
     /// block per (sample, head) — the only activation saved for backward.
     Attention {
         qkv: [Var; 3],
@@ -336,6 +336,17 @@ impl<'p> Tape<'p> {
     pub fn retained_bytes(&self) -> usize {
         let held = |(len, class): (&usize, &SizeClass)| len * class.bufs.len() * 4;
         self.arena.free.iter().map(held).sum()
+    }
+
+    /// Row count of the softmax block each attention node saved, in
+    /// recording order.
+    #[cfg(test)]
+    pub(crate) fn attention_probs_rows(&self) -> Vec<usize> {
+        let rows = |node: &Node| match &node.op {
+            Op::Attention { probs, .. } => Some(probs.rows()),
+            _ => None,
+        };
+        self.nodes.iter().filter_map(rows).collect()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
@@ -615,12 +626,15 @@ impl<'p> Tape<'p> {
         )
     }
 
-    /// Masked multi-head self-attention over a packed batch as **one** node.
-    /// `q`, `k`, `v` are `[batch·seq_len, dim]` (sample `b` owns rows
+    /// Masked multi-head attention over a packed batch as **one** node.
+    /// `k`, `v` are `[batch·seq_len, dim]` (sample `b` owns rows
     /// `[b·seq_len, (b+1)·seq_len)`, head `h` columns `[h·dh, (h+1)·dh)` with
     /// `dh = dim / heads`); key positions at or past `lens[b]` are masked
-    /// out of sample `b`'s softmax. Returns the merged `[batch·seq_len, dim]`
-    /// head outputs.
+    /// out of sample `b`'s softmax. `q` is `[batch·q_len, dim]`, sample `b`
+    /// owning rows `[b·q_len, (b+1)·q_len)`: a query for every position
+    /// (`q_len == seq_len`), or only for the positions whose output is read
+    /// — the mask does not depend on where a query sat in its sequence.
+    /// Returns the merged `[batch·q_len, dim]` head outputs.
     ///
     /// Per (sample, head) this runs exactly what the composed ops
     /// `softmax_rows(Q·Kᵀ·scale + mask)·V` run — the same band kernels on the
@@ -637,33 +651,40 @@ impl<'p> Tape<'p> {
         heads: usize,
     ) -> Var {
         let [qv, kv, vv] = [q, k, v].map(|var| val(&self.nodes, var));
-        let (rows, dim) = qv.shape();
-        assert_eq!(rows, lens.len() * seq_len, "packed shape mismatch");
+        let (rows, dim) = kv.shape();
+        let batch = lens.len();
+        assert_eq!(rows, batch * seq_len, "packed shape mismatch");
         assert!(
-            kv.shape() == (rows, dim) && vv.shape() == (rows, dim),
+            vv.shape() == (rows, dim) && qv.cols() == dim,
             "attention q/k/v shape mismatch"
         );
         assert!(
             seq_len > 0 && heads > 0 && dim > 0 && dim % heads == 0,
             "attention over {seq_len} positions, {dim} dims, {heads} heads"
         );
+        let ql = qv.rows() / batch;
+        assert!(
+            ql > 0 && qv.rows() == batch * ql,
+            "attention queries not a whole number per sample"
+        );
         let (s, dh) = (seq_len, dim / heads);
         let scale = 1.0 / (dh as f32).sqrt();
         let arena = &mut self.arena;
-        let mut out = arena.zeros(rows, dim);
-        let mut probs = arena.zeros(lens.len() * heads * s, s);
-        let [mut qh, mut vh, mut oh] = [(); 3].map(|_| arena.zeros(s, dh));
+        let mut out = arena.zeros(batch * ql, dim);
+        let mut probs = arena.zeros(batch * heads * ql, s);
+        let [mut qh, mut oh] = [(); 2].map(|_| arena.zeros(ql, dh));
+        let mut vh = arena.zeros(s, dh);
         let mut kt = arena.zeros(dh, s);
         for (b, &len) in lens.iter().enumerate() {
             let real = len.min(s).max(1);
             for h in 0..heads {
-                let at = (b * s, h * dh);
-                blit(&mut qh, (0, 0), qv, at, (s, dh));
-                blit_t(&mut kt, (0, 0), kv, at, (s, dh));
-                blit(&mut vh, (0, 0), vv, at, (s, dh));
+                let (q_at, kv_at) = ((b * ql, h * dh), (b * s, h * dh));
+                blit(&mut qh, (0, 0), qv, q_at, (ql, dh));
+                blit_t(&mut kt, (0, 0), kv, kv_at, (s, dh));
+                blit(&mut vh, (0, 0), vv, kv_at, (s, dh));
                 // Freshly zeroed above, and each block is visited once.
-                let p = &mut probs.as_mut_slice()[(b * heads + h) * s * s..][..s * s];
-                matmul_band(qh.as_slice(), kt.as_slice(), p, dh, s, 0, s);
+                let p = &mut probs.as_mut_slice()[(b * heads + h) * ql * s..][..ql * s];
+                matmul_band(qh.as_slice(), kt.as_slice(), p, dh, s, 0, ql);
                 for row in p.chunks_exact_mut(s) {
                     for (c, x) in row.iter_mut().enumerate() {
                         let scaled = *x * scale;
@@ -672,8 +693,8 @@ impl<'p> Tape<'p> {
                     softmax_in_place(row);
                 }
                 oh.zero_();
-                matmul_band(p, vh.as_slice(), oh.as_mut_slice(), s, dh, 0, s);
-                blit(&mut out, at, &oh, (0, 0), (s, dh));
+                matmul_band(p, vh.as_slice(), oh.as_mut_slice(), s, dh, 0, ql);
+                blit(&mut out, q_at, &oh, (0, 0), (ql, dh));
             }
         }
         for scratch in [qh, kt, vh, oh] {
@@ -989,11 +1010,12 @@ fn softmax_backward_row(g: &mut [f32], y: &[f32]) {
     }
 }
 
-/// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`.
-/// Mirrors, per (sample, head), the backward of the composed ops with the
-/// same kernels on the same values; each block gradient is written straight
-/// into its rows and columns of the result (blocks are disjoint, so nothing
-/// is accumulated across them).
+/// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`
+/// (`g` and `dq` have `q`'s rows, `dk` and `dv` have `k`'s). Mirrors, per
+/// (sample, head), the backward of the composed ops with the same kernels on
+/// the same values; each block gradient is written straight into its rows
+/// and columns of the result (blocks are disjoint, so nothing is accumulated
+/// across them).
 fn attention_backward(
     arena: &mut Arena,
     g: &Tensor,
@@ -1002,20 +1024,24 @@ fn attention_backward(
     s: usize,
     heads: usize,
 ) -> [Tensor; 3] {
-    let (rows, dim) = g.shape();
+    let (rows, dim) = k.shape();
+    let batch = rows / s;
+    let ql = q.rows() / batch;
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let [mut dq, mut dk, mut dv] = [(); 3].map(|_| arena.zeros(rows, dim));
-    let [mut qh, mut vh, mut goh, mut gqh, mut gvh] = [(); 5].map(|_| arena.zeros(s, dh));
+    let mut dq = arena.zeros(batch * ql, dim);
+    let [mut dk, mut dv] = [(); 2].map(|_| arena.zeros(rows, dim));
+    let [mut qh, mut goh, mut gqh] = [(); 3].map(|_| arena.zeros(ql, dh));
+    let [mut vh, mut gvh] = [(); 2].map(|_| arena.zeros(s, dh));
     let [mut kt, mut gkt] = [(); 2].map(|_| arena.zeros(dh, s));
-    let mut gp = arena.zeros(s, s);
-    for b in 0..rows / s {
+    let mut gp = arena.zeros(ql, s);
+    for b in 0..batch {
         for h in 0..heads {
-            let at = (b * s, h * dh);
-            let p = &probs.as_slice()[(b * heads + h) * s * s..][..s * s];
-            blit(&mut goh, (0, 0), g, at, (s, dh));
+            let (q_at, kv_at) = ((b * ql, h * dh), (b * s, h * dh));
+            let p = &probs.as_slice()[(b * heads + h) * ql * s..][..ql * s];
+            blit(&mut goh, (0, 0), g, q_at, (ql, dh));
             // out = P·V: dP = dOut·Vᵀ, dV = Pᵀ·dOut.
-            blit(&mut vh, (0, 0), v, at, (s, dh));
+            blit(&mut vh, (0, 0), v, kv_at, (s, dh));
             gp.zero_();
             a_bt_band(
                 goh.as_slice(),
@@ -1024,10 +1050,10 @@ fn attention_backward(
                 dh,
                 s,
                 0,
-                s,
+                ql,
             );
             gvh.zero_();
-            at_b_band(p, goh.as_slice(), gvh.as_mut_slice(), s, s, dh, 0, s);
+            at_b_band(p, goh.as_slice(), gvh.as_mut_slice(), ql, s, dh, 0, s);
             // P = softmax(S·scale + mask): the mask is a constant.
             for (grow, prow) in gp.as_mut_slice().chunks_exact_mut(s).zip(p.chunks_exact(s)) {
                 softmax_backward_row(grow, prow);
@@ -1036,8 +1062,8 @@ fn attention_backward(
                 }
             }
             // S = Q·Kᵀ: dQ = dS·K, dKᵀ = Qᵀ·dS.
-            blit(&mut qh, (0, 0), q, at, (s, dh));
-            blit_t(&mut kt, (0, 0), k, at, (s, dh));
+            blit(&mut qh, (0, 0), q, q_at, (ql, dh));
+            blit_t(&mut kt, (0, 0), k, kv_at, (s, dh));
             gqh.zero_();
             a_bt_band(
                 gp.as_slice(),
@@ -1046,22 +1072,22 @@ fn attention_backward(
                 s,
                 dh,
                 0,
-                s,
+                ql,
             );
             gkt.zero_();
             at_b_band(
                 qh.as_slice(),
                 gp.as_slice(),
                 gkt.as_mut_slice(),
-                s,
+                ql,
                 dh,
                 s,
                 0,
                 dh,
             );
-            blit(&mut dq, at, &gqh, (0, 0), (s, dh));
-            blit_t(&mut dk, at, &gkt, (0, 0), (dh, s));
-            blit(&mut dv, at, &gvh, (0, 0), (s, dh));
+            blit(&mut dq, q_at, &gqh, (0, 0), (ql, dh));
+            blit_t(&mut dk, kv_at, &gkt, (0, 0), (dh, s));
+            blit(&mut dv, kv_at, &gvh, (0, 0), (s, dh));
         }
     }
     for scratch in [qh, vh, goh, gqh, gvh, kt, gkt, gp] {
@@ -1159,7 +1185,7 @@ mod tests {
 
     #[test]
     fn grad_bce_direct() {
-        gradcheck(test_input(2, 3), |tape, x| to_scalar(tape, x));
+        gradcheck(test_input(2, 3), to_scalar);
     }
 
     #[test]
