@@ -21,8 +21,10 @@ fi
 
 # Offline subset: formatting, the unit tests of the three dependency-free
 # crates built with bare rustc (outside the repo), and the benchmark's smoke
-# runs (its own workspace over std-only shims). Every step runs; any failure
-# makes the exit status non-zero.
+# runs (its own workspace over std-only shims), whose output also gates what
+# no test here can: scalar == SIMD virtual time, and a replay session whose
+# step cost does not grow with the queries it has completed. Every step runs;
+# any failure makes the exit status non-zero.
 offline_subset() {
   local failed=0 tmp
   tmp=$(mktemp -d)
@@ -54,13 +56,30 @@ offline_subset() {
         }
         END { exit bad }' >&2
   }
+  session_flat() { # a --quick --trace output
+    # A replay session must cost its live queries, not every query it ever
+    # ran: a step with 1600 queries injected (four live) may take at most
+    # twice a step with 100. Both are timed seconds apart in one run, so the
+    # host's mood cancels; every one of the four result lines must hold.
+    sed -nE 's/^\{"correct".*"db\.runtime\.session_step_ns_100": \{"value": ([^,]+),.*"db\.runtime\.session_step_ns_1600": \{"value": ([^,]+),.*/\1 \2/p' "$1" \
+      | awk '
+        $2 > 2 * $1 {
+          print "!!> result line " NR ": session_step_ns_1600 " $2 " > 2 x session_step_ns_100 " $1
+          bad = 1
+        }
+        END {
+          if (NR != 4) print "!!> " NR " result lines carry both metrics, not 4"
+          exit bad || NR != 4
+        }' >&2
+  }
   step cargo fmt --all -- --check
   step unit_tests sim
   step unit_tests obs
   step unit_tests buffer --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
     --extern "pythia_obs=$tmp/libpythia_obs.rlib"
   step bash benchmark/run.sh --quick > "$tmp/quick.out"
-  step bash benchmark/run.sh --quick --trace > /dev/null
+  step bash benchmark/run.sh --quick --trace > "$tmp/quick_trace.out"
+  step session_flat "$tmp/quick_trace.out"
   # Tier-1's `PYTHIA_SIMD=off cargo test` cannot run here, so this is where
   # the scalar kernels meet the whole stack: trained and served on them, no
   # workload's virtual time may move by a digit.

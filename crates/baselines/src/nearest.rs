@@ -21,10 +21,9 @@ pub struct NearestNeighbor {
 fn nonseq_page_set(trace: &Trace) -> BTreeSet<PageId> {
     use pythia_db::trace::TraceEvent;
     trace
-        .events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(*page),
+            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(page),
             _ => None,
         })
         .collect()
@@ -102,16 +101,14 @@ mod tests {
     use pythia_sim::FileId;
 
     fn trace_of(pages: &[u32]) -> Trace {
-        Trace {
-            events: pages
-                .iter()
-                .map(|&p| TraceEvent::Read {
-                    obj: ObjectId(0),
-                    page: PageId::new(FileId(0), p),
-                    kind: AccessKind::HeapFetch,
-                })
-                .collect(),
-        }
+        pages
+            .iter()
+            .map(|&p| TraceEvent::Read {
+                obj: ObjectId(0),
+                page: PageId::new(FileId(0), p),
+                kind: AccessKind::HeapFetch,
+            })
+            .collect()
     }
 
     #[test]
@@ -149,14 +146,12 @@ mod tests {
 
     #[test]
     fn sequential_reads_are_ignored() {
-        let seq_trace = Trace {
-            events: vec![TraceEvent::Read {
-                obj: ObjectId(0),
-                page: PageId::new(FileId(0), 7),
-                kind: AccessKind::SeqScan,
-            }],
-        };
-        let nn = NearestNeighbor::new(&[seq_trace.clone()]);
+        let seq_trace = Trace::from_iter([TraceEvent::Read {
+            obj: ObjectId(0),
+            page: PageId::new(FileId(0), 7),
+            kind: AccessKind::SeqScan,
+        }]);
+        let nn = NearestNeighbor::new(std::slice::from_ref(&seq_trace));
         let (pages, _, _) = nn.prefetch_for(&seq_trace);
         assert!(
             pages.is_empty(),

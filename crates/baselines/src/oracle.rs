@@ -22,15 +22,15 @@ pub enum OracleScope {
 pub fn oracle_prefetch(trace: &Trace, scope: OracleScope) -> Vec<PageId> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    for e in &trace.events {
+    for e in trace.iter() {
         if let TraceEvent::Read { page, kind, .. } = e {
             let keep = match scope {
                 OracleScope::All => true,
                 OracleScope::SequentialOnly => kind.is_sequential(),
                 OracleScope::NonSequentialOnly => !kind.is_sequential(),
             };
-            if keep && seen.insert(*page) {
-                out.push(*page);
+            if keep && seen.insert(page) {
+                out.push(page);
             }
         }
     }
@@ -50,15 +50,13 @@ mod tests {
             page: PageId::new(FileId(f), p),
             kind,
         };
-        Trace {
-            events: vec![
-                rd(0, 0, AccessKind::SeqScan),
-                rd(1, 9, AccessKind::HeapFetch),
-                rd(0, 1, AccessKind::SeqScan),
-                rd(1, 9, AccessKind::HeapFetch), // repeat
-                rd(1, 4, AccessKind::IndexLeaf),
-            ],
-        }
+        Trace::from_iter([
+            rd(0, 0, AccessKind::SeqScan),
+            rd(1, 9, AccessKind::HeapFetch),
+            rd(0, 1, AccessKind::SeqScan),
+            rd(1, 9, AccessKind::HeapFetch), // repeat
+            rd(1, 4, AccessKind::IndexLeaf),
+        ])
     }
 
     #[test]

@@ -81,15 +81,15 @@ pub struct SeqModel {
 fn trace_tokens(trace: &Trace, dedup: bool, page_to_token: &HashMap<PageId, usize>) -> Vec<usize> {
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for e in &trace.events {
+    for e in trace.iter() {
         if let TraceEvent::Read { page, kind, .. } = e {
             if kind.is_sequential() {
                 continue;
             }
-            if dedup && !seen.insert(*page) {
+            if dedup && !seen.insert(page) {
                 continue;
             }
-            if let Some(&t) = page_to_token.get(page) {
+            if let Some(&t) = page_to_token.get(&page) {
                 out.push(t);
             }
         }
@@ -105,11 +105,11 @@ impl SeqModel {
         let mut pages = vec![PageId::new(pythia_sim::FileId(u32::MAX), 0); 2];
         let mut page_to_token = HashMap::new();
         for t in traces {
-            for e in &t.events {
+            for e in t.iter() {
                 if let TraceEvent::Read { page, kind, .. } = e {
-                    if !kind.is_sequential() && !page_to_token.contains_key(page) {
-                        page_to_token.insert(*page, pages.len());
-                        pages.push(*page);
+                    if !kind.is_sequential() && !page_to_token.contains_key(&page) {
+                        page_to_token.insert(page, pages.len());
+                        pages.push(page);
                     }
                 }
             }
@@ -278,15 +278,13 @@ mod tests {
 
     /// A deterministic cyclic trace: 0 -> 3 -> 6 -> ... (stride walk).
     fn stride_trace(n: u32) -> Trace {
-        Trace {
-            events: (0..n)
-                .map(|i| TraceEvent::Read {
-                    obj: ObjectId(0),
-                    page: PageId::new(FileId(0), (i * 3) % 30),
-                    kind: AccessKind::HeapFetch,
-                })
-                .collect(),
-        }
+        (0..n)
+            .map(|i| TraceEvent::Read {
+                obj: ObjectId(0),
+                page: PageId::new(FileId(0), (i * 3) % 30),
+                kind: AccessKind::HeapFetch,
+            })
+            .collect()
     }
 
     fn quick_cfg() -> SeqModelConfig {

@@ -18,9 +18,12 @@
 //! readable at its scheduled completion instant. Reads that arrive earlier
 //! wait for the in-flight I/O — the database runtime (`pythia-db`'s
 //! `runtime` module) accounts those stalls as `prefetch_waits` when it
-//! serves the read; the prefetcher itself keeps no wait counters.
+//! serves a read of a frame the prefetcher loaded (a wait on another query's
+//! in-flight demand read is not one); the prefetcher itself keeps no wait
+//! counters.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use pythia_obs::{tid, Track};
 use pythia_sim::{CostModel, IoWorkerPool, OsPageCache, PageId, SimTime, StreamId};
@@ -42,8 +45,8 @@ pub struct AioPrefetcher {
     window_size: usize,
     /// `file_lens[f]` = page count of file `f` (for OS readahead EOF
     /// clamping on the prefetcher's own reads). Missing entries are treated
-    /// as unbounded.
-    file_lens: Vec<u32>,
+    /// as unbounded. One table per replay stack, shared by its prefetchers.
+    file_lens: Arc<[u32]>,
     /// The OS-cache stream (open-fd analogue) the prefetcher's own reads run
     /// under. Distinct from the query's demand stream, so the prefetcher's
     /// storage-order reads and the query's interleaved demand reads each keep
@@ -59,19 +62,23 @@ impl AioPrefetcher {
     /// # Panics
     /// Panics if `window_size == 0`.
     pub fn new(window_size: usize) -> Self {
-        Self::with_file_lens(window_size, Vec::new(), StreamId(0))
+        Self::with_file_lens(window_size, Vec::<u32>::new(), StreamId(0))
     }
 
     /// Like [`Self::new`] but with the per-file page counts used to clamp
     /// the OS readahead the prefetcher's sequential reads trigger, and the
     /// OS-cache stream identity those reads run under.
-    pub fn with_file_lens(window_size: usize, file_lens: Vec<u32>, stream: StreamId) -> Self {
+    pub fn with_file_lens(
+        window_size: usize,
+        file_lens: impl Into<Arc<[u32]>>,
+        stream: StreamId,
+    ) -> Self {
         assert!(window_size > 0, "readahead window must be >= 1");
         AioPrefetcher {
             queue: VecDeque::new(),
             window: VecDeque::new(),
             window_size,
-            file_lens,
+            file_lens: file_lens.into(),
             stream,
         }
     }

@@ -22,8 +22,9 @@ pub struct Frame {
     /// Clock-sweep usage counter (capped at [`Frame::MAX_USAGE`], like
     /// Postgres' `BM_MAX_USAGE_COUNT`).
     pub usage_count: u32,
-    /// If the page was loaded by the prefetcher, the virtual time at which
-    /// its asynchronous I/O completes; reads before this must wait.
+    /// The virtual time at which the I/O that loaded the page completes — a
+    /// prefetcher's asynchronous read or a query's demand read; reads before
+    /// this must wait.
     pub available_at: SimTime,
     /// Whether this frame was populated by the prefetcher (for accounting
     /// of useful vs wasted prefetches).

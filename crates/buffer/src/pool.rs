@@ -1,9 +1,7 @@
 //! The buffer pool: frames, page table, pinning, eviction.
 
-use std::collections::HashMap;
-
 use pythia_obs::{tid, Recorder, Track};
-use pythia_sim::{PageId, SimTime};
+use pythia_sim::{PageId, PageMap, SimTime};
 
 use crate::frame::{Frame, FrameId};
 use crate::policy::{PolicyKind, ReplacementPolicy};
@@ -18,7 +16,7 @@ use crate::stats::BufferStats;
 #[derive(Debug)]
 pub struct BufferPool {
     frames: Vec<Frame>,
-    page_table: HashMap<PageId, FrameId>,
+    page_table: PageMap<PageId, FrameId>,
     free: Vec<FrameId>,
     policy: Box<dyn ReplacementPolicy>,
     stats: BufferStats,
@@ -38,7 +36,7 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             frames: vec![Frame::empty(); capacity],
-            page_table: HashMap::with_capacity(capacity),
+            page_table: PageMap::with_capacity_and_hasher(capacity, Default::default()),
             free: (0..capacity as u32).rev().map(FrameId).collect(),
             policy: policy.build(capacity),
             stats: BufferStats::default(),

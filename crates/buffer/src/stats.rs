@@ -10,7 +10,9 @@ pub struct BufferStats {
     pub os_copies: u64,
     /// Reads that went all the way to disk.
     pub disk_reads: u64,
-    /// Reads of prefetched pages that had to wait for in-flight I/O.
+    /// Reads that had to wait for a prefetch's in-flight I/O (the frame was
+    /// loaded by a prefetcher; waits on another query's in-flight demand read
+    /// are not counted here).
     pub prefetch_waits: u64,
     /// Pages the prefetcher issued I/O for.
     pub prefetch_issued: u64,

@@ -787,7 +787,7 @@ impl<'d> PrefetchServer<'d> {
         for q in &report.queries {
             hists
                 .entry(q.tenant)
-                .or_insert_with(pythia_obs::hist::Histogram::new)
+                .or_default()
                 .record(q.admission_wait().as_micros());
         }
         let rec = self.rt.recorder_mut();
@@ -901,7 +901,7 @@ impl<'d> PrefetchServer<'d> {
         let snapshot;
         let tw: &TrainedWorkload = match &self.predictor {
             PredictorSource::None => return 0,
-            PredictorSource::Fixed(tw) => *tw,
+            PredictorSource::Fixed(tw) => tw,
             PredictorSource::Registry(fleet) => match fleet.any() {
                 Some(m) => {
                     snapshot = m;
@@ -1529,7 +1529,7 @@ mod tests {
             events.push(read_ev((i * 37) % 10_000));
             events.push(TraceEvent::Cpu { units: 2 });
         }
-        Trace { events }
+        events.into_iter().collect()
     }
 
     fn run_cfg() -> RunConfig {
@@ -1821,9 +1821,7 @@ mod tests {
         // instant, which would overlap the two queries and break the C=1
         // cap. A raw `live()` check admits at 150us here.
         let (db, plan) = dummy_db_and_plan();
-        let long = Trace {
-            events: vec![read_ev(0)],
-        };
+        let long = Trace::from_iter([read_ev(0)]);
         let tail = random_trace(10);
         let arrival = SimDuration::from_micros(150);
         let reqs = [

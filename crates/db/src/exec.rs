@@ -42,12 +42,12 @@ impl<'a> ExecContext<'a> {
     /// interleaves CPU and I/O in execution order).
     pub fn record_read(&mut self, obj: ObjectId, page: PageId, kind: AccessKind) {
         if self.cpu_pending > 0 {
-            self.trace.events.push(TraceEvent::Cpu {
+            self.trace.push(TraceEvent::Cpu {
                 units: self.cpu_pending,
             });
             self.cpu_pending = 0;
         }
-        self.trace.events.push(TraceEvent::Read { obj, page, kind });
+        self.trace.push(TraceEvent::Read { obj, page, kind });
     }
 
     /// Charge `units` tuples of CPU work.
@@ -55,13 +55,15 @@ impl<'a> ExecContext<'a> {
         self.cpu_pending += units;
     }
 
-    /// Finish and take the trace.
+    /// Finish and take the trace, holding exactly its events: traces outlive
+    /// execution by the whole run, the slack of doubling growth would too.
     pub fn into_trace(mut self) -> Trace {
         if self.cpu_pending > 0 {
-            self.trace.events.push(TraceEvent::Cpu {
+            self.trace.push(TraceEvent::Cpu {
                 units: self.cpu_pending,
             });
         }
+        self.trace.events.shrink_to_fit();
         self.trace
     }
 }
@@ -608,7 +610,7 @@ mod tests {
         // pipelined interleaving rather than phase-by-phase execution.
         let mut seen_index = false;
         let mut interleaved = false;
-        for e in &trace.events {
+        for e in trace.iter() {
             if let TraceEvent::Read { kind, .. } = e {
                 match kind {
                     AccessKind::IndexInternal | AccessKind::IndexLeaf => seen_index = true,
@@ -738,7 +740,6 @@ mod tests {
         // after the read) — the paper's point that predicates don't reduce
         // heap I/O for index scans.
         let heap_fetches = trace
-            .events
             .iter()
             .filter(|e| {
                 matches!(
@@ -794,7 +795,7 @@ mod tests {
         };
         let (rows, trace) = execute(&plan, &db);
         assert!(rows.is_empty());
-        assert!(trace.events.iter().all(|e| !matches!(
+        assert!(trace.iter().all(|e| !matches!(
             e,
             TraceEvent::Read {
                 kind: AccessKind::HeapFetch,
@@ -814,5 +815,24 @@ mod tests {
             &db,
         );
         assert!(trace.cpu_units() >= 2000, "at least one unit per tuple");
+    }
+
+    #[test]
+    fn executed_trace_holds_exactly_its_events() {
+        let (db, fact, dim, idx) = star_db();
+        let plan = PlanNode::IndexNLJoin {
+            outer: Box::new(PlanNode::SeqScan {
+                table: fact,
+                pred: None,
+            }),
+            outer_key: 1,
+            inner: dim,
+            inner_index: idx,
+            inner_pred: None,
+        };
+        let (_, trace) = execute(&plan, &db);
+        // Thousands of pushes, and not a length doubling growth stops at.
+        assert!(trace.events.len() > 2000 && !trace.events.len().is_power_of_two());
+        assert_eq!(trace.events.capacity(), trace.events.len());
     }
 }

@@ -14,6 +14,9 @@
 //! are processed in global time order, which models the resource contention
 //! the paper's §5.4 experiments measure.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use pythia_buffer::{AioPrefetcher, BufferPool, BufferStats, PolicyKind};
 use pythia_obs::{tid, Recorder, Track};
 use pythia_sim::{CostModel, IoWorkerPool, OsPageCache, PageId, SimDuration, SimTime, StreamId};
@@ -189,13 +192,16 @@ impl RunResult {
 }
 
 struct QState<'a> {
-    run: QueryRun<'a>,
+    trace: &'a Trace,
+    span_name: &'static str,
+    /// The prefetch list until the query's timeline first runs, which hands
+    /// it to the prefetcher.
+    prefetch: Option<Cow<'a, [PageId]>>,
     arrival: SimTime,
     cursor: usize,
     t: SimTime,
-    started_prefetch: bool,
+    /// Present from the first step of a prefetching query to its last.
     aio: Option<AioPrefetcher>,
-    done: bool,
     start: SimTime,
     /// OS-cache stream (open-fd analogue) the query's demand reads run
     /// under; its AIO prefetcher gets a second, distinct stream.
@@ -205,6 +211,16 @@ struct QState<'a> {
     track: Track,
 }
 
+impl QState<'_> {
+    fn timing(&self) -> QueryTiming {
+        QueryTiming {
+            arrival: self.arrival,
+            start: self.start,
+            end: self.t,
+        }
+    }
+}
+
 /// The replay stack: shared buffer pool, OS cache and I/O workers.
 pub struct Runtime {
     pool: BufferPool,
@@ -212,7 +228,8 @@ pub struct Runtime {
     io: IoWorkerPool,
     cost: CostModel,
     window: usize,
-    file_lens: Vec<u32>,
+    /// Shared with every query's prefetcher.
+    file_lens: Arc<[u32]>,
     /// The stack's continuing clock: each `run` batch starts here, so warm
     /// state (frame availability, I/O lanes) stays consistent across batches.
     now: SimTime,
@@ -235,7 +252,7 @@ impl Runtime {
             io: IoWorkerPool::new(config.cost.io_workers),
             cost: config.cost.clone(),
             window: config.readahead_window,
-            file_lens,
+            file_lens: file_lens.into(),
             now: SimTime::ZERO,
             next_stream: 0,
             next_query: 0,
@@ -334,7 +351,14 @@ impl Runtime {
         let base = self.now;
         let mut session = ReplaySession::new();
         for q in queries {
-            session.inject(self, q.clone(), base + q.arrival);
+            session.admit(
+                self,
+                q.trace,
+                q.prefetch.as_deref().map(Cow::Borrowed),
+                q.span_name,
+                base + q.arrival,
+                q.inference_latency,
+            );
         }
         while session.live() > 0 {
             session.step(self);
@@ -346,30 +370,25 @@ impl Runtime {
         }
     }
 
-    fn step(&mut self, states: &mut [QState<'_>], qi: usize) {
+    /// Replay the next event of `s`; true if it was the query's last.
+    fn step(&mut self, s: &mut QState<'_>) -> bool {
         // Start the prefetcher the first time this query's timeline runs.
-        // (Two-phase so `alloc_stream` doesn't overlap the `states` borrow.)
-        if !states[qi].started_prefetch {
-            states[qi].started_prefetch = true;
-            if let Some(pages) = states[qi].run.prefetch.clone() {
-                let stream = self.alloc_stream();
-                let mut aio =
-                    AioPrefetcher::with_file_lens(self.window, self.file_lens.clone(), stream);
-                let t = states[qi].t;
-                aio.start(
-                    pages,
-                    &mut self.pool,
-                    &mut self.os,
-                    &mut self.io,
-                    &self.cost,
-                    t,
-                );
-                states[qi].aio = Some(aio);
-            }
+        if let Some(pages) = s.prefetch.take() {
+            let stream = self.alloc_stream();
+            let mut aio =
+                AioPrefetcher::with_file_lens(self.window, self.file_lens.clone(), stream);
+            aio.start(
+                pages.iter().copied(),
+                &mut self.pool,
+                &mut self.os,
+                &mut self.io,
+                &self.cost,
+                s.t,
+            );
+            s.aio = Some(aio);
         }
 
-        let s = &mut states[qi];
-        match s.run.trace.events[s.cursor] {
+        match s.trace.events[s.cursor].unpack() {
             TraceEvent::Cpu { units } => {
                 s.t += self.cost.cpu_per_tuple.saturating_mul(units as u64);
             }
@@ -377,11 +396,10 @@ impl Runtime {
                 self.serve_read(s, page, kind.is_sequential());
             }
         }
-        let s = &mut states[qi];
         s.cursor += 1;
-        if s.cursor >= s.run.trace.events.len() {
-            s.done = true;
-            if let Some(aio) = s.aio.as_mut() {
+        let done = s.cursor >= s.trace.events.len();
+        if done {
+            if let Some(mut aio) = s.aio.take() {
                 aio.finish(&mut self.pool);
                 self.os.retire_stream(aio.stream());
             }
@@ -389,17 +407,22 @@ impl Runtime {
             // accumulate over the lifetime of a long-running serving stack.
             self.os.retire_stream(s.stream);
         }
+        done
     }
 
     fn serve_read(&mut self, s: &mut QState<'_>, page: PageId, sequential: bool) {
         let t0 = s.t;
         if let Some(fid) = self.pool.lookup(page) {
-            let avail = self.pool.frame(fid).available_at;
+            let frame = self.pool.frame(fid);
+            let (avail, prefetched) = (frame.available_at, frame.prefetched);
             let mut waited = 0u64;
             if avail > s.t {
-                // Prefetch still in flight: wait for it (still cheaper than
+                // The page's I/O is still in flight — a prefetch, or another
+                // query's demand read: wait for it (still cheaper than
                 // issuing a fresh synchronous read in almost all cases).
-                self.pool.stats_mut().prefetch_waits += 1;
+                if prefetched {
+                    self.pool.stats_mut().prefetch_waits += 1;
+                }
                 waited = avail.since(s.t).as_micros();
                 s.t = avail;
             }
@@ -410,8 +433,12 @@ impl Runtime {
             if rec.is_enabled() {
                 rec.add("reads.hit", 1);
                 if waited > 0 {
-                    rec.add("reads.prefetch_wait", 1);
-                    rec.observe("read.prefetch_wait_us", waited);
+                    if prefetched {
+                        rec.add("reads.prefetch_wait", 1);
+                        rec.observe("read.prefetch_wait_us", waited);
+                    } else {
+                        rec.add("reads.demand_wait", 1);
+                    }
                 }
                 rec.instant(
                     s.track,
@@ -516,8 +543,12 @@ pub struct SessionCompletion {
 /// layout byte for byte).
 #[derive(Default)]
 pub struct ReplaySession<'a> {
+    /// Every query injected, by slot; [`Self::finish`] reports them all.
     states: Vec<QState<'a>>,
-    live: usize,
+    /// The slots still replaying, ascending. Stepping and
+    /// [`Self::next_event_time`] scan this list only, so a session costs its
+    /// concurrency per event however many queries it has completed.
+    live: Vec<usize>,
 }
 
 impl<'a> ReplaySession<'a> {
@@ -528,7 +559,7 @@ impl<'a> ReplaySession<'a> {
 
     /// Number of injected queries still replaying.
     pub fn live(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
     /// Total number of queries injected so far (completed ones included).
@@ -545,7 +576,7 @@ impl<'a> ReplaySession<'a> {
     /// when nothing is live. A serving loop admits an arrival at time `a`
     /// directly iff `a <= next_event_time()` (or nothing is live).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.states.iter().filter(|s| !s.done).map(|s| s.t).min()
+        self.live.iter().map(|&slot| self.states[slot].t).min()
     }
 
     /// Admit one query at absolute virtual time `arrival` (the `run.arrival`
@@ -559,36 +590,48 @@ impl<'a> ReplaySession<'a> {
         run: QueryRun<'a>,
         arrival: SimTime,
     ) -> (usize, Option<SessionCompletion>) {
-        let start = arrival + run.inference_latency;
-        let done = run.trace.events.is_empty();
+        self.admit(
+            rt,
+            run.trace,
+            run.prefetch.map(Cow::Owned),
+            run.span_name,
+            arrival,
+            run.inference_latency,
+        )
+    }
+
+    /// [`Self::inject`] by parts, so that [`Runtime::run`] can lend its
+    /// callers' prefetch lists instead of copying them.
+    fn admit(
+        &mut self,
+        rt: &mut Runtime,
+        trace: &'a Trace,
+        prefetch: Option<Cow<'a, [PageId]>>,
+        span_name: &'static str,
+        arrival: SimTime,
+        inference_latency: SimDuration,
+    ) -> (usize, Option<SessionCompletion>) {
+        let start = arrival + inference_latency;
         let state = QState {
-            run,
+            trace,
+            span_name,
+            prefetch,
             arrival,
             cursor: 0,
             t: start,
-            started_prefetch: false,
             aio: None,
-            done,
             start,
             stream: rt.alloc_stream(),
             track: rt.alloc_query_track(),
         };
         let slot = self.states.len();
+        let timing = state.timing();
         self.states.push(state);
-        if done {
-            (
-                slot,
-                Some(SessionCompletion {
-                    slot,
-                    timing: QueryTiming {
-                        arrival,
-                        start,
-                        end: start,
-                    },
-                }),
-            )
+        if trace.events.is_empty() {
+            (slot, Some(SessionCompletion { slot, timing }))
         } else {
-            self.live += 1;
+            // Slots only grow, so pushing keeps the list ascending.
+            self.live.push(slot);
             (slot, None)
         }
     }
@@ -598,35 +641,33 @@ impl<'a> ReplaySession<'a> {
     /// if that event finished the query. Must not be called with
     /// `live() == 0` (returns `None` without advancing anything).
     pub fn step(&mut self, rt: &mut Runtime) -> Option<SessionCompletion> {
-        let qi = self
-            .states
+        // `min_by_key` keeps the first of equal minima and the list is
+        // ascending: among queries at the same instant the lowest slot steps.
+        let (at, &slot) = self
+            .live
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.done)
-            .min_by_key(|(_, s)| s.t)
-            .map(|(i, _)| i)?;
-        rt.step(&mut self.states, qi);
-        let s = &self.states[qi];
-        if s.done {
-            self.live -= 1;
-            Some(SessionCompletion {
-                slot: qi,
-                timing: QueryTiming {
-                    arrival: s.arrival,
-                    start: s.start,
-                    end: s.t,
-                },
-            })
-        } else {
-            None
+            .min_by_key(|&(_, &slot)| self.states[slot].t)?;
+        let s = &mut self.states[slot];
+        if !rt.step(s) {
+            return None;
         }
+        self.live.remove(at);
+        Some(SessionCompletion {
+            slot,
+            timing: s.timing(),
+        })
     }
 
     /// Close the session: settle end-of-run prefetch-waste accounting,
     /// advance the stack clock to the last completion, emit per-query replay
     /// spans (injection order), and return all timings in slot order.
     pub fn finish(self, rt: &mut Runtime) -> Vec<QueryTiming> {
-        debug_assert!(self.live == 0, "finish() with {} queries live", self.live);
+        debug_assert!(
+            self.live.is_empty(),
+            "finish() with {} queries live",
+            self.live.len()
+        );
         rt.pool.finish_accounting();
         if let Some(end) = self.states.iter().map(|s| s.t).max() {
             rt.now = rt.now.max(end);
@@ -650,22 +691,15 @@ impl<'a> ReplaySession<'a> {
                 rec.span(
                     s.track,
                     "query",
-                    s.run.span_name,
+                    s.span_name,
                     s.start.as_micros(),
                     s.t.as_micros(),
-                    &[("reads", s.run.trace.read_count() as u64)],
+                    &[("reads", s.trace.read_count() as u64)],
                 );
                 rec.observe("query.latency_us", s.t.since(s.arrival).as_micros());
             }
         }
-        self.states
-            .iter()
-            .map(|s| QueryTiming {
-                arrival: s.arrival,
-                start: s.start,
-                end: s.t,
-            })
-            .collect()
+        self.states.iter().map(QState::timing).collect()
     }
 }
 
@@ -697,7 +731,7 @@ mod tests {
             events.push(read_ev((i * 37) % 10_000, AccessKind::HeapFetch));
             events.push(TraceEvent::Cpu { units: cpu_between });
         }
-        Trace { events }
+        events.into_iter().collect()
     }
 
     fn sequential_trace(n: u32) -> Trace {
@@ -706,7 +740,7 @@ mod tests {
             events.push(read_ev(i, AccessKind::SeqScan));
             events.push(TraceEvent::Cpu { units: 2 });
         }
-        Trace { events }
+        events.into_iter().collect()
     }
 
     fn config() -> RunConfig {
@@ -887,7 +921,7 @@ mod tests {
                 events.push(read_ev(start + i, AccessKind::SeqScan));
                 events.push(TraceEvent::Cpu { units: 2 });
             }
-            Trace { events }
+            events.into_iter().collect()
         }
         let cfg = config();
         let a = scan(0, 300);
@@ -955,9 +989,7 @@ mod tests {
             os_cache_pages: 256,
             ..Default::default()
         };
-        let t = Trace {
-            events: vec![read_ev(7, AccessKind::HeapFetch)],
-        };
+        let t = Trace::from_iter([read_ev(7, AccessKind::HeapFetch)]);
         let mut rt = Runtime::new(&cfg, vec![20_000]);
         let res = rt.run(&[QueryRun::with_prefetch(&t, vec![pid(7)], SimDuration::ZERO)]);
         assert_eq!(res.stats.prefetch_waits, 1);
@@ -965,6 +997,32 @@ mod tests {
         // Waiting for the async read costs about one disk read.
         let elapsed = res.timings[0].elapsed();
         assert!(elapsed.as_micros() >= cfg.cost.disk_read.as_micros());
+    }
+
+    #[test]
+    fn waits_on_another_querys_demand_read_are_not_prefetch_waits() {
+        // Two default runs over the same pages at once: the second finds
+        // every page resident but still in flight — loaded by the first
+        // query's demand read, not by a prefetcher. It waits (virtual time
+        // is what it always was) but nothing was prefetched, so nothing
+        // counts as a prefetch wait.
+        let cfg = config();
+        let t = random_trace(40, 2);
+        let (alone, _) = single(&cfg, QueryRun::default_run(&t));
+
+        let mut rt = Runtime::new(&cfg, vec![20_000]);
+        rt.set_recorder(Recorder::enabled());
+        let res = rt.run(&[QueryRun::default_run(&t), QueryRun::default_run(&t)]);
+        assert_eq!(res.stats.prefetch_issued, 0);
+        assert_eq!(res.stats.prefetch_waits, 0);
+        assert_eq!((res.stats.disk_reads, res.stats.hits), (40, 40));
+        // The leader runs as if alone; the follower ends one buffer hit
+        // after it, having waited out every one of the leader's reads.
+        assert_eq!(res.timings[0].elapsed(), alone);
+        assert_eq!(res.timings[1].end, res.timings[0].end + cfg.cost.buffer_hit);
+        let rec = rt.take_recorder();
+        assert_eq!(rec.counter("reads.prefetch_wait"), 0);
+        assert_eq!(rec.counter("reads.demand_wait"), 40);
     }
 
     #[test]
@@ -1074,6 +1132,110 @@ mod tests {
         assert_eq!(timings[1].end, second.timings[0].end);
         assert_eq!(rt2.stats(), rt1.stats());
         assert_eq!(rt2.now(), rt1.now());
+    }
+
+    #[test]
+    fn long_session_with_few_live_queries_is_bit_identical_to_run() {
+        // 300 staggered arrivals, admitted the way a serving loop does (when
+        // the arrival is no later than the next pending event): at most four
+        // queries are ever live while hundreds sit completed in the session.
+        // `run` — all 300 live from the first step — is the reference.
+        let cfg = config();
+        let traces: Vec<Trace> = (0..300u32)
+            .map(|q| {
+                (0..20u32)
+                    .flat_map(|i| {
+                        [
+                            read_ev((q * 101 + i * 37) % 10_000, AccessKind::HeapFetch),
+                            TraceEvent::Cpu { units: 2 },
+                        ]
+                    })
+                    .collect()
+            })
+            .collect();
+        let gap = SimDuration::from_micros(14_000);
+        let runs: Vec<QueryRun<'_>> = traces
+            .iter()
+            .enumerate()
+            .map(|(q, t)| QueryRun {
+                arrival: gap.saturating_mul(q as u64),
+                ..if q % 3 == 0 {
+                    let mut pages = t.page_sequence();
+                    pages.sort_unstable();
+                    QueryRun::with_prefetch(t, pages, SimDuration::from_micros(300))
+                } else {
+                    QueryRun::default_run(t)
+                }
+            })
+            .collect();
+
+        let mut rt1 = Runtime::new(&cfg, vec![20_000]);
+        let want = rt1.run(&runs);
+
+        let mut rt2 = Runtime::new(&cfg, vec![20_000]);
+        let mut sess = ReplaySession::new();
+        let mut pending = runs.iter();
+        let mut next = pending.next();
+        let (mut max_live, mut completed_at_max) = (0, 0);
+        while next.is_some() || sess.live() > 0 {
+            match next {
+                Some(run)
+                    if sess
+                        .next_event_time()
+                        .is_none_or(|t| SimTime::ZERO + run.arrival <= t) =>
+                {
+                    sess.inject(&mut rt2, run.clone(), SimTime::ZERO + run.arrival);
+                    next = pending.next();
+                }
+                _ => {
+                    sess.step(&mut rt2);
+                }
+            }
+            if sess.live() >= max_live {
+                max_live = sess.live();
+                completed_at_max = sess.len() - sess.live();
+            }
+        }
+        assert_eq!(sess.len(), 300);
+        assert!((2..=4).contains(&max_live), "max live {max_live}");
+        assert!(completed_at_max > 150, "completed {completed_at_max}");
+        let got = sess.finish(&mut rt2);
+
+        assert_eq!(got.len(), want.timings.len());
+        for (got, want) in got.iter().zip(&want.timings) {
+            assert_eq!(
+                (got.arrival, got.start, got.end),
+                (want.arrival, want.start, want.end)
+            );
+        }
+        assert_eq!(rt2.stats(), want.stats);
+        assert_eq!(rt2.now(), rt1.now());
+    }
+
+    #[test]
+    fn queries_at_one_instant_step_in_slot_order() {
+        // CPU-only traces keep the timelines in exact lockstep, so every
+        // round is a tie: the lowest live slot steps first, both while slot 0
+        // is live and once its removal has shifted the live list.
+        let cfg = config();
+        let cpu = |events: usize| -> Trace {
+            std::iter::repeat_n(TraceEvent::Cpu { units: 5 }, events).collect()
+        };
+        let (short, long) = (cpu(2), cpu(3));
+        let mut rt = Runtime::new(&cfg, vec![20_000]);
+        let mut sess = ReplaySession::new();
+        for t in [&short, &long, &long, &long] {
+            sess.inject(&mut rt, QueryRun::default_run(t), SimTime::ZERO);
+        }
+        let mut completed = Vec::new();
+        while sess.live() > 0 {
+            completed.push(sess.step(&mut rt).map(|c| c.slot));
+        }
+        let n = None;
+        assert_eq!(
+            completed,
+            [n, n, n, n, Some(0), n, n, n, Some(1), Some(2), Some(3)]
+        );
     }
 
     #[test]

@@ -20,10 +20,9 @@ use crate::output::{f2, f3, Table};
 /// vs the test query's true non-sequential accesses).
 fn pageid_set(trace: &Trace) -> BTreeSet<PageId> {
     trace
-        .events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(*page),
+            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(page),
             _ => None,
         })
         .collect()

@@ -21,10 +21,9 @@ use crate::output::{f2, f3, Table};
 fn pageid_truth(trace: &pythia_db::trace::Trace) -> BTreeSet<PageId> {
     use pythia_db::trace::TraceEvent;
     trace
-        .events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(*page),
+            TraceEvent::Read { page, kind, .. } if !kind.is_sequential() => Some(page),
             _ => None,
         })
         .collect()

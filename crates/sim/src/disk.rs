@@ -7,7 +7,9 @@
 //! manager combines disk contents with the [`crate::OsPageCache`] and
 //! [`crate::CostModel`] to decide what each access costs.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of a disk page in bytes.
 ///
@@ -49,6 +51,57 @@ impl PageId {
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.file, self.page_no)
+    }
+}
+
+/// The hasher of every page-keyed table on the replay path (the buffer
+/// pool's page table, the OS cache's LRU index and its readahead detector):
+/// one rotate-xor-multiply per key word, fixed for all processes.
+///
+/// Those keys are page, file and stream ids derived from the catalog; none
+/// arrives from the wire, so `std`'s keyed SipHash — there to resist crafted
+/// collisions — would buy nothing and cost most of every lookup. No result
+/// may depend on a table's iteration order: the tables are probed, `retain`ed
+/// (order-free) and listed for tests, nothing else.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PageHasher(u64);
+
+/// `HashMap` keyed by page, file or stream ids, hashed with [`PageHasher`].
+pub type PageMap<K, V> = HashMap<K, V, BuildHasherDefault<PageHasher>>;
+
+impl PageHasher {
+    /// 2^64 / φ, odd: the multiply carries every input bit into the top
+    /// bits, which is where the table takes its 7-bit tag from.
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MUL);
+    }
+}
+
+impl Hasher for PageHasher {
+    /// Any other key shape, a byte at a time (no derived `Hash` of the keys
+    /// above comes through here).
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -127,6 +180,7 @@ impl SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn create_and_allocate() {
@@ -180,6 +234,72 @@ mod tests {
     fn page_id_display() {
         let pid = PageId::new(FileId(3), 17);
         assert_eq!(pid.to_string(), "file#3:17");
+    }
+
+    #[test]
+    fn page_hasher_is_the_same_in_every_table() {
+        // No per-instance (or per-process) key: two builders agree, so a
+        // table's layout — and anything that leaked from it — repeats.
+        type Build = BuildHasherDefault<PageHasher>;
+        let (a, b) = (Build::default(), Build::default());
+        for key in [PageId::new(FileId(0), 0), PageId::new(FileId(24), 499)] {
+            assert_eq!(a.hash_one(key), b.hash_one(key));
+        }
+        assert_eq!(a.hash_one((7u64, FileId(3))), b.hash_one((7u64, FileId(3))));
+        assert_ne!(
+            a.hash_one(PageId::new(FileId(1), 2)),
+            a.hash_one(PageId::new(FileId(2), 1))
+        );
+    }
+
+    #[test]
+    fn page_hasher_bytes_hash_the_same_however_they_are_split() {
+        let bytes: Vec<u8> = (1..=41).collect();
+        let mut whole = PageHasher::default();
+        whole.write(&bytes);
+        for cut in [0, 1, 7, 8, 9, 40, 41] {
+            let mut split = PageHasher::default();
+            split.write(&bytes[..cut]);
+            split.write(&bytes[cut..]);
+            assert_eq!(split.finish(), whole.finish(), "cut at {cut}");
+        }
+        let mut other = PageHasher::default();
+        other.write(&bytes[1..]);
+        assert_ne!(other.finish(), whole.finish());
+    }
+
+    #[test]
+    fn page_hasher_spreads_the_benchmark_catalog() {
+        // `Database::file_lengths()` of the benchmark's fixture (scale 0.1,
+        // 25 files, 1768 pages). The table picks a bucket from the hash's low
+        // bits (8 for a pool of 12 % of these pages, 10 for an OS cache of
+        // 35 %) and tags the entry with its top 7 bits: neither may pile up.
+        const LENS: [u32; 25] = [
+            46, 142, 96, 30, 40, 50, 1, 1, 261, 30, 66, 500, 125, 1, 38, 31, 13, 20, 20, 1, 1, 18,
+            188, 48, 1,
+        ];
+        let build = BuildHasherDefault::<PageHasher>::default();
+        let hashes: Vec<u64> = (0u32..)
+            .zip(LENS)
+            .flat_map(|(f, len)| (0..len).map(move |p| PageId::new(FileId(f), p)))
+            .map(|pid| build.hash_one(pid))
+            .collect();
+        let fullest = |slot: &dyn Fn(u64) -> usize, slots: usize| {
+            let mut load = vec![0usize; slots];
+            for &h in &hashes {
+                load[slot(h)] += 1;
+            }
+            let fair = (4.0 * hashes.len() as f64 / slots as f64).ceil() as usize;
+            let max = load.into_iter().max().unwrap_or(0);
+            assert!(
+                max <= fair,
+                "{max} keys in one of {slots} slots (4x mean: {fair})"
+            );
+        };
+        for bits in [8, 10, 12] {
+            fullest(&|h| (h & ((1 << bits) - 1)) as usize, 1 << bits);
+        }
+        fullest(&|h| (h >> 57) as usize, 128);
     }
 
     #[test]

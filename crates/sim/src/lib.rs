@@ -28,7 +28,7 @@ pub mod oscache;
 pub mod time;
 
 pub use cost::CostModel;
-pub use disk::{FileId, PageId, SimDisk, PAGE_SIZE};
+pub use disk::{FileId, PageHasher, PageId, PageMap, SimDisk, PAGE_SIZE};
 pub use iopool::{IoSchedule, IoWorkerPool};
 pub use oscache::{OsPageCache, StreamId};
 pub use time::{SimDuration, SimTime};

@@ -18,9 +18,7 @@
 //! keep their run alive; keying by file alone would let the interleaved
 //! accesses destroy both runs.
 
-use std::collections::HashMap;
-
-use crate::disk::{FileId, PageId};
+use crate::disk::{FileId, PageId, PageMap};
 
 /// Identifies one reader of the OS cache — the analogue of an open file
 /// descriptor, whose `struct file` owns the kernel's readahead state.
@@ -42,7 +40,7 @@ struct Node {
 #[derive(Debug)]
 struct LruSet {
     capacity: usize,
-    map: HashMap<PageId, usize>,
+    map: PageMap<PageId, usize>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -54,7 +52,7 @@ impl LruSet {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruSet {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: PageMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -164,7 +162,7 @@ pub struct OsPageCache {
     lru: LruSet,
     /// Per-(stream, file) sequential-pattern detector:
     /// (last page read, run length).
-    seq_state: HashMap<(StreamId, FileId), (u32, u32)>,
+    seq_state: PageMap<(StreamId, FileId), (u32, u32)>,
     readahead_window: u32,
     stats: OsCacheStats,
 }
@@ -184,7 +182,7 @@ impl OsPageCache {
     pub fn new(capacity_pages: usize, readahead_window: u32) -> Self {
         OsPageCache {
             lru: LruSet::new(capacity_pages),
-            seq_state: HashMap::new(),
+            seq_state: PageMap::default(),
             readahead_window,
             stats: OsCacheStats::default(),
         }

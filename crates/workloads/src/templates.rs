@@ -702,12 +702,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let q = sample_query(&b, Template::T18, &mut rng);
         let (_, trace) = execute(&q.plan, &b.db);
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Cpu { .. })));
-        assert!(trace.events.iter().any(
-            |e| matches!(e, TraceEvent::Read { kind, .. } if *kind == AccessKind::IndexInternal)
+        assert!(trace.iter().any(|e| matches!(e, TraceEvent::Cpu { .. })));
+        assert!(trace.iter().any(
+            |e| matches!(e, TraceEvent::Read { kind, .. } if kind == AccessKind::IndexInternal)
         ));
     }
 }

@@ -67,7 +67,7 @@ fn build_trace(spec: &[(u8, u16, u8)]) -> Trace {
             events.push(TraceEvent::Cpu { units: cpu as u32 });
         }
     }
-    Trace { events }
+    events.into_iter().collect()
 }
 
 fn trace_strategy() -> impl Strategy<Value = Vec<(u8, u16, u8)>> {

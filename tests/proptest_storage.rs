@@ -147,16 +147,14 @@ proptest! {
     ) {
         use pythia::db::catalog::ObjectId;
         use pythia::db::trace::{AccessKind, Trace, TraceEvent};
-        let trace = Trace {
-            events: reads
-                .iter()
-                .map(|&(obj, page, seq)| TraceEvent::Read {
-                    obj: ObjectId(obj),
-                    page: PageId::new(FileId(obj), page),
-                    kind: if seq { AccessKind::SeqScan } else { AccessKind::HeapFetch },
-                })
-                .collect(),
-        };
+        let trace: Trace = reads
+            .iter()
+            .map(|&(obj, page, seq)| TraceEvent::Read {
+                obj: ObjectId(obj),
+                page: PageId::new(FileId(obj), page),
+                kind: if seq { AccessKind::SeqScan } else { AccessKind::HeapFetch },
+            })
+            .collect();
         let sets = trace.non_sequential_sets();
         for (obj, pages) in &sets {
             // Sorted, deduplicated.

@@ -34,14 +34,13 @@ fn fixture_db() -> Database {
 }
 
 fn seq_trace(start: u32, n: u32) -> Trace {
-    let events = (start..start + n)
+    (start..start + n)
         .map(|p| TraceEvent::Read {
             obj: ObjectId(0),
             page: PageId::new(FileId(0), p),
             kind: AccessKind::SeqScan,
         })
-        .collect();
-    Trace { events }
+        .collect()
 }
 
 /// Replay a small batch — one query with an explicit prefetch plan, one
