@@ -20,11 +20,11 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 # Offline subset: formatting, the unit tests of the three dependency-free
-# crates built with bare rustc (outside the repo), and the benchmark's smoke
-# runs (its own workspace over std-only shims), whose output also gates what
-# no test here can: scalar == SIMD virtual time, and a replay session whose
-# step cost does not grow with the queries it has completed. Every step runs;
-# any failure makes the exit status non-zero.
+# crates and of pythia-db built with bare rustc (outside the repo), and the
+# benchmark's smoke runs (its own workspace over std-only shims), whose output
+# also gates what no test here can: scalar == SIMD virtual time, and a replay
+# session whose step cost does not grow with the queries it has completed.
+# Every step runs; any failure makes the exit status non-zero.
 offline_subset() {
   local failed=0 tmp
   tmp=$(mktemp -d)
@@ -32,14 +32,23 @@ offline_subset() {
     echo "==> [offline] $*" >&2
     "$@" || { echo "!!> FAILED: $*" >&2; failed=1; }
   }
-  unit_tests() { # crate, then --extern flags for the rlibs it links
-    local crate=$1
-    shift
+  unit_tests() { # crate, its source directory, then --extern flags for the rlibs it links
+    local crate=$1 src=$2
+    shift 2
     rustc --edition 2021 --crate-type lib --crate-name "pythia_$crate" -O \
-      -L "$tmp" "$@" -o "$tmp/libpythia_$crate.rlib" "crates/$crate/src/lib.rs" \
+      -L "$tmp" "$@" -o "$tmp/libpythia_$crate.rlib" "$src/lib.rs" \
       && rustc --edition 2021 --test -O -L "$tmp" "$@" \
-        -o "$tmp/${crate}_tests" "crates/$crate/src/lib.rs" \
+        -o "$tmp/${crate}_tests" "$src/lib.rs" \
       && "$tmp/${crate}_tests" -q
+  }
+  db_unit_tests() {
+    # pythia-db meets its external dependencies in one place, the serde
+    # derive on `ObjectId`: a copy without it builds on the three rlibs above.
+    cp -r crates/db/src "$tmp/db_src" \
+      && sed -i 's/, serde::Serialize, serde::Deserialize//' "$tmp/db_src/catalog.rs" \
+      && unit_tests db "$tmp/db_src" --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
+        --extern "pythia_obs=$tmp/libpythia_obs.rlib" \
+        --extern "pythia_buffer=$tmp/libpythia_buffer.rlib"
   }
   # `attempted virt_mean_ms virt_latency_speedup` of each result line.
   virt_metrics() {
@@ -73,10 +82,11 @@ offline_subset() {
         }' >&2
   }
   step cargo fmt --all -- --check
-  step unit_tests sim
-  step unit_tests obs
-  step unit_tests buffer --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
+  step unit_tests sim crates/sim/src
+  step unit_tests obs crates/obs/src
+  step unit_tests buffer crates/buffer/src --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
     --extern "pythia_obs=$tmp/libpythia_obs.rlib"
+  step db_unit_tests
   step bash benchmark/run.sh --quick > "$tmp/quick.out"
   step bash benchmark/run.sh --quick --trace > "$tmp/quick_trace.out"
   step session_flat "$tmp/quick_trace.out"

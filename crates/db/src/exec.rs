@@ -5,6 +5,11 @@
 //! (index paths, hot heap pages) — deduplication happens later in Pythia's
 //! training pipeline, exactly as in the paper (Algorithm 1).
 //!
+//! A scan pays for the rows it keeps: it tests its predicate on the record's
+//! bytes where they lie on the page and decodes only a survivor (`examine`).
+//! The trace cannot tell — a page is requested when the scan first needs it
+//! and every tuple examined is one CPU unit, kept or not.
+//!
 //! Execution here is *untimed*: it computes results and the trace. Timing is
 //! done by replaying the trace through the buffer manager in [`crate::runtime`].
 
@@ -16,9 +21,10 @@ use pythia_sim::PageId;
 use crate::btree::NodeKind;
 use crate::catalog::{Database, ObjectId, TableId};
 use crate::expr::Pred;
+use crate::heap::RecordId;
 use crate::plan::{AggFunc, PlanNode};
 use crate::trace::{AccessKind, Trace, TraceEvent};
-use crate::tuple::Tuple;
+use crate::tuple::{self, Tuple};
 use crate::types::Datum;
 
 /// Execution context: the database plus the trace being recorded.
@@ -73,36 +79,64 @@ trait Op {
     fn next(&mut self, ctx: &mut ExecContext<'_>) -> Option<Tuple>;
 }
 
+/// One tuple examined where it lies on its page: a CPU unit whether or not
+/// `pred` keeps it, and only a kept row is decoded.
+fn examine(ctx: &mut ExecContext<'_>, record: &[u8], pred: Option<&Pred>) -> Option<Tuple> {
+    ctx.charge_cpu(1);
+    match pred {
+        Some(p) if !p.eval_encoded(record) => None,
+        _ => Some(tuple::decode(record)),
+    }
+}
+
+/// Request the heap page of `rid` and [`examine`] the tuple there.
+fn heap_fetch(
+    ctx: &mut ExecContext<'_>,
+    table: TableId,
+    rid: RecordId,
+    pred: Option<&Pred>,
+) -> Option<Tuple> {
+    let db = ctx.db;
+    let info = db.table_info(table);
+    let pid = PageId::new(info.heap.file, rid.page_no);
+    ctx.record_read(info.object, pid, AccessKind::HeapFetch);
+    examine(ctx, info.heap.record(&db.disk, rid), pred)
+}
+
 struct SeqScanOp {
     table: TableId,
     pred: Option<Pred>,
+    /// Pages requested so far: the cursor is on page `page - 1`.
     page: u32,
     total_pages: u32,
-    buffer: VecDeque<Tuple>,
+    /// Next record of the cursor's page, and how many the page holds.
+    slot: u16,
+    slots: u16,
 }
 
 impl Op for SeqScanOp {
     fn next(&mut self, ctx: &mut ExecContext<'_>) -> Option<Tuple> {
+        let db = ctx.db;
+        let info = db.table_info(self.table);
         loop {
-            if let Some(row) = self.buffer.pop_front() {
-                ctx.charge_cpu(1);
-                match &self.pred {
-                    Some(p) if !p.eval(&row) => continue,
-                    _ => return Some(row),
+            while self.slot < self.slots {
+                let rid = RecordId {
+                    page_no: self.page - 1,
+                    slot: self.slot,
+                };
+                self.slot += 1;
+                let record = info.heap.record(&db.disk, rid);
+                if let Some(row) = examine(ctx, record, self.pred.as_ref()) {
+                    return Some(row);
                 }
             }
             if self.page >= self.total_pages {
                 return None;
             }
-            let info = ctx.db.table_info(self.table);
             let pid = PageId::new(info.heap.file, self.page);
             ctx.record_read(info.object, pid, AccessKind::SeqScan);
-            self.buffer.extend(
-                info.heap
-                    .read_page(&ctx.db.disk, self.page)
-                    .into_iter()
-                    .map(|(_, t)| t),
-            );
+            self.slots = info.heap.tuples_on_page(&db.disk, self.page);
+            self.slot = 0;
             self.page += 1;
         }
     }
@@ -115,7 +149,7 @@ struct IndexScanOp {
     hi: i64,
     residual: Option<Pred>,
     started: bool,
-    rids: VecDeque<crate::heap::RecordId>,
+    rids: VecDeque<RecordId>,
 }
 
 impl Op for IndexScanOp {
@@ -141,14 +175,8 @@ impl Op for IndexScanOp {
         }
         loop {
             let rid = self.rids.pop_front()?;
-            let info = ctx.db.table_info(self.table);
-            let pid = PageId::new(info.heap.file, rid.page_no);
-            ctx.record_read(info.object, pid, AccessKind::HeapFetch);
-            let row = info.heap.read_tuple(&ctx.db.disk, rid);
-            ctx.charge_cpu(1);
-            match &self.residual {
-                Some(p) if !p.eval(&row) => continue,
-                _ => return Some(row),
+            if let Some(row) = heap_fetch(ctx, self.table, rid, self.residual.as_ref()) {
+                return Some(row);
             }
         }
     }
@@ -161,23 +189,17 @@ struct IndexNLJoinOp {
     inner_index: ObjectId,
     inner_pred: Option<Pred>,
     current_outer: Option<Tuple>,
-    pending: VecDeque<crate::heap::RecordId>,
+    pending: VecDeque<RecordId>,
 }
 
 impl Op for IndexNLJoinOp {
     fn next(&mut self, ctx: &mut ExecContext<'_>) -> Option<Tuple> {
         loop {
             if let Some(rid) = self.pending.pop_front() {
-                let info = ctx.db.table_info(self.inner);
-                let pid = PageId::new(info.heap.file, rid.page_no);
-                ctx.record_read(info.object, pid, AccessKind::HeapFetch);
-                let inner_row = info.heap.read_tuple(&ctx.db.disk, rid);
-                ctx.charge_cpu(1);
-                if let Some(p) = &self.inner_pred {
-                    if !p.eval(&inner_row) {
-                        continue;
-                    }
-                }
+                let Some(inner_row) = heap_fetch(ctx, self.inner, rid, self.inner_pred.as_ref())
+                else {
+                    continue;
+                };
                 let mut out = self.current_outer.clone().expect("outer row present");
                 out.extend(inner_row);
                 return Some(out);
@@ -388,7 +410,8 @@ fn build_op(plan: &PlanNode, db: &Database) -> Box<dyn Op> {
             pred: pred.clone(),
             page: 0,
             total_pages: db.table_info(*table).heap.page_count(&db.disk),
-            buffer: VecDeque::new(),
+            slot: 0,
+            slots: 0,
         }),
         PlanNode::IndexScan {
             table,
@@ -525,6 +548,81 @@ mod tests {
         let (rows, _) = execute(&plan, &db);
         assert_eq!(rows.len(), 20); // 2000/100
         assert!(rows.iter().all(|r| r[1] == Datum::Int(7)));
+    }
+
+    #[test]
+    fn filtered_seq_scan_charges_every_tuple_and_decodes_the_survivors() {
+        let (db, fact, _, _) = star_db();
+        let pred = Pred::And(vec![
+            Pred::Between {
+                col: 0,
+                lo: 40,
+                hi: 1700,
+            },
+            Pred::In {
+                col: 1,
+                set: vec![7, 41, 99],
+            },
+        ]);
+        let (rows, trace) = execute(
+            &PlanNode::SeqScan {
+                table: fact,
+                pred: Some(pred.clone()),
+            },
+            &db,
+        );
+        // The reference decodes the whole page, then looks at the predicate.
+        let info = db.table_info(fact);
+        let mut expect_rows = Vec::new();
+        let mut expect_trace = Vec::new();
+        for p in 0..info.heap.page_count(&db.disk) {
+            let page = info.heap.read_page(&db.disk, p);
+            expect_trace.push(TraceEvent::Read {
+                obj: info.object,
+                page: PageId::new(info.heap.file, p),
+                kind: AccessKind::SeqScan,
+            });
+            // One unit per tuple examined, survivor or not.
+            expect_trace.push(TraceEvent::Cpu {
+                units: page.len() as u32,
+            });
+            expect_rows.extend(page.into_iter().map(|(_, t)| t).filter(|t| pred.eval(t)));
+        }
+        assert_eq!(expect_rows.len(), 50);
+        assert_eq!(rows, expect_rows);
+        assert_eq!(trace.iter().collect::<Vec<_>>(), expect_trace);
+    }
+
+    #[test]
+    fn limit_mid_page_charges_only_the_tuples_pulled() {
+        let (db, fact, _, _) = star_db();
+        let per_page = db.table_info(fact).heap.tuples_on_page(&db.disk, 0) as i64;
+        // The third survivor is row 12 of the second page.
+        let third = per_page + 12;
+        let plan = PlanNode::Limit {
+            input: Box::new(PlanNode::SeqScan {
+                table: fact,
+                pred: Some(Pred::In {
+                    col: 0,
+                    set: vec![3, per_page - 1, third, third + 1],
+                }),
+            }),
+            n: 3,
+        };
+        let (rows, trace) = execute(&plan, &db);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[2][0], Datum::Int(third));
+        let events: Vec<_> = trace.iter().collect();
+        assert_eq!(events.len(), 4, "{events:?}");
+        assert_eq!(
+            (events[1], events[3]),
+            (
+                TraceEvent::Cpu {
+                    units: per_page as u32
+                },
+                TraceEvent::Cpu { units: 13 }
+            )
+        );
     }
 
     #[test]

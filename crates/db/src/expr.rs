@@ -4,8 +4,7 @@
 //! lists over integer columns — that is exactly the predicate language here.
 //! Predicates reference columns by position in the operator's input tuple.
 
-use crate::tuple::Tuple;
-use crate::types::Datum;
+use crate::tuple::{self, Tuple};
 
 /// Comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,20 +59,23 @@ pub enum Pred {
 impl Pred {
     /// Evaluate against `row`.
     pub fn eval(&self, row: &Tuple) -> bool {
+        self.eval_with(&|col| row[col].as_int())
+    }
+
+    /// [`Pred::eval`] on the tuple's encoding ([`crate::tuple::encode`]),
+    /// without decoding it.
+    pub fn eval_encoded(&self, bytes: &[u8]) -> bool {
+        self.eval_with(&|col| tuple::int_at(bytes, col))
+    }
+
+    /// The evaluator, over a column reader: the integer in a column, `None`
+    /// (which compares false) for a string or NULL.
+    fn eval_with(&self, int_at: &impl Fn(usize) -> Option<i64>) -> bool {
         match self {
-            Pred::Cmp { col, op, lit } => match &row[*col] {
-                Datum::Int(v) => op.eval(*v, *lit),
-                _ => false,
-            },
-            Pred::In { col, set } => match &row[*col] {
-                Datum::Int(v) => set.contains(v),
-                _ => false,
-            },
-            Pred::Between { col, lo, hi } => match &row[*col] {
-                Datum::Int(v) => *v >= *lo && *v <= *hi,
-                _ => false,
-            },
-            Pred::And(ps) => ps.iter().all(|p| p.eval(row)),
+            Pred::Cmp { col, op, lit } => int_at(*col).is_some_and(|v| op.eval(v, *lit)),
+            Pred::In { col, set } => int_at(*col).is_some_and(|v| set.contains(&v)),
+            Pred::Between { col, lo, hi } => int_at(*col).is_some_and(|v| v >= *lo && v <= *hi),
+            Pred::And(ps) => ps.iter().all(|p| p.eval_with(int_at)),
         }
     }
 
@@ -136,6 +138,7 @@ impl Pred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Datum;
 
     fn row(vals: &[i64]) -> Tuple {
         vals.iter().map(|&v| Datum::Int(v)).collect()
@@ -272,5 +275,95 @@ mod tests {
         assert_eq!(atoms[1], (0, "IN".into(), "1,2".into()));
         assert_eq!(atoms[2].1, ">=");
         assert_eq!(atoms[3].1, "<=");
+    }
+
+    /// Every `Pred` variant over columns 0..4, nested conjunctions included.
+    fn preds_over_four_columns() -> Vec<Pred> {
+        let mut out = Vec::new();
+        for col in 0..4 {
+            for op in [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ] {
+                out.push(Pred::Cmp { col, op, lit: 7 });
+            }
+            out.push(Pred::In {
+                col,
+                set: vec![-3, 7, i64::MAX],
+            });
+            out.push(Pred::In { col, set: vec![] });
+            out.push(Pred::Between { col, lo: -3, hi: 7 });
+        }
+        let pairs: Vec<Pred> = out.chunks(2).map(|pair| Pred::And(pair.to_vec())).collect();
+        out.push(Pred::And(vec![]));
+        out.push(Pred::And(vec![
+            Pred::And(vec![pairs[0].clone(), pairs[5].clone()]),
+            Pred::Between {
+                col: 3,
+                lo: i64::MIN,
+                hi: i64::MAX,
+            },
+        ]));
+        out.extend(pairs);
+        out
+    }
+
+    #[test]
+    fn encoded_reader_agrees_with_tuple_reader() {
+        let values = [
+            Datum::Int(7),
+            Datum::Int(-3),
+            Datum::Int(i64::MAX),
+            Datum::Int(i64::MIN),
+            Datum::Str(String::new()),
+            Datum::Str("x".repeat(300)),
+            Datum::Null,
+        ];
+        let preds = preds_over_four_columns();
+        // Every value in every column, the other columns cycling behind it.
+        for col in 0..4 {
+            for (i, v) in values.iter().enumerate() {
+                let mut t: Tuple = (0..4)
+                    .map(|c| values[(i + c * 3 + 1) % values.len()].clone())
+                    .collect();
+                t[col] = v.clone();
+                let mut bytes = Vec::new();
+                tuple::encode(&t, &mut bytes);
+                for (c, d) in t.iter().enumerate() {
+                    assert_eq!(tuple::int_at(&bytes, c), d.as_int(), "column {c} of {t:?}");
+                }
+                for p in &preds {
+                    assert_eq!(p.eval_encoded(&bytes), p.eval(&t), "{p:?} on {t:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn column_past_the_arity_panics_on_a_tuple() {
+        Pred::Between {
+            col: 2,
+            lo: 0,
+            hi: 9,
+        }
+        .eval(&row(&[5, 10]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn column_past_the_arity_panics_on_an_encoding() {
+        let mut bytes = Vec::new();
+        tuple::encode(&row(&[5, 10]), &mut bytes);
+        Pred::Between {
+            col: 2,
+            lo: 0,
+            hi: 9,
+        }
+        .eval_encoded(&bytes);
     }
 }

@@ -70,10 +70,15 @@ impl HeapFile {
         }
     }
 
+    /// The encoded bytes of the tuple at `rid`, borrowed from the disk.
+    pub fn record<'d>(&self, disk: &'d SimDisk, rid: RecordId) -> &'d [u8] {
+        let page = disk.read(PageId::new(self.file, rid.page_no));
+        SlottedPage::record(page, rid.slot)
+    }
+
     /// Fetch the tuple at `rid`.
     pub fn read_tuple(&self, disk: &SimDisk, rid: RecordId) -> Tuple {
-        let page = disk.read(PageId::new(self.file, rid.page_no));
-        tuple::decode(SlottedPage::record(page, rid.slot))
+        tuple::decode(self.record(disk, rid))
     }
 
     /// Number of tuples on page `page_no`.
@@ -96,7 +101,8 @@ impl HeapFile {
     }
 
     /// Full scan in storage order (used for index builds and tests; the
-    /// executor's SeqScan does its own paging so it can record the trace).
+    /// executor's SeqScan walks the records itself, so it can record the
+    /// trace and decode only the rows its predicate keeps).
     pub fn scan<'a>(&'a self, disk: &'a SimDisk) -> impl Iterator<Item = (RecordId, Tuple)> + 'a {
         let pages = self.page_count(disk);
         (0..pages).flat_map(move |p| self.read_page(disk, p))
@@ -130,7 +136,7 @@ mod tests {
         assert!(h.page_count(&disk) > 1, "1000 rows cannot fit one 2KB page");
         // Rows per page: 2 ints = 2+9+9=20 bytes + 4 slot = 24 -> ~85/page.
         let per_page = h.tuples_on_page(&disk, 0);
-        assert!(per_page >= 80 && per_page <= 90, "got {per_page}");
+        assert!((80..=90).contains(&per_page), "got {per_page}");
     }
 
     #[test]

@@ -78,6 +78,34 @@ pub fn decode(bytes: &[u8]) -> Tuple {
     out
 }
 
+/// `decode(bytes)[col].as_int()` without decoding: walks the tags up to
+/// `col` and allocates nothing, so a scan can test its predicate on the
+/// record where it lies. `None` for a `Str` or `Null` column.
+///
+/// # Panics
+/// Panics if `col` is past the tuple's arity, as indexing the decoded tuple
+/// does, and on malformed input, as [`decode`] does.
+pub fn int_at(bytes: &[u8], col: usize) -> Option<i64> {
+    let arity = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+    assert!(col < arity, "column {col} out of range ({arity} columns)");
+    let mut off = 2;
+    for _ in 0..col {
+        off += match bytes[off] {
+            TAG_INT => 1 + 8,
+            TAG_STR => 1 + 2 + u16::from_le_bytes([bytes[off + 1], bytes[off + 2]]) as usize,
+            TAG_NULL => 1,
+            other => panic!("corrupt tuple encoding: tag {other}"),
+        };
+    }
+    match bytes[off] {
+        TAG_INT => Some(i64::from_le_bytes(
+            bytes[off + 1..off + 9].try_into().expect("8 bytes"),
+        )),
+        TAG_STR | TAG_NULL => None,
+        other => panic!("corrupt tuple encoding: tag {other}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,12 @@
 //!
 //! # Accumulation-order contract
 //!
-//! Every kernel produces **bit-identical** output to the canonical scalar
-//! loops, across ISA, thread count, and band split. This holds because:
+//! Every kernel produces output **bit-identical** to the canonical scalar
+//! loops on every non-NaN value, signed zeros included, across ISA, thread
+//! count, and band split; and NaN where and only where the scalar reference
+//! yields NaN, payload and sign unspecified. Rust specifies neither through
+//! arithmetic (LLVM may commute `acc + prod`, and x86 returns its first
+//! operand's NaN), so no kernel can promise them. This holds because:
 //!
 //! * each output element is accumulated by exactly one thread, one product
 //!   at a time, in ascending reduction-index order — blocking over the
@@ -41,7 +45,8 @@
 //!   multiply-accumulate sequence, starting from the same `0.0`.
 //!
 //! `tests/proptest_kernels.rs` pins dispatched == forced-scalar on the full
-//! bit pattern (NaN payloads included) across shapes and thread counts.
+//! bit pattern, every NaN read as one pattern, across shapes and thread
+//! counts.
 //!
 //! # Blocking scheme
 //!

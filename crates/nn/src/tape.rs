@@ -792,25 +792,37 @@ impl<'p> Tape<'p> {
                     let [mut xhat_buf, mut dxhat_buf] = [(); 2].map(|_| arena.zeros(1, n));
                     let (xhat, dxhat) = (xhat_buf.as_mut_slice(), dxhat_buf.as_mut_slice());
                     for r in 0..m {
-                        let row = xv.row(r);
+                        let (row, grow) = (xv.row(r), g.row(r));
                         let mean = row.iter().sum::<f32>() / nf;
                         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / nf;
                         let inv = 1.0 / (var + LN_EPS).sqrt();
                         // xhat and dxhat for this row.
                         let mut sum_dxhat = 0.0;
                         let mut sum_dxhat_xhat = 0.0;
-                        for c in 0..n {
-                            xhat[c] = (row[c] - mean) * inv;
-                            dxhat[c] = g.get(r, c) * gv.get(0, c);
-                            sum_dxhat += dxhat[c];
-                            sum_dxhat_xhat += dxhat[c] * xhat[c];
-                            ggain.set(0, c, ggain.get(0, c) + g.get(r, c) * xhat[c]);
-                            gbias.set(0, c, gbias.get(0, c) + g.get(r, c));
+                        for (((xh, dxh), &x), (&gy, &gn)) in xhat
+                            .iter_mut()
+                            .zip(dxhat.iter_mut())
+                            .zip(row)
+                            .zip(grow.iter().zip(gv.row(0)))
+                        {
+                            *xh = (x - mean) * inv;
+                            *dxh = gy * gn;
+                            sum_dxhat += *dxh;
+                            sum_dxhat_xhat += *dxh * *xh;
                         }
-                        for c in 0..n {
-                            let v =
-                                inv * (dxhat[c] - sum_dxhat / nf - xhat[c] * sum_dxhat_xhat / nf);
-                            gx.set(r, c, v);
+                        for ((gg, gb), (&gy, &xh)) in ggain
+                            .as_mut_slice()
+                            .iter_mut()
+                            .zip(gbias.as_mut_slice())
+                            .zip(grow.iter().zip(xhat.iter()))
+                        {
+                            *gg += gy * xh;
+                            *gb += gy;
+                        }
+                        for ((o, &dxh), &xh) in
+                            gx.row_mut(r).iter_mut().zip(dxhat.iter()).zip(xhat.iter())
+                        {
+                            *o = inv * (dxh - sum_dxhat / nf - xh * sum_dxhat_xhat / nf);
                         }
                     }
                     arena.recycle(xhat_buf);
@@ -987,15 +999,87 @@ fn blit_t(
     }
 }
 
-/// Softmax of one row, in place (max-subtracted, summed left to right).
-fn softmax_in_place(row: &mut [f32]) {
-    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - mx).exp();
-        sum += *x;
+/// Lanes of [`fold_lanes`].
+const SOFTMAX_LANES: usize = 8;
+
+/// `f` folded over `row` in [`SOFTMAX_LANES`] independent lanes — element `i`
+/// into lane `i % SOFTMAX_LANES`, however long the row is — and the lanes
+/// then combined, always in this one tree.
+fn fold_lanes(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut lanes = [init; SOFTMAX_LANES];
+    let mut chunks = row.chunks_exact(SOFTMAX_LANES);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = f(*lane, x);
+        }
     }
-    let inv = 1.0 / sum;
+    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = f(*lane, x);
+    }
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    f(f(f(l0, l1), f(l2, l3)), f(f(l4, l5), f(l6, l7)))
+}
+
+/// `exp(x)` for `x <= 0`, within 8.1e-8 relative of the exact value down to
+/// −87 (libm's `expf`: 6.0e-8) and exactly `0.0` below, `exp(0) == 1.0`
+/// exactly, NaN for NaN. The Cephes `expf` — `x = n·ln 2 + r`, a degree-5
+/// polynomial in `r`, `2ⁿ` through the exponent bits — written as f32
+/// multiplies and adds and one select (no fused multiply-add, no call, no
+/// data-dependent jump), each a correctly rounded IEEE operation: the result
+/// is a function of `x` alone, whatever instructions the loop around it
+/// compiles to.
+#[inline]
+#[allow(clippy::excessive_precision)] // Cephes' constants, digit for digit
+fn exp_nonpositive(x: f32) -> f32 {
+    // Adding 1.5·2²³ leaves no fraction bits, so `t` holds `x·log₂e` rounded
+    // to an integer `n` in its low mantissa bits; a `round()` or a cast here
+    // would keep the loop from vectorising on baseline SSE2 / NEON.
+    const ROUND: f32 = 12_582_912.0;
+    const LN2_HI: f32 = 0.693359375;
+    const LN2_LO: f32 = -2.12194440e-4;
+    let t = x * std::f32::consts::LOG2_E + ROUND;
+    let n = t - ROUND;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut p = 1.9875691500e-4;
+    for c in [
+        1.3981999507e-3,
+        8.3334519073e-3,
+        4.1665795894e-2,
+        1.6666665459e-1,
+        5.0000001201e-1,
+    ] {
+        p = p * r + c;
+    }
+    let exp_r = p * (r * r) + r + 1.0;
+    // ROUND's own bits shift out: what is left is `n + 127`, the exponent
+    // field of 2ⁿ. Below −87 (2ⁿ leaves the normal range near −87.3) `n` is
+    // out of that field's range and the product is discarded unread.
+    let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
+    if x < -87.0 {
+        0.0
+    } else {
+        exp_r * two_n
+    }
+}
+
+/// Softmax of one row, in place: the one row function, behind the fused
+/// attention node and the composed [`Tape::softmax_rows`] alike.
+///
+/// The maximum is subtracted, [`exp_nonpositive`] applied, and the sum kept
+/// in lanes by position ([`fold_lanes`]). Contract: the bits of an
+/// output depend on the row's values only — not on the instruction set the
+/// loops compile to, and not on how many masked columns (−1e9 after scaling:
+/// exactly `0.0` out, exactly `+0.0` into its lane) follow the real ones,
+/// which is what lets a batch pad its rows. The largest element maps through
+/// `exp(0) == 1`. A NaN anywhere makes the whole row NaN, payload and sign
+/// unspecified.
+fn softmax_in_place(row: &mut [f32]) {
+    // `>` passes over a NaN as `f32::max` does, and is one instruction.
+    let mx = fold_lanes(row, f32::NEG_INFINITY, |m, x| if x > m { x } else { m });
+    for x in row.iter_mut() {
+        *x = exp_nonpositive(*x - mx);
+    }
+    let inv = 1.0 / fold_lanes(row, 0.0, |sum, x| sum + x);
     for x in row.iter_mut() {
         *x *= inv;
     }
@@ -1440,6 +1524,93 @@ mod tests {
             let y = tape.softmax_rows(x);
             to_scalar(tape, y)
         });
+    }
+
+    /// A deterministic row of attention-sized scores, in [−6, 6].
+    fn scores(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|c| ((c * 37 + salt * 101) % 97) as f32 * 0.125 - 6.0)
+            .collect()
+    }
+
+    #[test]
+    fn exp_nonpositive_tracks_f64_exp_down_to_minus_87_and_is_zero_below() {
+        assert_eq!(exp_nonpositive(0.0), 1.0);
+        assert_eq!(exp_nonpositive(-0.0), 1.0);
+        let steps = 400_000;
+        for i in 0..=steps {
+            let x = -87.0 * (i as f32 / steps as f32);
+            let (got, want) = (exp_nonpositive(x) as f64, (x as f64).exp());
+            assert!(
+                ((got - want) / want).abs() <= 1e-7,
+                "exp({x}) = {got:e}, exactly {want:e}"
+            );
+        }
+        let just_below = f32::from_bits((-87.0f32).to_bits() + 1);
+        for x in [just_below, -88.0, -104.0, -1e9, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp_nonpositive(x).to_bits(), 0, "exp({x})");
+        }
+        assert!(exp_nonpositive(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn softmax_row_is_the_f64_softmax_at_every_length() {
+        for len in (1..=33).chain(74..=77) {
+            let x = scores(len, len);
+            let mut row = x.clone();
+            softmax_in_place(&mut row);
+            let sum: f64 = row.iter().map(|&p| p as f64).sum();
+            assert!((sum - 1.0).abs() <= 1e-6, "length {len} sums to {sum}");
+            let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f64> = x.iter().map(|&v| ((v - mx) as f64).exp()).collect();
+            let total: f64 = exps.iter().sum();
+            for (c, (&p, e)) in row.iter().zip(&exps).enumerate() {
+                let want = e / total;
+                assert!(
+                    (p as f64 - want).abs() <= 1e-6 * want,
+                    "length {len}, column {c}: {p:e}, exactly {want:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn masked_columns_are_exactly_zero_and_never_move_the_real_ones() {
+        let bits = |row: &[f32]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for real in (1..=33).chain(74..=77) {
+            let mut alone = scores(real, 7);
+            softmax_in_place(&mut alone);
+            // Enough padding to move the real columns across every lane
+            // boundary and in and out of a vectorised loop's tail.
+            for pad in 1..=9 {
+                let mut padded = scores(real, 7);
+                padded.extend(scores(pad, 3).iter().map(|v| v - 1e9));
+                softmax_in_place(&mut padded);
+                assert_eq!(
+                    bits(&padded[..real]),
+                    bits(&alone),
+                    "{real} real columns, {pad} masked"
+                );
+                assert_eq!(bits(&padded[real..]), vec![0; pad]);
+            }
+        }
+        // The largest element goes through exp(0) == 1: alone, it is all of
+        // the sum.
+        let mut row = vec![-1e9, 0.37, -1e9];
+        softmax_in_place(&mut row);
+        assert_eq!(row, [0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn softmax_row_with_a_nan_is_all_nan() {
+        for len in [1, 5, 8, 9, 76] {
+            for at in [0, len / 2, len - 1] {
+                let mut row = scores(len, 1);
+                row[at] = f32::NAN;
+                softmax_in_place(&mut row);
+                assert!(row.iter().all(|p| p.is_nan()), "length {len}, NaN at {at}");
+            }
+        }
     }
 
     #[test]
