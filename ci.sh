@@ -20,11 +20,12 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 # Offline subset: formatting, the unit tests of the three dependency-free
-# crates and of pythia-db built with bare rustc (outside the repo), and the
-# benchmark's smoke runs (its own workspace over std-only shims), whose output
-# also gates what no test here can: scalar == SIMD virtual time, and a replay
-# session whose step cost does not grow with the queries it has completed.
-# Every step runs; any failure makes the exit status non-zero.
+# crates, of pythia-db and of pythia-nn's GEMM kernels built with bare rustc
+# (outside the repo), and the benchmark's smoke runs (its own workspace over
+# std-only shims), whose output also gates what no test here can: scalar ==
+# SIMD virtual time, and a replay session whose step cost does not grow with
+# the queries it has completed. Every step runs; any failure makes the exit
+# status non-zero.
 offline_subset() {
   local failed=0 tmp
   tmp=$(mktemp -d)
@@ -49,6 +50,13 @@ offline_subset() {
       && unit_tests db "$tmp/db_src" --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
         --extern "pythia_obs=$tmp/libpythia_obs.rlib" \
         --extern "pythia_buffer=$tmp/libpythia_buffer.rlib"
+  }
+  kernels_unit_tests() {
+    # crates/nn/src/kernels.rs depends on nothing, not even its crate: its
+    # unit tests — stride, masked-tail and overwrite pins, each forcing both
+    # dispatch modes itself — build and run as a program of their own.
+    rustc --edition 2021 --test -O -o "$tmp/kernels_tests" crates/nn/src/kernels.rs \
+      && "$tmp/kernels_tests" -q
   }
   # `attempted virt_mean_ms virt_latency_speedup` of each result line.
   virt_metrics() {
@@ -87,6 +95,7 @@ offline_subset() {
   step unit_tests buffer crates/buffer/src --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
     --extern "pythia_obs=$tmp/libpythia_obs.rlib"
   step db_unit_tests
+  step kernels_unit_tests
   step bash benchmark/run.sh --quick > "$tmp/quick.out"
   step bash benchmark/run.sh --quick --trace > "$tmp/quick_trace.out"
   step session_flat "$tmp/quick_trace.out"

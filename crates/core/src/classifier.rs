@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
-use pythia_nn::tape::{bce_with_logits, forward_only, ParamSet, Tape};
+use pythia_nn::tape::{bce_with_logits, forward_only, recording, ParamSet, Tape};
 use pythia_nn::{grad_l2_norm, Adam, Var};
 
 use crate::config::PythiaConfig;
@@ -108,9 +108,12 @@ impl PlanClassifier {
     /// arena, so a minibatch whose shape (batch × longest plan) was seen in
     /// either of the two steps before it allocates no tensor storage. The
     /// arena frees what two consecutive steps did not use, so the tape never
-    /// holds more than two steps' working sets.
+    /// holds more than two steps' working sets. The arena is the calling
+    /// thread's ([`recording`]): the next model trained on this thread
+    /// starts on warm buffers, and it is the caller of a round of trainings
+    /// that frees it (`train_workload` and `TrainedWorkload::refine` do).
     pub fn train(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, false)
+        recording(|tape| self.train_phase(tape, data, cfg, false))
     }
 
     /// Continue training from the current parameters on additional examples
@@ -118,7 +121,7 @@ impl PlanClassifier {
     /// "Every new query run can be used as a new training data point to
     /// improve Pythia models" (§5.3).
     pub fn refine(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, true)
+        recording(|tape| self.train_phase(tape, data, cfg, true))
     }
 
     /// The shared train/refine loop. `refine` only matters for telemetry:
@@ -130,6 +133,7 @@ impl PlanClassifier {
     /// either way, so trained weights are bit-identical.
     fn train_phase(
         &mut self,
+        tape: &mut Tape<'static>,
         data: &[Example<'_>],
         cfg: &PythiaConfig,
         refine: bool,
@@ -141,7 +145,6 @@ impl PlanClassifier {
         let mut first_loss = f32::NAN;
         let mut final_loss = f32::NAN;
         let mut steps = 0;
-        let mut tape = Tape::new();
         let telemetry = pythia_obs::train::enabled();
         for epoch in 0..cfg.epochs {
             let epoch_start = if telemetry {
@@ -163,9 +166,9 @@ impl PlanClassifier {
                         targets.set(r, lbl, 1.0);
                     }
                 }
-                let vars = self.params.inject(&mut tape);
-                let logits = self.logits(&mut tape, &vars, &seqs);
-                let loss = bce_with_logits(&mut tape, logits, targets, cfg.pos_weight);
+                let vars = self.params.inject(tape);
+                let logits = self.logits(tape, &vars, &seqs);
+                let loss = bce_with_logits(tape, logits, targets, cfg.pos_weight);
                 let loss_val = tape.value(loss).get(0, 0);
                 if first_loss.is_nan() {
                     first_loss = loss_val;
@@ -419,6 +422,34 @@ mod tests {
         // Everything this thread's arena holds is one call's activations —
         // far less than the parameters a copying forward would have pooled.
         assert!(retained > 0 && retained < clf.size_bytes() / 4);
+    }
+
+    #[test]
+    fn the_next_model_on_a_thread_trains_on_the_buffers_of_the_last() {
+        use pythia_nn::tape::free_recording_arena;
+        // 18 examples in three minibatches of six: one shape per step.
+        let cfg = PythiaConfig {
+            epochs: 3,
+            batch_size: 6,
+            ..PythiaConfig::fast()
+        };
+        let owned = block_task();
+        let data = as_examples(&owned);
+        let allocations = || recording(|tape| tape.allocations());
+        PlanClassifier::new(&cfg, 10, 12).train(&data, &cfg);
+        let first = allocations();
+        assert!(first > 0);
+        PlanClassifier::new(&cfg, 10, 12).train(&data, &cfg);
+        assert_eq!(allocations(), first, "a same-shaped model allocated");
+        // Another label count: the encoder's buffers still serve, and the
+        // arena has let go of the first model's label-shaped ones.
+        PlanClassifier::new(&cfg, 10, 20).refine(&data, &cfg);
+        let fresh = allocations() - first;
+        assert!(0 < fresh && fresh < first / 4, "{fresh} of {first} fresh");
+        assert!(recording(|tape| tape.retained_bytes()) > 0);
+        free_recording_arena();
+        let arena = recording(|tape| (tape.allocations(), tape.retained_bytes()));
+        assert_eq!(arena, (0, 0));
     }
 
     // One test covers all telemetry behavior: the capture flag is

@@ -14,6 +14,7 @@ use pythia_db::trace::Trace;
 use pythia_nn::pool::{
     parallel_map_labeled, parallel_map_sharded_labeled, parallel_map_vec_labeled,
 };
+use pythia_nn::tape::free_recording_arena;
 
 use crate::config::PythiaConfig;
 use crate::metrics::ObjPage;
@@ -257,6 +258,10 @@ pub fn train_workload(
         }
     });
 
+    // At pool width 1 the fits ran here, one after another on this thread's
+    // training arena; nothing needs it once they are done.
+    free_recording_arena();
+
     let mut models = BTreeMap::new();
     let mut combined = Vec::new();
     for r in results {
@@ -461,6 +466,7 @@ impl TrainedWorkload {
             model.refine(&cfg, &examples);
             (obj, model)
         });
+        free_recording_arena();
         self.models = retrained.into_iter().collect();
         for p in plans {
             self.object_union.extend(p.objects(db));
@@ -644,6 +650,29 @@ mod tests {
             }
         }
         (tr_p, tr_t, te_p, te_t)
+    }
+
+    #[test]
+    fn no_training_memory_outlives_train_workload_or_refine() {
+        use crate::classifier::PlanClassifier;
+        use pythia_nn::tape::recording;
+        let (db, plans, traces) = mini_star();
+        let quick = PythiaConfig { epochs: 2, ..cfg() };
+        // A fit on this thread leaves its training arena warm, as the fleet's
+        // fits do at pool width 1 (at other widths the workers' arenas go
+        // with their threads): whatever is in it when the call returns, the
+        // call has freed.
+        let retained = || recording(|tape| tape.retained_bytes());
+        let warm = || {
+            PlanClassifier::new(&quick, 10, 4).train(&[(&[2, 3], vec![1])], &quick);
+            assert!(retained() > 0);
+        };
+        warm();
+        let mut tw = train_workload(&db, "mini", &plans[..8], &traces[..8], None, &quick);
+        assert_eq!(retained(), 0, "train_workload left a training arena");
+        warm();
+        tw.refine(&db, &plans[8..12], &traces[8..12]);
+        assert_eq!(retained(), 0, "refine left a training arena");
     }
 
     #[test]

@@ -709,9 +709,23 @@ mod tests {
         }
     }
 
+    /// Sequences of exactly these lengths.
+    fn seqs_of(lens: &[usize]) -> Vec<Vec<usize>> {
+        let seq =
+            |(s, &len): (usize, &usize)| (0..len).map(|i| 1 + (s * 31 + i * 7) % 39).collect();
+        lens.iter().enumerate().map(seq).collect()
+    }
+
+    /// Minibatches of four whose longest plan is 77, 9, 7 and 1 tokens, each
+    /// with shorter ones beside it: at two heads of 10 (the paper's 100 / 10)
+    /// a head is one full vector and a masked pair, and a row of 77 scores
+    /// ends in a masked five.
+    const TAIL_LENS: [usize; 16] = [77, 1, 40, 9, 9, 3, 8, 1, 7, 7, 2, 5, 1, 1, 1, 1];
+
     #[test]
     fn training_through_fused_attention_yields_the_oracle_weights() {
         assert_trains_to_the_oracle_weights(2, 8, &ragged_seqs(10, 9));
+        assert_trains_to_the_oracle_weights(2, 20, &seqs_of(&TAIL_LENS));
     }
 
     #[test]
@@ -744,6 +758,8 @@ mod tests {
             set_thread_override(threads);
             set_simd_override(simd);
             assert_trains_to_the_oracle_weights(2, 32, &ragged_seqs(10, 40));
+            // One query row against 77 keys, heads of 10.
+            assert_trains_to_the_oracle_weights(1, 20, &seqs_of(&TAIL_LENS));
         }
     }
 
@@ -866,9 +882,74 @@ mod tests {
             tape.attention(q, k, v, seq_len, lens, heads)
         };
         let grads = backward_from(&mut tape, y);
-        let mut out = vec![bits(tape.value(y))];
+        // The softmax rows behind `y`, laid out as the fused node saves them.
+        // The oracle holds a `[seq_len, seq_len]` block per (sample, head).
+        let probs = if use_oracle() {
+            let mut rows = Vec::new();
+            for (block, p) in tape.softmax_bits().iter().enumerate() {
+                let last = lens[block / heads] - 1;
+                let kept = if last_only {
+                    last..last + 1
+                } else {
+                    0..seq_len
+                };
+                rows.extend_from_slice(&p[kept.start * seq_len..kept.end * seq_len]);
+            }
+            rows
+        } else {
+            tape.softmax_bits().concat()
+        };
+        let mut out = vec![bits(tape.value(y)), probs];
         out.extend(qkv.iter().map(|&var| bits(grads.get(var))));
         out
+    }
+
+    /// Fused against oracle on one batch: the attention layer and the bare
+    /// node, at the given pool width and dispatch arm.
+    fn fused_and_oracle(
+        lens: &[usize],
+        heads: usize,
+        dh: usize,
+        seed: u64,
+        last_only: bool,
+        threads: usize,
+        scalar: bool,
+    ) -> [Vec<Vec<u32>>; 2] {
+        let _restore = RestoreDispatch;
+        set_thread_override(threads);
+        set_simd_override(if scalar {
+            SimdOverride::ForceScalar
+        } else {
+            SimdOverride::ForceDetect
+        });
+        let both = || {
+            let mut all = attention_bits(lens, heads, dh, seed, last_only);
+            all.extend(qkv_bits(lens, heads, dh, seed, last_only));
+            all
+        };
+        [both(), with_oracle(both)]
+    }
+
+    /// The shapes the strided kernels meet in production and at their edges:
+    /// heads of 8 (the fixture) and of 10 (the paper: one full vector and a
+    /// masked pair), a longest sample of 1, 7, 9 and 77 keys (no vector, a
+    /// partial one, one and a bit, four tiles + one + a masked five) with
+    /// shorter samples beside it, a query per key or one per sample.
+    #[test]
+    fn fused_attention_equals_composed_oracle_at_every_row_tail() {
+        for s in [1usize, 7, 9, 77] {
+            let lens = [s, 1, s.div_ceil(2), s, (s - 1).max(1)];
+            for (heads, dh) in [(4, 8), (2, 10)] {
+                for last_only in [false, true] {
+                    for scalar in [false, true] {
+                        let [fused, oracle] =
+                            fused_and_oracle(&lens, heads, dh, s as u64, last_only, 1, scalar);
+                        let what = format!("s={s} dh={dh} last_only={last_only} scalar={scalar}");
+                        assert_eq!(fused, oracle, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -887,7 +968,7 @@ mod tests {
             heads in prop::sample::select(vec![1usize, 2, 4]),
             // dh 24 at 4 heads makes the projections wide enough to fan out
             // across the pool on the larger batches.
-            dh in prop::sample::select(vec![2usize, 5, 24]),
+            dh in prop::sample::select(vec![2usize, 5, 10, 24]),
             threads in prop::sample::select(vec![1usize, 4]),
             scalar in prop::bool::ANY,
             seed in 0u64..1000,
@@ -898,15 +979,7 @@ mod tests {
                 1 => lens = vec![lens[0]; lens.len()],
                 _ => lens[0] = 1,
             }
-            let _restore = RestoreDispatch;
-            set_thread_override(threads);
-            set_simd_override(if scalar { SimdOverride::ForceScalar } else { SimdOverride::ForceDetect });
-            let both = || {
-                let layer = attention_bits(&lens, heads, dh, seed, last_only);
-                (layer, qkv_bits(&lens, heads, dh, seed, last_only))
-            };
-            let fused = both();
-            let oracle = with_oracle(both);
+            let [fused, oracle] = fused_and_oracle(&lens, heads, dh, seed, last_only, threads, scalar);
             prop_assert_eq!(fused, oracle);
         }
     }

@@ -25,11 +25,13 @@
 //! from the tape's exact-size [`Arena`] and goes back to it on
 //! [`Tape::reset`] / [`Tape::absorb`]: a step whose shapes repeat allocates
 //! nothing. Inference runs on a [`forward_only`] tape that borrows the
-//! parameters instead of copying them.
+//! parameters instead of copying them; a fleet of models trains on
+//! [`recording`] tapes, which hand one arena from model to model.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::thread::LocalKey;
 
 use crate::kernels::{a_bt_band, at_b_band, matmul_band};
 use crate::tensor::Tensor;
@@ -135,6 +137,8 @@ struct Arena {
     free: BTreeMap<usize, SizeClass>,
     /// Fresh heap allocations made so far (a warm arena stops counting).
     allocs: usize,
+    /// Whether a buffer was taken since the last [`Arena::trim`].
+    in_step: bool,
 }
 
 #[derive(Default)]
@@ -148,6 +152,7 @@ struct SizeClass {
 impl Arena {
     /// A buffer of exactly `len` elements with unspecified contents.
     fn take(&mut self, len: usize) -> Vec<f32> {
+        self.in_step = true;
         if let Some(class) = self.free.get_mut(&len) {
             if let Some(buf) = class.bufs.pop() {
                 class.idle = class.idle.min(class.bufs.len());
@@ -159,9 +164,15 @@ impl Arena {
     }
 
     fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
-        let mut data = self.take(rows * cols);
-        data.fill(0.0);
-        Tensor::from_vec(rows, cols, data)
+        let mut t = self.unfilled(rows, cols);
+        t.zero_();
+        t
+    }
+
+    /// A `[rows, cols]` tensor of unspecified contents, for a caller that
+    /// writes every element — the output of a `C = A·B` kernel.
+    fn unfilled(&mut self, rows: usize, cols: usize) -> Tensor {
+        Tensor::from_vec(rows, cols, self.take(rows * cols))
     }
 
     fn copy_of(&mut self, t: &Tensor) -> Tensor {
@@ -176,8 +187,15 @@ impl Arena {
     }
 
     /// Step boundary (everything is back in the free lists): free the
-    /// buffers that were needed by neither of the last two steps.
+    /// buffers that were needed by neither of the last two steps. A boundary
+    /// nothing was taken before is not a step and frees nothing: one
+    /// training ends on a reset and the next begins with one, and the second
+    /// model's first minibatch wants the buffers of the first model's last
+    /// two.
     fn trim(&mut self) {
+        if !std::mem::take(&mut self.in_step) {
+            return;
+        }
         self.free.retain(|_, class| {
             let stale = class.idle.min(class.idle_prev);
             class.bufs.truncate(class.bufs.len() - stale);
@@ -289,6 +307,27 @@ thread_local! {
     /// The calling thread's inference arena, kept warm across
     /// [`forward_only`] calls.
     static INFER_ARENA: RefCell<Arena> = RefCell::default();
+    /// The calling thread's training arena, kept warm across [`recording`]
+    /// calls until [`free_recording_arena`].
+    static TRAIN_ARENA: RefCell<Arena> = RefCell::default();
+}
+
+/// Run `f` on a tape that borrows the thread's arena in `slot`; every buffer
+/// is back in it when `f` returns.
+fn on_thread_arena<'p, R>(
+    slot: &'static LocalKey<RefCell<Arena>>,
+    forward_only: bool,
+    f: impl FnOnce(&mut Tape<'p>) -> R,
+) -> R {
+    let mut tape = Tape {
+        nodes: Vec::new(),
+        arena: slot.with(RefCell::take),
+        forward_only,
+    };
+    let out = f(&mut tape);
+    tape.reset();
+    slot.with(|arena| arena.replace(tape.arena));
+    out
 }
 
 /// Run `f` on a forward-only tape backed by this thread's reusable arena:
@@ -296,15 +335,23 @@ thread_local! {
 /// finished layer, and every buffer goes back to the thread's arena when `f`
 /// returns — a repeat call with the same shapes allocates nothing.
 pub fn forward_only<'p, R>(f: impl FnOnce(&mut Tape<'p>) -> R) -> R {
-    let mut tape = Tape {
-        nodes: Vec::new(),
-        arena: INFER_ARENA.with(RefCell::take),
-        forward_only: true,
-    };
-    let out = f(&mut tape);
-    tape.reset();
-    INFER_ARENA.with(|arena| arena.replace(tape.arena));
-    out
+    on_thread_arena(&INFER_ARENA, true, f)
+}
+
+/// Run `f` on a recording tape backed by this thread's training arena, so
+/// that the models a thread trains one after another share one set of
+/// buffers instead of each faulting its own in. Unlike the inference arena
+/// this one is a step's whole working set (activations, gradients,
+/// parameter copies) and nothing needs it between trainings: whoever starts
+/// a round of them calls [`free_recording_arena`] when the round is over. A
+/// pool worker's arena goes with its thread.
+pub fn recording<R>(f: impl FnOnce(&mut Tape<'static>) -> R) -> R {
+    on_thread_arena(&TRAIN_ARENA, false, f)
+}
+
+/// Free what [`recording`] left in the calling thread's training arena.
+pub fn free_recording_arena() {
+    TRAIN_ARENA.with(RefCell::take);
 }
 
 const LN_EPS: f32 = 1e-5;
@@ -347,6 +394,19 @@ impl<'p> Tape<'p> {
             _ => None,
         };
         self.nodes.iter().filter_map(rows).collect()
+    }
+
+    /// Every softmax the tape holds, as bit patterns in recording order: an
+    /// attention node's saved `probs`, a [`Tape::softmax_rows`] node's value.
+    #[cfg(test)]
+    pub(crate) fn softmax_bits(&self) -> Vec<Vec<u32>> {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect();
+        let softmax = |node: &Node| match &node.op {
+            Op::Attention { probs, .. } => Some(bits(probs)),
+            Op::SoftmaxRows(_) => Some(bits(&node.value)),
+            _ => None,
+        };
+        self.nodes.iter().filter_map(softmax).collect()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
@@ -418,7 +478,7 @@ impl<'p> Tape<'p> {
     /// `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (av, bv) = (val(&self.nodes, a), val(&self.nodes, b));
-        let mut v = self.arena.zeros(av.rows(), bv.cols());
+        let mut v = self.arena.unfilled(av.rows(), bv.cols());
         av.matmul_into(bv, &mut v);
         self.push(v, Op::MatMul(a, b))
     }
@@ -431,7 +491,7 @@ impl<'p> Tape<'p> {
     /// [`Tensor::matmul_at_b`].
     pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
         let (xv, wv) = (val(&self.nodes, x), val(&self.nodes, w));
-        let mut v = self.arena.zeros(xv.rows(), wv.cols());
+        let mut v = self.arena.unfilled(xv.rows(), wv.cols());
         xv.matmul_bias_into(wv, val(&self.nodes, bias), &mut v);
         self.push(v, Op::Linear(x, w, bias))
     }
@@ -636,11 +696,12 @@ impl<'p> Tape<'p> {
     /// — the mask does not depend on where a query sat in its sequence.
     /// Returns the merged `[batch·q_len, dim]` head outputs.
     ///
-    /// Per (sample, head) this runs exactly what the composed ops
-    /// `softmax_rows(Q·Kᵀ·scale + mask)·V` run — the same band kernels on the
-    /// same operand values in the same order — over scratch buffers reused
-    /// across the loop, and writes each head's output straight into its
-    /// column block. Only the softmax probabilities are saved for backward.
+    /// Per (sample, head) this runs what the composed ops
+    /// `softmax_rows(Q·Kᵀ·scale + mask)·V` run — the same products summed in
+    /// the same order — on the head's blocks where they lie in the packed
+    /// tensors (row stride `dim`): the scores go straight into the head's
+    /// `probs` block and its output into its column block, and nothing is
+    /// copied. Only the softmax probabilities are saved for backward.
     pub fn attention(
         &mut self,
         q: Var,
@@ -669,36 +730,26 @@ impl<'p> Tape<'p> {
         );
         let (s, dh) = (seq_len, dim / heads);
         let scale = 1.0 / (dh as f32).sqrt();
-        let arena = &mut self.arena;
-        let mut out = arena.zeros(batch * ql, dim);
-        let mut probs = arena.zeros(batch * heads * ql, s);
-        let [mut qh, mut oh] = [(); 2].map(|_| arena.zeros(ql, dh));
-        let mut vh = arena.zeros(s, dh);
-        let mut kt = arena.zeros(dh, s);
+        // Each block of both is written once, by a kernel that overwrites.
+        let mut out = self.arena.unfilled(batch * ql, dim);
+        let mut probs = self.arena.unfilled(batch * heads * ql, s);
+        let [qd, kd, vd] = [qv, kv, vv].map(Tensor::as_slice);
         for (b, &len) in lens.iter().enumerate() {
             let real = len.min(s).max(1);
             for h in 0..heads {
-                let (q_at, kv_at) = ((b * ql, h * dh), (b * s, h * dh));
-                blit(&mut qh, (0, 0), qv, q_at, (ql, dh));
-                blit_t(&mut kt, (0, 0), kv, kv_at, (s, dh));
-                blit(&mut vh, (0, 0), vv, kv_at, (s, dh));
-                // Freshly zeroed above, and each block is visited once.
+                let (q_at, kv_at) = (b * ql * dim + h * dh, b * s * dim + h * dh);
                 let p = &mut probs.as_mut_slice()[(b * heads + h) * ql * s..][..ql * s];
-                matmul_band(qh.as_slice(), kt.as_slice(), p, dh, s, 0, ql);
+                a_bt_band(&qd[q_at..], &kd[kv_at..], p, [dim, dim, s], dh, s, 0, ql);
                 for row in p.chunks_exact_mut(s) {
-                    for (c, x) in row.iter_mut().enumerate() {
-                        let scaled = *x * scale;
-                        *x = scaled + if c < real { 0.0 } else { -1e9 };
-                    }
+                    // `+ 0.0` is not a no-op: it makes a `-0.0` score `+0.0`.
+                    let (live, masked) = row.split_at_mut(real);
+                    live.iter_mut().for_each(|x| *x = *x * scale + 0.0);
+                    masked.iter_mut().for_each(|x| *x = *x * scale + -1e9);
                     softmax_in_place(row);
                 }
-                oh.zero_();
-                matmul_band(p, vh.as_slice(), oh.as_mut_slice(), s, dh, 0, ql);
-                blit(&mut out, q_at, &oh, (0, 0), (ql, dh));
+                let out_h = &mut out.as_mut_slice()[q_at..];
+                matmul_band(p, &vd[kv_at..], out_h, [s, dim, dim], s, dh, 0, ql);
             }
-        }
-        for scratch in [qh, kt, vh, oh] {
-            arena.recycle(scratch);
         }
         self.push(
             out,
@@ -934,14 +985,14 @@ fn accum(grads: &mut [Option<Tensor>], arena: &mut Arena, var: Var, delta: Tenso
 
 /// `a·bᵀ` into an arena tensor.
 fn a_bt(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = arena.zeros(a.rows(), b.rows());
+    let mut out = arena.unfilled(a.rows(), b.rows());
     a.matmul_a_bt_into(b, &mut out);
     out
 }
 
 /// `aᵀ·b` into an arena tensor.
 fn at_b(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = arena.zeros(a.cols(), b.cols());
+    let mut out = arena.unfilled(a.cols(), b.cols());
     a.matmul_at_b_into(b, &mut out);
     out
 }
@@ -1096,10 +1147,11 @@ fn softmax_backward_row(g: &mut [f32], y: &[f32]) {
 
 /// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`
 /// (`g` and `dq` have `q`'s rows, `dk` and `dv` have `k`'s). Mirrors, per
-/// (sample, head), the backward of the composed ops with the same kernels on
-/// the same values; each block gradient is written straight into its rows
-/// and columns of the result (blocks are disjoint, so nothing is accumulated
-/// across them).
+/// (sample, head), the backward of the composed ops — the same products in
+/// the same order — reading each head's blocks where they lie and writing
+/// each block gradient straight into its rows and columns of the result
+/// (blocks are disjoint and cover it, so nothing is cleared or accumulated
+/// across them). `gp`, one head's `dP` then `dS`, is the only scratch.
 fn attention_backward(
     arena: &mut Arena,
     g: &Tensor,
@@ -1113,70 +1165,34 @@ fn attention_backward(
     let ql = q.rows() / batch;
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut dq = arena.zeros(batch * ql, dim);
-    let [mut dk, mut dv] = [(); 2].map(|_| arena.zeros(rows, dim));
-    let [mut qh, mut goh, mut gqh] = [(); 3].map(|_| arena.zeros(ql, dh));
-    let [mut vh, mut gvh] = [(); 2].map(|_| arena.zeros(s, dh));
-    let [mut kt, mut gkt] = [(); 2].map(|_| arena.zeros(dh, s));
-    let mut gp = arena.zeros(ql, s);
+    let mut dq = arena.unfilled(batch * ql, dim);
+    let [mut dk, mut dv] = [(); 2].map(|_| arena.unfilled(rows, dim));
+    let mut gp = arena.unfilled(ql, s);
+    let [gd, qd, kd, vd] = [g, q, k, v].map(Tensor::as_slice);
     for b in 0..batch {
         for h in 0..heads {
-            let (q_at, kv_at) = ((b * ql, h * dh), (b * s, h * dh));
+            let (q_at, kv_at) = (b * ql * dim + h * dh, b * s * dim + h * dh);
             let p = &probs.as_slice()[(b * heads + h) * ql * s..][..ql * s];
-            blit(&mut goh, (0, 0), g, q_at, (ql, dh));
+            let ds = gp.as_mut_slice();
             // out = P·V: dP = dOut·Vᵀ, dV = Pᵀ·dOut.
-            blit(&mut vh, (0, 0), v, kv_at, (s, dh));
-            gp.zero_();
-            a_bt_band(
-                goh.as_slice(),
-                vh.as_slice(),
-                gp.as_mut_slice(),
-                dh,
-                s,
-                0,
-                ql,
-            );
-            gvh.zero_();
-            at_b_band(p, goh.as_slice(), gvh.as_mut_slice(), ql, s, dh, 0, s);
+            a_bt_band(&gd[q_at..], &vd[kv_at..], ds, [dim, dim, s], dh, s, 0, ql);
+            let dv_h = &mut dv.as_mut_slice()[kv_at..];
+            at_b_band(p, &gd[q_at..], dv_h, [s, dim, dim], ql, dh, 0, s);
             // P = softmax(S·scale + mask): the mask is a constant.
-            for (grow, prow) in gp.as_mut_slice().chunks_exact_mut(s).zip(p.chunks_exact(s)) {
+            for (grow, prow) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)) {
                 softmax_backward_row(grow, prow);
                 for x in grow.iter_mut() {
                     *x *= scale;
                 }
             }
-            // S = Q·Kᵀ: dQ = dS·K, dKᵀ = Qᵀ·dS.
-            blit(&mut qh, (0, 0), q, q_at, (ql, dh));
-            blit_t(&mut kt, (0, 0), k, kv_at, (s, dh));
-            gqh.zero_();
-            a_bt_band(
-                gp.as_slice(),
-                kt.as_slice(),
-                gqh.as_mut_slice(),
-                s,
-                dh,
-                0,
-                ql,
-            );
-            gkt.zero_();
-            at_b_band(
-                qh.as_slice(),
-                gp.as_slice(),
-                gkt.as_mut_slice(),
-                ql,
-                dh,
-                s,
-                0,
-                dh,
-            );
-            blit(&mut dq, q_at, &gqh, (0, 0), (ql, dh));
-            blit_t(&mut dk, kv_at, &gkt, (0, 0), (dh, s));
-            blit(&mut dv, kv_at, &gvh, (0, 0), (s, dh));
+            // S = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
+            let dq_h = &mut dq.as_mut_slice()[q_at..];
+            matmul_band(ds, &kd[kv_at..], dq_h, [s, dim, dim], s, dh, 0, ql);
+            let dk_h = &mut dk.as_mut_slice()[kv_at..];
+            at_b_band(ds, &qd[q_at..], dk_h, [s, dim, dim], ql, dh, 0, s);
         }
     }
-    for scratch in [qh, vh, goh, gqh, gvh, kt, gkt, gp] {
-        arena.recycle(scratch);
-    }
+    arena.recycle(gp);
     [dq, dk, dv]
 }
 

@@ -189,8 +189,9 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul`] accumulated into a caller-supplied **zeroed**
-    /// `[self.rows, other.cols]` tensor (the tape hands in arena buffers).
+    /// [`Tensor::matmul`] written over a caller-supplied
+    /// `[self.rows, other.cols]` tensor, whatever it held (the tape hands in
+    /// arena buffers it has not cleared).
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
@@ -203,7 +204,7 @@ impl Tensor {
         assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
         let (a, b) = (&self.data, &other.data);
         for_each_band(&mut out.data, m, n, m * k * n, |band, start, rows| {
-            matmul_band(a, b, band, k, n, start, rows)
+            matmul_band(a, b, band, [k, n, n], k, n, start, rows)
         });
     }
 
@@ -219,7 +220,8 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_at_b`] accumulated into a zeroed `[k,n]` tensor.
+    /// [`Tensor::matmul_at_b`] written over a `[k,n]` tensor, whatever it
+    /// held.
     pub fn matmul_at_b_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows,
@@ -232,7 +234,7 @@ impl Tensor {
         assert_eq!(out.shape(), (k, n), "matmul_at_b output shape mismatch");
         let (a, b) = (&self.data, &other.data);
         for_each_band(&mut out.data, k, n, m * k * n, |band, start, rows| {
-            at_b_band(a, b, band, m, k, n, start, rows)
+            at_b_band(a, b, band, [k, n, n], m, n, start, rows)
         });
     }
 
@@ -248,7 +250,8 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_a_bt`] accumulated into a zeroed `[m,n]` tensor.
+    /// [`Tensor::matmul_a_bt`] written over an `[m,n]` tensor, whatever it
+    /// held.
     pub fn matmul_a_bt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
@@ -261,7 +264,7 @@ impl Tensor {
         assert_eq!(out.shape(), (m, n), "matmul_a_bt output shape mismatch");
         let (a, b) = (&self.data, &other.data);
         for_each_band(&mut out.data, m, n, m * k * n, |band, start, rows| {
-            a_bt_band(a, b, band, k, n, start, rows)
+            a_bt_band(a, b, band, [k, k, n], k, n, start, rows)
         });
     }
 
@@ -278,7 +281,8 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_bias`] into a zeroed `[self.rows, w.cols]` tensor.
+    /// [`Tensor::matmul_bias`] written over a `[self.rows, w.cols]` tensor,
+    /// whatever it held.
     pub fn matmul_bias_into(&self, w: &Tensor, bias: &Tensor, out: &mut Tensor) {
         assert_eq!(bias.shape(), (1, w.cols), "matmul_bias bias shape mismatch");
         self.matmul_into(w, out);
