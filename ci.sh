@@ -19,13 +19,163 @@ if [[ "${1:-}" == "--fast" ]]; then
   fast=1
 fi
 
+# One GET over bash's /dev/tcp, the head written the way a client without an
+# HTTP library writes it: a line per write. The wire layer reads a head to its
+# blank line before it answers, so no line meets a closed socket. Runs in a
+# subshell: descriptor 3 closes with it, and a reset costs only the subshell.
+http_get() ( # host, port, path
+  exec 3<>"/dev/tcp/$1/$2" || exit 1
+  printf 'GET %s HTTP/1.1\r\n' "$3" >&3
+  printf 'Host: ci\r\n' >&3
+  printf 'Connection: close\r\n' >&3
+  printf '\r\n' >&3
+  cat <&3
+)
+
+# The serve_demo socket smoke (two tenants + postmortem surface) against any
+# build of the example: the binary, then the command that validates the flight
+# dump it leaves (the dump's path is appended). Every check returns rather than
+# exits, so it runs the same under `set -e` and inside the offline subset's
+# `step`.
+serve_demo_smoke() {
+  local demo=$1 log=results/serve_demo.log status=0 demo_pid
+  shift
+  mkdir -p results
+  rm -f "$log" results/flight_dump.json
+  # --slow-ms 1 marks virtually every replay slow (virtual latencies are
+  # tens-to-hundreds of ms), --force-drift 1 injects one drill drift alert
+  # after tenant 1's first admission — both trigger flight-recorder dumps,
+  # which /debug/flight serves live and --flight-out persists on shutdown.
+  "$demo" --addr 127.0.0.1:0 --tenants 2 \
+    --metrics-addr 127.0.0.1:0 --slow-ms 1 --force-drift 1 \
+    --flight-out results/flight_dump.json \
+    > "$log" 2>&1 &
+  demo_pid=$!
+  serve_demo_checks "$demo_pid" "$log" "$@" || status=1
+  if [[ "$status" -ne 0 ]]; then
+    kill "$demo_pid" 2>/dev/null || true
+    cat "$log" >&2
+  fi
+  wait "$demo_pid" 2>/dev/null || true
+  return "$status"
+}
+
+serve_demo_checks() { # child pid, its log, then the flight-dump validator
+  local demo_pid=$1 log=$2
+  shift 2
+  local demo_addr="" metrics_addr=""
+  for _ in $(seq 1 100); do
+    demo_addr=$(sed -n 's|^serve_demo listening on http://||p' "$log" | head -n1)
+    metrics_addr=$(sed -n 's|^serve_demo metrics on http://||p' "$log" \
+      | head -n1 | sed 's|/metrics$||')
+    [[ -n "$demo_addr" && -n "$metrics_addr" ]] && break
+    sleep 0.1
+  done
+  if [[ -z "$demo_addr" || -z "$metrics_addr" ]]; then
+    echo "!!> serve_demo never printed its listen + metrics addresses" >&2
+    return 1
+  fi
+  demo_get() { http_get "${demo_addr%:*}" "${demo_addr##*:}" "$1"; }
+  metrics_get() { http_get "${metrics_addr%:*}" "${metrics_addr##*:}" "$1"; }
+  expect() { # what a miss means, the response, then the patterns it must hold
+    local what=$1 resp=$2 pattern
+    shift 2
+    for pattern in "$@"; do
+      grep -q -- "$pattern" <<<"$resp" && continue
+      echo "!!> $what:" >&2
+      echo "$resp" >&2
+      return 1
+    done
+  }
+  local demo_resp demo_t1 demo_t1_stats demo_health demo_slow demo_flight
+  demo_resp=$(demo_get /query/0)
+  expect "malformed serve_demo response" "$demo_resp" \
+    'HTTP/1.1 200 OK' '"latency_us"' || return 1
+  # Tenant 1 is served from its own database via the /t/<tenant>/ routes,
+  # and its scoped stats count exactly its own traffic.
+  demo_t1=$(demo_get /t/1/query/0)
+  expect "malformed serve_demo tenant-1 response" "$demo_t1" \
+    'HTTP/1.1 200 OK' '"latency_us"' || return 1
+  demo_t1_stats=$(demo_get /t/1/stats)
+  expect "tenant-1 scoped stats did not count its one query" "$demo_t1_stats" \
+    '"accepted":1' || return 1
+  # The tenant-scoped health route serves the live quality/drift snapshot;
+  # after tenant 1's query above, its tracker slice must hold an outcome.
+  demo_health=$(demo_get /t/1/health)
+  expect "malformed serve_demo tenant-1 health snapshot" "$demo_health" \
+    'HTTP/1.1 200 OK' '"observations"' '"drift"' || return 1
+  # Request tracing surfaces: the per-query JSON line carries the minted
+  # request id and the queue/admission/infer/replay latency breakdown...
+  expect "serve_demo response is missing the request-tracing fields" "$demo_t1" \
+    '"request":' '"queue_us"' '"replay_us"' || return 1
+  # ...the id is the one the front minted for that connection, not the
+  # request's ordinal in its batch of one: two responses never share it...
+  local id_a id_b
+  id_a=$(sed -n 's/.*"request":\([0-9]*\).*/\1/p' <<<"$demo_resp")
+  id_b=$(sed -n 's/.*"request":\([0-9]*\).*/\1/p' <<<"$demo_t1")
+  if [[ -z "$id_a" || "$id_a" == "$id_b" ]]; then
+    echo "!!> two consecutive responses carry request ids '$id_a' and '$id_b':" \
+      "the minted id does not reach the response" >&2
+    return 1
+  fi
+  # ...and /debug/slow holds the top-K breakdowns folded from every batch.
+  demo_slow=$(metrics_get /debug/slow)
+  expect "/debug/slow did not report the served requests" "$demo_slow" \
+    'HTTP/1.1 200 OK' '"requests":\[{"request":' || return 1
+  # The anomaly triggers above (slow requests + the forced drift drill)
+  # must leave a postmortem flight dump behind /debug/flight: a Chrome
+  # trace with flow-linked request.* spans from the event log's tail.
+  demo_flight=$(metrics_get /debug/flight)
+  expect "/debug/flight has no dump with flow-linked request spans" "$demo_flight" \
+    'HTTP/1.1 200 OK' '"request\.' '"ph":"s"' || return 1
+  # Bounded memory: the demo's recorders keep counters, histograms and a
+  # fixed event ring, so its high-water mark must not follow the number of
+  # requests served. 100 requests warm every buffer; 400 more must add
+  # (almost) nothing. Linux only: the reading comes from /proc.
+  if [[ -r "/proc/$demo_pid/status" ]]; then
+    demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
+    demo_burst() { # first request ordinal, count
+      local i
+      for ((i = $1; i < $1 + $2; i++)); do
+        demo_get "/t/$((i % 2))/query/$((i % 12))" > /dev/null
+      done
+    }
+    local hwm_100 hwm_500
+    demo_burst 0 100
+    hwm_100=$(demo_hwm_kb)
+    demo_burst 100 400
+    hwm_500=$(demo_hwm_kb)
+    if ((hwm_500 - hwm_100 > 2048 || hwm_500 > 40960)); then
+      echo "!!> serve_demo memory follows requests served: VmHWM ${hwm_100} kB" \
+        "after 100 requests, ${hwm_500} kB after 500 (limits: +2048 kB, 40960 kB)" >&2
+      return 1
+    fi
+    echo "    serve_demo VmHWM: ${hwm_100} kB after 100 requests, ${hwm_500} kB after 500"
+  else
+    echo "!!> no /proc/$demo_pid/status: serve_demo memory-bound check SKIPPED" >&2
+  fi
+  demo_get /shutdown > /dev/null
+  if ! wait "$demo_pid"; then
+    echo "!!> serve_demo did not exit cleanly after /shutdown" >&2
+    return 1
+  fi
+  # --flight-out persists the final dump; it must be a loadable trace.
+  if [[ ! -s results/flight_dump.json ]]; then
+    echo "!!> serve_demo did not write results/flight_dump.json" >&2
+    return 1
+  fi
+  "$@" results/flight_dump.json || return 1
+  echo "    serve_demo answered both tenants, served /debug/slow + /debug/flight, and wrote a loadable flight dump"
+}
+
 # Offline subset: formatting, the unit tests of the three dependency-free
 # crates, of pythia-db and of pythia-nn's GEMM kernels built with bare rustc
-# (outside the repo), and the benchmark's smoke runs (its own workspace over
+# (outside the repo), the benchmark's smoke runs (its own workspace over
 # std-only shims), whose output also gates what no test here can: scalar ==
 # SIMD virtual time, and a replay session whose step cost does not grow with
-# the queries it has completed. Every step runs; any failure makes the exit
-# status non-zero.
+# the queries it has completed — and the serve_demo socket smoke against the
+# binary those runs build. Every step runs; any failure makes the exit status
+# non-zero.
 offline_subset() {
   local failed=0 tmp
   tmp=$(mktemp -d)
@@ -97,6 +247,12 @@ offline_subset() {
   step db_unit_tests
   step kernels_unit_tests
   step bash benchmark/run.sh --quick > "$tmp/quick.out"
+  # The real composition root behind real sockets: that run has just built
+  # serve_demo, and trace_diff needs nothing but the obs rlib from above.
+  step rustc --edition 2021 -O -L "$tmp" --extern "pythia_obs=$tmp/libpythia_obs.rlib" \
+    -o "$tmp/trace_diff" crates/experiments/src/bin/trace_diff.rs
+  step serve_demo_smoke "${CARGO_TARGET_DIR:-benchmark/target/build}/release/serve_demo" \
+    "$tmp/trace_diff" --validate
   step bash benchmark/run.sh --quick --trace > "$tmp/quick_trace.out"
   step session_flat "$tmp/quick_trace.out"
   # Tier-1's `PYTHIA_SIMD=off cargo test` cannot run here, so this is where
@@ -209,155 +365,8 @@ if [[ "$fast" -eq 0 ]]; then
 
   echo "==> serve_demo socket smoke test (two tenants + postmortem surface)"
   cargo build --release -q --example serve_demo
-  rm -f results/serve_demo.log results/flight_dump.json
-  # --slow-ms 1 marks virtually every replay slow (virtual latencies are
-  # tens-to-hundreds of ms), --force-drift 1 injects one drill drift alert
-  # after tenant 1's first admission — both trigger flight-recorder dumps,
-  # which /debug/flight serves live and --flight-out persists on shutdown.
-  ./target/release/examples/serve_demo --addr 127.0.0.1:0 --tenants 2 \
-    --metrics-addr 127.0.0.1:0 --slow-ms 1 --force-drift 1 \
-    --flight-out results/flight_dump.json \
-    > results/serve_demo.log 2>&1 &
-  demo_pid=$!
-  demo_addr=""
-  metrics_addr=""
-  for _ in $(seq 1 100); do
-    demo_addr=$(sed -n 's|^serve_demo listening on http://||p' \
-      results/serve_demo.log | head -n1)
-    metrics_addr=$(sed -n 's|^serve_demo metrics on http://||p' \
-      results/serve_demo.log | head -n1 | sed 's|/metrics$||')
-    [[ -n "$demo_addr" && -n "$metrics_addr" ]] && break
-    sleep 0.1
-  done
-  if [[ -z "$demo_addr" || -z "$metrics_addr" ]]; then
-    echo "!!> serve_demo never printed its listen + metrics addresses" >&2
-    cat results/serve_demo.log >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  demo_host=${demo_addr%:*}
-  demo_port=${demo_addr##*:}
-  metrics_host=${metrics_addr%:*}
-  metrics_port=${metrics_addr##*:}
-  # The request goes out through `cat`, i.e. in one write: bash flushes a
-  # printf to a socket line by line, and the front answers and closes as soon
-  # as it has the request line, so the later lines could meet a reset.
-  demo_get() {
-    exec 3<>"/dev/tcp/$demo_host/$demo_port"
-    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" | cat >&3
-    cat <&3
-    exec 3>&- 3<&-
-  }
-  metrics_get() {
-    exec 3<>"/dev/tcp/$metrics_host/$metrics_port"
-    printf 'GET %s HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' "$1" | cat >&3
-    cat <&3
-    exec 3>&- 3<&-
-  }
-  demo_resp=$(demo_get /query/0)
-  if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_resp" \
-    || ! grep -q '"latency_us"' <<<"$demo_resp"; then
-    echo "!!> malformed serve_demo response:" >&2
-    echo "$demo_resp" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # Tenant 1 is served from its own database via the /t/<tenant>/ routes,
-  # and its scoped stats count exactly its own traffic.
-  demo_t1=$(demo_get /t/1/query/0)
-  if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_t1" \
-    || ! grep -q '"latency_us"' <<<"$demo_t1"; then
-    echo "!!> malformed serve_demo tenant-1 response:" >&2
-    echo "$demo_t1" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  demo_t1_stats=$(demo_get /t/1/stats)
-  if ! grep -q '"accepted":1' <<<"$demo_t1_stats"; then
-    echo "!!> tenant-1 scoped stats did not count its one query:" >&2
-    echo "$demo_t1_stats" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # The tenant-scoped health route serves the live quality/drift snapshot;
-  # after tenant 1's query above, its tracker slice must hold an outcome.
-  demo_health=$(demo_get /t/1/health)
-  if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_health" \
-    || ! grep -q '"observations"' <<<"$demo_health" \
-    || ! grep -q '"drift"' <<<"$demo_health"; then
-    echo "!!> malformed serve_demo tenant-1 health snapshot:" >&2
-    echo "$demo_health" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # Request tracing surfaces: the per-query JSON line carries the minted
-  # request id and the queue/admission/infer/replay latency breakdown...
-  if ! grep -q '"request":' <<<"$demo_t1" \
-    || ! grep -q '"queue_us"' <<<"$demo_t1" \
-    || ! grep -q '"replay_us"' <<<"$demo_t1"; then
-    echo "!!> serve_demo response is missing the request-tracing fields:" >&2
-    echo "$demo_t1" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # ...and /debug/slow holds the top-K breakdowns folded from every batch.
-  demo_slow=$(metrics_get /debug/slow)
-  if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_slow" \
-    || ! grep -q '"requests":\[{"request":' <<<"$demo_slow"; then
-    echo "!!> /debug/slow did not report the served requests:" >&2
-    echo "$demo_slow" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # The anomaly triggers above (slow requests + the forced drift drill)
-  # must leave a postmortem flight dump behind /debug/flight: a Chrome
-  # trace with flow-linked request.* spans from the event log's tail.
-  demo_flight=$(metrics_get /debug/flight)
-  if ! grep -q 'HTTP/1.1 200 OK' <<<"$demo_flight" \
-    || ! grep -q '"request\.' <<<"$demo_flight" \
-    || ! grep -q '"ph":"s"' <<<"$demo_flight"; then
-    echo "!!> /debug/flight has no dump with flow-linked request spans:" >&2
-    echo "$demo_flight" >&2
-    kill "$demo_pid" 2>/dev/null || true
-    exit 1
-  fi
-  # Bounded memory: the demo's recorders keep counters, histograms and a
-  # fixed event ring, so its high-water mark must not follow the number of
-  # requests served. 100 requests warm every buffer; 400 more must add
-  # (almost) nothing. Linux only: the reading comes from /proc.
-  if [[ -r "/proc/$demo_pid/status" ]]; then
-    demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
-    demo_burst() { # first request ordinal, count
-      local i
-      for ((i = $1; i < $1 + $2; i++)); do
-        demo_get "/t/$((i % 2))/query/$((i % 12))" > /dev/null
-      done
-    }
-    demo_burst 0 100
-    hwm_100=$(demo_hwm_kb)
-    demo_burst 100 400
-    hwm_500=$(demo_hwm_kb)
-    if ((hwm_500 - hwm_100 > 2048 || hwm_500 > 40960)); then
-      echo "!!> serve_demo memory follows requests served: VmHWM ${hwm_100} kB" \
-        "after 100 requests, ${hwm_500} kB after 500 (limits: +2048 kB, 40960 kB)" >&2
-      kill "$demo_pid" 2>/dev/null || true
-      exit 1
-    fi
-    echo "    serve_demo VmHWM: ${hwm_100} kB after 100 requests, ${hwm_500} kB after 500"
-  else
-    echo "!!> no /proc/$demo_pid/status: serve_demo memory-bound check SKIPPED" >&2
-  fi
-  demo_get /shutdown > /dev/null
-  wait "$demo_pid"
-  # --flight-out persists the final dump; it must be a loadable trace.
-  if [[ ! -s results/flight_dump.json ]]; then
-    echo "!!> serve_demo did not write results/flight_dump.json" >&2
-    cat results/serve_demo.log >&2
-    exit 1
-  fi
-  cargo run --release -q -p pythia-experiments --bin trace_diff -- \
-    --validate results/flight_dump.json
-  echo "    serve_demo answered both tenants, served /debug/slow + /debug/flight, and wrote a loadable flight dump"
+  serve_demo_smoke ./target/release/examples/serve_demo \
+    cargo run --release -q -p pythia-experiments --bin trace_diff -- --validate
 fi
 
 # The offline-buildable benchmark's smoke runs (its own workspace and

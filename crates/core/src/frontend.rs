@@ -1,8 +1,9 @@
 //! A zero-dependency TCP front-end for the serving loop.
 //!
-//! [`Frontend`] binds a std [`TcpListener`] on a background accept thread
-//! (the pattern proven by `pythia_obs::serve`) and translates wire requests
-//! into [`Arrival`] events on a bounded queue:
+//! [`Frontend`] is a route table over the wire layer it shares with the
+//! metrics endpoint ([`pythia_obs::http`]: listener, request-head reader,
+//! response writer) and translates wire requests into [`Arrival`] events on a
+//! bounded queue:
 //!
 //! - `GET /query/<idx>` — enqueue catalog query `idx`. The connection stays
 //!   open; whoever drains the queue replays the query through
@@ -32,13 +33,11 @@
 //!   so no accepted client is left hanging until its own timeout.
 //!
 //! Anything else (unknown path, non-GET, unparsable index, index outside the
-//! catalog) gets `400`/`404`. There is deliberately no HTTP library and no
-//! async runtime: blocking sockets with timeouts and `Connection: close`
-//! semantics. The accept thread hands each connection to a short-lived
-//! handler thread, so an idle or byte-trickling client never stalls other
-//! requests (`/healthz` included); a connection that has not produced a full
-//! request line within [`FrontendConfig::read_deadline`] is answered `408`
-//! and closed, which also bounds every handler thread's lifetime.
+//! catalog) gets `400`/`404`. Each connection has a short-lived handler
+//! thread, so an idle or byte-trickling client never stalls other requests
+//! (`/healthz` included); a connection that has not delivered its request
+//! head within [`FrontendConfig::read_deadline`] is answered `408` and
+//! closed, which also bounds every handler thread's lifetime.
 //!
 //! The wall-clock side (sockets, thread wakeups) never feeds back into the
 //! virtual clock: arrivals carry no wall timestamps, and the serving loop
@@ -48,14 +47,13 @@
 //! this to a real trained predictor; `EXPERIMENTS.md` has the curl recipe.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pythia_obs::Recorder;
+use pythia_obs::http::{self, Head, Listener};
+use pythia_obs::{lock, Recorder};
 
 use crate::server::QueryOutcome;
 
@@ -69,10 +67,10 @@ pub struct FrontendConfig {
     /// already queued is shed with `503` instead of enqueued, so the queue
     /// never holds more than `shed_depth` entries.
     pub shed_depth: usize,
-    /// Total time a connection gets to produce a complete request line.
-    /// A client that stays idle or trickles bytes past this deadline is
-    /// answered `408 Request Timeout` and closed. This bounds the lifetime
-    /// of each per-connection handler thread.
+    /// Total time a connection gets to deliver its request head. A client
+    /// that stays idle or trickles bytes past this deadline is answered
+    /// `408 Request Timeout` and closed. This bounds the lifetime of each
+    /// per-connection handler thread.
     pub read_deadline: Duration,
     /// Number of tenants: `/t/<tenant>/...` accepts ids in `0..tenants` and
     /// rejects the rest with `400`. Values below 1 behave as 1 (tenant 0 —
@@ -82,12 +80,12 @@ pub struct FrontendConfig {
 
 impl FrontendConfig {
     /// Config for a single-tenant `catalog`-query workload with the default
-    /// depth target and a 2s request-line deadline.
+    /// depth target and the wire layer's request-head deadline (2s).
     pub fn new(catalog: usize) -> Self {
         FrontendConfig {
             catalog,
             shed_depth: 64,
-            read_deadline: Duration::from_secs(2),
+            read_deadline: http::READ_DEADLINE,
             tenants: 1,
         }
     }
@@ -121,23 +119,19 @@ impl FrontendStats {
 /// unanswered just closes the socket.
 #[derive(Debug)]
 pub struct Responder {
-    stream: Option<TcpStream>,
+    stream: TcpStream,
 }
 
 impl Responder {
     /// Answer `200 OK` with a JSON body. Write errors are ignored — the
     /// client may have gone away, which does not concern the serving loop.
     pub fn ok_json(mut self, body: &str) {
-        if let Some(mut stream) = self.stream.take() {
-            let _ = respond(&mut stream, "200 OK", "application/json", body, None);
-        }
+        let _ = http::respond(&mut self.stream, "200 OK", "application/json", body, None);
     }
 
     /// Answer an error status with a plain-text body.
     pub fn error(mut self, status: &str, body: &str) {
-        if let Some(mut stream) = self.stream.take() {
-            let _ = respond(&mut stream, status, "text/plain", body, None);
-        }
+        let _ = http::respond(&mut self.stream, status, "text/plain", body, None);
     }
 }
 
@@ -158,22 +152,67 @@ pub struct Arrival {
     pub responder: Responder,
 }
 
+/// One front-end counter: the total and its per-tenant slices, indexed by
+/// tenant id. A request that never named a valid tenant (malformed line, bad
+/// tenant id) counts in the total only.
+struct Counter {
+    total: AtomicU64,
+    tenants: Vec<AtomicU64>,
+}
+
+impl Counter {
+    fn new(tenants: usize) -> Counter {
+        Counter {
+            total: AtomicU64::new(0),
+            tenants: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn bump(&self, tenant: Option<u32>) {
+        self.total.fetch_add(1, Ordering::Relaxed);
+        if let Some(slice) = tenant.and_then(|t| self.tenants.get(t as usize)) {
+            slice.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The total, or one tenant's slice (0 for a tenant out of range).
+    fn get(&self, tenant: Option<u32>) -> u64 {
+        match tenant {
+            None => self.total.load(Ordering::Relaxed),
+            Some(t) => self
+                .tenants
+                .get(t as usize)
+                .map_or(0, |slice| slice.load(Ordering::Relaxed)),
+        }
+    }
+}
+
 struct Shared {
     queue: Mutex<VecDeque<Arrival>>,
     ready: Condvar,
-    accepted: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
+    accepted: Counter,
+    shed: Counter,
+    rejected: Counter,
     shutdown_req: AtomicBool,
-    // Per-tenant slices of the counters above, indexed by tenant id. The
-    // globals remain the totals (tenant-unattributable rejects — malformed
-    // lines, bad tenant ids — only count globally).
-    tenant_accepted: Vec<AtomicU64>,
-    tenant_shed: Vec<AtomicU64>,
-    tenant_rejected: Vec<AtomicU64>,
     // `/t/<tenant>/health` body producer; `None` until the embedding wires
     // one in (the route answers 404 meanwhile).
     health: Mutex<Option<HealthProvider>>,
+}
+
+impl Shared {
+    /// Counters and queue depth: the totals, or one tenant's slice of each.
+    fn stats(&self, tenant: Option<u32>) -> FrontendStats {
+        let queue = lock(&self.queue);
+        FrontendStats {
+            accepted: self.accepted.get(tenant),
+            shed: self.shed.get(tenant),
+            rejected: self.rejected.get(tenant),
+            depth: match tenant {
+                None => queue.len(),
+                Some(t) => queue.iter().filter(|a| a.tenant == t).count(),
+            },
+        }
+    }
 }
 
 /// Callback producing the `/t/<tenant>/health` response body for one tenant,
@@ -184,13 +223,11 @@ struct Shared {
 /// cheap and must not block on the serving loop for long.
 pub type HealthProvider = Arc<dyn Fn(u32, FrontendStats) -> Option<String> + Send + Sync>;
 
-/// The accept loop: background thread, bounded queue, shed-above-target.
+/// The listening front: bounded queue, shed-above-target.
 pub struct Frontend {
-    addr: SocketAddr,
+    listener: Listener,
     cfg: FrontendConfig,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
 }
 
 impl Frontend {
@@ -198,61 +235,30 @@ impl Frontend {
     /// port) and start accepting. The bound address is available via
     /// [`Frontend::addr`].
     pub fn start(addr: &str, cfg: FrontendConfig) -> std::io::Result<Frontend> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let tenants = cfg.tenants.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
-            accepted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            accepted: Counter::new(tenants),
+            shed: Counter::new(tenants),
+            rejected: Counter::new(tenants),
             shutdown_req: AtomicBool::new(false),
-            tenant_accepted: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
-            tenant_shed: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
-            tenant_rejected: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
             health: Mutex::new(None),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let (shared_bg, stop_bg) = (Arc::clone(&shared), Arc::clone(&stop));
-        let handle = std::thread::Builder::new()
-            .name("pythia-frontend".to_owned())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_bg.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        // One short-lived thread per connection, so a slow
-                        // or idle client cannot stall the accept loop (and
-                        // with it every other request). The thread's
-                        // lifetime is bounded by `cfg.read_deadline` plus
-                        // one response write; it is detached — `shutdown`
-                        // only joins the accept thread, and any handler
-                        // still in flight just answers its own socket.
-                        let shared_conn = Arc::clone(&shared_bg);
-                        // If spawning fails (thread exhaustion) the closure
-                        // is dropped and the connection just closes.
-                        let _ = std::thread::Builder::new()
-                            .name("pythia-frontend-conn".to_owned())
-                            .spawn(move || {
-                                let _ = answer(stream, &shared_conn, &cfg);
-                            });
-                    }
-                }
-            })?;
+        let shared_conn = Arc::clone(&shared);
+        let listener = Listener::start(addr, "pythia-frontend", move |stream| {
+            handle(stream, &shared_conn, &cfg)
+        })?;
         Ok(Frontend {
-            addr: local,
+            listener,
             cfg,
             shared,
-            stop,
-            handle: Some(handle),
         })
     }
 
     /// The address the listener actually bound (resolves port `0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The config the front was started with.
@@ -262,29 +268,24 @@ impl Frontend {
 
     /// Arrivals currently queued.
     pub fn depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue poisoned").len()
+        lock(&self.shared.queue).len()
     }
 
     /// Counter snapshot plus current depth.
     pub fn stats(&self) -> FrontendStats {
-        FrontendStats {
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            depth: self.depth(),
-        }
+        self.shared.stats(None)
     }
 
     /// [`Frontend::stats`] scoped to one tenant (the `/t/<tenant>/stats`
     /// endpoint). An out-of-range tenant gets the all-zero snapshot.
     pub fn tenant_stats(&self, tenant: u32) -> FrontendStats {
-        tenant_stats(&self.shared, tenant)
+        self.shared.stats(Some(tenant))
     }
 
     /// Wire the `/t/<tenant>/health` body producer. Replaces any previous
     /// provider; takes effect for the next request.
     pub fn set_health_provider(&self, provider: HealthProvider) {
-        *self.shared.health.lock().expect("health provider poisoned") = Some(provider);
+        *lock(&self.shared.health) = Some(provider);
     }
 
     /// True once a client has requested `/shutdown`; the serving loop polls
@@ -295,11 +296,7 @@ impl Frontend {
 
     /// Pop one queued arrival without waiting.
     pub fn try_recv(&self) -> Option<Arrival> {
-        self.shared
-            .queue
-            .lock()
-            .expect("queue poisoned")
-            .pop_front()
+        lock(&self.shared.queue).pop_front()
     }
 
     /// Wait up to `wait` for the queue to be non-empty, then drain
@@ -307,14 +304,13 @@ impl Frontend {
     /// serving loop re-batches inference over. Returns an empty vec on
     /// timeout.
     pub fn drain_batch(&self, wait: Duration) -> Vec<Arrival> {
-        let mut queue = self.shared.queue.lock().expect("queue poisoned");
+        let mut queue = lock(&self.shared.queue);
         if queue.is_empty() {
-            let (guard, _) = self
-                .shared
-                .ready
-                .wait_timeout(queue, wait)
-                .expect("queue poisoned");
-            queue = guard;
+            // A poisoned queue is still a queue (see `pythia_obs::lock`).
+            queue = match self.shared.ready.wait_timeout(queue, wait) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
         queue.drain(..).collect()
     }
@@ -325,27 +321,20 @@ impl Frontend {
     /// labeled `tenant="<id>"`, rendered by `/metrics` as
     /// `pythia_frontend_accepted{tenant="0"}`, and so on).
     pub fn fold_into(&self, rec: &mut Recorder) {
-        let s = self.stats();
-        rec.add("frontend.accepted", s.accepted);
-        rec.add("frontend.shed", s.shed);
-        rec.add("frontend.rejected", s.rejected);
-        for (t, (acc, (shed, rej))) in self
-            .shared
-            .tenant_accepted
-            .iter()
-            .zip(
-                self.shared
-                    .tenant_shed
-                    .iter()
-                    .zip(&self.shared.tenant_rejected),
-            )
-            .enumerate()
-        {
-            let id = t.to_string();
-            let labels = [("tenant", id.as_str())];
-            rec.add_labeled("frontend.accepted", &labels, acc.load(Ordering::Relaxed));
-            rec.add_labeled("frontend.shed", &labels, shed.load(Ordering::Relaxed));
-            rec.add_labeled("frontend.rejected", &labels, rej.load(Ordering::Relaxed));
+        for (name, counter) in [
+            ("frontend.accepted", &self.shared.accepted),
+            ("frontend.shed", &self.shared.shed),
+            ("frontend.rejected", &self.shared.rejected),
+        ] {
+            rec.add(name, counter.get(None));
+            for (t, slice) in counter.tenants.iter().enumerate() {
+                let id = t.to_string();
+                rec.add_labeled(
+                    name,
+                    &[("tenant", id.as_str())],
+                    slice.load(Ordering::Relaxed),
+                );
+            }
         }
     }
 
@@ -353,53 +342,13 @@ impl Frontend {
     /// arrival still queued with `503 Service Unavailable` — an accepted
     /// client whose query will never be served must not hang until its own
     /// timeout waiting on a response that cannot come.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // The accept loop only observes the flag on its next connection;
-        // poke it so shutdown doesn't wait for an external request.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        // The accept thread is gone, so the queue can only drain from here.
-        let drained: Vec<Arrival> = self
-            .shared
-            .queue
-            .lock()
-            .expect("queue poisoned")
-            .drain(..)
-            .collect();
+    pub fn shutdown(self) {
+        self.listener.shutdown();
+        let drained: Vec<Arrival> = lock(&self.shared.queue).drain(..).collect();
         for a in drained {
             a.responder
                 .error("503 Service Unavailable", "shutting down\n");
         }
-    }
-}
-
-/// Per-tenant counter snapshot (shared by the method and the wire endpoint).
-fn tenant_stats(shared: &Shared, tenant: u32) -> FrontendStats {
-    let t = tenant as usize;
-    let load = |v: &Vec<AtomicU64>| v.get(t).map_or(0, |c| c.load(Ordering::Relaxed));
-    FrontendStats {
-        accepted: load(&shared.tenant_accepted),
-        shed: load(&shared.tenant_shed),
-        rejected: load(&shared.tenant_rejected),
-        depth: shared
-            .queue
-            .lock()
-            .expect("queue poisoned")
-            .iter()
-            .filter(|a| a.tenant == tenant)
-            .count(),
-    }
-}
-
-impl Drop for Frontend {
-    fn drop(&mut self) {
-        // Best effort: detach rather than block in drop. Explicit shutdown
-        // (which joins) is preferred; tests use it.
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
     }
 }
 
@@ -427,240 +376,157 @@ pub fn outcome_json(query: usize, q: &QueryOutcome) -> String {
     )
 }
 
-/// Handle one accepted connection: parse the request head, then either
-/// answer inline or enqueue the connection as an [`Arrival`].
-fn answer(mut stream: TcpStream, shared: &Shared, cfg: &FrontendConfig) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-    let path = match read_request_path(&mut stream, cfg.read_deadline)? {
-        RequestHead::Path(p) => p,
-        RequestHead::TimedOut => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return respond(
-                &mut stream,
-                "408 Request Timeout",
-                "text/plain",
-                "no complete request line before the deadline\n",
-                None,
-            );
+/// What a route answers with; [`handle`] is the one place that writes it.
+struct Reply {
+    status: &'static str,
+    content_type: &'static str,
+    body: String,
+    extra_header: Option<&'static str>,
+}
+
+impl Reply {
+    fn text(status: &'static str, body: impl Into<String>) -> Reply {
+        Reply {
+            status,
+            content_type: "text/plain",
+            body: body.into(),
+            extra_header: None,
         }
-        RequestHead::Malformed => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return respond(
-                &mut stream,
-                "400 Bad Request",
-                "text/plain",
-                "expected GET <path>\n",
-                None,
-            );
+    }
+
+    fn json(body: String) -> Reply {
+        Reply {
+            status: "200 OK",
+            content_type: "application/json",
+            body,
+            extra_header: None,
+        }
+    }
+}
+
+/// What [`route`] makes of a request.
+enum Routed {
+    /// Answer inline.
+    Answer(Reply),
+    /// The client's mistake (`400`, `408`): answer inline and count the
+    /// request `rejected`, against the tenant too when it named a valid one.
+    Reject(Option<u32>, Reply),
+    /// A query of the catalog: queue the connection, or shed it at the depth
+    /// target.
+    Query { tenant: u32, query: usize },
+}
+
+/// Serve one accepted connection: read the head, route it, then write the
+/// reply — or leave the connection in the queue for the serving loop to
+/// answer.
+fn handle(mut stream: TcpStream, shared: &Shared, cfg: &FrontendConfig) {
+    let routed = match http::read_head(&mut stream, cfg.read_deadline) {
+        Ok(Head::Get(path)) => route(&path, shared, cfg),
+        Ok(Head::Malformed) => Routed::Reject(
+            None,
+            Reply::text("400 Bad Request", "expected GET <path>\n"),
+        ),
+        Ok(Head::TimedOut) => Routed::Reject(
+            None,
+            Reply::text(
+                "408 Request Timeout",
+                "no complete request line before the deadline\n",
+            ),
+        ),
+        Err(_) => return,
+    };
+    let reply = match routed {
+        Routed::Answer(reply) => reply,
+        Routed::Reject(tenant, reply) => {
+            shared.rejected.bump(tenant);
+            reply
+        }
+        Routed::Query { tenant, query } => {
+            let mut queue = lock(&shared.queue);
+            if queue.len() < cfg.shed_depth {
+                queue.push_back(Arrival {
+                    query,
+                    tenant,
+                    request: pythia_obs::request::mint(),
+                    responder: Responder { stream },
+                });
+                drop(queue);
+                shared.accepted.bump(Some(tenant));
+                shared.ready.notify_one();
+                return; // answered by the serving loop, through the responder
+            }
+            drop(queue);
+            shared.shed.bump(Some(tenant));
+            Reply {
+                extra_header: Some("Retry-After: 1"),
+                ..Reply::text("503 Service Unavailable", "queue full, retry later\n")
+            }
         }
     };
-    // Tenant-scoped routes: `/t/<tenant>/query/<idx>` and
-    // `/t/<tenant>/stats`. Unprefixed routes act as tenant 0 with the
-    // global (unscoped) `/stats`.
-    let (tenant, route, scoped) = match path.strip_prefix("/t/") {
-        None => (0u32, path.as_str(), false),
+    let _ = http::respond(
+        &mut stream,
+        reply.status,
+        reply.content_type,
+        &reply.body,
+        reply.extra_header,
+    );
+}
+
+/// The route table. `/t/<tenant>/<route>` scopes a route to a tenant;
+/// unprefixed routes act as tenant 0, with the global (unscoped) `/stats`.
+fn route(path: &str, shared: &Shared, cfg: &FrontendConfig) -> Routed {
+    use Routed::{Answer, Query, Reject};
+    let bad_request = |body: String| Reply::text("400 Bad Request", body);
+    let (tenant, route) = match path.strip_prefix("/t/") {
+        None => (None, path),
         Some(rest) => match rest.split_once('/') {
             Some((id, _)) => match id.parse::<u32>() {
-                Ok(t) if (t as usize) < cfg.tenants.max(1) => (t, &path[3 + id.len()..], true),
+                Ok(t) if (t as usize) < cfg.tenants.max(1) => (Some(t), &rest[id.len()..]),
                 _ => {
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return respond(
-                        &mut stream,
-                        "400 Bad Request",
-                        "text/plain",
-                        &format!("bad tenant id; this front serves {} tenants\n", cfg.tenants),
-                        None,
-                    );
+                    let body =
+                        format!("bad tenant id; this front serves {} tenants\n", cfg.tenants);
+                    return Reject(None, bad_request(body));
                 }
             },
             None => {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                return respond(
-                    &mut stream,
-                    "400 Bad Request",
-                    "text/plain",
-                    "expected /t/<tenant>/<route>\n",
-                    None,
-                );
+                let body = "expected /t/<tenant>/<route>\n".to_owned();
+                return Reject(None, bad_request(body));
             }
         },
     };
-    if route == "/healthz" {
-        return respond(&mut stream, "200 OK", "text/plain", "ok\n", None);
-    }
-    if route == "/stats" {
-        let stats = if scoped {
-            tenant_stats(shared, tenant)
-        } else {
-            FrontendStats {
-                accepted: shared.accepted.load(Ordering::Relaxed),
-                shed: shared.shed.load(Ordering::Relaxed),
-                rejected: shared.rejected.load(Ordering::Relaxed),
-                depth: shared.queue.lock().expect("queue poisoned").len(),
+    match (route, tenant) {
+        ("/healthz", _) => Answer(Reply::text("200 OK", "ok\n")),
+        ("/stats", _) => Answer(Reply::json(shared.stats(tenant).to_json())),
+        ("/health", Some(t)) => {
+            // Clone the Arc out so the provider runs without holding the slot
+            // lock (it may take the quality tracker's lock internally).
+            let provider = lock(&shared.health).clone();
+            match provider.and_then(|p| p(t, shared.stats(tenant))) {
+                Some(body) => Answer(Reply::json(body)),
+                None => Answer(Reply::text(
+                    "404 Not Found",
+                    "no health provider wired for this tenant\n",
+                )),
             }
-        };
-        return respond(
-            &mut stream,
-            "200 OK",
-            "application/json",
-            &stats.to_json(),
-            None,
-        );
-    }
-    if route == "/health" && scoped {
-        // Clone the Arc out so the provider runs without holding the slot
-        // lock (it may take the quality tracker's lock internally).
-        let provider = shared
-            .health
-            .lock()
-            .expect("health provider poisoned")
-            .clone();
-        return match provider.and_then(|p| p(tenant, tenant_stats(shared, tenant))) {
-            Some(body) => respond(&mut stream, "200 OK", "application/json", &body, None),
-            None => respond(
-                &mut stream,
+        }
+        ("/shutdown", _) => {
+            shared.shutdown_req.store(true, Ordering::Relaxed);
+            Answer(Reply::text("200 OK", "shutting down\n"))
+        }
+        _ => match route.strip_prefix("/query/").map(str::parse::<usize>) {
+            Some(Ok(query)) if query < cfg.catalog => Query {
+                tenant: tenant.unwrap_or(0),
+                query,
+            },
+            Some(_) => {
+                let body = format!("bad query index; catalog has {} queries\n", cfg.catalog);
+                Reject(Some(tenant.unwrap_or(0)), bad_request(body))
+            }
+            None => Answer(Reply::text(
                 "404 Not Found",
-                "text/plain",
-                "no health provider wired for this tenant\n",
-                None,
-            ),
-        };
-    }
-    if route == "/shutdown" {
-        shared.shutdown_req.store(true, Ordering::Relaxed);
-        return respond(&mut stream, "200 OK", "text/plain", "shutting down\n", None);
-    }
-    if let Some(rest) = route.strip_prefix("/query/") {
-        let t = tenant as usize;
-        match rest.parse::<usize>() {
-            Ok(idx) if idx < cfg.catalog => {
-                let mut queue = shared.queue.lock().expect("queue poisoned");
-                if queue.len() >= cfg.shed_depth {
-                    drop(queue);
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(c) = shared.tenant_shed.get(t) {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return respond(
-                        &mut stream,
-                        "503 Service Unavailable",
-                        "text/plain",
-                        "queue full, retry later\n",
-                        Some("Retry-After: 1"),
-                    );
-                }
-                queue.push_back(Arrival {
-                    query: idx,
-                    tenant,
-                    request: pythia_obs::request::mint(),
-                    responder: Responder {
-                        stream: Some(stream),
-                    },
-                });
-                drop(queue);
-                shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = shared.tenant_accepted.get(t) {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.ready.notify_one();
-                // Response deferred to the serving loop via the Responder.
-                return Ok(());
-            }
-            _ => {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = shared.tenant_rejected.get(t) {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                return respond(
-                    &mut stream,
-                    "400 Bad Request",
-                    "text/plain",
-                    &format!("bad query index; catalog has {} queries\n", cfg.catalog),
-                    None,
-                );
-            }
-        }
-    }
-    respond(
-        &mut stream,
-        "404 Not Found",
-        "text/plain",
-        "try /query/<idx>, /t/<tenant>/query/<idx>, /t/<tenant>/health, /healthz, /stats or /shutdown\n",
-        None,
-    )
-}
-
-/// Write one `Connection: close` HTTP response.
-fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-    extra_header: Option<&str>,
-) -> std::io::Result<()> {
-    let extra = extra_header.map(|h| format!("{h}\r\n")).unwrap_or_default();
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// The outcome of reading a request head from a connection.
-enum RequestHead {
-    /// A well-formed `GET <path> ...` request line.
-    Path(String),
-    /// The client closed or sent something that isn't a simple GET line.
-    Malformed,
-    /// No complete request line arrived within the deadline.
-    TimedOut,
-}
-
-/// Parse the request line's path from the head of an HTTP/1.x request,
-/// giving the client at most `deadline` of total wall time to produce a
-/// complete line. A byte-trickling or idle client therefore cannot hold its
-/// handler thread for longer than the deadline.
-fn read_request_path(stream: &mut TcpStream, deadline: Duration) -> std::io::Result<RequestHead> {
-    let started = std::time::Instant::now();
-    let mut buf = [0u8; 1024];
-    let mut head = Vec::new();
-    loop {
-        let remaining = deadline.saturating_sub(started.elapsed());
-        if remaining.is_zero() {
-            return Ok(RequestHead::TimedOut);
-        }
-        // Cap each blocking read so the overall deadline is honored even
-        // when the client trickles one byte per read.
-        stream.set_read_timeout(Some(remaining.min(Duration::from_millis(500))))?;
-        let n = match stream.read(&mut buf) {
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::WouldBlock =>
-            {
-                continue; // per-read timeout; the deadline check above decides
-            }
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            break;
-        }
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(2).any(|w| w == b"\r\n") || head.len() >= 8 * 1024 {
-            break;
-        }
-    }
-    let line_end = head
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .unwrap_or(head.len());
-    let line = String::from_utf8_lossy(&head[..line_end]);
-    let mut parts = line.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some("GET"), Some(path)) => Ok(RequestHead::Path(path.to_owned())),
-        _ => Ok(RequestHead::Malformed),
+                "try /query/<idx>, /t/<tenant>/query/<idx>, /t/<tenant>/health, /healthz, /stats or /shutdown\n",
+            )),
+        },
     }
 }
 
@@ -676,6 +542,7 @@ mod tests {
     use pythia_db::trace::Trace;
     use pythia_db::types::Schema;
     use pythia_sim::SimDuration;
+    use std::io::{Read, Write};
 
     /// Blocking one-shot HTTP GET against the front.
     fn http_get(addr: SocketAddr, path: &str) -> String {
@@ -826,6 +693,142 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 408"), "{out}");
         wait_for(|| fe.stats().rejected == 1);
         fe.shutdown();
+    }
+
+    #[test]
+    fn each_refusal_counts_once_and_a_404_never() {
+        let cfg = FrontendConfig {
+            tenants: 2,
+            read_deadline: Duration::from_millis(200),
+            ..FrontendConfig::new(4)
+        };
+        let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
+        // The count moves before the response is written, so each client
+        // that has its answer can read the counters without waiting.
+        let raw = |bytes: &[u8]| {
+            let mut stream = TcpStream::connect(fe.addr()).unwrap();
+            stream.write_all(bytes).unwrap();
+            let mut out = String::new();
+            stream.read_to_string(&mut out).unwrap();
+            out
+        };
+        let mut want = 0;
+        for (what, status) in [
+            (&b"BLAH\r\n\r\n"[..], "400"),
+            (b"POST /query/0 HTTP/1.1\r\n\r\n", "400"),
+            (b"GET /heal", "408"), // stalls past the deadline
+        ] {
+            let out = raw(what);
+            assert!(out.starts_with(&format!("HTTP/1.1 {status}")), "{out}");
+            want += 1;
+            assert_eq!(fe.stats().rejected, want, "{out}");
+        }
+        // Ids that do not fit their integer are bad ids, not panics.
+        for path in [
+            "/t/4294967296/query/0",
+            "/t/-1/stats",
+            "/t/2/healthz",
+            "/query/18446744073709551616",
+            "/t/1/query/4",
+            "/t/1/query/",
+        ] {
+            let out = http_get(fe.addr(), path);
+            assert!(out.starts_with("HTTP/1.1 400"), "{path}: {out}");
+            want += 1;
+            assert_eq!(fe.stats().rejected, want, "{path}");
+        }
+        // Only a bad index gets as far as naming a tenant.
+        assert_eq!(fe.tenant_stats(0).rejected, 1);
+        assert_eq!(fe.tenant_stats(1).rejected, 2);
+        for path in ["/nope", "/t/1/nope", "/health", "/query", "/t/0/health"] {
+            let out = http_get(fe.addr(), path);
+            assert!(out.starts_with("HTTP/1.1 404"), "{path}: {out}");
+        }
+        for path in ["/healthz", "/t/1/healthz", "/stats", "/t/1/stats"] {
+            let out = http_get(fe.addr(), path);
+            assert!(out.starts_with("HTTP/1.1 200"), "{path}: {out}");
+        }
+        assert_eq!(fe.stats().rejected, want, "a 404 or a 200 counted");
+        assert_eq!((fe.stats().accepted, fe.stats().shed), (0, 0));
+        fe.shutdown();
+    }
+
+    #[test]
+    fn a_head_written_line_by_line_is_answered() {
+        // Answering on the request line alone would close the socket under
+        // the client's later lines (bash's printf writes a line per write).
+        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(4)).expect("bind");
+        let mut stream = TcpStream::connect(fe.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for line in [
+            "GET /healthz HTTP/1.1\r\n",
+            "Host: ci\r\n",
+            "Connection: close\r\n",
+            "\r\n",
+        ] {
+            stream
+                .write_all(line.as_bytes())
+                .expect("no reset mid-head");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
+        assert!(out.ends_with("ok\n"), "{out}");
+        fe.shutdown();
+    }
+
+    #[test]
+    fn a_poisoned_queue_does_not_take_the_front_down() {
+        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(4)).expect("bind");
+        fe.set_health_provider(Arc::new(|tenant, _| {
+            Some(format!("{{\"tenant\":{tenant}}}\n"))
+        }));
+        let shared = Arc::clone(&fe.shared);
+        let died = std::thread::spawn(move || {
+            let _queue = shared.queue.lock().unwrap();
+            let _health = shared.health.lock().unwrap();
+            panic!("poisoning the queue and the health slot on purpose");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(fe.shared.queue.is_poisoned() && fe.shared.health.is_poisoned());
+
+        for path in ["/healthz", "/stats", "/t/0/stats", "/t/0/health"] {
+            let out = http_get(fe.addr(), path);
+            assert!(out.starts_with("HTTP/1.1 200 OK"), "{path}: {out}");
+        }
+        assert!(fe.drain_batch(Duration::from_millis(10)).is_empty());
+
+        // A query still queues, drains and is answered...
+        let mut served = TcpStream::connect(fe.addr()).unwrap();
+        served
+            .write_all(b"GET /query/0 HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        wait_for(|| fe.depth() == 1);
+        let mut batch = fe.drain_batch(Duration::from_millis(10));
+        assert_eq!(batch.len(), 1);
+        batch.pop().unwrap().responder.ok_json("{\"query\":0}\n");
+        let mut out = String::new();
+        served.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+
+        // ...`try_recv` pops, and shutdown answers what is left queued.
+        let mut popped = TcpStream::connect(fe.addr()).unwrap();
+        popped
+            .write_all(b"GET /query/1 HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        wait_for(|| fe.depth() == 1);
+        assert_eq!(fe.try_recv().map(|a| a.query), Some(1));
+        let mut queued = TcpStream::connect(fe.addr()).unwrap();
+        queued
+            .write_all(b"GET /query/2 HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        wait_for(|| fe.depth() == 1);
+        fe.shutdown();
+        let mut out = String::new();
+        queued.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 503"), "{out}");
     }
 
     #[test]

@@ -11,9 +11,7 @@ use pythia_db::catalog::{Database, ObjectId};
 use pythia_db::plan::PlanNode;
 use pythia_db::trace::Trace;
 
-use pythia_nn::pool::{
-    parallel_map_labeled, parallel_map_sharded_labeled, parallel_map_vec_labeled,
-};
+use pythia_nn::pool::{parallel_map_labeled, parallel_map_vec_labeled};
 use pythia_nn::tape::free_recording_arena;
 
 use crate::config::PythiaConfig;
@@ -25,17 +23,6 @@ use crate::vocab::Vocab;
 /// Upper bound on memoized plan encodings (each workload template has few
 /// distinct plans, so this is generous; it only guards pathological callers).
 const ENCODE_CACHE_CAP: usize = 4096;
-
-/// Shard key for an object's model: a splitmix-style hash of the object id.
-/// Inference dispatch pins each model to `shard_key(obj) % pool_width`, so a
-/// given object's model always runs on the same worker for a given pool
-/// configuration (see [`parallel_map_sharded_labeled`]).
-pub fn shard_key(obj: ObjectId) -> u64 {
-    let mut x = obj.0 as u64 ^ 0x9e37_79b9_7f4a_7c15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A fully trained Pythia instance for one workload.
 #[derive(serde::Serialize, serde::Deserialize)]
@@ -381,29 +368,16 @@ impl TrainedWorkload {
             .map(|(obj, m)| PredJob::Separate(*obj, m))
             .chain(self.combined.iter().map(PredJob::Combined))
             .collect();
-        // Shard-affine dispatch: each object's model is pinned to its home
-        // worker (`shard_key(obj) % width`), so repeated inference keeps a
-        // model's weights hot on one core. Training/refine keep the
-        // cursor-claimed map instead — there load balance across models of
-        // very different sizes dominates.
-        let keys: Vec<u64> = jobs
-            .iter()
-            .map(|j| match j {
-                PredJob::Separate(obj, _) => shard_key(*obj),
-                PredJob::Combined(c) => shard_key(c.table),
-            })
-            .collect();
-        let outs =
-            parallel_map_sharded_labeled("nn.infer_batch", &jobs, &keys, |_, job| match job {
-                PredJob::Separate(obj, model) => {
-                    PredOut::Separate(*obj, model.predict_batch(&toks_refs))
-                }
-                PredJob::Combined(c) => PredOut::Combined {
-                    table: c.table,
-                    index: c.index,
-                    preds: c.predict_batch(&toks_refs),
-                },
-            });
+        let outs = parallel_map_labeled("nn.infer_batch", &jobs, |_, job| match job {
+            PredJob::Separate(obj, model) => {
+                PredOut::Separate(*obj, model.predict_batch(&toks_refs))
+            }
+            PredJob::Combined(c) => PredOut::Combined {
+                table: c.table,
+                index: c.index,
+                preds: c.predict_batch(&toks_refs),
+            },
+        });
 
         let mut results: Vec<Prediction> =
             (0..plans.len()).map(|_| Prediction::default()).collect();

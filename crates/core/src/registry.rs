@@ -28,12 +28,8 @@
 //!   model trained against a different database fails loudly instead of
 //!   silently mispredicting.
 //!
-//! Sharding note: within a fleet, per-object inference is already
-//! shard-affine — [`crate::predictor::shard_key`] pins every `object_id` to
-//! a fixed `pythia_nn::pool` worker, so per-object scratch state stays
-//! worker-local regardless of batch composition. Cross-*process* sharding
-//! (splitting one tenant's objects across machines) is future work; see
-//! ROADMAP.
+//! Cross-*process* sharding (splitting one tenant's objects across machines)
+//! is future work; see ROADMAP.
 
 use std::collections::BTreeMap;
 use std::io;

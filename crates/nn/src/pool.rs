@@ -133,100 +133,6 @@ where
         .collect()
 }
 
-/// [`parallel_map_vec_labeled`] with **shard-affine** dispatch: item `i` is
-/// processed by worker `keys[i] % threads` (its shard's home worker), and
-/// each worker walks its items in ascending input order. Unlike the
-/// cursor-claimed variants, an item's worker is a pure function of its shard
-/// key and the pool width — the property a sharded model fleet wants so one
-/// object's model always runs (and keeps its caches warm) on the same worker
-/// within a pool configuration.
-///
-/// The determinism contract is unchanged and *stronger than it needs to be*:
-/// every result still lands in the slot of its input index, so the returned
-/// vector is bit-identical to the serial run for any thread count — only the
-/// worker executing each item moves.
-pub fn parallel_map_vec_sharded_labeled<T, R, F>(
-    label: &'static str,
-    items: Vec<T>,
-    keys: &[u64],
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    assert_eq!(n, keys.len(), "one shard key per item");
-    let threads = configured_threads().min(n);
-    let capture = pythia_obs::wall::enabled();
-    let train_capture = pythia_obs::train::enabled();
-    let timed = |worker: u32, i: usize, item: T| {
-        if train_capture {
-            pythia_obs::train::set_context(worker, i as u64);
-        }
-        if !capture {
-            return f(i, item);
-        }
-        let start_us = pythia_obs::wall::now_us();
-        let r = f(i, item);
-        pythia_obs::wall::record(pythia_obs::wall::WallTask {
-            label,
-            worker,
-            item: i as u64,
-            // Ambient request attribution: the serving loop brackets each
-            // batched inference dispatch with `wall::set_request`.
-            req: pythia_obs::wall::current_request(),
-            start_us,
-            dur_us: pythia_obs::wall::now_us().saturating_sub(start_us),
-        });
-        r
-    };
-    if threads <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| timed(0, i, t))
-            .collect();
-    }
-    let inputs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (timed, inputs, outputs) = (&timed, &inputs, &outputs);
-            scope.spawn(move || {
-                for i in 0..n {
-                    if keys[i] % threads as u64 != w as u64 {
-                        continue;
-                    }
-                    let item = inputs[i].lock().unwrap().take().expect("item claimed once");
-                    let r = timed(w as u32, i, item);
-                    *outputs[i].lock().unwrap() = Some(r);
-                }
-            });
-        }
-    });
-    outputs
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("every slot filled"))
-        .collect()
-}
-
-/// [`parallel_map_vec_sharded_labeled`] over a slice of `Sync` items.
-pub fn parallel_map_sharded_labeled<T, R, F>(
-    label: &'static str,
-    items: &[T],
-    keys: &[u64],
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_vec_sharded_labeled(label, items.iter().collect(), keys, |i, t: &T| f(i, t))
-}
-
 /// [`parallel_map_vec`] over a slice of `Sync` items.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -290,57 +196,6 @@ mod tests {
     #[test]
     fn configured_threads_is_positive() {
         assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    fn sharded_map_matches_cursor_map_for_any_width() {
-        let items: Vec<u64> = (0..41).collect();
-        let keys: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9e37)).collect();
-        set_thread_override(1);
-        let serial = parallel_map_sharded_labeled("nn.shard_test", &items, &keys, |i, &x| {
-            x.wrapping_mul(i as u64 + 11)
-        });
-        for width in [2, 3, 8] {
-            set_thread_override(width);
-            let sharded = parallel_map_sharded_labeled("nn.shard_test", &items, &keys, |i, &x| {
-                x.wrapping_mul(i as u64 + 11)
-            });
-            assert_eq!(serial, sharded, "width {width}");
-        }
-        set_thread_override(0);
-        let plain = parallel_map(&items, |i, &x| x.wrapping_mul(i as u64 + 11));
-        assert_eq!(serial, plain, "sharded == cursor-claimed results");
-    }
-
-    #[test]
-    fn sharded_map_pins_items_to_their_home_worker() {
-        let items: Vec<u64> = (0..24).collect();
-        // Shard key = item value, so item x belongs to worker x % width.
-        let keys: Vec<u64> = items.clone();
-        set_thread_override(4);
-        pythia_obs::wall::set_enabled(true);
-        let out = parallel_map_sharded_labeled("nn.shard_affine", &items, &keys, |_, &x| x);
-        pythia_obs::wall::set_enabled(false);
-        set_thread_override(0);
-        assert_eq!(out, items);
-        let mine: Vec<_> = pythia_obs::wall::drain()
-            .into_iter()
-            .filter(|t| t.label == "nn.shard_affine")
-            .collect();
-        assert_eq!(mine.len(), 24, "one wall task per item");
-        for t in mine {
-            assert_eq!(t.worker as u64, t.item % 4, "item {} off-shard", t.item);
-        }
-    }
-
-    #[test]
-    fn sharded_map_handles_empty_and_owned_items() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map_vec_sharded_labeled("nn.t", empty, &[], |_, x: u8| x).is_empty());
-        let items: Vec<String> = (0..6).map(|i| format!("s{i}")).collect();
-        let keys = [5u64, 4, 3, 2, 1, 0];
-        let out = parallel_map_vec_sharded_labeled("nn.t", items, &keys, |_, s| s.len());
-        assert_eq!(out, vec![2; 6]);
     }
 
     #[test]

@@ -15,24 +15,8 @@
 //! * `s` / `f` — flow arrows linking tracks (`id` pairs the endpoints; the
 //!   finish end carries `"bp":"e"` so it binds to the enclosing slice).
 
+use crate::snapshot::escape_into;
 use crate::{Event, FlowDir, Track, VIRTUAL_PID, WALL_PID};
-
-/// Escape a string for a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn push_args(out: &mut String, args: &[(&'static str, u64)]) {
     out.push('{');

@@ -69,6 +69,7 @@ pub mod chrome;
 pub mod diff;
 pub mod flight;
 pub mod hist;
+pub mod http;
 pub mod quality;
 pub mod request;
 pub mod serve;
@@ -83,11 +84,12 @@ use flight::{EventLog, Retention};
 use hist::Histogram;
 use snapshot::MetricsSnapshot;
 
-/// Lock one of this crate's shared cells, taking the data back from a
-/// poisoned lock: every update (replace the value; insert into the slow log,
-/// then truncate it) leaves the cell readable at each step, and the pump and
-/// the metrics handler must not die of someone else's panic.
-pub(crate) fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a shared cell, taking the data back from a poisoned lock. For cells
+/// whose every update leaves them readable at each step — replace the value;
+/// insert into the slow log, then truncate it; push to or pop from a queue —
+/// so that the pump and the socket handlers do not die of someone else's
+/// panic.
+pub fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
     cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

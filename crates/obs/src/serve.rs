@@ -1,7 +1,6 @@
-//! A zero-dependency live metrics endpoint.
+//! The live metrics endpoint: a route table over [`crate::http`].
 //!
-//! [`MetricsServer`] binds a std [`TcpListener`] on a background thread and
-//! answers `GET /metrics` with the latest published
+//! [`MetricsServer`] answers `GET /metrics` with the latest published
 //! [`MetricsSnapshot`] rendered as Prometheus text exposition
 //! ([`MetricsSnapshot::to_prometheus`]). The serving loop publishes through a
 //! [`SharedSnapshot`] — a mutex-guarded cell the recorder's owner overwrites
@@ -14,19 +13,11 @@
 //! [`crate::flight::SharedFlight`]; `404` until a trigger fires) and
 //! `GET /debug/slow` the live top-K slow-request log (a
 //! [`crate::request::SharedSlowLog`]).
-//!
-//! There is no HTTP library here on purpose: the whole protocol surface is
-//! "read one request head, write one `200 text/plain` (or `404`) response,
-//! close" — the same stance that keeps the rest of `pythia-obs`
-//! dependency-free.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
+use crate::http::{self, Head, Listener};
 use crate::lock;
 use crate::snapshot::MetricsSnapshot;
 
@@ -65,12 +56,10 @@ pub struct DebugEndpoints {
     pub slow: crate::request::SharedSlowLog,
 }
 
-/// A background thread serving `GET /metrics` from a [`SharedSnapshot`].
+/// A listener serving `GET /metrics` from a [`SharedSnapshot`].
 #[derive(Debug)]
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl MetricsServer {
@@ -96,132 +85,61 @@ impl MetricsServer {
         shared: SharedSnapshot,
         debug: Option<DebugEndpoints>,
     ) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("pythia-metrics".to_owned())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(mut stream) = conn {
-                        let _ = answer(&mut stream, &shared, debug.as_ref());
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        let listener = Listener::start(addr, "pythia-metrics", move |stream| {
+            answer(stream, &shared, debug.as_ref())
+        })?;
+        Ok(MetricsServer { listener })
     }
 
     /// The address the listener actually bound (resolves port `0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Stop the listener thread and wait for it to exit.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // The accept loop only observes the flag on its next connection;
-        // poke it so shutdown doesn't wait for an external scrape.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        self.listener.shutdown();
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        // Best effort: detach rather than block in drop. Explicit shutdown
-        // (which joins) is preferred; tests use it.
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-/// Read one request head and write the response. Any I/O error just drops
-/// the connection — a scraper retries, and the endpoint is diagnostic.
-fn answer(
-    stream: &mut TcpStream,
-    shared: &SharedSnapshot,
-    debug: Option<&DebugEndpoints>,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+/// Answer one scrape. Any I/O error, or a head that does not arrive in time,
+/// just drops the connection — a scraper retries, and the endpoint is
+/// diagnostic.
+fn answer(mut stream: TcpStream, shared: &SharedSnapshot, debug: Option<&DebugEndpoints>) {
     // The 0.0.4 text exposition content type Prometheus expects.
     const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
     const JSON: &str = "application/json";
-    let path = read_request_path(stream)?;
-    let (status, content_type, body) = match path.as_deref() {
-        Some("/metrics") => ("200 OK", PROM, shared.get().to_prometheus()),
-        Some("/metrics.json") => ("200 OK", JSON, shared.get().to_json()),
-        Some("/debug/slow") if debug.is_some() => (
-            "200 OK",
-            JSON,
-            debug.expect("guarded by match arm").slow.to_json(),
-        ),
-        Some("/debug/flight") if debug.is_some() => {
-            match debug.expect("guarded by match arm").flight.get() {
-                Some(dump) => ("200 OK", JSON, dump.trace_json),
-                None => (
-                    "404 Not Found",
-                    PROM,
-                    String::from("no flight dump captured yet (no anomaly trigger has fired)\n"),
-                ),
-            }
-        }
+    let path = match http::read_head(&mut stream, http::READ_DEADLINE) {
+        Ok(Head::Get(path)) => path,
+        Ok(Head::Malformed) => String::new(), // no route: the 404 below
+        Ok(Head::TimedOut) | Err(_) => return,
+    };
+    let (status, content_type, body) = match (path.as_str(), debug) {
+        ("/metrics", _) => ("200 OK", PROM, shared.get().to_prometheus()),
+        ("/metrics.json", _) => ("200 OK", JSON, shared.get().to_json()),
+        ("/debug/slow", Some(debug)) => ("200 OK", JSON, debug.slow.to_json()),
+        ("/debug/flight", Some(debug)) => match debug.flight.get() {
+            Some(dump) => ("200 OK", JSON, dump.trace_json),
+            None => (
+                "404 Not Found",
+                PROM,
+                String::from("no flight dump captured yet (no anomaly trigger has fired)\n"),
+            ),
+        },
         _ => (
             "404 Not Found",
             PROM,
             String::from("try /metrics, /metrics.json, /debug/slow or /debug/flight\n"),
         ),
     };
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Parse the request line's path from the head of an HTTP/1.x request.
-/// Returns `None` for anything that isn't a simple `GET <path> ...` line.
-fn read_request_path(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
-    let mut buf = [0u8; 1024];
-    let mut head = Vec::new();
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(2).any(|w| w == b"\r\n") || head.len() >= 8 * 1024 {
-            break;
-        }
-    }
-    let line_end = head
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .unwrap_or(head.len());
-    let line = String::from_utf8_lossy(&head[..line_end]);
-    let mut parts = line.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some("GET"), Some(path)) => Ok(Some(path.to_owned())),
-        _ => Ok(None),
-    }
+    let _ = http::respond(&mut stream, status, content_type, &body, None);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::Histogram;
+    use std::io::{Read, Write};
 
     fn scrape(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect to metrics endpoint");
@@ -318,6 +236,38 @@ mod tests {
         assert!(slow.contains("\"request\":3"), "{slow}");
         assert!(slow.contains("\"latency_us\":500"), "{slow}");
 
+        server.shutdown();
+    }
+
+    /// One scraper trickling its head must not hold `/metrics` for the next
+    /// (no head is read on the accept thread), and a head written a line at
+    /// a time is read to its end before the answer closes the socket.
+    #[test]
+    fn slow_and_line_by_line_scrapers_are_served() {
+        let shared = SharedSnapshot::new();
+        shared.publish(MetricsSnapshot {
+            counters: vec![("reads.hit".into(), 7)],
+            hists: vec![],
+            labeled: vec![],
+        });
+        let server = MetricsServer::start("127.0.0.1:0", shared).expect("bind");
+
+        let mut trickler = TcpStream::connect(server.addr()).expect("connect trickler");
+        trickler.write_all(b"GET /met").unwrap(); // ...and then nothing
+        let started = std::time::Instant::now();
+        let resp = scrape(server.addr(), "/metrics");
+        assert!(resp.contains("pythia_reads_hit 7\n"), "{resp}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(250),
+            "/metrics waited {:?} behind a trickling scraper",
+            started.elapsed()
+        );
+
+        let resp = crate::http::tests::get_line_by_line(server.addr(), "/metrics");
+        assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
+        assert!(resp.contains("pythia_reads_hit 7\n"), "{resp}");
+
+        drop(trickler);
         server.shutdown();
     }
 

@@ -11,11 +11,16 @@ use crate::hist::HistSummary;
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub hists: Vec<(String, HistSummary)>,
-    /// Labeled series: `(name, sorted label pairs, value)` — e.g. per-tenant
-    /// frontend counters or per-(tenant, template) quality gauges.
-    pub labeled: Vec<(String, Vec<(String, String)>, u64)>,
+    /// Labeled series — e.g. per-tenant frontend counters or
+    /// per-(tenant, template) quality gauges.
+    pub labeled: Vec<LabeledSeries>,
 }
 
+/// One labeled series: `(name, sorted label pairs, value)`.
+pub type LabeledSeries = (String, Vec<(String, String)>, u64);
+
+/// Escape a string for a JSON string literal: the one escape every emitter
+/// in this crate writes names through.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {

@@ -310,6 +310,7 @@ fn main() {
                         SimDuration::ZERO,
                     )
                     .with_tenant(a.tenant)
+                    .with_request(a.request)
                 })
                 .collect();
             let rep = srvs[t].serve(&reqs);
