@@ -32,6 +32,20 @@ http_get() ( # host, port, path
   cat <&3
 )
 
+# One admission loop, one pump: the barrier-wave loop stays out of pythia-core
+# (the baseline lives in pythia-experiments::serving), and the live path stays
+# on its long-lived session instead of closed `serve` batches.
+one_admission_loop() {
+  if grep -rnE 'serve_wave|AdmissionMode::Wave' crates/core; then
+    echo "!!> pythia-core names the wave loop again" >&2
+    return 1
+  fi
+  if grep -nF '.serve(' examples/serve_demo.rs; then
+    echo "!!> examples/serve_demo.rs calls PrefetchServer::serve; the pump submits to its session" >&2
+    return 1
+  fi
+}
+
 # The serve_demo socket smoke (two tenants + postmortem surface) against any
 # build of the example: the binary, then the command that validates the flight
 # dump it leaves (the dump's path is appended). Every check returns rather than
@@ -99,8 +113,9 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
   demo_t1_stats=$(demo_get /t/1/stats)
   expect "tenant-1 scoped stats did not count its one query" "$demo_t1_stats" \
     '"accepted":1' || return 1
-  # The tenant-scoped health route serves the live quality/drift snapshot;
-  # after tenant 1's query above, its tracker slice must hold an outcome.
+  # The tenant-scoped health route serves the live quality/drift snapshot.
+  # (An admission interval reaches the tracker when it closes, at the
+  # tenant's next admission: after one query the slice may still be empty.)
   demo_health=$(demo_get /t/1/health)
   expect "malformed serve_demo tenant-1 health snapshot" "$demo_health" \
     'HTTP/1.1 200 OK' '"observations"' '"drift"' || return 1
@@ -109,7 +124,7 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
   expect "serve_demo response is missing the request-tracing fields" "$demo_t1" \
     '"request":' '"queue_us"' '"replay_us"' || return 1
   # ...the id is the one the front minted for that connection, not the
-  # request's ordinal in its batch of one: two responses never share it...
+  # request's ordinal in its tenant's session: two responses never share it...
   local id_a id_b
   id_a=$(sed -n 's/.*"request":\([0-9]*\).*/\1/p' <<<"$demo_resp")
   id_b=$(sed -n 's/.*"request":\([0-9]*\).*/\1/p' <<<"$demo_t1")
@@ -118,7 +133,7 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
       "the minted id does not reach the response" >&2
     return 1
   fi
-  # ...and /debug/slow holds the top-K breakdowns folded from every batch.
+  # ...and /debug/slow holds the top-K breakdowns offered at every completion.
   demo_slow=$(metrics_get /debug/slow)
   expect "/debug/slow did not report the served requests" "$demo_slow" \
     'HTTP/1.1 200 OK' '"requests":\[{"request":' || return 1
@@ -128,6 +143,31 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
   demo_flight=$(metrics_get /debug/flight)
   expect "/debug/flight has no dump with flow-linked request spans" "$demo_flight" \
     'HTTP/1.1 200 OK' '"request\.' '"ph":"s"' || return 1
+  # Concurrency: sixteen clients at once across both tenants, which the pump
+  # finds queued together and submits to sessions that already hold work.
+  # Every one is answered 200 under its own request id, and the front's
+  # accepted count moves by exactly sixteen.
+  local burst_dir accepted_before accepted_after burst_ids i
+  local -a burst_pids=()
+  burst_dir=$(mktemp -d)
+  demo_accepted() { demo_get /stats | sed -n 's/.*"accepted":\([0-9]*\).*/\1/p'; }
+  accepted_before=$(demo_accepted)
+  for i in $(seq 0 15); do
+    demo_get "/t/$((i % 2))/query/$((i % 12))" > "$burst_dir/$i" &
+    burst_pids+=($!)
+  done
+  wait "${burst_pids[@]}" || true
+  accepted_after=$(demo_accepted)
+  burst_ids=$(sed -n 's/.*"request":\([0-9]*\).*/\1/p' "$burst_dir"/* | sort -u | wc -l)
+  if [[ $(grep -l 'HTTP/1.1 200 OK' "$burst_dir"/* | wc -l) -ne 16 \
+    || "$burst_ids" -ne 16 || $((accepted_after - accepted_before)) -ne 16 ]]; then
+    echo "!!> 16-way burst: $(grep -l 'HTTP/1.1 200 OK' "$burst_dir"/* | wc -l) answered 200," \
+      "$burst_ids distinct request ids, accepted $accepted_before -> $accepted_after" >&2
+    head -n 20 "$burst_dir"/* >&2
+    rm -rf "$burst_dir"
+    return 1
+  fi
+  rm -rf "$burst_dir"
   # Bounded memory: the demo's recorders keep counters, histograms and a
   # fixed event ring, so its high-water mark must not follow the number of
   # requests served. 100 requests warm every buffer; 400 more must add
@@ -165,7 +205,7 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
     return 1
   fi
   "$@" results/flight_dump.json || return 1
-  echo "    serve_demo answered both tenants, served /debug/slow + /debug/flight, and wrote a loadable flight dump"
+  echo "    serve_demo answered both tenants and a 16-way burst, served /debug/slow + /debug/flight, and wrote a loadable flight dump"
 }
 
 # Offline subset: formatting, the unit tests of the three dependency-free
@@ -240,6 +280,7 @@ offline_subset() {
         }' >&2
   }
   step cargo fmt --all -- --check
+  step one_admission_loop
   step unit_tests sim crates/sim/src
   step unit_tests obs crates/obs/src
   step unit_tests buffer crates/buffer/src --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
@@ -278,6 +319,7 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+one_admission_loop
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -31,6 +31,10 @@ pub struct Frame {
     pub prefetched: bool,
     /// Whether a prefetched frame has been referenced by a query since load.
     pub referenced: bool,
+    /// Whether this prefetched load has been counted useful or wasted: at
+    /// most once over its residency, however many runs close over it.
+    /// Accounting only — no replacement policy reads it.
+    pub settled: bool,
 }
 
 impl Frame {
@@ -46,6 +50,7 @@ impl Frame {
             available_at: SimTime::ZERO,
             prefetched: false,
             referenced: false,
+            settled: false,
         }
     }
 

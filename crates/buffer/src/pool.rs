@@ -94,7 +94,8 @@ impl BufferPool {
     pub fn touch(&mut self, fid: FrameId) {
         let f = &mut self.frames[fid.0 as usize];
         f.usage_count = (f.usage_count + 1).min(Frame::MAX_USAGE);
-        if f.prefetched && !f.referenced {
+        if f.prefetched && !f.settled {
+            f.settled = true;
             self.stats.prefetch_useful += 1;
             self.recorder.add("prefetch.useful", 1);
         }
@@ -163,6 +164,7 @@ impl BufferPool {
         f.available_at = available_at;
         f.prefetched = prefetched;
         f.referenced = false;
+        f.settled = false;
         self.page_table.insert(pid, fid);
         if transient {
             self.policy.on_load_transient(fid);
@@ -179,7 +181,7 @@ impl BufferPool {
             self.page_table.remove(&pid);
             self.stats.evictions += 1;
             self.recorder.add("buffer.evictions", 1);
-            if f.prefetched && !f.referenced {
+            if f.prefetched && !f.settled {
                 self.stats.prefetch_wasted += 1;
                 if self.recorder.is_enabled() {
                     self.recorder.add("prefetch.evicted_unused", 1);
@@ -198,6 +200,7 @@ impl BufferPool {
         f.usage_count = 0;
         f.prefetched = false;
         f.referenced = false;
+        f.settled = false;
     }
 
     /// Update a resident frame's I/O completion instant. The AIO prefetcher
@@ -209,10 +212,15 @@ impl BufferPool {
     }
 
     /// Account still-resident never-referenced prefetched pages as wasted.
-    /// Call once at end of a run before reading [`Self::stats`].
+    /// Call at the end of a run before reading [`Self::stats`]. A frame
+    /// written off here is settled: a later close, its eviction or a late
+    /// first reference counts it no second time, so
+    /// `prefetch_useful + prefetch_wasted <= prefetch_issued` holds on a warm
+    /// pool closed any number of times.
     pub fn finish_accounting(&mut self) {
-        for f in &self.frames {
-            if f.page.is_some() && f.prefetched && !f.referenced {
+        for f in &mut self.frames {
+            if f.page.is_some() && f.prefetched && !f.settled {
+                f.settled = true;
                 self.stats.prefetch_wasted += 1;
             }
         }
@@ -334,6 +342,29 @@ mod tests {
         b.touch(f2);
         b.finish_accounting();
         assert_eq!(b.stats().prefetch_wasted, 1);
+        assert_eq!(b.stats().prefetch_useful, 1);
+    }
+
+    #[test]
+    fn a_prefetched_load_is_settled_once_over_its_residency() {
+        let mut b = pool(2);
+        let f1 = b.load(pid(1), true, SimTime::ZERO).unwrap();
+        b.load(pid(2), true, SimTime::ZERO).unwrap();
+        b.finish_accounting();
+        b.finish_accounting();
+        assert_eq!(b.stats().prefetch_wasted, 2, "a second close adds nothing");
+        // Written off, then read after all: still one count, and the frame
+        // is referenced as far as the replacement policy can tell.
+        b.touch(f1);
+        assert!(b.frame(f1).referenced);
+        assert_eq!(b.stats().prefetch_useful, 0);
+        // Written off, then evicted: not wasted twice.
+        b.load(pid(3), false, SimTime::ZERO).unwrap();
+        assert!(b.lookup(pid(2)).is_none());
+        assert_eq!(b.stats().prefetch_wasted, 2);
+        // A fresh load into the same frame is a new residency.
+        let f4 = b.load(pid(4), true, SimTime::ZERO).unwrap();
+        b.touch(f4);
         assert_eq!(b.stats().prefetch_useful, 1);
     }
 

@@ -6,8 +6,9 @@
 //! bounded queue:
 //!
 //! - `GET /query/<idx>` — enqueue catalog query `idx`. The connection stays
-//!   open; whoever drains the queue replays the query through
-//!   [`PrefetchServer`](crate::server::PrefetchServer) and answers through
+//!   open; whoever drains the queue submits the query to a
+//!   [`ServeSession`](crate::server::ServeSession) and, when its completion
+//!   is polled, answers through
 //!   the arrival's [`Responder`] with the virtual-time outcome as JSON
 //!   ([`outcome_json`]). When the queue is already at the configured depth
 //!   target the request is **load-shed** instead: an immediate
@@ -40,11 +41,14 @@
 //! closed, which also bounds every handler thread's lifetime.
 //!
 //! The wall-clock side (sockets, thread wakeups) never feeds back into the
-//! virtual clock: arrivals carry no wall timestamps, and the serving loop
-//! assigns them virtual arrival instants when it drains a batch — so two
-//! identical request sequences still produce bit-identical virtual-time
-//! outcomes regardless of network timing. `examples/serve_demo.rs` wires
-//! this to a real trained predictor; `EXPERIMENTS.md` has the curl recipe.
+//! virtual clock as a timestamp: arrivals carry none, and a request arrives
+//! at the session's clock when the pump submits it. What the network does
+//! decide is the *order* in which the pump sees requests and which of them
+//! it finds queued together — so virtual-time outcomes are bit-identical
+//! for the same order and grouping, which a client that waits for each
+//! answer before its next request fixes by itself, and which concurrent
+//! clients do not. `examples/serve_demo.rs` wires this to a real trained
+//! predictor; `EXPERIMENTS.md` has the curl recipe.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
@@ -533,15 +537,14 @@ fn route(path: &str, shared: &Shared, cfg: &FrontendConfig) -> Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{
-        AdmissionMode, InferenceCharge, PrefetchServer, QueuePolicy, ServerConfig, ServerRequest,
-    };
+    use crate::server::{InferenceCharge, PrefetchServer, ServerConfig, ServerRequest};
     use pythia_db::catalog::Database;
     use pythia_db::plan::PlanNode;
     use pythia_db::runtime::RunConfig;
-    use pythia_db::trace::Trace;
+    use pythia_db::trace::{AccessKind, Trace, TraceEvent};
     use pythia_db::types::Schema;
-    use pythia_sim::SimDuration;
+    use pythia_sim::{FileId, PageId, SimDuration};
+    use std::collections::HashMap;
     use std::io::{Read, Write};
 
     /// Blocking one-shot HTTP GET against the front.
@@ -980,69 +983,67 @@ mod tests {
         fe.shutdown();
     }
 
-    #[test]
-    fn end_to_end_socket_serving_with_continuous_admission() {
-        // A real (tiny) catalog served over the socket by a continuous-
-        // admission server: request → queue → drain_batch → serve → JSON
-        // outcome on the wire.
+    /// A table big enough for the traces below, and a plan to name in
+    /// requests (no predictor reads it).
+    fn socket_db() -> (Database, PlanNode) {
         let mut db = Database::new();
         let t = db.create_table("t", Schema::ints(&["a"]));
         for i in 0..20_000i64 {
             db.insert(t, Database::row(&[i]));
         }
-        let plans: Vec<PlanNode> = (0..3)
-            .map(|_| PlanNode::SeqScan {
-                table: t,
-                pred: None,
-            })
-            .collect();
-        let traces: Vec<Trace> = plans
-            .iter()
-            .map(|p| pythia_db::exec::execute(p, &db).1)
+        let plan = PlanNode::SeqScan {
+            table: t,
+            pred: None,
+        };
+        (db, plan)
+    }
+
+    /// The socket pump, as `examples/serve_demo.rs` runs it for one tenant:
+    /// one session for as long as the front is up, arrivals submitted as
+    /// they are drained, each completion answered the moment it is polled.
+    /// Returns the catalog indices in the order they were answered.
+    fn pump(fe: &Frontend, db: &Database, plan: &PlanNode, traces: &[Trace]) -> Vec<usize> {
+        let cfg = ServerConfig {
+            concurrency: 2,
+            charge: InferenceCharge::Fixed(SimDuration::ZERO),
+            ..ServerConfig::default()
+        };
+        let mut srv = PrefetchServer::new(db, &RunConfig::default(), cfg);
+        let mut session = srv.session();
+        let mut waiting: HashMap<u64, (usize, Responder)> = HashMap::new();
+        let mut answered = Vec::new();
+        while !(fe.shutdown_requested() && waiting.is_empty() && fe.depth() == 0) {
+            // Block only when there is nothing to replay.
+            let wait = Duration::from_millis(if waiting.is_empty() { 20 } else { 0 });
+            for a in fe.drain_batch(wait) {
+                let req = ServerRequest::new(plan, &traces[a.query], SimDuration::ZERO)
+                    .with_request(a.request);
+                waiting.insert(session.submit(req), (a.query, a.responder));
+            }
+            if let Some((ticket, outcome)) = session.poll_completion(&mut srv) {
+                session.take_intervals();
+                let (query, responder) = waiting.remove(&ticket).expect("a waiting connection");
+                responder.ok_json(&outcome_json(query, &outcome));
+                answered.push(query);
+            }
+        }
+        session.finish(&mut srv);
+        answered
+    }
+
+    #[test]
+    fn end_to_end_socket_serving_through_one_session() {
+        // A real (tiny) catalog served over the socket: request → queue →
+        // drain_batch → submit → poll_completion → JSON outcome on the wire.
+        let (db, plan) = socket_db();
+        let traces: Vec<Trace> = (0..3)
+            .map(|_| pythia_db::exec::execute(&plan, &db).1)
             .collect();
 
-        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(plans.len())).expect("bind");
+        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(traces.len())).expect("bind");
         let addr = fe.addr();
         std::thread::scope(|scope| {
-            let fe_ref = &fe;
-            let db_ref = &db;
-            let plans_ref = &plans;
-            let traces_ref = &traces;
-            scope.spawn(move || {
-                let cfg = ServerConfig {
-                    concurrency: 2,
-                    admission: AdmissionMode::Continuous,
-                    policy: QueuePolicy::Fifo,
-                    charge: InferenceCharge::Fixed(SimDuration::ZERO),
-                    prefetch_budget: None,
-                    tenant_quota: None,
-                };
-                let mut srv = PrefetchServer::new(db_ref, &RunConfig::default(), cfg);
-                loop {
-                    let batch = fe_ref.drain_batch(Duration::from_millis(20));
-                    if batch.is_empty() {
-                        if fe_ref.shutdown_requested() && fe_ref.depth() == 0 {
-                            break;
-                        }
-                        continue;
-                    }
-                    let reqs: Vec<ServerRequest<'_>> = batch
-                        .iter()
-                        .map(|a| {
-                            ServerRequest::new(
-                                &plans_ref[a.query],
-                                &traces_ref[a.query],
-                                SimDuration::ZERO,
-                            )
-                            .with_request(a.request)
-                        })
-                        .collect();
-                    let rep = srv.serve(&reqs);
-                    for (a, q) in batch.into_iter().zip(&rep.queries) {
-                        a.responder.ok_json(&outcome_json(a.query, q));
-                    }
-                }
-            });
+            let pump = scope.spawn(|| pump(&fe, &db, &plan, &traces));
 
             let resp = http_get(addr, "/query/1");
             assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
@@ -1065,11 +1066,73 @@ mod tests {
             ] {
                 assert!(resp.contains(field), "missing {field} in {resp}");
             }
+            // The session outlives the request: the next one is its second
+            // admission and arrives where the first one ended.
+            let next = http_get(addr, "/query/2");
+            assert!(next.contains("\"admission\":1"), "{next}");
+            let field = |resp: &str, name: &str| -> u64 {
+                let rest = &resp[resp.find(name).expect("field") + name.len()..];
+                rest[..rest.find([',', '}']).expect("delimiter")]
+                    .parse()
+                    .expect("number")
+            };
+            assert_eq!(field(&next, "\"arrival_us\":"), field(&resp, "\"end_us\":"));
 
             let bye = http_get(addr, "/shutdown");
             assert!(bye.starts_with("HTTP/1.1 200"), "{bye}");
+            assert_eq!(pump.join().expect("pump"), [1, 2]);
         });
-        assert_eq!(fe.stats().accepted, 1);
+        assert_eq!(fe.stats().accepted, 2);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn a_minnow_queued_behind_a_whale_is_answered_first() {
+        // Two clients, the whale's request ahead of the minnow's in the
+        // queue. Both are submitted to the one session, the minnow replays in
+        // the second slot and its client hears back first. (Served as one
+        // closed batch, neither was answered before the whale had finished.)
+        let (db, plan) = socket_db();
+        let reads = |n: u32| -> Trace {
+            (0..n)
+                .map(|i| TraceEvent::Read {
+                    obj: pythia_db::catalog::ObjectId(0),
+                    page: PageId::new(FileId(0), (i * 37) % 10_000),
+                    kind: AccessKind::HeapFetch,
+                })
+                .collect()
+        };
+        let traces = [reads(2_000), reads(5)];
+
+        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(2)).expect("bind");
+        let mut clients = Vec::new();
+        for query in 0..2 {
+            let mut s = TcpStream::connect(fe.addr()).unwrap();
+            s.write_all(format!("GET /query/{query} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+                .unwrap();
+            // Pin the queue order before the next client writes.
+            wait_for(|| fe.depth() == query + 1);
+            clients.push(s);
+        }
+        std::thread::scope(|scope| {
+            let pump = scope.spawn(|| pump(&fe, &db, &plan, &traces));
+            let bodies: Vec<String> = clients
+                .iter_mut()
+                .map(|s| {
+                    let mut out = String::new();
+                    s.read_to_string(&mut out).unwrap();
+                    assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+                    out
+                })
+                .collect();
+            assert!(bodies[0].contains("\"query\":0") && bodies[1].contains("\"query\":1"));
+            http_get(fe.addr(), "/shutdown");
+            assert_eq!(
+                pump.join().expect("pump"),
+                [1, 0],
+                "the minnow was answered first"
+            );
+        });
         fe.shutdown();
     }
 }

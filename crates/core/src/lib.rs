@@ -59,6 +59,6 @@ pub use registry::{CatalogCompat, ModelRegistry, TenantFleet, VersionedWorkload}
 pub use serialize::{serialize_plan, ValueBinner};
 pub use server::{
     AdmissionMode, InferenceCharge, PrefetchServer, QueryOutcome, QueuePolicy, ServeReport,
-    ServerConfig, ServerRequest, TenantReport, WaveStats,
+    ServeSession, ServerConfig, ServerRequest, TenantReport, WaveStats,
 };
 pub use vocab::Vocab;

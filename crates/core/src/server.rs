@@ -7,51 +7,65 @@
 //! inference batches naturally with load (the batched forward pass of
 //! [`TrainedWorkload::infer_batch`] amortizes across everything queued).
 //!
-//! [`PrefetchServer`] is that loop over the virtual-clock stack, in one of
-//! two [`AdmissionMode`]s:
+//! There is **one admission loop**, and it is incremental. A
+//! [`ServeSession`] is driven beside its [`PrefetchServer`] the way a
+//! [`ReplaySession`] is driven beside its [`Runtime`]:
+//! [`submit`](ServeSession::submit) hands it a request whenever one turns up,
+//! [`poll_completion`](ServeSession::poll_completion) processes arrivals,
+//! admissions and replay events in global virtual-time order up to and
+//! including the next completion, and [`finish`](ServeSession::finish)
+//! settles. [`PrefetchServer::serve`], the batch entry, is that session with
+//! every request submitted up front, drained, finished; a socket pump
+//! (`examples/serve_demo.rs`) holds one session for the life of the process
+//! and answers each request the moment its completion is polled, so a long
+//! query never stalls a short one — inside a batch or across two.
 //!
-//! - **Continuous** (the default): admit-on-completion. Arrivals,
-//!   admissions and replay events are processed in global virtual-time order
-//!   over one incremental [`ReplaySession`]. The scheduler tracks the
-//!   virtual instant each of the `concurrency` slots became free (a
-//!   completion frees its slot at the completion *end*), and an admission
-//!   happens at `max(earliest queued arrival, earliest free-slot instant)`:
-//!   an arrival that finds a free slot is admitted at its arrival instant,
-//!   one that finds every slot busy waits for the slot-freeing completion
-//!   and is injected at that completion's end. The admitted query is picked
-//!   FIFO, or as the most page-overlapping candidate
-//!   ([`pick_next_by_overlap`]). Each admission instant first runs one
-//!   batched inference over every queued query lacking a prediction
-//!   (opportunistic re-batching), charging each covered query the amortized
-//!   latency ([`InferenceCharge`]). No barrier: a long query never stalls
-//!   short ones queued behind it.
-//! - **Wave**: the original barrier loop. Up to `concurrency` queries are
-//!   admitted per wave under the [`QueuePolicy`] (FIFO, or the §7 overlap
-//!   scheduler [`schedule_by_overlap`]), the wave replays to completion
-//!   through [`Runtime::run`], and only then is the queue examined again.
-//!   Kept for comparison — the wave-vs-continuous gap under skewed per-query
-//!   cost is what `pythia-experiments`' serving section measures.
+//! **Admit-on-completion.** The session tracks the virtual instant each of
+//! the `concurrency` slots became free (a completion frees its slot at the
+//! completion *end*), and an admission happens at `max(earliest queued
+//! arrival, earliest free-slot instant)`: an arrival that finds a free slot
+//! is admitted at its arrival instant, one that finds every slot busy waits
+//! for the slot-freeing completion and is injected at that completion's end.
+//! The admitted query is picked FIFO, or as the most page-overlapping
+//! candidate ([`pick_next_by_overlap`](crate::scheduler::pick_next_by_overlap)).
+//! Each admission instant first runs one batched inference over every queued
+//! query lacking a prediction (opportunistic re-batching), charging each
+//! covered query the amortized latency ([`InferenceCharge`]).
 //!
-//! In both modes the shared pool's counters are attributed to each admission
-//! event by snapshot diff ([`BufferStats::diff`]), so the per-event
-//! [`WaveStats`] always partition the aggregate report.
+//! **The clock rule.** A session's clock is the latest instant it has
+//! reached — event starts *and* completion ends — and never goes back. A
+//! request arrives at `session start + its arrival offset`, or at the clock
+//! if that instant has passed. So a client that submits after reading its
+//! previous answer arrives at that answer's completion end: exactly where a
+//! fresh one-request `serve` call, starting at the stack's clock, would have
+//! put it (pinned by `closed_loop_session_equals_one_request_serves`).
 //!
-//! With `concurrency = 1`, FIFO policy and a fixed inference charge, *both*
-//! modes are *bit-identical* to calling [`Runtime::run`] serially per query
-//! on one warm stack — the property the proptests in
-//! `tests/proptest_server.rs` pin down. Scheduling extensions are therefore
-//! one-flag variants of the same loop, not separate harnesses.
+//! **What a session holds.** Requests waiting, queued or in flight; one open
+//! admission interval; the closed intervals nobody has taken. Never a request
+//! it has completed — nor does the replay session under it.
+//!
+//! The shared pool's counters are attributed to each admission by snapshot
+//! diff ([`BufferStats::diff`]): an interval runs from its admission to the
+//! next (the last one to `finish`), so the [`WaveStats`] always partition the
+//! aggregate report.
+//!
+//! With `concurrency = 1`, FIFO policy and a fixed inference charge, serving
+//! is *bit-identical* to calling [`Runtime::run`] serially per query on one
+//! warm stack — the property the proptests in `tests/proptest_server.rs` pin
+//! down. The barrier-wave loop this one replaced survives as a baseline in
+//! `pythia-experiments::serving`, built on [`Runtime::run`] outside this
+//! crate.
 //!
 //! A socket front-end for this loop — bounded queue, load shedding, the
 //! `serve_demo` example binary — lives in [`crate::frontend`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use pythia_buffer::BufferStats;
 use pythia_db::catalog::Database;
 use pythia_db::plan::PlanNode;
-use pythia_db::runtime::{QueryRun, ReplaySession, RunConfig, Runtime};
+use pythia_db::runtime::{QueryRun, ReplaySession, RunConfig, Runtime, SessionCompletion};
 use pythia_db::trace::Trace;
 use pythia_obs::quality::{QualityOutcome, QualityTotals, QualityTracker};
 use pythia_obs::request::RequestBreakdown;
@@ -61,19 +75,18 @@ use pythia_sim::{PageId, SimDuration, SimTime};
 use crate::predictor::TrainedWorkload;
 use crate::prefetch::engage;
 use crate::registry::TenantFleet;
-use crate::scheduler::{pick_next_by_overlap_scored, schedule_by_overlap};
+use crate::scheduler::pick_next_by_overlap_scored;
 
-/// How queries are admitted from the queue into the replay stack.
+/// How queries are admitted from the queue into the replay stack. One value:
+/// the type and [`ServerConfig::admission`] remain only because callers spell
+/// the config as a full literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionMode {
-    /// Admit-on-completion (the default): the moment a slot frees, the
-    /// scheduler picks the next queued query and injects it at the completion
-    /// instant. Work-conserving — a long query never stalls short ones queued
-    /// behind it.
+    /// Admit-on-completion: the moment a slot frees, the scheduler picks the
+    /// next queued query and injects it at the completion instant.
+    /// Work-conserving — a long query never stalls short ones queued behind
+    /// it.
     Continuous,
-    /// Barrier waves: admit up to `concurrency` queries, replay the whole
-    /// wave to completion, then look at the queue again. Kept for comparison.
-    Wave,
 }
 
 /// How the serving loop picks the next admission from the queue.
@@ -81,13 +94,12 @@ pub enum AdmissionMode {
 pub enum QueuePolicy {
     /// Admit in arrival order.
     Fifo,
-    /// Prefer page overlap: in wave mode, order the whole queue with
-    /// [`schedule_by_overlap`] on the predicted page sets and admit the head
-    /// of that chain; in continuous mode, pick the queued query most
-    /// overlapping the previously admitted one ([`pick_next_by_overlap`]) —
-    /// so consecutive admissions find their working sets resident. Degrades
-    /// to FIFO when predictions are absent or empty (the schedulers'
-    /// all-empty tie-break).
+    /// Prefer page overlap: pick the queued query whose predicted pages most
+    /// overlap the previously admitted one's
+    /// ([`pick_next_by_overlap`](crate::scheduler::pick_next_by_overlap)), so
+    /// consecutive admissions find their working sets resident. Degrades to
+    /// FIFO when predictions are absent or empty (the scheduler's all-empty
+    /// tie-break).
     Overlap,
 }
 
@@ -108,7 +120,8 @@ pub struct ServerConfig {
     /// Maximum queries replaying at once (values below 1 behave as 1 — the
     /// clamp is regression-tested in this module).
     pub concurrency: usize,
-    /// How slots are refilled from the queue.
+    /// How slots are refilled from the queue (one value; see
+    /// [`AdmissionMode`]).
     pub admission: AdmissionMode,
     /// Queue ordering policy.
     pub policy: QueuePolicy,
@@ -139,8 +152,8 @@ impl Default for ServerConfig {
 }
 
 /// One incoming query: its plan (for inference), its recorded trace (for
-/// replay) and its arrival offset from the instant [`PrefetchServer::serve`]
-/// is called (i.e. from the stack's current clock).
+/// replay) and its arrival offset from the instant its session opened —
+/// [`PrefetchServer::serve`] being called — i.e. from the stack's clock then.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerRequest<'a> {
     pub plan: &'a PlanNode,
@@ -157,9 +170,9 @@ pub struct ServerRequest<'a> {
     /// End-to-end request id for tracing (0 = unassigned). A trace-only
     /// label: it never influences admission order or virtual time. The TCP
     /// front-end mints wall-ordered ids ([`pythia_obs::request::mint`]);
-    /// direct [`PrefetchServer::serve`] callers may leave 0 and the serving
-    /// loop assigns the deterministic per-call ordinal `i + 1`, so golden
-    /// traces of replayed workloads stay byte-stable.
+    /// direct [`PrefetchServer::serve`] callers may leave 0 and the session
+    /// assigns the deterministic ordinal `ticket + 1` (`i + 1` in a `serve`
+    /// call), so golden traces of replayed workloads stay byte-stable.
     pub request: u64,
 }
 
@@ -196,15 +209,14 @@ impl<'a> ServerRequest<'a> {
 pub struct QueryOutcome {
     /// When the query arrived (absolute virtual time).
     pub arrival: SimTime,
-    /// When it was admitted into the replay stack (its wave's dispatch in
-    /// wave mode; its own admission instant in continuous mode).
+    /// When it was admitted into the replay stack.
     pub admitted: SimTime,
     /// When replay began (admission + inference charge).
     pub start: SimTime,
     /// When replay finished.
     pub end: SimTime,
-    /// Index into [`ServeReport::waves`] of the admission event that served
-    /// it.
+    /// Ordinal of the admission event that served it within its session:
+    /// the index into [`ServeReport::waves`].
     pub wave: usize,
     /// Inference latency charged to this query.
     pub inference: SimDuration,
@@ -243,16 +255,15 @@ impl QueryOutcome {
     }
 }
 
-/// Per-admission-event serving metrics. In wave mode, one entry per barrier
-/// wave; in continuous mode, one entry per admission (so exactly one per
-/// query).
+/// Per-admission-event serving metrics: one entry per admission, so exactly
+/// one per query. (The barrier baseline in `pythia-experiments` fills one per
+/// wave.)
 #[derive(Debug, Clone, Copy)]
 pub struct WaveStats {
     /// When the admission was dispatched.
     pub admitted_at: SimTime,
-    /// Queries in flight right after this admission (the wave's size in wave
-    /// mode; the slot occupancy including the admitted query in continuous
-    /// mode). Always within `1..=concurrency`.
+    /// Queries in flight right after this admission, the admitted one
+    /// included. Always within `1..=concurrency`.
     pub occupancy: usize,
     /// Queue depth at dispatch (admitted + still waiting).
     pub queue_depth: usize,
@@ -261,12 +272,12 @@ pub struct WaveStats {
     /// Total inference latency charged to the queries admitted here.
     pub inference: SimDuration,
     /// Buffer/prefetch counters accumulated between this admission and the
-    /// next (or the end of the serve call) — the per-event entries always
+    /// next (or the session's finish) — the per-event entries always
     /// partition [`ServeReport::stats`].
     pub stats: BufferStats,
-    /// Tenant of the admitted query in continuous mode (one admission per
-    /// query, so the attribution is exact); `None` in wave mode, where one
-    /// barrier wave can mix tenants.
+    /// Tenant of the admitted query (one admission per query, so the
+    /// attribution is exact); `None` for an entry that covers several
+    /// queries, as a barrier wave's does.
     pub tenant: Option<u32>,
 }
 
@@ -434,10 +445,8 @@ impl ServeReport {
     }
 
     /// Per-tenant breakdown. Query counts, waits and inference charges
-    /// always partition the global totals; buffer counters additionally
-    /// partition [`ServeReport::stats`] in continuous mode, where every
-    /// admission event is attributed to exactly one tenant (wave-mode waves
-    /// mix tenants, so their counters stay unattributed).
+    /// partition the global totals, and so do the buffer counters: every
+    /// admission event is attributed to exactly one tenant.
     pub fn by_tenant(&self) -> BTreeMap<u32, TenantReport> {
         let mut out: BTreeMap<u32, TenantReport> = BTreeMap::new();
         for q in &self.queries {
@@ -468,7 +477,7 @@ impl ServeReport {
     /// streaming [`QualityTracker`] windows use — so report-level and live
     /// telemetry compute hit rate / precision / recall identically. The
     /// per-tenant slices ([`TenantReport::quality`]) partition this total
-    /// in continuous mode (proptest-pinned).
+    /// (proptest-pinned).
     pub fn quality(&self) -> QualityTotals {
         QualityTotals {
             outcomes: self.queries.len() as u64,
@@ -492,7 +501,7 @@ impl ServeReport {
 pub struct TenantReport {
     /// Queries this tenant completed.
     pub queries: usize,
-    /// Admission events attributed to this tenant (continuous mode only).
+    /// Admission events attributed to this tenant.
     pub admissions: usize,
     /// Summed time its queries spent queued before admission.
     pub total_admission_wait: SimDuration,
@@ -500,8 +509,7 @@ pub struct TenantReport {
     pub total_latency: SimDuration,
     /// Summed inference latency charged to its queries.
     pub inference: SimDuration,
-    /// Buffer/prefetch counters of its admission intervals (continuous mode
-    /// only; zero in wave mode).
+    /// Buffer/prefetch counters of its admission intervals.
     pub stats: BufferStats,
 }
 
@@ -577,12 +585,6 @@ struct PredEntry {
     charge: SimDuration,
 }
 
-/// Request `i`'s full predicted prefetch list (empty before inference, or
-/// without a predictor) — what the overlap policies rank on.
-fn predicted_pages(preds: &[Option<PredEntry>], i: usize) -> &[PageId] {
-    preds[i].as_ref().map_or(&[], |e| &e.list)
-}
-
 /// Where the serving loop's model comes from.
 enum PredictorSource<'d> {
     /// No model: the DFLT baseline, every query replays unassisted.
@@ -609,9 +611,8 @@ pub struct PrefetchServer<'d> {
     predictor: PredictorSource<'d>,
     admission_hook: Option<AdmissionHook<'d>>,
     /// Streaming quality telemetry, fed one outcome per closed admission
-    /// interval in continuous mode (`None` disables the whole path — one
-    /// branch per interval). Shared so a frontend health route can read it
-    /// while serving runs.
+    /// interval (`None` disables the whole path — one branch per interval).
+    /// Shared so a frontend health route can read it while serving runs.
     quality: Option<Arc<Mutex<QualityTracker>>>,
     /// End-to-end latency above which a completion counts as a slow request:
     /// it bumps `server.slow_requests` and fires the flight recorder's
@@ -645,7 +646,7 @@ impl<'d> PrefetchServer<'d> {
     }
 
     /// Attach a trained Pythia instance: admitted queries get capped prefetch
-    /// plans, with inference batched per admission wave.
+    /// plans, with inference batched per admission.
     pub fn with_predictor(mut self, tw: &'d TrainedWorkload) -> Self {
         self.predictor = PredictorSource::Fixed(tw);
         self
@@ -667,13 +668,11 @@ impl<'d> PrefetchServer<'d> {
         self.admission_hook = Some(Box::new(hook));
     }
 
-    /// Attach a streaming quality tracker. In continuous mode every closed
-    /// admission interval feeds it one [`QualityOutcome`] (the interval's
-    /// `BufferStats::diff` snapshot plus the query's admission wait),
-    /// attributed to the admitted query's tenant and template span. Wave
-    /// mode stays unattributed (a barrier wave mixes tenants) and feeds
-    /// nothing. The tracker only *reads* serving state, so enabling it
-    /// never perturbs virtual time or admission order.
+    /// Attach a streaming quality tracker. Every closed admission interval
+    /// feeds it one [`QualityOutcome`] (the interval's `BufferStats::diff`
+    /// snapshot plus the query's admission wait), attributed to the admitted
+    /// query's tenant and template span. The tracker only *reads* serving
+    /// state, so enabling it never perturbs virtual time or admission order.
     pub fn with_quality(mut self, quality: Arc<Mutex<QualityTracker>>) -> Self {
         self.quality = Some(quality);
         self
@@ -685,28 +684,18 @@ impl<'d> PrefetchServer<'d> {
     }
 
     /// Feed one closed admission interval to the quality tracker (no-op
-    /// without one, or for unattributed wave-mode intervals).
-    fn feed_quality(
-        &mut self,
-        tenant: Option<u32>,
-        span: &'static str,
-        wait_us: u64,
-        stats: &BufferStats,
-        now_us: u64,
-    ) {
-        let Some(q) = self.quality.clone() else {
-            return;
-        };
-        let Some(tenant) = tenant else {
+    /// without one, or for an interval that names no tenant).
+    fn feed_quality(&mut self, wave: &WaveStats, span: &'static str, wait_us: u64, now_us: u64) {
+        let (Some(q), Some(tenant)) = (self.quality.clone(), wave.tenant) else {
             return;
         };
         let outcome = QualityOutcome {
-            hits: stats.hits,
-            os_copies: stats.os_copies,
-            disk_reads: stats.disk_reads,
-            prefetch_issued: stats.prefetch_issued,
-            prefetch_useful: stats.prefetch_useful,
-            prefetch_wasted: stats.prefetch_wasted,
+            hits: wave.stats.hits,
+            os_copies: wave.stats.os_copies,
+            disk_reads: wave.stats.disk_reads,
+            prefetch_issued: wave.stats.prefetch_issued,
+            prefetch_useful: wave.stats.prefetch_useful,
+            prefetch_wasted: wave.stats.prefetch_wasted,
             wait_us,
         };
         let mut tracker = match q.lock() {
@@ -747,65 +736,61 @@ impl<'d> PrefetchServer<'d> {
         self.rt.reset();
     }
 
+    /// Open a serving session on this server's stack, starting at the
+    /// stack's clock. Drive it with this server and no other; one session at
+    /// a time (its [`ServeSession::finish`] is what advances the stack's
+    /// clock for the next).
+    pub fn session<'q>(&mut self) -> ServeSession<'q> {
+        let now = self.rt.now();
+        ServeSession {
+            replay: ReplaySession::new(),
+            base: now,
+            clock: now,
+            next_ticket: 0,
+            future: VecDeque::new(),
+            queue: Vec::new(),
+            in_flight: Vec::new(),
+            free: vec![now; self.cfg.concurrency.max(1)],
+            tenant_tokens: HashMap::new(),
+            last_admitted: Vec::new(),
+            admissions: 0,
+            waits: BTreeMap::new(),
+            open: None,
+            closed: Vec::new(),
+            last_stats: self.rt.stats(),
+            server_track: self.server_track(),
+        }
+    }
+
     /// Serve a stream of requests to completion and report per-query,
-    /// per-admission and aggregate metrics. The stack stays warm across
-    /// calls. Dispatches on [`ServerConfig::admission`].
+    /// per-admission and aggregate metrics: one [`ServeSession`] with every
+    /// request submitted up front, drained and finished. The stack stays
+    /// warm across calls.
     ///
     /// Requests with `request == 0` get the deterministic per-call ordinal
     /// `i + 1` as their trace id — replayed workloads thus produce
     /// byte-stable traces, while a front-end that minted wall-ordered ids
     /// keeps them.
     pub fn serve(&mut self, requests: &[ServerRequest<'_>]) -> ServeReport {
-        let reqs: Vec<ServerRequest<'_>> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let mut r = *r;
-                if r.request == 0 {
-                    r.request = i as u64 + 1;
-                }
-                r
-            })
-            .collect();
-        let report = match self.cfg.admission {
-            AdmissionMode::Wave => self.serve_wave(&reqs),
-            AdmissionMode::Continuous => self.serve_continuous(&reqs),
-        };
-        self.publish_tenant_wait_percentiles(&report);
-        report
-    }
-
-    /// Per-tenant admission-wait p50/p90/p99 as labeled gauges
-    /// (`server.admission_wait_us{quantile,tenant}`), refreshed at the end
-    /// of every serve call — the per-tenant companions of the global
-    /// `server.admission_wait_us` histogram.
-    fn publish_tenant_wait_percentiles(&mut self, report: &ServeReport) {
-        if !self.rt.recorder().is_enabled() || report.queries.is_empty() {
-            return;
+        let start_stats = self.rt.stats();
+        let mut session = self.session();
+        for r in requests {
+            session.submit(*r);
         }
-        let mut hists: BTreeMap<u32, pythia_obs::hist::Histogram> = BTreeMap::new();
-        for q in &report.queries {
-            hists
-                .entry(q.tenant)
-                .or_default()
-                .record(q.admission_wait().as_micros());
+        // Tickets count from zero in submission order: the request's index.
+        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; requests.len()];
+        while let Some((ticket, outcome)) = session.poll_completion(self) {
+            outcomes[ticket as usize] = Some(outcome);
         }
-        let rec = self.rt.recorder_mut();
-        for (tenant, h) in &hists {
-            let t = tenant.to_string();
-            for (q, v) in [
-                ("0.5", h.p50()),
-                ("0.9", h.quantile(0.90)),
-                ("0.99", h.p99()),
-            ] {
-                rec.set_labeled(
-                    "server.admission_wait_us",
-                    &[("quantile", q), ("tenant", t.as_str())],
-                    v,
-                );
-            }
+        let waves = session.finish(self);
+        ServeReport {
+            queries: outcomes
+                .into_iter()
+                .map(|o| o.expect("every submitted request completed"))
+                .collect(),
+            waves,
+            stats: self.rt.stats().diff(&start_stats),
         }
-        self.rt.recorder().publish();
     }
 
     /// Emit the per-request span tree for one completed query on its own
@@ -888,9 +873,7 @@ impl<'d> PrefetchServer<'d> {
     /// later admissions reuse cached predictions. Returns the batch size.
     fn batch_infer_missing(
         &mut self,
-        requests: &[ServerRequest<'_>],
-        queue: &[usize],
-        preds: &mut [Option<PredEntry>],
+        queue: &mut [Queued<'_>],
         at: SimTime,
         server_track: Track,
     ) -> usize {
@@ -910,19 +893,16 @@ impl<'d> PrefetchServer<'d> {
                 None => return 0,
             },
         };
-        let missing: Vec<usize> = queue
-            .iter()
-            .copied()
-            .filter(|&i| preds[i].is_none())
+        let missing: Vec<usize> = (0..queue.len())
+            .filter(|&k| queue[k].pred.is_none())
             .collect();
-        if missing.is_empty() {
-            return 0;
-        }
-        let plans: Vec<&PlanNode> = missing.iter().map(|&i| requests[i].plan).collect();
         // Attribute the pool's wall-clock task spans to the batch head's
         // request id for the duration of the forward pass (the batch
         // amortizes over several requests; the head stands for the batch).
-        let head = missing.first().map(|&i| requests[i].request).unwrap_or(0);
+        let Some(head) = missing.first().map(|&k| queue[k].req.request) else {
+            return 0;
+        };
+        let plans: Vec<&PlanNode> = missing.iter().map(|&k| queue[k].req.plan).collect();
         pythia_obs::wall::set_request(head);
         let (lists, measured) = engage(self.db, tw, &plans);
         pythia_obs::wall::set_request(0);
@@ -931,8 +911,8 @@ impl<'d> PrefetchServer<'d> {
             InferenceCharge::Measured => measured,
         };
         let inferred = missing.len();
-        for (&i, list) in missing.iter().zip(lists) {
-            preds[i] = Some(PredEntry { list, charge });
+        for (&k, list) in missing.iter().zip(lists) {
+            queue[k].pred = Some(PredEntry { list, charge });
         }
         let rec = self.rt.recorder_mut();
         rec.add("server.inferred", inferred as u64);
@@ -952,16 +932,25 @@ impl<'d> PrefetchServer<'d> {
         );
         inferred
     }
+}
 
-    /// Build the replay run for request `i`: capped prefetch plan plus the
-    /// inference latency its prediction was charged.
-    fn build_run<'q>(
-        req: &ServerRequest<'q>,
-        pred: &Option<PredEntry>,
-        budget: usize,
-    ) -> QueryRun<'q> {
+/// A submitted request until its admission: waiting for its arrival instant,
+/// then queued.
+struct Queued<'q> {
+    ticket: u64,
+    req: ServerRequest<'q>,
+    /// Absolute arrival instant.
+    at: SimTime,
+    /// Set by the first batched inference that finds the request queued.
+    pred: Option<PredEntry>,
+}
+
+impl<'q> Queued<'q> {
+    /// The replay run: capped prefetch plan plus the inference latency the
+    /// prediction was charged.
+    fn run(&self, budget: usize) -> QueryRun<'q> {
         // Limited prefetching (§5.1): only the budgeted prefix is issued.
-        let (prefetch, inference) = match pred {
+        let (prefetch, inference) = match &self.pred {
             Some(e) if !e.list.is_empty() => {
                 (Some(e.list[..e.list.len().min(budget)].to_vec()), e.charge)
             }
@@ -969,537 +958,419 @@ impl<'d> PrefetchServer<'d> {
             None => (None, SimDuration::ZERO),
         };
         QueryRun {
-            trace: req.trace,
+            trace: self.req.trace,
             prefetch,
             arrival: SimDuration::ZERO,
             inference_latency: inference,
-            span_name: req.span_name,
+            span_name: self.req.span_name,
         }
     }
+}
 
-    /// Barrier-wave admission (see the module doc).
-    fn serve_wave(&mut self, requests: &[ServerRequest<'_>]) -> ServeReport {
-        let base = self.rt.now();
-        let start_stats = self.rt.stats();
-        let n = requests.len();
-        let abs: Vec<SimTime> = requests.iter().map(|r| base + r.arrival).collect();
-        // Arrival order, stable by request index.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (abs[i], i));
+/// The latest admission's interval, still accumulating pool counters, with
+/// what the quality tracker attributes it to once it closes.
+struct OpenInterval {
+    wave: WaveStats,
+    span: &'static str,
+    wait_us: u64,
+}
 
-        let budget = self
-            .cfg
-            .prefetch_budget
-            .unwrap_or(self.rt.pool_frames() * 3 / 4);
-        let mut preds: Vec<Option<PredEntry>> = vec![None; n];
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; n];
-        let mut waves: Vec<WaveStats> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        let mut next = 0usize;
-        let server_track = self.server_track();
+/// Consume the earliest instant of a free list (replay slots, or one
+/// tenant's quota tokens).
+fn take_earliest(free: &mut Vec<SimTime>) -> Option<SimTime> {
+    let (pos, _) = free.iter().enumerate().min_by_key(|&(_, &f)| f)?;
+    Some(free.swap_remove(pos))
+}
 
-        while next < n || !queue.is_empty() {
-            // Pull in everything that has arrived by the current clock.
-            while next < n && abs[order[next]] <= self.rt.now() {
-                let i = order[next];
-                let rec = self.rt.recorder_mut();
-                rec.add("server.arrivals", 1);
-                rec.instant(
-                    server_track,
-                    "server",
-                    "server.arrive",
-                    abs[i].as_micros(),
-                    &[("query", i as u64)],
-                );
-                queue.push(i);
-                next += 1;
-            }
-            if queue.is_empty() {
-                // Idle until the next arrival.
-                self.rt.advance_to(abs[order[next]]);
-                continue;
-            }
-            let admitted_at = self.rt.now();
-            let queue_depth = queue.len();
-            if let Some(hook) = self.admission_hook.as_mut() {
-                hook(waves.len());
-            }
-            let inferred =
-                self.batch_infer_missing(requests, &queue, &mut preds, admitted_at, server_track);
+// Same-instant event priority: arrivals first (so the admission decision
+// sees them queued), then admissions (injecting at `t <= next_event_time()`
+// is the replay session's causal contract), then replay steps.
+const ARRIVE: u8 = 0;
+const ADMIT: u8 = 1;
+const STEP: u8 = 2;
 
-            // Select this wave's members: walk the queue in the policy's
-            // preferred order, capping members per tenant at the quota
-            // (`None` admits freely — the original single-tenant path).
-            let take = self.cfg.concurrency.max(1).min(queue.len());
-            let quota = self.cfg.tenant_quota.map(|q| q.max(1));
-            let prefer: Vec<usize> = match self.cfg.policy {
-                QueuePolicy::Fifo => (0..queue.len()).collect(),
-                QueuePolicy::Overlap => {
-                    let sets: Vec<&[PageId]> =
-                        queue.iter().map(|&i| predicted_pages(&preds, i)).collect();
-                    schedule_by_overlap(&sets)
-                }
-            };
-            let mut members: Vec<usize> = Vec::new();
-            let mut per_tenant: HashMap<u32, usize> = HashMap::new();
-            for p in prefer {
-                if members.len() == take {
-                    break;
-                }
-                let i = queue[p];
-                let count = per_tenant.entry(requests[i].tenant).or_insert(0);
-                if quota.is_none_or(|q| *count < q) {
-                    *count += 1;
-                    members.push(i);
-                }
-            }
-            queue.retain(|i| !members.contains(i));
+/// The admission loop, driven incrementally beside a [`PrefetchServer`] (see
+/// the module doc): [`submit`](Self::submit) requests whenever they turn up,
+/// [`poll_completion`](Self::poll_completion) to run the arrive / admit /
+/// step events up to the next completion, [`finish`](Self::finish) to
+/// settle. With its intervals [taken](Self::take_intervals) as it goes, a
+/// session is as small after a million requests as after one.
+pub struct ServeSession<'q> {
+    replay: ReplaySession<'q>,
+    /// The stack's clock when the session opened: what
+    /// [`ServerRequest::arrival`] offsets count from.
+    base: SimTime,
+    /// The latest instant the session has reached: event starts and
+    /// completion ends. Never goes back; a request whose arrival lies before
+    /// it arrives here.
+    clock: SimTime,
+    next_ticket: u64,
+    /// Submitted, not yet arrived; ascending by (arrival, ticket).
+    future: VecDeque<Queued<'q>>,
+    /// Arrived, awaiting admission, in arrival order.
+    queue: Vec<Queued<'q>>,
+    /// Admitted, replaying (at most `concurrency` entries): the ticket and
+    /// everything known at admission — `start` / `end` arrive with the
+    /// completion. `wave` doubles as the replay-session slot: both count
+    /// this session's admissions.
+    in_flight: Vec<(u64, QueryOutcome)>,
+    /// Virtual instants at which the currently-free slots became free.
+    /// Admissions consume the earliest, completions push their end — a
+    /// completion frees its slot at its *end*, which the replay session
+    /// (stepping in event-start order) can report before an arrival that
+    /// precedes it is processed; admitting on `replay.live()` alone would
+    /// overlap the two. Invariant between events:
+    /// `free.len() + replay.live() == concurrency`.
+    free: Vec<SimTime>,
+    /// Per-tenant admission tokens under [`ServerConfig::tenant_quota`],
+    /// same shape as `free`; an empty vector is a tenant at its cap. A
+    /// tenant gets its tokens when its first request arrives. Unused
+    /// without a quota.
+    tenant_tokens: HashMap<u32, Vec<SimTime>>,
+    /// The latest admission's predicted pages — the overlap policy chains
+    /// on them.
+    last_admitted: Vec<PageId>,
+    /// Admission events so far: the next one's ordinal.
+    admissions: usize,
+    /// Admission waits of the queries completed so far, by tenant: what the
+    /// `server.admission_wait_us{quantile,tenant}` gauges are read from.
+    /// Kept only under an enabled recorder.
+    waits: BTreeMap<u32, pythia_obs::hist::Histogram>,
+    open: Option<OpenInterval>,
+    closed: Vec<WaveStats>,
+    /// Pool-counter snapshot at the latest admission event: each interval
+    /// covers the counters up to the next, so they partition the aggregate.
+    last_stats: BufferStats,
+    server_track: Track,
+}
 
-            // Dispatch the wave into concurrent replay; new arrivals wait for
-            // the wave to drain.
-            let runs: Vec<QueryRun<'_>> = members
-                .iter()
-                .map(|&i| Self::build_run(&requests[i], &preds[i], budget))
-                .collect();
-            if self.rt.recorder().is_enabled() {
-                let rec = self.rt.recorder_mut();
-                rec.add("server.admitted", members.len() as u64);
-                for &i in &members {
-                    rec.instant(
-                        server_track,
-                        "server",
-                        "server.admit",
-                        admitted_at.as_micros(),
-                        &[("query", i as u64), ("request", requests[i].request)],
-                    );
-                    rec.observe(
-                        "server.admission_wait_us",
-                        admitted_at.since(abs[i]).as_micros(),
-                    );
-                }
-            }
-            let before = self.rt.stats();
-            let res = self.rt.run(&runs);
-            let wave_idx = waves.len();
-            let mut wave_inference = SimDuration::ZERO;
-            for (k, &i) in members.iter().enumerate() {
-                let t = res.timings[k];
-                wave_inference += runs[k].inference_latency;
-                let o = QueryOutcome {
-                    arrival: abs[i],
-                    admitted: admitted_at,
-                    start: t.start,
-                    end: t.end,
-                    wave: wave_idx,
-                    inference: runs[k].inference_latency,
-                    tenant: requests[i].tenant,
-                    request: requests[i].request,
-                };
-                outcomes[i] = Some(o);
-                self.emit_request_spans(&o, server_track);
-            }
-            let wave_stats = res.stats.diff(&before);
-            let wave_end = self.rt.now();
-            let rec = self.rt.recorder_mut();
-            rec.add("server.waves", 1);
-            rec.span(
-                server_track,
-                "server",
-                "server.wave",
-                admitted_at.as_micros(),
-                wave_end.as_micros(),
-                &[
-                    ("wave", wave_idx as u64),
-                    ("occupancy", members.len() as u64),
-                    ("queue_depth", queue_depth as u64),
-                    ("inferred", inferred as u64),
-                ],
-            );
-            waves.push(WaveStats {
-                admitted_at,
-                occupancy: members.len(),
-                queue_depth,
-                inferred,
-                inference: wave_inference,
-                stats: wave_stats,
-                tenant: None,
-            });
-            // Refresh the live metrics endpoint between waves — the only
-            // point where the counters are consistent mid-serve.
-            self.rt.recorder().publish();
+impl<'q> ServeSession<'q> {
+    /// Hand the session a request; returns its ticket (0, 1, 2, … in
+    /// submission order), which [`Self::poll_completion`] reports back. The
+    /// request arrives at `session start + req.arrival`, or at
+    /// [`Self::clock`] if that instant has already passed. A request id of 0
+    /// becomes `ticket + 1`.
+    pub fn submit(&mut self, mut req: ServerRequest<'q>) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        if req.request == 0 {
+            req.request = ticket + 1;
         }
-
-        let queries = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request was dispatched"))
-            .collect();
-        self.rt.recorder().publish();
-        ServeReport {
-            queries,
-            waves,
-            stats: self.rt.stats().diff(&start_stats),
-        }
+        let at = (self.base + req.arrival).max(self.clock);
+        // Tickets only grow, so inserting after every entry that is not
+        // later keeps (arrival, ticket) order.
+        let pos = self.future.partition_point(|q| q.at <= at);
+        self.future.insert(
+            pos,
+            Queued {
+                ticket,
+                req,
+                at,
+                pred: None,
+            },
+        );
+        ticket
     }
 
-    /// Admit-on-completion (see the module doc): arrivals, admissions and
-    /// replay events are processed in global virtual-time order over one
-    /// incremental [`ReplaySession`]. Same-instant ties go arrival-first
-    /// (the admission decision then sees the fresh arrival in the queue,
-    /// matching what wave mode's pull-then-admit does at the same instant),
-    /// then admission-before-step (injecting at `t <= next_event_time()` is
-    /// the session's documented causal contract).
-    ///
-    /// Slot capacity is tracked explicitly as the virtual instants the
-    /// `concurrency` slots become free — an admission consumes the earliest
-    /// free instant `f` and is dispatched at `max(f, earliest queued
-    /// arrival)`, never at a bare arrival instant. The distinction matters
-    /// because the session steps queries in event-*start* order: a
-    /// completion whose final event straddles an arrival (say the event runs
-    /// 100..2100us and the arrival lands at 150us) is discovered *before*
-    /// the arrival is processed, so `sess.live()` alone would claim a free
-    /// slot at 150us even though the slot is occupied until 2100us in
-    /// virtual time. Admitting there would overlap the straddling query,
-    /// violating the concurrency cap and the C=1/FIFO/Fixed bit-identity to
-    /// serial [`Runtime::run`] replay.
-    fn serve_continuous(&mut self, requests: &[ServerRequest<'_>]) -> ServeReport {
-        /// Admission bookkeeping for one in-flight query.
-        struct AdmitInfo {
-            at: SimTime,
-            event: usize,
-            inference: SimDuration,
-        }
+    /// Requests submitted and not yet completed.
+    pub fn pending(&self) -> usize {
+        self.future.len() + self.queue.len() + self.in_flight.len()
+    }
 
-        let base = self.rt.now();
-        let start_stats = self.rt.stats();
-        let n = requests.len();
-        let abs: Vec<SimTime> = requests.iter().map(|r| base + r.arrival).collect();
-        // Arrival order, stable by request index.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (abs[i], i));
+    /// The latest virtual instant the session has reached.
+    pub fn clock(&self) -> SimTime {
+        self.clock
+    }
 
-        let budget = self
-            .cfg
-            .prefetch_budget
-            .unwrap_or(self.rt.pool_frames() * 3 / 4);
-        let cap = self.cfg.concurrency.max(1);
-        let mut preds: Vec<Option<PredEntry>> = vec![None; n];
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; n];
-        let mut admits: Vec<Option<AdmitInfo>> = (0..n).map(|_| None).collect();
-        let mut waves: Vec<WaveStats> = Vec::new();
-        // Parallel to `waves`: the admitted query's replay span (its
-        // template identity) and admission wait — what the quality tracker
-        // attributes the closed interval to.
-        let mut wave_meta: Vec<(&'static str, u64)> = Vec::new();
-        // Pool-counter snapshot at the latest admission event: each event's
-        // `stats` covers the interval up to the next event, so the entries
-        // partition the aggregate.
-        let mut last_stats = start_stats;
-        let mut queue: Vec<usize> = Vec::new();
-        let mut next = 0usize;
-        // The most recent admission — the overlap policy chains on its
-        // predicted pages.
-        let mut last_admitted: Option<usize> = None;
-        let server_track = self.server_track();
+    /// The admission intervals closed since the last call, in admission
+    /// order. An interval closes at the next admission (or at
+    /// [`Self::finish`]), so the latest admission's is not among them yet.
+    pub fn take_intervals(&mut self) -> Vec<WaveStats> {
+        std::mem::take(&mut self.closed)
+    }
 
-        let mut sess = ReplaySession::new();
-        // Session slot (injection order) → request index.
-        let mut slot_req: Vec<usize> = Vec::new();
-
-        // Virtual instants at which the currently-free slots became free.
-        // Admissions consume the earliest instant, completions push their
-        // end. Invariant between events: free.len() + sess.live() == cap.
-        let mut free: Vec<SimTime> = vec![base; cap];
-
-        // Per-tenant admission tokens, same shape as `free`: a tenant's
-        // vector holds the instants its quota slots freed, starting at
-        // `quota` tokens (all "free since serve start"). Empty vector means
-        // the tenant is at its in-flight cap. `None` quota skips all tenant
-        // accounting — the single-tenant path is bit-identical to before.
-        let quota = self.cfg.tenant_quota.map(|q| q.max(1));
-        let mut tenant_tokens: HashMap<u32, Vec<SimTime>> = HashMap::new();
-        if let Some(q) = quota {
-            for r in requests {
-                tenant_tokens
-                    .entry(r.tenant)
-                    .or_insert_with(|| vec![base; q]);
-            }
-        }
-
-        // Same-instant event priority: arrivals first (so the admission
-        // decision sees them queued), then admissions, then session steps.
-        const ARRIVE: u8 = 0;
-        const ADMIT: u8 = 1;
-        const STEP: u8 = 2;
-
+    /// Process events in virtual-time order up to and including the next
+    /// completion; `None` once nothing is pending. An admission happens at
+    /// `max(earliest free-slot instant, the query's arrival)` — and under a
+    /// tenant quota no earlier than the tenant's earliest token — so an
+    /// arrival that finds a free slot is admitted at once and one that finds
+    /// every slot busy is injected at the slot-freeing completion's end.
+    pub fn poll_completion(&mut self, srv: &mut PrefetchServer<'_>) -> Option<(u64, QueryOutcome)> {
+        let quota = srv.cfg.tenant_quota.map(|q| q.max(1));
         loop {
-            let next_arrival = if next < n {
-                Some(abs[order[next]])
-            } else {
-                None
-            };
-            // Queued arrivals all precede the admission instant (events are
-            // processed in nondecreasing virtual time), so the earliest the
-            // scheduler can dispatch is when the queue head has arrived AND
-            // a slot is free — AND, under a tenant quota, the query's tenant
-            // holds a token. A quota-blocked head never blocks other
-            // tenants: the candidate scan covers the whole queue, earliest
-            // feasible instant wins (queue order breaks ties).
-            let admit_at = if queue.is_empty() {
-                None
-            } else if let Some(&fmin) = free.iter().min() {
-                match quota {
-                    None => Some(fmin.max(abs[queue[0]])),
-                    Some(_) => {
-                        let mut best: Option<SimTime> = None;
-                        for &i in &queue {
-                            let Some(&tmin) = tenant_tokens[&requests[i].tenant].iter().min()
-                            else {
-                                continue;
-                            };
-                            let at = fmin.max(abs[i]).max(tmin);
-                            if best.is_none_or(|b| at < b) {
-                                best = Some(at);
-                            }
-                        }
-                        best
-                    }
-                }
-            } else {
-                None
-            };
-            let step_at = sess.next_event_time();
-
-            let mut event: Option<(SimTime, u8)> = None;
-            for cand in [
-                next_arrival.map(|t| (t, ARRIVE)),
-                admit_at.map(|t| (t, ADMIT)),
-                step_at.map(|t| (t, STEP)),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                if event.is_none_or(|best| cand < best) {
-                    event = Some(cand);
-                }
-            }
-            let Some((t, kind)) = event else { break };
-
-            // Each event yields at most one completion: `(request, timing)`.
+            let (t, kind) = self.next_event(quota)?;
+            self.clock = self.clock.max(t);
             let completed = match kind {
                 ARRIVE => {
-                    let i = order[next];
-                    next += 1;
-                    let rec = self.rt.recorder_mut();
+                    let q = self.future.pop_front().expect("an arrival was scheduled");
+                    let rec = srv.rt.recorder_mut();
                     rec.add("server.arrivals", 1);
                     rec.instant(
-                        server_track,
+                        self.server_track,
                         "server",
                         "server.arrive",
-                        abs[i].as_micros(),
-                        &[("query", i as u64)],
+                        q.at.as_micros(),
+                        &[("query", q.ticket)],
                     );
-                    queue.push(i);
+                    if let Some(quota) = quota {
+                        self.tenant_tokens
+                            .entry(q.req.tenant)
+                            .or_insert_with(|| vec![q.at; quota]);
+                    }
+                    self.queue.push(q);
                     None
                 }
-                ADMIT => {
-                    // Consume the earliest-freed slot.
-                    let slot_pos = free
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &f)| f)
-                        .map(|(k, _)| k)
-                        .expect("admission scheduled with a free slot");
-                    free.swap_remove(slot_pos);
-                    if let Some(hook) = self.admission_hook.as_mut() {
-                        hook(waves.len());
-                    }
-                    let inferred =
-                        self.batch_infer_missing(requests, &queue, &mut preds, t, server_track);
-                    // Queue positions admissible at `t`: all of them without
-                    // a quota; with one, those whose tenant holds a token
-                    // freed by now.
-                    let feasible: Vec<usize> = match quota {
-                        None => (0..queue.len()).collect(),
-                        Some(_) => (0..queue.len())
-                            .filter(|&k| {
-                                tenant_tokens[&requests[queue[k]].tenant]
-                                    .iter()
-                                    .min()
-                                    .is_some_and(|&f| f <= t)
-                            })
-                            .collect(),
-                    };
-                    let (pick, overlap) = match self.cfg.policy {
-                        QueuePolicy::Fifo => (
-                            *feasible
-                                .first()
-                                .expect("admission scheduled with a feasible query"),
-                            None,
-                        ),
-                        QueuePolicy::Overlap => {
-                            let prev =
-                                last_admitted.map_or(&[][..], |i| predicted_pages(&preds, i));
-                            let sets: Vec<&[PageId]> = feasible
-                                .iter()
-                                .map(|&k| predicted_pages(&preds, queue[k]))
-                                .collect();
-                            let (k, score) = pick_next_by_overlap_scored(prev, &sets);
-                            (feasible[k], Some(score))
-                        }
-                    };
-                    let queue_depth = queue.len();
-                    let i = queue.remove(pick);
-                    if quota.is_some() {
-                        // Consume the tenant's earliest-freed token,
-                        // mirroring the slot consumption above.
-                        let tokens = tenant_tokens
-                            .get_mut(&requests[i].tenant)
-                            .expect("every tenant holds tokens under a quota");
-                        let pos = tokens
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &f)| f)
-                            .map(|(k, _)| k)
-                            .expect("admitted tenant holds a token");
-                        tokens.swap_remove(pos);
-                    }
-                    last_admitted = Some(i);
-                    let run = Self::build_run(&requests[i], &preds[i], budget);
-                    let inference = run.inference_latency;
-                    let event_idx = waves.len();
-                    if self.rt.recorder().is_enabled() {
-                        let rec = self.rt.recorder_mut();
-                        rec.add("server.admitted", 1);
-                        // The overlap policy's winning Jaccard score rides
-                        // along (e6 fixed-point) so postmortem dumps show how
-                        // good each pick was; FIFO admits omit the arg.
-                        match overlap {
-                            Some(s) => rec.instant(
-                                server_track,
-                                "server",
-                                "server.admit",
-                                t.as_micros(),
-                                &[
-                                    ("query", i as u64),
-                                    ("request", requests[i].request),
-                                    ("overlap_e6", (s * 1e6) as u64),
-                                ],
-                            ),
-                            None => rec.instant(
-                                server_track,
-                                "server",
-                                "server.admit",
-                                t.as_micros(),
-                                &[("query", i as u64), ("request", requests[i].request)],
-                            ),
-                        }
-                        rec.observe("server.admission_wait_us", t.since(abs[i]).as_micros());
-                    }
-                    let occupancy = cap - free.len();
-                    let (slot, done) = sess.inject(&mut self.rt, run, t);
-                    debug_assert_eq!(slot, slot_req.len());
-                    slot_req.push(i);
-                    admits[i] = Some(AdmitInfo {
-                        at: t,
-                        event: event_idx,
-                        inference,
-                    });
-                    // Close the previous admission's stats interval and open
-                    // this one's.
-                    let now_stats = self.rt.stats();
-                    if let Some(prev) = waves.last_mut() {
-                        prev.stats = now_stats.diff(&last_stats);
-                    }
-                    last_stats = now_stats;
-                    if self.quality.is_some() {
-                        if let Some(prev) = waves.last() {
-                            let (tenant, stats) = (prev.tenant, prev.stats);
-                            let (span, wait) = wave_meta[waves.len() - 1];
-                            self.feed_quality(tenant, span, wait, &stats, t.as_micros());
-                        }
-                    }
-                    waves.push(WaveStats {
-                        admitted_at: t,
-                        occupancy,
-                        queue_depth,
-                        inferred,
-                        inference,
-                        stats: BufferStats::default(),
-                        tenant: Some(requests[i].tenant),
-                    });
-                    wave_meta.push((requests[i].span_name, t.since(abs[i]).as_micros()));
-                    // Empty trace: completed — and freed its slot — the
-                    // instant it was admitted.
-                    done.map(|c| (i, c.timing))
-                }
-                _ => sess
-                    .step(&mut self.rt)
-                    .map(|c| (slot_req[c.slot], c.timing)),
+                ADMIT => self.admit(srv, quota, t),
+                _ => self.replay.step(&mut srv.rt),
             };
-            if let Some((i, timing)) = completed {
-                let info = admits[i].as_ref().expect("completed query was admitted");
-                let o = QueryOutcome {
-                    arrival: abs[i],
-                    admitted: info.at,
-                    start: timing.start,
-                    end: timing.end,
-                    wave: info.event,
-                    inference: info.inference,
-                    tenant: requests[i].tenant,
-                    request: requests[i].request,
-                };
-                outcomes[i] = Some(o);
-                let rec = self.rt.recorder_mut();
-                rec.add("server.completions", 1);
-                rec.instant(
-                    server_track,
-                    "server",
-                    "server.complete",
-                    o.end.as_micros(),
-                    &[("query", i as u64), ("request", o.request)],
-                );
-                self.emit_request_spans(&o, server_track);
-                free.push(o.end);
-                if quota.is_some() {
-                    tenant_tokens
-                        .get_mut(&o.tenant)
-                        .expect("token consumed at admission")
-                        .push(o.end);
-                }
-                // Counters are consistent at completions — refresh the live
-                // metrics endpoint (wave mode does so per wave).
-                self.rt.recorder().publish();
+            if let Some(c) = completed {
+                return Some(self.complete(srv, quota, c));
             }
-            debug_assert_eq!(free.len() + sess.live(), cap, "slot accounting");
+            debug_assert_eq!(
+                self.free.len() + self.replay.live(),
+                srv.cfg.concurrency.max(1),
+                "slot accounting"
+            );
         }
+    }
 
-        debug_assert!(queue.is_empty(), "drained queue at exit");
-        debug_assert_eq!(free.len(), cap, "all slots free at exit");
-        let _ = sess.finish(&mut self.rt);
-        // The tail interval (after the last admission) absorbs the remaining
-        // counters, end-of-session prefetch-waste accounting included.
-        let final_stats = self.rt.stats();
-        if let Some(last) = waves.last_mut() {
-            last.stats = final_stats.diff(&last_stats);
+    /// The earliest of: next arrival, next feasible admission, next replay
+    /// step.
+    fn next_event(&self, quota: Option<usize>) -> Option<(SimTime, u8)> {
+        let next_arrival = self.future.front().map(|q| q.at);
+        // Queued arrivals all precede the admission instant (events are
+        // processed in nondecreasing virtual time), so the earliest the
+        // scheduler can dispatch is when the queue head has arrived AND a
+        // slot is free — AND, under a tenant quota, the query's tenant holds
+        // a token. A quota-blocked head never blocks other tenants: the scan
+        // covers the whole queue, earliest feasible instant wins.
+        let admit_at = match (self.queue.first(), self.free.iter().min()) {
+            (Some(head), Some(&fmin)) => match quota {
+                None => Some(fmin.max(head.at)),
+                Some(_) => self
+                    .queue
+                    .iter()
+                    .filter_map(|q| {
+                        let tmin = self.tenant_tokens[&q.req.tenant].iter().min()?;
+                        Some(fmin.max(q.at).max(*tmin))
+                    })
+                    .min(),
+            },
+            _ => None,
+        };
+        let step_at = self.replay.next_event_time();
+        [
+            next_arrival.map(|t| (t, ARRIVE)),
+            admit_at.map(|t| (t, ADMIT)),
+            step_at.map(|t| (t, STEP)),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// One admission at `t`: batched inference over the queue, the policy's
+    /// pick among the feasible, injection into the replay session. Returns
+    /// the completion of an empty-trace query, which is done — and has freed
+    /// its slot — the instant it is admitted.
+    fn admit(
+        &mut self,
+        srv: &mut PrefetchServer<'_>,
+        quota: Option<usize>,
+        t: SimTime,
+    ) -> Option<SessionCompletion> {
+        take_earliest(&mut self.free).expect("admission scheduled with a free slot");
+        if let Some(hook) = srv.admission_hook.as_mut() {
+            hook(self.admissions);
         }
-        if self.quality.is_some() {
-            if let Some(last) = waves.last() {
-                let (tenant, stats) = (last.tenant, last.stats);
-                let (span, wait) = wave_meta[waves.len() - 1];
-                let now_us = self.rt.now().as_micros();
-                self.feed_quality(tenant, span, wait, &stats, now_us);
+        let inferred = srv.batch_infer_missing(&mut self.queue, t, self.server_track);
+        // Queue positions admissible at `t`: all of them without a quota;
+        // with one, those whose tenant holds a token freed by now.
+        let feasible: Vec<usize> = (0..self.queue.len())
+            .filter(|&k| {
+                quota.is_none()
+                    || self.tenant_tokens[&self.queue[k].req.tenant]
+                        .iter()
+                        .any(|&f| f <= t)
+            })
+            .collect();
+        let (pick, overlap) = match srv.cfg.policy {
+            QueuePolicy::Fifo => (
+                *feasible
+                    .first()
+                    .expect("admission scheduled with a feasible query"),
+                None,
+            ),
+            QueuePolicy::Overlap => {
+                // Ranked on the full prediction: empty before inference, or
+                // without a predictor.
+                let sets: Vec<&[PageId]> = feasible
+                    .iter()
+                    .map(|&k| self.queue[k].pred.as_ref().map_or(&[][..], |e| &e.list))
+                    .collect();
+                let (k, score) = pick_next_by_overlap_scored(&self.last_admitted, &sets);
+                (feasible[k], Some(score))
+            }
+        };
+        let queue_depth = self.queue.len();
+        let q = self.queue.remove(pick);
+        if quota.is_some() {
+            let tokens = self
+                .tenant_tokens
+                .get_mut(&q.req.tenant)
+                .expect("tokens were issued at the tenant's first arrival");
+            take_earliest(tokens).expect("admitted tenant holds a token");
+        }
+        let budget = srv
+            .cfg
+            .prefetch_budget
+            .unwrap_or(srv.rt.pool_frames() * 3 / 4);
+        let run = q.run(budget);
+        let inference = run.inference_latency;
+        let wait_us = t.since(q.at).as_micros();
+        if srv.rt.recorder().is_enabled() {
+            let rec = srv.rt.recorder_mut();
+            rec.add("server.admitted", 1);
+            // The overlap policy's winning Jaccard score rides along (e6
+            // fixed-point) so postmortem dumps show how good each pick was;
+            // FIFO admits omit the arg.
+            let args = [
+                ("query", q.ticket),
+                ("request", q.req.request),
+                ("overlap_e6", (overlap.unwrap_or(0.0) * 1e6) as u64),
+            ];
+            let args = &args[..if overlap.is_some() { 3 } else { 2 }];
+            rec.instant(
+                self.server_track,
+                "server",
+                "server.admit",
+                t.as_micros(),
+                args,
+            );
+            rec.observe("server.admission_wait_us", wait_us);
+        }
+        let occupancy = srv.cfg.concurrency.max(1) - self.free.len();
+        let (slot, done) = self.replay.inject(&mut srv.rt, run, t);
+        debug_assert_eq!(slot, self.admissions);
+        self.in_flight.push((
+            q.ticket,
+            QueryOutcome {
+                arrival: q.at,
+                admitted: t,
+                start: t,
+                end: t,
+                wave: self.admissions,
+                inference,
+                tenant: q.req.tenant,
+                request: q.req.request,
+            },
+        ));
+        self.admissions += 1;
+        // Close the previous admission's interval and open this one's.
+        let now_stats = srv.rt.stats();
+        self.close_interval(srv, now_stats, t);
+        self.open = Some(OpenInterval {
+            wave: WaveStats {
+                admitted_at: t,
+                occupancy,
+                queue_depth,
+                inferred,
+                inference,
+                stats: BufferStats::default(),
+                tenant: Some(q.req.tenant),
+            },
+            span: q.req.span_name,
+            wait_us,
+        });
+        if srv.cfg.policy == QueuePolicy::Overlap {
+            self.last_admitted = q.pred.map(|e| e.list).unwrap_or_default();
+        }
+        done
+    }
+
+    /// Close the open interval over the counters accumulated up to
+    /// `now_stats` and feed it to the quality tracker.
+    fn close_interval(
+        &mut self,
+        srv: &mut PrefetchServer<'_>,
+        now_stats: BufferStats,
+        at: SimTime,
+    ) {
+        if let Some(mut iv) = self.open.take() {
+            iv.wave.stats = now_stats.diff(&self.last_stats);
+            srv.feed_quality(&iv.wave, iv.span, iv.wait_us, at.as_micros());
+            self.closed.push(iv.wave);
+        }
+        self.last_stats = now_stats;
+    }
+
+    fn complete(
+        &mut self,
+        srv: &mut PrefetchServer<'_>,
+        quota: Option<usize>,
+        c: SessionCompletion,
+    ) -> (u64, QueryOutcome) {
+        let pos = self
+            .in_flight
+            .iter()
+            .position(|(_, o)| o.wave == c.slot)
+            .expect("completed query was admitted");
+        let (ticket, mut o) = self.in_flight.swap_remove(pos);
+        (o.start, o.end) = (c.timing.start, c.timing.end);
+        self.clock = self.clock.max(o.end);
+        let rec = srv.rt.recorder_mut();
+        rec.add("server.completions", 1);
+        rec.instant(
+            self.server_track,
+            "server",
+            "server.complete",
+            o.end.as_micros(),
+            &[("query", ticket), ("request", o.request)],
+        );
+        srv.emit_request_spans(&o, self.server_track);
+        self.free.push(o.end);
+        if quota.is_some() {
+            self.tenant_tokens
+                .get_mut(&o.tenant)
+                .expect("token consumed at admission")
+                .push(o.end);
+        }
+        if srv.rt.recorder().is_enabled() {
+            // The tenant's admission-wait p50/p90/p99 as labeled gauges — the
+            // per-tenant companions of the global `server.admission_wait_us`
+            // histogram.
+            let h = self.waits.entry(o.tenant).or_default();
+            h.record(o.admission_wait().as_micros());
+            let tenant = o.tenant.to_string();
+            for (q, v) in [
+                ("0.5", h.p50()),
+                ("0.9", h.quantile(0.90)),
+                ("0.99", h.p99()),
+            ] {
+                srv.rt.recorder_mut().set_labeled(
+                    "server.admission_wait_us",
+                    &[("quantile", q), ("tenant", tenant.as_str())],
+                    v,
+                );
             }
         }
-        let queries = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request was dispatched"))
-            .collect();
-        self.rt.recorder().publish();
-        ServeReport {
-            queries,
-            waves,
-            stats: final_stats.diff(&start_stats),
-        }
+        // Counters are consistent at completions: refresh the live metrics
+        // endpoint.
+        srv.rt.recorder().publish();
+        (ticket, o)
+    }
+
+    /// Close the session once nothing is pending: settle the replay session
+    /// (end-of-session prefetch-waste accounting, stack clock past the last
+    /// completion), close the tail interval over what that added, and return
+    /// every interval nobody has taken.
+    pub fn finish(mut self, srv: &mut PrefetchServer<'_>) -> Vec<WaveStats> {
+        debug_assert_eq!(self.pending(), 0, "finish() with requests pending");
+        std::mem::take(&mut self.replay).finish(&mut srv.rt);
+        let (final_stats, now) = (srv.rt.stats(), srv.rt.now());
+        self.close_interval(srv, final_stats, now);
+        srv.rt.recorder().publish();
+        self.closed
     }
 }
 
@@ -1507,7 +1378,7 @@ impl<'d> PrefetchServer<'d> {
 mod tests {
     use super::*;
     use crate::config::PythiaConfig;
-    use crate::predictor::train_workload;
+    use crate::predictor::{train_workload, TrainedWorkload};
     use pythia_db::exec::execute;
     use pythia_db::expr::Pred;
     use pythia_db::trace::{AccessKind, TraceEvent};
@@ -1556,23 +1427,13 @@ mod tests {
         (db, plan)
     }
 
-    /// Wave-mode config with a zero fixed charge.
-    fn fixed_cfg(concurrency: usize, policy: QueuePolicy) -> ServerConfig {
-        ServerConfig {
-            concurrency,
-            admission: AdmissionMode::Wave,
-            policy,
-            charge: InferenceCharge::Fixed(SimDuration::ZERO),
-            prefetch_budget: None,
-            tenant_quota: None,
-        }
-    }
-
-    /// Continuous-mode config with a zero fixed charge.
+    /// Config with a zero fixed charge.
     fn cont_cfg(concurrency: usize, policy: QueuePolicy) -> ServerConfig {
         ServerConfig {
-            admission: AdmissionMode::Continuous,
-            ..fixed_cfg(concurrency, policy)
+            concurrency,
+            policy,
+            charge: InferenceCharge::Fixed(SimDuration::ZERO),
+            ..ServerConfig::default()
         }
     }
 
@@ -1603,25 +1464,29 @@ mod tests {
         .map(|&arrival| ServerRequest::new(&plan, &t, arrival))
         .collect();
 
-        let mut srv = PrefetchServer::new(&db, &run_cfg(), fixed_cfg(2, QueuePolicy::Fifo));
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo));
         let rep = srv.serve(&reqs);
 
-        // Wave 0 admits two of the three simultaneous arrivals (queue depth
-        // 3), wave 1 the leftover, wave 2 the late one after idling forward.
-        assert_eq!(rep.waves.len(), 3);
-        assert_eq!(rep.waves[0].occupancy, 2);
+        // One admission per query: two of the three simultaneous arrivals at
+        // once (the first sees all three queued), the leftover when the first
+        // slot frees, the late one into an idle server.
+        assert_eq!(rep.waves.len(), 4);
         assert_eq!(rep.waves[0].queue_depth, 3);
-        assert_eq!(rep.waves[1].occupancy, 1);
-        assert_eq!(rep.waves[2].occupancy, 1);
-        assert!(rep.waves[2].admitted_at >= SimTime::ZERO + late);
+        let occupancy: Vec<usize> = rep.waves.iter().map(|w| w.occupancy).collect();
+        assert_eq!(occupancy, [1, 2, 2, 1]);
+        assert!(rep.waves[3].admitted_at >= SimTime::ZERO + late);
         assert_eq!(rep.max_queue_depth(), 3);
 
-        // FIFO: the third arrival waited for the first wave to drain.
-        assert_eq!(rep.queries[2].wave, 1);
+        // FIFO: the third arrival waited for a slot, and got the first freed.
+        assert_eq!(rep.queries[2].wave, 2);
         assert!(rep.queries[2].admission_wait() > SimDuration::ZERO);
+        assert_eq!(
+            rep.queries[2].admitted,
+            rep.queries[0].end.min(rep.queries[1].end)
+        );
         // The late arrival never queued.
         assert_eq!(rep.queries[3].admission_wait(), SimDuration::ZERO);
-        // Wave stats sum to the aggregate.
+        // Interval stats sum to the aggregate.
         let mut sum = BufferStats::default();
         for w in &rep.waves {
             sum.merge(&w.stats);
@@ -1632,8 +1497,7 @@ mod tests {
     #[test]
     fn c1_fifo_matches_serial_runtime_runs() {
         // The determinism contract the proptests generalize: concurrency 1 +
-        // FIFO + fixed charge ≡ serial Runtime::run calls on one warm stack —
-        // in BOTH admission modes.
+        // FIFO + fixed charge ≡ serial Runtime::run calls on one warm stack.
         let (db, plan) = dummy_db_and_plan();
         let traces: Vec<Trace> = vec![random_trace(60), random_trace(25), random_trace(40)];
         let arrivals = [
@@ -1647,26 +1511,21 @@ mod tests {
             .map(|(t, arrival)| ServerRequest::new(&plan, t, arrival))
             .collect();
 
-        for cfg in [
-            fixed_cfg(1, QueuePolicy::Fifo),
-            cont_cfg(1, QueuePolicy::Fifo),
-        ] {
-            let mut srv = PrefetchServer::new(&db, &run_cfg(), cfg);
-            let rep = srv.serve(&reqs);
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(1, QueuePolicy::Fifo));
+        let rep = srv.serve(&reqs);
 
-            let mut rt = Runtime::new(&run_cfg(), db.file_lengths());
-            for ((t, arrival), q) in traces.iter().zip(arrivals).zip(&rep.queries) {
-                rt.advance_to(SimTime::ZERO + arrival);
-                let res = rt.run(&[QueryRun::default_run(t)]);
-                assert_eq!(q.start, res.timings[0].start, "{:?}", cfg.admission);
-                assert_eq!(q.end, res.timings[0].end, "{:?}", cfg.admission);
-            }
-            assert_eq!(rep.stats, rt.stats(), "{:?}", cfg.admission);
-            // Each query ran alone, in arrival order, back to back.
-            assert_eq!(rep.waves.len(), 3);
-            assert!(rep.queries[1].start >= rep.queries[0].end);
-            assert!(rep.queries[2].start >= rep.queries[1].end);
+        let mut rt = Runtime::new(&run_cfg(), db.file_lengths());
+        for ((t, arrival), q) in traces.iter().zip(arrivals).zip(&rep.queries) {
+            rt.advance_to(SimTime::ZERO + arrival);
+            let res = rt.run(&[QueryRun::default_run(t)]);
+            assert_eq!(q.start, res.timings[0].start);
+            assert_eq!(q.end, res.timings[0].end);
         }
+        assert_eq!(rep.stats, rt.stats());
+        // Each query ran alone, in arrival order, back to back.
+        assert_eq!(rep.waves.len(), 3);
+        assert!(rep.queries[1].start >= rep.queries[0].end);
+        assert!(rep.queries[2].start >= rep.queries[1].end);
     }
 
     #[test]
@@ -1678,81 +1537,22 @@ mod tests {
             .map(|t| ServerRequest::new(&plan, t, SimDuration::ZERO))
             .collect();
 
-        for (fifo_cfg, ovlp_cfg) in [
-            (
-                fixed_cfg(2, QueuePolicy::Fifo),
-                fixed_cfg(2, QueuePolicy::Overlap),
-            ),
-            (
-                cont_cfg(2, QueuePolicy::Fifo),
-                cont_cfg(2, QueuePolicy::Overlap),
-            ),
-        ] {
-            let mut fifo = PrefetchServer::new(&db, &run_cfg(), fifo_cfg);
-            let mut ovlp = PrefetchServer::new(&db, &run_cfg(), ovlp_cfg);
-            let a = fifo.serve(&reqs);
-            let b = ovlp.serve(&reqs);
-            assert_eq!(a.stats, b.stats, "{:?}", fifo_cfg.admission);
-            for (qa, qb) in a.queries.iter().zip(&b.queries) {
-                assert_eq!(qa.wave, qb.wave);
-                assert_eq!(qa.start, qb.start);
-                assert_eq!(qa.end, qb.end);
-            }
-        }
-    }
-
-    #[test]
-    fn continuous_admits_on_completion_and_beats_waves_under_skew() {
-        // One long query plus four short ones, all arriving together, two
-        // slots. Wave mode barriers on the long query; continuous streams the
-        // shorts through the freed slot while the long one is still running.
-        let (db, plan) = dummy_db_and_plan();
-        let long = random_trace(400);
-        let shorts: Vec<Trace> = (0..4).map(|_| random_trace(30)).collect();
-        let mut reqs = vec![ServerRequest::new(&plan, &long, SimDuration::ZERO)];
-        reqs.extend(
-            shorts
-                .iter()
-                .map(|t| ServerRequest::new(&plan, t, SimDuration::ZERO)),
-        );
-
-        let mut wave_srv = PrefetchServer::new(&db, &run_cfg(), fixed_cfg(2, QueuePolicy::Fifo));
-        let mut cont_srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo));
-        let wave = wave_srv.serve(&reqs);
-        let cont = cont_srv.serve(&reqs);
-
-        // Admit-on-completion: the third query is admitted the moment the
-        // first short completes — long before the long query finishes. Wave
-        // mode cannot admit it until the whole first wave drains.
-        assert!(cont.queries[2].admitted < cont.queries[0].end);
-        assert!(wave.queries[2].admitted >= wave.queries[0].end);
-        // One admission event per query in continuous mode.
-        assert_eq!(cont.waves.len(), reqs.len());
-        assert!(cont.waves.iter().all(|w| (1..=2).contains(&w.occupancy)));
-        // Work conservation shows up as makespan/throughput: the acceptance
-        // bar "continuous ≥ wave throughput under skewed per-query costs".
-        assert!(
-            cont.makespan() < wave.makespan(),
-            "continuous {} vs wave {}",
-            cont.makespan(),
-            wave.makespan()
-        );
-        assert!(cont.throughput_qps() > wave.throughput_qps());
-        // Both modes serve every query exactly once, with consistent stats
-        // partitions.
-        for rep in [&wave, &cont] {
-            let mut sum = BufferStats::default();
-            for w in &rep.waves {
-                sum.merge(&w.stats);
-            }
-            assert_eq!(sum, rep.stats);
+        let mut fifo = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo));
+        let mut ovlp = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Overlap));
+        let a = fifo.serve(&reqs);
+        let b = ovlp.serve(&reqs);
+        assert_eq!(a.stats, b.stats);
+        for (qa, qb) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(qa.wave, qb.wave);
+            assert_eq!(qa.start, qb.start);
+            assert_eq!(qa.end, qb.end);
         }
     }
 
     #[test]
     fn concurrency_zero_behaves_as_one() {
-        // The documented clamp: "values below 1 behave as 1" — in both
-        // admission modes, concurrency 0 must serve bit-identically to 1.
+        // The documented clamp: "values below 1 behave as 1" — concurrency 0
+        // must serve bit-identically to 1.
         let (db, plan) = dummy_db_and_plan();
         let traces: Vec<Trace> = vec![random_trace(40), random_trace(20), random_trace(30)];
         let reqs: Vec<ServerRequest<'_>> = traces
@@ -1761,22 +1561,20 @@ mod tests {
             .map(|(i, t)| ServerRequest::new(&plan, t, SimDuration::from_micros(i as u64 * 100)))
             .collect();
 
-        for make in [fixed_cfg, cont_cfg] {
-            let mut zero = PrefetchServer::new(&db, &run_cfg(), make(0, QueuePolicy::Fifo));
-            let mut one = PrefetchServer::new(&db, &run_cfg(), make(1, QueuePolicy::Fifo));
-            let a = zero.serve(&reqs);
-            let b = one.serve(&reqs);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.waves.len(), b.waves.len());
-            for (qa, qb) in a.queries.iter().zip(&b.queries) {
-                assert_eq!(qa.admitted, qb.admitted);
-                assert_eq!(qa.start, qb.start);
-                assert_eq!(qa.end, qb.end);
-                assert_eq!(qa.wave, qb.wave);
-            }
-            // Occupancy respects the clamped limit.
-            assert!(a.waves.iter().all(|w| w.occupancy == 1));
+        let mut zero = PrefetchServer::new(&db, &run_cfg(), cont_cfg(0, QueuePolicy::Fifo));
+        let mut one = PrefetchServer::new(&db, &run_cfg(), cont_cfg(1, QueuePolicy::Fifo));
+        let a = zero.serve(&reqs);
+        let b = one.serve(&reqs);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.waves.len(), b.waves.len());
+        for (qa, qb) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(qa.admitted, qb.admitted);
+            assert_eq!(qa.start, qb.start);
+            assert_eq!(qa.end, qb.end);
+            assert_eq!(qa.wave, qb.wave);
         }
+        // Occupancy respects the clamped limit.
+        assert!(a.waves.iter().all(|w| w.occupancy == 1));
     }
 
     #[test]
@@ -1908,7 +1706,7 @@ mod tests {
             ServerRequest::new(&plan, &t, SimDuration::ZERO),
             ServerRequest::new(&plan, &t, SimDuration::from_micros(5)),
         ];
-        let mut srv = PrefetchServer::new(&db, &run_cfg(), fixed_cfg(1, QueuePolicy::Fifo));
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(1, QueuePolicy::Fifo));
         let rep = srv.serve(&reqs).report();
         for needle in [
             "Serving report",
@@ -1962,10 +1760,9 @@ mod tests {
         );
     }
 
-    /// End-to-end with a trained model: a tiny star schema, a handful of
-    /// index-probe queries, Poisson-ish staggered arrivals.
-    #[test]
-    fn serves_with_trained_predictor_and_charges_inference() {
+    /// A tiny star schema and a dozen index-probe queries over it, with a
+    /// model trained on the first eight.
+    fn mini_star() -> (Database, Vec<PlanNode>, Vec<Trace>) {
         let mut db = Database::new();
         let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         let dim = db.create_table("dim", Schema::ints(&["d_id", "attr"]));
@@ -2001,21 +1798,28 @@ mod tests {
             plans.push(plan);
             traces.push(trace);
         }
+        (db, plans, traces)
+    }
+
+    fn train_mini(db: &Database, plans: &[PlanNode], traces: &[Trace]) -> TrainedWorkload {
         let cfg = PythiaConfig {
             epochs: 6,
             batch_size: 8,
             ..PythiaConfig::fast()
         };
-        let tw = train_workload(&db, "mini", &plans[..8], &traces[..8], None, &cfg);
+        train_workload(db, "mini", &plans[..8], &traces[..8], None, &cfg)
+    }
+
+    /// End-to-end with a trained model: Poisson-ish staggered arrivals.
+    #[test]
+    fn serves_with_trained_predictor_and_charges_inference() {
+        let (db, plans, traces) = mini_star();
+        let tw = train_mini(&db, &plans, &traces);
 
         let inf = SimDuration::from_millis(2);
         let server_cfg = ServerConfig {
-            concurrency: 2,
-            admission: AdmissionMode::Continuous,
-            policy: QueuePolicy::Overlap,
             charge: InferenceCharge::Fixed(inf),
-            prefetch_budget: None,
-            tenant_quota: None,
+            ..cont_cfg(2, QueuePolicy::Overlap)
         };
         let reqs: Vec<ServerRequest<'_>> = plans[8..]
             .iter()
@@ -2062,10 +1866,228 @@ mod tests {
         assert_eq!(rep.stats, rep2.stats);
     }
 
+    /// Every field of two outcomes but `wave` (a session's admission ordinal).
+    fn assert_same_outcome(a: &QueryOutcome, b: &QueryOutcome, what: &str) {
+        assert_eq!(
+            (a.arrival, a.admitted, a.start, a.end),
+            (b.arrival, b.admitted, b.start, b.end),
+            "{what}"
+        );
+        assert_eq!(
+            (a.inference, a.tenant, a.request),
+            (b.inference, b.tenant, b.request),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_session_equals_one_request_serves() {
+        // The pin beneath the sockets' virtual time: a client that submits
+        // each request after reading the previous answer gets, through one
+        // long-lived session, what it got from one `serve` call per request.
+        let (db, plans, traces) = mini_star();
+        let tw = train_mini(&db, &plans, &traces);
+        for concurrency in [1, 2] {
+            for model in [None, Some(&tw)] {
+                let what = format!("C={concurrency} model={}", model.is_some());
+                let cfg = ServerConfig {
+                    charge: InferenceCharge::Fixed(SimDuration::from_micros(150)),
+                    ..cont_cfg(concurrency, QueuePolicy::Fifo)
+                };
+                let build = || {
+                    let srv = PrefetchServer::new(&db, &run_cfg(), cfg);
+                    match model {
+                        Some(tw) => srv.with_predictor(tw),
+                        None => srv,
+                    }
+                };
+                let (mut one, mut twin) = (build(), build());
+                let mut session = one.session();
+                for round in 0..3 {
+                    for (i, (p, t)) in plans.iter().zip(&traces).enumerate() {
+                        let req = ServerRequest::new(p, t, SimDuration::ZERO)
+                            .with_request(1000 * round + i as u64 + 1);
+                        let ticket = session.submit(req);
+                        let (done, got) = session.poll_completion(&mut one).expect("one pending");
+                        assert_eq!(done, ticket);
+                        assert!(session.poll_completion(&mut one).is_none());
+                        let want = twin.serve(&[req]);
+                        assert_same_outcome(&got, &want.queries[0], &what);
+                        assert_eq!(session.clock(), twin.runtime().now(), "{what}");
+                    }
+                }
+                if model.is_some() {
+                    assert!(one.runtime().stats().prefetch_issued > 0, "{what}");
+                }
+                session.finish(&mut one);
+                assert_eq!(one.runtime().now(), twin.runtime().now(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_holds_nothing_it_has_completed() {
+        let (db, plan) = dummy_db_and_plan();
+        let traces: Vec<Trace> = vec![random_trace(3), Trace::new(), random_trace(1)];
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo));
+        let mut session = srv.session();
+        let (mut submitted, mut completed, mut intervals) = (0u64, 0u64, 0usize);
+        for turn in 0..10_000usize {
+            // Mostly one at a time, now and then a burst of three.
+            for k in 0..if turn % 100 == 0 { 3 } else { 1 } {
+                let t = &traces[(turn + k) % traces.len()];
+                session.submit(ServerRequest::new(&plan, t, SimDuration::ZERO));
+                submitted += 1;
+            }
+            while let Some((ticket, _)) = session.poll_completion(&mut srv) {
+                assert!(ticket < submitted);
+                completed += 1;
+            }
+            intervals += session.take_intervals().len();
+            assert!(session.closed.is_empty(), "take_intervals leaves nothing");
+        }
+        assert_eq!(completed, submitted);
+        assert_eq!(session.pending(), 0);
+        assert_eq!(session.replay.live(), 0);
+        assert!(session.future.is_empty() && session.queue.is_empty());
+        assert!(session.in_flight.is_empty() && session.open.is_some());
+        for (what, capacity) in [
+            ("future", session.future.capacity()),
+            ("queue", session.queue.capacity()),
+            ("in_flight", session.in_flight.capacity()),
+            ("free", session.free.capacity()),
+        ] {
+            assert!(capacity <= 8, "{what} grew to {capacity}");
+        }
+        // All but the open interval were handed over on the way.
+        assert_eq!(intervals as u64, submitted - 1);
+        assert_eq!(session.finish(&mut srv).len(), 1);
+    }
+
+    #[test]
+    fn a_late_submit_arrives_at_the_clock() {
+        let (db, plan) = dummy_db_and_plan();
+        let traces: Vec<Trace> = (0..4).map(|i| random_trace(10 + i * 5)).collect();
+        let cfg = ServerConfig {
+            tenant_quota: Some(1),
+            ..cont_cfg(2, QueuePolicy::Fifo)
+        };
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cfg);
+        let mut session = srv.session();
+        let mut clock = session.clock();
+        let mut poll = |session: &mut ServeSession<'_>, srv: &mut PrefetchServer<'_>| {
+            let done = session.poll_completion(srv);
+            assert!(session.clock() >= clock, "the clock went back");
+            clock = session.clock();
+            assert_eq!(session.free.len() + session.replay.live(), 2, "slots");
+            done
+        };
+
+        session.submit(ServerRequest::new(&plan, &traces[0], SimDuration::ZERO));
+        let (_, first) = poll(&mut session, &mut srv).expect("first");
+        assert_eq!(session.clock(), first.end);
+
+        // An arrival offset in the session's past lands at its clock.
+        let past = SimDuration::from_micros(5);
+        assert!(SimTime::ZERO + past < session.clock());
+        session.submit(ServerRequest::new(&plan, &traces[1], past));
+        let (_, late) = poll(&mut session, &mut srv).expect("late");
+        assert_eq!(late.arrival, first.end);
+        assert_eq!(late.admission_wait(), SimDuration::ZERO);
+
+        // One in the future still arrives when it says.
+        let ahead = session.clock() + SimDuration::from_secs(1);
+        session.submit(ServerRequest::new(
+            &plan,
+            &traces[2],
+            ahead.since(SimTime::ZERO),
+        ));
+        let (_, future) = poll(&mut session, &mut srv).expect("future");
+        assert_eq!(future.arrival, ahead);
+
+        // A tenant first seen mid-session gets its quota tokens: its two
+        // requests arrive together and, at quota 1, run one after the other
+        // although a second slot is free.
+        let at = session.clock();
+        for t in [&traces[3], &traces[0]] {
+            session.submit(ServerRequest::new(&plan, t, SimDuration::ZERO).with_tenant(7));
+        }
+        let (_, a) = poll(&mut session, &mut srv).expect("tenant 7, first");
+        let (_, b) = poll(&mut session, &mut srv).expect("tenant 7, second");
+        assert_eq!((a.arrival, b.arrival), (at, at));
+        assert_eq!(a.admitted, at);
+        assert_eq!(b.admitted, a.end, "quota 1 serializes the tenant");
+        assert!(poll(&mut session, &mut srv).is_none());
+        session.finish(&mut srv);
+        assert_eq!(srv.runtime().now(), b.end);
+    }
+
+    #[test]
+    fn a_minnow_submitted_behind_a_running_whale_completes_first() {
+        // No barrier between submissions: a request handed over while a long
+        // one is mid-replay is admitted into the free slot and polled first.
+        // Through `serve` alone the only way to run both is one call that
+        // returns after the whale.
+        let (db, plan) = dummy_db_and_plan();
+        let whale = random_trace(400);
+        let probe: Trace = [TraceEvent::Cpu { units: 1 }].into_iter().collect();
+        let minnow = random_trace(5);
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo));
+        let mut session = srv.session();
+
+        let whale_ticket = session.submit(ServerRequest::new(&plan, &whale, SimDuration::ZERO));
+        // The probe's one CPU event ends inside the whale's first disk read,
+        // so polling it back leaves the whale exactly one step in.
+        let probe_ticket = session.submit(ServerRequest::new(&plan, &probe, SimDuration::ZERO));
+        let (ticket, probed) = session.poll_completion(&mut srv).expect("probe");
+        assert_eq!(ticket, probe_ticket);
+        assert_eq!(session.pending(), 1, "the whale is still replaying");
+
+        let minnow_ticket = session.submit(ServerRequest::new(&plan, &minnow, SimDuration::ZERO));
+        let (ticket, small) = session.poll_completion(&mut srv).expect("minnow");
+        assert_eq!(
+            ticket, minnow_ticket,
+            "the minnow is polled before the whale"
+        );
+        let (ticket, big) = session.poll_completion(&mut srv).expect("whale");
+        assert_eq!(ticket, whale_ticket);
+        assert!(session.poll_completion(&mut srv).is_none());
+
+        assert_eq!(small.arrival, probed.end, "arrived at the clock");
+        assert_eq!(
+            small.admitted, small.arrival,
+            "into the slot the probe freed"
+        );
+        assert!(small.end < big.end);
+        assert_eq!(session.finish(&mut srv).len(), 3);
+    }
+
+    #[test]
+    fn a_prefetched_load_is_settled_once_across_serve_calls() {
+        // Every serve call closes over the same warm pool. The first runs a
+        // query that reads nothing its plan predicts, so each prefetch is
+        // written off when the call closes; the frames stay resident, and the
+        // later calls — whose query does read them — must count them neither
+        // useful on that late read nor wasted again.
+        let (db, plans, traces) = mini_star();
+        let tw = train_mini(&db, &plans, &traces);
+        let idle: Trace = [TraceEvent::Cpu { units: 1 }].into_iter().collect();
+        let mut srv = PrefetchServer::new(&db, &run_cfg(), cont_cfg(2, QueuePolicy::Fifo))
+            .with_predictor(&tw);
+        for (call, trace) in [&idle, &traces[9], &traces[9]].into_iter().enumerate() {
+            srv.serve(&[ServerRequest::new(&plans[9], trace, SimDuration::ZERO)]);
+            let s = srv.runtime().stats();
+            assert!(s.prefetch_issued > 0);
+            assert_eq!(s.prefetch_wasted, s.prefetch_issued, "call {call}");
+            assert_eq!(s.prefetch_useful, 0, "call {call}");
+        }
+        assert!(srv.runtime().stats().hits > 0, "the late reads happened");
+    }
+
     #[test]
     fn tenant_quota_zero_clamps_to_one() {
         // The satellite pin: quota 0 behaves as quota 1, mirroring the
-        // concurrency clamp — in both admission modes.
+        // concurrency clamp.
         let (db, plan) = dummy_db_and_plan();
         let traces: Vec<Trace> = vec![
             random_trace(30),
@@ -2081,31 +2103,19 @@ mod tests {
                     .with_tenant((i % 2) as u32)
             })
             .collect();
-        for make in [fixed_cfg, cont_cfg] {
-            let mut zero = PrefetchServer::new(
-                &db,
-                &run_cfg(),
-                ServerConfig {
-                    tenant_quota: Some(0),
-                    ..make(4, QueuePolicy::Fifo)
-                },
-            );
-            let mut one = PrefetchServer::new(
-                &db,
-                &run_cfg(),
-                ServerConfig {
-                    tenant_quota: Some(1),
-                    ..make(4, QueuePolicy::Fifo)
-                },
-            );
-            let a = zero.serve(&reqs);
-            let b = one.serve(&reqs);
-            assert_eq!(a.stats, b.stats);
-            for (qa, qb) in a.queries.iter().zip(&b.queries) {
-                assert_eq!(qa.admitted, qb.admitted);
-                assert_eq!(qa.start, qb.start);
-                assert_eq!(qa.end, qb.end);
-            }
+        let with_quota = |quota| ServerConfig {
+            tenant_quota: Some(quota),
+            ..cont_cfg(4, QueuePolicy::Fifo)
+        };
+        let mut zero = PrefetchServer::new(&db, &run_cfg(), with_quota(0));
+        let mut one = PrefetchServer::new(&db, &run_cfg(), with_quota(1));
+        let a = zero.serve(&reqs);
+        let b = one.serve(&reqs);
+        assert_eq!(a.stats, b.stats);
+        for (qa, qb) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(qa.admitted, qb.admitted);
+            assert_eq!(qa.start, qb.start);
+            assert_eq!(qa.end, qb.end);
         }
     }
 
@@ -2156,8 +2166,8 @@ mod tests {
             "tenant 1 must not wait behind tenant 0's quota-blocked queue"
         );
 
-        // Per-tenant reports partition the global totals (continuous mode
-        // attributes every admission interval to one tenant).
+        // Per-tenant reports partition the global totals (every admission
+        // interval is attributed to one tenant).
         let by = rep.by_tenant();
         assert_eq!(by.len(), 2);
         assert_eq!(by.values().map(|t| t.queries).sum::<usize>(), 6);

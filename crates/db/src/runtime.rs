@@ -345,13 +345,15 @@ impl Runtime {
     /// This is the one-shot form of [`ReplaySession`]: every query is
     /// injected up front (arrivals are offsets within the batch, shifted onto
     /// the stack's continuing clock), then the session is stepped dry and
-    /// finished. A serving loop that wants to *add* queries while others are
-    /// mid-replay drives the session directly instead.
+    /// finished; the timings are the completions it reported on the way. A
+    /// serving loop that wants to *add* queries while others are mid-replay
+    /// drives the session directly instead.
     pub fn run(&mut self, queries: &[QueryRun<'_>]) -> RunResult {
         let base = self.now;
         let mut session = ReplaySession::new();
+        let mut done: Vec<SessionCompletion> = Vec::with_capacity(queries.len());
         for q in queries {
-            session.admit(
+            let (_, instant) = session.admit(
                 self,
                 q.trace,
                 q.prefetch.as_deref().map(Cow::Borrowed),
@@ -359,13 +361,16 @@ impl Runtime {
                 base + q.arrival,
                 q.inference_latency,
             );
+            done.extend(instant);
         }
         while session.live() > 0 {
-            session.step(self);
+            done.extend(session.step(self));
         }
-        let timings = session.finish(self);
+        session.finish(self);
+        // Slots are injection order: the order of `queries`.
+        done.sort_unstable_by_key(|c| c.slot);
         RunResult {
-            timings,
+            timings: done.into_iter().map(|c| c.timing).collect(),
             stats: *self.pool.stats(),
         }
     }
@@ -408,6 +413,38 @@ impl Runtime {
             self.os.retire_stream(s.stream);
         }
         done
+    }
+
+    /// Emit a completed query's replay spans and latency sample. The session
+    /// drops the query's state right after, so this is the only record of it
+    /// the stack keeps.
+    fn record_completion(&mut self, s: &QState<'_>) {
+        if !self.pool.recorder().is_enabled() {
+            return;
+        }
+        let rec = self.pool.recorder_mut();
+        rec.add("queries.replayed", 1);
+        if s.start > s.arrival {
+            rec.span(
+                s.track,
+                "query",
+                "query.infer_charge",
+                s.arrival.as_micros(),
+                s.start.as_micros(),
+                &[],
+            );
+        }
+        // The span end (`ts + dur`) is the query's completion time —
+        // exactly the `end` of the completion's timing.
+        rec.span(
+            s.track,
+            "query",
+            s.span_name,
+            s.start.as_micros(),
+            s.t.as_micros(),
+            &[("reads", s.trace.read_count() as u64)],
+        );
+        rec.observe("query.latency_us", s.t.since(s.arrival).as_micros());
     }
 
     fn serve_read(&mut self, s: &mut QState<'_>, page: PageId, sequential: bool) {
@@ -527,28 +564,35 @@ pub struct SessionCompletion {
 /// Incremental replay: the engine behind [`Runtime::run`] and the serving
 /// loop's admit-on-completion path.
 ///
-/// A session owns the per-query timelines while the shared stack (buffer
-/// pool / OS cache / I/O lanes) stays in the [`Runtime`]. Unlike `run`,
-/// queries can be [injected](Self::inject) while earlier ones are mid-replay:
-/// an admission at virtual time `t` is causally sound as long as `t` is no
-/// later than the session's next pending event
+/// A session owns the timelines of the queries *in flight* while the shared
+/// stack (buffer pool / OS cache / I/O lanes) stays in the [`Runtime`].
+/// Unlike `run`, queries can be [injected](Self::inject) while earlier ones
+/// are mid-replay: an admission at virtual time `t` is causally sound as
+/// long as `t` is no later than the session's next pending event
 /// ([`Self::next_event_time`]) — exactly the invariant an event-ordered
 /// serving loop maintains by processing arrivals and completions in global
 /// virtual-time order.
 ///
-/// Lifecycle: any interleaving of `inject` / `step` until nothing is live,
-/// then one [`finish`](Self::finish), which settles prefetch-waste
-/// accounting, advances the stack clock past the last completion, and emits
-/// the per-query replay spans in injection order (matching `run`'s trace
-/// layout byte for byte).
+/// A query's state is dropped the moment it completes: its timing leaves in
+/// the [`SessionCompletion`], its `query.*` spans are emitted there, and the
+/// session keeps only the latest completion instant. It therefore holds what
+/// is replaying and nothing it has finished, so one session can live as long
+/// as the process that drives it.
+///
+/// Lifecycle: any interleaving of `inject` / `step`, then — once nothing is
+/// live — one [`finish`](Self::finish), which settles prefetch-waste
+/// accounting and advances the stack clock past the last completion.
 #[derive(Default)]
 pub struct ReplaySession<'a> {
-    /// Every query injected, by slot; [`Self::finish`] reports them all.
-    states: Vec<QState<'a>>,
-    /// The slots still replaying, ascending. Stepping and
-    /// [`Self::next_event_time`] scan this list only, so a session costs its
-    /// concurrency per event however many queries it has completed.
-    live: Vec<usize>,
+    /// The queries still replaying with their slots, ascending by slot.
+    /// Stepping and [`Self::next_event_time`] scan this list only, so a
+    /// session costs its concurrency per event however many queries it has
+    /// completed.
+    live: Vec<(usize, QState<'a>)>,
+    /// Queries injected so far, i.e. the next slot.
+    injected: usize,
+    /// The latest completion instant so far.
+    last_end: SimTime,
 }
 
 impl<'a> ReplaySession<'a> {
@@ -562,21 +606,11 @@ impl<'a> ReplaySession<'a> {
         self.live.len()
     }
 
-    /// Total number of queries injected so far (completed ones included).
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True if no query was ever injected.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
     /// The earliest pending event instant across live queries, or `None`
     /// when nothing is live. A serving loop admits an arrival at time `a`
     /// directly iff `a <= next_event_time()` (or nothing is live).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.live.iter().map(|&slot| self.states[slot].t).min()
+        self.live.iter().map(|(_, s)| s.t).min()
     }
 
     /// Admit one query at absolute virtual time `arrival` (the `run.arrival`
@@ -624,14 +658,13 @@ impl<'a> ReplaySession<'a> {
             stream: rt.alloc_stream(),
             track: rt.alloc_query_track(),
         };
-        let slot = self.states.len();
-        let timing = state.timing();
-        self.states.push(state);
+        let slot = self.injected;
+        self.injected += 1;
         if trace.events.is_empty() {
-            (slot, Some(SessionCompletion { slot, timing }))
+            (slot, Some(self.complete(rt, slot, &state)))
         } else {
             // Slots only grow, so pushing keeps the list ascending.
-            self.live.push(slot);
+            self.live.push((slot, state));
             (slot, None)
         }
     }
@@ -643,63 +676,38 @@ impl<'a> ReplaySession<'a> {
     pub fn step(&mut self, rt: &mut Runtime) -> Option<SessionCompletion> {
         // `min_by_key` keeps the first of equal minima and the list is
         // ascending: among queries at the same instant the lowest slot steps.
-        let (at, &slot) = self
+        let (at, _) = self
             .live
             .iter()
             .enumerate()
-            .min_by_key(|&(_, &slot)| self.states[slot].t)?;
-        let s = &mut self.states[slot];
-        if !rt.step(s) {
+            .min_by_key(|&(_, (_, s))| s.t)?;
+        if !rt.step(&mut self.live[at].1) {
             return None;
         }
-        self.live.remove(at);
-        Some(SessionCompletion {
-            slot,
-            timing: s.timing(),
-        })
+        let (slot, state) = self.live.remove(at);
+        Some(self.complete(rt, slot, &state))
     }
 
-    /// Close the session: settle end-of-run prefetch-waste accounting,
-    /// advance the stack clock to the last completion, emit per-query replay
-    /// spans (injection order), and return all timings in slot order.
-    pub fn finish(self, rt: &mut Runtime) -> Vec<QueryTiming> {
+    /// A query's last act: spans out, clock mark kept, timing handed over.
+    fn complete(&mut self, rt: &mut Runtime, slot: usize, s: &QState<'_>) -> SessionCompletion {
+        rt.record_completion(s);
+        self.last_end = self.last_end.max(s.t);
+        SessionCompletion {
+            slot,
+            timing: s.timing(),
+        }
+    }
+
+    /// Close the session: settle end-of-run prefetch-waste accounting and
+    /// advance the stack clock to the last completion.
+    pub fn finish(self, rt: &mut Runtime) {
         debug_assert!(
             self.live.is_empty(),
             "finish() with {} queries live",
             self.live.len()
         );
         rt.pool.finish_accounting();
-        if let Some(end) = self.states.iter().map(|s| s.t).max() {
-            rt.now = rt.now.max(end);
-        }
-        if rt.pool.recorder().is_enabled() {
-            let rec = rt.pool.recorder_mut();
-            for s in &self.states {
-                rec.add("queries.replayed", 1);
-                if s.start > s.arrival {
-                    rec.span(
-                        s.track,
-                        "query",
-                        "query.infer_charge",
-                        s.arrival.as_micros(),
-                        s.start.as_micros(),
-                        &[],
-                    );
-                }
-                // The span end (`ts + dur`) is the query's completion time —
-                // exactly the `end` in the returned timings.
-                rec.span(
-                    s.track,
-                    "query",
-                    s.span_name,
-                    s.start.as_micros(),
-                    s.t.as_micros(),
-                    &[("reads", s.trace.read_count() as u64)],
-                );
-                rec.observe("query.latency_us", s.t.since(s.arrival).as_micros());
-            }
-        }
-        self.states.iter().map(QState::timing).collect()
+        rt.now = rt.now.max(self.last_end);
     }
 }
 
@@ -1026,6 +1034,31 @@ mod tests {
     }
 
     #[test]
+    fn a_prefetched_load_is_settled_once_across_runs() {
+        // Two runs close over one warm pool. The first prefetches 30 pages
+        // and reads none; the second names the same list — all resident, so
+        // nothing is issued — and reads ten of them. Each load was written
+        // off once, when the first run closed: it is not wasted again at the
+        // second close, and not useful on its late read either.
+        let cfg = config();
+        let idle = Trace::from_iter([TraceEvent::Cpu { units: 1 }]);
+        let reader: Trace = (0..10).map(|p| read_ev(p, AccessKind::HeapFetch)).collect();
+        let pages: Vec<PageId> = (0..30).map(pid).collect();
+        let mut rt = Runtime::new(&cfg, vec![20_000]);
+        for (run, trace) in [&idle, &reader, &reader].into_iter().enumerate() {
+            let res = rt.run(&[QueryRun::with_prefetch(
+                trace,
+                pages.clone(),
+                SimDuration::ZERO,
+            )]);
+            let s = res.stats;
+            assert_eq!(s.prefetch_issued, 30, "run {run}");
+            assert_eq!((s.prefetch_useful, s.prefetch_wasted), (0, 30), "run {run}");
+        }
+        assert_eq!(rt.stats().hits, 20);
+    }
+
+    #[test]
     fn report_mentions_every_section() {
         let cfg = config();
         let t = random_trace(30, 1);
@@ -1080,18 +1113,16 @@ mod tests {
         assert!(c0.is_none() && c1.is_none());
         let mut completions = Vec::new();
         while sess.live() > 0 {
-            if let Some(c) = sess.step(&mut rt2) {
-                completions.push(c);
-            }
+            completions.extend(sess.step(&mut rt2));
         }
-        let timings = sess.finish(&mut rt2);
+        sess.finish(&mut rt2);
 
         assert_eq!(completions.len(), 2, "each query completes exactly once");
-        assert_eq!(timings.len(), res.timings.len());
-        for (got, want) in timings.iter().zip(res.timings.iter()) {
-            assert_eq!(got.arrival, want.arrival);
-            assert_eq!(got.start, want.start);
-            assert_eq!(got.end, want.end);
+        completions.sort_by_key(|c| c.slot);
+        for (got, want) in completions.iter().zip(res.timings.iter()) {
+            assert_eq!(got.timing.arrival, want.arrival);
+            assert_eq!(got.timing.start, want.start);
+            assert_eq!(got.timing.end, want.end);
         }
         assert_eq!(rt2.stats(), res.stats);
         assert_eq!(rt2.now(), rt1.now());
@@ -1123,13 +1154,16 @@ mod tests {
         assert_eq!(done.timing.end, first.timings[0].end);
         // The slot freed: admit the next query at the completion instant.
         sess.inject(&mut rt2, QueryRun::default_run(&b), done.timing.end);
-        while sess.live() > 0 {
-            sess.step(&mut rt2);
-        }
-        let timings = sess.finish(&mut rt2);
-        assert_eq!(timings[1].arrival, second.timings[0].arrival);
-        assert_eq!(timings[1].start, second.timings[0].start);
-        assert_eq!(timings[1].end, second.timings[0].end);
+        let done = loop {
+            if let Some(c) = sess.step(&mut rt2) {
+                break c;
+            }
+        };
+        sess.finish(&mut rt2);
+        assert_eq!(done.slot, 1);
+        assert_eq!(done.timing.arrival, second.timings[0].arrival);
+        assert_eq!(done.timing.start, second.timings[0].start);
+        assert_eq!(done.timing.end, second.timings[0].end);
         assert_eq!(rt2.stats(), rt1.stats());
         assert_eq!(rt2.now(), rt1.now());
     }
@@ -1138,8 +1172,9 @@ mod tests {
     fn long_session_with_few_live_queries_is_bit_identical_to_run() {
         // 300 staggered arrivals, admitted the way a serving loop does (when
         // the arrival is no later than the next pending event): at most four
-        // queries are ever live while hundreds sit completed in the session.
-        // `run` — all 300 live from the first step — is the reference.
+        // queries are ever live, and the session holds those and no more
+        // while hundreds have completed. `run` — all 300 live from the first
+        // step — is the reference.
         let cfg = config();
         let traces: Vec<Trace> = (0..300u32)
             .map(|q| {
@@ -1177,6 +1212,7 @@ mod tests {
         let mut pending = runs.iter();
         let mut next = pending.next();
         let (mut max_live, mut completed_at_max) = (0, 0);
+        let mut got: Vec<SessionCompletion> = Vec::new();
         while next.is_some() || sess.live() > 0 {
             match next {
                 Some(run)
@@ -1187,24 +1223,29 @@ mod tests {
                     sess.inject(&mut rt2, run.clone(), SimTime::ZERO + run.arrival);
                     next = pending.next();
                 }
-                _ => {
-                    sess.step(&mut rt2);
-                }
+                _ => got.extend(sess.step(&mut rt2)),
             }
+            assert_eq!(sess.live.len(), sess.injected - got.len());
             if sess.live() >= max_live {
                 max_live = sess.live();
-                completed_at_max = sess.len() - sess.live();
+                completed_at_max = got.len();
             }
         }
-        assert_eq!(sess.len(), 300);
+        assert_eq!(sess.injected, 300);
         assert!((2..=4).contains(&max_live), "max live {max_live}");
         assert!(completed_at_max > 150, "completed {completed_at_max}");
-        let got = sess.finish(&mut rt2);
+        assert!(
+            sess.live.capacity() <= 8,
+            "the session grew with the queries it finished: {}",
+            sess.live.capacity()
+        );
+        sess.finish(&mut rt2);
 
         assert_eq!(got.len(), want.timings.len());
+        got.sort_by_key(|c| c.slot);
         for (got, want) in got.iter().zip(&want.timings) {
             assert_eq!(
-                (got.arrival, got.start, got.end),
+                (got.timing.arrival, got.timing.start, got.timing.end),
                 (want.arrival, want.start, want.end)
             );
         }
@@ -1252,8 +1293,7 @@ mod tests {
         assert_eq!(done.timing.end, at);
         assert_eq!(sess.live(), 0);
         assert!(sess.step(&mut rt).is_none(), "nothing live to step");
-        let timings = sess.finish(&mut rt);
-        assert_eq!(timings.len(), 1);
+        sess.finish(&mut rt);
         assert_eq!(rt.now(), at);
     }
 }

@@ -22,7 +22,7 @@
 //! * `--mini` — CI-sized configuration (tiny database, 12 queries) and skip
 //!   the overlap sweep; combined with `--trace-out` this is the tier-1
 //!   traced mini-serving run.
-use pythia_core::server::{AdmissionMode, QueuePolicy};
+use pythia_core::server::QueuePolicy;
 use pythia_experiments::{serving, Env, ExpConfig};
 use pythia_workloads::templates::Template;
 
@@ -70,8 +70,7 @@ fn main() {
         &env,
         Template::T18,
         Some(tw.as_ref()),
-        AdmissionMode::Continuous,
-        QueuePolicy::Overlap,
+        serving::Admission::Continuous(QueuePolicy::Overlap),
         0.75,
         env.cfg.seed ^ 0x5E4B,
     );

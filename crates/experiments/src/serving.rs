@@ -10,17 +10,24 @@
 //! concurrently up to the admission limit. Scheduling extensions are then
 //! one-flag variants of the same loop — the table compares DFLT (no
 //! predictor) against Pythia under FIFO and under the §7 overlap scheduler.
+//!
+//! The barrier-wave loop `pythia-core` once served through lives on here as
+//! a baseline, [`serve_waves`]: the wave-vs-continuous gap under skewed
+//! per-query cost is what the `(wave)` rows and [`admission_snapshot`] measure.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pythia_core::predictor::TrainedWorkload;
+use pythia_core::prefetch::{cap_to_budget, engage};
 use pythia_core::server::{
-    AdmissionMode, InferenceCharge, PrefetchServer, QueuePolicy, ServeReport, ServerConfig,
-    ServerRequest,
+    InferenceCharge, PrefetchServer, QueryOutcome, QueuePolicy, ServeReport, ServerConfig,
+    ServerRequest, WaveStats,
 };
+use pythia_db::catalog::Database;
+use pythia_db::runtime::{QueryRun, RunConfig, Runtime};
 use pythia_obs::Recorder;
-use pythia_sim::SimDuration;
+use pythia_sim::{SimDuration, SimTime};
 use pythia_workloads::templates::Template;
 
 use crate::harness::{mean, Env};
@@ -31,6 +38,122 @@ use crate::output::{f2, Table};
 const CONCURRENCY: usize = 2;
 /// Queries in each served stream.
 const N_QUERIES: usize = 6;
+
+/// Which admission loop a serving run goes through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// [`PrefetchServer::serve`]: admit-on-completion under a queue policy.
+    Continuous(QueuePolicy),
+    /// The barrier baseline, [`serve_waves`]: FIFO by construction.
+    Waves,
+}
+
+/// The barrier-wave baseline: admit up to `concurrency` queued queries in
+/// arrival order, replay the whole wave to completion through one
+/// [`Runtime::run`], and only then look at the queue again — so a long query
+/// strands the slots of the short ones that finished beside it. Each wave
+/// first runs one batched inference over every queued query lacking a
+/// prediction and charges its measured latency. One [`WaveStats`] per wave
+/// (`tenant: None`: a wave mixes queries). Fresh stack, untraced.
+///
+/// With `concurrency = 1` and no model this is *bit-identical* to serial
+/// `Runtime::run` calls on one warm stack, like the admission loop it is
+/// compared against (`c1_waves_match_serial_runtime_runs`).
+pub fn serve_waves(
+    db: &Database,
+    run_cfg: &RunConfig,
+    tw: Option<&TrainedWorkload>,
+    concurrency: usize,
+    requests: &[ServerRequest<'_>],
+) -> ServeReport {
+    let mut rt = Runtime::new(run_cfg, db.file_lengths());
+    let n = requests.len();
+    let abs: Vec<SimTime> = requests.iter().map(|r| rt.now() + r.arrival).collect();
+    // Arrival order, stable by request index.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (abs[i], i));
+    // Limited prefetching (§5.1): the serving loop's default budget.
+    let budget = rt.pool_frames() * 3 / 4;
+    // A request's replay run, from its inference to its dispatch.
+    let mut runs: Vec<Option<QueryRun<'_>>> = vec![None; n];
+    let mut queries: Vec<QueryOutcome> = Vec::with_capacity(n);
+    let mut waves: Vec<WaveStats> = Vec::new();
+    let mut queue: Vec<usize> = Vec::new();
+    let mut next = 0;
+    while next < n || !queue.is_empty() {
+        // Pull in everything that has arrived by the current clock.
+        while next < n && abs[order[next]] <= rt.now() {
+            queue.push(order[next]);
+            next += 1;
+        }
+        if queue.is_empty() {
+            // Idle until the next arrival.
+            rt.advance_to(abs[order[next]]);
+            continue;
+        }
+        let (admitted_at, queue_depth) = (rt.now(), queue.len());
+        let mut inferred = 0;
+        if let Some(tw) = tw {
+            let missing: Vec<usize> = queue
+                .iter()
+                .copied()
+                .filter(|&i| runs[i].is_none())
+                .collect();
+            let plans: Vec<_> = missing.iter().map(|&i| requests[i].plan).collect();
+            let (lists, charge) = engage(db, tw, &plans);
+            inferred = missing.len();
+            for (i, list) in missing.into_iter().zip(lists) {
+                let list = cap_to_budget(list, budget);
+                runs[i] = Some(QueryRun {
+                    prefetch: (!list.is_empty()).then_some(list),
+                    inference_latency: charge,
+                    ..QueryRun::default_run(requests[i].trace)
+                });
+            }
+        }
+        // The wave: the queue's head. New arrivals wait for it to drain.
+        let members: Vec<usize> = queue.drain(..concurrency.max(1).min(queue_depth)).collect();
+        let wave: Vec<QueryRun<'_>> = members
+            .iter()
+            .map(|&i| {
+                let run = runs[i].take();
+                run.unwrap_or_else(|| QueryRun::default_run(requests[i].trace))
+            })
+            .collect();
+        let before = rt.stats();
+        let res = rt.run(&wave);
+        for ((&i, run), t) in members.iter().zip(&wave).zip(&res.timings) {
+            queries.push(QueryOutcome {
+                arrival: abs[i],
+                admitted: admitted_at,
+                start: t.start,
+                end: t.end,
+                wave: waves.len(),
+                inference: run.inference_latency,
+                tenant: requests[i].tenant,
+                request: i as u64 + 1,
+            });
+        }
+        waves.push(WaveStats {
+            admitted_at,
+            occupancy: members.len(),
+            queue_depth,
+            inferred,
+            inference: wave
+                .iter()
+                .fold(SimDuration::ZERO, |sum, run| sum + run.inference_latency),
+            stats: res.stats.diff(&before),
+            tenant: None,
+        });
+    }
+    // Request ids are `index + 1`: back into input order.
+    queries.sort_unstable_by_key(|q| q.request);
+    ServeReport {
+        queries,
+        waves,
+        stats: rt.stats(),
+    }
+}
 
 /// Poisson arrival offsets: exponential inter-arrival gaps with the given
 /// mean (first arrival at zero).
@@ -57,8 +180,7 @@ pub fn serve_poisson(
     env: &Env,
     template: Template,
     tw: Option<&TrainedWorkload>,
-    admission: AdmissionMode,
-    policy: QueuePolicy,
+    admission: Admission,
     overlap: f64,
     seed: u64,
 ) -> ServeReport {
@@ -67,7 +189,6 @@ pub fn serve_poisson(
         template,
         tw,
         admission,
-        policy,
         overlap,
         seed,
         InferenceCharge::Measured,
@@ -82,41 +203,16 @@ pub fn serve_poisson(
 /// would leak wall-clock noise into admission times).
 pub const TRACED_INFER_CHARGE_US: u64 = 150;
 
-/// [`serve_poisson`] with a structured-trace [`Recorder`] installed on the
-/// serving stack and NN wall-task capture on for the duration of the call.
-/// Returns the report together with the recorder holding the run's events,
-/// counters, and histograms — dump [`Recorder::chrome_trace_json`] for
-/// Perfetto, or [`Recorder::virtual_trace_json`] for the deterministic
-/// virtual-clock subset.
-pub fn serve_poisson_traced(
-    env: &Env,
-    template: Template,
-    tw: Option<&TrainedWorkload>,
-    admission: AdmissionMode,
-    policy: QueuePolicy,
-    overlap: f64,
-    seed: u64,
-) -> (ServeReport, Recorder) {
-    serve_poisson_inner(
-        env,
-        template,
-        tw,
-        admission,
-        policy,
-        overlap,
-        seed,
-        InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
-        Recorder::enabled(),
-    )
-}
-
+/// One Poisson stream through the chosen loop under `charge`, with
+/// `recorder` on the serving stack and — if it is enabled — NN wall-task
+/// capture on for the duration of the call and a quality tracker attached.
+/// Returns the report and the recorder holding the run's events.
 #[allow(clippy::too_many_arguments)]
 fn serve_poisson_inner(
     env: &Env,
     template: Template,
     tw: Option<&TrainedWorkload>,
-    admission: AdmissionMode,
-    policy: QueuePolicy,
+    admission: Admission,
     overlap: f64,
     seed: u64,
     charge: InferenceCharge,
@@ -153,13 +249,15 @@ fn serve_poisson_inner(
             request: 0,
         })
         .collect();
+    let Admission::Continuous(policy) = admission else {
+        let rep = serve_waves(&env.bench.db, &env.run_cfg, tw, CONCURRENCY, &requests);
+        return (rep, recorder);
+    };
     let cfg = ServerConfig {
         concurrency: CONCURRENCY,
-        admission,
         policy,
         charge,
-        prefetch_budget: None,
-        tenant_quota: None,
+        ..ServerConfig::default()
     };
     let mut server = PrefetchServer::new(&env.bench.db, &env.run_cfg, cfg);
     if let Some(tw) = tw {
@@ -307,10 +405,9 @@ pub fn dump_trace(
         env,
         Template::T18,
         Some(tw.as_ref()),
-        // The canonical traced run exercises the continuous-admission path
-        // (the default admission mode) under the overlap scheduler.
-        AdmissionMode::Continuous,
-        QueuePolicy::Overlap,
+        // The canonical traced run: the admission loop under the overlap
+        // scheduler.
+        Admission::Continuous(QueuePolicy::Overlap),
         0.75,
         env.cfg.seed ^ 0x5E4B,
         InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
@@ -341,9 +438,9 @@ pub fn dump_trace(
 }
 
 /// The serving-loop sweep: Figure 13d's overlap axis × admission mode ×
-/// serving policy. The DFLT baseline is the original wave-barrier loop; the
-/// Pythia variants cover wave FIFO against continuous FIFO and the §7
-/// overlap scheduler under continuous admission.
+/// serving policy. The DFLT baseline goes through the wave-barrier baseline
+/// loop; the Pythia variants cover wave FIFO against continuous FIFO and the
+/// §7 overlap scheduler under continuous admission.
 pub fn run(env: &Env) -> Table {
     let mut t = Table::new(
         "Serving loop: Poisson arrivals through admission control (Fig 13d re-expressed) — T18",
@@ -360,35 +457,24 @@ pub fn run(env: &Env) -> Table {
 
     for &overlap in &[0.25f64, 0.5, 0.75, 1.0] {
         let seed = env.cfg.seed ^ 0x5E ^ (overlap * 100.0) as u64;
-        let dflt = serve_poisson(
-            env,
-            Template::T18,
-            None,
-            AdmissionMode::Wave,
-            QueuePolicy::Fifo,
-            overlap,
-            seed,
-        );
+        let dflt = serve_poisson(env, Template::T18, None, Admission::Waves, overlap, seed);
         let variants = [
-            ("pythia FIFO (wave)", AdmissionMode::Wave, QueuePolicy::Fifo),
+            ("pythia FIFO (wave)", Admission::Waves),
             (
                 "pythia FIFO (continuous)",
-                AdmissionMode::Continuous,
-                QueuePolicy::Fifo,
+                Admission::Continuous(QueuePolicy::Fifo),
             ),
             (
                 "pythia overlap-sched (continuous)",
-                AdmissionMode::Continuous,
-                QueuePolicy::Overlap,
+                Admission::Continuous(QueuePolicy::Overlap),
             ),
         ];
-        for (name, admission, policy) in variants {
+        for (name, admission) in variants {
             let rep = serve_poisson(
                 env,
                 Template::T18,
                 Some(tw.as_ref()),
                 admission,
-                policy,
                 overlap,
                 seed,
             );
@@ -433,20 +519,13 @@ pub fn admission_snapshot(env: &Env) -> String {
         })
         .collect();
 
-    let serve = |admission: AdmissionMode| {
-        let cfg = ServerConfig {
-            concurrency: CONCURRENCY,
-            admission,
-            policy: QueuePolicy::Fifo,
-            charge: InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
-            prefetch_budget: None,
-            tenant_quota: None,
-        };
-        let mut server = PrefetchServer::new(&env.bench.db, &env.run_cfg, cfg);
-        server.serve(&requests)
+    let wave = serve_waves(&env.bench.db, &env.run_cfg, None, CONCURRENCY, &requests);
+    let cfg = ServerConfig {
+        concurrency: CONCURRENCY,
+        charge: InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
+        ..ServerConfig::default()
     };
-    let wave = serve(AdmissionMode::Wave);
-    let cont = serve(AdmissionMode::Continuous);
+    let cont = PrefetchServer::new(&env.bench.db, &env.run_cfg, cfg).serve(&requests);
 
     format!(
         "{{\n  \"queries\": {},\n  \"concurrency\": {},\n  \"whale_trace_pages\": {},\n  \
@@ -478,18 +557,10 @@ mod tests {
             ..ExpConfig::quick()
         };
         let env = Env::new(cfg);
-        for admission in [AdmissionMode::Wave, AdmissionMode::Continuous] {
+        for admission in [Admission::Waves, Admission::Continuous(QueuePolicy::Fifo)] {
             // High overlap → arrivals bunch up → the concurrency limit must
             // actually queue some queries.
-            let rep = serve_poisson(
-                &env,
-                Template::T91,
-                None,
-                admission,
-                QueuePolicy::Fifo,
-                1.0,
-                7,
-            );
+            let rep = serve_poisson(&env, Template::T91, None, admission, 1.0, 7);
             assert_eq!(rep.queries.len(), N_QUERIES);
             assert!(!rep.waves.is_empty());
             assert!(rep.waves.iter().all(|w| w.occupancy <= CONCURRENCY));
@@ -512,40 +583,31 @@ mod tests {
             ..ExpConfig::quick()
         };
         let env = Env::new(cfg);
-        for admission in [AdmissionMode::Wave, AdmissionMode::Continuous] {
-            let serve = || {
-                serve_poisson_traced(
-                    &env,
-                    Template::T91,
-                    None,
-                    admission,
-                    QueuePolicy::Fifo,
-                    1.0,
-                    7,
-                )
-            };
-            let (rep, rec) = serve();
-            // Trace counters must reconcile exactly with the report's.
-            assert_eq!(rec.counter("reads.hit"), rep.stats.hits);
-            assert_eq!(rec.counter("reads.os_copy"), rep.stats.os_copies);
-            assert_eq!(rec.counter("reads.disk"), rep.stats.disk_reads);
-            assert_eq!(rec.counter("prefetch.issued"), rep.stats.prefetch_issued);
-            match admission {
-                AdmissionMode::Wave => {
-                    assert_eq!(rec.counter("server.waves"), rep.waves.len() as u64);
-                }
-                AdmissionMode::Continuous => {
-                    // One admission event per query, and every admission
-                    // completes.
-                    assert_eq!(rec.counter("server.admitted"), rep.waves.len() as u64);
-                    assert_eq!(rec.counter("server.completions"), rep.queries.len() as u64);
-                }
-            }
-            assert_eq!(rec.counter("queries.replayed"), rep.queries.len() as u64);
-            // Same seed, same env → byte-identical virtual-clock traces.
-            let (_, rec2) = serve();
-            assert_eq!(rec.virtual_trace_json(), rec2.virtual_trace_json());
-        }
+        let serve = || {
+            serve_poisson_inner(
+                &env,
+                Template::T91,
+                None,
+                Admission::Continuous(QueuePolicy::Fifo),
+                1.0,
+                7,
+                InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
+                Recorder::enabled(),
+            )
+        };
+        let (rep, rec) = serve();
+        // Trace counters must reconcile exactly with the report's.
+        assert_eq!(rec.counter("reads.hit"), rep.stats.hits);
+        assert_eq!(rec.counter("reads.os_copy"), rep.stats.os_copies);
+        assert_eq!(rec.counter("reads.disk"), rep.stats.disk_reads);
+        assert_eq!(rec.counter("prefetch.issued"), rep.stats.prefetch_issued);
+        // One admission event per query, and every admission completes.
+        assert_eq!(rec.counter("server.admitted"), rep.waves.len() as u64);
+        assert_eq!(rec.counter("server.completions"), rep.queries.len() as u64);
+        assert_eq!(rec.counter("queries.replayed"), rep.queries.len() as u64);
+        // Same seed, same env → byte-identical virtual-clock traces.
+        let (_, rec2) = serve();
+        assert_eq!(rec.virtual_trace_json(), rec2.virtual_trace_json());
     }
 
     #[test]
@@ -564,10 +626,9 @@ mod tests {
         assert_eq!(json, admission_snapshot(&env));
         // Parse the speedup back out: continuous must not materially lose
         // to waves on a skewed mix. (The strict win under controlled skew is
-        // pinned by pythia-core's
-        // `continuous_admits_on_completion_and_beats_waves_under_skew`; real
-        // template traces share buffer pages across queries, so the ratio
-        // here gets a small tolerance instead of a hard `>= 1`.)
+        // pinned by `continuous_admits_on_completion_and_beats_waves_under_skew`
+        // below; real template traces share buffer pages across queries, so
+        // the ratio here gets a small tolerance instead of a hard `>= 1`.)
         let speedup: f64 = json
             .lines()
             .find(|l| l.contains("continuous_speedup"))
@@ -576,6 +637,157 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .expect("snapshot has a parsable speedup");
         assert!(speedup > 0.9, "continuous lost badly to waves: {json}");
+    }
+
+    /// A database whose file 0 is big enough for the synthetic traces, plus a
+    /// trivial plan ([`ServerRequest`] wants one even with no predictor).
+    fn synthetic_db_and_plan() -> (Database, pythia_db::plan::PlanNode) {
+        let mut db = Database::new();
+        let t = db.create_table("t", pythia_db::types::Schema::ints(&["a"]));
+        for i in 0..60_000i64 {
+            db.insert(t, Database::row(&[i]));
+        }
+        let plan = pythia_db::plan::PlanNode::SeqScan {
+            table: t,
+            pred: None,
+        };
+        (db, plan)
+    }
+
+    /// `n` random heap reads with CPU work between them.
+    fn random_trace(n: u32) -> pythia_db::trace::Trace {
+        use pythia_db::trace::{AccessKind, TraceEvent};
+        (0..n)
+            .flat_map(|i| {
+                [
+                    TraceEvent::Read {
+                        obj: pythia_db::catalog::ObjectId(0),
+                        page: pythia_sim::PageId::new(pythia_sim::FileId(0), (i * 37) % 10_000),
+                        kind: AccessKind::HeapFetch,
+                    },
+                    TraceEvent::Cpu { units: 2 },
+                ]
+            })
+            .collect()
+    }
+
+    fn synthetic_run_cfg() -> RunConfig {
+        RunConfig {
+            pool_frames: 2048,
+            os_cache_pages: 16384,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn c1_waves_match_serial_runtime_runs() {
+        // The baseline's determinism contract: concurrency 1 ≡ serial
+        // Runtime::run calls on one warm stack.
+        let (db, plan) = synthetic_db_and_plan();
+        let traces = [random_trace(60), random_trace(25), random_trace(40)];
+        let arrivals = [
+            SimDuration::ZERO,
+            SimDuration::from_micros(300),
+            SimDuration::from_secs(30),
+        ];
+        let reqs: Vec<ServerRequest<'_>> = traces
+            .iter()
+            .zip(arrivals)
+            .map(|(t, arrival)| ServerRequest::new(&plan, t, arrival))
+            .collect();
+        let run_cfg = synthetic_run_cfg();
+        let rep = serve_waves(&db, &run_cfg, None, 1, &reqs);
+
+        let mut rt = Runtime::new(&run_cfg, db.file_lengths());
+        for ((t, arrival), q) in traces.iter().zip(arrivals).zip(&rep.queries) {
+            rt.advance_to(SimTime::ZERO + arrival);
+            let res = rt.run(&[QueryRun::default_run(t)]);
+            assert_eq!(q.start, res.timings[0].start);
+            assert_eq!(q.end, res.timings[0].end);
+        }
+        assert_eq!(rep.stats, rt.stats());
+        // Each query ran alone, in arrival order, back to back.
+        assert_eq!(rep.waves.len(), 3);
+        assert!(rep.queries[1].start >= rep.queries[0].end);
+        assert!(rep.queries[2].start >= rep.queries[1].end);
+    }
+
+    #[test]
+    fn waves_respect_the_concurrency_limit() {
+        let (db, plan) = synthetic_db_and_plan();
+        let t = random_trace(40);
+        // Three simultaneous arrivals, then one far in the future.
+        let late = SimDuration::from_secs(3600);
+        let reqs: Vec<ServerRequest<'_>> = [
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+            late,
+        ]
+        .iter()
+        .map(|&arrival| ServerRequest::new(&plan, &t, arrival))
+        .collect();
+        let rep = serve_waves(&db, &synthetic_run_cfg(), None, 2, &reqs);
+
+        // Wave 0 admits two of the three simultaneous arrivals (queue depth
+        // 3), wave 1 the leftover, wave 2 the late one after idling forward.
+        let shape: Vec<(usize, usize)> = rep
+            .waves
+            .iter()
+            .map(|w| (w.occupancy, w.queue_depth))
+            .collect();
+        assert_eq!(shape, [(2, 3), (1, 1), (1, 1)]);
+        assert!(rep.waves[2].admitted_at >= SimTime::ZERO + late);
+        // FIFO: the third arrival waited for the first wave to drain.
+        assert_eq!(rep.queries[2].wave, 1);
+        assert!(rep.queries[2].admitted >= rep.queries[0].end.max(rep.queries[1].end));
+        assert_eq!(rep.queries[3].admission_wait(), SimDuration::ZERO);
+        // Wave stats sum to the aggregate.
+        let mut sum = pythia_buffer::BufferStats::default();
+        for w in &rep.waves {
+            sum.merge(&w.stats);
+        }
+        assert_eq!(sum, rep.stats);
+    }
+
+    #[test]
+    fn continuous_admits_on_completion_and_beats_waves_under_skew() {
+        // One long query plus four short ones, all arriving together, two
+        // slots. The waves barrier on the long query; the admission loop
+        // streams the shorts through the freed slot while it is still
+        // running.
+        let (db, plan) = synthetic_db_and_plan();
+        let long = random_trace(400);
+        let shorts: Vec<_> = (0..4).map(|_| random_trace(30)).collect();
+        let mut reqs = vec![ServerRequest::new(&plan, &long, SimDuration::ZERO)];
+        reqs.extend(
+            shorts
+                .iter()
+                .map(|t| ServerRequest::new(&plan, t, SimDuration::ZERO)),
+        );
+        let run_cfg = synthetic_run_cfg();
+        let wave = serve_waves(&db, &run_cfg, None, 2, &reqs);
+        let cfg = ServerConfig {
+            concurrency: 2,
+            ..ServerConfig::default()
+        };
+        let cont = PrefetchServer::new(&db, &run_cfg, cfg).serve(&reqs);
+
+        // Admit-on-completion: the third query is admitted the moment the
+        // first short completes — long before the long query finishes. The
+        // waves cannot admit it until the whole first wave drains.
+        assert!(cont.queries[2].admitted < cont.queries[0].end);
+        assert!(wave.queries[2].admitted >= wave.queries[0].end);
+        assert_eq!(cont.waves.len(), reqs.len());
+        assert!(cont.waves.iter().all(|w| (1..=2).contains(&w.occupancy)));
+        // Work conservation shows up as makespan and throughput.
+        assert!(
+            cont.makespan() < wave.makespan(),
+            "continuous {} vs wave {}",
+            cont.makespan(),
+            wave.makespan()
+        );
+        assert!(cont.throughput_qps() > wave.throughput_qps());
     }
 
     #[test]

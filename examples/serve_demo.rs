@@ -14,13 +14,16 @@
 //!
 //! Builds one small DSB-like benchmark database **per tenant** (different
 //! generator seeds) with a catalog of Template-18 queries, then puts the
-//! zero-dependency TCP [`Frontend`] in front of a continuous-admission
-//! [`PrefetchServer`] fleet — one server per tenant, each over its own
-//! database. `GET /t/<tenant>/query/<idx>` becomes an arrival event routed
-//! to that tenant's server; queued requests are drained in opportunistic
-//! batches, admitted the moment a replay slot frees (no wave barrier), and
-//! answered with the query's virtual-time outcome as JSON. Requests beyond
-//! the queue depth target are load-shed with `503 Retry-After`.
+//! zero-dependency TCP [`Frontend`] in front of a [`PrefetchServer`] fleet —
+//! one server per tenant, each over its own database, each driven through
+//! one [`ServeSession`](pythia::core::ServeSession) that lives as long as
+//! the process. `GET /t/<tenant>/query/<idx>` becomes an arrival submitted
+//! to that tenant's session; the pump polls every session for its next
+//! completion and answers that request at once with the query's
+//! virtual-time outcome as JSON, so a request is admitted the moment a
+//! replay slot frees and a long query delays no answer but its own.
+//! Requests beyond the queue depth target are load-shed with
+//! `503 Retry-After`.
 //!
 //! Flags:
 //!
@@ -42,7 +45,7 @@
 //! * `--flight-out <path>` — write the latest flight dump (Chrome-trace
 //!   JSON) to `path` on shutdown.
 //! * `--force-drift <tenant>` — raise one operator-drill drift alert on
-//!   that tenant after its first served batch; exercises the full
+//!   that tenant after its first served request; exercises the full
 //!   drift-alert + postmortem-dump path deterministically (the CI anomaly
 //!   smoke).
 //!
@@ -58,17 +61,19 @@
 //! which keeps every event and is what `serving --trace-out` and the tests
 //! run for as long as a run lasts — not something a server holds by default.
 //!
-//! `/shutdown` drains the queue and exits cleanly — that is how the CI
+//! `/shutdown` serves what the front had accepted by then, settles every
+//! session and exits cleanly (later arrivals get `503`) — that is how the CI
 //! smoke test stops the demo.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pythia::core::frontend::outcome_json;
 use pythia::core::registry::ModelRegistry;
 use pythia::core::{
-    train_workload, AdmissionMode, Arrival, Frontend, FrontendConfig, InferenceCharge,
-    PrefetchServer, PythiaConfig, QueuePolicy, ServerConfig, ServerRequest,
+    train_workload, AdmissionMode, Frontend, FrontendConfig, InferenceCharge, PrefetchServer,
+    PythiaConfig, QueuePolicy, Responder, ServerConfig, ServerRequest,
 };
 use pythia::db::runtime::RunConfig;
 use pythia::obs::flight::SharedFlight;
@@ -185,7 +190,7 @@ fn main() {
     // Live metrics plus the postmortem debug surface. The flight recorder
     // and slow log are shared by the whole tenant fleet: any server's
     // anomaly trigger publishes the dump `/debug/flight` serves, and every
-    // batch feeds the top-K slow log behind `/debug/slow`.
+    // completion feeds the top-K slow log behind `/debug/slow`.
     let snap = SharedSnapshot::new();
     let flight = SharedFlight::new();
     let slow_log = SharedSlowLog::new();
@@ -264,16 +269,43 @@ fn main() {
         })
         .collect();
 
+    // One session per tenant, for the life of the process, and the
+    // connections waiting on a completion by (tenant, ticket).
+    let mut sessions: Vec<_> = srvs.iter_mut().map(|s| s.session()).collect();
+    let mut waiting: HashMap<(usize, u64), (usize, Responder)> = HashMap::new();
+
     // Shed bursts are an anomaly trigger: 8+ newly shed requests between
     // drains snapshot the flight recorder for postmortem inspection.
     const SHED_BURST: u64 = 8;
     let mut last_shed = 0u64;
     let mut drift_fired = false;
     loop {
-        let batch = fe.drain_batch(Duration::from_millis(50));
+        // Read before the drain: the turn that sees the request to stop has
+        // also drained every arrival that preceded it.
+        let stopping = fe.shutdown_requested();
+        // Block only when there is nothing to replay.
+        let idle = waiting.is_empty() && !stopping;
+        for a in fe.drain_batch(Duration::from_millis(if idle { 50 } else { 0 })) {
+            // Look the tenant up: the wire's index is not ours to trust.
+            let t = a.tenant as usize;
+            let (Some(session), Some((queries, traces))) = (sessions.get_mut(t), catalogs.get(t))
+            else {
+                a.responder.error("404 Not Found", "no such tenant\n");
+                continue;
+            };
+            let ticket = session.submit(ServerRequest {
+                // Template-derived span so the quality tracker slots
+                // outcomes under the template, not an anonymous replay.
+                span_name: Template::T18.replay_span(),
+                ..ServerRequest::new(&queries[a.query].plan, &traces[a.query], SimDuration::ZERO)
+                    .with_tenant(a.tenant)
+                    .with_request(a.request)
+            });
+            waiting.insert((t, ticket), (a.query, a.responder));
+        }
         let shed = fe.stats().shed;
         if shed.saturating_sub(last_shed) >= SHED_BURST {
-            let now_us = srvs[0].runtime().now().as_micros();
+            let now_us = sessions[0].clock().as_micros();
             srvs[0].recorder_mut().trigger_flight("shed.burst", now_us);
             eprintln!(
                 "[serve_demo] shed burst: {} newly shed requests, flight dump captured",
@@ -281,68 +313,47 @@ fn main() {
             );
         }
         last_shed = shed;
-        if batch.is_empty() {
-            if fe.shutdown_requested() && fe.depth() == 0 {
-                break;
-            }
-            continue;
+        // Everything accepted before `/shutdown` has been answered; what
+        // arrives from here on is `Frontend::shutdown`'s to refuse.
+        if stopping && waiting.is_empty() {
+            break;
         }
-        // Route each arrival to its tenant's server; each tenant's slice of
-        // the batch is served against that tenant's own database.
-        let mut groups: Vec<Vec<Arrival>> = (0..tenants).map(|_| Vec::new()).collect();
-        for a in batch {
-            groups[a.tenant as usize].push(a);
-        }
-        for (t, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
+        // One completion per tenant per turn, answered at once: no tenant
+        // waits on another's replay, no request on a later one's.
+        for (t, (session, srv)) in sessions.iter_mut().zip(&mut srvs).enumerate() {
+            let Some((ticket, outcome)) = session.poll_completion(srv) else {
                 continue;
-            }
-            let (queries, traces) = &catalogs[t];
-            let reqs: Vec<ServerRequest<'_>> = group
-                .iter()
-                .map(|a| ServerRequest {
-                    // Template-derived span so the quality tracker slots
-                    // outcomes under the template, not an anonymous replay.
-                    span_name: Template::T18.replay_span(),
-                    ..ServerRequest::new(
-                        &queries[a.query].plan,
-                        &traces[a.query],
-                        SimDuration::ZERO,
-                    )
-                    .with_tenant(a.tenant)
-                    .with_request(a.request)
-                })
-                .collect();
-            let rep = srvs[t].serve(&reqs);
-            eprintln!(
-                "[serve_demo] tenant {t}: served batch of {}: makespan {}, throughput {:.1} q/s",
-                rep.queries.len(),
-                rep.makespan(),
-                rep.throughput_qps()
-            );
-            // Feed the /debug/slow top-K log with every request's
+            };
+            // Nobody here reads the admission intervals; taking them keeps
+            // the session from collecting them.
+            session.take_intervals();
+            // Feed the /debug/slow top-K log with the request's
             // queue/admission/inference/replay breakdown.
-            for b in rep.breakdowns() {
-                slow_log.offer(b);
-            }
+            slow_log.offer(outcome.breakdown());
             if force_drift == Some(t as u32) && !drift_fired {
                 drift_fired = true;
-                let now_us = srvs[t].runtime().now().as_micros();
+                let now_us = session.clock().as_micros();
                 let mut tracker = match quality.lock() {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 };
-                let alert = tracker.force_alert(t as u32, now_us, srvs[t].recorder_mut());
+                let alert = tracker.force_alert(t as u32, now_us, srv.recorder_mut());
                 drop(tracker);
                 eprintln!(
                     "[serve_demo] forced drift drill on tenant {t}: kind {}, flight dump captured",
                     alert.kind.name()
                 );
             }
-            for (a, q) in group.into_iter().zip(&rep.queries) {
-                a.responder.ok_json(&outcome_json(a.query, q));
-            }
+            let (query, responder) = waiting
+                .remove(&(t, ticket))
+                .expect("every submitted request left its connection here");
+            responder.ok_json(&outcome_json(query, &outcome));
         }
+    }
+    // Settle once: the prefetch-waste write-off, the tail interval into the
+    // quality tracker, the final metrics publish.
+    for (session, srv) in sessions.into_iter().zip(&mut srvs) {
+        session.finish(srv);
     }
 
     if let Some(path) = flight_out {

@@ -3,9 +3,9 @@
 //! a request stream must be **bit-identical** — per-query start/end
 //! instants, final clock and every buffer counter — to replaying the same
 //! queries serially through `Runtime::run` on one warm stack, across random
-//! traces, arrival patterns and stack sizings. The pin holds for BOTH
-//! admission modes: the wave-barrier loop and the admit-on-completion
-//! continuous scheduler degenerate to the same serial schedule at C=1.
+//! traces, arrival patterns and stack sizings: at C=1 the admit-on-completion
+//! scheduler degenerates to the serial schedule. (The barrier-wave baseline's
+//! copy of this pin lives next to it, in `pythia-experiments::serving`.)
 
 use std::sync::{Arc, OnceLock};
 
@@ -151,79 +151,12 @@ proptest! {
             .map(|(trace, &us)| ServerRequest::new(&plan, trace, SimDuration::from_micros(us)))
             .collect();
 
-        for admission in [AdmissionMode::Wave, AdmissionMode::Continuous] {
-            let cfg = ServerConfig {
-                concurrency: 1,
-                admission,
-                policy: QueuePolicy::Fifo,
-                // No predictor is attached, so nothing is ever charged — but
-                // the config must not leak into the timings either way.
-                charge: InferenceCharge::Fixed(SimDuration::from_micros(charge_us)),
-                prefetch_budget: None,
-                tenant_quota: None,
-            };
-            let mut server = PrefetchServer::new(db, &run_cfg, cfg);
-            let report = server.serve(&requests);
-
-            // Serial comparator: same queries, one warm stack, arrival order
-            // (ties broken by request index — the server's queue order).
-            let mut order: Vec<usize> = (0..requests.len()).collect();
-            order.sort_by_key(|&i| (requests[i].arrival, i));
-            let mut rt = Runtime::new(&run_cfg, db.file_lengths());
-            for &i in &order {
-                rt.advance_to(SimTime::ZERO + requests[i].arrival);
-                let res = rt.run(&[QueryRun::default_run(&traces[i])]);
-                prop_assert_eq!(
-                    report.queries[i].start, res.timings[0].start,
-                    "start of query {} ({:?})", i, admission
-                );
-                prop_assert_eq!(
-                    report.queries[i].end, res.timings[0].end,
-                    "end of query {} ({:?})", i, admission
-                );
-                prop_assert_eq!(report.queries[i].inference, SimDuration::ZERO);
-            }
-            prop_assert_eq!(report.stats, rt.stats());
-            prop_assert_eq!(server.runtime().now(), rt.now());
-            prop_assert_eq!(
-                report.waves.len(), requests.len(),
-                "one admission event per query at C=1 ({:?})", admission
-            );
-            for w in &report.waves {
-                prop_assert_eq!(w.occupancy, 1);
-            }
-        }
-    }
-
-    /// `ServeReport` wave metrics stay internally consistent under the
-    /// overlap queue policy across random traces, arrival streams and
-    /// concurrency limits: occupancy is bounded by the admission limit and
-    /// the recorded queue depth, every query is admitted exactly once, wave
-    /// dispatch times are monotone, the per-wave buffer counters merge back
-    /// to the report-level totals, and the summary helpers agree with the
-    /// raw per-wave data.
-    #[test]
-    fn overlap_policy_wave_metrics_are_consistent(
-        specs in prop::collection::vec(trace_strategy(), 1..7),
-        arrivals in prop::collection::vec(0u64..1_500_000, 7),
-        concurrency in 1usize..4,
-        pool_frames in prop::sample::select(vec![64usize, 512]),
-        charge_us in 0u64..3_000,
-    ) {
-        let db = db();
-        let traces: Vec<Trace> = specs.iter().map(|s| build_trace(s)).collect();
-        let n = traces.len();
-        let run_cfg = RunConfig { pool_frames, ..Default::default() };
-        let plan = plan();
-        let requests: Vec<ServerRequest<'_>> = traces
-            .iter()
-            .zip(&arrivals)
-            .map(|(trace, &us)| ServerRequest::new(&plan, trace, SimDuration::from_micros(us)))
-            .collect();
         let cfg = ServerConfig {
-            concurrency,
-            admission: AdmissionMode::Wave,
-            policy: QueuePolicy::Overlap,
+            concurrency: 1,
+            admission: AdmissionMode::Continuous,
+            policy: QueuePolicy::Fifo,
+            // No predictor is attached, so nothing is ever charged — but
+            // the config must not leak into the timings either way.
             charge: InferenceCharge::Fixed(SimDuration::from_micros(charge_us)),
             prefetch_budget: None,
             tenant_quota: None,
@@ -231,47 +164,28 @@ proptest! {
         let mut server = PrefetchServer::new(db, &run_cfg, cfg);
         let report = server.serve(&requests);
 
-        prop_assert_eq!(report.queries.len(), n);
-        prop_assert!(!report.waves.is_empty());
-
-        // Wave-level invariants.
-        let mut admitted_total = 0usize;
-        let mut merged = pythia::buffer::BufferStats::default();
-        let mut prev_dispatch = SimTime::ZERO;
-        for (i, w) in report.waves.iter().enumerate() {
-            prop_assert!(w.occupancy >= 1, "wave {} admitted nothing", i);
-            prop_assert!(w.occupancy <= concurrency, "wave {} over the limit", i);
-            prop_assert!(
-                w.occupancy <= w.queue_depth,
-                "wave {}: occupancy {} > queue depth {}", i, w.occupancy, w.queue_depth
-            );
-            prop_assert!(w.queue_depth <= n);
-            prop_assert!(w.admitted_at >= prev_dispatch, "wave {} dispatched out of order", i);
-            prev_dispatch = w.admitted_at;
-            admitted_total += w.occupancy;
-            merged.merge(&w.stats);
+        // Serial comparator: same queries, one warm stack, arrival order
+        // (ties broken by request index — the server's queue order).
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| (requests[i].arrival, i));
+        let mut rt = Runtime::new(&run_cfg, db.file_lengths());
+        for &i in &order {
+            rt.advance_to(SimTime::ZERO + requests[i].arrival);
+            let res = rt.run(&[QueryRun::default_run(&traces[i])]);
+            prop_assert_eq!(report.queries[i].start, res.timings[0].start, "start of query {}", i);
+            prop_assert_eq!(report.queries[i].end, res.timings[0].end, "end of query {}", i);
+            prop_assert_eq!(report.queries[i].inference, SimDuration::ZERO);
         }
-        prop_assert_eq!(admitted_total, n, "every query admitted exactly once");
-        prop_assert_eq!(merged, report.stats, "per-wave stats must partition the totals");
-
-        // Query-level invariants tie back to the wave that served each query.
-        for (i, q) in report.queries.iter().enumerate() {
-            prop_assert!(q.wave < report.waves.len());
-            prop_assert_eq!(q.admitted, report.waves[q.wave].admitted_at, "query {}", i);
-            prop_assert!(q.arrival <= q.admitted, "query {} admitted before arriving", i);
-            prop_assert!(q.admitted <= q.start);
-            prop_assert!(q.start <= q.end);
+        prop_assert_eq!(report.stats, rt.stats());
+        prop_assert_eq!(server.runtime().now(), rt.now());
+        prop_assert_eq!(report.waves.len(), requests.len(), "one admission event per query");
+        for w in &report.waves {
+            prop_assert_eq!(w.occupancy, 1);
         }
-
-        // Summary helpers agree with the raw per-wave data.
-        let max_depth = report.waves.iter().map(|w| w.queue_depth).max().unwrap();
-        prop_assert_eq!(report.max_queue_depth(), max_depth);
-        let mean_occ = n as f64 / report.waves.len() as f64;
-        prop_assert!((report.mean_occupancy() - mean_occ).abs() < 1e-9);
     }
 
-    /// Continuous-admission metrics invariants across random traces,
-    /// arrivals, policies and concurrency limits: exactly one admission
+    /// Admission metrics invariants across random traces, arrivals, policies
+    /// and concurrency limits: exactly one admission
     /// event per query, occupancy within `1..=concurrency`, monotone
     /// admission instants, causally ordered per-query timelines, and
     /// per-admission buffer counters that partition the report totals.
@@ -306,8 +220,8 @@ proptest! {
         let report = server.serve(&requests);
 
         prop_assert_eq!(report.queries.len(), n);
-        // Continuous admission dispatches queries one at a time: exactly one
-        // admission event per query.
+        // Queries are dispatched one at a time: exactly one admission event
+        // per query.
         prop_assert_eq!(report.waves.len(), n);
 
         let mut merged = pythia::buffer::BufferStats::default();
@@ -367,7 +281,6 @@ proptest! {
         specs in prop::collection::vec(trace_strategy(), 1..6),
         arrivals in prop::collection::vec(0u64..1_500_000, 6),
         concurrency in 1usize..4,
-        continuous in any::<bool>(),
         flight_cap in prop::sample::select(vec![4usize, 32, 4096]),
         charge_us in 0u64..3_000,
     ) {
@@ -382,7 +295,7 @@ proptest! {
             .collect();
         let cfg = ServerConfig {
             concurrency,
-            admission: if continuous { AdmissionMode::Continuous } else { AdmissionMode::Wave },
+            admission: AdmissionMode::Continuous,
             policy: QueuePolicy::Overlap,
             charge: InferenceCharge::Fixed(SimDuration::from_micros(charge_us)),
             prefetch_budget: None,
@@ -455,7 +368,7 @@ proptest! {
     /// through the model registry (single tenant): resolving the model via a
     /// `TenantFleet` snapshot instead of a fixed borrow changes nothing about
     /// the schedule — per-query timings, inference charges, buffer counters
-    /// and the final clock are bit-identical, in both admission modes.
+    /// and the final clock are bit-identical.
     #[test]
     fn registry_routed_c1_fifo_is_bit_identical_to_fixed_predictor(
         picks in prop::collection::vec(0usize..8, 1..6),
@@ -472,36 +385,31 @@ proptest! {
             })
             .collect();
 
-        for admission in [AdmissionMode::Wave, AdmissionMode::Continuous] {
-            let cfg = ServerConfig {
-                concurrency: 1,
-                admission,
-                policy: QueuePolicy::Fifo,
-                charge: InferenceCharge::Fixed(SimDuration::from_micros(charge_us)),
-                prefetch_budget: None,
-                tenant_quota: None,
-            };
+        let cfg = ServerConfig {
+            concurrency: 1,
+            admission: AdmissionMode::Continuous,
+            policy: QueuePolicy::Fifo,
+            charge: InferenceCharge::Fixed(SimDuration::from_micros(charge_us)),
+            prefetch_budget: None,
+            tenant_quota: None,
+        };
 
-            let mut fixed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_predictor(&fx.tw);
-            let fixed_rep = fixed.serve(&requests);
+        let mut fixed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_predictor(&fx.tw);
+        let fixed_rep = fixed.serve(&requests);
 
-            let fleet = Arc::new(TenantFleet::new("t0"));
-            fleet.publish(fx.tw.duplicate());
-            let mut routed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_registry(fleet);
-            let routed_rep = routed.serve(&requests);
+        let fleet = Arc::new(TenantFleet::new("t0"));
+        fleet.publish(fx.tw.duplicate());
+        let mut routed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_registry(fleet);
+        let routed_rep = routed.serve(&requests);
 
-            for (i, (a, b)) in fixed_rep.queries.iter().zip(&routed_rep.queries).enumerate() {
-                prop_assert_eq!(a.start, b.start, "start of query {} ({:?})", i, admission);
-                prop_assert_eq!(a.end, b.end, "end of query {} ({:?})", i, admission);
-                prop_assert_eq!(
-                    a.inference, b.inference,
-                    "inference charge of query {} ({:?})", i, admission
-                );
-            }
-            prop_assert_eq!(&fixed_rep.stats, &routed_rep.stats, "{:?}", admission);
-            prop_assert_eq!(fixed.runtime().now(), routed.runtime().now());
-            prop_assert_eq!(fixed_rep.waves.len(), routed_rep.waves.len());
+        for (i, (a, b)) in fixed_rep.queries.iter().zip(&routed_rep.queries).enumerate() {
+            prop_assert_eq!(a.start, b.start, "start of query {}", i);
+            prop_assert_eq!(a.end, b.end, "end of query {}", i);
+            prop_assert_eq!(a.inference, b.inference, "inference charge of query {}", i);
         }
+        prop_assert_eq!(&fixed_rep.stats, &routed_rep.stats);
+        prop_assert_eq!(fixed.runtime().now(), routed.runtime().now());
+        prop_assert_eq!(fixed_rep.waves.len(), routed_rep.waves.len());
     }
 
     /// Tentpole pin: a mid-stream hot-swap to a bit-identical model is

@@ -119,10 +119,7 @@ fn traced_server_reconciles_and_virtual_trace_is_deterministic() {
         };
         let cfg = ServerConfig {
             concurrency: 2,
-            // Wave mode: this test pins the wave-barrier trace vocabulary
-            // (the `server.waves` counter below); the continuous-admission
-            // vocabulary is reconciled in pythia-experiments' traced test.
-            admission: AdmissionMode::Wave,
+            admission: AdmissionMode::Continuous,
             policy: QueuePolicy::Overlap,
             charge: InferenceCharge::Fixed(SimDuration::from_micros(40)),
             prefetch_budget: Some(16),
@@ -157,8 +154,13 @@ fn traced_server_reconciles_and_virtual_trace_is_deterministic() {
     assert_eq!(rec.counter("reads.os_copy"), report.stats.os_copies);
     assert_eq!(rec.counter("reads.disk"), report.stats.disk_reads);
     assert_eq!(rec.counter("prefetch.issued"), report.stats.prefetch_issued);
-    assert_eq!(rec.counter("server.waves"), report.waves.len() as u64);
-    assert_eq!(rec.counter("server.arrivals"), report.queries.len() as u64);
+    // The admission loop's vocabulary: one arrival, one admission and one
+    // completion per query.
+    let n = report.queries.len() as u64;
+    assert_eq!(report.waves.len() as u64, n);
+    for counter in ["server.arrivals", "server.admitted", "server.completions"] {
+        assert_eq!(rec.counter(counter), n, "{counter}");
+    }
 
     // Per-query replay span ends == ServeReport end times. Spans carry
     // template-derived names, so match on the shared prefix.
