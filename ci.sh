@@ -33,8 +33,10 @@ http_get() ( # host, port, path
 )
 
 # One admission loop, one pump: the barrier-wave loop stays out of pythia-core
-# (the baseline lives in pythia-experiments::serving), and the live path stays
-# on its long-lived session instead of closed `serve` batches.
+# (the baseline lives in pythia-experiments::serving), the live path stays on
+# its long-lived sessions instead of closed `serve` batches, and the loop that
+# drives them is library code (`pythia_core::frontend::pump`) — an example is
+# an example, and nothing under crates/ grows a second copy.
 one_admission_loop() {
   if grep -rnE 'serve_wave|AdmissionMode::Wave' crates/core; then
     echo "!!> pythia-core names the wave loop again" >&2
@@ -42,6 +44,18 @@ one_admission_loop() {
   fi
   if grep -nF '.serve(' examples/serve_demo.rs; then
     echo "!!> examples/serve_demo.rs calls PrefetchServer::serve; the pump submits to its session" >&2
+    return 1
+  fi
+  if grep -rnE 'drain_batch|poll_completion|\.submit\(' examples; then
+    echo "!!> an example drives a session by hand; the live path is pythia_core::frontend::pump" >&2
+    return 1
+  fi
+  # (`fn pump` elsewhere is somebody else's word: the AIO engine has one.)
+  local pumps
+  pumps=$(grep -rnE '\bfn pump\b' crates/core || true)
+  if [[ $(grep -c . <<<"$pumps") -ne 1 || "$pumps" != crates/core/src/frontend.rs:* ]]; then
+    echo "$pumps" >&2
+    echo "!!> crates/core must hold exactly one fn pump, in src/frontend.rs" >&2
     return 1
   fi
 }

@@ -30,8 +30,10 @@
 //!   until a provider is wired.
 //! - `GET /shutdown` — acknowledge and set a flag the serving loop can poll
 //!   ([`Frontend::shutdown_requested`]) for a clean drain-then-exit.
-//!   [`Frontend::shutdown`] then answers anything still queued with `503`
-//!   so no accepted client is left hanging until its own timeout.
+//!   [`Frontend::shutdown`] then closes the queue and answers anything still
+//!   in it with `503`; a connection that finishes its request head later
+//!   still finds the queue closed and is answered `503` too, so no client is
+//!   left hanging until its own timeout.
 //!
 //! Anything else (unknown path, non-GET, unparsable index, index outside the
 //! catalog) gets `400`/`404`. Each connection has a short-lived handler
@@ -47,19 +49,24 @@
 //! it finds queued together — so virtual-time outcomes are bit-identical
 //! for the same order and grouping, which a client that waits for each
 //! answer before its next request fixes by itself, and which concurrent
-//! clients do not. `examples/serve_demo.rs` wires this to a real trained
-//! predictor; `EXPERIMENTS.md` has the curl recipe.
+//! clients do not.
+//!
+//! [`pump`] is the other half — the one loop that drains this queue into
+//! serving sessions and answers them, behind every socket in the repository.
+//! `examples/serve_demo.rs` decides what stands around it (flags, fixtures,
+//! training, the two listeners, which recorder publishes); `EXPERIMENTS.md`
+//! has the curl recipe.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use pythia_obs::http::{self, Head, Listener};
-use pythia_obs::{lock, Recorder};
+use pythia_obs::lock;
 
-use crate::server::QueryOutcome;
+use crate::server::{PrefetchServer, QueryOutcome, ServerRequest};
 
 /// Front-end configuration.
 #[derive(Debug, Clone, Copy)]
@@ -191,8 +198,17 @@ impl Counter {
     }
 }
 
+/// The arrivals awaiting the serving loop. `closed` is under the same lock
+/// as the arrivals, so a handler either enqueues before [`Frontend::shutdown`]
+/// drains or sees the queue closed.
+#[derive(Default)]
+struct Queue {
+    arrivals: VecDeque<Arrival>,
+    closed: bool,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Arrival>>,
+    queue: Mutex<Queue>,
     ready: Condvar,
     accepted: Counter,
     shed: Counter,
@@ -212,8 +228,8 @@ impl Shared {
             shed: self.shed.get(tenant),
             rejected: self.rejected.get(tenant),
             depth: match tenant {
-                None => queue.len(),
-                Some(t) => queue.iter().filter(|a| a.tenant == t).count(),
+                None => queue.arrivals.len(),
+                Some(t) => queue.arrivals.iter().filter(|a| a.tenant == t).count(),
             },
         }
     }
@@ -230,7 +246,6 @@ pub type HealthProvider = Arc<dyn Fn(u32, FrontendStats) -> Option<String> + Sen
 /// The listening front: bounded queue, shed-above-target.
 pub struct Frontend {
     listener: Listener,
-    cfg: FrontendConfig,
     shared: Arc<Shared>,
 }
 
@@ -241,7 +256,7 @@ impl Frontend {
     pub fn start(addr: &str, cfg: FrontendConfig) -> std::io::Result<Frontend> {
         let tenants = cfg.tenants.max(1);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             ready: Condvar::new(),
             accepted: Counter::new(tenants),
             shed: Counter::new(tenants),
@@ -253,11 +268,7 @@ impl Frontend {
         let listener = Listener::start(addr, "pythia-frontend", move |stream| {
             handle(stream, &shared_conn, &cfg)
         })?;
-        Ok(Frontend {
-            listener,
-            cfg,
-            shared,
-        })
+        Ok(Frontend { listener, shared })
     }
 
     /// The address the listener actually bound (resolves port `0`).
@@ -265,14 +276,9 @@ impl Frontend {
         self.listener.addr()
     }
 
-    /// The config the front was started with.
-    pub fn config(&self) -> FrontendConfig {
-        self.cfg
-    }
-
     /// Arrivals currently queued.
     pub fn depth(&self) -> usize {
-        lock(&self.shared.queue).len()
+        lock(&self.shared.queue).arrivals.len()
     }
 
     /// Counter snapshot plus current depth.
@@ -300,7 +306,7 @@ impl Frontend {
 
     /// Pop one queued arrival without waiting.
     pub fn try_recv(&self) -> Option<Arrival> {
-        lock(&self.shared.queue).pop_front()
+        lock(&self.shared.queue).arrivals.pop_front()
     }
 
     /// Wait up to `wait` for the queue to be non-empty, then drain
@@ -309,46 +315,29 @@ impl Frontend {
     /// timeout.
     pub fn drain_batch(&self, wait: Duration) -> Vec<Arrival> {
         let mut queue = lock(&self.shared.queue);
-        if queue.is_empty() {
+        if queue.arrivals.is_empty() {
             // A poisoned queue is still a queue (see `pythia_obs::lock`).
             queue = match self.shared.ready.wait_timeout(queue, wait) {
                 Ok((guard, _)) => guard,
                 Err(poisoned) => poisoned.into_inner().0,
             };
         }
-        queue.drain(..).collect()
+        queue.arrivals.drain(..).collect()
     }
 
-    /// Fold the front-end counters into a recorder (as `frontend.*`
-    /// counters). Call once, after serving — `Recorder::add` accumulates.
-    /// Per-tenant slices land as labeled series (`frontend.accepted`
-    /// labeled `tenant="<id>"`, rendered by `/metrics` as
-    /// `pythia_frontend_accepted{tenant="0"}`, and so on).
-    pub fn fold_into(&self, rec: &mut Recorder) {
-        for (name, counter) in [
-            ("frontend.accepted", &self.shared.accepted),
-            ("frontend.shed", &self.shared.shed),
-            ("frontend.rejected", &self.shared.rejected),
-        ] {
-            rec.add(name, counter.get(None));
-            for (t, slice) in counter.tenants.iter().enumerate() {
-                let id = t.to_string();
-                rec.add_labeled(
-                    name,
-                    &[("tenant", id.as_str())],
-                    slice.load(Ordering::Relaxed),
-                );
-            }
-        }
-    }
-
-    /// Stop the accept thread, wait for it to exit, then answer every
-    /// arrival still queued with `503 Service Unavailable` — an accepted
-    /// client whose query will never be served must not hang until its own
-    /// timeout waiting on a response that cannot come.
+    /// Stop the accept thread, wait for it to exit, then close the queue and
+    /// answer every arrival still in it with `503 Service Unavailable` — an
+    /// accepted client whose query will never be served must not hang until
+    /// its own timeout waiting on a response that cannot come. A detached
+    /// handler still reading its request head finds the queue closed when it
+    /// gets there and answers `503` itself.
     pub fn shutdown(self) {
         self.listener.shutdown();
-        let drained: Vec<Arrival> = lock(&self.shared.queue).drain(..).collect();
+        let drained: Vec<Arrival> = {
+            let mut queue = lock(&self.shared.queue);
+            queue.closed = true;
+            queue.arrivals.drain(..).collect()
+        };
         for a in drained {
             a.responder
                 .error("503 Service Unavailable", "shutting down\n");
@@ -378,6 +367,94 @@ pub fn outcome_json(query: usize, q: &QueryOutcome) -> String {
         b.replay_us,
         q.wave
     )
+}
+
+/// One tenant behind [`pump`]: the server over its database, and what
+/// `/t/<tenant>/query/<idx>` submits to it — entry `idx`, under the id the
+/// front minted for the connection. An entry's `arrival` counts from the
+/// pump's start, so `ZERO` arrives the moment it is submitted.
+pub struct Tenant<'d> {
+    pub server: PrefetchServer<'d>,
+    pub catalog: Vec<ServerRequest<'d>>,
+}
+
+/// Newly shed requests between two drains that count as an anomaly.
+const SHED_BURST: u64 = 8;
+/// How long an idle pump blocks on the queue before it looks at `/shutdown`.
+const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+/// The live path: serve `fe`'s arrivals until `/shutdown`, one
+/// [`ServeSession`](crate::server::ServeSession) per tenant for the life of
+/// the call. Each turn drains the queue (blocking only when nothing is
+/// replaying), submits every arrival to its tenant's session — `404` for a
+/// tenant or query this pump was not given — and polls each session for one
+/// completion, answered at once with [`outcome_json`]: no tenant waits on
+/// another's backlog, no request on a later one's replay.
+/// `on_answer(tenant, query, outcome, server)` runs before the answer is
+/// written, so what it records is there for the client's next request.
+///
+/// [`SHED_BURST`] newly shed requests between two drains fire the first
+/// tenant's flight recorder. Once everything accepted before `/shutdown` is
+/// answered, every session is finished and the pump returns; what arrives
+/// later is for the caller's [`Frontend::shutdown`] to refuse.
+pub fn pump(
+    fe: &Frontend,
+    tenants: &mut [Tenant<'_>],
+    mut on_answer: impl FnMut(usize, usize, &QueryOutcome, &mut PrefetchServer<'_>),
+) {
+    let mut sessions: Vec<_> = tenants.iter_mut().map(|t| t.server.session()).collect();
+    // The connections waiting on a completion, by (tenant, ticket).
+    let mut waiting: HashMap<(usize, u64), (usize, Responder)> = HashMap::new();
+    let mut last_shed = 0u64;
+    loop {
+        // Read before the drain: the turn that sees the request to stop has
+        // also drained every arrival that preceded it.
+        let stopping = fe.shutdown_requested();
+        let idle = waiting.is_empty() && !stopping;
+        for a in fe.drain_batch(if idle { IDLE_WAIT } else { Duration::ZERO }) {
+            // Look both up: the wire's indices are not ours to trust.
+            let t = a.tenant as usize;
+            let request = tenants
+                .get(t)
+                .and_then(|tenant| tenant.catalog.get(a.query));
+            let (Some(request), Some(session)) = (request, sessions.get_mut(t)) else {
+                a.responder
+                    .error("404 Not Found", "no such tenant or query\n");
+                continue;
+            };
+            let ticket = session.submit(request.with_request(a.request));
+            waiting.insert((t, ticket), (a.query, a.responder));
+        }
+        let shed = fe.stats().shed;
+        if shed.saturating_sub(last_shed) >= SHED_BURST {
+            if let (Some(tenant), Some(session)) = (tenants.first_mut(), sessions.first()) {
+                let rec = tenant.server.recorder_mut();
+                rec.trigger_flight("shed.burst", session.clock().as_micros());
+            }
+        }
+        last_shed = shed;
+        if stopping && waiting.is_empty() {
+            break;
+        }
+        for (t, (tenant, session)) in tenants.iter_mut().zip(&mut sessions).enumerate() {
+            let Some((ticket, outcome)) = session.poll_completion(&mut tenant.server) else {
+                continue;
+            };
+            // Nobody here reads the admission intervals; taking them keeps
+            // the session from collecting them.
+            session.take_intervals();
+            let Some((query, responder)) = waiting.remove(&(t, ticket)) else {
+                continue;
+            };
+            on_answer(t, query, &outcome, &mut tenant.server);
+            responder.ok_json(&outcome_json(query, &outcome));
+        }
+    }
+    // Settle once: the prefetch-waste write-off, the tail interval into the
+    // quality tracker, the final metrics publish.
+    for (tenant, session) in tenants.iter_mut().zip(sessions) {
+        session.finish(&mut tenant.server);
+    }
 }
 
 /// What a route answers with; [`handle`] is the one place that writes it.
@@ -447,8 +524,8 @@ fn handle(mut stream: TcpStream, shared: &Shared, cfg: &FrontendConfig) {
         }
         Routed::Query { tenant, query } => {
             let mut queue = lock(&shared.queue);
-            if queue.len() < cfg.shed_depth {
-                queue.push_back(Arrival {
+            if !queue.closed && queue.arrivals.len() < cfg.shed_depth {
+                queue.arrivals.push_back(Arrival {
                     query,
                     tenant,
                     request: pythia_obs::request::mint(),
@@ -459,11 +536,17 @@ fn handle(mut stream: TcpStream, shared: &Shared, cfg: &FrontendConfig) {
                 shared.ready.notify_one();
                 return; // answered by the serving loop, through the responder
             }
+            let closed = queue.closed;
             drop(queue);
-            shared.shed.bump(Some(tenant));
-            Reply {
-                extra_header: Some("Retry-After: 1"),
-                ..Reply::text("503 Service Unavailable", "queue full, retry later\n")
+            if closed {
+                // Nobody will drain again: refused here, not dropped.
+                Reply::text("503 Service Unavailable", "shutting down\n")
+            } else {
+                shared.shed.bump(Some(tenant));
+                Reply {
+                    extra_header: Some("Retry-After: 1"),
+                    ..Reply::text("503 Service Unavailable", "queue full, retry later\n")
+                }
             }
         }
     };
@@ -537,24 +620,47 @@ fn route(path: &str, shared: &Shared, cfg: &FrontendConfig) -> Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{InferenceCharge, PrefetchServer, ServerConfig, ServerRequest};
+    use crate::server::{InferenceCharge, ServerConfig};
     use pythia_db::catalog::Database;
     use pythia_db::plan::PlanNode;
     use pythia_db::runtime::RunConfig;
     use pythia_db::trace::{AccessKind, Trace, TraceEvent};
     use pythia_db::types::Schema;
     use pythia_sim::{FileId, PageId, SimDuration};
-    use std::collections::HashMap;
     use std::io::{Read, Write};
 
-    /// Blocking one-shot HTTP GET against the front.
-    fn http_get(addr: SocketAddr, path: &str) -> String {
+    /// Connect and write `bytes`; the connection stays open.
+    fn send(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
         let mut stream = TcpStream::connect(addr).expect("connect to frontend");
-        let req = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
-        stream.write_all(req.as_bytes()).unwrap();
+        stream.write_all(bytes).unwrap();
+        stream
+    }
+
+    /// Everything the front writes before it closes the connection.
+    fn read_response(mut stream: TcpStream) -> String {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         out
+    }
+
+    /// Write a GET for `path`; the connection stays open.
+    fn get(addr: SocketAddr, path: &str) -> TcpStream {
+        let req = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        send(addr, req.as_bytes())
+    }
+
+    /// Blocking one-shot HTTP GET against the front.
+    fn http_get(addr: SocketAddr, path: &str) -> String {
+        read_response(get(addr, path))
+    }
+
+    /// Send a query and hold its connection open, returning once the front
+    /// holds `depth` arrivals: handlers run on per-connection threads, so
+    /// waiting for each request to land pins the queue order.
+    fn queue_request(fe: &Frontend, path: &str, depth: usize) -> TcpStream {
+        let stream = get(fe.addr(), path);
+        wait_for(|| fe.depth() == depth);
+        stream
     }
 
     /// Spin until `cond` holds (bounded) — accept-thread effects are async.
@@ -587,13 +693,8 @@ mod tests {
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
         let worse = http_get(fe.addr(), "/query/banana");
         assert!(worse.starts_with("HTTP/1.1 400"), "{worse}");
-        {
-            let mut raw = TcpStream::connect(fe.addr()).unwrap();
-            raw.write_all(b"BLAH\r\n\r\n").unwrap();
-            let mut out = String::new();
-            raw.read_to_string(&mut out).unwrap();
-            assert!(out.starts_with("HTTP/1.1 400"), "{out}");
-        }
+        let out = read_response(send(fe.addr(), b"BLAH\r\n\r\n"));
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
         wait_for(|| fe.stats().rejected == 3);
         fe.shutdown();
     }
@@ -608,16 +709,10 @@ mod tests {
         };
         let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
 
-        let mut open = Vec::new();
-        for i in 0..2 {
-            let mut s = TcpStream::connect(fe.addr()).unwrap();
-            s.write_all(format!("GET /query/{i} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .unwrap();
-            // Handlers run on per-connection threads; wait for each request
-            // to land before sending the next so the queue order is pinned.
-            wait_for(|| fe.depth() == i + 1);
-            open.push(s);
-        }
+        let open = [
+            queue_request(&fe, "/query/0", 1),
+            queue_request(&fe, "/query/1", 2),
+        ];
 
         let shed = http_get(fe.addr(), "/query/2");
         assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
@@ -634,24 +729,19 @@ mod tests {
             a.responder.ok_json(&format!("{{\"query\":{want}}}\n"));
         }
         assert!(fe.try_recv().is_none());
-        for (i, mut s) in open.into_iter().enumerate() {
-            let mut out = String::new();
-            s.read_to_string(&mut out).unwrap();
+        for (i, s) in open.into_iter().enumerate() {
+            let out = read_response(s);
             assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
             assert!(out.contains(&format!("\"query\":{i}")), "{out}");
         }
 
         // Capacity freed: the next request is accepted again.
-        let mut s = TcpStream::connect(fe.addr()).unwrap();
-        s.write_all(b"GET /query/3 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
+        let s = queue_request(&fe, "/query/3", 1);
         fe.try_recv()
             .unwrap()
             .responder
             .error("500 Internal Server Error", "sorry\n");
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
+        let out = read_response(s);
         assert!(out.starts_with("HTTP/1.1 500"), "{out}");
 
         fe.shutdown();
@@ -689,10 +779,7 @@ mod tests {
             ..FrontendConfig::new(4)
         };
         let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
-        let mut trickler = TcpStream::connect(fe.addr()).expect("connect");
-        trickler.write_all(b"GET /heal").unwrap(); // no CRLF, then silence
-        let mut out = String::new();
-        trickler.read_to_string(&mut out).unwrap();
+        let out = read_response(send(fe.addr(), b"GET /heal")); // no CRLF, then silence
         assert!(out.starts_with("HTTP/1.1 408"), "{out}");
         wait_for(|| fe.stats().rejected == 1);
         fe.shutdown();
@@ -708,20 +795,13 @@ mod tests {
         let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
         // The count moves before the response is written, so each client
         // that has its answer can read the counters without waiting.
-        let raw = |bytes: &[u8]| {
-            let mut stream = TcpStream::connect(fe.addr()).unwrap();
-            stream.write_all(bytes).unwrap();
-            let mut out = String::new();
-            stream.read_to_string(&mut out).unwrap();
-            out
-        };
         let mut want = 0;
         for (what, status) in [
             (&b"BLAH\r\n\r\n"[..], "400"),
             (b"POST /query/0 HTTP/1.1\r\n\r\n", "400"),
             (b"GET /heal", "408"), // stalls past the deadline
         ] {
-            let out = raw(what);
+            let out = read_response(send(fe.addr(), what));
             assert!(out.starts_with(&format!("HTTP/1.1 {status}")), "{out}");
             want += 1;
             assert_eq!(fe.stats().rejected, want, "{out}");
@@ -774,8 +854,7 @@ mod tests {
                 .expect("no reset mid-head");
             std::thread::sleep(Duration::from_millis(5));
         }
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
+        let out = read_response(stream);
         assert!(out.starts_with("HTTP/1.1 200 OK\r\n"), "{out}");
         assert!(out.ends_with("ok\n"), "{out}");
         fe.shutdown();
@@ -804,33 +883,19 @@ mod tests {
         assert!(fe.drain_batch(Duration::from_millis(10)).is_empty());
 
         // A query still queues, drains and is answered...
-        let mut served = TcpStream::connect(fe.addr()).unwrap();
-        served
-            .write_all(b"GET /query/0 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
+        let served = queue_request(&fe, "/query/0", 1);
         let mut batch = fe.drain_batch(Duration::from_millis(10));
         assert_eq!(batch.len(), 1);
         batch.pop().unwrap().responder.ok_json("{\"query\":0}\n");
-        let mut out = String::new();
-        served.read_to_string(&mut out).unwrap();
+        let out = read_response(served);
         assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
 
         // ...`try_recv` pops, and shutdown answers what is left queued.
-        let mut popped = TcpStream::connect(fe.addr()).unwrap();
-        popped
-            .write_all(b"GET /query/1 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
+        let _popped = queue_request(&fe, "/query/1", 1);
         assert_eq!(fe.try_recv().map(|a| a.query), Some(1));
-        let mut queued = TcpStream::connect(fe.addr()).unwrap();
-        queued
-            .write_all(b"GET /query/2 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
+        let queued = queue_request(&fe, "/query/2", 1);
         fe.shutdown();
-        let mut out = String::new();
-        queued.read_to_string(&mut out).unwrap();
+        let out = read_response(queued);
         assert!(out.starts_with("HTTP/1.1 503"), "{out}");
     }
 
@@ -839,13 +904,9 @@ mod tests {
         // A request still sitting in the queue when the front shuts down must
         // get an answer, not a silently dropped connection.
         let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(4)).expect("bind");
-        let mut s = TcpStream::connect(fe.addr()).unwrap();
-        s.write_all(b"GET /query/1 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
+        let queued = queue_request(&fe, "/query/1", 1);
         fe.shutdown();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
+        let out = read_response(queued);
         assert!(out.starts_with("HTTP/1.1 503"), "{out}");
         assert!(out.contains("shutting down"), "{out}");
     }
@@ -860,14 +921,10 @@ mod tests {
 
         // Legacy unprefixed routes act as tenant 0; /t/1/... routes to
         // tenant 1. Hold the streams open so the arrivals stay queued.
-        let mut open = Vec::new();
-        for (i, path) in ["/query/1", "/t/1/query/2"].iter().enumerate() {
-            let mut s = TcpStream::connect(fe.addr()).unwrap();
-            s.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .unwrap();
-            wait_for(|| fe.depth() == i + 1);
-            open.push(s);
-        }
+        let open = [
+            queue_request(&fe, "/query/1", 1),
+            queue_request(&fe, "/t/1/query/2", 2),
+        ];
 
         let a = fe.try_recv().expect("first arrival");
         assert_eq!((a.query, a.tenant), (1, 0));
@@ -945,42 +1002,21 @@ mod tests {
     }
 
     #[test]
-    fn fold_into_exports_per_tenant_labeled_series() {
-        let cfg = FrontendConfig {
-            tenants: 2,
-            shed_depth: 1,
-            ..FrontendConfig::new(8)
-        };
-        let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
-
-        // Tenant 1: one accepted (held open so the queue stays full), then
-        // one shed at the depth target. Tenant 0: one rejected index.
-        let mut s = TcpStream::connect(fe.addr()).unwrap();
-        s.write_all(b"GET /t/1/query/1 HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        wait_for(|| fe.depth() == 1);
-        let shed = http_get(fe.addr(), "/t/1/query/2");
-        assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
-        let bad = http_get(fe.addr(), "/query/99");
-        assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
-        wait_for(|| fe.stats().rejected == 1);
-
-        let mut rec = Recorder::enabled();
-        fe.fold_into(&mut rec);
-        assert_eq!(rec.counter("frontend.accepted"), 1);
-        assert_eq!(rec.labeled("frontend.accepted", &[("tenant", "1")]), 1);
-        assert_eq!(rec.labeled("frontend.accepted", &[("tenant", "0")]), 0);
-        assert_eq!(rec.labeled("frontend.shed", &[("tenant", "1")]), 1);
-        assert_eq!(rec.labeled("frontend.rejected", &[("tenant", "0")]), 1);
-        let prom = rec.snapshot().to_prometheus();
-        assert!(
-            prom.contains("pythia_frontend_accepted{tenant=\"1\"} 1\n"),
-            "{prom}"
-        );
-
-        fe.try_recv().unwrap().responder.ok_json("{}\n");
-        drop(s);
+    fn a_head_finished_after_shutdown_is_refused_not_dropped() {
+        // Handler threads are detached: one can still be reading its head
+        // when `shutdown` drains the queue. Its query must find the queue
+        // closed and be answered, not queued for a pump that has gone.
+        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(4)).expect("bind");
+        let mut late = send(fe.addr(), b"GET /query/1 HT");
+        // Accepts are in connection order: once a later connection has its
+        // answer, a handler holds `late`.
+        let ok = http_get(fe.addr(), "/healthz");
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
         fe.shutdown();
+        late.write_all(b"TP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let out = read_response(late);
+        assert!(out.starts_with("HTTP/1.1 503"), "{out:?}");
+        assert!(out.contains("shutting down"), "{out}");
     }
 
     /// A table big enough for the traces below, and a plan to name in
@@ -998,37 +1034,73 @@ mod tests {
         (db, plan)
     }
 
-    /// The socket pump, as `examples/serve_demo.rs` runs it for one tenant:
-    /// one session for as long as the front is up, arrivals submitted as
-    /// they are drained, each completion answered the moment it is polled.
-    /// Returns the catalog indices in the order they were answered.
-    fn pump(fe: &Frontend, db: &Database, plan: &PlanNode, traces: &[Trace]) -> Vec<usize> {
+    /// `n` scattered heap reads: 2 000 make a whale, 5 a minnow.
+    fn reads(n: u32) -> Trace {
+        (0..n)
+            .map(|i| TraceEvent::Read {
+                obj: pythia_db::catalog::ObjectId(0),
+                page: PageId::new(FileId(0), (i * 37) % 10_000),
+                kind: AccessKind::HeapFetch,
+            })
+            .collect()
+    }
+
+    /// Tenant `id`: a predictor-less server with two replay slots over `db`,
+    /// and one catalog entry per trace.
+    fn tenant<'d>(
+        db: &'d Database,
+        plan: &'d PlanNode,
+        traces: &'d [Trace],
+        id: u32,
+    ) -> Tenant<'d> {
         let cfg = ServerConfig {
             concurrency: 2,
             charge: InferenceCharge::Fixed(SimDuration::ZERO),
             ..ServerConfig::default()
         };
-        let mut srv = PrefetchServer::new(db, &RunConfig::default(), cfg);
-        let mut session = srv.session();
-        let mut waiting: HashMap<u64, (usize, Responder)> = HashMap::new();
-        let mut answered = Vec::new();
-        while !(fe.shutdown_requested() && waiting.is_empty() && fe.depth() == 0) {
-            // Block only when there is nothing to replay.
-            let wait = Duration::from_millis(if waiting.is_empty() { 20 } else { 0 });
-            for a in fe.drain_batch(wait) {
-                let req = ServerRequest::new(plan, &traces[a.query], SimDuration::ZERO)
-                    .with_request(a.request);
-                waiting.insert(session.submit(req), (a.query, a.responder));
-            }
-            if let Some((ticket, outcome)) = session.poll_completion(&mut srv) {
-                session.take_intervals();
-                let (query, responder) = waiting.remove(&ticket).expect("a waiting connection");
-                responder.ok_json(&outcome_json(query, &outcome));
-                answered.push(query);
-            }
+        Tenant {
+            server: PrefetchServer::new(db, &RunConfig::default(), cfg),
+            catalog: traces
+                .iter()
+                .map(|t| ServerRequest::new(plan, t, SimDuration::ZERO).with_tenant(id))
+                .collect(),
         }
-        session.finish(&mut srv);
-        answered
+    }
+
+    /// Start a front, queue `paths` on it in order, ask it to stop, and pump
+    /// `tenants` on this thread: the first turn reads the flag, then drains,
+    /// so everything queued is served before the pump returns. Yields the
+    /// front, the `(tenant, query)` pairs in the order `on_answer` saw them,
+    /// and each client's response.
+    fn pump_queued(
+        cfg: FrontendConfig,
+        tenants: &mut [Tenant<'_>],
+        paths: &[&str],
+    ) -> (Frontend, Vec<(usize, usize)>, Vec<String>) {
+        let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
+        let clients: Vec<TcpStream> = (paths.iter().zip(1..))
+            .map(|(path, depth)| queue_request(&fe, path, depth))
+            .collect();
+        http_get(fe.addr(), "/shutdown");
+        let mut answered = Vec::new();
+        pump(&fe, tenants, |t, query, _, _| answered.push((t, query)));
+        let bodies = clients.into_iter().map(read_response).collect();
+        (fe, answered, bodies)
+    }
+
+    fn statuses(bodies: &[String]) -> Vec<&str> {
+        bodies
+            .iter()
+            .map(|b| &b["HTTP/1.1 ".len()..][..3])
+            .collect()
+    }
+
+    /// A numeric field of an [`outcome_json`] body.
+    fn field(resp: &str, name: &str) -> u64 {
+        let rest = &resp[resp.find(name).expect("field") + name.len()..];
+        rest[..rest.find([',', '}']).expect("delimiter")]
+            .parse()
+            .expect("number")
     }
 
     #[test]
@@ -1043,7 +1115,14 @@ mod tests {
         let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(traces.len())).expect("bind");
         let addr = fe.addr();
         std::thread::scope(|scope| {
-            let pump = scope.spawn(|| pump(&fe, &db, &plan, &traces));
+            // A closed-loop client needs the pump running beside it; a
+            // server stays on the thread that built it.
+            let pump = scope.spawn(|| {
+                let mut answered = Vec::new();
+                let mut tenants = [tenant(&db, &plan, &traces, 0)];
+                pump(&fe, &mut tenants, |_, query, _, _| answered.push(query));
+                answered
+            });
 
             let resp = http_get(addr, "/query/1");
             assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
@@ -1070,12 +1149,6 @@ mod tests {
             // admission and arrives where the first one ended.
             let next = http_get(addr, "/query/2");
             assert!(next.contains("\"admission\":1"), "{next}");
-            let field = |resp: &str, name: &str| -> u64 {
-                let rest = &resp[resp.find(name).expect("field") + name.len()..];
-                rest[..rest.find([',', '}']).expect("delimiter")]
-                    .parse()
-                    .expect("number")
-            };
             assert_eq!(field(&next, "\"arrival_us\":"), field(&resp, "\"end_us\":"));
 
             let bye = http_get(addr, "/shutdown");
@@ -1093,46 +1166,127 @@ mod tests {
         // the second slot and its client hears back first. (Served as one
         // closed batch, neither was answered before the whale had finished.)
         let (db, plan) = socket_db();
-        let reads = |n: u32| -> Trace {
-            (0..n)
-                .map(|i| TraceEvent::Read {
-                    obj: pythia_db::catalog::ObjectId(0),
-                    page: PageId::new(FileId(0), (i * 37) % 10_000),
-                    kind: AccessKind::HeapFetch,
-                })
-                .collect()
-        };
         let traces = [reads(2_000), reads(5)];
-
-        let fe = Frontend::start("127.0.0.1:0", FrontendConfig::new(2)).expect("bind");
-        let mut clients = Vec::new();
-        for query in 0..2 {
-            let mut s = TcpStream::connect(fe.addr()).unwrap();
-            s.write_all(format!("GET /query/{query} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-                .unwrap();
-            // Pin the queue order before the next client writes.
-            wait_for(|| fe.depth() == query + 1);
-            clients.push(s);
-        }
-        std::thread::scope(|scope| {
-            let pump = scope.spawn(|| pump(&fe, &db, &plan, &traces));
-            let bodies: Vec<String> = clients
-                .iter_mut()
-                .map(|s| {
-                    let mut out = String::new();
-                    s.read_to_string(&mut out).unwrap();
-                    assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
-                    out
-                })
-                .collect();
-            assert!(bodies[0].contains("\"query\":0") && bodies[1].contains("\"query\":1"));
-            http_get(fe.addr(), "/shutdown");
-            assert_eq!(
-                pump.join().expect("pump"),
-                [1, 0],
-                "the minnow was answered first"
-            );
-        });
+        let mut tenants = [tenant(&db, &plan, &traces, 0)];
+        let (fe, answered, bodies) = pump_queued(
+            FrontendConfig::new(2),
+            &mut tenants,
+            &["/query/0", "/query/1"],
+        );
+        assert_eq!(answered, [(0, 1), (0, 0)], "the minnow was answered first");
+        assert_eq!(statuses(&bodies), ["200", "200"]);
+        assert!(bodies[0].contains("\"query\":0") && bodies[1].contains("\"query\":1"));
         fe.shutdown();
+    }
+
+    #[test]
+    fn a_tenants_backlog_delays_no_other_tenants_answer() {
+        // Tenant 0 has a whale and a minnow queued, tenant 1 a minnow behind
+        // both. A turn answers one completion per tenant: tenant 1's minnow
+        // goes out in the first, with tenant 0's — not after tenant 0's
+        // backlog. Each session counts its own admissions and keeps its own
+        // clock: tenant 1's first is ordinal 0, waited for nobody, and ended
+        // long before the whale did.
+        let (db, plan) = socket_db();
+        let traces = [reads(2_000), reads(5)];
+        let mut tenants = [0, 1].map(|id| tenant(&db, &plan, &traces, id));
+        let cfg = FrontendConfig {
+            tenants: 2,
+            ..FrontendConfig::new(2)
+        };
+        let paths = ["/t/0/query/0", "/t/0/query/1", "/t/1/query/1"];
+        let (fe, answered, bodies) = pump_queued(cfg, &mut tenants, &paths);
+        assert_eq!(answered, [(0, 1), (1, 1), (0, 0)]);
+        assert_eq!(statuses(&bodies), ["200", "200", "200"]);
+        let [whale, minnow0, minnow1] = &bodies[..] else {
+            unreachable!()
+        };
+        assert!(whale.contains("\"admission\":0"), "{whale}");
+        assert!(minnow0.contains("\"admission\":1"), "{minnow0}");
+        assert!(minnow1.contains("\"admission\":0"), "{minnow1}");
+        assert_eq!(field(minnow1, "\"queue_us\":"), 0, "{minnow1}");
+        assert!(field(minnow1, "\"end_us\":") < field(whale, "\"end_us\":"));
+        fe.shutdown();
+    }
+
+    #[test]
+    fn shutdown_serves_what_was_accepted_settles_and_refuses_the_rest() {
+        let (db, plan) = socket_db();
+        let traces = [reads(50), reads(5), reads(20)];
+        let mut tenants = [tenant(&db, &plan, &traces, 0)];
+        let paths = ["/query/0", "/query/1", "/query/2"];
+        let (fe, mut answered, bodies) = pump_queued(FrontendConfig::new(3), &mut tenants, &paths);
+        // Accepted before `/shutdown`: served, each exactly once.
+        answered.sort_unstable();
+        assert_eq!(answered, [(0, 0), (0, 1), (0, 2)]);
+        assert_eq!(statuses(&bodies), ["200", "200", "200"]);
+        // Every session was finished: that is what moves the stack's clock
+        // past the last completion.
+        let last_end = bodies.iter().map(|b| field(b, "\"end_us\":")).max();
+        assert!(tenants[0].server.runtime().now().as_micros() >= last_end.unwrap());
+        assert!(last_end > Some(0));
+
+        // The pump is gone; what arrives now is `Frontend::shutdown`'s.
+        let late = queue_request(&fe, "/query/0", 1);
+        fe.shutdown();
+        assert_eq!(statuses(&[read_response(late)]), ["503"]);
+    }
+
+    #[test]
+    fn the_pump_looks_up_what_the_wire_names() {
+        // The front admits `/t/<0..2>/query/<0..3>`; the pump was given one
+        // tenant with two queries. What it cannot find is a 404 — not an
+        // index out of bounds — and the next request is served.
+        let (db, plan) = socket_db();
+        let traces = [reads(5), reads(5)];
+        let mut tenants = [tenant(&db, &plan, &traces, 0)];
+        let cfg = FrontendConfig {
+            tenants: 2,
+            ..FrontendConfig::new(3)
+        };
+        let paths = ["/query/2", "/query/1", "/t/1/query/0", "/t/0/query/0"];
+        let (fe, answered, bodies) = pump_queued(cfg, &mut tenants, &paths);
+        assert_eq!(statuses(&bodies), ["404", "200", "404", "200"]);
+        assert_eq!(answered, [(0, 1), (0, 0)]);
+        assert_eq!(fe.stats().accepted, 4, "the front had accepted all four");
+        fe.shutdown();
+
+        // No tenants at all: nothing to serve, and `/shutdown` still ends it.
+        let (fe, answered, bodies) = pump_queued(cfg, &mut [], &["/query/0"]);
+        assert_eq!((answered, statuses(&bodies)), (vec![], vec!["404"]));
+        fe.shutdown();
+    }
+
+    #[test]
+    fn a_shed_burst_fires_the_first_tenants_flight_recorder() {
+        let (db, plan) = socket_db();
+        let traces = [reads(5)];
+        for (sheds, triggers) in [(7, 0), (8, 1)] {
+            let mut tenants = [tenant(&db, &plan, &traces, 0)];
+            tenants[0]
+                .server
+                .set_recorder(pythia_obs::Recorder::bounded());
+            let cfg = FrontendConfig {
+                shed_depth: 1,
+                ..FrontendConfig::new(1)
+            };
+            let fe = Frontend::start("127.0.0.1:0", cfg).expect("bind");
+            // One request fills the queue; the rest are shed before the
+            // pump's first drain.
+            let held = queue_request(&fe, "/query/0", 1);
+            for _ in 0..sheds {
+                let out = http_get(fe.addr(), "/query/0");
+                assert!(out.starts_with("HTTP/1.1 503"), "{out}");
+            }
+            http_get(fe.addr(), "/shutdown");
+            pump(&fe, &mut tenants, |_, _, _, _| {});
+            assert!(read_response(held).starts_with("HTTP/1.1 200 OK"));
+            assert_eq!(
+                tenants[0].server.recorder().counter("flight.triggers"),
+                triggers,
+                "{sheds} newly shed requests between two drains"
+            );
+            fe.shutdown();
+        }
     }
 }

@@ -15,10 +15,10 @@
 //! admissions and replay events in global virtual-time order up to and
 //! including the next completion, and [`finish`](ServeSession::finish)
 //! settles. [`PrefetchServer::serve`], the batch entry, is that session with
-//! every request submitted up front, drained, finished; a socket pump
-//! (`examples/serve_demo.rs`) holds one session for the life of the process
-//! and answers each request the moment its completion is polled, so a long
-//! query never stalls a short one — inside a batch or across two.
+//! every request submitted up front, drained, finished; the socket pump
+//! ([`crate::frontend::pump`]) holds one session per tenant for as long as it
+//! runs and answers each request the moment its completion is polled, so a
+//! long query never stalls a short one — inside a batch or across two.
 //!
 //! **Admit-on-completion.** The session tracks the virtual instant each of
 //! the `concurrency` slots became free (a completion frees its slot at the
@@ -56,8 +56,9 @@
 //! `pythia-experiments::serving`, built on [`Runtime::run`] outside this
 //! crate.
 //!
-//! A socket front-end for this loop — bounded queue, load shedding, the
-//! `serve_demo` example binary — lives in [`crate::frontend`].
+//! The socket front-end for this loop — bounded queue, load shedding, and the
+//! pump that drives sessions from it — lives in [`crate::frontend`]; the
+//! `serve_demo` example binary is that pump with a deployment around it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -69,7 +70,7 @@ use pythia_db::runtime::{QueryRun, ReplaySession, RunConfig, Runtime, SessionCom
 use pythia_db::trace::Trace;
 use pythia_obs::quality::{QualityOutcome, QualityTotals, QualityTracker};
 use pythia_obs::request::RequestBreakdown;
-use pythia_obs::{tid, FlowDir, Recorder, Track};
+use pythia_obs::{lock, tid, FlowDir, Recorder, Track};
 use pythia_sim::{PageId, SimDuration, SimTime};
 
 use crate::predictor::TrainedWorkload;
@@ -570,9 +571,9 @@ impl TenantReport {
             self.mean_latency().as_micros(),
             self.inference.as_micros(),
             self.stats.prefetch_issued,
-            pythia_obs::quality::rate_e6(q.hit_rate()),
-            pythia_obs::quality::rate_e6(q.prefetch_precision()),
-            pythia_obs::quality::rate_e6(q.prefetch_recall()),
+            pythia_obs::train::to_e6(q.hit_rate()),
+            pythia_obs::train::to_e6(q.prefetch_precision()),
+            pythia_obs::train::to_e6(q.prefetch_recall()),
         )
     }
 }
@@ -698,11 +699,7 @@ impl<'d> PrefetchServer<'d> {
             prefetch_wasted: wave.stats.prefetch_wasted,
             wait_us,
         };
-        let mut tracker = match q.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        tracker.observe(tenant, span, outcome, now_us, self.rt.recorder_mut());
+        lock(&q).observe(tenant, span, outcome, now_us, self.rt.recorder_mut());
     }
 
     /// The underlying replay stack (clock and cumulative counters).

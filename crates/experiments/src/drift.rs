@@ -131,15 +131,15 @@ pub fn drift_snapshot(env: &Env) -> String {
          \"rotation\": {{\"queries\": {ROTATION_QUERIES}, \"shift_at\": {ROTATION_SHIFT_AT}, \
          \"observations\": {}, \"alerts\": {}, \"first_alert_observation\": {}, \
          \"observations_after_shift_at_first_alert\": {}, \"mix_divergence_e6\": {}}}\n}}\n",
-        pythia_obs::quality::rate_e6(mini_quality_config().mix_threshold),
+        pythia_obs::train::to_e6(mini_quality_config().mix_threshold),
         stationary.observations,
         stationary.alerts,
-        pythia_obs::quality::rate_e6(stationary.mix_divergence),
+        pythia_obs::train::to_e6(stationary.mix_divergence),
         rotation.observations,
         rotation.alerts,
         first,
         after_shift,
-        pythia_obs::quality::rate_e6(rotation.mix_divergence),
+        pythia_obs::train::to_e6(rotation.mix_divergence),
     )
 }
 

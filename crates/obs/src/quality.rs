@@ -39,6 +39,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::train::to_e6 as e6;
 use crate::{tid, Recorder, Track};
 
 /// Tuning knobs for windows, EWMAs and drift detectors. The defaults are
@@ -131,18 +132,6 @@ fn ratio(num: u64, den: u64) -> f64 {
         num as f64 / den as f64
     }
 }
-
-/// Fixed-point export: a non-negative score as integer millionths (0 for
-/// NaN/negative), matching the `*_e6` convention of the train telemetry.
-pub fn rate_e6(x: f64) -> u64 {
-    if !x.is_finite() || x <= 0.0 {
-        0
-    } else {
-        (x * 1e6).round() as u64
-    }
-}
-
-use rate_e6 as e6;
 
 /// Integer sums over a set of outcomes, with the derived rates computed the
 /// same way whether the set is a rolling window, a lifetime total or a

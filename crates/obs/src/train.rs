@@ -97,7 +97,9 @@ pub fn context() -> (u32, u64) {
     CONTEXT.with(|c| c.get())
 }
 
-/// Convert a (non-negative) float statistic to fixed-point micros.
+/// A non-negative float statistic as integer millionths (0 for NaN or a
+/// negative): the `*_e6` fixed-point export of the train and quality
+/// telemetry.
 pub fn to_e6(value: f64) -> u64 {
     if value.is_finite() && value > 0.0 {
         (value * 1e6).round() as u64

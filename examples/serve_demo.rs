@@ -15,15 +15,17 @@
 //! Builds one small DSB-like benchmark database **per tenant** (different
 //! generator seeds) with a catalog of Template-18 queries, then puts the
 //! zero-dependency TCP [`Frontend`] in front of a [`PrefetchServer`] fleet —
-//! one server per tenant, each over its own database, each driven through
-//! one [`ServeSession`](pythia::core::ServeSession) that lives as long as
-//! the process. `GET /t/<tenant>/query/<idx>` becomes an arrival submitted
-//! to that tenant's session; the pump polls every session for its next
-//! completion and answers that request at once with the query's
-//! virtual-time outcome as JSON, so a request is admitted the moment a
-//! replay slot frees and a long query delays no answer but its own.
-//! Requests beyond the queue depth target are load-shed with
+//! one server per tenant, each over its own database — and hands both to
+//! [`pump`], the library's serving loop: `GET /t/<tenant>/query/<idx>`
+//! becomes an arrival submitted to that tenant's long-lived session, answered
+//! with the query's virtual-time outcome as JSON the moment its completion
+//! is polled. Requests beyond the queue depth target are load-shed with
 //! `503 Retry-After`.
+//!
+//! What this file decides is the deployment: the flags, the fixtures, whether
+//! to train, the two listen addresses, what `/t/<tenant>/health` reports,
+//! which recorder publishes where — and what happens at each answer (the
+//! `/debug/slow` log, the `--force-drift` drill). The loop itself is not here.
 //!
 //! Flags:
 //!
@@ -65,22 +67,20 @@
 //! session and exits cleanly (later arrivals get `503`) — that is how the CI
 //! smoke test stops the demo.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-use pythia::core::frontend::outcome_json;
+use pythia::core::frontend::{pump, Tenant};
 use pythia::core::registry::ModelRegistry;
 use pythia::core::{
-    train_workload, AdmissionMode, Frontend, FrontendConfig, InferenceCharge, PrefetchServer,
-    PythiaConfig, QueuePolicy, Responder, ServerConfig, ServerRequest,
+    train_workload, Frontend, FrontendConfig, InferenceCharge, PrefetchServer, PythiaConfig,
+    ServerConfig, ServerRequest,
 };
 use pythia::db::runtime::RunConfig;
 use pythia::obs::flight::SharedFlight;
 use pythia::obs::quality::QualityTracker;
 use pythia::obs::request::SharedSlowLog;
 use pythia::obs::serve::{DebugEndpoints, MetricsServer, SharedSnapshot};
-use pythia::obs::Recorder;
+use pythia::obs::{lock, Recorder};
 use pythia::sim::SimDuration;
 use pythia::workloads::templates::{sample_workload, Template};
 use pythia::workloads::{build_benchmark, GeneratorConfig};
@@ -224,11 +224,7 @@ fn main() {
                 .get(tenant as usize)
                 .and_then(|f| f.any())
                 .map(|v| v.version);
-            let tracker = match quality.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            Some(tracker.health_json(
+            Some(lock(&quality).health_json(
                 tenant,
                 version,
                 Some((stats.accepted, stats.shed, stats.rejected)),
@@ -238,16 +234,14 @@ fn main() {
 
     let cfg = ServerConfig {
         concurrency: 2,
-        admission: AdmissionMode::Continuous,
-        policy: QueuePolicy::Fifo,
         charge: InferenceCharge::Fixed(SimDuration::from_micros(150)),
-        prefetch_budget: None,
-        tenant_quota: None,
+        ..ServerConfig::default()
     };
-    let mut srvs: Vec<PrefetchServer<'_>> = benches
+    let mut fleet: Vec<Tenant<'_>> = benches
         .iter()
+        .zip(&catalogs)
         .enumerate()
-        .map(|(t, b)| {
+        .map(|(t, (b, (queries, traces)))| {
             let mut s = PrefetchServer::new(&b.db, &RunConfig::default(), cfg)
                 .with_quality(Arc::clone(&quality));
             if train {
@@ -265,96 +259,37 @@ fn main() {
             if slow_ms > 0 {
                 s.set_slow_threshold(Some(SimDuration::from_millis(slow_ms)));
             }
-            s
+            // What `/t/<t>/query/<idx>` submits: a template-derived span so
+            // the quality tracker slots outcomes under the template, not an
+            // anonymous replay.
+            let catalog = queries
+                .iter()
+                .zip(traces)
+                .map(|(q, trace)| ServerRequest {
+                    span_name: Template::T18.replay_span(),
+                    ..ServerRequest::new(&q.plan, trace, SimDuration::ZERO).with_tenant(t as u32)
+                })
+                .collect();
+            Tenant { server: s, catalog }
         })
         .collect();
 
-    // One session per tenant, for the life of the process, and the
-    // connections waiting on a completion by (tenant, ticket).
-    let mut sessions: Vec<_> = srvs.iter_mut().map(|s| s.session()).collect();
-    let mut waiting: HashMap<(usize, u64), (usize, Responder)> = HashMap::new();
-
-    // Shed bursts are an anomaly trigger: 8+ newly shed requests between
-    // drains snapshot the flight recorder for postmortem inspection.
-    const SHED_BURST: u64 = 8;
-    let mut last_shed = 0u64;
+    // Serve until `/shutdown`. Every answer feeds the /debug/slow top-K log
+    // with the request's queue/admission/inference/replay breakdown, and the
+    // drilled tenant's first one raises the operator-drill drift alert.
     let mut drift_fired = false;
-    loop {
-        // Read before the drain: the turn that sees the request to stop has
-        // also drained every arrival that preceded it.
-        let stopping = fe.shutdown_requested();
-        // Block only when there is nothing to replay.
-        let idle = waiting.is_empty() && !stopping;
-        for a in fe.drain_batch(Duration::from_millis(if idle { 50 } else { 0 })) {
-            // Look the tenant up: the wire's index is not ours to trust.
-            let t = a.tenant as usize;
-            let (Some(session), Some((queries, traces))) = (sessions.get_mut(t), catalogs.get(t))
-            else {
-                a.responder.error("404 Not Found", "no such tenant\n");
-                continue;
-            };
-            let ticket = session.submit(ServerRequest {
-                // Template-derived span so the quality tracker slots
-                // outcomes under the template, not an anonymous replay.
-                span_name: Template::T18.replay_span(),
-                ..ServerRequest::new(&queries[a.query].plan, &traces[a.query], SimDuration::ZERO)
-                    .with_tenant(a.tenant)
-                    .with_request(a.request)
-            });
-            waiting.insert((t, ticket), (a.query, a.responder));
-        }
-        let shed = fe.stats().shed;
-        if shed.saturating_sub(last_shed) >= SHED_BURST {
-            let now_us = sessions[0].clock().as_micros();
-            srvs[0].recorder_mut().trigger_flight("shed.burst", now_us);
+    pump(&fe, &mut fleet, |t, _query, outcome, server| {
+        slow_log.offer(outcome.breakdown());
+        if force_drift == Some(t as u32) && !drift_fired {
+            drift_fired = true;
+            let now_us = outcome.end.as_micros();
+            let alert = lock(&quality).force_alert(t as u32, now_us, server.recorder_mut());
             eprintln!(
-                "[serve_demo] shed burst: {} newly shed requests, flight dump captured",
-                shed - last_shed
+                "[serve_demo] forced drift drill on tenant {t}: kind {}, flight dump captured",
+                alert.kind.name()
             );
         }
-        last_shed = shed;
-        // Everything accepted before `/shutdown` has been answered; what
-        // arrives from here on is `Frontend::shutdown`'s to refuse.
-        if stopping && waiting.is_empty() {
-            break;
-        }
-        // One completion per tenant per turn, answered at once: no tenant
-        // waits on another's replay, no request on a later one's.
-        for (t, (session, srv)) in sessions.iter_mut().zip(&mut srvs).enumerate() {
-            let Some((ticket, outcome)) = session.poll_completion(srv) else {
-                continue;
-            };
-            // Nobody here reads the admission intervals; taking them keeps
-            // the session from collecting them.
-            session.take_intervals();
-            // Feed the /debug/slow top-K log with the request's
-            // queue/admission/inference/replay breakdown.
-            slow_log.offer(outcome.breakdown());
-            if force_drift == Some(t as u32) && !drift_fired {
-                drift_fired = true;
-                let now_us = session.clock().as_micros();
-                let mut tracker = match quality.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let alert = tracker.force_alert(t as u32, now_us, srv.recorder_mut());
-                drop(tracker);
-                eprintln!(
-                    "[serve_demo] forced drift drill on tenant {t}: kind {}, flight dump captured",
-                    alert.kind.name()
-                );
-            }
-            let (query, responder) = waiting
-                .remove(&(t, ticket))
-                .expect("every submitted request left its connection here");
-            responder.ok_json(&outcome_json(query, &outcome));
-        }
-    }
-    // Settle once: the prefetch-waste write-off, the tail interval into the
-    // quality tracker, the final metrics publish.
-    for (session, srv) in sessions.into_iter().zip(&mut srvs) {
-        session.finish(srv);
-    }
+    });
 
     if let Some(path) = flight_out {
         match flight.get() {
