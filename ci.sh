@@ -60,6 +60,25 @@ one_admission_loop() {
   fi
 }
 
+# One training loop, one classifier: a workload's objects share an encoder by
+# being heads of one PlanClassifier, not by a second model type or a second
+# copy of the step beside it.
+one_training_loop() {
+  local loops classifiers
+  loops=$(grep -rnE '\bfn train_phase\b' crates/core || true)
+  if [[ $(grep -c . <<<"$loops") -ne 1 || "$loops" != crates/core/src/classifier.rs:* ]]; then
+    echo "$loops" >&2
+    echo "!!> crates/core must hold exactly one fn train_phase, in src/classifier.rs" >&2
+    return 1
+  fi
+  classifiers=$(grep -rnE '\b(struct|enum|trait) \w*Classifier\b' crates/core || true)
+  if [[ $(grep -c . <<<"$classifiers") -ne 1 || "$classifiers" != *'struct PlanClassifier'* ]]; then
+    echo "$classifiers" >&2
+    echo "!!> crates/core must hold exactly one classifier type, PlanClassifier" >&2
+    return 1
+  fi
+}
+
 # The serve_demo socket smoke (two tenants + postmortem surface) against any
 # build of the example: the binary, then the command that validates the flight
 # dump it leaves (the dump's path is appended). Every check returns rather than
@@ -293,8 +312,25 @@ offline_subset() {
           exit bad || NR != 4
         }' >&2
   }
+  one_encoder() { # a --quick --trace output
+    # `core.predictor.model_bytes` is an exact count. On the quick fixture
+    # one encoder under eight decoder heads is 396 628 B and a model per
+    # object 1 457 492 B, so a ceiling a few percent over the first notices
+    # a silent fall-back to N encoders on any of the four result lines.
+    sed -nE 's/^\{"correct".*"core\.predictor\.model_bytes": \{"value": ([^,]+),.*/\1/p' "$1" \
+      | awk '
+        $1 > 420000 {
+          print "!!> result line " NR ": core.predictor.model_bytes " $1 " > 420000"
+          bad = 1
+        }
+        END {
+          if (NR != 4) print "!!> " NR " result lines carry model_bytes, not 4"
+          exit bad || NR != 4
+        }' >&2
+  }
   step cargo fmt --all -- --check
   step one_admission_loop
+  step one_training_loop
   step unit_tests sim crates/sim/src
   step unit_tests obs crates/obs/src
   step unit_tests buffer crates/buffer/src --extern "pythia_sim=$tmp/libpythia_sim.rlib" \
@@ -310,6 +346,7 @@ offline_subset() {
     "$tmp/trace_diff" --validate
   step bash benchmark/run.sh --quick --trace > "$tmp/quick_trace.out"
   step session_flat "$tmp/quick_trace.out"
+  step one_encoder "$tmp/quick_trace.out"
   # Tier-1's `PYTHIA_SIMD=off cargo test` cannot run here, so this is where
   # the scalar kernels meet the whole stack: trained and served on them, no
   # workload's virtual time may move by a digit.
@@ -334,6 +371,7 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 one_admission_loop
+one_training_loop
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

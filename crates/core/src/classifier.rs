@@ -6,6 +6,12 @@
 //! with `BCEWithLogitsLoss` + Adam. "Intuitively, we can think of training n
 //! binary classifiers where n is the number of blocks for a given database
 //! object" (§3.3).
+//!
+//! One encoder can carry several decoder *heads*, each over its own run of
+//! the label space: the plan is encoded once and every head reads the same
+//! representation. With one head this is exactly the paper's model; with one
+//! head per database object it is a whole workload behind one encoder pass
+//! ([`crate::config::Grouping`]).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,14 +20,16 @@ use rand::SeedableRng;
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
 use pythia_nn::tape::{bce_with_logits, forward_only, recording, ParamSet, Tape};
-use pythia_nn::{grad_l2_norm, Adam, Var};
+use pythia_nn::{grad_l2_norm, Adam, Tensor, Var};
 
 use crate::config::PythiaConfig;
 use crate::vocab::Vocab;
 
 /// One training example: serialized plan token ids (borrowed from the
 /// workload's encoded plans — never cloned per object) and the positive
-/// label indices (pages accessed non-sequentially).
+/// label indices (pages accessed non-sequentially), anywhere in the
+/// classifier's label space — head `h` owns the labels from the summed widths
+/// of the heads before it.
 pub type Example<'a> = (&'a [usize], Vec<usize>);
 
 /// Training summary.
@@ -38,23 +46,36 @@ pub struct TrainReport {
 /// of [`PlanClassifier::scores_batch`] whatever the queue depth.
 const INFER_CHUNK: usize = 32;
 
-/// A trained (or trainable) multi-label classifier over `n_labels` classes.
+/// One decoder: hidden layer → one logit per label of its run.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Head {
+    fc1: Linear,
+    fc2: Linear,
+    /// Where this head's run starts in the classifier's label space.
+    first_label: usize,
+}
+
+/// A trained (or trainable) multi-label classifier: one encoder, one or more
+/// decoder heads, `n_labels` classes in all.
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct PlanClassifier {
     params: ParamSet,
     encoder: TransformerEncoder,
-    fc1: Linear,
-    fc2: Linear,
+    heads: Vec<Head>,
     n_labels: usize,
     threshold: f32,
     max_seq_len: usize,
 }
 
 impl PlanClassifier {
-    /// Construct an untrained classifier.
-    pub fn new(cfg: &PythiaConfig, vocab_size: usize, n_labels: usize) -> Self {
+    /// Construct an untrained classifier with one decoder head per entry of
+    /// `head_labels`, that many labels wide.
+    pub fn new(cfg: &PythiaConfig, vocab_size: usize, head_labels: &[usize]) -> Self {
         cfg.validate().expect("invalid config");
-        assert!(n_labels > 0, "classifier needs at least one label");
+        assert!(
+            !head_labels.is_empty() && head_labels.iter().all(|&n| n > 0),
+            "classifier needs at least one head, each with at least one label"
+        );
         let mut params = ParamSet::new();
         let mut init = Initializer::new(cfg.seed);
         let encoder = TransformerEncoder::new(
@@ -68,26 +89,38 @@ impl PlanClassifier {
             cfg.layers,
             cfg.max_seq_len,
         );
-        let fc1 = Linear::new(
-            &mut params,
-            &mut init,
-            "fc1",
-            cfg.embed_dim,
-            cfg.decoder_hidden,
-        );
-        let fc2 = Linear::new(&mut params, &mut init, "fc2", cfg.decoder_hidden, n_labels);
+        let mut n_labels = 0;
+        let heads = head_labels
+            .iter()
+            .enumerate()
+            .map(|(h, &width)| {
+                let (fc1, fc2) = (format!("head{h}.fc1"), format!("head{h}.fc2"));
+                let head = Head {
+                    fc1: Linear::new(
+                        &mut params,
+                        &mut init,
+                        &fc1,
+                        cfg.embed_dim,
+                        cfg.decoder_hidden,
+                    ),
+                    fc2: Linear::new(&mut params, &mut init, &fc2, cfg.decoder_hidden, width),
+                    first_label: n_labels,
+                };
+                n_labels += width;
+                head
+            })
+            .collect();
         PlanClassifier {
             params,
             encoder,
-            fc1,
-            fc2,
+            heads,
             n_labels,
             threshold: cfg.threshold,
             max_seq_len: cfg.max_seq_len,
         }
     }
 
-    /// Number of output labels.
+    /// Number of output labels, all heads together.
     pub fn n_labels(&self) -> usize {
         self.n_labels
     }
@@ -124,7 +157,10 @@ impl PlanClassifier {
         recording(|tape| self.train_phase(tape, data, cfg, true))
     }
 
-    /// The shared train/refine loop. `refine` only matters for telemetry:
+    /// The shared train/refine loop: each step encodes the minibatch once,
+    /// runs every head on the `[batch, dim]` representations and
+    /// back-propagates the sum of the heads' losses (one head records no
+    /// sum). `refine` only matters for telemetry:
     /// with capture on ([`pythia_obs::train::set_enabled`]) every epoch emits
     /// one record carrying its mean minibatch loss, mean gradient L2 norm,
     /// step count, and wall timing, tagged with the `(worker, model)` context
@@ -159,16 +195,25 @@ impl PlanClassifier {
             for chunk in order.chunks(cfg.batch_size) {
                 let seqs: Vec<&[usize]> = chunk.iter().map(|&i| self.clip(data[i].0)).collect();
                 tape.reset();
-                let mut targets = tape.zeros(chunk.len(), self.n_labels);
+                let mut targets: Vec<Tensor> = self
+                    .heads
+                    .iter()
+                    .map(|h| tape.zeros(chunk.len(), h.fc2.out_dim))
+                    .collect();
                 for (r, &i) in chunk.iter().enumerate() {
                     for &lbl in &data[i].1 {
                         debug_assert!(lbl < self.n_labels);
-                        targets.set(r, lbl, 1.0);
+                        let h = self.heads.partition_point(|h| h.first_label <= lbl) - 1;
+                        targets[h].set(r, lbl - self.heads[h].first_label, 1.0);
                     }
                 }
                 let vars = self.params.inject(tape);
-                let logits = self.logits(tape, &vars, &seqs);
-                let loss = bce_with_logits(tape, logits, targets, cfg.pos_weight);
+                let mut loss = None;
+                for (logits, t) in self.logits(tape, &vars, &seqs).into_iter().zip(targets) {
+                    let l = bce_with_logits(tape, logits, t, cfg.pos_weight);
+                    loss = Some(loss.map_or(l, |sum| tape.add(sum, l)));
+                }
+                let loss = loss.expect("at least one head");
                 let loss_val = tape.value(loss).get(0, 0);
                 if first_loss.is_nan() {
                     first_loss = loss_val;
@@ -207,17 +252,22 @@ impl PlanClassifier {
         }
     }
 
-    /// The forward graph: packed encoder → hidden → one logit per label,
-    /// `[seqs.len(), n_labels]`.
-    fn logits(&self, tape: &mut Tape<'_>, vars: &[Var], seqs: &[&[usize]]) -> Var {
+    /// The forward graph: one packed encoder pass, then per head hidden →
+    /// one logit per label, `[seqs.len(), head width]` each.
+    fn logits(&self, tape: &mut Tape<'_>, vars: &[Var], seqs: &[&[usize]]) -> Vec<Var> {
         let reps = self.encoder.encode_batch(tape, vars, seqs, Vocab::PAD);
-        let h = self.fc1.forward(tape, vars, reps);
-        let h = tape.relu(h);
-        self.fc2.forward(tape, vars, h)
+        self.heads
+            .iter()
+            .map(|head| {
+                let h = head.fc1.forward(tape, vars, reps);
+                let h = tape.relu(h);
+                head.fc2.forward(tape, vars, h)
+            })
+            .collect()
     }
 
-    /// Per-label sigmoid scores for one serialized plan (an empty plan
-    /// scores as a single `PAD` token).
+    /// Per-label sigmoid scores for one serialized plan, head after head
+    /// (an empty plan scores as a single `PAD` token).
     pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
         self.scores_chunk(&[toks]).pop().expect("one row per plan")
     }
@@ -243,11 +293,11 @@ impl PlanClassifier {
         forward_only(|tape| {
             let vars = self.params.lend(tape);
             let logits = self.logits(tape, &vars, &clipped);
-            let vals = tape.value(logits);
-            (0..vals.rows())
+            (0..clipped.len())
                 .map(|r| {
-                    vals.row(r)
+                    logits
                         .iter()
+                        .flat_map(|&head| tape.value(head).row(r))
                         .map(|&z| 1.0 / (1.0 + (-z).exp()))
                         .collect()
                 })
@@ -317,7 +367,7 @@ mod tests {
         let cfg = tiny_cfg();
         let owned = block_task();
         let data = as_examples(&owned);
-        let mut clf = PlanClassifier::new(&cfg, 10, 12);
+        let mut clf = PlanClassifier::new(&cfg, 10, &[12]);
         let report = clf.train(&data, &cfg);
         assert!(report.final_loss < report.first_loss, "loss must decrease");
         for t in 2..5usize {
@@ -330,7 +380,7 @@ mod tests {
     #[test]
     fn scores_are_probabilities() {
         let cfg = PythiaConfig::fast();
-        let clf = PlanClassifier::new(&cfg, 10, 5);
+        let clf = PlanClassifier::new(&cfg, 10, &[5]);
         let s = clf.scores(&[2, 3]);
         assert_eq!(s.len(), 5);
         assert!(s.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -342,7 +392,7 @@ mod tests {
             max_seq_len: 8,
             ..PythiaConfig::fast()
         };
-        let clf = PlanClassifier::new(&cfg, 10, 3);
+        let clf = PlanClassifier::new(&cfg, 10, &[3]);
         let long: Vec<usize> = (0..100).map(|i| 2 + i % 8).collect();
         let s = clf.scores(&long);
         assert_eq!(s.len(), 3);
@@ -351,10 +401,33 @@ mod tests {
     #[test]
     fn size_reporting() {
         let cfg = PythiaConfig::fast();
-        let small = PlanClassifier::new(&cfg, 50, 10);
-        let big = PlanClassifier::new(&cfg, 50, 1000);
+        let small = PlanClassifier::new(&cfg, 50, &[10]);
+        let big = PlanClassifier::new(&cfg, 50, &[1000]);
         assert!(big.size_bytes() > small.size_bytes());
         assert_eq!(big.n_labels(), 1000);
+    }
+
+    #[test]
+    fn heads_partition_the_label_space() {
+        // The block task again, its twelve labels dealt to three heads of
+        // different widths (one block straddles two heads): same examples,
+        // same flat labels, same predictions.
+        let cfg = tiny_cfg();
+        let owned = block_task();
+        let data = as_examples(&owned);
+        let mut clf = PlanClassifier::new(&cfg, 10, &[5, 1, 6]);
+        assert_eq!(clf.n_labels(), 12);
+        let report = clf.train(&data, &cfg);
+        assert!(report.final_loss < report.first_loss, "loss must decrease");
+        for t in 2..5usize {
+            let expect: Vec<usize> = ((t - 2) * 4..(t - 2) * 4 + 4).collect();
+            assert_eq!(clf.predict(&[t, 5]), expect, "token {t}");
+            assert_eq!(clf.scores(&[t, 5]).len(), 12);
+        }
+        // Three decoders cost two more hidden layers than one.
+        let one = PlanClassifier::new(&cfg, 10, &[12]);
+        let hidden = (cfg.embed_dim + 1) * cfg.decoder_hidden * 4;
+        assert_eq!(clf.size_bytes(), one.size_bytes() + 2 * hidden);
     }
 
     #[test]
@@ -362,11 +435,18 @@ mod tests {
         // The tentpole contract: one packed forward over N plans must produce
         // exactly the floats the serial per-plan forward produces — including
         // for batches of mixed sequence lengths (padding + attention masking
-        // must be invisible to the real rows).
+        // must be invisible to the real rows) — under one head and under
+        // several.
+        for heads in [&[12usize][..], &[5, 1, 6]] {
+            batched_scores_match_serial(heads);
+        }
+    }
+
+    fn batched_scores_match_serial(heads: &[usize]) {
         let cfg = tiny_cfg();
         let owned = block_task();
         let data = as_examples(&owned);
-        let mut clf = PlanClassifier::new(&cfg, 10, 12);
+        let mut clf = PlanClassifier::new(&cfg, 10, heads);
         clf.train(&data, &cfg);
         let seqs: Vec<Vec<usize>> = vec![vec![2, 5], vec![3, 5, 6, 7, 8], vec![4], vec![2, 6, 7]];
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
@@ -388,8 +468,14 @@ mod tests {
 
     #[test]
     fn batches_past_the_chunk_size_and_empty_plans_match_serial() {
+        for heads in [&[7usize][..], &[2, 4, 1]] {
+            past_the_chunk_size(heads);
+        }
+    }
+
+    fn past_the_chunk_size(heads: &[usize]) {
         let cfg = PythiaConfig::fast();
-        let clf = PlanClassifier::new(&cfg, 10, 7);
+        let clf = PlanClassifier::new(&cfg, 10, heads);
         // 70 plans: three packed forwards (32 + 32 + 6), an empty plan in
         // the middle of one.
         let mut seqs: Vec<Vec<usize>> = (0..70)
@@ -411,7 +497,7 @@ mod tests {
     #[test]
     fn warm_scores_allocate_nothing_and_never_copy_the_model() {
         let cfg = PythiaConfig::fast();
-        let clf = PlanClassifier::new(&cfg, 10, 12);
+        let clf = PlanClassifier::new(&cfg, 10, &[12]);
         let arena = || forward_only(|tape| (tape.allocations(), tape.retained_bytes()));
         let first = clf.scores(&[2, 3, 4]);
         let (warm, retained) = arena();
@@ -436,14 +522,14 @@ mod tests {
         let owned = block_task();
         let data = as_examples(&owned);
         let allocations = || recording(|tape| tape.allocations());
-        PlanClassifier::new(&cfg, 10, 12).train(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[12]).train(&data, &cfg);
         let first = allocations();
         assert!(first > 0);
-        PlanClassifier::new(&cfg, 10, 12).train(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[12]).train(&data, &cfg);
         assert_eq!(allocations(), first, "a same-shaped model allocated");
         // Another label count: the encoder's buffers still serve, and the
         // arena has let go of the first model's label-shaped ones.
-        PlanClassifier::new(&cfg, 10, 20).refine(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[20]).refine(&data, &cfg);
         let fresh = allocations() - first;
         assert!(0 < fresh && fresh < first / 4, "{fresh} of {first} fresh");
         assert!(recording(|tape| tape.retained_bytes()) > 0);
@@ -466,11 +552,11 @@ mod tests {
         let owned = block_task();
         let data = as_examples(&owned);
         // Baseline run through the same train + refine sequence, capture off.
-        let mut plain = PlanClassifier::new(&cfg, 10, 12);
+        let mut plain = PlanClassifier::new(&cfg, 10, &[12]);
         plain.train(&data, &cfg);
         plain.refine(&data, &cfg);
 
-        let mut clf = PlanClassifier::new(&cfg, 10, 12);
+        let mut clf = PlanClassifier::new(&cfg, 10, &[12]);
         // Other tests may train concurrently while the flag is on; a unique
         // context tag isolates our records in the shared buffer.
         tt::set_context(0, 424_242);
@@ -511,7 +597,7 @@ mod tests {
     #[test]
     fn empty_positive_sets_are_valid() {
         let cfg = tiny_cfg();
-        let mut clf = PlanClassifier::new(&cfg, 10, 4);
+        let mut clf = PlanClassifier::new(&cfg, 10, &[4]);
         let (t1, t2) = (vec![2usize, 3], vec![3usize, 4]);
         let data: Vec<Example<'_>> = vec![(&t1, vec![]), (&t2, vec![0])];
         let report = clf.train(&data, &cfg);

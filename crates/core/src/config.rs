@@ -1,11 +1,29 @@
 //! Pythia configuration.
 
+/// Which of a workload's page labels share one encoder (one
+/// [`crate::model::ModelGroup`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum Grouping {
+    /// A separate model per database object, and per partition of a large
+    /// one — the paper's design (§3.3 design choice 2), and what every
+    /// committed `results/*.csv` was measured with.
+    PerObject,
+    /// One model, one decoder, per (base table + index) pair — Figure 12d's
+    /// combined design. Objects without a modeled partner get their own.
+    TableIndexPair,
+    /// One encoder for the whole workload with a decoder head per object
+    /// (per partition): a plan is encoded once however many objects it
+    /// predicts for. The serving default.
+    Workload,
+}
+
 /// Hyperparameters and structural choices for Pythia's models.
 ///
 /// Defaults follow the paper (§5.1): 100-d embeddings, 2 encoder layers with
 /// 10 heads, an 800-unit decoder hidden layer, trained with Adam on
-/// `BCEWithLogitsLoss`. The feed-forward width inside the encoder and the
-/// positive-class weight are our choices (the paper does not state them).
+/// `BCEWithLogitsLoss`. The feed-forward width inside the encoder, the
+/// positive-class weight and sharing the encoder across a workload's objects
+/// ([`Grouping::Workload`]) are our choices.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PythiaConfig {
     /// Token embedding / query representation width (paper: 100).
@@ -41,9 +59,8 @@ pub struct PythiaConfig {
     /// If set, each object model only predicts its `k` most frequently
     /// accessed pages (Figure 12h).
     pub top_k: Option<usize>,
-    /// Train one combined model per (base table + index) pair instead of two
-    /// separate models (Figure 12d ablation; paper default is separate).
-    pub combined_index_base: bool,
+    /// Which labels share an encoder (Figure 12d compares the designs).
+    pub grouping: Grouping,
     /// RNG seed for init and batch shuffling.
     pub seed: u64,
 }
@@ -65,7 +82,7 @@ impl Default for PythiaConfig {
             partition_pages: 8192,
             min_object_support: 0.1,
             top_k: None,
-            combined_index_base: false,
+            grouping: Grouping::Workload,
             seed: 0x9717,
         }
     }

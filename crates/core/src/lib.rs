@@ -9,9 +9,10 @@
 //!
 //! * **Algorithm 1 (training)** — [`predictor::train_workload`]: collect each
 //!   training query's trace, strip sequential accesses, deduplicate, split by
-//!   database object, sort by offset, and train one multi-label classifier
-//!   per object ([`model::ObjectModel`], built on
-//!   [`classifier::PlanClassifier`]).
+//!   database object, sort by offset, and train the multi-label classifiers
+//!   ([`model::ModelGroup`]s, built on [`classifier::PlanClassifier`]) — one
+//!   per object in the paper, one for the workload with a decoder head per
+//!   object by default ([`Grouping`]).
 //! * **Algorithm 2 (serialization)** — [`serialize`]: preorder walk of the
 //!   plan emitting operator tokens (`[NLJ]`, `[HJ]`, `[SEQ]`, `[IDX]`),
 //!   object names and `[PRED] col op value` tokens; numeric literals are
@@ -19,8 +20,8 @@
 //! * **Algorithm 3 (inference)** — each step exists once:
 //!   [`registry::TenantFleet::match_plan`] matches the query to a trained
 //!   workload (fall back to default execution otherwise),
-//!   [`predictor::TrainedWorkload::infer_batch`] runs every applicable
-//!   object model, and [`prefetch::engage`] hands the predicted pages to the
+//!   [`predictor::TrainedWorkload::infer_batch`] runs every model group,
+//!   and [`prefetch::engage`] hands the predicted pages to the
 //!   prefetcher in file storage order. The serving loop, the `pythia`
 //!   facade and the experiment harness all call that one path.
 //!
@@ -34,8 +35,9 @@
 //! positions) → 2 transformer encoder layers with 10 heads → last-token query
 //! embedding → feed-forward decoder (one 800-unit hidden layer) → per-page
 //! sigmoid logits, trained end-to-end with `BCEWithLogitsLoss` and Adam.
-//! Large objects are split into partitioned models; index and base-table
-//! models are separate (both paper design choices, ablated in Figure 12).
+//! Large objects are split into partitions; whether partitions, index and
+//! base table each get an encoder of their own (the paper's choice) or share
+//! one is [`Grouping`], ablated in Figure 12d.
 
 pub mod classifier;
 pub mod config;
@@ -51,7 +53,7 @@ pub mod serialize;
 pub mod server;
 pub mod vocab;
 
-pub use config::PythiaConfig;
+pub use config::{Grouping, PythiaConfig};
 pub use frontend::{Arrival, Frontend, FrontendConfig, FrontendStats, HealthProvider, Responder};
 pub use metrics::{f1_score, SetMetrics};
 pub use predictor::{train_workload, Prediction, TrainedWorkload};

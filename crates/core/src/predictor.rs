@@ -1,8 +1,11 @@
 //! Workload-level training (Algorithm 1) and inference (Algorithm 3).
 //!
-//! Every per-object model is an independent, self-seeded training problem,
-//! so the model fleet trains, infers, and refines on the shared worker pool
-//! ([`pythia_nn::pool`]) with outputs bit-identical to a serial run.
+//! A workload's models are [`ModelGroup`]s — which labels share an encoder is
+//! [`crate::config::Grouping`]. Every group is an independent, self-seeded
+//! training problem, so groups train, infer, and refine on the shared worker
+//! pool ([`pythia_nn::pool`]) with outputs bit-identical to a serial run;
+//! under the default grouping a workload is one group, one job, and the pool
+//! spawns nothing.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -16,8 +19,8 @@ use pythia_nn::tape::free_recording_arena;
 
 use crate::config::PythiaConfig;
 use crate::metrics::ObjPage;
-use crate::model::{CombinedExample, CombinedModel, ObjectExample, ObjectModel};
-use crate::serialize::{serialize_plan, ValueBinner};
+use crate::model::{ModelGroup, PageSets, Span};
+use crate::serialize::{object_token, serialize_plan, ValueBinner};
 use crate::vocab::Vocab;
 
 /// Upper bound on memoized plan encodings (each workload template has few
@@ -30,11 +33,9 @@ pub struct TrainedWorkload {
     pub name: String,
     pub vocab: Vocab,
     pub binner: ValueBinner,
-    /// Separate per-object models (the paper's default design).
-    #[serde(with = "crate::serde_utils::btree_map_pairs")]
-    pub models: BTreeMap<ObjectId, ObjectModel>,
-    /// Combined table+index models (Figure 12d ablation mode).
-    pub combined: Vec<CombinedModel>,
+    /// The models: one per object (per partition) in the paper's design, one
+    /// for the whole workload by default ([`PythiaConfig::grouping`]).
+    pub groups: Vec<ModelGroup>,
     /// Every object scanned by any training plan — the workload signature
     /// used for matching incoming queries.
     pub object_union: BTreeSet<ObjectId>,
@@ -117,8 +118,7 @@ pub fn train_workload(
         })
         .collect();
 
-    let page_sets: Vec<BTreeMap<ObjectId, Vec<u32>>> =
-        traces.iter().map(|t| t.non_sequential_sets()).collect();
+    let page_sets: Vec<PageSets> = traces.iter().map(|t| t.non_sequential_sets()).collect();
 
     // Workload signature: union of objects across training plans.
     let mut object_union = BTreeSet::new();
@@ -145,163 +145,55 @@ pub fn train_workload(
         }
     };
 
-    // Build the training job list serially (catalog lookups stay on this
-    // thread), then fan the independent model fits out on the worker pool.
-    // Each fit is a pure function of (cfg, vocab size, pages, examples) with
-    // a self-contained RNG, so results are bit-identical to a serial run.
-    enum TrainJob {
-        Separate {
-            obj: ObjectId,
-            n_pages: u32,
-        },
-        Combined {
-            table: ObjectId,
-            index: ObjectId,
-            table_pages: u32,
-            index_pages: u32,
-        },
-    }
-    enum TrainOut {
-        Separate(ObjectId, ObjectModel),
-        Combined(CombinedModel),
-    }
-
-    let mut jobs: Vec<TrainJob> = Vec::new();
-    if cfg.combined_index_base {
-        // Pair each selected index with its base table when both are
-        // selected; leftovers get separate models.
-        use pythia_db::catalog::ObjectKind;
-        let mut used: BTreeSet<ObjectId> = BTreeSet::new();
-        for &obj in &selected {
-            if db.object_kind(obj) != ObjectKind::Index {
-                continue;
-            }
-            let idx_info = db.index_info(obj);
-            let table_obj = db.table_info(idx_info.table).object;
-            if !selected.contains(&table_obj) {
-                continue;
-            }
-            jobs.push(TrainJob::Combined {
-                table: table_obj,
-                index: obj,
-                table_pages: db.object_pages(table_obj),
-                index_pages: db.object_pages(obj),
-            });
-            used.insert(obj);
-            used.insert(table_obj);
-        }
-        for &obj in &selected {
-            if !used.contains(&obj) {
-                jobs.push(TrainJob::Separate {
-                    obj,
-                    n_pages: db.object_pages(obj),
-                });
-            }
-        }
-    } else {
-        for &obj in &selected {
-            jobs.push(TrainJob::Separate {
-                obj,
-                n_pages: db.object_pages(obj),
-            });
-        }
-    }
-
-    let vocab_len = vocab.len();
-    let results = parallel_map_labeled("nn.train", &jobs, |_, job| match *job {
-        TrainJob::Separate { obj, n_pages } => {
-            let examples = object_examples(&token_seqs, &page_sets, obj);
-            TrainOut::Separate(
-                obj,
-                ObjectModel::train(cfg, vocab_len, obj, n_pages, &examples),
-            )
-        }
-        TrainJob::Combined {
-            table,
-            index,
-            table_pages,
-            index_pages,
-        } => {
-            let examples: Vec<CombinedExample<'_>> = token_seqs
-                .iter()
-                .zip(&page_sets)
-                .map(|(toks, sets)| {
-                    (
-                        toks.as_slice(),
-                        sets.get(&table).map(Vec::as_slice).unwrap_or(&[]),
-                        sets.get(&index).map(Vec::as_slice).unwrap_or(&[]),
-                    )
-                })
-                .collect();
-            TrainOut::Combined(CombinedModel::train(
-                cfg,
-                vocab_len,
-                table,
-                index,
-                table_pages,
-                index_pages,
-                &examples,
-            ))
-        }
-    });
-
-    // At pool width 1 the fits ran here, one after another on this thread's
-    // training arena; nothing needs it once they are done.
-    free_recording_arena();
-
-    let mut models = BTreeMap::new();
-    let mut combined = Vec::new();
-    for r in results {
-        match r {
-            TrainOut::Separate(obj, m) => {
-                models.insert(obj, m);
-            }
-            TrainOut::Combined(c) => combined.push(c),
-        }
-    }
+    // Lay the groups out serially (catalog lookups stay on this thread),
+    // then fit them.
+    let groups = ModelGroup::plan(cfg, db, vocab.len(), &selected, &page_sets);
+    let groups = fit_groups(groups, cfg, &token_seqs, &page_sets, false);
 
     TrainedWorkload {
         name: name.to_owned(),
         vocab,
         binner,
-        models,
-        combined,
+        groups,
         object_union,
         cfg: cfg.clone(),
         encode_cache: Mutex::new(HashMap::new()),
     }
 }
 
-/// Per-object training view: every example borrows the query's encoded plan
-/// and the trace's page list — nothing is cloned per object, so fanning N
-/// objects out over Q queries costs O(N·Q) fat-pointer pairs, not O(N·Q·len)
-/// buffer copies.
-fn object_examples<'a>(
-    token_seqs: &'a [Vec<usize>],
-    page_sets: &'a [BTreeMap<ObjectId, Vec<u32>>],
-    obj: ObjectId,
-) -> Vec<ObjectExample<'a>> {
-    token_seqs
-        .iter()
-        .zip(page_sets)
-        .map(|(toks, sets)| {
-            (
-                toks.as_slice(),
-                sets.get(&obj).map(Vec::as_slice).unwrap_or(&[]),
-            )
-        })
-        .collect()
+/// Train (or refine) every group on the worker pool. Each fit is a pure
+/// function of (cfg, the group, the queries) with a self-contained RNG, so
+/// results are bit-identical to a serial run; every group borrows the same
+/// encoded plans and page sets, so N groups over Q queries cost no buffer
+/// copies.
+fn fit_groups(
+    groups: Vec<ModelGroup>,
+    cfg: &PythiaConfig,
+    token_seqs: &[Vec<usize>],
+    page_sets: &[PageSets],
+    refine: bool,
+) -> Vec<ModelGroup> {
+    let label = if refine { "nn.refine" } else { "nn.train" };
+    let fitted = parallel_map_vec_labeled(label, groups, |_, mut group| {
+        group.fit(cfg, token_seqs, page_sets, refine);
+        group
+    });
+    // At pool width 1 (or with one group) the fits ran here, one after
+    // another on this thread's training arena; nothing needs it once they
+    // are done.
+    free_recording_arena();
+    fitted
 }
 
 impl TrainedWorkload {
+    /// What every run of every group's labels means.
+    pub fn spans(&self) -> impl Iterator<Item = &Span> {
+        self.groups.iter().flat_map(|g| g.spans())
+    }
+
     /// Objects this workload has models for.
     pub fn modeled_objects(&self) -> BTreeSet<ObjectId> {
-        let mut out: BTreeSet<ObjectId> = self.models.keys().copied().collect();
-        for c in &self.combined {
-            out.insert(c.table);
-            out.insert(c.index);
-        }
-        out
+        self.spans().map(|s| s.object).collect()
     }
 
     /// Serialize + encode a plan with this workload's vocabulary.
@@ -333,13 +225,13 @@ impl TrainedWorkload {
             .expect("one prediction per plan")
     }
 
-    /// Algorithm 3's prediction step for a batch of queries. Every applicable
-    /// model sees the whole batch through one packed forward pass
-    /// (batch-major matmuls) while the model fleet fans out over the worker
-    /// pool. A query's prediction does not depend on what shares its batch:
-    /// jobs run in a fixed order, batched rows are bit-identical whatever
-    /// the batch size, and each query's pages go through the same assembly
-    /// (insert in job order, skip empty, sort + dedup).
+    /// Algorithm 3's prediction step for a batch of queries. Every group
+    /// sees the whole batch through one packed forward pass (batch-major
+    /// matmuls) while the groups fan out over the worker pool. A query's
+    /// prediction does not depend on what shares its batch: groups run in a
+    /// fixed order, batched rows are bit-identical whatever the batch size,
+    /// and each query's pages go through the same assembly (push in group
+    /// order, sort + dedup).
     pub fn infer_batch(&self, db: &Database, plans: &[&PlanNode]) -> Vec<Prediction> {
         if plans.is_empty() {
             return Vec::new();
@@ -349,60 +241,16 @@ impl TrainedWorkload {
             .map(|p| self.encode_plan_cached(db, p))
             .collect();
         let toks_refs: Vec<&[usize]> = toks.iter().map(Vec::as_slice).collect();
-
-        enum PredJob<'a> {
-            Separate(ObjectId, &'a ObjectModel),
-            Combined(&'a CombinedModel),
-        }
-        enum PredOut {
-            Separate(ObjectId, Vec<Vec<u32>>),
-            Combined {
-                table: ObjectId,
-                index: ObjectId,
-                preds: Vec<(Vec<u32>, Vec<u32>)>,
-            },
-        }
-        let jobs: Vec<PredJob<'_>> = self
-            .models
-            .iter()
-            .map(|(obj, m)| PredJob::Separate(*obj, m))
-            .chain(self.combined.iter().map(PredJob::Combined))
-            .collect();
-        let outs = parallel_map_labeled("nn.infer_batch", &jobs, |_, job| match job {
-            PredJob::Separate(obj, model) => {
-                PredOut::Separate(*obj, model.predict_batch(&toks_refs))
-            }
-            PredJob::Combined(c) => PredOut::Combined {
-                table: c.table,
-                index: c.index,
-                preds: c.predict_batch(&toks_refs),
-            },
+        let outs = parallel_map_labeled("nn.infer_batch", &self.groups, |_, group| {
+            group.predict_batch(&toks_refs)
         });
 
         let mut results: Vec<Prediction> =
             (0..plans.len()).map(|_| Prediction::default()).collect();
-        for out in outs {
-            match out {
-                PredOut::Separate(obj, per_query) => {
-                    for (q, p) in per_query.into_iter().enumerate() {
-                        if !p.is_empty() {
-                            results[q].pages.insert(obj, p);
-                        }
-                    }
-                }
-                PredOut::Combined {
-                    table,
-                    index,
-                    preds,
-                } => {
-                    for (q, (tp, ip)) in preds.into_iter().enumerate() {
-                        if !tp.is_empty() {
-                            results[q].pages.entry(table).or_default().extend(tp);
-                        }
-                        if !ip.is_empty() {
-                            results[q].pages.entry(index).or_default().extend(ip);
-                        }
-                    }
+        for per_query in outs {
+            for (pred, pages) in results.iter_mut().zip(per_query) {
+                for (obj, page) in pages {
+                    pred.pages.entry(obj).or_default().push(page);
                 }
             }
         }
@@ -415,48 +263,36 @@ impl TrainedWorkload {
         results
     }
 
-    /// Incremental retraining (§5.3): continue training every object model
-    /// on newly observed queries. Plans are encoded with the *existing*
-    /// vocabulary (tokens unseen at initial training map to `[UNK]`; value
-    /// tokens are a closed set, so parameters always encode), and the label
-    /// spaces are unchanged — this is the cheap periodic-refresh path the
-    /// paper recommends over full retraining.
+    /// Incremental retraining (§5.3): continue training every group on newly
+    /// observed queries. Plans are encoded with the *existing* vocabulary
+    /// (tokens unseen at initial training map to `[UNK]`; value tokens are a
+    /// closed set, so parameters always encode), and the label spaces are
+    /// unchanged — this is the cheap periodic-refresh path the paper
+    /// recommends over full retraining.
     pub fn refine(&mut self, db: &Database, plans: &[PlanNode], traces: &[Trace]) {
         assert_eq!(plans.len(), traces.len());
         if plans.is_empty() {
             return;
         }
         let token_seqs: Vec<Vec<usize>> = plans.iter().map(|p| self.encode_plan(db, p)).collect();
-        let page_sets: Vec<BTreeMap<ObjectId, Vec<u32>>> =
-            traces.iter().map(|t| t.non_sequential_sets()).collect();
-        let cfg = self.cfg.clone();
-        // Fan the independent per-object refinements out on the worker pool;
-        // ownership moves through `parallel_map_vec_labeled` and the map is rebuilt
-        // from the in-order results (BTreeMap, so order is immaterial anyway).
-        let owned: Vec<(ObjectId, ObjectModel)> =
-            std::mem::take(&mut self.models).into_iter().collect();
-        let retrained = parallel_map_vec_labeled("nn.refine", owned, |_, (obj, mut model)| {
-            let examples = object_examples(&token_seqs, &page_sets, obj);
-            model.refine(&cfg, &examples);
-            (obj, model)
-        });
-        free_recording_arena();
-        self.models = retrained.into_iter().collect();
+        let page_sets: Vec<PageSets> = traces.iter().map(|t| t.non_sequential_sets()).collect();
+        let groups = std::mem::take(&mut self.groups);
+        self.groups = fit_groups(groups, &self.cfg, &token_seqs, &page_sets, true);
         for p in plans {
             self.object_union.extend(p.objects(db));
         }
     }
 
-    /// Verify this model fleet was trained against (a catalog identical to)
-    /// `db`: every modeled object must exist, have the page count the model
-    /// was sized for, and carry the name the vocabulary interned. Any
+    /// Verify these models were trained against (a catalog identical to)
+    /// `db`: every modeled object must exist, have the page count its labels
+    /// were laid out for, and carry the name the vocabulary interned. Any
     /// mismatch means predictions would index the wrong pages — the caller
     /// must refuse to serve, not degrade silently.
     pub fn check_compat(&self, db: &Database) -> Result<(), String> {
-        use pythia_db::catalog::ObjectKind;
         let exists = |obj: ObjectId| (obj.0 as usize) < db.object_count();
-        for (obj, m) in &self.models {
-            if !exists(*obj) {
+        for span in self.spans() {
+            let obj = span.object;
+            if !exists(obj) {
                 return Err(format!(
                     "model '{}' predicts object {obj:?}, which does not exist in this catalog \
                      ({} objects)",
@@ -464,33 +300,25 @@ impl TrainedWorkload {
                     db.object_count()
                 ));
             }
-            let have = db.object_pages(*obj);
-            if have != m.n_pages {
+            let have = db.object_pages(obj);
+            if have != span.n_pages {
                 return Err(format!(
                     "model '{}' was trained on object {obj:?} ('{}') with {} pages, but this \
                      catalog has {have}",
                     self.name,
-                    db.object_name(*obj),
-                    m.n_pages
+                    db.object_name(obj),
+                    span.n_pages
                 ));
             }
-        }
-        for c in &self.combined {
-            for obj in [c.table, c.index] {
-                if !exists(obj) {
-                    return Err(format!(
-                        "combined model of '{}' references object {obj:?}, which does not exist \
-                         in this catalog",
-                        self.name
-                    ));
-                }
-            }
-            if db.object_kind(c.index) != ObjectKind::Index {
+            // Plan serialization names catalog objects; a modeled object
+            // whose current name was never interned would encode to [UNK] and
+            // silently degrade every prediction (e.g. a renamed table).
+            let token = object_token(db, obj);
+            if self.vocab.get(&token).is_none() {
                 return Err(format!(
-                    "combined model of '{}' expects object {:?} ('{}') to be an index",
-                    self.name,
-                    c.index,
-                    db.object_name(c.index)
+                    "model '{}' has no vocabulary token for object {obj:?}'s current name \
+                     '{token}' — the catalog changed since training",
+                    self.name
                 ));
             }
         }
@@ -499,19 +327,6 @@ impl TrainedWorkload {
                 return Err(format!(
                     "workload signature of '{}' references object {obj:?}, which does not exist \
                      in this catalog",
-                    self.name
-                ));
-            }
-        }
-        // Plan serialization emits catalog object names; a modeled object
-        // whose current name was never interned would encode to [UNK] and
-        // silently degrade every prediction (e.g. a renamed table).
-        for obj in self.modeled_objects() {
-            let name = db.object_name(obj);
-            if self.vocab.get(name).is_none() {
-                return Err(format!(
-                    "model '{}' has no vocabulary token for object {obj:?}'s current name \
-                     '{name}' — the catalog changed since training",
                     self.name
                 ));
             }
@@ -530,21 +345,14 @@ impl TrainedWorkload {
 
     /// Total model size in bytes (paper §5.1 reports this per template).
     pub fn size_bytes(&self) -> usize {
-        self.models
-            .values()
-            .map(ObjectModel::size_bytes)
-            .sum::<usize>()
-            + self
-                .combined
-                .iter()
-                .map(CombinedModel::size_bytes)
-                .sum::<usize>()
+        self.groups.iter().map(ModelGroup::size_bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Grouping;
     use crate::metrics::f1_score;
     use crate::registry::{load_model, save_model};
     use pythia_db::exec::execute;
@@ -555,6 +363,12 @@ mod tests {
     /// index, with fact.dkey clustered by fact.date so date ranges select
     /// learnable dim page ranges.
     fn mini_star() -> (Database, Vec<PlanNode>, Vec<Trace>) {
+        star(600)
+    }
+
+    /// [`mini_star`] with `dim_rows` rows in dim (the fact table probes the
+    /// first 600).
+    fn star(dim_rows: i64) -> (Database, Vec<PlanNode>, Vec<Trace>) {
         let mut db = Database::new();
         let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         let dim = db.create_table("dim", Schema::ints(&["d_id", "attr"]));
@@ -563,7 +377,7 @@ mod tests {
             let dkey = (date * 600 / 1000 + i % 3).min(599);
             db.insert(fact, Database::row(&[i, date, dkey]));
         }
-        for d in 0..600i64 {
+        for d in 0..dim_rows {
             db.insert(dim, Database::row(&[d, d % 9]));
         }
         let idx = db.create_index("dim_pk", dim, 0);
@@ -603,6 +417,18 @@ mod tests {
         }
     }
 
+    const GROUPINGS: [Grouping; 3] = [
+        Grouping::PerObject,
+        Grouping::TableIndexPair,
+        Grouping::Workload,
+    ];
+
+    /// The two objects every `mini_star` query probes: dim's heap and index.
+    fn dim_objects(db: &Database) -> (ObjectId, ObjectId) {
+        let named = |name: &str| db.object_ids().find(|&o| db.object_name(o) == name);
+        (named("dim").unwrap(), named("dim_pk").unwrap())
+    }
+
     /// Interleaved train/test split: every 6th query is held out, so test
     /// parameters fall *inside* the trained range (the paper's unseen
     /// queries are from the same workload distribution, not extrapolations).
@@ -638,7 +464,7 @@ mod tests {
         // call has freed.
         let retained = || recording(|tape| tape.retained_bytes());
         let warm = || {
-            PlanClassifier::new(&quick, 10, 4).train(&[(&[2, 3], vec![1])], &quick);
+            PlanClassifier::new(&quick, 10, &[4]).train(&[(&[2, 3], vec![1])], &quick);
             assert!(retained() > 0);
         };
         warm();
@@ -652,11 +478,33 @@ mod tests {
     #[test]
     fn trains_models_for_probed_objects() {
         let (db, plans, traces) = mini_star();
-        let tw = train_workload(&db, "mini", &plans[..20], &traces[..20], None, &cfg());
-        // dim table + dim index both accessed non-sequentially by every query.
-        assert_eq!(tw.models.len(), 2, "dim heap + dim index");
-        assert!(tw.size_bytes() > 0);
-        assert!(tw.object_union.len() >= 3);
+        let quick = PythiaConfig { epochs: 2, ..cfg() };
+        let (dim, idx) = dim_objects(&db);
+        let sizes: Vec<usize> = GROUPINGS
+            .iter()
+            .map(|&grouping| {
+                let c = PythiaConfig {
+                    grouping,
+                    ..quick.clone()
+                };
+                let tw = train_workload(&db, "mini", &plans[..20], &traces[..20], None, &c);
+                // dim table + dim index both accessed non-sequentially by every
+                // query: two models in the paper's design, one otherwise.
+                let expect = if grouping == Grouping::PerObject {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(tw.groups.len(), expect, "{grouping:?}");
+                assert_eq!(tw.modeled_objects(), BTreeSet::from([dim, idx]));
+                assert!(tw.object_union.len() >= 3);
+                tw.size_bytes()
+            })
+            .collect();
+        // Per object pays for two encoders and two decoders, the workload
+        // group for one encoder and two decoders, the pair for one and one.
+        assert!(sizes[0] > sizes[2] && sizes[2] > sizes[1], "{sizes:?}");
+        assert_eq!(PythiaConfig::fast().grouping, Grouping::Workload);
     }
 
     /// Epoch ladder for learning-quality assertions (ROADMAP seed-test
@@ -707,38 +555,91 @@ mod tests {
             Some(&[dim_obj]),
             &cfg(),
         );
-        assert_eq!(tw.models.len(), 1);
-        assert!(tw.models.contains_key(&dim_obj));
-    }
-
-    #[test]
-    fn combined_mode_builds_joint_models() {
-        let (db, plans, traces) = mini_star();
-        let c = PythiaConfig {
-            combined_index_base: true,
-            ..cfg()
-        };
-        let tw = train_workload(&db, "mini", &plans[..12], &traces[..12], None, &c);
-        assert_eq!(tw.combined.len(), 1, "dim heap + dim index pair");
-        assert!(tw.models.is_empty());
-        let pred = tw.infer(&db, &plans[12]);
-        assert!(!pred.is_empty());
-        let batched = tw.infer_batch(&db, &[&plans[12]]);
-        assert_eq!(batched[0].pages, pred.pages, "combined-mode batch of 1");
+        assert_eq!(tw.modeled_objects(), BTreeSet::from([dim_obj]));
     }
 
     #[test]
     fn batched_infer_matches_serial_infer() {
         let (db, plans, traces) = mini_star();
-        let quick = PythiaConfig { epochs: 8, ..cfg() };
-        let tw = train_workload(&db, "mini", &plans[..12], &traces[..12], None, &quick);
-        let batch: Vec<&PlanNode> = plans[12..20].iter().collect();
-        let preds = tw.infer_batch(&db, &batch);
-        assert_eq!(preds.len(), batch.len());
-        for (q, p) in batch.iter().enumerate() {
-            assert_eq!(preds[q].pages, tw.infer(&db, p).pages, "query {q}");
+        // Every grouping, and top-k spans (whose labels are not in page
+        // order) under the default one.
+        let designs = [
+            (Grouping::PerObject, None),
+            (Grouping::TableIndexPair, None),
+            (Grouping::Workload, None),
+            (Grouping::Workload, Some(6)),
+        ];
+        for (grouping, top_k) in designs {
+            let quick = PythiaConfig {
+                epochs: 8,
+                grouping,
+                top_k,
+                ..cfg()
+            };
+            let tw = train_workload(&db, "mini", &plans[..12], &traces[..12], None, &quick);
+            let batch: Vec<&PlanNode> = plans[12..20].iter().collect();
+            let preds = tw.infer_batch(&db, &batch);
+            assert_eq!(preds.len(), batch.len());
+            assert!(preds.iter().any(|p| !p.is_empty()), "{grouping:?}");
+            for (q, p) in batch.iter().enumerate() {
+                let serial = tw.infer(&db, p);
+                assert_eq!(preds[q].pages, serial.pages, "{grouping:?} query {q}");
+                // The prefetcher's contract: each object's pages ascending.
+                let mut lists = serial.pages.values();
+                assert!(lists.all(|l| !l.is_empty() && l.windows(2).all(|w| w[0] < w[1])));
+            }
+            assert!(tw.infer_batch(&db, &[]).is_empty());
         }
-        assert!(tw.infer_batch(&db, &[]).is_empty());
+    }
+
+    /// What a workload's models compute, to the bit: every group's score for
+    /// every label on each of `plans`.
+    fn score_bits(tw: &TrainedWorkload, db: &Database, plans: &[PlanNode]) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for p in plans {
+            let toks = tw.encode_plan(db, p);
+            for g in &tw.groups {
+                bits.extend(g.scores(&toks).into_iter().map(f32::to_bits));
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn a_workload_group_trains_and_infers_the_same_at_any_pool_width_and_without_simd() {
+        use pythia_nn::kernels::{set_simd_override, SimdOverride};
+        use pythia_nn::pool::set_thread_override;
+        // Both switches are process-wide and change speed only, so tests
+        // running beside this one are not disturbed; this one reads them back
+        // through what it trains.
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                set_thread_override(0);
+                set_simd_override(SimdOverride::Env);
+            }
+        }
+        let _restore = Restore;
+        let (db, plans, traces) = mini_star();
+        let quick = PythiaConfig { epochs: 3, ..cfg() };
+        assert_eq!(quick.grouping, Grouping::Workload);
+        let run = |threads: usize, simd: SimdOverride| {
+            set_thread_override(threads);
+            set_simd_override(simd);
+            let mut tw = train_workload(&db, "mini", &plans[..12], &traces[..12], None, &quick);
+            let trained = score_bits(&tw, &db, &plans[12..20]);
+            let batch: Vec<&PlanNode> = plans[12..20].iter().collect();
+            let preds: Vec<_> = tw.infer_batch(&db, &batch);
+            let pages: Vec<_> = preds.into_iter().map(|p| p.pages).collect();
+            tw.refine(&db, &plans[20..24], &traces[20..24]);
+            (trained, pages, score_bits(&tw, &db, &plans[12..20]))
+        };
+        let reference = run(1, SimdOverride::ForceDetect);
+        assert!(run(4, SimdOverride::ForceDetect) == reference, "pool width");
+        assert!(
+            run(1, SimdOverride::ForceScalar) == reference,
+            "PYTHIA_SIMD=off"
+        );
     }
 
     #[test]
@@ -768,32 +669,40 @@ mod tests {
         };
         let (lp, lt) = pick(&low);
         let (hp, ht) = pick(&high_train);
-        let (mut before, mut after) = (0.0, 0.0);
-        for epochs in EPOCH_LADDER {
-            let c = PythiaConfig { epochs, ..cfg() };
-            let mut tw = train_workload(&db, "mini", &lp, &lt, None, &c);
-            let modeled = tw.modeled_objects();
-            let f1_high = |tw: &TrainedWorkload| {
-                let f1s: Vec<f64> = high_test
-                    .iter()
-                    .map(|&i| {
-                        let pred = tw.infer(&db, &plans[i]);
-                        f1_score(&pred.as_set(), &ground_truth(&traces[i], &modeled)).f1
-                    })
-                    .collect();
-                f1s.iter().sum::<f64>() / f1s.len() as f64
-            };
-            before = f1_high(&tw);
-            tw.refine(&db, &hp, &ht);
-            after = f1_high(&tw);
-            if after > before + 0.05 {
-                break;
+        // In every grouping: the pair's and the workload's weights sit in one
+        // group, and refinement has to reach them too.
+        for grouping in GROUPINGS {
+            let (mut before, mut after) = (0.0, 0.0);
+            for epochs in EPOCH_LADDER {
+                let c = PythiaConfig {
+                    epochs,
+                    grouping,
+                    ..cfg()
+                };
+                let mut tw = train_workload(&db, "mini", &lp, &lt, None, &c);
+                let modeled = tw.modeled_objects();
+                let f1_high = |tw: &TrainedWorkload| {
+                    let f1s: Vec<f64> = high_test
+                        .iter()
+                        .map(|&i| {
+                            let pred = tw.infer(&db, &plans[i]);
+                            f1_score(&pred.as_set(), &ground_truth(&traces[i], &modeled)).f1
+                        })
+                        .collect();
+                    f1s.iter().sum::<f64>() / f1s.len() as f64
+                };
+                before = f1_high(&tw);
+                tw.refine(&db, &hp, &ht);
+                after = f1_high(&tw);
+                if after > before + 0.05 {
+                    break;
+                }
             }
+            assert!(
+                after > before + 0.05,
+                "{grouping:?}: refinement should improve the new region: {before:.3} -> {after:.3}"
+            );
         }
-        assert!(
-            after > before + 0.05,
-            "refinement should improve the new region: {before:.3} -> {after:.3}"
-        );
     }
 
     #[test]
@@ -843,6 +752,35 @@ mod tests {
         assert!(dup.check_compat(&db).is_ok());
         for p in &plans[10..12] {
             assert_eq!(dup.infer(&db, p).pages, tw.infer(&db, p).pages);
+        }
+    }
+
+    #[test]
+    fn a_resized_object_is_refused_in_every_grouping() {
+        let (db, plans, traces) = mini_star();
+        let (grown, _, _) = star(900);
+        let (dim, idx) = dim_objects(&db);
+        assert!(grown.object_pages(dim) > db.object_pages(dim));
+        assert!(grown.object_pages(idx) > db.object_pages(idx));
+        for grouping in GROUPINGS {
+            let c = PythiaConfig {
+                epochs: 1,
+                grouping,
+                ..cfg()
+            };
+            let tw = train_workload(&db, "mini", &plans[..6], &traces[..6], None, &c);
+            tw.check_compat(&db).unwrap();
+            // Labels past the old page count would split at the wrong page.
+            let err = tw.check_compat(&grown).unwrap_err();
+            assert!(
+                err.contains("pages, but this catalog has"),
+                "{grouping:?}: {err}"
+            );
+            // The header a saved file carries sizes every modeled object too.
+            let header = crate::registry::CatalogCompat::of(&tw);
+            assert_eq!(header.objects.len(), 2, "{grouping:?}");
+            header.check_db(&db).unwrap();
+            assert!(header.check_db(&grown).is_err(), "{grouping:?}");
         }
     }
 

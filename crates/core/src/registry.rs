@@ -54,8 +54,8 @@ pub const MATCH_THRESHOLD: f64 = 0.5;
 /// without trusting the body.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CatalogCompat {
-    /// `(object, page count at training time)` per separately modeled
-    /// object, in id order.
+    /// `(object, page count at training time)` per modeled object, in id
+    /// order.
     pub objects: Vec<(ObjectId, u32)>,
     /// [`crate::vocab::Vocab::fingerprint`] — token ids are only meaningful
     /// against the exact vocabulary the weights were trained with.
@@ -71,7 +71,12 @@ impl CatalogCompat {
     /// The header describing `tw` as trained.
     pub fn of(tw: &TrainedWorkload) -> CatalogCompat {
         CatalogCompat {
-            objects: tw.models.iter().map(|(o, m)| (*o, m.n_pages)).collect(),
+            objects: tw
+                .spans()
+                .map(|s| (s.object, s.n_pages))
+                .collect::<BTreeMap<_, _>>()
+                .into_iter()
+                .collect(),
             vocab_hash: tw.vocab.fingerprint(),
             vocab_len: tw.vocab.len(),
             embed_dim: tw.cfg.embed_dim,

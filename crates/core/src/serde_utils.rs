@@ -76,7 +76,7 @@ pub mod versioned {
 
     /// Current on-disk format. Bump whenever the serialized shape of any
     /// enveloped payload changes incompatibly; readers refuse other values.
-    pub const FORMAT_VERSION: u32 = 1;
+    pub const FORMAT_VERSION: u32 = 2;
 
     /// The header + payload wrapper every enveloped file round-trips through.
     #[derive(Serialize, Deserialize)]
@@ -180,7 +180,8 @@ mod tests {
         assert!(err.to_string().contains("test.pair"), "{err}");
 
         // Wrong format version: refused before touching the body.
-        let future = json.replace("\"format\":1", "\"format\":999");
+        let current = format!("\"format\":{}", versioned::FORMAT_VERSION);
+        let future = json.replace(&current, "\"format\":999");
         let err = versioned::from_json::<(u32, String)>("test.pair", &future).unwrap_err();
         assert!(err.to_string().contains("999"), "{err}");
 

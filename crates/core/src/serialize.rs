@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use pythia_db::catalog::{Database, ObjectId, TableId};
+use pythia_db::catalog::{Database, ObjectId, ObjectKind, TableId};
 use pythia_db::expr::{CmpOp, Pred};
 use pythia_db::plan::PlanNode;
 
@@ -180,11 +180,22 @@ fn emit_pred(
     }
 }
 
+/// The token a plan names `obj` by wherever it scans it. A model can only
+/// know an object whose token its vocabulary interned
+/// ([`crate::predictor::TrainedWorkload::check_compat`]).
+pub fn object_token(db: &Database, obj: ObjectId) -> String {
+    let prefix = match db.object_kind(obj) {
+        ObjectKind::Table => "rel",
+        ObjectKind::Index => "idx",
+    };
+    format!("{prefix}:{}", db.object_name(obj))
+}
+
 fn walk(db: &Database, binner: &ValueBinner, node: &PlanNode, out: &mut Vec<String>) {
     match node {
         PlanNode::SeqScan { table, pred } => {
             out.push("[SEQ]".into());
-            out.push(format!("rel:{}", db.table_info(*table).name));
+            out.push(object_token(db, db.table_info(*table).object));
             if let Some(p) = pred {
                 emit_pred(db, binner, *table, p, out);
             }
@@ -197,8 +208,8 @@ fn walk(db: &Database, binner: &ValueBinner, node: &PlanNode, out: &mut Vec<Stri
             residual,
         } => {
             out.push("[IDX]".into());
-            out.push(format!("idx:{}", db.index_info(*index).name));
-            out.push(format!("rel:{}", db.table_info(*table).name));
+            out.push(object_token(db, *index));
+            out.push(object_token(db, db.table_info(*table).object));
             let key_col = db.index_info(*index).key_col;
             emit_pred(
                 db,
@@ -225,8 +236,8 @@ fn walk(db: &Database, binner: &ValueBinner, node: &PlanNode, out: &mut Vec<Stri
             out.push("[NLJ]".into());
             walk(db, binner, outer, out);
             out.push("[IDX]".into());
-            out.push(format!("idx:{}", db.index_info(*inner_index).name));
-            out.push(format!("rel:{}", db.table_info(*inner).name));
+            out.push(object_token(db, *inner_index));
+            out.push(object_token(db, db.table_info(*inner).object));
             if let Some(p) = inner_pred {
                 emit_pred(db, binner, *inner, p, out);
             }

@@ -3,7 +3,7 @@
 use pythia_buffer::PolicyKind;
 use pythia_core::metrics::f1_score;
 use pythia_core::predictor::ground_truth;
-use pythia_core::PythiaConfig;
+use pythia_core::{Grouping, PythiaConfig};
 use pythia_db::runtime::RunConfig;
 use pythia_workloads::templates::Template;
 
@@ -149,29 +149,50 @@ pub fn run_c(env: &Env) -> Table {
     t
 }
 
-/// Figure 12d: separate vs combined index/base-table models.
+/// Figure 12d: which labels share an encoder — the paper's separate and
+/// combined index/base-table designs, and one encoder for the whole workload
+/// with a decoder head per object. Each design is priced on quality, size,
+/// measured host inference time per query and the speedup it buys.
 pub fn run_d(env: &Env) -> Table {
     let mut t = Table::new(
-        "Figure 12d: separate vs combined index/base-table models (Template 18)",
-        &["model design", "mean F1", "total model MB"],
+        "Figure 12d: separate vs combined vs shared-encoder models (Template 18)",
+        &[
+            "model design",
+            "mean F1",
+            "total model MB",
+            "infer ms / query",
+            "mean speedup",
+        ],
     );
     let w = env.prepare(Template::T18);
-    let separate = env.trained_default(Template::T18);
-    t.row(vec![
-        "separate (paper default)".into(),
-        f3(mean_f1(env, &w, &separate)),
-        f2(separate.size_bytes() as f64 / 1e6),
-    ]);
-    let combined_cfg = PythiaConfig {
-        combined_index_base: true,
-        ..env.cfg.pythia.clone()
-    };
-    let combined = env.train_with(&w, &combined_cfg);
-    t.row(vec![
-        "combined".into(),
-        f3(mean_f1(env, &w, &combined)),
-        f2(combined.size_bytes() as f64 / 1e6),
-    ]);
+    for (label, grouping) in [
+        ("separate (paper default)", Grouping::PerObject),
+        ("combined", Grouping::TableIndexPair),
+        ("shared encoder (whole workload)", Grouping::Workload),
+    ] {
+        let tw = if grouping == env.cfg.pythia.grouping {
+            env.trained_default(Template::T18)
+        } else {
+            let cfg = PythiaConfig {
+                grouping,
+                ..env.cfg.pythia.clone()
+            };
+            std::sync::Arc::new(env.train_with(&w, &cfg))
+        };
+        let plans = w.test_plans();
+        let t0 = std::time::Instant::now();
+        for plan in &plans {
+            std::hint::black_box(tw.infer(&env.bench.db, plan));
+        }
+        let infer_ms = t0.elapsed().as_secs_f64() * 1e3 / plans.len().max(1) as f64;
+        t.row(vec![
+            label.into(),
+            f3(mean_f1(env, &w, &tw)),
+            f2(tw.size_bytes() as f64 / 1e6),
+            f3(infer_ms),
+            f2(mean_speedup(env, &env.run_cfg, &w, &tw)),
+        ]);
+    }
     t
 }
 
@@ -258,7 +279,7 @@ pub fn run_h(env: &Env) -> Table {
     let w = env.prepare(Template::T18);
     // k relative to the largest modeled object.
     let full = env.trained_default(Template::T18);
-    let max_pages = full.models.values().map(|m| m.n_pages).max().unwrap_or(64) as usize;
+    let max_pages = full.spans().map(|s| s.n_pages).max().unwrap_or(64) as usize;
     for (label, k) in [
         ("top 1/16 of pages", Some(max_pages / 16)),
         ("top 1/4 of pages", Some(max_pages / 4)),

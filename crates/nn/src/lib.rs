@@ -28,8 +28,8 @@
 //!
 //! Parallelism: [`pool`] owns the workspace-wide thread-count policy
 //! (`PYTHIA_THREADS`, runtime-overridable) and a deterministic scoped
-//! map used by both the matmul row bands here and the per-object model
-//! fleet in `pythia-core`.
+//! map used by both the matmul row bands here and the model-group
+//! fan-out in `pythia-core`.
 
 pub mod init;
 pub mod kernels;

@@ -4,7 +4,7 @@
 //! environment variable (read once), overridable at runtime via
 //! [`set_thread_override`] (benches and determinism tests flip between serial
 //! and parallel in one process). [`Tensor::matmul`](crate::Tensor::matmul)'s
-//! row bands and `pythia-core`'s per-object model fan-out both size
+//! row bands and `pythia-core`'s model-group fan-out both size
 //! themselves from [`configured_threads`].
 //!
 //! Determinism contract: [`parallel_map_vec`] assigns each item a fixed

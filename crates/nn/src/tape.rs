@@ -1352,6 +1352,26 @@ mod tests {
     }
 
     #[test]
+    fn grad_two_heads_sum_into_a_shared_input() {
+        // A multi-head classifier's step: one representation, a decoder and a
+        // BCE per head, the losses added. The gradient into the shared input
+        // is the sum of what each head sends back.
+        gradcheck(test_input(2, 3), |tape, x| {
+            let mut head = |width: usize, pos_weight: f32| {
+                let w = tape.leaf(Tensor::from_fn(3, width, |r, c| {
+                    0.2 * (r as f32) - 0.1 * (c + width) as f32
+                }));
+                let b = tape.leaf(Tensor::from_fn(1, width, |_, c| 0.3 - 0.2 * c as f32));
+                let y = tape.linear(x, w, b);
+                let t = Tensor::from_fn(2, width, |r, c| ((r + c + width) % 2) as f32);
+                bce_with_logits(tape, y, t, pos_weight)
+            };
+            let (narrow, wide) = (head(2, 1.0), head(5, 3.5));
+            tape.add(narrow, wide)
+        });
+    }
+
+    #[test]
     fn linear_matches_matmul_add_row() {
         let xv = test_input(3, 4);
         let wv = Tensor::from_fn(4, 2, |r, c| 0.07 * (r as f32) - 0.11 * c as f32);

@@ -1,6 +1,6 @@
 //! Training-telemetry capture for the model fleet.
 //!
-//! The per-object classifiers train on pool workers deep inside
+//! The classifiers train on pool workers (or the caller) deep inside
 //! `pythia-core`, with no `Recorder` in reach (same constraint as
 //! [`crate::wall`]). When capture is on, the training loop appends one
 //! [`EpochRec`] per epoch — mean minibatch loss, mean gradient L2 norm,

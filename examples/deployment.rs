@@ -47,7 +47,7 @@ fn main() {
     let path = std::env::temp_dir().join("pythia_t91.json");
     save_model(&path, 1, &tw).expect("save");
     println!(
-        "trained '{}' ({} object models, {:.1} MB) and saved to {}",
+        "trained '{}' ({} objects modeled, {:.1} MB) and saved to {}",
         tw.name,
         tw.modeled_objects().len(),
         tw.size_bytes() as f64 / 1e6,

@@ -7,7 +7,7 @@
 //!
 //! Walks the whole pipeline on a database small enough to read the output:
 //! build tables + index, run a training workload (collecting page-access
-//! traces), train the per-object models, and then — for an *unseen* query —
+//! traces), train the model, and then — for an *unseen* query —
 //! compare default execution against execution with Pythia's prefetch.
 
 use pythia::core::metrics::f1_score;

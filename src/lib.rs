@@ -16,7 +16,7 @@
 //!   Postgres-integration analogue).
 //! * [`nn`] — a tape-autograd neural network library (transformer encoder,
 //!   Adam, BCE-with-logits).
-//! * [`core`] — Pythia itself: plan serialization, per-object multi-label
+//! * [`core`] — Pythia itself: plan serialization, multi-label
 //!   classifiers, workload matching, prefetch scheduling.
 //! * [`baselines`] — DFLT / ORCL / nearest-neighbour / sequence-transformer
 //!   baselines.

@@ -1,14 +1,15 @@
 //! Property test for the parallel model fleet: training, inference and
 //! refinement on the worker pool must be **bit-identical** to a single-thread
-//! run, for both the separate-models default and the combined table+index
-//! ablation mode, across random seeds and thread counts.
+//! run, for every way of grouping labels under encoders (a model per object,
+//! the combined table+index ablation, one encoder for the workload), across
+//! random seeds and thread counts.
 //!
 //! Identity is checked on the full serialized `TrainedWorkload` (every model
 //! weight, the vocabulary and the binner) and on the per-plan predictions.
 
 use proptest::prelude::*;
 
-use pythia::core::config::PythiaConfig;
+use pythia::core::config::{Grouping, PythiaConfig};
 use pythia::core::predictor::train_workload;
 use pythia::db::catalog::Database;
 use pythia::db::exec::execute;
@@ -25,6 +26,14 @@ impl Drop for RestoreThreads {
     fn drop(&mut self) {
         set_thread_override(0);
     }
+}
+
+fn any_grouping() -> impl Strategy<Value = Grouping> {
+    prop::sample::select(vec![
+        Grouping::PerObject,
+        Grouping::TableIndexPair,
+        Grouping::Workload,
+    ])
 }
 
 /// A small star workload: fact(600) probing dim(150) through an index, with
@@ -78,7 +87,7 @@ proptest! {
     #[test]
     fn parallel_fleet_is_bit_identical_to_serial(
         seed in 0u64..1000,
-        combined in prop::bool::ANY,
+        grouping in any_grouping(),
         n_threads in 2usize..6,
     ) {
         let _guard = RestoreThreads;
@@ -88,7 +97,7 @@ proptest! {
             batch_size: 4,
             lr: 5e-3,
             seed,
-            combined_index_base: combined,
+            grouping,
             ..PythiaConfig::fast()
         };
         let (train_p, train_t) = (&plans[..9], &traces[..9]);
@@ -102,8 +111,8 @@ proptest! {
         prop_assert_eq!(
             serde_json::to_string(&tw_serial).unwrap(),
             serde_json::to_string(&tw_pooled).unwrap(),
-            "pooled training diverged from serial (seed {}, combined {}, {} threads)",
-            seed, combined, n_threads
+            "pooled training diverged from serial (seed {}, {:?}, {} threads)",
+            seed, grouping, n_threads
         );
         for p in &plans {
             set_thread_override(1);
@@ -128,11 +137,11 @@ proptest! {
     /// Batched inference must be bit-identical to the serial one-query-at-a-
     /// time path for any batch size and thread count — checked on a model
     /// that went through a full serde roundtrip (the deployed shape: loaded
-    /// weights, empty plan-encoding cache), in both model designs.
+    /// weights, empty plan-encoding cache), in every model design.
     #[test]
     fn batched_inference_is_bit_identical_to_serial(
         seed in 0u64..1000,
-        combined in prop::bool::ANY,
+        grouping in any_grouping(),
     ) {
         let _guard = RestoreThreads;
         let (db, plans, traces) = tiny_star();
@@ -141,7 +150,7 @@ proptest! {
             batch_size: 4,
             lr: 5e-3,
             seed,
-            combined_index_base: combined,
+            grouping,
             ..PythiaConfig::fast()
         };
         let tw = train_workload(&db, "tiny", &plans[..9], &traces[..9], None, &cfg);
