@@ -23,10 +23,12 @@
 //!   [`predictor::TrainedWorkload::infer_batch`] runs every model group,
 //!   and [`prefetch::engage`] hands the predicted pages to the
 //!   prefetcher in file storage order. The serving loop and the experiment
-//!   harness both call `prefetch::engage`. Neither applies the match: the
-//!   serving loop engages every query of a tenant whose fleet holds a model
-//!   ([`server::PrefetchServer::with_registry`]), so only tests call
-//!   `match_plan`.
+//!   harness both call `prefetch::engage`. Neither applies the match: every
+//!   [`server::PrefetchServer`] serves from one [`registry::TenantFleet`]
+//!   (empty for the DFLT server; `with_predictor` publishes a clone, which
+//!   shares the weights) and engages every query once the fleet holds a
+//!   model, so only tests call `match_plan`. A saved model is a
+//!   [`model_file`], checked against the serving catalog once, on load.
 //!
 //! Beyond the paper's evaluated system, two §7 extensions are implemented —
 //! prefetch-aware query scheduling ([`scheduler`]) and incremental model
@@ -62,7 +64,7 @@ pub use config::{Grouping, PythiaConfig};
 pub use frontend::{Arrival, Frontend, FrontendConfig, FrontendStats, Responder};
 pub use metrics::{f1_score, SetMetrics};
 pub use predictor::{train_workload, Prediction, TrainedWorkload};
-pub use registry::{CatalogCompat, TenantFleet, VersionedWorkload};
+pub use registry::{TenantFleet, VersionedWorkload};
 pub use serialize::{serialize_plan, ValueBinner};
 pub use server::{
     AdmissionMode, InferenceCharge, PrefetchServer, QueryOutcome, QueuePolicy, ServeReport,

@@ -6,8 +6,6 @@
 //!
 //! * `format` ([`FORMAT`]) and `kind` ([`KIND`]), read before anything else,
 //!   so a file of another format or kind is refused by name;
-//! * `compat`, the [`CatalogCompat`] header, checked against the serving
-//!   catalog before the body is built and against the body after;
 //! * `checksum`, FNV-1a over the body's text;
 //! * `body`: the version the model was saved at, the workload's `name`,
 //!   every [`PythiaConfig`] field, the vocabulary's tokens in id order, the
@@ -28,12 +26,16 @@
 //! table are not in the file. Before it builds anything it checks that the
 //! tensors hold as many scalars as the config and heads need
 //! ([`PlanClassifier::scalar_count`]), so a width no file could hold is
-//! refused, not allocated. Last, it renders the body it built and compares
+//! refused, not allocated. Then it renders the body it built and compares
 //! the checksum: a file with any byte changed is refused rather than read as
-//! a slightly different model.
+//! a slightly different model. Last, the model is checked against the
+//! serving catalog once, by [`TrainedWorkload::check_compat`]: every modeled
+//! object exists with the page count its labels were laid out for and the
+//! name its vocabulary interned.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
+use std::sync::Arc;
 
 use pythia_db::catalog::{Database, ObjectId};
 use pythia_nn::Tensor;
@@ -43,13 +45,13 @@ use crate::classifier::PlanClassifier;
 use crate::config::{Grouping, PythiaConfig};
 use crate::model::{ModelGroup, Pages, Span};
 use crate::predictor::TrainedWorkload;
-use crate::registry::CatalogCompat;
 use crate::serialize::{ColumnStats, ValueBinner};
 use crate::vocab::Vocab;
 
 /// The model file format this module writes and the only one it reads.
-/// Format 2 was the derived encoding of the model types themselves.
-pub const FORMAT: u64 = 3;
+/// Format 2 was the derived encoding of the model types themselves; format
+/// 3 also held a catalog header derived from the body.
+pub const FORMAT: u64 = 4;
 
 /// The `kind` every model file names.
 pub const KIND: &str = "pythia.model";
@@ -57,25 +59,13 @@ pub const KIND: &str = "pythia.model";
 /// `tw` saved at `version`, as the text of a model file.
 pub fn write(version: u64, tw: &TrainedWorkload) -> String {
     let body = body(version, tw).to_string();
-    let c = CatalogCompat::of(tw);
-    let compat = obj([
-        ("objects", arr(&c.objects, |(o, n)| arr([o.0, *n], u32_num))),
-        ("vocab_hash", Json::Num(c.vocab_hash)),
-        ("vocab_len", num(c.vocab_len)),
-        ("embed_dim", num(c.embed_dim)),
-        ("layers", num(c.layers)),
-        ("heads", num(c.heads)),
-    ]);
     let checksum = fnv1a(&body);
-    format!(
-        "{{\"format\":{FORMAT},\"kind\":\"{KIND}\",\"compat\":{compat},\"checksum\":{checksum},\
-         \"body\":{body}}}"
-    )
+    format!("{{\"format\":{FORMAT},\"kind\":\"{KIND}\",\"checksum\":{checksum},\"body\":{body}}}")
 }
 
 /// Read a model file's text, refusing anything but a [`FORMAT`] file of
-/// [`KIND`] whose body matches its checksum, its header and the serving
-/// catalog `db`. Returns `(version, workload)`.
+/// [`KIND`] whose body matches its checksum and the serving catalog `db`.
+/// Returns `(version, workload)`.
 pub fn read(text: &str, db: &Database) -> io::Result<(u64, TrainedWorkload)> {
     read_checked(text, db).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
@@ -105,13 +95,10 @@ fn read_checked(text: &str, db: &Database) -> Result<(u64, TrainedWorkload), Str
             "model file holds a '{kind}' payload, expected '{KIND}'"
         ));
     }
-    let compat = read_compat(get(&file, "compat")?)?;
-    compat.check_db(db)?;
     let (version, tw) = read_body(get(&file, "body")?)?;
     if fnv1a(&body(version, &tw).to_string()) != uint(get(&file, "checksum")?)? {
         return Err("model file body does not match its checksum".into());
     }
-    compat.check_body(&tw)?;
     tw.check_compat(db)?;
     Ok((version, tw))
 }
@@ -186,7 +173,7 @@ fn body(version: u64, tw: &TrainedWorkload) -> Json {
         ),
         ("binner", arr(bounds, bound)),
         ("object_union", arr(&tw.object_union, |o| u32_num(o.0))),
-        ("groups", arr(&tw.groups, group)),
+        ("groups", arr(tw.groups.iter(), group)),
     ])
 }
 
@@ -273,21 +260,6 @@ fn option_of<T>(v: &Json, each: impl Fn(&Json) -> Result<T, String>) -> Result<O
     }
 }
 
-fn read_compat(c: &Json) -> Result<CatalogCompat, String> {
-    let object = |p: &Json| match items(p)? {
-        [o, n] => Ok((ObjectId(int(o)?), int(n)?)),
-        _ => Err("expected an [object, pages] pair".to_owned()),
-    };
-    Ok(CatalogCompat {
-        objects: list_of(get(c, "objects")?, object)?,
-        vocab_hash: uint(get(c, "vocab_hash")?)?,
-        vocab_len: int(get(c, "vocab_len")?)?,
-        embed_dim: int(get(c, "embed_dim")?)?,
-        layers: int(get(c, "layers")?)?,
-        heads: int(get(c, "heads")?)?,
-    })
-}
-
 fn read_body(b: &Json) -> Result<(u64, TrainedWorkload), String> {
     let cfg = read_config(get(b, "config")?)?;
     cfg.validate()?;
@@ -321,7 +293,7 @@ fn read_body(b: &Json) -> Result<(u64, TrainedWorkload), String> {
         name: text_of(get(b, "name")?)?.to_owned(),
         vocab,
         binner: ValueBinner { stats },
-        groups,
+        groups: Arc::new(groups),
         object_union,
         cfg,
     };
@@ -526,7 +498,8 @@ mod tests {
         let old = r#"{"format":2,"kind":"pythia.model","body":{"version":1,"threshold":0.5}}"#;
         let err = refused(old);
         assert!(err.contains("format 2"), "{err}");
-        let err = refused(&text.replacen("{\"format\":3,", "{\"format\":999,", 1));
+        let err =
+            refused(&text.replacen(&format!("{{\"format\":{FORMAT},"), "{\"format\":999,", 1));
         assert!(err.contains("999"), "{err}");
         let err = refused("{\"body\":3}");
         assert!(err.contains("envelope"), "{err}");
@@ -552,7 +525,7 @@ mod tests {
         let err = refused(&short);
         assert!(err.contains("disagrees with its shape"), "{err}");
         // The embedding table transposed: as many scalars, the wrong shape.
-        let (vocab, dim) = (&text[number_at(text, 0, "vocab_len")], 8);
+        let (vocab, dim) = (read(text, &fixture().0).unwrap().1.vocab.len(), 8);
         let shape = format!("\"rows\":{vocab},\"cols\":{dim},");
         let err = refused(&text.replacen(&shape, &format!("\"rows\":{dim},\"cols\":{vocab},"), 1));
         assert!(err.contains("but the model's is"), "{err}");
@@ -560,7 +533,7 @@ mod tests {
 
     /// A file cut short, or with one byte changed anywhere to a printable
     /// one, is refused without a panic. Half the cases land in the first
-    /// 2 kB, where the envelope, the header and the config are, and half the
+    /// 2 kB, where the envelope, the checksum and the config are, and half the
     /// changed bytes are digits: a number changed to another still parses,
     /// so only the checksum refuses it.
     #[test]

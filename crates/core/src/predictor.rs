@@ -14,6 +14,7 @@
 //! kept.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pythia_db::catalog::{Database, ObjectId};
 use pythia_db::plan::PlanNode;
@@ -38,8 +39,10 @@ pub struct TrainedWorkload {
     pub vocab: Vocab,
     pub binner: ValueBinner,
     /// The models: one per object (per partition) in the paper's design, one
-    /// for the whole workload by default ([`PythiaConfig::grouping`]).
-    pub groups: Vec<ModelGroup>,
+    /// for the whole workload by default ([`PythiaConfig::grouping`]). A
+    /// clone shares them; a write (calibration, [`Self::refine`]) copies
+    /// them first if they are shared.
+    pub groups: Arc<Vec<ModelGroup>>,
     /// Every object scanned by any training plan — the workload signature
     /// used for matching incoming queries.
     pub object_union: BTreeSet<ObjectId>,
@@ -164,7 +167,7 @@ pub fn train_workload(
         name: name.to_owned(),
         vocab,
         binner,
-        groups,
+        groups: Arc::new(groups),
         object_union,
         cfg: cfg.clone(),
     };
@@ -324,7 +327,7 @@ impl TrainedWorkload {
 
     /// Set every group's decision threshold.
     fn set_threshold(&mut self, threshold: f32) {
-        for group in &mut self.groups {
+        for group in Arc::make_mut(&mut self.groups) {
             group.set_threshold(threshold);
         }
     }
@@ -387,8 +390,8 @@ impl TrainedWorkload {
         }
         let token_seqs: Vec<Vec<usize>> = plans.iter().map(|p| self.encode_plan(db, p)).collect();
         let page_sets: Vec<PageSets> = traces.iter().map(|t| t.non_sequential_sets()).collect();
-        let groups = std::mem::take(&mut self.groups);
-        self.groups = fit_groups(groups, &self.cfg, &token_seqs, &page_sets, true);
+        let groups = Arc::unwrap_or_clone(std::mem::take(&mut self.groups));
+        self.groups = Arc::new(fit_groups(groups, &self.cfg, &token_seqs, &page_sets, true));
         for p in plans {
             self.object_union.extend(p.objects(db));
         }
@@ -790,7 +793,7 @@ mod tests {
         let mut bits = Vec::new();
         for p in plans {
             let toks = tw.encode_plan(db, p);
-            for g in &tw.groups {
+            for g in tw.groups.iter() {
                 bits.extend(g.scores(&toks).into_iter().map(f32::to_bits));
             }
         }
@@ -994,12 +997,38 @@ mod tests {
                 err.contains("pages, but this catalog has"),
                 "{grouping:?}: {err}"
             );
-            // The header a saved file carries sizes every modeled object too.
-            let header = crate::registry::CatalogCompat::of(&tw);
-            assert_eq!(header.objects.len(), 2, "{grouping:?}");
-            header.check_db(&db).unwrap();
-            assert!(header.check_db(&grown).is_err(), "{grouping:?}");
+            // Both resized objects are modeled, so the check sized each.
+            assert_eq!(tw.modeled_objects().len(), 2, "{grouping:?}");
         }
+    }
+
+    /// A clone shares its weights until one of them is written: refining or
+    /// recalibrating the clone copies them once, and the original scores as
+    /// before, bit for bit.
+    #[test]
+    fn a_clone_shares_weights_until_written() {
+        let (db, plans, traces) = mini_star();
+        let c = PythiaConfig { epochs: 1, ..cfg() };
+        let tw = train_workload(&db, "mini", &plans[..6], &traces[..6], None, &c);
+        let refs: Vec<&PlanNode> = plans.iter().collect();
+        let bits = |w: &TrainedWorkload| -> Vec<u32> {
+            let scores = w.score_batch(&db, &refs).into_iter().flatten().flatten();
+            scores.map(f32::to_bits).collect()
+        };
+        let before = bits(&tw);
+
+        let mut refined = tw.clone();
+        assert!(Arc::ptr_eq(&tw.groups, &refined.groups), "a clone copied");
+        refined.refine(&db, &plans[6..12], &traces[6..12]);
+        assert!(!Arc::ptr_eq(&tw.groups, &refined.groups));
+        assert_ne!(bits(&refined), before, "refining changed nothing");
+        assert_eq!(bits(&tw), before, "refining a clone changed the original");
+
+        let mut recalibrated = tw.clone();
+        recalibrated.set_threshold(0.9);
+        assert!(!Arc::ptr_eq(&tw.groups, &recalibrated.groups));
+        assert_eq!(recalibrated.threshold(), Some(0.9));
+        assert_eq!(tw.threshold(), Some(0.5));
     }
 
     #[test]

@@ -22,12 +22,20 @@
 //!   prediction batch always runs against one coherent model version and a
 //!   swap lands *between* admissions, never inside one. Versions are
 //!   monotonically increasing per fleet.
-//! * **Checked persistence** — models go to disk as [`crate::model_file`]s,
-//!   with a [`CatalogCompat`] header (modeled objects + page counts,
-//!   vocabulary fingerprint, architecture shape). [`load_model`] refuses a
-//!   file whose header disagrees with the serving catalog or with its own
-//!   body, so a model trained against a different database fails loudly
-//!   instead of silently mispredicting.
+//! * **Checked persistence** — models go to disk as [`crate::model_file`]s.
+//!   [`load_model`] refuses a file whose body does not match its checksum,
+//!   and then a model that [`TrainedWorkload::check_compat`] refuses for the
+//!   serving catalog (a modeled object missing, resized or renamed), so a
+//!   model trained against a different database fails loudly instead of
+//!   silently mispredicting.
+//! * **One way in** — every [`crate::server::PrefetchServer`] serves from a
+//!   fleet: an empty one is the DFLT server, and
+//!   [`with_predictor`](crate::server::PrefetchServer::with_predictor)
+//!   publishes a clone of its model, which shares the weights.
+//!
+//! Every serving batch reads the fleet's lock, so a poisoned lock is taken
+//! back, not passed on as a panic: a publish holds the write lock for one
+//! map insert, and the map is whole whether or not that insert finished.
 //!
 //! Cross-*process* sharding (splitting one tenant's objects across machines)
 //! is future work; see ROADMAP.
@@ -36,9 +44,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-use pythia_db::catalog::{Database, ObjectId};
+use pythia_db::catalog::Database;
 use pythia_db::plan::PlanNode;
 
 use crate::model_file;
@@ -46,76 +54,6 @@ use crate::predictor::TrainedWorkload;
 
 /// Minimum object-set Jaccard similarity to claim a query for a workload.
 pub const MATCH_THRESHOLD: f64 = 0.5;
-
-/// Catalog-compatibility header persisted alongside every model: everything
-/// needed to decide "was this trained against the catalog I'm serving?"
-/// without trusting the body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatalogCompat {
-    /// `(object, page count at training time)` per modeled object, in id
-    /// order.
-    pub objects: Vec<(ObjectId, u32)>,
-    /// [`crate::vocab::Vocab::fingerprint`] — token ids are only meaningful
-    /// against the exact vocabulary the weights were trained with.
-    pub vocab_hash: u64,
-    pub vocab_len: usize,
-    /// Architecture shape; weights of one shape cannot serve another.
-    pub embed_dim: usize,
-    pub layers: usize,
-    pub heads: usize,
-}
-
-impl CatalogCompat {
-    /// The header describing `tw` as trained.
-    pub fn of(tw: &TrainedWorkload) -> CatalogCompat {
-        CatalogCompat {
-            objects: tw
-                .spans()
-                .map(|s| (s.object, s.n_pages))
-                .collect::<BTreeMap<_, _>>()
-                .into_iter()
-                .collect(),
-            vocab_hash: tw.vocab.fingerprint(),
-            vocab_len: tw.vocab.len(),
-            embed_dim: tw.cfg.embed_dim,
-            layers: tw.cfg.layers,
-            heads: tw.cfg.heads,
-        }
-    }
-
-    /// Check the header against a serving catalog: every recorded object
-    /// must still exist with the same page count.
-    pub fn check_db(&self, db: &Database) -> Result<(), String> {
-        for &(obj, pages) in &self.objects {
-            if (obj.0 as usize) >= db.object_count() {
-                return Err(format!(
-                    "compat header lists object {obj:?}, but this catalog has only {} objects",
-                    db.object_count()
-                ));
-            }
-            let have = db.object_pages(obj);
-            if have != pages {
-                return Err(format!(
-                    "compat header sized object {obj:?} ('{}') at {pages} pages, but this \
-                     catalog has {have}",
-                    db.object_name(obj)
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Check the header against a model file's body (tamper / mix-up guard).
-    pub fn check_body(&self, tw: &TrainedWorkload) -> Result<(), String> {
-        let actual = CatalogCompat::of(tw);
-        if *self != actual {
-            return Err(format!(
-                "compat header does not describe the model body (header {self:?}, body {actual:?})"
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Write `tw` at `version` to `path` as a [`model_file`].
 pub fn save_model(path: impl AsRef<Path>, version: u64, tw: &TrainedWorkload) -> io::Result<()> {
@@ -172,7 +110,7 @@ impl TenantFleet {
         });
         self.slots
             .write()
-            .expect("fleet lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(slot.workload.name.clone(), slot);
         version
     }
@@ -184,29 +122,25 @@ impl TenantFleet {
         Ok(self.publish(tw))
     }
 
+    /// The installed models, read (a poisoned lock is taken back).
+    fn slots(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<VersionedWorkload>>> {
+        self.slots.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The currently installed model for a workload name, if any.
     pub fn current(&self, workload: &str) -> Option<Arc<VersionedWorkload>> {
-        self.slots
-            .read()
-            .expect("fleet lock poisoned")
-            .get(workload)
-            .cloned()
+        self.slots().get(workload).cloned()
     }
 
     /// The single installed model of a one-workload fleet (first by name
     /// otherwise) — the common serving shape.
     pub fn any(&self) -> Option<Arc<VersionedWorkload>> {
-        self.slots
-            .read()
-            .expect("fleet lock poisoned")
-            .values()
-            .next()
-            .cloned()
+        self.slots().values().next().cloned()
     }
 
     /// Number of installed workloads.
     pub fn len(&self) -> usize {
-        self.slots.read().expect("fleet lock poisoned").len()
+        self.slots().len()
     }
 
     /// Whether no workloads are installed.
@@ -221,7 +155,7 @@ impl TenantFleet {
         if objs.is_empty() {
             return None;
         }
-        let slots = self.slots.read().expect("fleet lock poisoned");
+        let slots = self.slots();
         let mut best: Option<(f64, &Arc<VersionedWorkload>)> = None;
         for slot in slots.values() {
             let tw = &slot.workload;
@@ -453,6 +387,29 @@ mod tests {
         assert!(b.match_plan(&db, &plans[0]).is_none());
     }
 
+    /// A panic while the fleet's lock is held poisons it; every later
+    /// lookup, publish and match still answers.
+    #[test]
+    fn a_poisoned_fleet_lock_still_serves() {
+        let (db, plans) = star_db();
+        let tw = train(&db, &plans, "star");
+        let fleet = TenantFleet::new("acme");
+        fleet.publish(tw.clone());
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = fleet.slots.write().unwrap();
+                panic!("a publish panics while holding the fleet lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(fleet.slots.is_poisoned());
+        assert_eq!(fleet.any().expect("still installed").version, 1);
+        assert_eq!(fleet.publish(tw), 2);
+        assert_eq!(fleet.current("star").unwrap().version, 2);
+        let matched = fleet.match_plan(&db, &plans[0]).expect("still matches");
+        assert_eq!(matched.version, 2);
+    }
+
     #[test]
     fn persisted_models_are_catalog_checked() {
         let (db, plans) = star_db();
@@ -474,7 +431,7 @@ mod tests {
         assert_eq!(v, 1);
         assert_eq!(fleet.current("star").unwrap().version, 1);
 
-        // A catalog whose dim grew: refused by the header check alone.
+        // A catalog whose dim grew: refused by the catalog check.
         let mut grown = Database::new();
         let fact = grown.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         let dim = grown.create_table("dim", Schema::ints(&["d_id", "attr"]));
@@ -491,16 +448,6 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("pages"), "{err}");
 
-        // A tampered header (vocab hash flipped) is caught even when the
-        // catalog happens to agree.
-        let json = std::fs::read_to_string(&path).unwrap();
-        let tampered = json.replacen("\"vocab_hash\":", "\"vocab_hash\":1,\"_x\":", 1);
-        assert_ne!(json, tampered, "test must actually tamper");
-        std::fs::write(&path, tampered).unwrap();
-        let err = load_model(&path, &db)
-            .err()
-            .expect("tampered header must be rejected");
-        assert!(err.to_string().contains("header"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 }

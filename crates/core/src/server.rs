@@ -521,19 +521,6 @@ struct PredEntry {
     charge: SimDuration,
 }
 
-/// Where the serving loop's model comes from.
-enum PredictorSource<'d> {
-    /// No model: the DFLT baseline, every query replays unassisted.
-    None,
-    /// A model fixed for the server's lifetime (borrowed from the caller).
-    Fixed(&'d TrainedWorkload),
-    /// A tenant fleet in the hot-swap registry: the current model is
-    /// re-resolved at every batched inference, so a
-    /// [`TenantFleet::publish`] lands between admissions and the batch in
-    /// flight keeps its coherent snapshot.
-    Registry(Arc<TenantFleet>),
-}
-
 /// Observer invoked at each admission event with its ordinal (the index the
 /// event gets in [`ServeReport::waves`]), *before* that event's batched
 /// inference runs.
@@ -544,7 +531,11 @@ pub struct PrefetchServer<'d> {
     db: &'d Database,
     rt: Runtime,
     cfg: ServerConfig,
-    predictor: PredictorSource<'d>,
+    /// Where every batched inference finds its model: the fleet's current
+    /// one ([`TenantFleet::any`]), re-resolved per batch, so a
+    /// [`TenantFleet::publish`] lands between admissions and the batch in
+    /// flight keeps its coherent snapshot. Empty, it is the DFLT server.
+    fleet: Arc<TenantFleet>,
     admission_hook: Option<AdmissionHook<'d>>,
     /// Streaming quality telemetry, fed one outcome per closed admission
     /// interval (`None` disables the whole path — one branch per interval).
@@ -557,14 +548,15 @@ pub struct PrefetchServer<'d> {
 }
 
 impl<'d> PrefetchServer<'d> {
-    /// Build a server over a cold stack, with no predictor (the DFLT
-    /// baseline: every query replays without prefetching).
+    /// Build a server over a cold stack and an empty fleet, so with no
+    /// predictor (the DFLT baseline: every query replays without
+    /// prefetching).
     pub fn new(db: &'d Database, run_cfg: &RunConfig, cfg: ServerConfig) -> Self {
         PrefetchServer {
             db,
             rt: Runtime::new(run_cfg, db.file_lengths()),
             cfg,
-            predictor: PredictorSource::None,
+            fleet: Arc::new(TenantFleet::new("dflt")),
             admission_hook: None,
             quality: None,
             slow_threshold: None,
@@ -581,20 +573,24 @@ impl<'d> PrefetchServer<'d> {
     }
 
     /// Attach a trained Pythia instance: admitted queries get capped prefetch
-    /// plans, with inference batched per admission.
-    pub fn with_predictor(mut self, tw: &'d TrainedWorkload) -> Self {
-        self.predictor = PredictorSource::Fixed(tw);
-        self
+    /// plans, with inference batched per admission. `tw` is cloned into a
+    /// fleet of its own, and a clone shares the weights, so no server copies
+    /// them. Like any fleet's first publish, the server then reports
+    /// [`model_version`](Self::model_version)` == Some(1)`.
+    pub fn with_predictor(self, tw: &'d TrainedWorkload) -> Self {
+        let fleet = TenantFleet::new(&tw.name);
+        fleet.publish(tw.clone());
+        self.with_registry(Arc::new(fleet))
     }
 
-    /// Attach a hot-swappable tenant fleet: each batched inference resolves
-    /// the fleet's current model, so [`TenantFleet::publish`] takes effect
-    /// at the next admission without restarting the server. An empty fleet
-    /// behaves like no predictor. No plan match is applied: every query is
-    /// inferred by the model [`TenantFleet::any`] returns (the first by
-    /// name), never screened by [`TenantFleet::match_plan`].
+    /// Serve from a hot-swappable tenant fleet: each batched inference
+    /// resolves the fleet's current model, so [`TenantFleet::publish`] takes
+    /// effect at the next admission without restarting the server. An empty
+    /// fleet behaves like no predictor. No plan match is applied: every
+    /// query is inferred by the model [`TenantFleet::any`] returns (the first
+    /// by name), never screened by [`TenantFleet::match_plan`].
     pub fn with_registry(mut self, fleet: Arc<TenantFleet>) -> Self {
-        self.predictor = PredictorSource::Registry(fleet);
+        self.fleet = fleet;
         self
     }
 
@@ -620,14 +616,11 @@ impl<'d> PrefetchServer<'d> {
         self.quality.as_ref()
     }
 
-    /// The live model version of the registry fleet this server serves from
-    /// ([`Self::with_registry`]); `None` without a registry or before the
-    /// fleet's first publish.
+    /// The live model version of the fleet this server serves from; `None`
+    /// while the fleet is empty (the DFLT server). A server built
+    /// [`with_predictor`](Self::with_predictor) reports `Some(1)`.
     pub fn model_version(&self) -> Option<u64> {
-        match &self.predictor {
-            PredictorSource::Registry(fleet) => fleet.any().map(|v| v.version),
-            _ => None,
-        }
+        self.fleet.any().map(|v| v.version)
     }
 
     /// Feed one closed admission interval to the quality tracker (no-op
@@ -804,22 +797,14 @@ impl<'d> PrefetchServer<'d> {
     /// so the overlap policy can schedule over everything it has seen and
     /// later admissions reuse cached predictions. Returns the batch size.
     fn batch_infer_missing(&mut self, queue: &mut [Queued<'_>], at: SimTime) -> usize {
-        // Resolve the model once per batch: a registry swap published while
+        // Resolve the model once per batch: a fleet swap published while
         // this batch runs is picked up by the *next* admission; this batch
         // keeps the coherent snapshot it resolved (the Arc keeps the old
-        // weights alive even if the publish drops the registry's reference).
-        let snapshot;
-        let tw: &TrainedWorkload = match &self.predictor {
-            PredictorSource::None => return 0,
-            PredictorSource::Fixed(tw) => tw,
-            PredictorSource::Registry(fleet) => match fleet.any() {
-                Some(m) => {
-                    snapshot = m;
-                    &snapshot.workload
-                }
-                None => return 0,
-            },
+        // weights alive even if the publish drops the fleet's reference).
+        let Some(snapshot) = self.fleet.any() else {
+            return 0;
         };
+        let tw = &snapshot.workload;
         let missing: Vec<usize> = (0..queue.len())
             .filter(|&k| queue[k].pred.is_none())
             .collect();
@@ -1750,6 +1735,10 @@ mod tests {
             .map(|(i, (p, t))| ServerRequest::new(p, t, SimDuration::from_micros(i as u64 * 40)))
             .collect();
         let mut srv = PrefetchServer::new(&db, &run_cfg(), server_cfg).with_predictor(&tw);
+        // The server serves `tw`'s weights, not a copy of them.
+        let served = srv.fleet.any().expect("with_predictor publishes");
+        assert!(Arc::ptr_eq(&served.workload.groups, &tw.groups));
+        assert_eq!(srv.model_version(), Some(1));
         let rep = srv.serve(&reqs);
 
         assert_eq!(rep.queries.len(), 4);
@@ -1764,8 +1753,8 @@ mod tests {
             assert_eq!(q.start, q.admitted + inf);
         }
 
-        // Registry-routed serving is bit-identical to the borrowed
-        // predictor, even with a mid-stream hot swap to identical weights
+        // Serving from a shared fleet is bit-identical to `with_predictor`'s
+        // own, even with a mid-stream hot swap to identical weights
         // published by the admission hook (versions bump, outcomes don't).
         let fleet = Arc::new(TenantFleet::new("t0"));
         fleet.publish(tw.clone());

@@ -73,25 +73,6 @@ impl Vocab {
     pub fn token(&self, id: usize) -> &str {
         &self.tokens[id]
     }
-
-    /// Stable content hash of the vocabulary: FNV-1a over every token string
-    /// in id order. Two vocabularies fingerprint equal iff they assign the
-    /// same ids to the same tokens — the property model persistence checks
-    /// before trusting a loaded model's token ids
-    /// ([`crate::registry::CatalogCompat`]).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for tok in &self.tokens {
-            for &b in tok.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            // Separator so ["ab","c"] and ["a","bc"] hash differently.
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 }
 
 impl Default for Vocab {
@@ -137,32 +118,5 @@ mod tests {
         let ids = v.encode_interning(&["a".into(), "b".into(), "a".into()]);
         assert_eq!(ids, vec![2, 3, 2]);
         assert_eq!(v.len(), 4);
-    }
-
-    #[test]
-    fn fingerprint_tracks_content_and_order() {
-        let mut a = Vocab::new();
-        let mut b = Vocab::new();
-        assert_eq!(a.fingerprint(), b.fingerprint(), "reserved-only vocabs");
-        a.intern("x");
-        assert_ne!(a.fingerprint(), b.fingerprint(), "extra token changes it");
-        b.intern("x");
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // Id assignment matters, not just the token set.
-        let mut c = Vocab::new();
-        let mut d = Vocab::new();
-        c.intern("p");
-        c.intern("q");
-        d.intern("q");
-        d.intern("p");
-        assert_ne!(c.fingerprint(), d.fingerprint());
-        // Token boundaries matter ("ab","c" vs "a","bc").
-        let mut e = Vocab::new();
-        let mut f = Vocab::new();
-        e.intern("ab");
-        e.intern("c");
-        f.intern("a");
-        f.intern("bc");
-        assert_ne!(e.fingerprint(), f.fingerprint());
     }
 }

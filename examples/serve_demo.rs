@@ -197,12 +197,11 @@ fn main() {
         .zip(&catalogs)
         .enumerate()
         .map(|(t, (b, (queries, traces)))| {
-            // Each server's own tracker is what its /t/<tenant>/health serves.
+            // Each server's own tracker is what its /t/<tenant>/health serves;
+            // without --train its fleet stays empty, the DFLT server.
             let mut s = PrefetchServer::new(&b.db, &RunConfig::default(), cfg)
+                .with_registry(Arc::clone(&fleets[t]))
                 .with_quality(QualityTracker::default());
-            if train {
-                s = s.with_registry(Arc::clone(&fleets[t]));
-            }
             // Metrics and a fixed event ring: tenant 0's snapshot is what
             // /metrics serves, and every tenant's ring can feed /debug/flight.
             s.set_recorder(Recorder::bounded());

@@ -248,6 +248,13 @@ fn continuous_admission_metrics_are_consistent() {
         let mut server = PrefetchServer::new(db, &run_cfg, cfg);
         let report = server.serve(&requests);
 
+        // A server over an empty fleet is the DFLT server (serve_demo
+        // without --train): the same report, field for field.
+        let empty = Arc::new(TenantFleet::new("dflt"));
+        let mut over_empty = PrefetchServer::new(db, &run_cfg, cfg).with_registry(empty);
+        let empty_report = over_empty.serve(&requests);
+        assert_eq!(format!("{empty_report:?}"), format!("{report:?}"));
+
         assert_eq!(report.queries.len(), n);
         // Queries are dispatched one at a time: exactly one admission event
         // per query.

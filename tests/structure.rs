@@ -86,6 +86,10 @@ const ROWS: &[(S, Rule, S)] = &[
     ("one_budget_rule/sized_run", Code(sized_run_builds_on_sized_for), SIZED),
     // One model file format, written and read by `pythia_core::model_file`, which defines its version.
     ("one_model_format", One(&[r"const FORMAT\w*:"], "crates src examples", "crates/core/src/model_file.rs"), "the model file format must be defined once, in crates/core/src/model_file.rs"),
+    // One way in for a model: a server serves from one fleet (empty is DFLT; `with_predictor` publishes a clone that
+    // shares the weights), and a read checks a model against its catalog once, by `TrainedWorkload::check_compat`.
+    ("one_predictor_source", Never(&["PredictorSource"], "crates"), "a second predictor source is back; a PrefetchServer serves from one Arc<TenantFleet>"),
+    ("one_model_check", Never(&["CatalogCompat", "vocab_hash", "fn fingerprint"], CODE), "a model file's catalog header, or the vocabulary hash it carried, is back; a read checks the model once, by TrainedWorkload::check_compat"),
     // Every crate in tree: no source names a registry crate, so the root's patch table to benchmark/shims/* is all a
     // build needs; draws come from one stream, `pythia_sim::rng`, which pythia-nn includes by `#[path]` as it
     // depends on no workspace crate.
