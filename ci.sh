@@ -284,7 +284,7 @@ benchmark_contracts() { # a directory for the runs' output
   PYTHIA_SIMD=off bash benchmark/run.sh --quick > "$out/quick_scalar.out" || status=1
   # run, metric, the first result line it binds, its bound:
   #  - peak_rss_mb on the serve_* workloads (lines 3 and 4): the highest of
-  #    three readings (9.33, 9.24, 9.21) plus 0.6, to one decimal
+  #    three readings (8.54, 8.68, 8.68) plus 0.6, to one decimal
   #    (docs/measurements.md has the earlier readings);
   #  - core.predictor.model_bytes, an exact count, on all four lines: one
   #    encoder under eight decoder heads is 396 628 B and a model per object
@@ -292,7 +292,7 @@ benchmark_contracts() { # a directory for the runs' output
   while read -r run metric from bound; do
     ceiling "$out/$run" "$metric" "$from" "$bound" || status=1
   done <<'TABLE'
-quick.out peak_rss_mb 3 9.9
+quick.out peak_rss_mb 3 9.3
 quick_trace.out core.predictor.model_bytes 1 420000
 TABLE
   session_flat "$out/quick_trace.out" || status=1

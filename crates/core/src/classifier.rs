@@ -41,18 +41,22 @@ pub struct TrainReport {
     pub final_loss: f32,
 }
 
-/// Most sequences one packed forward holds, in training and in inference.
-/// A minibatch trains in passes of this many sequences, each pass's backward
-/// continuing the parameter gradients the pass before left, with one Adam
-/// step per minibatch; a batch of plans is scored in chunks of as many.
-/// Neither moves a bit: a parameter gradient is one chain of additions over
-/// the minibatch's rows in ascending order, which a later pass resumes
+/// Most sequences one forward holds, in training and in inference: one. A
+/// minibatch trains one sequence per pass, each pass's backward continuing
+/// the parameter gradients the pass before left, with one Adam step per
+/// minibatch; a batch of plans is scored one plan per forward. Neither
+/// moves a bit: a parameter gradient is one chain of additions over the
+/// minibatch's rows in ascending order, which a later pass resumes
 /// ([`Tape::backward_into`]), and the rows of a packed forward are
-/// independent. What it bounds is working memory — one pass's activations
-/// whatever `batch_size` or the queue depth. Inference shares it because
-/// with wider chunks the inference arena, no longer training, would set the
-/// peak (DESIGN.md, "NN step memory").
-const PASS: usize = 4;
+/// independent. What it bounds is working memory — one sequence's
+/// activations whatever `batch_size` or the queue depth. Passes of one
+/// train about as fast as passes of four because a one-row product — the
+/// decoder heads' forward `x·W` and input gradient `g·Wᵀ` — reads `W` where
+/// it lies instead of packing it into a kernel panel each pass
+/// (`pythia_nn::kernels`). Inference shares the bound because with wider
+/// chunks the inference arena, no longer training, would set the peak
+/// (DESIGN.md, "NN step memory").
+const PASS: usize = 1;
 
 /// One decoder: hidden layer → one logit per label of its run.
 #[derive(Clone)]
@@ -212,16 +216,15 @@ impl PlanClassifier {
 
     /// Train with Adam on BCE-with-logits (paper's objective).
     ///
-    /// Each minibatch is recorded in passes of at most [`PASS`] sequences,
-    /// each on a tape the parameters are lent to, not copied into; every
-    /// node, target and gradient buffer goes back to one best-fit arena,
-    /// where a request takes a free buffer of at most twice its size, so a
-    /// pass whose shape (sequences × longest plan) was seen in either of the
-    /// two passes before it allocates no tensor storage, and a short last
-    /// pass (at least half a full one) draws on the full ones' buffers. The
-    /// arena frees what two consecutive passes did not use, so it holds one
-    /// pass's working set — beside the gradients the passes continue — when
-    /// the shapes repeat, and never more than two. The arena is the calling
+    /// Each minibatch is recorded one sequence ([`PASS`]) per pass, each on
+    /// a tape the parameters are lent to, not copied into; every node,
+    /// target and gradient buffer goes back to one best-fit arena, where a
+    /// request takes a free buffer of at most twice its size, so a pass no
+    /// longer than one of the two passes before it and at least half as
+    /// long allocates no tensor storage. The arena frees
+    /// what two consecutive passes did not use, so it holds one sequence's
+    /// working set — beside the gradients the passes continue — when the
+    /// lengths repeat, and never more than two. The arena is the calling
     /// thread's ([`recording`]): the next model trained on this thread
     /// starts on warm buffers, and it is the caller of a round of trainings
     /// that frees it (`train_workload` and `TrainedWorkload::refine` do).
@@ -238,8 +241,9 @@ impl PlanClassifier {
     }
 
     /// The shared train/refine loop: each step records its minibatch in
-    /// passes of at most `pass` sequences — each pass encodes its plans
-    /// once, runs every head on the `[pass, dim]` representations and
+    /// passes of at most `pass` sequences ([`PASS`] for `train` and
+    /// `refine`; the tests try others) — each pass encodes its plans once,
+    /// runs every head on the `[pass, dim]` representations and
     /// back-propagates the sum of the heads' losses (one head records no
     /// sum), continuing the gradients of the pass before — then takes one
     /// Adam step. Each head's loss is the mean over the whole minibatch: its
@@ -380,12 +384,12 @@ impl PlanClassifier {
     }
 
     /// Per-label sigmoid scores for a whole batch of serialized plans, at
-    /// most [`PASS`] per packed forward — the training passes' bound, so an
+    /// most [`PASS`] (one) per forward — the training passes' bound, so an
     /// inference chunk never holds more activations than a training pass.
-    /// Row `q` of the result is bit-identical to `scores(toks_list[q])` —
-    /// every op in the packed forward (linear, layer-norm, per-sample masked
-    /// attention, relu) computes each row independently, in the same
-    /// accumulation order whatever else shares its batch.
+    /// Row `q` of the result is bit-identical to `scores(toks_list[q])` at
+    /// any chunk size — every op in a packed forward (linear, layer-norm,
+    /// per-sample masked attention, relu) computes each row independently,
+    /// in the same accumulation order whatever else shares its batch.
     pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
         toks_list
             .chunks(PASS)
@@ -591,12 +595,16 @@ mod tests {
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
         let batched = clf.scores_batch(&refs);
         assert_eq!(batched.len(), seqs.len());
+        // `scores_batch` runs `PASS` plans per forward; all four in one
+        // packed forward must score the same.
+        let packed = clf.scores_chunk(&refs);
         for (q, s) in seqs.iter().enumerate() {
             let serial = clf.scores(s);
             assert_eq!(
                 batched[q], serial,
                 "batch row {q} diverged from the serial forward"
             );
+            assert_eq!(packed[q], serial, "packed row {q}");
         }
         // Thresholding commutes with batching.
         for (q, s) in seqs.iter().enumerate() {
@@ -615,8 +623,8 @@ mod tests {
     fn past_the_chunk_size(heads: &[usize]) {
         let cfg = PythiaConfig::fast();
         let clf = PlanClassifier::new(&cfg, 10, heads);
-        // 70 plans: eighteen packed forwards of `PASS` = 4 (the last of
-        // two), an empty plan in the middle of one.
+        // 70 plans, one forward per `PASS` of them, an empty plan among
+        // them.
         let mut seqs: Vec<Vec<usize>> = (0..70)
             .map(|q| (0..1 + q % 9).map(|i| 2 + (q + i) % 8).collect())
             .collect();
@@ -626,6 +634,15 @@ mod tests {
         assert_eq!(batched.len(), seqs.len());
         for (q, s) in seqs.iter().enumerate() {
             assert_eq!(batched[q], clf.scores(s), "batch row {q}");
+        }
+        // Packed forwards wider than `PASS`, each padded to its own longest
+        // plan, score every row as the serial forward does.
+        for width in [4, 32] {
+            let packed: Vec<Vec<f32>> = refs
+                .chunks(width)
+                .flat_map(|chunk| clf.scores_chunk(chunk))
+                .collect();
+            assert_eq!(packed, batched, "packed forwards of {width}");
         }
         // Serial and batched agree on the edge: an empty plan is one PAD.
         assert_eq!(clf.scores(&[]), clf.scores_batch(&[&[]])[0]);

@@ -1462,7 +1462,7 @@ mod tests {
         // when it answered each of them.
         let (db, plan) = socket_db();
         let traces = [reads(50), reads(5), reads(20)];
-        let fleet = Arc::new(TenantFleet::new("t1"));
+        let fleet = Arc::new(TenantFleet::new());
         let cfg = PythiaConfig {
             epochs: 1,
             ..PythiaConfig::fast()

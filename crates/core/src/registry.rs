@@ -77,25 +77,17 @@ pub struct VersionedWorkload {
 }
 
 /// One tenant's hot-swappable workload fleet, keyed by workload name.
+#[derive(Default)]
 pub struct TenantFleet {
-    name: String,
-    next_version: AtomicU64,
+    /// Models published so far: the last version handed out.
+    published: AtomicU64,
     slots: RwLock<BTreeMap<String, Arc<VersionedWorkload>>>,
 }
 
 impl TenantFleet {
-    /// An empty fleet for `name`. Versions start at 1.
-    pub fn new(name: &str) -> TenantFleet {
-        TenantFleet {
-            name: name.to_owned(),
-            next_version: AtomicU64::new(1),
-            slots: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Tenant name this fleet serves.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// An empty fleet. Versions start at 1.
+    pub fn new() -> TenantFleet {
+        TenantFleet::default()
     }
 
     /// Install (or replace) the model for `tw.name`, returning the version
@@ -103,7 +95,7 @@ impl TenantFleet {
     /// an atomic `Arc` swap — so in-flight readers are never blocked on
     /// anything slower than a pointer store.
     pub fn publish(&self, tw: TrainedWorkload) -> u64 {
-        let version = self.next_version.fetch_add(1, Ordering::Relaxed);
+        let version = self.published.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = Arc::new(VersionedWorkload {
             version,
             workload: tw,
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn publish_bumps_versions_and_swaps_atomically() {
         let (db, plans) = star_db();
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         assert!(fleet.is_empty());
         assert!(fleet.any().is_none());
         assert!(fleet.current("star").is_none());
@@ -277,7 +269,7 @@ mod tests {
         let dim = db.table("dim").unwrap();
         let heap = db.table_info(dim).object;
         let idx = db.index_on(dim, 0).unwrap().object;
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         for only in [heap, idx] {
             fleet.publish(train_workload(
                 &db,
@@ -304,7 +296,7 @@ mod tests {
     #[test]
     fn readers_match_while_a_publish_lands() {
         let (db, plans) = star_db();
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans, "w"));
         let (db, plans, fleet) = (&db, &plans, &fleet);
         std::thread::scope(|s| {
@@ -331,7 +323,7 @@ mod tests {
     #[test]
     fn matches_same_shape_rejects_foreign() {
         let (db, plans) = star_db();
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans, "star"));
         assert_eq!(fleet.len(), 1);
 
@@ -350,7 +342,7 @@ mod tests {
     #[test]
     fn empty_fleet_never_matches() {
         let (db, plans) = star_db();
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         assert!(fleet.is_empty());
         assert!(fleet.match_plan(&db, &plans[0]).is_none());
     }
@@ -360,7 +352,7 @@ mod tests {
         let (db, plans) = star_db();
         // Workload A: the star join. Workload B: fact-only scans.
         let scans: Vec<PlanNode> = (0..6).map(|i| fact_scan(&db, i, i + 5)).collect();
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans[..6], "star"));
         fleet.publish(train(&db, &scans, "scan"));
 
@@ -378,7 +370,7 @@ mod tests {
     #[test]
     fn tenants_are_isolated() {
         let (db, plans) = star_db();
-        let (a, b) = (TenantFleet::new("alpha"), TenantFleet::new("beta"));
+        let (a, b) = (TenantFleet::new(), TenantFleet::new());
         a.publish(train(&db, &plans, "star"));
         assert_eq!(a.len(), 1);
         assert!(b.is_empty(), "publishing to alpha is invisible to beta");
@@ -393,7 +385,7 @@ mod tests {
     fn a_poisoned_fleet_lock_still_serves() {
         let (db, plans) = star_db();
         let tw = train(&db, &plans, "star");
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         fleet.publish(tw.clone());
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
@@ -426,7 +418,7 @@ mod tests {
         );
 
         // publish_from_file installs it under the fleet's own version.
-        let fleet = TenantFleet::new("acme");
+        let fleet = TenantFleet::new();
         let v = fleet.publish_from_file(&path, &db).unwrap();
         assert_eq!(v, 1);
         assert_eq!(fleet.current("star").unwrap().version, 1);

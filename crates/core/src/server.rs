@@ -556,7 +556,7 @@ impl<'d> PrefetchServer<'d> {
             db,
             rt: Runtime::new(run_cfg, db.file_lengths()),
             cfg,
-            fleet: Arc::new(TenantFleet::new("dflt")),
+            fleet: Arc::new(TenantFleet::new()),
             admission_hook: None,
             quality: None,
             slow_threshold: None,
@@ -578,7 +578,7 @@ impl<'d> PrefetchServer<'d> {
     /// them. Like any fleet's first publish, the server then reports
     /// [`model_version`](Self::model_version)` == Some(1)`.
     pub fn with_predictor(self, tw: &'d TrainedWorkload) -> Self {
-        let fleet = TenantFleet::new(&tw.name);
+        let fleet = TenantFleet::new();
         fleet.publish(tw.clone());
         self.with_registry(Arc::new(fleet))
     }
@@ -1756,7 +1756,7 @@ mod tests {
         // Serving from a shared fleet is bit-identical to `with_predictor`'s
         // own, even with a mid-stream hot swap to identical weights
         // published by the admission hook (versions bump, outcomes don't).
-        let fleet = Arc::new(TenantFleet::new("t0"));
+        let fleet = Arc::new(TenantFleet::new());
         fleet.publish(tw.clone());
         let mut reg_srv =
             PrefetchServer::new(&db, &run_cfg(), server_cfg).with_registry(Arc::clone(&fleet));

@@ -58,7 +58,10 @@
 //! * packing the `B` panel (and the `A` panel in [`at_b_band`]) is a pure
 //!   copy; the transpose-pack in [`a_bt_band`] turns the scalar path's
 //!   sequential dot product into the same ascending-index
-//!   multiply-accumulate sequence, starting from the same `0.0`;
+//!   multiply-accumulate sequence, starting from the same `0.0`, and so
+//!   does its one-row AVX2 path, which transposes eight rows of `B` in
+//!   registers instead of packing them (the one-row [`matmul_band`] path
+//!   reads `B`'s rows in place, the last vector under a mask);
 //! * a row's last, partial vector runs the same lane arithmetic as a full
 //!   one: the panel is zero-padded to a lane multiple and only `C` is
 //!   touched under a mask (AVX2; NEON finishes the row with scalar chains of
@@ -80,7 +83,11 @@
 //! `KC` pass — 8 YMM accumulators on AVX2, 16 q-registers on NEON — cutting
 //! `C` traffic by `4·KC×` versus the naive axpy loop. [`at_b_band`]
 //! additionally packs the strided `A`-column tile (`MC` rows at a time) so
-//! its broadcast loads are contiguous.
+//! its broadcast loads are contiguous. A one-row [`matmul_band`] or
+//! [`a_bt_band`] on AVX2 packs nothing: with one row to spread it over,
+//! copying or transposing `B` into the panel costs as much as the products
+//! (a training pass of one sequence makes such calls for every decoder
+//! layer), so it reads `B` where it lies.
 
 use std::cell::RefCell;
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -272,6 +279,12 @@ pub fn matmul_band(
         "matmul_band: a slice ends inside its {rows_here}x{k}x{n} view"
     );
     let isa = active_isa();
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 && rows_here == 1 {
+        let a = &a[start * a_rs..][..k];
+        // SAFETY: the assert above; `isa` comes from `active_isa`.
+        return unsafe { matmul_row_avx2(a, b, b_rs, &mut out_band[..n], n) };
+    }
     if isa == Isa::Scalar || n < lanes(isa) || rows_here * k * n < BLOCK_THRESHOLD {
         return matmul_band_scalar(a, b, out_band, rs, k, n, start, rows_here);
     }
@@ -427,6 +440,12 @@ pub fn a_bt_band(
         "a_bt_band: a slice ends inside its {rows_here}x{k}x{n} view"
     );
     let isa = active_isa();
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 && rows_here == 1 {
+        let a = &a[start * a_rs..][..k];
+        // SAFETY: the assert above; `isa` comes from `active_isa`.
+        return unsafe { a_bt_row_avx2(a, b, b_rs, &mut out_band[..n], k, n) };
+    }
     if isa == Isa::Scalar || n < lanes(isa) || rows_here * k * n < BLOCK_THRESHOLD {
         return a_bt_band_scalar(a, b, out_band, rs, k, n, start, rows_here);
     }
@@ -820,6 +839,149 @@ avx2_microkernel!(mk4_avx2, 4);
 #[cfg(target_arch = "x86_64")]
 avx2_microkernel!(mk1_avx2, 1);
 
+/// One output row of `A·B`: `out[j] = Σ_kk a[kk]·b[kk,j]`, with `B` read
+/// where it lies instead of copied into a panel — four vectors of columns
+/// at a time, then one, the last under a mask, each lane one output's
+/// chain `acc = add(acc, mul(a[kk], b[kk, j]))` over ascending `kk` from
+/// `+0.0`: the scalar kernel's.
+///
+/// # Safety
+/// AVX2 must be available, `b` must reach an `a.len() × n` view at row
+/// stride `b_rs`, and `out` must hold `n` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_row_avx2(a: &[f32], b: &[f32], b_rs: usize, out: &mut [f32], n: usize) {
+    use std::arch::x86_64::*;
+    let mut j = 0;
+    while j + 4 * 8 <= n {
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for (kk, &av) in a.iter().enumerate() {
+            let (al, row) = (_mm256_set1_ps(av), b.as_ptr().add(kk * b_rs + j));
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(al, _mm256_loadu_ps(row.add(8 * v))));
+            }
+        }
+        for (v, acc) in acc.into_iter().enumerate() {
+            _mm256_storeu_ps(out.as_mut_ptr().add(j + 8 * v), acc);
+        }
+        j += 4 * 8;
+    }
+    // A masked lane is neither read nor written.
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    while j < n {
+        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j).min(8) as i32), lane);
+        let mut acc = _mm256_setzero_ps();
+        for (kk, &av) in a.iter().enumerate() {
+            let bv = _mm256_maskload_ps(b.as_ptr().add(kk * b_rs + j), live);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+        }
+        _mm256_maskstore_ps(out.as_mut_ptr().add(j), live, acc);
+        j += 8;
+    }
+}
+
+/// One output row of `A·Bᵀ`: `out[j] = Σ_c a[c]·b[j,c]`, with `B` read where
+/// it lies. A single row leaves nothing to spread the cost of packing `Bᵀ`
+/// over, so instead eight rows of `B` at a time are loaded eight columns at
+/// a time and transposed in registers: lane `l` then holds output `j + l`'s
+/// chain, `acc = add(acc, mul(a[c], b[j+l, c]))` over ascending `c` from
+/// `+0.0` — the scalar kernel's. A last group of fewer than eight rows
+/// repeats its last row in the spare lanes and stores only the live ones.
+///
+/// # Safety
+/// AVX2 must be available, `a` must hold `k` floats, `b` must reach an
+/// `n × k` view at row stride `b_rs`, and `out` must hold `n` floats.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn a_bt_row_avx2(a: &[f32], b: &[f32], b_rs: usize, out: &mut [f32], k: usize, n: usize) {
+    use std::arch::x86_64::*;
+    if k == 0 {
+        // No row of `B` to point into: every chain is its `+0.0`.
+        out.fill(0.0);
+        return;
+    }
+    let mut j = 0;
+    while j < n {
+        let live = (n - j).min(8);
+        let mut rows = [b.as_ptr(); 8];
+        for (l, row) in rows.iter_mut().enumerate() {
+            *row = b.as_ptr().add((j + l.min(live - 1)) * b_rs);
+        }
+        let mut acc = _mm256_setzero_ps();
+        let mut c = 0;
+        while c + 8 <= k {
+            let mut block = [_mm256_setzero_ps(); 8];
+            for (v, row) in block.iter_mut().zip(rows) {
+                *v = _mm256_loadu_ps(row.add(c));
+            }
+            for (cc, col) in transpose8(block).into_iter().enumerate() {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[c + cc]), col));
+            }
+            c += 8;
+        }
+        while c < k {
+            let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+            let col = _mm256_setr_ps(
+                *r0.add(c),
+                *r1.add(c),
+                *r2.add(c),
+                *r3.add(c),
+                *r4.add(c),
+                *r5.add(c),
+                *r6.add(c),
+                *r7.add(c),
+            );
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[c]), col));
+            c += 1;
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        out[j..j + live].copy_from_slice(&lanes[..live]);
+        j += 8;
+    }
+}
+
+/// The 8 × 8 transpose of eight rows: vector `c` of the result holds
+/// element `c` of each input row, in row order.
+///
+/// # Safety
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Pairs of rows interleaved, then quads, then the 128-bit halves.
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let q = [
+        _mm256_shuffle_ps::<0b01_00_01_00>(t0, t2),
+        _mm256_shuffle_ps::<0b11_10_11_10>(t0, t2),
+        _mm256_shuffle_ps::<0b01_00_01_00>(t1, t3),
+        _mm256_shuffle_ps::<0b11_10_11_10>(t1, t3),
+        _mm256_shuffle_ps::<0b01_00_01_00>(t4, t6),
+        _mm256_shuffle_ps::<0b11_10_11_10>(t4, t6),
+        _mm256_shuffle_ps::<0b01_00_01_00>(t5, t7),
+        _mm256_shuffle_ps::<0b11_10_11_10>(t5, t7),
+    ];
+    [
+        _mm256_permute2f128_ps::<0x20>(q[0], q[4]),
+        _mm256_permute2f128_ps::<0x20>(q[1], q[5]),
+        _mm256_permute2f128_ps::<0x20>(q[2], q[6]),
+        _mm256_permute2f128_ps::<0x20>(q[3], q[7]),
+        _mm256_permute2f128_ps::<0x31>(q[0], q[4]),
+        _mm256_permute2f128_ps::<0x31>(q[1], q[5]),
+        _mm256_permute2f128_ps::<0x31>(q[2], q[6]),
+        _mm256_permute2f128_ps::<0x31>(q[3], q[7]),
+    ]
+}
+
 /// Generates the NEON microkernels for a fixed register-tile height `$R`.
 ///
 /// Same structure as the AVX2 kernels with 4-lane vectors; `vaddq`/`vmulq`
@@ -1021,7 +1183,7 @@ mod tests {
 
     /// The three kernels as one: `m` output rows, a reduction of `k`, `n`
     /// output columns.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     enum Kernel {
         Matmul,
         AtB,
@@ -1208,6 +1370,69 @@ mod tests {
                         for i in outside {
                             assert_eq!(c_matrix[i], UNTOUCHED, "{what}: wrote element {i}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A one-row band — a `Linear` forward, or its input gradient, in a
+    /// pass of one sequence — reads `B` where it lies: for every count of
+    /// columns left over and reduction lengths around blocks of eight, with
+    /// `±0.0`, infinite and NaN operands, it writes the scalar chain's bits
+    /// (every NaN read as one pattern) and nothing outside its row.
+    #[test]
+    fn a_one_row_band_is_the_scalar_chain_at_every_tail() {
+        const UNTOUCHED: f32 = -77.25;
+        let pattern = |v: &[f32]| -> Vec<u32> {
+            let one_nan = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+            v.iter().map(one_nan).collect()
+        };
+        for kernel in [Matmul, ABt] {
+            for k in [0, 1, 7, 8, 9, 16, 17, 70] {
+                for n in (1..=17).chain([31, 32, 33, 77, 129]) {
+                    // Row 1 of a 3-row `A`; `B` and the output row are
+                    // blocks of larger matrices too.
+                    let [_, b_shape, _] = kernel.shapes((1, k, n));
+                    let (a, b) = (
+                        Block::inside((3, k), (1, 2)),
+                        Block::inside(b_shape, (2, 3)),
+                    );
+                    let c = Block::inside((1, n), (3, 5));
+                    let mut a_matrix = fill(a.matrix_len(), (k * 7 + n) as u64);
+                    let mut b_matrix = fill(b.matrix_len(), (k + n * 5) as u64);
+                    if k > 2 {
+                        // The element of `B` that `a[i]` multiplies into
+                        // output `j`.
+                        let feeds = |j: usize, i: usize| {
+                            let (r, c) = if kernel == Matmul { (i, j) } else { (j, i) };
+                            b.offset() + r * b.rs + c
+                        };
+                        // A row of no negative number against `-0.0`: every
+                        // product into the last output is `-0.0`, and their
+                        // chain from `+0.0` is `+0.0`.
+                        let a_row = &mut a_matrix[a.offset() + a.rs..][..k];
+                        a_row.iter_mut().for_each(|x| *x = x.abs());
+                        (0..k).for_each(|i| b_matrix[feeds(n - 1, i)] = -0.0);
+                        b_matrix[feeds(0, 2)] = f32::INFINITY;
+                        b_matrix[feeds(n / 2, k - 1)] = f32::NAN;
+                    }
+                    let run = |mode| {
+                        let mut c_matrix = vec![UNTOUCHED; c.matrix_len()];
+                        let (a_view, b_view) = (&a_matrix[a.offset()..], &b_matrix[b.offset()..]);
+                        let c_view = &mut c_matrix[c.offset()..];
+                        let rs = [a.rs, b.rs, c.rs];
+                        with_override(mode, || {
+                            kernel.band(a_view, b_view, c_view, rs, (1, k, n), 1, 1)
+                        });
+                        c_matrix
+                    };
+                    let [scalar, simd] = MODES.map(run);
+                    let what = format!("{kernel:?} k={k} n={n}");
+                    assert_eq!(pattern(&simd), pattern(&scalar), "{what}");
+                    let outside = (0..simd.len()).filter(|&i| !c.holds(i));
+                    for i in outside {
+                        assert_eq!(simd[i], UNTOUCHED, "{what}: wrote element {i}");
                     }
                 }
             }

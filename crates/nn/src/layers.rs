@@ -869,23 +869,40 @@ mod tests {
         );
     }
 
+    /// What this thread's training arena retains after two epochs of the
+    /// benchmark's model on one 32-sequence × 77-token minibatch recorded
+    /// in passes of `pass`.
+    fn retained_training_in_passes_of(pass: usize) -> usize {
+        let mut model = Model::new(2, 32, 4, 64, 128, 50);
+        let seqs = vec![vec![3usize; 77]; 32];
+        free_recording_arena();
+        model.train_on(&seqs, 32, 2, pass);
+        let retained = recording(|tape| tape.retained_bytes());
+        free_recording_arena();
+        retained
+    }
+
     #[test]
     fn a_32_sequence_minibatch_in_passes_of_4_retains_1_134_936_bytes() {
-        // The benchmark's model and minibatch — 32 sequences × 77 tokens —
-        // recorded in passes of 4, as `pythia-core`'s classifier trains it.
+        // `pythia-core`'s classifier trains in passes of 1 (the next test).
         // In one pass the arena keeps every activation of 32 sequences
         // (7 970 392 B with the parameters copied in, as the test above
         // records them). In passes it keeps one pass's, beside the
         // gradients that every pass size keeps; the parameters are lent,
         // which keeps 116 168 B fewer than copying them into every pass.
         const IN_PASSES_OF_4: usize = 1_134_936;
-        let mut model = Model::new(2, 32, 4, 64, 128, 50);
-        let seqs = vec![vec![3usize; 77]; 32];
-        free_recording_arena();
-        model.train_on(&seqs, 32, 2, 4);
-        let retained = recording(|tape| tape.retained_bytes());
-        free_recording_arena();
+        let retained = retained_training_in_passes_of(4);
         assert!(retained <= IN_PASSES_OF_4, "training retains {retained} B");
+    }
+
+    #[test]
+    fn a_32_sequence_minibatch_in_passes_of_1_retains_403_156_bytes() {
+        // One sequence per pass, as `pythia-core`'s classifier trains: the
+        // arena keeps one sequence's activations beside the gradients,
+        // 731 780 B fewer than passes of 4 keep.
+        const IN_PASSES_OF_1: usize = 403_156;
+        let retained = retained_training_in_passes_of(1);
+        assert!(retained <= IN_PASSES_OF_1, "training retains {retained} B");
     }
 
     #[test]

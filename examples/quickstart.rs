@@ -88,7 +88,7 @@ fn main() {
     if let Some(threshold) = tw.threshold() {
         println!("decision threshold {threshold} (chosen by replay)");
     }
-    let fleet = Arc::new(TenantFleet::new("quickstart"));
+    let fleet = Arc::new(TenantFleet::new());
     println!("published 'orders-by-day' as version {}", fleet.publish(tw));
 
     // ---- 5. Held-out queries: day ranges no training instance starts at.

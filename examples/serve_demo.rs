@@ -139,9 +139,8 @@ fn main() {
     // Optionally train Pythia per tenant and publish to its fleet; without
     // --train the demo serves the DFLT baseline (instant startup, which is
     // what the CI smoke test wants).
-    let fleets: Vec<Arc<TenantFleet>> = (0..tenants)
-        .map(|t| Arc::new(TenantFleet::new(&format!("tenant{t}"))))
-        .collect();
+    let fleets: Vec<Arc<TenantFleet>> =
+        (0..tenants).map(|_| Arc::new(TenantFleet::new())).collect();
     if train {
         for (t, (b, (queries, traces))) in benches.iter().zip(&catalogs).enumerate() {
             eprintln!("[serve_demo] training tenant {t}'s predictor (--train)...");

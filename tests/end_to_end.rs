@@ -53,7 +53,7 @@ fn pipeline_learns_and_speeds_up_t91() {
     let (test_q, train_q) = queries.split_at(6);
     let (test_t, train_t) = traces.split_at(6);
 
-    let fleet = Arc::new(TenantFleet::new("default"));
+    let fleet = Arc::new(TenantFleet::new());
     let train_plans: Vec<_> = train_q.iter().map(|q| q.plan.clone()).collect();
     let tw = train_workload(&bench.db, "t91", &train_plans, train_t, None, &quick_cfg());
     fleet.publish(tw);
@@ -110,7 +110,7 @@ fn out_of_distribution_query_falls_back() {
         epochs: 2,
         ..PythiaConfig::fast()
     };
-    let fleet = TenantFleet::new("default");
+    let fleet = TenantFleet::new();
     let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
     fleet.publish(train_workload(
         &bench.db, "t91", &plans, &traces, None, &cfg,
@@ -162,7 +162,7 @@ fn multiple_workloads_route_correctly() {
         epochs: 2,
         ..PythiaConfig::fast()
     };
-    let fleet = TenantFleet::new("default");
+    let fleet = TenantFleet::new();
     for (name, template) in [("t18", Template::T18), ("imdb", Template::Imdb1a)] {
         let queries = sample_workload(&bench, template, 16, 4);
         let traces: Vec<_> = queries

@@ -250,7 +250,7 @@ fn continuous_admission_metrics_are_consistent() {
 
         // A server over an empty fleet is the DFLT server (serve_demo
         // without --train): the same report, field for field.
-        let empty = Arc::new(TenantFleet::new("dflt"));
+        let empty = Arc::new(TenantFleet::new());
         let mut over_empty = PrefetchServer::new(db, &run_cfg, cfg).with_registry(empty);
         let empty_report = over_empty.serve(&requests);
         assert_eq!(format!("{empty_report:?}"), format!("{report:?}"));
@@ -450,7 +450,7 @@ fn registry_routed_c1_fifo_is_bit_identical_to_fixed_predictor() {
         let mut fixed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_predictor(&fx.tw);
         let fixed_rep = fixed.serve(&requests);
 
-        let fleet = Arc::new(TenantFleet::new("t0"));
+        let fleet = Arc::new(TenantFleet::new());
         fleet.publish(fx.tw.clone());
         let mut routed = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_registry(fleet);
         let routed_rep = routed.serve(&requests);
@@ -508,14 +508,14 @@ fn hot_swap_is_bit_identical_and_tenant_stats_partition() {
         };
 
         // Baseline: registry-routed serving, no swap.
-        let fleet = Arc::new(TenantFleet::new("a"));
+        let fleet = Arc::new(TenantFleet::new());
         fleet.publish(fx.tw.clone());
         let mut base = PrefetchServer::new(&fx.db, &run_cfg, cfg).with_registry(fleet);
         let base_rep = base.serve(&requests);
 
         // Swap run: publish a bit-identical duplicate at the `swap_at`-th
         // admission (if the stream is long enough to reach it).
-        let fleet2 = Arc::new(TenantFleet::new("a"));
+        let fleet2 = Arc::new(TenantFleet::new());
         fleet2.publish(fx.tw.clone());
         let swapper = Arc::clone(&fleet2);
         let spare = fx.tw.clone();
