@@ -17,8 +17,10 @@ use std::collections::HashMap;
 use pythia_db::trace::{Trace, TraceEvent};
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
-use pythia_nn::tape::{bce_with_logits, ParamSet, Tape};
-use pythia_nn::{Adam, Tensor};
+use pythia_nn::tape::{
+    bce_with_logits_over, free_recording_arena, recording, Gradients, ParamSet, Tape,
+};
+use pythia_nn::Adam;
 use pythia_sim::rng::Rng;
 use pythia_sim::PageId;
 
@@ -60,7 +62,7 @@ impl Default for SeqModelConfig {
     }
 }
 
-const BOS: usize = 0; // sequence start / padding
+const BOS: usize = 0; // sequence start
 const EOS: usize = 1; // end of trace
 
 /// An autoregressive next-block model.
@@ -95,7 +97,8 @@ fn trace_tokens(trace: &Trace, dedup: bool, page_to_token: &HashMap<PageId, usiz
 }
 
 impl SeqModel {
-    /// Train on a workload's traces.
+    /// Train on a workload's traces, on this thread's training arena, which
+    /// is freed when the model is trained.
     pub fn train(cfg: &SeqModelConfig, traces: &[Trace]) -> SeqModel {
         let start = std::time::Instant::now();
         // Build the block vocabulary from training traces.
@@ -157,27 +160,38 @@ impl SeqModel {
             train_seconds: 0.0,
         };
 
+        // Each minibatch trains one window per pass, as the plan classifier
+        // does: each pass's backward continues the gradients of the pass
+        // before, and one Adam step follows the last. The loss is one-hot
+        // BCE: a softmax-free stand-in for cross-entropy that our loss
+        // library supports; argmax decoding is unaffected.
+        let pos_weight = (vocab as f32).sqrt();
         let mut adam = Adam::new(&model.params, cfg.lr);
         let mut order: Vec<usize> = (0..windows.len()).collect();
         for _epoch in 0..cfg.epochs {
             rng.shuffle(&mut order);
             for chunk in order.chunks(cfg.batch_size) {
-                let seqs: Vec<&[usize]> = chunk.iter().map(|&i| windows[i].0.as_slice()).collect();
-                let mut targets = Tensor::zeros(chunk.len(), vocab);
-                for (r, &i) in chunk.iter().enumerate() {
-                    targets.set(r, windows[i].1, 1.0);
+                let (mut grads, mut vars, mut total) = (Gradients::default(), Vec::new(), 0.0);
+                for &i in chunk {
+                    let (ctx, next) = (&windows[i].0, windows[i].1);
+                    (grads, vars) = recording(|tape| {
+                        let mut target = tape.zeros(1, vocab);
+                        target.set(0, next, 1.0);
+                        let vars = model.params.lend(tape);
+                        let rep = model.encoder.encode(tape, &vars, ctx, BOS);
+                        let logits = model.head.forward(tape, &vars, rep);
+                        let rows = chunk.len();
+                        let loss = bce_with_logits_over(
+                            tape, logits, target, pos_weight, rows, &mut total,
+                        );
+                        (tape.backward_into(loss, grads), vars)
+                    });
                 }
-                let mut tape = Tape::new();
-                let vars = model.params.lend(&mut tape);
-                let reps = model.encoder.encode_batch(&mut tape, &vars, &seqs, BOS);
-                let logits = model.head.forward(&mut tape, &vars, reps);
-                // One-hot BCE: a softmax-free stand-in for cross-entropy that
-                // our loss library supports; argmax decoding is unaffected.
-                let loss = bce_with_logits(&mut tape, logits, targets, (vocab as f32).sqrt());
-                let grads = tape.backward(loss);
                 adam.step(&mut model.params, &vars, &grads);
+                recording(|tape| tape.absorb(grads));
             }
         }
+        free_recording_arena();
         model.train_seconds = start.elapsed().as_secs_f64();
         model
     }
@@ -330,6 +344,57 @@ mod tests {
         let m_dedup = SeqModel::train(&cfg_dedup, std::slice::from_ref(&t));
         assert_eq!(m_raw.tokens_of(&t).len(), 30);
         assert_eq!(m_dedup.tokens_of(&t).len(), 10);
+    }
+
+    /// FNV-1a (64-bit) over every weight's bit pattern, in registration
+    /// order.
+    fn weight_hash(m: &SeqModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (_, t) in m.params.iter() {
+            for x in t.as_slice() {
+                for byte in x.to_bits().to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn trained_weights_are_pinned_bit_for_bit() {
+        // Two walks of different strides, so the vocabulary is wider than
+        // one cycle; every trace's first windows are shorter than the
+        // context, and minibatches of 7 mix them with full ones.
+        let walk = |stride: u32, n: u32| -> Trace {
+            (0..n)
+                .map(|i| TraceEvent::Read {
+                    obj: ObjectId(0),
+                    page: PageId::new(FileId(0), (i * stride) % 20),
+                    kind: AccessKind::HeapFetch,
+                })
+                .collect()
+        };
+        let traces = [walk(3, 24), walk(7, 18), walk(3, 9)];
+        for (context, dedup, expect) in [
+            (5, false, 0xb7d3_b75e_58d7_45d9u64),
+            (8, true, 0xd3b8_e0b6_5572_ff76),
+        ] {
+            let cfg = SeqModelConfig {
+                context,
+                dedup,
+                epochs: 2,
+                batch_size: 7,
+                max_windows: 45,
+                ..Default::default()
+            };
+            let m = SeqModel::train(&cfg, &traces);
+            assert_eq!(
+                weight_hash(&m),
+                expect,
+                "context {context}, dedup {dedup}: {:#x}",
+                weight_hash(&m)
+            );
+        }
     }
 
     #[test]

@@ -41,23 +41,6 @@ pub struct TrainReport {
     pub final_loss: f32,
 }
 
-/// Most sequences one forward holds, in training and in inference: one. A
-/// minibatch trains one sequence per pass, each pass's backward continuing
-/// the parameter gradients the pass before left, with one Adam step per
-/// minibatch; a batch of plans is scored one plan per forward. Neither
-/// moves a bit: a parameter gradient is one chain of additions over the
-/// minibatch's rows in ascending order, which a later pass resumes
-/// ([`Tape::backward_into`]), and the rows of a packed forward are
-/// independent. What it bounds is working memory — one sequence's
-/// activations whatever `batch_size` or the queue depth. Passes of one
-/// train about as fast as passes of four because a one-row product — the
-/// decoder heads' forward `x·W` and input gradient `g·Wᵀ` — reads `W` where
-/// it lies instead of packing it into a kernel panel each pass
-/// (`pythia_nn::kernels`). Inference shares the bound because with wider
-/// chunks the inference arena, no longer training, would set the peak
-/// (DESIGN.md, "NN step memory").
-const PASS: usize = 1;
-
 /// One decoder: hidden layer → one logit per label of its run.
 #[derive(Clone)]
 struct Head {
@@ -216,8 +199,8 @@ impl PlanClassifier {
 
     /// Train with Adam on BCE-with-logits (paper's objective).
     ///
-    /// Each minibatch is recorded one sequence ([`PASS`]) per pass, each on
-    /// a tape the parameters are lent to, not copied into; every node,
+    /// Each minibatch is recorded one sequence per pass, each on a tape the
+    /// parameters are lent to, not copied into; every node,
     /// target and gradient buffer goes back to one best-fit arena, where a
     /// request takes a free buffer of at most twice its size, so a pass no
     /// longer than one of the two passes before it and at least half as
@@ -229,7 +212,7 @@ impl PlanClassifier {
     /// starts on warm buffers, and it is the caller of a round of trainings
     /// that frees it (`train_workload` and `TrainedWorkload::refine` do).
     pub fn train(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, false, PASS)
+        self.train_phase(data, cfg, false)
     }
 
     /// Continue training from the current parameters on additional examples
@@ -237,19 +220,21 @@ impl PlanClassifier {
     /// "Every new query run can be used as a new training data point to
     /// improve Pythia models" (§5.3).
     pub fn refine(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, true, PASS)
+        self.train_phase(data, cfg, true)
     }
 
-    /// The shared train/refine loop: each step records its minibatch in
-    /// passes of at most `pass` sequences ([`PASS`] for `train` and
-    /// `refine`; the tests try others) — each pass encodes its plans once,
-    /// runs every head on the `[pass, dim]` representations and
-    /// back-propagates the sum of the heads' losses (one head records no
-    /// sum), continuing the gradients of the pass before — then takes one
-    /// Adam step. Each head's loss is the mean over the whole minibatch: its
-    /// `f64` sum is carried from pass to pass, so the loss after the last
-    /// pass is the one a single pass reports. `refine` only matters for
-    /// telemetry:
+    /// The shared train/refine loop: each step records its minibatch one
+    /// plan per pass — each pass encodes its plan once, runs every head on
+    /// the `[1, dim]` representation and back-propagates the sum of the
+    /// heads' losses (one head records no sum), continuing the gradients of
+    /// the pass before — then takes one Adam step. Each head's loss is the
+    /// mean over the whole minibatch: its `f64` sum is carried from pass to
+    /// pass, so the loss after the last pass is the minibatch's. A parameter
+    /// gradient is one chain of additions over the minibatch's rows in
+    /// ascending order, which each pass resumes ([`Tape::backward_into`]);
+    /// what passes of one bound is working memory, one sequence's
+    /// activations whatever `batch_size` (DESIGN.md, "NN step memory").
+    /// `refine` only matters for telemetry:
     /// with capture on ([`pythia_obs::wall::set_enabled`]) every epoch emits
     /// one record carrying its mean minibatch loss, mean gradient L2 norm,
     /// step count, and wall timing, tagged with the `(worker, model)` context
@@ -261,7 +246,6 @@ impl PlanClassifier {
         data: &[Example<'_>],
         cfg: &PythiaConfig,
         refine: bool,
-        pass: usize,
     ) -> TrainReport {
         assert!(!data.is_empty(), "no training data");
         let mut adam = Adam::new(&self.params, cfg.lr);
@@ -281,9 +265,9 @@ impl PlanClassifier {
                 let (mut grads, mut vars) = (Gradients::default(), Vec::new());
                 let mut totals = vec![0.0; self.heads.len()];
                 let (rows, mut loss_val) = (chunk.len(), f32::NAN);
-                for part in chunk.chunks(pass) {
+                for &i in chunk {
                     (grads, vars, loss_val) = recording(|tape| {
-                        self.record_pass(tape, data, part, rows, cfg, &mut totals, grads)
+                        self.record_pass(tape, &data[i], rows, cfg, &mut totals, grads)
                     });
                 }
                 if first_loss.is_nan() {
@@ -322,38 +306,32 @@ impl PlanClassifier {
         }
     }
 
-    /// One pass of a minibatch of `rows` sequences: the examples `part` of
-    /// `data`, recorded on `tape` with the parameters lent to it. Each
-    /// head's loss adds to its running sum in `totals`, and backward
-    /// continues `grads`. Returns the gradients, the parameters' vars and
-    /// the loss so far.
-    #[allow(clippy::too_many_arguments)] // one pass's inputs and two running sums
+    /// One pass of a minibatch of `rows` sequences: one example, recorded on
+    /// `tape` with the parameters lent to it. Each head's loss adds to its
+    /// running sum in `totals`, and backward continues `grads`. Returns the
+    /// gradients, the parameters' vars and the loss so far.
     fn record_pass<'p>(
         &'p self,
         tape: &mut Tape<'p>,
-        data: &[Example<'_>],
-        part: &[usize],
+        (toks, labels): &Example<'_>,
         rows: usize,
         cfg: &PythiaConfig,
         totals: &mut [f64],
         grads: Gradients,
     ) -> (Gradients, Vec<Var>, f32) {
-        let seqs: Vec<&[usize]> = part.iter().map(|&i| self.clip(data[i].0)).collect();
         let mut targets: Vec<Tensor> = self
             .heads
             .iter()
-            .map(|h| tape.zeros(part.len(), h.fc2.out_dim))
+            .map(|h| tape.zeros(1, h.fc2.out_dim))
             .collect();
-        for (r, &i) in part.iter().enumerate() {
-            for &lbl in &data[i].1 {
-                debug_assert!(lbl < self.n_labels);
-                let h = self.heads.partition_point(|h| h.first_label <= lbl) - 1;
-                targets[h].set(r, lbl - self.heads[h].first_label, 1.0);
-            }
+        for &lbl in labels {
+            debug_assert!(lbl < self.n_labels);
+            let h = self.heads.partition_point(|h| h.first_label <= lbl) - 1;
+            targets[h].set(0, lbl - self.heads[h].first_label, 1.0);
         }
         let vars = self.params.lend(tape);
         let mut loss = None;
-        let heads = self.logits(tape, &vars, &seqs).into_iter().zip(targets);
+        let heads = self.logits(tape, &vars, toks).into_iter().zip(targets);
         for ((logits, t), total) in heads.zip(totals) {
             let l = bce_with_logits_over(tape, logits, t, cfg.pos_weight, rows, total);
             loss = Some(loss.map_or(l, |sum| tape.add(sum, l)));
@@ -363,14 +341,15 @@ impl PlanClassifier {
         (tape.backward_into(loss, grads), vars, loss_val)
     }
 
-    /// The forward graph: one packed encoder pass, then per head hidden →
-    /// one logit per label, `[seqs.len(), head width]` each.
-    fn logits(&self, tape: &mut Tape<'_>, vars: &[Var], seqs: &[&[usize]]) -> Vec<Var> {
-        let reps = self.encoder.encode_batch(tape, vars, seqs, Vocab::PAD);
+    /// The forward graph of one plan (clipped to `max_seq_len`): one
+    /// encoder pass, then per head hidden → one logit per label,
+    /// `[1, head width]` each.
+    fn logits(&self, tape: &mut Tape<'_>, vars: &[Var], toks: &[usize]) -> Vec<Var> {
+        let rep = self.encoder.encode(tape, vars, self.clip(toks), Vocab::PAD);
         self.heads
             .iter()
             .map(|head| {
-                let h = head.fc1.forward(tape, vars, reps);
+                let h = head.fc1.forward(tape, vars, rep);
                 let h = tape.relu(h);
                 head.fc2.forward(tape, vars, h)
             })
@@ -378,43 +357,27 @@ impl PlanClassifier {
     }
 
     /// Per-label sigmoid scores for one serialized plan, head after head
-    /// (an empty plan scores as a single `PAD` token).
+    /// (an empty plan scores as a single `PAD` token), on this thread's
+    /// forward-only tape: the parameters are lent, not copied, no activation
+    /// outlives its layer, and a repeat call at the same shapes allocates
+    /// nothing.
     pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
-        self.scores_chunk(&[toks]).pop().expect("one row per plan")
-    }
-
-    /// Per-label sigmoid scores for a whole batch of serialized plans, at
-    /// most [`PASS`] (one) per forward — the training passes' bound, so an
-    /// inference chunk never holds more activations than a training pass.
-    /// Row `q` of the result is bit-identical to `scores(toks_list[q])` at
-    /// any chunk size — every op in a packed forward (linear, layer-norm,
-    /// per-sample masked attention, relu) computes each row independently,
-    /// in the same accumulation order whatever else shares its batch.
-    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
-        toks_list
-            .chunks(PASS)
-            .flat_map(|chunk| self.scores_chunk(chunk))
-            .collect()
-    }
-
-    /// One packed forward on this thread's forward-only tape: the parameters
-    /// are lent, not copied, no activation outlives its layer, and a repeat
-    /// call at the same shapes allocates nothing.
-    fn scores_chunk(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
-        let clipped: Vec<&[usize]> = toks_list.iter().map(|t| self.clip(t)).collect();
         forward_only(|tape| {
             let vars = self.params.lend(tape);
-            let logits = self.logits(tape, &vars, &clipped);
-            (0..clipped.len())
-                .map(|r| {
-                    logits
-                        .iter()
-                        .flat_map(|&head| tape.value(head).row(r))
-                        .map(|&z| 1.0 / (1.0 + (-z).exp()))
-                        .collect()
-                })
+            let logits = self.logits(tape, &vars, toks);
+            logits
+                .iter()
+                .flat_map(|&head| tape.value(head).as_slice())
+                .map(|&z| 1.0 / (1.0 + (-z).exp()))
                 .collect()
         })
+    }
+
+    /// [`Self::scores`] for each of a batch of serialized plans, one plan
+    /// per forward, so the inference arena never holds more than one plan's
+    /// activations.
+    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
+        toks_list.iter().map(|toks| self.scores(toks)).collect()
     }
 
     /// The score a label must exceed to be predicted.
@@ -575,11 +538,8 @@ mod tests {
 
     #[test]
     fn batched_scores_bit_identical_to_serial() {
-        // The tentpole contract: one packed forward over N plans must produce
-        // exactly the floats the serial per-plan forward produces — including
-        // for batches of mixed sequence lengths (padding + attention masking
-        // must be invisible to the real rows) — under one head and under
-        // several.
+        // A batch of plans of mixed lengths scores exactly the floats each
+        // plan scores alone, under one head and under several.
         for heads in [&[12usize][..], &[5, 1, 6]] {
             batched_scores_match_serial(heads);
         }
@@ -595,16 +555,12 @@ mod tests {
         let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
         let batched = clf.scores_batch(&refs);
         assert_eq!(batched.len(), seqs.len());
-        // `scores_batch` runs `PASS` plans per forward; all four in one
-        // packed forward must score the same.
-        let packed = clf.scores_chunk(&refs);
         for (q, s) in seqs.iter().enumerate() {
-            let serial = clf.scores(s);
             assert_eq!(
-                batched[q], serial,
+                batched[q],
+                clf.scores(s),
                 "batch row {q} diverged from the serial forward"
             );
-            assert_eq!(packed[q], serial, "packed row {q}");
         }
         // Thresholding commutes with batching.
         for (q, s) in seqs.iter().enumerate() {
@@ -614,17 +570,16 @@ mod tests {
     }
 
     #[test]
-    fn batches_past_the_chunk_size_and_empty_plans_match_serial() {
+    fn long_batches_and_empty_plans_match_serial() {
         for heads in [&[7usize][..], &[2, 4, 1]] {
-            past_the_chunk_size(heads);
+            long_batch(heads);
         }
     }
 
-    fn past_the_chunk_size(heads: &[usize]) {
+    fn long_batch(heads: &[usize]) {
         let cfg = PythiaConfig::fast();
         let clf = PlanClassifier::new(&cfg, 10, heads);
-        // 70 plans, one forward per `PASS` of them, an empty plan among
-        // them.
+        // 70 plans, an empty plan among them.
         let mut seqs: Vec<Vec<usize>> = (0..70)
             .map(|q| (0..1 + q % 9).map(|i| 2 + (q + i) % 8).collect())
             .collect();
@@ -634,15 +589,6 @@ mod tests {
         assert_eq!(batched.len(), seqs.len());
         for (q, s) in seqs.iter().enumerate() {
             assert_eq!(batched[q], clf.scores(s), "batch row {q}");
-        }
-        // Packed forwards wider than `PASS`, each padded to its own longest
-        // plan, score every row as the serial forward does.
-        for width in [4, 32] {
-            let packed: Vec<Vec<f32>> = refs
-                .chunks(width)
-                .flat_map(|chunk| clf.scores_chunk(chunk))
-                .collect();
-            assert_eq!(packed, batched, "packed forwards of {width}");
         }
         // Serial and batched agree on the edge: an empty plan is one PAD.
         assert_eq!(clf.scores(&[]), clf.scores_batch(&[&[]])[0]);
@@ -753,74 +699,15 @@ mod tests {
     }
 
     #[test]
-    fn training_in_passes_reports_and_records_what_one_pass_does() {
-        // The block task with plans of 2 to 7 tokens, so that each pass pads
-        // to its own longest, under three heads: 18 examples in minibatches
-        // of 8, 8 and 2.
-        let owned: Vec<(Vec<usize>, Vec<usize>)> = block_task()
-            .into_iter()
-            .enumerate()
-            .map(|(q, (mut toks, labels))| {
-                toks.extend((0..q % 6).map(|i| 5 + (q + i) % 3));
-                (toks, labels)
-            })
-            .collect();
-        let data = as_examples(&owned);
-        let cfg = PythiaConfig {
-            epochs: 3,
-            ..tiny_cfg()
-        };
-        const TAG: u64 = 515_151;
-        let run = |pass: usize, tag: u64| {
-            let mut clf = PlanClassifier::new(&cfg, 10, &[5, 1, 6]);
-            wall::set_context(0, tag);
-            let reports = [false, true].map(|refine| {
-                let r = clf.train_phase(&data, &cfg, refine, pass);
-                (r.first_loss.to_bits(), r.final_loss.to_bits(), r.steps)
-            });
-            wall::set_context(0, 0);
-            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let weights: Vec<Vec<u32>> = clf.params.iter().map(|(_, t)| bits(t)).collect();
-            (weights, reports)
-        };
-        let _capture = CAPTURE
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        wall::set_enabled(true);
-        let passes = [cfg.batch_size, 1, 3, PASS];
-        let runs: Vec<_> = (0..)
-            .zip(passes)
-            .map(|(k, pass)| run(pass, TAG + k))
-            .collect();
-        wall::set_enabled(false);
-        let records = wall::drain();
-        let epochs = |tag: u64| -> Vec<_> {
-            let mine = records.iter().filter_map(|r| match r {
-                wall::Record::Epoch(e) if e.model == tag => Some(e),
-                _ => None,
-            });
-            mine.map(|e| (e.refine, e.epoch, e.steps, e.loss_e6, e.grad_norm_e6))
-                .collect()
-        };
-        assert_eq!(epochs(TAG).len(), 2 * cfg.epochs);
-        assert_eq!(runs[0].1[0].2, 3 * cfg.epochs, "three minibatches an epoch");
-        for (k, pass) in (1..).zip(&passes[1..]) {
-            assert_eq!(runs[k as usize], runs[0], "passes of {pass}");
-            assert_eq!(epochs(TAG + k), epochs(TAG), "passes of {pass}");
-        }
-    }
-
-    #[test]
     fn a_training_pass_reads_the_parameters_in_place() {
         let cfg = tiny_cfg();
         let owned = block_task();
         let data = as_examples(&owned);
         let clf = PlanClassifier::new(&cfg, 10, &[5, 7]);
         let mut totals = [0.0; 2];
-        let part = [0, 7, 13];
         recording(|tape| {
             let fresh = Gradients::default();
-            let (grads, vars, _) = clf.record_pass(tape, &data, &part, 3, &cfg, &mut totals, fresh);
+            let (grads, vars, _) = clf.record_pass(tape, &data[7], 3, &cfg, &mut totals, fresh);
             assert_eq!(vars.len(), clf.params.len());
             for ((id, param), &var) in clf.params.iter().zip(&vars) {
                 let leaf = tape.value(var).as_slice().as_ptr();

@@ -283,8 +283,8 @@ impl ModelGroup {
         self.classifier.set_threshold(threshold);
     }
 
-    /// Per-label sigmoid scores per plan, span after span, through one
-    /// packed forward over all of `toks_list`.
+    /// Per-label sigmoid scores per plan, span after span, one plan per
+    /// forward.
     pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
         self.classifier.scores_batch(toks_list)
     }

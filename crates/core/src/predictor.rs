@@ -267,8 +267,8 @@ impl TrainedWorkload {
     /// Algorithm 3's prediction step for a batch of queries. Each plan is
     /// serialized and encoded here, every time: a served plan is almost
     /// never one served before, and a model keeps nothing per plan. Every
-    /// group sees the whole batch through one packed forward pass
-    /// (batch-major matmuls) while the groups fan out over the worker pool.
+    /// group scores the whole batch, one plan per forward, while the groups
+    /// fan out over the worker pool.
     /// A query's prediction does not depend on what shares its batch: groups
     /// run in a fixed order, batched rows are bit-identical whatever the
     /// batch size, and each query's pages go through the same assembly
@@ -281,7 +281,7 @@ impl TrainedWorkload {
     }
 
     /// Every group's per-label scores for each of `plans`, group-major,
-    /// through one packed forward pass per group.
+    /// one plan per forward.
     fn score_batch(&self, db: &Database, plans: &[&PlanNode]) -> Vec<Vec<Vec<f32>>> {
         let toks: Vec<Vec<usize>> = plans.iter().map(|p| self.encode_plan(db, p)).collect();
         let toks_refs: Vec<&[usize]> = toks.iter().map(Vec::as_slice).collect();

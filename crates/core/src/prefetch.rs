@@ -17,7 +17,7 @@ use pythia_sim::{PageId, SimDuration};
 
 use crate::predictor::{Prediction, TrainedWorkload};
 
-/// Algorithm 3 past the workload match: one batched forward over `plans`,
+/// Algorithm 3 past the workload match: one batched inference over `plans`,
 /// each prediction turned into its prefetch list, and the measured
 /// wall-clock latency of the whole step amortised per query — what a
 /// deployed Pythia charges each query before its replay starts.

@@ -4,8 +4,8 @@
 //! queries. A deployed Pythia sits in front of a live queue instead: queries
 //! arrive on their own schedule, the database admits at most `concurrency` of
 //! them at once, and the model is invoked over whatever is queued so
-//! inference batches naturally with load (the batched forward pass of
-//! [`TrainedWorkload::infer_batch`] amortizes across everything queued).
+//! inference batches naturally with load (one
+//! [`TrainedWorkload::infer_batch`] call covers everything queued).
 //!
 //! There is **one admission loop**, and it is incremental. A
 //! [`ServeSession`] is driven beside its [`PrefetchServer`] the way a
@@ -110,7 +110,7 @@ pub enum QueuePolicy {
 /// How model-inference latency is charged to admitted queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InferenceCharge {
-    /// Measure the actual wall-clock time of the batched forward pass and
+    /// Measure the actual wall-clock time of the batched inference call and
     /// charge each covered query the amortized share (wall / batch size).
     Measured,
     /// Charge every covered query this fixed latency. Use this in tests:

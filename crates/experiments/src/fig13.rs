@@ -62,7 +62,7 @@ impl<'a> Batch<'a> {
 
     /// Per-item prefetch list + charged inference latency (`None` = DFLT).
     /// Pythia items are grouped by model and each group goes through one
-    /// batched forward pass — the multi-query serving path a deployed
+    /// batched inference call — the multi-query serving path a deployed
     /// batching predictor would use.
     fn prefetches(&self, env: &Env, variant: &Variant) -> Vec<Option<(Vec<PageId>, SimDuration)>> {
         match variant {

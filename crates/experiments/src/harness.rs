@@ -229,7 +229,7 @@ impl Env {
 
     /// Run Pythia for a batch of plans ([`engage`]): per query, the
     /// budget-capped prefetch list and its equal share of the *measured*
-    /// wall-clock latency of the one batched forward pass — charged against
+    /// wall-clock latency of the one batched inference call — charged against
     /// the query like the paper charges its 1–1.5 s, amortized as a deployed
     /// batching server would see it.
     pub fn pythia_prefetch_batch(

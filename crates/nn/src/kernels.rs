@@ -12,7 +12,7 @@
 //!
 //! Each operand is a slice plus a row stride (`rs = [A, B, C]`, in elements),
 //! so a kernel reads and writes a block of a larger row-major matrix in place
-//! — one attention head's columns of a packed `[rows, dim]` tensor, say —
+//! — one attention head's columns of a `[rows, dim]` tensor, say —
 //! and a dense caller passes its widths. `C` is **written**, not accumulated
 //! into: whatever the output block held is overwritten, and nothing outside
 //! the block is touched. The one exception is asked for by name:

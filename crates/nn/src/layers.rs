@@ -75,27 +75,15 @@ impl Embedding {
         }
     }
 
-    /// Embed a packed batch of `batch` sequences of equal `seq_len`
-    /// (`ids.len() == batch * seq_len`): `[batch*seq_len, dim]` with
-    /// positions added, restarting per sequence.
+    /// Embed one sequence: `[ids.len(), dim]` with positions added.
     ///
     /// # Panics
-    /// Panics if `seq_len` exceeds `max_len` or an id exceeds the vocabulary.
-    pub fn forward_packed(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        ids: &[usize],
-        seq_len: usize,
-    ) -> Var {
-        assert!(seq_len <= self.pe.rows(), "sequence longer than max_len");
-        assert_eq!(
-            ids.len() % seq_len,
-            0,
-            "packed batch not a multiple of seq_len"
-        );
+    /// Panics if the sequence is longer than `max_len` or an id exceeds the
+    /// vocabulary.
+    pub fn forward(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
+        assert!(ids.len() <= self.pe.rows(), "sequence longer than max_len");
         let emb = tape.embed(vars[self.table.0], ids);
-        tape.add_const(emb, &self.pe, seq_len)
+        tape.add_const(emb, &self.pe)
     }
 }
 
@@ -150,29 +138,18 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// Batched attention over a packed `[batch*seq_len, dim]` input. The QKV
-    /// and output projections run as single large matmuls (the CPU-speed
-    /// trick); the per-(sample, head) attention is one fused
-    /// [`Tape::attention`] node. `lens[b]` is the real (un-padded) length of
-    /// sequence `b`; padded key positions are masked out of the softmax.
+    /// Attention over one sequence's `[len, dim]` rows. The QKV and output
+    /// projections run as whole-sequence matmuls; the per-head attention is
+    /// one fused [`Tape::attention`] node.
     ///
-    /// `rows` names the packed rows whose outputs the caller reads, the same
-    /// number from every sample in sample order; `None` is all of them. K and
-    /// V are projected for every token either way, while Q, the scores and
-    /// the output projection cover only `rows`, and the result has one row
-    /// per entry.
-    pub fn forward_packed(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        x: Var,
-        seq_len: usize,
-        lens: &[usize],
-        rows: Option<&[usize]>,
-    ) -> Var {
+    /// `rows` names the rows whose outputs the caller reads, in order;
+    /// `None` is all of them. K and V are projected for every token either
+    /// way, while Q, the scores and the output projection cover only `rows`,
+    /// and the result has one row per entry.
+    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, rows: Option<&[usize]>) -> Var {
         #[cfg(test)]
         if tests::use_oracle() {
-            return self.forward_packed_composed(tape, vars, x, seq_len, lens, rows);
+            return self.forward_composed(tape, vars, x, rows);
         }
         // Recorded before K and V so that backward adds wq's share of
         // `d loss / d x` last, where the all-rows graph adds it (DESIGN.md).
@@ -180,7 +157,7 @@ impl MultiHeadSelfAttention {
         let q = self.wq.forward(tape, vars, xq);
         let k = self.wk.forward(tape, vars, x);
         let v = self.wv.forward(tape, vars, x);
-        let merged = tape.attention(q, k, v, seq_len, lens, self.heads);
+        let merged = tape.attention(q, k, v, self.heads);
         self.wo.forward(tape, vars, merged)
     }
 }
@@ -215,21 +192,13 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// One layer over a packed `[batch*seq_len, dim]` input, producing the
-    /// packed `rows` (see [`MultiHeadSelfAttention::forward_packed`]) or,
-    /// for `None`, every row. On a forward-only tape the layer's
-    /// intermediates are freed on the way out.
-    pub fn forward_packed(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        x: Var,
-        seq_len: usize,
-        lens: &[usize],
-        rows: Option<&[usize]>,
-    ) -> Var {
+    /// One layer over one sequence's `[len, dim]` rows, producing `rows`
+    /// (see [`MultiHeadSelfAttention::forward`]) or, for `None`, every row.
+    /// On a forward-only tape the layer's intermediates are freed on the way
+    /// out.
+    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, rows: Option<&[usize]>) -> Var {
         let mark = tape.len();
-        let a = self.attn.forward_packed(tape, vars, x, seq_len, lens, rows);
+        let a = self.attn.forward(tape, vars, x, rows);
         // A second gather, recorded after the projections: backward then
         // starts `d loss / d x` from the residual's share, as for all rows.
         let x = rows.map_or(x, |rows| tape.gather_rows(x, rows));
@@ -287,58 +256,26 @@ impl TransformerEncoder {
         }
     }
 
-    /// Encode one sequence to its last token's `[1, dim]` representation —
-    /// [`TransformerEncoder::encode_batch`] on a batch of one (an empty
-    /// sequence is one `pad_id` token there too).
+    /// Encode one sequence to its last token's `[1, dim]` representation;
+    /// an empty sequence is one `pad_id` token. The final layer computes
+    /// only that row: nothing reads its other outputs.
     pub fn encode(&self, tape: &mut Tape, vars: &[Var], ids: &[usize], pad_id: usize) -> Var {
-        self.encode_batch(tape, vars, &[ids], pad_id)
-    }
-
-    /// Encode a whole batch of sequences at once, padding to the longest with
-    /// `pad_id`; returns the `[batch, dim]` matrix of last-real-token
-    /// representations. All projection matmuls run batched, which is what
-    /// makes CPU training practical, and the final layer computes only the
-    /// rows returned: nothing reads its other outputs.
-    pub fn encode_batch(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        seqs: &[&[usize]],
-        pad_id: usize,
-    ) -> Var {
-        assert!(!seqs.is_empty());
-        let seq_len = seqs
-            .iter()
-            .map(|s| s.len())
-            .max()
-            .expect("non-empty")
-            .max(1);
-        let lens: Vec<usize> = seqs.iter().map(|s| s.len().max(1)).collect();
-        let mut packed = Vec::with_capacity(seqs.len() * seq_len);
-        for s in seqs {
-            packed.extend_from_slice(s);
-            packed.extend(std::iter::repeat_n(pad_id, seq_len - s.len()));
-        }
-        let last_idxs = last_rows(&lens, seq_len);
-        let mut x = self.embedding.forward_packed(tape, vars, &packed, seq_len);
+        let pad = [pad_id];
+        let ids = if ids.is_empty() { &pad[..] } else { ids };
+        let last = [ids.len() - 1];
+        let mut x = self.embedding.forward(tape, vars, ids);
         #[cfg(test)]
         if tests::use_oracle() {
-            return self.encode_unpruned(tape, vars, x, seq_len, &lens, &last_idxs);
+            return self.encode_unpruned(tape, vars, x, &last);
         }
-        let Some((last, inner)) = self.layers.split_last() else {
-            return tape.gather_rows(x, &last_idxs);
+        let Some((final_layer, inner)) = self.layers.split_last() else {
+            return tape.gather_rows(x, &last);
         };
         for layer in inner {
-            x = layer.forward_packed(tape, vars, x, seq_len, &lens, None);
+            x = layer.forward(tape, vars, x, None);
         }
-        last.forward_packed(tape, vars, x, seq_len, &lens, Some(&last_idxs))
+        final_layer.forward(tape, vars, x, Some(&last))
     }
-}
-
-/// Each packed sample's last real row — the one the encoder returns.
-fn last_rows(lens: &[usize], seq_len: usize) -> Vec<usize> {
-    let last = |(b, &len): (usize, &usize)| b * seq_len + len - 1;
-    lens.iter().enumerate().map(last).collect()
 }
 
 #[cfg(test)]
@@ -379,61 +316,34 @@ mod tests {
     }
 
     /// The oracle the fused node is pinned against: the same attention as a
-    /// chain of nine generic tape ops per (sample, head), with a query for
-    /// every row.
-    fn composed_attention(
-        tape: &mut Tape,
-        [q, k, v]: [Var; 3],
-        seq_len: usize,
-        lens: &[usize],
-        heads: usize,
-    ) -> Var {
+    /// chain of eight generic tape ops per head, with a query for every row.
+    fn composed_attention(tape: &mut Tape, [q, k, v]: [Var; 3], heads: usize) -> Var {
         let dh = tape.value(q).cols() / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut sample_outs = Vec::with_capacity(lens.len());
-        for (b, &blen) in lens.iter().enumerate() {
-            let qb = tape.slice_rows(q, b * seq_len, seq_len);
-            let kb = tape.slice_rows(k, b * seq_len, seq_len);
-            let vb = tape.slice_rows(v, b * seq_len, seq_len);
-            // Mask: -1e9 on key columns past the sample's real length.
-            let real = blen.min(seq_len).max(1);
-            let mask = Tensor::from_fn(seq_len, seq_len, |_, c| if c < real { 0.0 } else { -1e9 });
-            let mut head_outs = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let qh = tape.slice_cols(qb, h * dh, dh);
-                let kh = tape.slice_cols(kb, h * dh, dh);
-                let vh = tape.slice_cols(vb, h * dh, dh);
-                let kt = tape.transpose(kh);
-                let scores = tape.matmul(qh, kt);
-                let scaled = tape.scale(scores, scale);
-                let masked = tape.add_const(scaled, &mask, seq_len);
-                let attn = tape.softmax_rows(masked);
-                head_outs.push(tape.matmul(attn, vh));
-            }
-            sample_outs.push(tape.concat_cols(&head_outs));
+        let mut head_outs = Vec::with_capacity(heads);
+        for h in 0..heads {
+            let [qh, kh, vh] = [q, k, v].map(|x| tape.slice_cols(x, h * dh, dh));
+            let kt = tape.transpose(kh);
+            let scores = tape.matmul(qh, kt);
+            let scaled = tape.scale(scores, scale);
+            let attn = tape.softmax_rows(scaled);
+            head_outs.push(tape.matmul(attn, vh));
         }
-        tape.concat_rows(&sample_outs)
+        tape.concat_cols(&head_outs)
     }
 
     impl MultiHeadSelfAttention {
         /// [`composed_attention`] between the projections, over every row;
         /// `rows` are gathered from the result.
-        pub(super) fn forward_packed_composed(
+        pub(super) fn forward_composed(
             &self,
             tape: &mut Tape,
             vars: &[Var],
             x: Var,
-            seq_len: usize,
-            lens: &[usize],
             rows: Option<&[usize]>,
         ) -> Var {
-            assert_eq!(
-                tape.value(x).rows(),
-                lens.len() * seq_len,
-                "packed shape mismatch"
-            );
             let qkv = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(tape, vars, x));
-            let merged = composed_attention(tape, qkv, seq_len, lens, self.heads);
+            let merged = composed_attention(tape, qkv, self.heads);
             let out = self.wo.forward(tape, vars, merged);
             rows.map_or(out, |rows| tape.gather_rows(out, rows))
         }
@@ -447,14 +357,12 @@ mod tests {
             tape: &mut Tape,
             vars: &[Var],
             mut x: Var,
-            seq_len: usize,
-            lens: &[usize],
-            last_idxs: &[usize],
+            last: &[usize],
         ) -> Var {
             for layer in &self.layers {
-                x = layer.forward_packed(tape, vars, x, seq_len, lens, None);
+                x = layer.forward(tape, vars, x, None);
             }
-            tape.gather_rows(x, last_idxs)
+            tape.gather_rows(x, last)
         }
     }
 
@@ -488,14 +396,12 @@ mod tests {
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 16);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        // Same token at two positions must differ (positional encoding)...
-        let y = emb.forward_packed(&mut tape, &vars, &[3, 3, 3, 3], 2);
+        // The same token at three positions embeds three ways.
+        let y = emb.forward(&mut tape, &vars, &[3, 3, 3]);
         let v = tape.value(y);
-        assert_eq!(v.shape(), (4, 6));
+        assert_eq!(v.shape(), (3, 6));
         assert_ne!(v.row(0), v.row(1));
-        // ...and positions restart with each packed sequence.
-        assert_eq!(v.row(0), v.row(2));
-        assert_eq!(v.row(1), v.row(3));
+        assert_ne!(v.row(1), v.row(2));
     }
 
     #[test]
@@ -505,7 +411,7 @@ mod tests {
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 2);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        emb.forward_packed(&mut tape, &vars, &[1, 2, 3], 3);
+        emb.forward(&mut tape, &vars, &[1, 2, 3]);
     }
 
     #[test]
@@ -515,7 +421,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(1).uniform(5, 8, 1.0));
-        let y = mha.forward_packed(&mut tape, &vars, x, 5, &[5], None);
+        let y = mha.forward(&mut tape, &vars, x, None);
         assert_eq!(tape.value(y).shape(), (5, 8));
         // All attention params receive gradients.
         let targets = Tensor::zeros(5, 8);
@@ -533,7 +439,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
         let x = tape.leaf(Initializer::new(2).uniform(7, 8, 1.0));
-        let y = layer.forward_packed(&mut tape, &vars, x, 7, &[7], None);
+        let y = layer.forward(&mut tape, &vars, x, None);
         assert_eq!(tape.value(y).shape(), (7, 8));
     }
 
@@ -563,27 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_rows_equal_single_encode() {
-        // Batched (packed, masked) encoding must give every sequence exactly
-        // the floats it gets alone — padding and masking are invisible to
-        // the real rows. An empty sequence is one pad token on both paths.
+    fn an_empty_sequence_encodes_as_one_pad_token() {
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 2, 32);
         let mut tape = Tape::new();
         let vars = p.inject(&mut tape);
-        let seqs: Vec<Vec<usize>> = vec![vec![1, 5, 7, 2, 9], vec![4, 4], vec![], vec![3, 1, 2]];
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let batch = enc.encode_batch(&mut tape, &vars, &refs, 0);
-        for (b, s) in seqs.iter().enumerate() {
-            let single = enc.encode(&mut tape, &vars, s, 0);
-            assert_eq!(
-                tape.value(batch).row(b),
-                tape.value(single).row(0),
-                "sample {b}"
-            );
-        }
-        let pad = enc.encode(&mut tape, &vars, &[0], 0);
-        assert_eq!(tape.value(batch).row(2), tape.value(pad).row(0));
+        let empty = enc.encode(&mut tape, &vars, &[], 7);
+        let pad = enc.encode(&mut tape, &vars, &[7], 7);
+        assert_eq!(bits(tape.value(empty)), bits(tape.value(pad)));
     }
 
     #[test]
@@ -656,42 +549,33 @@ mod tests {
             }
         }
 
-        fn logits(&self, tape: &mut Tape, vars: &[Var], seqs: &[&[usize]]) -> Var {
-            let reps = self.enc.encode_batch(tape, vars, seqs, 0);
-            let h = self.fc1.forward(tape, vars, reps);
+        fn logits(&self, tape: &mut Tape, vars: &[Var], seq: &[usize]) -> Var {
+            let rep = self.enc.encode(tape, vars, seq, 0);
+            let h = self.fc1.forward(tape, vars, rep);
             let h = tape.relu(h);
             self.fc2.forward(tape, vars, h)
         }
 
         /// `epochs` passes of Adam over `seqs` in minibatches of `batch` on
         /// this thread's training arena, the way `PlanClassifier::train`
-        /// drives it.
+        /// drives it: one sequence per pass, each on a tape the parameters
+        /// are lent to, its backward continuing the parameter gradients of
+        /// the pass before.
         fn train(&mut self, seqs: &[Vec<usize>], batch: usize, epochs: usize) {
-            self.train_on(seqs, batch, epochs, batch);
-        }
-
-        /// [`Model::train`], each minibatch recorded in passes of at most
-        /// `pass` sequences whose backward continues the parameter
-        /// gradients of the pass before, each on a tape the parameters are
-        /// lent to.
-        fn train_on(&mut self, seqs: &[Vec<usize>], batch: usize, epochs: usize, pass: usize) {
             let labels = self.fc2.out_dim;
             let mut adam = Adam::new(&self.params, 5e-3);
             for _ in 0..epochs {
                 for (c, chunk) in seqs.chunks(batch).enumerate() {
                     let (mut grads, mut vars, mut total) = (Gradients::default(), Vec::new(), 0.0);
-                    for (p, part) in chunk.chunks(pass).enumerate() {
-                        let refs: Vec<&[usize]> = part.iter().map(|s| s.as_slice()).collect();
+                    for (r, seq) in chunk.iter().enumerate() {
                         (grads, vars) = recording(|tape| {
-                            let mut targets = tape.zeros(part.len(), labels);
-                            for r in 0..part.len() {
-                                targets.set(r, (p * pass + r + c) % labels, 1.0);
-                            }
+                            let mut target = tape.zeros(1, labels);
+                            target.set(0, (r + c) % labels, 1.0);
                             let vars = self.params.lend(tape);
-                            let logits = self.logits(tape, &vars, &refs);
+                            let logits = self.logits(tape, &vars, seq);
                             let rows = chunk.len();
                             let loss =
-                                bce_with_logits_over(tape, logits, targets, 2.0, rows, &mut total);
+                                bce_with_logits_over(tape, logits, target, 2.0, rows, &mut total);
                             (tape.backward_into(loss, grads), vars)
                         });
                     }
@@ -727,16 +611,15 @@ mod tests {
     }
 
     /// Sequences of exactly these lengths.
-    fn seqs_of(lens: &[usize]) -> Vec<Vec<usize>> {
+    fn seqs_of(lengths: &[usize]) -> Vec<Vec<usize>> {
         let seq =
             |(s, &len): (usize, &usize)| (0..len).map(|i| 1 + (s * 31 + i * 7) % 39).collect();
-        lens.iter().enumerate().map(seq).collect()
+        lengths.iter().enumerate().map(seq).collect()
     }
 
-    /// Minibatches of four whose longest plan is 77, 9, 7 and 1 tokens, each
-    /// with shorter ones beside it: at two heads of 10 (the paper's 100 / 10)
-    /// a head is one full vector and a masked pair, and a row of 77 scores
-    /// ends in a masked five.
+    /// Plans of 77, 9, 7 and 1 tokens among shorter ones: at two heads of 10
+    /// (the paper's 100 / 10) a head is one full vector and a pair, and a
+    /// row of 77 scores ends in a tail of five.
     const TAIL_LENS: [usize; 16] = [77, 1, 40, 9, 9, 3, 8, 1, 7, 7, 2, 5, 1, 1, 1, 1];
 
     #[test]
@@ -752,9 +635,8 @@ mod tests {
         for layers in [1, 0] {
             assert_trains_to_the_oracle_weights(layers, 8, &ragged_seqs(10, 9));
         }
-        // A length-1 sample, an empty one (one pad token), and padded samples
-        // whose last real token is not their last packed row.
-        let padded = vec![
+        // A length-1 sequence and an empty one (one pad token).
+        let short = vec![
             vec![7],
             vec![1, 2, 3, 4, 5, 6],
             vec![9, 8],
@@ -762,7 +644,7 @@ mod tests {
             vec![3, 3],
         ];
         for layers in [2, 1] {
-            assert_trains_to_the_oracle_weights(layers, 8, &padded);
+            assert_trains_to_the_oracle_weights(layers, 8, &short);
         }
         // Wide and long enough for the SIMD kernels and the pool's row bands.
         let _restore = RestoreDispatch;
@@ -780,145 +662,54 @@ mod tests {
         }
     }
 
-    /// Train one model on minibatches of `batch` recorded in one pass each
-    /// and one recorded in passes of 1, 3 and 4 sequences: every weight must
-    /// come out the same bit for bit.
-    fn assert_passes_train_to_the_one_pass_weights(
-        new: impl Fn() -> Model,
-        seqs: &[Vec<usize>],
-        batch: usize,
-    ) {
-        let mut whole = new();
-        whole.train(seqs, batch, 3);
-        for pass in [1, 3, 4] {
-            let mut passes = new();
-            passes.train_on(seqs, batch, 3, pass);
-            for ((id, w), (_, p)) in whole.params.iter().zip(passes.params.iter()) {
-                let name = whole.params.name(id);
-                assert_eq!(bits(w), bits(p), "{name} in passes of {pass}");
-            }
-        }
-    }
-
     #[test]
-    fn training_in_passes_yields_the_one_pass_weights() {
-        // Each pass pads to its own longest plan: a pass of short plans
-        // beside one holding the 77, an empty plan (one pad token), and
-        // samples whose last real token is not their last packed row.
-        let padded: Vec<Vec<usize>> =
-            vec![vec![7], (1..7).collect(), vec![9, 8], vec![], vec![3, 3]];
-        let _restore = RestoreDispatch;
-        for (threads, simd) in [
-            (1, SimdOverride::ForceScalar),
-            (1, SimdOverride::ForceDetect),
-            (4, SimdOverride::ForceScalar),
-            (4, SimdOverride::ForceDetect),
-        ] {
-            set_thread_override(threads);
-            set_simd_override(simd);
-            assert_passes_train_to_the_one_pass_weights(
-                || Model::new(2, 20, 2, 40, 16, 6),
-                &seqs_of(&TAIL_LENS),
-                8,
-            );
-            assert_passes_train_to_the_one_pass_weights(
-                || Model::new(2, 8, 2, 16, 16, 6),
-                &padded,
-                8,
-            );
-            // A one-pass minibatch wide enough to fan its weight gradients
-            // out over the pool, against passes that stay on one thread.
-            assert_passes_train_to_the_one_pass_weights(
-                || Model::new(2, 32, 4, 64, 16, 6),
-                &ragged_seqs(16, 40),
-                16,
-            );
-        }
-    }
-
-    #[test]
-    fn a_32_sequence_minibatch_records_69_nodes_not_2628() {
-        // The benchmark's model shape: 32 sequences × 77 tokens, 4 heads.
+    fn a_77_token_sequence_records_69_nodes_not_132() {
+        // The benchmark's model shape: a 77-token plan, 4 heads.
         let model = Model::new(2, 32, 4, 64, 128, 50);
-        let seqs = vec![vec![3usize; 77]; 32];
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let seq = [3usize; 77];
         let record = |model: &Model| {
             let mut tape = Tape::new();
             let vars = model.params.inject(&mut tape);
-            let logits = model.logits(&mut tape, &vars, &refs);
-            let loss = bce_with_logits(&mut tape, logits, Tensor::zeros(32, 50), 1.0);
-            (tape, loss)
+            let logits = model.logits(&mut tape, &vars, &seq);
+            bce_with_logits(&mut tape, logits, Tensor::zeros(1, 50), 1.0);
+            tape.len()
         };
-        // One attention node per layer either way; the final layer's two
-        // gathers replace the trailing one.
-        let (mut tape, loss) = record(&model);
-        assert_eq!(tape.len(), 69);
-        assert_eq!(with_oracle(|| record(&model).0.len()), 2628);
-        // One training step's buffers. When the first layer's node saved its
-        // `[32·4·77, 77]` probabilities, the arena kept 11 341 936 B; with
-        // every block recomputed it keeps 7 970 392 B, at least that
-        // tensor's 3 035 648 B fewer.
-        const WITH_SAVED_PROBS: usize = 11_341_936;
-        let grads = tape.backward(loss);
-        tape.absorb(grads);
-        tape.reset();
-        let retained = tape.retained_bytes();
-        assert!(
-            retained <= WITH_SAVED_PROBS - 32 * 4 * 77 * 77 * 4,
-            "a step retains {retained} B"
-        );
+        // One attention node per layer; the final layer's two gathers
+        // replace the trailing one.
+        assert_eq!(record(&model), 69);
+        assert_eq!(with_oracle(|| record(&model)), 132);
     }
 
-    /// What this thread's training arena retains after two epochs of the
-    /// benchmark's model on one 32-sequence × 77-token minibatch recorded
-    /// in passes of `pass`.
-    fn retained_training_in_passes_of(pass: usize) -> usize {
+    #[test]
+    fn a_32_sequence_minibatch_retains_403_156_bytes() {
+        // Two epochs of the benchmark's model on one minibatch of 32
+        // 77-token plans, one plan per pass as `pythia-core`'s classifier
+        // trains: the arena keeps one sequence's activations beside the
+        // gradients the passes continue. The parameters are lent, not
+        // copied into every pass.
+        const RETAINED: usize = 403_156;
         let mut model = Model::new(2, 32, 4, 64, 128, 50);
         let seqs = vec![vec![3usize; 77]; 32];
         free_recording_arena();
-        model.train_on(&seqs, 32, 2, pass);
+        model.train(&seqs, 32, 2);
         let retained = recording(|tape| tape.retained_bytes());
         free_recording_arena();
-        retained
-    }
-
-    #[test]
-    fn a_32_sequence_minibatch_in_passes_of_4_retains_1_134_936_bytes() {
-        // `pythia-core`'s classifier trains in passes of 1 (the next test).
-        // In one pass the arena keeps every activation of 32 sequences
-        // (7 970 392 B with the parameters copied in, as the test above
-        // records them). In passes it keeps one pass's, beside the
-        // gradients that every pass size keeps; the parameters are lent,
-        // which keeps 116 168 B fewer than copying them into every pass.
-        const IN_PASSES_OF_4: usize = 1_134_936;
-        let retained = retained_training_in_passes_of(4);
-        assert!(retained <= IN_PASSES_OF_4, "training retains {retained} B");
-    }
-
-    #[test]
-    fn a_32_sequence_minibatch_in_passes_of_1_retains_403_156_bytes() {
-        // One sequence per pass, as `pythia-core`'s classifier trains: the
-        // arena keeps one sequence's activations beside the gradients,
-        // 731 780 B fewer than passes of 4 keep.
-        const IN_PASSES_OF_1: usize = 403_156;
-        let retained = retained_training_in_passes_of(1);
-        assert!(retained <= IN_PASSES_OF_1, "training retains {retained} B");
+        assert!(retained <= RETAINED, "training retains {retained} B");
     }
 
     #[test]
     fn forward_only_tape_lends_params_and_keeps_one_layer() {
         let model = Model::new(2, 8, 2, 16, 16, 6);
-        let seqs = ragged_seqs(5, 9);
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let seq = [4usize, 9, 1, 7, 7, 2];
         let mut tape = Tape::new();
         let vars = model.params.inject(&mut tape);
-        let logits = model.logits(&mut tape, &vars, &refs);
+        let logits = model.logits(&mut tape, &vars, &seq);
         let recorded = tape.value(logits).clone();
 
         let run = || {
             forward_only(|tape| {
                 let vars = model.params.lend(tape);
-                let logits = model.logits(tape, &vars, &refs);
+                let logits = model.logits(tape, &vars, &seq);
                 // Params + embedding (2) + one node per finished layer (2) +
                 // decoder (3): no layer's intermediates survive it.
                 assert_eq!(tape.len(), model.params.len() + 7);
@@ -950,26 +741,26 @@ mod tests {
         tape.backward(loss)
     }
 
-    /// Attention forward + backward on a packed ragged batch — every row, or
-    /// with `last_only` each sample's last real one: the output and the
-    /// gradient of every parameter and of the input, as bit patterns.
+    /// Attention forward + backward on one sequence of `len` rows — every
+    /// row, or with `last_only` the last: the output and the gradient of
+    /// every parameter and of the input, as bit patterns.
     fn attention_bits(
-        lens: &[usize],
+        len: usize,
         heads: usize,
         dh: usize,
         seed: u64,
         last_only: bool,
     ) -> Vec<Vec<u32>> {
         let dim = heads * dh;
-        let seq_len = *lens.iter().max().expect("non-empty batch");
-        let rows = last_only.then(|| last_rows(lens, seq_len));
+        let last = [len - 1];
+        let rows = last_only.then_some(&last[..]);
         let mut params = ParamSet::new();
         let mut init = Initializer::new(seed);
         let mha = MultiHeadSelfAttention::new(&mut params, &mut init, "a", dim, heads);
         let mut tape = Tape::new();
         let vars = params.inject(&mut tape);
-        let x = tape.leaf(init.uniform(lens.len() * seq_len, dim, 1.5));
-        let y = mha.forward_packed(&mut tape, &vars, x, seq_len, lens, rows.as_deref());
+        let x = tape.leaf(init.uniform(len, dim, 1.5));
+        let y = mha.forward(&mut tape, &vars, x, rows);
         let grads = backward_from(&mut tape, y);
         let mut out = vec![bits(tape.value(y)), bits(grads.get(x))];
         out.extend(vars.iter().map(|&v| bits(grads.get(v))));
@@ -979,43 +770,32 @@ mod tests {
     /// The attention node alone on leaf `q`, `k`, `v` (fused, or under
     /// [`with_oracle`] composed over every row and then gathered): the output
     /// and `dq`, `dk`, `dv`, as bit patterns.
-    fn qkv_bits(
-        lens: &[usize],
-        heads: usize,
-        dh: usize,
-        seed: u64,
-        last_only: bool,
-    ) -> Vec<Vec<u32>> {
+    fn qkv_bits(len: usize, heads: usize, dh: usize, seed: u64, last_only: bool) -> Vec<Vec<u32>> {
         let dim = heads * dh;
-        let seq_len = *lens.iter().max().expect("non-empty batch");
-        let rows = last_only.then(|| last_rows(lens, seq_len));
+        let last = [len - 1];
+        let rows = last_only.then_some(&last[..]);
         let mut init = Initializer::new(seed);
         let mut tape = Tape::new();
-        let qkv = [(); 3].map(|_| tape.leaf(init.uniform(lens.len() * seq_len, dim, 1.5)));
+        let qkv = [(); 3].map(|_| tape.leaf(init.uniform(len, dim, 1.5)));
         let [q, k, v] = qkv;
         let y = if use_oracle() {
-            let all = composed_attention(&mut tape, qkv, seq_len, lens, heads);
-            rows.map_or(all, |rows| tape.gather_rows(all, &rows))
+            let all = composed_attention(&mut tape, qkv, heads);
+            rows.map_or(all, |rows| tape.gather_rows(all, rows))
         } else {
-            let q = rows.map_or(q, |rows| tape.gather_rows(q, &rows));
-            tape.attention(q, k, v, seq_len, lens, heads)
+            let q = rows.map_or(q, |rows| tape.gather_rows(q, rows));
+            tape.attention(q, k, v, heads)
         };
         let grads = backward_from(&mut tape, y);
         // The softmax rows behind `y`, laid out as the fused node's blocks
         // (recomputed the way its backward recomputes them). The oracle
-        // holds a `[seq_len, seq_len]` block per (sample, head).
+        // holds a `[len, len]` block per head.
         let probs = if use_oracle() {
-            let mut rows = Vec::new();
-            for (block, p) in tape.softmax_bits().iter().enumerate() {
-                let last = lens[block / heads] - 1;
-                let kept = if last_only {
-                    last..last + 1
-                } else {
-                    0..seq_len
-                };
-                rows.extend_from_slice(&p[kept.start * seq_len..kept.end * seq_len]);
-            }
-            rows
+            let kept = if last_only { len - 1..len } else { 0..len };
+            let blocks = tape.softmax_bits();
+            blocks
+                .iter()
+                .flat_map(|p| p[kept.start * len..kept.end * len].to_vec())
+                .collect()
         } else {
             tape.softmax_bits().concat()
         };
@@ -1024,10 +804,10 @@ mod tests {
         out
     }
 
-    /// Fused against oracle on one batch: the attention layer and the bare
-    /// node, at the given pool width and dispatch arm.
+    /// Fused against oracle on one sequence: the attention layer and the
+    /// bare node, at the given pool width and dispatch arm.
     fn fused_and_oracle(
-        lens: &[usize],
+        len: usize,
         heads: usize,
         dh: usize,
         seed: u64,
@@ -1043,8 +823,8 @@ mod tests {
             SimdOverride::ForceDetect
         });
         let both = || {
-            let mut all = attention_bits(lens, heads, dh, seed, last_only);
-            all.extend(qkv_bits(lens, heads, dh, seed, last_only));
+            let mut all = attention_bits(len, heads, dh, seed, last_only);
+            all.extend(qkv_bits(len, heads, dh, seed, last_only));
             all
         };
         [both(), with_oracle(both)]
@@ -1052,18 +832,16 @@ mod tests {
 
     /// The shapes the strided kernels meet in production and at their edges:
     /// heads of 8 (the fixture) and of 10 (the paper: one full vector and a
-    /// masked pair), a longest sample of 1, 7, 9 and 77 keys (no vector, a
-    /// partial one, one and a bit, four tiles + one + a masked five) with
-    /// shorter samples beside it, a query per key or one per sample.
+    /// pair), 1 to 77 keys (no vector, a partial one, one and a bit, four
+    /// tiles + one + a tail of five), a query per key or only the last.
     #[test]
     fn fused_attention_equals_composed_oracle_at_every_row_tail() {
-        for s in [1usize, 7, 9, 77] {
-            let lens = [s, 1, s.div_ceil(2), s, (s - 1).max(1)];
+        for s in [1usize, 4, 5, 7, 8, 9, 39, 76, 77] {
             for (heads, dh) in [(4, 8), (2, 10)] {
                 for last_only in [false, true] {
                     for scalar in [false, true] {
                         let [fused, oracle] =
-                            fused_and_oracle(&lens, heads, dh, s as u64, last_only, 1, scalar);
+                            fused_and_oracle(s, heads, dh, s as u64, last_only, 1, scalar);
                         let what = format!("s={s} dh={dh} last_only={last_only} scalar={scalar}");
                         assert_eq!(fused, oracle, "{what}");
                     }
@@ -1074,30 +852,22 @@ mod tests {
 
     /// The fused attention node equals the composed-op oracle bit for bit
     /// — forward values, `dq`/`dk`/`dv` and every parameter / input
-    /// gradient — on ragged batches (incl. all-equal lengths and length-1
-    /// sequences), with a query per token or only each sample's last, at
-    /// any head count, pool width and ISA arm.
+    /// gradient — on sequences of 1 to 24 tokens, with a query per token or
+    /// only the last, at any head count, pool width and ISA arm.
     #[test]
     fn fused_attention_equals_composed_oracle() {
         cases(48, |rng| {
-            let n = rng.gen_range(1..=6);
-            let mut lens: Vec<usize> = (0..n).map(|_| rng.gen_range(1..=24)).collect();
-            let shape = rng.gen_range(0..3);
+            let len = rng.gen_range(1..=24);
             let last_only = rng.gen_range(0..=1) == 1;
             let heads = [1, 2, 4][rng.gen_range(0..3usize)];
             // dh 24 at 4 heads makes the projections wide enough to fan out
-            // across the pool on the larger batches.
+            // across the pool on the longer sequences.
             let dh = [2, 5, 10, 24][rng.gen_range(0..4usize)];
             let threads = [1, 4][rng.gen_range(0..2usize)];
             let scalar = rng.gen_range(0..=1) == 1;
             let seed = rng.gen_range(0..1000);
-            match shape {
-                0 => {}
-                1 => lens = vec![lens[0]; lens.len()],
-                _ => lens[0] = 1,
-            }
             let [fused, oracle] =
-                fused_and_oracle(&lens, heads, dh, seed, last_only, threads, scalar);
+                fused_and_oracle(len, heads, dh, seed, last_only, threads, scalar);
             assert_eq!(fused, oracle);
         });
     }

@@ -24,10 +24,10 @@
 //! Every op output, saved activation, gradient and backward temporary comes
 //! from the tape's best-fit [`Arena`] and goes back to it on
 //! [`Tape::reset`] / [`Tape::absorb`]: a step whose shapes repeat allocates
-//! nothing. A minibatch can be recorded in passes of a few samples, each
+//! nothing. A minibatch is recorded in passes of one sequence, each
 //! [`Tape::backward_into`] continuing the parameter gradients of the pass
-//! before, so the arena holds one pass's activations and the gradients
-//! come out as one pass over the whole minibatch makes them, bit for bit.
+//! before, so the arena holds one sequence's activations and the gradients
+//! come out as one chain over the whole minibatch's rows.
 //! Tapes borrow the parameters ([`ParamSet::lend`]) instead of copying
 //! them: inference on a [`forward_only`] tape, training on [`recording`]
 //! tapes, one per pass, which hand one arena from pass to pass and from
@@ -266,14 +266,12 @@ enum Op {
         x: Var,
         idxs: Vec<usize>,
     },
-    /// Fused masked multi-head attention over a packed batch (see
+    /// Fused multi-head attention over one sequence (see
     /// [`Tape::attention`]). Nothing is saved beyond its inputs: backward
-    /// recomputes each (sample, head) softmax block from `q`, `k` and `lens`.
+    /// recomputes each head's softmax block from `q` and `k`.
     Attention {
         qkv: [Var; 3],
-        seq_len: usize,
         heads: usize,
-        lens: Vec<usize>,
     },
     /// The mean is over `rows` rows of the logits' width: the logits' own,
     /// or a whole minibatch's that these are one pass of.
@@ -429,31 +427,24 @@ impl<'p> Tape<'p> {
     }
 
     /// Every softmax the tape computes, as bit patterns in recording order:
-    /// an attention node's `[batch·heads·q_len, seq_len]` blocks, recomputed
-    /// through [`softmax_block`] from its `q`, `k` and `lens` as backward
-    /// recomputes them, and a [`Tape::softmax_rows`] node's value.
+    /// an attention node's `[heads·q_len, len]` blocks, recomputed through
+    /// [`softmax_block`] from its `q` and `k` as backward recomputes them,
+    /// and a [`Tape::softmax_rows`] node's value.
     #[cfg(test)]
     pub(crate) fn softmax_bits(&self) -> Vec<Vec<u32>> {
         let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect();
         let softmax = |node: &Node| match &node.op {
             Op::Attention {
                 qkv: [q, k, _],
-                seq_len: s,
                 heads,
-                lens,
             } => {
                 let [q, k] = [q, k].map(|&var| self.value(var));
-                let dim = k.cols();
-                let (dh, ql) = (dim / heads, q.rows() / lens.len());
-                let mut probs = vec![0.0; lens.len() * heads * ql * s];
-                let mut blocks = probs.chunks_exact_mut(ql * s);
-                for (b, &len) in lens.iter().enumerate() {
-                    for h in 0..*heads {
-                        let (q_at, k_at) = (b * ql * dim + h * dh, b * s * dim + h * dh);
-                        let (qd, kd) = (&q.as_slice()[q_at..], &k.as_slice()[k_at..]);
-                        let p = blocks.next().expect("a block per (sample, head)");
-                        softmax_block(p, qd, kd, dim, *s, dh, ql, len);
-                    }
+                let ((s, dim), ql) = (k.shape(), q.rows());
+                let dh = dim / heads;
+                let mut probs = vec![0.0; heads * ql * s];
+                for (h, p) in probs.chunks_exact_mut(ql * s).enumerate() {
+                    let (qd, kd) = (&q.as_slice()[h * dh..], &k.as_slice()[h * dh..]);
+                    softmax_block(p, qd, kd, dim, s, dh, ql);
                 }
                 Some(bits(&probs))
             }
@@ -566,7 +557,7 @@ impl<'p> Tape<'p> {
     pub fn add_row(&mut self, a: Var, row: Var) -> Var {
         let (av, rt) = (val(&self.nodes, a), val(&self.nodes, row));
         assert_eq!(rt.shape(), (1, av.cols()), "add_row shape mismatch");
-        let v = add_tiled(&mut self.arena, av, rt, 1);
+        let v = add_tiled(&mut self.arena, av, rt);
         self.push(v, Op::AddRow(a, row))
     }
 
@@ -579,15 +570,16 @@ impl<'p> Tape<'p> {
         self.push(v, Op::Scale(a, s))
     }
 
-    /// `a + c` for a constant `c` tiled down the rows with period `period`
-    /// (row `r` of `a` gets row `r % period` of `c`; no gradient to `c`).
-    /// Positional encodings restart per packed sequence this way without a
-    /// tiled copy.
-    pub fn add_const(&mut self, a: Var, c: &Tensor, period: usize) -> Var {
+    /// `a + c` for a constant `c` at least as tall as `a`: row `r` of `a`
+    /// gets row `r` of `c`, and `c` takes no gradient. Positional encodings
+    /// add this way without a copy of their top rows.
+    pub fn add_const(&mut self, a: Var, c: &Tensor) -> Var {
         let av = val(&self.nodes, a);
-        assert_eq!(av.cols(), c.cols(), "add_const column mismatch");
-        assert!(0 < period && period <= c.rows(), "bad add_const period");
-        let v = add_tiled(&mut self.arena, av, c, period);
+        assert!(
+            av.cols() == c.cols() && av.rows() <= c.rows(),
+            "add_const shape mismatch"
+        );
+        let v = add_tiled(&mut self.arena, av, c);
         self.push(v, Op::AddConst(a))
     }
 
@@ -661,8 +653,7 @@ impl<'p> Tape<'p> {
         self.slice(x, (0, start), (m, len))
     }
 
-    /// Rows `[start, start+len)` of `x` (per-sample views into a packed
-    /// batch).
+    /// Rows `[start, start+len)` of `x`.
     pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
         let n = self.value(x).cols();
         self.slice(x, (start, 0), (len, n))
@@ -722,8 +713,8 @@ impl<'p> Tape<'p> {
         self.concat(xs, false)
     }
 
-    /// Gather rows `idxs` from `x` (extracting each sequence's last-token
-    /// representation from a packed batch, or looking up embeddings).
+    /// Gather rows `idxs` from `x` (extracting a sequence's last-token
+    /// representation, or looking up embeddings).
     /// Duplicate indices are allowed.
     pub fn gather_rows(&mut self, x: Var, idxs: &[usize]) -> Var {
         let xv = val(&self.nodes, x);
@@ -741,70 +732,45 @@ impl<'p> Tape<'p> {
         )
     }
 
-    /// Masked multi-head attention over a packed batch as **one** node.
-    /// `k`, `v` are `[batch·seq_len, dim]` (sample `b` owns rows
-    /// `[b·seq_len, (b+1)·seq_len)`, head `h` columns `[h·dh, (h+1)·dh)` with
-    /// `dh = dim / heads`); key positions at or past `lens[b]` are masked
-    /// out of sample `b`'s softmax. `q` is `[batch·q_len, dim]`, sample `b`
-    /// owning rows `[b·q_len, (b+1)·q_len)`: a query for every position
-    /// (`q_len == seq_len`), or only for the positions whose output is read
-    /// — the mask does not depend on where a query sat in its sequence.
-    /// Returns the merged `[batch·q_len, dim]` head outputs.
+    /// Multi-head attention over one sequence as **one** node. `k`, `v` are
+    /// `[len, dim]`, head `h` owning columns `[h·dh, (h+1)·dh)` with
+    /// `dh = dim / heads`; `q` is `[q_len, dim]`: a query for every position
+    /// (`q_len == len`), or only for the positions whose output is read.
+    /// Returns the merged `[q_len, dim]` head outputs.
     ///
-    /// Per (sample, head) this runs what the composed ops
-    /// `softmax_rows(Q·Kᵀ·scale + mask)·V` run — the same products summed in
-    /// the same order — on the head's blocks where they lie in the packed
-    /// tensors (row stride `dim`): [`softmax_block`] computes the head's
-    /// `[q_len, seq_len]` probabilities into one scratch block, reused by
-    /// every (sample, head), and the output goes straight into its column
-    /// block. No probabilities are saved: backward recomputes each block
-    /// through the same function, bit for bit.
-    pub fn attention(
-        &mut self,
-        q: Var,
-        k: Var,
-        v: Var,
-        seq_len: usize,
-        lens: &[usize],
-        heads: usize,
-    ) -> Var {
+    /// Per head this runs what the composed ops `softmax_rows(Q·Kᵀ·scale)·V`
+    /// run — the same products summed in the same order — on the head's
+    /// columns where they lie (row stride `dim`): [`softmax_block`] computes
+    /// the head's `[q_len, len]` probabilities into one scratch block, reused
+    /// by every head, and the output goes straight into its column block. No
+    /// probabilities are saved: backward recomputes each block through the
+    /// same function, bit for bit.
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
         let [qv, kv, vv] = [q, k, v].map(|var| val(&self.nodes, var));
-        let (rows, dim) = kv.shape();
-        let batch = lens.len();
-        assert_eq!(rows, batch * seq_len, "packed shape mismatch");
+        let ((s, dim), ql) = (kv.shape(), qv.rows());
         assert!(
-            vv.shape() == (rows, dim) && qv.cols() == dim,
+            vv.shape() == (s, dim) && qv.cols() == dim,
             "attention q/k/v shape mismatch"
         );
         assert!(
-            seq_len > 0 && heads > 0 && dim > 0 && dim % heads == 0,
-            "attention over {seq_len} positions, {dim} dims, {heads} heads"
+            s > 0 && ql > 0 && heads > 0 && dim > 0 && dim % heads == 0,
+            "attention of {ql} queries over {s} positions, {dim} dims, {heads} heads"
         );
-        let ql = qv.rows() / batch;
-        assert!(
-            ql > 0 && qv.rows() == batch * ql,
-            "attention queries not a whole number per sample"
-        );
-        let (s, dh) = (seq_len, dim / heads);
+        let dh = dim / heads;
         // Each block of both is written whole, by kernels that overwrite.
-        let mut out = self.arena.unfilled(batch * ql, dim);
+        let mut out = self.arena.unfilled(ql, dim);
         let mut block = self.arena.unfilled(ql, s);
         let [qd, kd, vd] = [qv, kv, vv].map(Tensor::as_slice);
-        for (b, &len) in lens.iter().enumerate() {
-            for h in 0..heads {
-                let (q_at, kv_at) = (b * ql * dim + h * dh, b * s * dim + h * dh);
-                let p = block.as_mut_slice();
-                softmax_block(p, &qd[q_at..], &kd[kv_at..], dim, s, dh, ql, len);
-                let out_h = &mut out.as_mut_slice()[q_at..];
-                matmul_band(p, &vd[kv_at..], out_h, [s, dim, dim], s, dh, 0, ql);
-            }
+        for at in (0..heads).map(|h| h * dh) {
+            let p = block.as_mut_slice();
+            softmax_block(p, &qd[at..], &kd[at..], dim, s, dh, ql);
+            let out_h = &mut out.as_mut_slice()[at..];
+            matmul_band(p, &vd[at..], out_h, [s, dim, dim], s, dh, 0, ql);
         }
         self.arena.recycle(block);
         let op = Op::Attention {
             qkv: [q, k, v],
-            seq_len,
             heads,
-            lens: lens.to_vec(),
         };
         self.push(out, op)
     }
@@ -1018,14 +984,9 @@ impl<'p> Tape<'p> {
                     slots.close(arena, *x, gx);
                     arena.recycle(g);
                 }
-                Op::Attention {
-                    qkv,
-                    seq_len,
-                    heads,
-                    lens,
-                } => {
+                Op::Attention { qkv, heads } => {
                     let vals = qkv.map(|var| val(nodes, var));
-                    let dqkv = attention_backward(arena, &g, vals, lens, *seq_len, *heads);
+                    let dqkv = attention_backward(arena, &g, vals, *heads);
                     for (&var, d) in qkv.iter().zip(dqkv) {
                         slots.accum(arena, var, d);
                     }
@@ -1145,11 +1106,12 @@ fn a_bt(arena: &mut Arena, a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// `a` plus `c` tiled down the rows: row `r` gets row `r % period` of `c`.
-fn add_tiled(arena: &mut Arena, a: &Tensor, c: &Tensor, period: usize) -> Tensor {
+/// `a` plus `c` tiled down the rows: row `r` gets row `r mod c.rows()` of
+/// `c` — one row broadcast, or a row each from a constant as tall.
+fn add_tiled(arena: &mut Arena, a: &Tensor, c: &Tensor) -> Tensor {
     let mut out = arena.copy_of(a);
     for r in 0..out.rows() {
-        for (x, cv) in out.row_mut(r).iter_mut().zip(c.row(r % period)) {
+        for (x, cv) in out.row_mut(r).iter_mut().zip(c.row(r % c.rows())) {
             *x += cv;
         }
     }
@@ -1260,12 +1222,9 @@ fn exp_nonpositive(x: f32) -> f32 {
 ///
 /// The maximum is subtracted, [`exp_nonpositive`] applied, and the sum kept
 /// in lanes by position ([`fold_lanes`]). Contract: the bits of an
-/// output depend on the row's values only — not on the instruction set the
-/// loops compile to, and not on how many masked columns (−1e9 after scaling:
-/// exactly `0.0` out, exactly `+0.0` into its lane) follow the real ones,
-/// which is what lets a batch pad its rows. The largest element maps through
-/// `exp(0) == 1`. A NaN anywhere makes the whole row NaN, payload and sign
-/// unspecified.
+/// output depend on the row's values only, not on the instruction set the
+/// loops compile to. The largest element maps through `exp(0) == 1`. A NaN
+/// anywhere makes the whole row NaN, payload and sign unspecified.
 fn softmax_in_place(row: &mut [f32]) {
     // `>` passes over a NaN as `f32::max` does, and is one instruction.
     let mx = fold_lanes(row, f32::NEG_INFINITY, |m, x| if x > m { x } else { m });
@@ -1287,13 +1246,12 @@ fn softmax_backward_row(g: &mut [f32], y: &[f32]) {
     }
 }
 
-/// One (sample, head) block of [`Tape::attention`]'s probabilities into `p`
-/// (`[q_len, s]`): `softmax(Q_h·K_hᵀ·scale + mask)` with `scale = 1/√dh`,
-/// keys at or past `len` masked. `q` and `k` start at the head's first
-/// element, row stride `dim`. Forward and [`attention_backward`] both call
-/// it on the same inputs, so the block backward recomputes is the block
-/// forward used, bit for bit, on every dispatch arm.
-#[allow(clippy::too_many_arguments)] // block geometry: two operands + mask
+/// One head's block of [`Tape::attention`]'s probabilities into `p`
+/// (`[q_len, s]`): `softmax(Q_h·K_hᵀ·scale)` with `scale = 1/√dh`. `q` and
+/// `k` start at the head's first element, row stride `dim`. Forward and
+/// [`attention_backward`] both call it on the same inputs, so the block
+/// backward recomputes is the block forward used, bit for bit, on every
+/// dispatch arm.
 fn softmax_block(
     p: &mut [f32],
     q: &[f32],
@@ -1302,89 +1260,77 @@ fn softmax_block(
     s: usize,
     dh: usize,
     q_len: usize,
-    len: usize,
 ) {
     let scale = 1.0 / (dh as f32).sqrt();
-    let real = len.min(s).max(1);
     a_bt_band(q, k, p, [dim, dim, s], dh, s, 0, q_len);
     for row in p.chunks_exact_mut(s) {
-        // `+ 0.0` is not a no-op: it makes a `-0.0` score `+0.0`.
-        let (live, masked) = row.split_at_mut(real);
-        live.iter_mut().for_each(|x| *x = *x * scale + 0.0);
-        masked.iter_mut().for_each(|x| *x = *x * scale + -1e9);
+        row.iter_mut().for_each(|x| *x *= scale);
         softmax_in_place(row);
     }
 }
 
 /// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`
 /// (`g` and `dq` have `q`'s rows, `dk` and `dv` have `k`'s). Mirrors, per
-/// (sample, head), the backward of the composed ops — the same products in
-/// the same order — reading each head's blocks where they lie and writing
-/// each block gradient straight into its rows and columns of the result
-/// (blocks are disjoint and cover it, so nothing is cleared or accumulated
-/// across them). Two `[q_len, s]` blocks are the only scratch: `block`, the
-/// head's probabilities recomputed by [`softmax_block`], and `gp`, its `dP`
-/// then `dS`.
+/// head, the backward of the composed ops — the same products in the same
+/// order — reading each head's columns where they lie and writing each
+/// block gradient straight into its columns of the result (blocks are
+/// disjoint and cover it, so nothing is cleared or accumulated across
+/// them). Two `[q_len, s]` blocks are the only scratch: `block`, the head's
+/// probabilities recomputed by [`softmax_block`], and `gp`, its `dP` then
+/// `dS`.
 fn attention_backward(
     arena: &mut Arena,
     g: &Tensor,
     [q, k, v]: [&Tensor; 3],
-    lens: &[usize],
-    s: usize,
     heads: usize,
 ) -> [Tensor; 3] {
-    let (rows, dim) = k.shape();
-    let batch = lens.len();
-    let ql = q.rows() / batch;
+    let ((s, dim), ql) = (k.shape(), q.rows());
     let dh = dim / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut dq = arena.unfilled(batch * ql, dim);
-    let [mut dk, mut dv] = [(); 2].map(|_| arena.unfilled(rows, dim));
+    let mut dq = arena.unfilled(ql, dim);
+    let [mut dk, mut dv] = [(); 2].map(|_| arena.unfilled(s, dim));
     let [mut block, mut gp] = [(); 2].map(|_| arena.unfilled(ql, s));
     let [gd, qd, kd, vd] = [g, q, k, v].map(Tensor::as_slice);
-    for (b, &len) in lens.iter().enumerate() {
-        for h in 0..heads {
-            let (q_at, kv_at) = (b * ql * dim + h * dh, b * s * dim + h * dh);
-            let p = block.as_mut_slice();
-            softmax_block(p, &qd[q_at..], &kd[kv_at..], dim, s, dh, ql, len);
-            let ds = gp.as_mut_slice();
-            // out = P·V: dP = dOut·Vᵀ, dV = Pᵀ·dOut.
-            a_bt_band(&gd[q_at..], &vd[kv_at..], ds, [dim, dim, s], dh, s, 0, ql);
-            let dv_h = &mut dv.as_mut_slice()[kv_at..];
-            at_b_band(
-                p,
-                &gd[q_at..],
-                dv_h,
-                [s, dim, dim],
-                ql,
-                dh,
-                0,
-                s,
-                Chain::Start,
-            );
-            // P = softmax(S·scale + mask): the mask is a constant.
-            for (grow, prow) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)) {
-                softmax_backward_row(grow, prow);
-                for x in grow.iter_mut() {
-                    *x *= scale;
-                }
+    for at in (0..heads).map(|h| h * dh) {
+        let p = block.as_mut_slice();
+        softmax_block(p, &qd[at..], &kd[at..], dim, s, dh, ql);
+        let ds = gp.as_mut_slice();
+        // out = P·V: dP = dOut·Vᵀ, dV = Pᵀ·dOut.
+        a_bt_band(&gd[at..], &vd[at..], ds, [dim, dim, s], dh, s, 0, ql);
+        let dv_h = &mut dv.as_mut_slice()[at..];
+        at_b_band(
+            p,
+            &gd[at..],
+            dv_h,
+            [s, dim, dim],
+            ql,
+            dh,
+            0,
+            s,
+            Chain::Start,
+        );
+        // P = softmax(S·scale).
+        for (grow, prow) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)) {
+            softmax_backward_row(grow, prow);
+            for x in grow.iter_mut() {
+                *x *= scale;
             }
-            // S = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
-            let dq_h = &mut dq.as_mut_slice()[q_at..];
-            matmul_band(ds, &kd[kv_at..], dq_h, [s, dim, dim], s, dh, 0, ql);
-            let dk_h = &mut dk.as_mut_slice()[kv_at..];
-            at_b_band(
-                ds,
-                &qd[q_at..],
-                dk_h,
-                [s, dim, dim],
-                ql,
-                dh,
-                0,
-                s,
-                Chain::Start,
-            );
         }
+        // S = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
+        let dq_h = &mut dq.as_mut_slice()[at..];
+        matmul_band(ds, &kd[at..], dq_h, [s, dim, dim], s, dh, 0, ql);
+        let dk_h = &mut dk.as_mut_slice()[at..];
+        at_b_band(
+            ds,
+            &qd[at..],
+            dk_h,
+            [s, dim, dim],
+            ql,
+            dh,
+            0,
+            s,
+            Chain::Start,
+        );
     }
     arena.recycle(block);
     arena.recycle(gp);
@@ -1724,9 +1670,9 @@ mod tests {
 
     /// One training-shaped step on a reused tape: inputs drawn from the
     /// arena, forward, backward, gradients absorbed. The input is as wide as
-    /// the model (6), and `rows` packs samples of (at most) 4 positions, the
-    /// first one full and the rest one token long, so a shorter minibatch
-    /// has fewer samples of the same length.
+    /// the model (6), and its `rows` are sequences of (at most) 4
+    /// positions, an attention node each, so a shorter minibatch has fewer
+    /// sequences of the same length.
     fn arena_step(tape: &mut Tape, rows: usize) {
         tape.reset();
         let mut x = tape.zeros(rows, 6);
@@ -1736,10 +1682,14 @@ mod tests {
         let (x, w) = (tape.leaf(x), tape.leaf(wv));
         let b = tape.leaf_copy(&Tensor::zeros(1, 6));
         let q = tape.linear(x, w, b);
-        let seq_len = rows.min(4);
-        let mut lens = vec![1; rows / seq_len];
-        lens[0] = seq_len;
-        let a = tape.attention(q, q, q, seq_len, &lens, 2);
+        let len = rows.min(4);
+        let seqs: Vec<Var> = (0..rows / len)
+            .map(|s| {
+                let q = tape.slice_rows(q, len * s, len);
+                tape.attention(q, q, q, 2)
+            })
+            .collect();
+        let a = tape.concat_rows(&seqs);
         let h = tape.relu(a);
         let targets = tape.zeros(rows, 6);
         let loss = bce_with_logits(tape, h, targets, 2.0);
@@ -1829,23 +1779,23 @@ mod tests {
 
     #[test]
     fn grad_attention_wrt_q_k_v() {
-        // Two packed samples of 3 positions (the second one token long, so
-        // its padded keys are masked), two heads.
+        // One sequence of 6 positions, two heads, with a query for every
+        // position or (for `q`) only the last two.
         let other =
             |shift: f32| Tensor::from_fn(6, 4, |r, c| 0.17 * ((r * 4 + c) % 5) as f32 - shift);
-        gradcheck(test_input(6, 4), |tape, q| {
+        gradcheck(test_input(2, 4), |tape, q| {
             let (k, v) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
-            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            let y = tape.attention(q, k, v, 2);
             to_scalar(tape, y)
         });
         gradcheck(test_input(6, 4), |tape, k| {
             let (q, v) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
-            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            let y = tape.attention(q, k, v, 2);
             to_scalar(tape, y)
         });
         gradcheck(test_input(6, 4), |tape, v| {
             let (q, k) = (tape.leaf(other(0.3)), tape.leaf(other(0.1)));
-            let y = tape.attention(q, k, v, 3, &[3, 1], 2);
+            let y = tape.attention(q, k, v, 2);
             to_scalar(tape, y)
         });
     }
@@ -1943,27 +1893,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_columns_are_exactly_zero_and_never_move_the_real_ones() {
-        let bits = |row: &[f32]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        for real in (1..=33).chain(74..=77) {
-            let mut alone = scores(real, 7);
-            softmax_in_place(&mut alone);
-            // Enough padding to move the real columns across every lane
-            // boundary and in and out of a vectorised loop's tail.
-            for pad in 1..=9 {
-                let mut padded = scores(real, 7);
-                padded.extend(scores(pad, 3).iter().map(|v| v - 1e9));
-                softmax_in_place(&mut padded);
-                assert_eq!(
-                    bits(&padded[..real]),
-                    bits(&alone),
-                    "{real} real columns, {pad} masked"
-                );
-                assert_eq!(bits(&padded[real..]), vec![0; pad]);
-            }
-        }
-        // The largest element goes through exp(0) == 1: alone, it is all of
-        // the sum.
+    fn the_largest_element_goes_through_exp_of_zero() {
+        // Alone, it is all of the sum.
         let mut row = vec![-1e9, 0.37, -1e9];
         softmax_in_place(&mut row);
         assert_eq!(row, [0.0, 1.0, 0.0]);
@@ -2080,7 +2011,7 @@ mod tests {
     fn grad_add_const_passthrough() {
         gradcheck(test_input(2, 3), |tape, x| {
             let c = Tensor::from_fn(2, 3, |r, c| (r + c) as f32);
-            let y = tape.add_const(x, &c, 2);
+            let y = tape.add_const(x, &c);
             to_scalar(tape, y)
         });
     }

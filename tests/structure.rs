@@ -51,11 +51,14 @@ const ROWS: &[(S, Rule, S)] = &[
     // One trace codec: a trace is the byte stream of crates/db/src/trace.rs, read through its one decoder.
     ("one_trace_codec/packed", Never(&["PackedEvent", "MAX_ID"], "crates"), "crates/ names the packed trace word again; a trace is the byte stream in crates/db/src/trace.rs"),
     ("one_trace_codec/decoder", One(&["type Item = TraceEvent", "impl Iterator<Item = TraceEvent"], "crates", "crates/db/src/trace.rs"), "crates/ must hold exactly one iterator of TraceEvent, the decoder in crates/db/src/trace.rs"),
-    // One softmax block: forward and backward compute each (sample, head) block through one function, so backward
+    // One softmax block: forward and backward compute each head's block through one function, so backward
     // recomputes what forward used, bit for bit, and the attention node saves no probabilities. Tests may call it.
     ("one_softmax_block/probs", Never(&["probs: Tensor"], "crates/nn/src/tape.rs"), "the attention node saves its probabilities again; backward recomputes each block through softmax_block"),
     ("one_softmax_block/fn", One(&["fn softmax_block"], "crates/nn", "crates/nn/src/tape.rs"), "crates/nn must hold exactly one fn softmax_block, in src/tape.rs"),
     ("one_softmax_block/callers", Code(softmax_block_callers), "softmax_block must be called from exactly Tape::attention and attention_backward"),
+    // One batch shape: a forward holds one sequence, in training and in inference; a minibatch trains one per pass,
+    // each backward continuing the gradients of the pass before. No packed batch, no key mask, no pass size.
+    ("one_batch_shape/packed", Never(&["encode_batch", "forward_packed", "lens: &[usize]", "PASS"], "crates/nn crates/core crates/baselines"), "a multi-sequence forward is back; pythia-nn encodes one sequence per forward, and a minibatch trains one per pass"),
     // One column reader: columns are read through `Layout::int_at`, a hash build keeps `(key, RecordId)` pairs, and
     // outside tests, index builds and the value binner decode no row.
     ("one_column_reader/tag_walk", Never(&["tuple::int_at("], "crates src examples tests -crates/db/src/tuple.rs"), "an encoded column is read past Layout::int_at; only crates/db/src/tuple.rs walks the tags"),
