@@ -55,11 +55,6 @@ impl Frame {
         }
     }
 
-    /// Whether the frame holds no page.
-    pub fn is_free(&self) -> bool {
-        self.page.is_none()
-    }
-
     /// Whether the frame may be chosen as an eviction victim.
     pub fn is_evictable(&self) -> bool {
         self.page.is_some() && self.pin_count == 0
@@ -78,9 +73,8 @@ mod tests {
     use pythia_sim::FileId;
 
     #[test]
-    fn empty_frame_is_free_not_evictable() {
+    fn empty_frame_not_evictable() {
         let f = Frame::empty();
-        assert!(f.is_free());
         assert!(!f.is_evictable());
     }
 

@@ -107,13 +107,6 @@ impl TenantFleet {
         version
     }
 
-    /// Load a persisted model (catalog-checked against `db`) and publish it.
-    /// The on-disk version is informational; the fleet assigns its own.
-    pub fn publish_from_file(&self, path: impl AsRef<Path>, db: &Database) -> io::Result<u64> {
-        let (_, tw) = load_model(path, db)?;
-        Ok(self.publish(tw))
-    }
-
     /// The installed models, read (a poisoned lock is taken back).
     fn slots(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<VersionedWorkload>>> {
         self.slots.read().unwrap_or_else(PoisonError::into_inner)
@@ -416,12 +409,6 @@ mod tests {
             loaded.infer(&db, &plans[0]).pages,
             tw.infer(&db, &plans[0]).pages
         );
-
-        // publish_from_file installs it under the fleet's own version.
-        let fleet = TenantFleet::new();
-        let v = fleet.publish_from_file(&path, &db).unwrap();
-        assert_eq!(v, 1);
-        assert_eq!(fleet.current("star").unwrap().version, 1);
 
         // A catalog whose dim grew: refused by the catalog check.
         let mut grown = Database::new();

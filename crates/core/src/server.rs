@@ -30,7 +30,7 @@
 //! candidate ([`pick_next_by_overlap`](crate::scheduler::pick_next_by_overlap)).
 //! Each admission instant first runs one batched inference over every queued
 //! query lacking a prediction (opportunistic re-batching), charging each
-//! covered query the amortized latency ([`InferenceCharge`]).
+//! covered query the configured fixed latency ([`InferenceCharge`]).
 //!
 //! **The clock rule.** A session's clock is the latest instant it has
 //! reached — event starts *and* completion ends — and never goes back. A
@@ -72,7 +72,7 @@ use pythia_obs::{tid, FlowDir, Recorder, Track};
 use pythia_sim::{PageId, SimDuration, SimTime};
 
 use crate::predictor::TrainedWorkload;
-use crate::prefetch::{default_budget, engage};
+use crate::prefetch::{default_budget, engage, INFER_CHARGE};
 use crate::quality::QualityTracker;
 use crate::registry::TenantFleet;
 use crate::scheduler::pick_next_by_overlap_scored;
@@ -110,11 +110,9 @@ pub enum QueuePolicy {
 /// How model-inference latency is charged to admitted queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InferenceCharge {
-    /// Measure the actual wall-clock time of the batched inference call and
-    /// charge each covered query the amortized share (wall / batch size).
-    Measured,
-    /// Charge every covered query this fixed latency. Use this in tests:
-    /// virtual timings become independent of host speed.
+    /// Charge every covered query this fixed virtual latency, so virtual
+    /// timings never depend on the host. [`ServerConfig::default`] charges
+    /// [`INFER_CHARGE`].
     Fixed(SimDuration),
 }
 
@@ -149,7 +147,7 @@ impl Default for ServerConfig {
             concurrency: 4,
             admission: AdmissionMode::Continuous,
             policy: QueuePolicy::Fifo,
-            charge: InferenceCharge::Measured,
+            charge: InferenceCharge::Fixed(INFER_CHARGE),
             prefetch_budget: None,
             tenant_quota: None,
         }
@@ -816,12 +814,9 @@ impl<'d> PrefetchServer<'d> {
         };
         let plans: Vec<&PlanNode> = missing.iter().map(|&k| queue[k].req.plan).collect();
         pythia_obs::wall::set_request(head);
-        let (lists, measured) = engage(self.db, tw, &plans);
+        let lists = engage(self.db, tw, &plans);
         pythia_obs::wall::set_request(0);
-        let charge = match self.cfg.charge {
-            InferenceCharge::Fixed(d) => d,
-            InferenceCharge::Measured => measured,
-        };
+        let InferenceCharge::Fixed(charge) = self.cfg.charge;
         let inferred = missing.len();
         for (&k, list) in missing.iter().zip(lists) {
             queue[k].pred = Some(PredEntry { list, charge });

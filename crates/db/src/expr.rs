@@ -143,38 +143,6 @@ impl Pred {
             Pred::And(ps) => Pred::And(ps.iter().map(|p| p.shift_cols(offset)).collect()),
         }
     }
-
-    /// The atomic `(col, op-string, value-string)` triples in this predicate,
-    /// flattened in order — the plan serializer turns each into
-    /// `[PRED] colName opName valName` tokens (Algorithm 2).
-    pub fn atoms(&self) -> Vec<(usize, String, String)> {
-        let mut out = Vec::new();
-        self.collect_atoms(&mut out);
-        out
-    }
-
-    fn collect_atoms(&self, out: &mut Vec<(usize, String, String)>) {
-        match self {
-            Pred::Cmp { col, op, lit } => out.push((*col, op.sql().to_owned(), lit.to_string())),
-            Pred::In { col, set } => {
-                let vals = set
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push((*col, "IN".to_owned(), vals));
-            }
-            Pred::Between { col, lo, hi } => {
-                out.push((*col, ">=".to_owned(), lo.to_string()));
-                out.push((*col, "<=".to_owned(), hi.to_string()));
-            }
-            Pred::And(ps) => {
-                for p in ps {
-                    p.collect_atoms(out);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,32 +260,6 @@ mod tests {
         ]);
         let shifted = p.shift_cols(4);
         assert!(shifted.eval(&row(&[9, 9, 9, 9, 1, 3])));
-    }
-
-    #[test]
-    fn atoms_flatten_in_order() {
-        let p = Pred::And(vec![
-            Pred::Cmp {
-                col: 2,
-                op: CmpOp::Ge,
-                lit: 7,
-            },
-            Pred::In {
-                col: 0,
-                set: vec![1, 2],
-            },
-            Pred::Between {
-                col: 1,
-                lo: 5,
-                hi: 6,
-            },
-        ]);
-        let atoms = p.atoms();
-        assert_eq!(atoms.len(), 4); // Between expands to two
-        assert_eq!(atoms[0], (2, ">=".into(), "7".into()));
-        assert_eq!(atoms[1], (0, "IN".into(), "1,2".into()));
-        assert_eq!(atoms[2].1, ">=");
-        assert_eq!(atoms[3].1, "<=");
     }
 
     /// Every `Pred` variant over columns 0..4, nested conjunctions included.

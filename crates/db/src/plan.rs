@@ -113,57 +113,6 @@ impl PlanNode {
         out.dedup();
         out
     }
-
-    /// EXPLAIN-style rendering.
-    pub fn explain(&self, db: &Database) -> String {
-        let mut s = String::new();
-        self.explain_into(db, 0, &mut s);
-        s
-    }
-
-    fn explain_into(&self, db: &Database, depth: usize, out: &mut String) {
-        let pad = "  ".repeat(depth);
-        let line = match self {
-            PlanNode::SeqScan { table, pred } => format!(
-                "Seq Scan on {}{}",
-                db.table_info(*table).name,
-                pred.as_ref()
-                    .map(|p| format!(" filter={p:?}"))
-                    .unwrap_or_default()
-            ),
-            PlanNode::IndexScan {
-                table,
-                index,
-                lo,
-                hi,
-                ..
-            } => format!(
-                "Index Scan using {} on {} key in [{lo},{hi}]",
-                db.index_info(*index).name,
-                db.table_info(*table).name
-            ),
-            PlanNode::IndexNLJoin {
-                inner, inner_index, ..
-            } => format!(
-                "Nested Loop (index probe {} on {})",
-                db.index_info(*inner_index).name,
-                db.table_info(*inner).name
-            ),
-            PlanNode::HashJoin { .. } => "Hash Join".to_owned(),
-            PlanNode::Filter { pred, .. } => format!("Filter {pred:?}"),
-            PlanNode::Aggregate { agg, group_col, .. } => {
-                format!("Aggregate {agg:?} group={group_col:?}")
-            }
-            PlanNode::Sort { col, .. } => format!("Sort by col {col}"),
-            PlanNode::Limit { n, .. } => format!("Limit {n}"),
-        };
-        out.push_str(&pad);
-        out.push_str(&line);
-        out.push('\n');
-        for c in self.children() {
-            c.explain_into(db, depth + 1, out);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,25 +158,6 @@ mod tests {
         // fact table, dim table, dim index.
         assert_eq!(objs.len(), 3);
         let _ = db.table_info(fact);
-    }
-
-    #[test]
-    fn explain_contains_names() {
-        let (db, fact, dim, idx) = db_with_two_tables();
-        let plan = PlanNode::IndexNLJoin {
-            outer: Box::new(PlanNode::SeqScan {
-                table: fact,
-                pred: None,
-            }),
-            outer_key: 1,
-            inner: dim,
-            inner_index: idx,
-            inner_pred: None,
-        };
-        let text = plan.explain(&db);
-        assert!(text.contains("Nested Loop"));
-        assert!(text.contains("Seq Scan on fact"));
-        assert!(text.contains("dim_id"));
     }
 
     #[test]

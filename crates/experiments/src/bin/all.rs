@@ -7,7 +7,11 @@
 //! (`pythia_nn::pool`): the workloads and default models every figure shares
 //! are prepared once up front (the `Env` caches them behind `Arc`s), then the
 //! figure jobs run concurrently and the finished tables are emitted serially
-//! in the paper's order — output is byte-identical to the old sequential run.
+//! in the paper's order. Every CSV is byte-identical to the same table run
+//! by its own binary, at any `PYTHIA_THREADS`, with `PYTHIA_SIMD=off` and
+//! on a loaded host, except the wall-clock columns:
+//! Fig 9's `train seconds` and `train ratio vs pythia`, and Fig 12d's
+//! `infer ms / query`.
 use pythia_experiments::*;
 use pythia_nn::pool::parallel_map;
 use pythia_workloads::templates::Template;

@@ -53,6 +53,11 @@ pub struct Fig0506 {
 
 /// Run Figures 5 and 6 over all four workloads.
 pub fn run(env: &Env) -> Fig0506 {
+    run_on(env, &Template::ALL)
+}
+
+/// Figures 5 and 6 with one row per template of `templates`.
+fn run_on(env: &Env, templates: &[Template]) -> Fig0506 {
     let mut f1_table = Table::new(
         "Figure 5: F1 score, Pythia vs NN baseline",
         &[
@@ -68,7 +73,7 @@ pub fn run(env: &Env) -> Fig0506 {
         &["workload", "pythia", "ORCL", "NN"],
     );
 
-    for template in Template::ALL {
+    for &template in templates {
         let w = env.prepare(template);
         let tw = env.trained_default(template);
         let modeled = tw.modeled_objects();
@@ -128,6 +133,35 @@ pub fn run(env: &Env) -> Fig0506 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExpConfig;
+    use pythia_core::PythiaConfig;
+    use pythia_nn::pool::set_thread_override;
+
+    /// A figure is a function of its seed: Fig 6 on one template, built in
+    /// a fresh `Env` with the pool at one thread and then at two, prints
+    /// the same CSV. A host-timed inference charge would break it.
+    #[test]
+    fn fig06_is_the_same_at_one_and_two_threads() {
+        let quick = ExpConfig::quick();
+        let cfg = ExpConfig {
+            scale: 0.05,
+            n_queries: 24,
+            test_frac: 0.25,
+            pythia: PythiaConfig {
+                epochs: 4,
+                ..quick.pythia.clone()
+            },
+            ..quick
+        };
+        let csv = |threads| {
+            set_thread_override(threads);
+            let env = Env::new(cfg.clone());
+            run_on(&env, &[Template::T91]).speedup.to_csv()
+        };
+        let (one, two) = (csv(1), csv(2));
+        set_thread_override(0);
+        assert_eq!(one, two);
+    }
 
     #[test]
     fn pageid_f1_edge_cases() {

@@ -13,9 +13,7 @@
 //! and under the §7 overlap scheduler, every arm through that one loop.
 
 use pythia_core::predictor::TrainedWorkload;
-use pythia_core::server::{
-    InferenceCharge, PrefetchServer, QueuePolicy, ServeReport, ServerConfig, ServerRequest,
-};
+use pythia_core::server::{PrefetchServer, QueuePolicy, ServeReport, ServerConfig, ServerRequest};
 use pythia_obs::{wall, Recorder};
 use pythia_sim::rng::Rng;
 use pythia_sim::SimDuration;
@@ -51,23 +49,17 @@ pub fn serve_poisson(
         policy,
         overlap,
         seed,
-        InferenceCharge::Measured,
         Recorder::disabled(),
     );
     rep
 }
 
-/// Inference charge used by traced runs: a fixed virtual cost keeps every
-/// timestamp in the trace independent of host speed, so two same-seed runs
-/// produce byte-identical virtual-time traces ([`InferenceCharge::Measured`]
-/// would leak wall-clock noise into admission times).
-pub const TRACED_INFER_CHARGE_US: u64 = 150;
-
-/// One Poisson stream through the serving loop under `charge`, with
-/// `recorder` on the serving stack and — if it is enabled — NN wall-task
-/// capture on for the duration of the call and a quality tracker attached.
-/// Returns the report and the recorder holding the run's events.
-#[allow(clippy::too_many_arguments)]
+/// One Poisson stream through the serving loop, each Pythia query charged
+/// the server's default, [`INFER_CHARGE`](pythia_core::prefetch::INFER_CHARGE),
+/// with `recorder` on the serving stack and — if it is enabled — NN
+/// wall-task capture on for the duration of the call and a quality tracker
+/// attached. Returns the report and the recorder holding the run's events;
+/// two same-seed runs give byte-identical virtual-time traces.
 fn serve_poisson_inner(
     env: &Env,
     template: Template,
@@ -75,7 +67,6 @@ fn serve_poisson_inner(
     policy: QueuePolicy,
     overlap: f64,
     seed: u64,
-    charge: InferenceCharge,
     recorder: Recorder,
 ) -> (ServeReport, Recorder) {
     let w = env.prepare(template);
@@ -112,7 +103,6 @@ fn serve_poisson_inner(
     let cfg = ServerConfig {
         concurrency: CONCURRENCY,
         policy,
-        charge,
         ..ServerConfig::default()
     };
     let mut server = PrefetchServer::new(&env.bench.db, &env.run_cfg, cfg);
@@ -222,7 +212,6 @@ pub fn dump_trace(env: &Env, path: &str, metrics_out: Option<&str>) -> ServeRepo
         QueuePolicy::Overlap,
         0.75,
         env.cfg.seed ^ 0x5E4B,
-        InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
         Recorder::enabled(),
     );
     wall::set_enabled(false);
@@ -328,7 +317,6 @@ mod tests {
                 QueuePolicy::Fifo,
                 1.0,
                 7,
-                InferenceCharge::Fixed(SimDuration::from_micros(TRACED_INFER_CHARGE_US)),
                 Recorder::enabled(),
             )
         };

@@ -36,10 +36,6 @@ pub struct CostModel {
     /// Number of asynchronous I/O workers available to the prefetcher
     /// (the AIO structure's I/O depth).
     pub io_workers: usize,
-    /// Simulated latency charged for one Pythia model inference (the paper
-    /// reports 1–1.5 s per query across all models; we charge the equivalent
-    /// *fraction* of query runtime at our scale).
-    pub inference_latency: SimDuration,
 }
 
 impl Default for CostModel {
@@ -52,21 +48,11 @@ impl Default for CostModel {
             cpu_per_tuple: SimDuration::from_micros(2),
             os_readahead_window: 32,
             io_workers: 8,
-            inference_latency: SimDuration::from_micros(20_000),
         }
     }
 }
 
 impl CostModel {
-    /// A cost model with zero inference latency — used when timing oracle or
-    /// nearest-neighbour baselines, which do no model inference.
-    pub fn without_inference(&self) -> CostModel {
-        CostModel {
-            inference_latency: SimDuration::ZERO,
-            ..self.clone()
-        }
-    }
-
     /// Sanity-check the invariants the simulator relies on. Returns an error
     /// string describing the first violated invariant, if any.
     pub fn validate(&self) -> Result<(), String> {
@@ -101,15 +87,6 @@ mod tests {
         assert!(c.buffer_hit < c.os_cache_copy);
         assert!(c.os_cache_copy < c.disk_read);
         assert!(c.readahead_per_page < c.disk_read);
-    }
-
-    #[test]
-    fn without_inference_zeroes_only_inference() {
-        let c = CostModel::default();
-        let z = c.without_inference();
-        assert_eq!(z.inference_latency, SimDuration::ZERO);
-        assert_eq!(z.disk_read, c.disk_read);
-        assert_eq!(z.io_workers, c.io_workers);
     }
 
     #[test]

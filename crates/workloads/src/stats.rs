@@ -2,7 +2,6 @@
 
 use std::collections::HashSet;
 
-use pythia_db::exec::execute;
 use pythia_db::trace::Trace;
 
 use crate::schema::BenchmarkDb;
@@ -113,17 +112,12 @@ pub fn workload_stats(
     }
 }
 
-/// Execute every query in a workload and return the traces (helper used by
-/// the experiment harness and Table 1).
-pub fn collect_traces(b: &BenchmarkDb, queries: &[QueryInstance]) -> Vec<Trace> {
-    queries.iter().map(|q| execute(&q.plan, &b.db).1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{build_benchmark, GeneratorConfig};
     use crate::templates::sample_workload;
+    use pythia_db::exec::execute;
 
     #[test]
     fn table1_shape_for_t18() {
@@ -132,7 +126,7 @@ mod tests {
             seed: 2,
         });
         let w = sample_workload(&b, Template::T18, 12, 4);
-        let traces = collect_traces(&b, &w);
+        let traces: Vec<Trace> = w.iter().map(|q| execute(&q.plan, &b.db).1).collect();
         let s = workload_stats(&b, Template::T18, &w, &traces);
         assert_eq!(s.relations_joined, 6, "T18 joins 6 relations");
         assert!(s.index_scanned >= 3, "most dims are index-probed");
@@ -149,7 +143,7 @@ mod tests {
             seed: 2,
         });
         let w = sample_workload(&b, Template::T91, 6, 5);
-        let traces = collect_traces(&b, &w);
+        let traces: Vec<Trace> = w.iter().map(|q| execute(&q.plan, &b.db).1).collect();
         let s = workload_stats(&b, Template::T91, &w, &traces);
         assert_eq!(s.relations_joined, 7);
         assert_eq!(s.index_scanned, 5);

@@ -71,6 +71,7 @@
 use std::sync::Arc;
 
 use pythia::core::frontend::{pump, Tenant};
+use pythia::core::prefetch::INFER_CHARGE;
 use pythia::core::quality::QualityTracker;
 use pythia::core::{
     train_workload, Frontend, FrontendConfig, InferenceCharge, PrefetchServer, PythiaConfig,
@@ -188,7 +189,7 @@ fn main() {
 
     let cfg = ServerConfig {
         concurrency: 2,
-        charge: InferenceCharge::Fixed(SimDuration::from_micros(150)),
+        charge: InferenceCharge::Fixed(INFER_CHARGE),
         ..ServerConfig::default()
     };
     let mut fleet: Vec<Tenant<'_>> = benches

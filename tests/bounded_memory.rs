@@ -23,6 +23,7 @@ use std::sync::{Mutex, PoisonError};
 
 use pythia::core::config::PythiaConfig;
 use pythia::core::predictor::{train_workload, TrainedWorkload};
+use pythia::core::prefetch::INFER_CHARGE;
 use pythia::core::quality::QualityTracker;
 use pythia::core::{InferenceCharge, PrefetchServer, ServerConfig, ServerRequest, ValueBinner};
 use pythia::db::catalog::{Database, ObjectId, TableId};
@@ -238,7 +239,7 @@ fn a_serving_session_stops_growing_once_warm() {
         .collect();
     let cfg = ServerConfig {
         concurrency: 2,
-        charge: InferenceCharge::Fixed(SimDuration::from_micros(150)),
+        charge: InferenceCharge::Fixed(INFER_CHARGE),
         ..ServerConfig::default()
     };
     let mut srv = PrefetchServer::new(&bench.db, &RunConfig::default(), cfg)

@@ -59,6 +59,11 @@ const ROWS: &[(S, Rule, S)] = &[
     // One batch shape: a forward holds one sequence, in training and in inference; a minibatch trains one per pass,
     // each backward continuing the gradients of the pass before. No packed batch, no key mask, no pass size.
     ("one_batch_shape/packed", Never(&["encode_batch", "forward_packed", "lens: &[usize]", "PASS"], "crates/nn crates/core crates/baselines"), "a multi-sequence forward is back; pythia-nn encodes one sequence per forward, and a minibatch trains one per pass"),
+    // One inference charge: a Pythia query is charged a fixed virtual latency (`prefetch::INFER_CHARGE` by default), never
+    // the host's clock, so a replay's virtual timings, each figure's Pythia column included, are a function of its seed.
+    ("one_inference_charge/measured", Never(&["InferenceCharge::Measured"], CODE), "a query is charged its measured inference time again; InferenceCharge is Fixed, and a figure must not move with host load"),
+    ("one_inference_charge/clock", NeverInCode(&["Instant"], "crates/core/src/prefetch.rs crates/core/src/server.rs crates/experiments/src/harness.rs crates/experiments/src/serving.rs"), "a wall clock is read on the engage or serving path; virtual time charges prefetch::INFER_CHARGE, never the host's clock"),
+    ("one_inference_charge/cost_model", Never(&["inference_latency"], "crates/sim"), "the cost model carries an inference latency again; a query's charge is InferenceCharge, set on the server"),
     // One column reader: columns are read through `Layout::int_at`, a hash build keeps `(key, RecordId)` pairs, and
     // outside tests, index builds and the value binner decode no row.
     ("one_column_reader/tag_walk", Never(&["tuple::int_at("], "crates src examples tests -crates/db/src/tuple.rs"), "an encoded column is read past Layout::int_at; only crates/db/src/tuple.rs walks the tags"),
