@@ -18,7 +18,7 @@ use pythia_db::trace::{Trace, TraceEvent};
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
 use pythia_nn::tape::{
-    bce_with_logits_over, free_recording_arena, recording, Gradients, ParamSet, Tape,
+    bce_with_logits_over, forward_only, free_recording_arena, recording, Gradients, ParamSet,
 };
 use pythia_nn::Adam;
 use pythia_sim::rng::Rng;
@@ -209,20 +209,21 @@ impl SeqModel {
         } else {
             ctx[lo..].to_vec()
         };
-        let mut tape = Tape::new();
-        let vars = self.params.lend(&mut tape);
-        let rep = self.encoder.encode(&mut tape, &vars, &window, BOS);
-        let logits = self.head.forward(&mut tape, &vars, rep);
-        let v = tape.value(logits);
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for i in 0..v.cols() {
-            if v.get(0, i) > best_v {
-                best_v = v.get(0, i);
-                best = i;
+        forward_only(|tape| {
+            let vars = self.params.lend(tape);
+            let rep = self.encoder.encode(tape, &vars, &window, BOS);
+            let logits = self.head.forward(tape, &vars, rep);
+            let v = tape.value(logits);
+            let mut best = 0;
+            let mut best_v = f32::NEG_INFINITY;
+            for i in 0..v.cols() {
+                if v.get(0, i) > best_v {
+                    best_v = v.get(0, i);
+                    best = i;
+                }
             }
-        }
-        best
+            best
+        })
     }
 
     /// Autoregressive generation of up to `max_blocks` block predictions

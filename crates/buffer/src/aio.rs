@@ -106,11 +106,6 @@ impl AioPrefetcher {
         self.queue.len()
     }
 
-    /// Pages currently pinned in the window (in flight or arrived).
-    pub fn in_window(&self) -> usize {
-        self.window.len()
-    }
-
     /// Whether all prefetch work has been issued and the window drained.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.window.is_empty()
@@ -266,6 +261,11 @@ mod tests {
     use pythia_sim::oscache::OsCacheStats;
     use pythia_sim::{FileId, SimDuration};
 
+    /// Pages currently pinned in the window (in flight or arrived).
+    fn in_window(aio: &AioPrefetcher) -> usize {
+        aio.window.len()
+    }
+
     fn pid(p: u32) -> PageId {
         PageId::new(FileId(0), p)
     }
@@ -304,7 +304,7 @@ mod tests {
             &cost,
             SimTime::ZERO,
         );
-        assert_eq!(aio.in_window(), 4);
+        assert_eq!(in_window(&aio), 4);
         assert_eq!(aio.pending(), 6);
         assert_eq!(pool.stats().prefetch_issued, 4);
         // All four window pages are pinned.
@@ -356,7 +356,7 @@ mod tests {
         );
         assert_eq!(pool.stats().prefetch_already_resident, 1);
         assert_eq!(pool.stats().prefetch_issued, 2);
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
     }
 
     #[test]
@@ -379,7 +379,6 @@ mod tests {
         );
         assert_eq!(pool.stats().prefetch_already_resident, 1);
         assert_eq!(pool.frame(f).usage_count, usage + 1, "the use count rises");
-        assert!(pool.frame(f).referenced);
         a.finish(&mut pool);
         b.finish(&mut pool);
         pool.finish_accounting();
@@ -400,7 +399,7 @@ mod tests {
             &cost,
             SimTime::ZERO,
         );
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         // Before arrival: no advance.
         aio.on_query_read(
             &mut pool,
@@ -409,7 +408,7 @@ mod tests {
             &cost,
             SimTime::from_micros(100),
         );
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         // After both in-flight pages arrive (500us each on 2 workers), one
         // dummy request drains them both and refills the window.
         aio.on_query_read(
@@ -419,7 +418,7 @@ mod tests {
             &cost,
             SimTime::from_micros(600),
         );
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         assert_eq!(aio.pending(), 1);
         for p in 0..2 {
             let f = pool.lookup(pid(p)).unwrap();
@@ -440,7 +439,7 @@ mod tests {
             SimTime::ZERO,
         );
         // Only 2 frames: window holds 2, rest stay queued.
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         assert_eq!(aio.pending(), 4);
         // Advancing after arrival frees both pins and refills both frames.
         aio.on_query_read(
@@ -450,7 +449,7 @@ mod tests {
             &cost,
             SimTime::from_micros(1_000_000),
         );
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         assert_eq!(aio.pending(), 2);
     }
 
@@ -473,7 +472,7 @@ mod tests {
             &cost,
             SimTime::ZERO,
         );
-        assert_eq!(aio.in_window(), 0);
+        assert_eq!(in_window(&aio), 0);
         assert_eq!(aio.pending(), 2, "pages stay queued for retry");
         assert_eq!(
             os.stats(),
@@ -481,12 +480,12 @@ mod tests {
             "no OS-cache traffic on failed load"
         );
         assert_eq!(io.issued(), 0, "no I/O worker slot consumed");
-        assert_eq!(
-            io.earliest_free(),
-            SimTime::ZERO,
-            "worker timeline untouched"
-        );
-        assert_eq!(io.drained_at(), SimTime::ZERO);
+        // Worker timeline untouched: every lane still takes a fetch at 0.
+        let mut probe = io.clone();
+        for _ in 0..probe.workers() {
+            let start = probe.schedule_detailed(SimTime::ZERO, cost.disk_read).start;
+            assert_eq!(start, SimTime::ZERO, "worker timeline untouched");
+        }
         assert_eq!(pool.stats().prefetch_issued, 0);
         // After the pins release, the retry accounts each page exactly once.
         for p in 0..2 {
@@ -501,7 +500,7 @@ mod tests {
             &cost,
             SimTime::ZERO,
         );
-        assert_eq!(aio.in_window(), 2);
+        assert_eq!(in_window(&aio), 2);
         assert_eq!(aio.pending(), 0);
         assert_eq!(
             os.stats().hits + os.stats().misses,
@@ -556,7 +555,7 @@ mod tests {
                 "arrived page {p} must be released"
             );
         }
-        assert_eq!(aio.in_window(), 2, "freed slots refilled from the queue");
+        assert_eq!(in_window(&aio), 2, "freed slots refilled from the queue");
         assert_eq!(aio.pending(), 0);
     }
 

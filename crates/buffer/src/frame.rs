@@ -29,9 +29,6 @@ pub struct Frame {
     /// Whether this frame was populated by the prefetcher (for accounting
     /// of useful vs wasted prefetches).
     pub prefetched: bool,
-    /// Whether the frame has been referenced since load: by a query's read,
-    /// or by a prefetcher that met it resident (`BufferPool::bump`).
-    pub referenced: bool,
     /// Whether this prefetched load has been counted useful or wasted: at
     /// most once over its residency, however many runs close over it.
     /// Accounting only — no replacement policy reads it.
@@ -50,7 +47,6 @@ impl Frame {
             usage_count: 0,
             available_at: SimTime::ZERO,
             prefetched: false,
-            referenced: false,
             settled: false,
         }
     }

@@ -25,8 +25,6 @@ pub mod stats;
 
 pub use aio::AioPrefetcher;
 pub use frame::{Frame, FrameId};
-pub use policy::{
-    ClockPolicy, LruPolicy, MruPolicy, PolicyKind, PrefetchAwareClock, ReplacementPolicy,
-};
+pub use policy::{ClockPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
 pub use pool::BufferPool;
 pub use stats::BufferStats;

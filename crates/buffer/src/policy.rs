@@ -12,11 +12,6 @@ pub enum PolicyKind {
     Clock,
     Lru,
     Mru,
-    /// Clock that protects prefetched-but-not-yet-referenced frames — the
-    /// paper's §7 extension ("improve the coordination between the
-    /// prefetcher of Pythia and the buffer manager"). Not part of
-    /// [`PolicyKind::ALL`], which matches the paper's Figure 12e set.
-    PrefetchAwareClock,
 }
 
 impl PolicyKind {
@@ -26,7 +21,6 @@ impl PolicyKind {
             PolicyKind::Clock => Box::new(ClockPolicy::new(frames)),
             PolicyKind::Lru => Box::new(LruPolicy::new(frames)),
             PolicyKind::Mru => Box::new(MruPolicy::new(frames)),
-            PolicyKind::PrefetchAwareClock => Box::new(PrefetchAwareClock::new(frames)),
         }
     }
 
@@ -40,7 +34,6 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::Clock => "Clock",
             PolicyKind::Lru => "LRU",
             PolicyKind::Mru => "MRU",
-            PolicyKind::PrefetchAwareClock => "PrefetchAwareClock",
         };
         f.write_str(s)
     }
@@ -248,68 +241,6 @@ impl ReplacementPolicy for MruPolicy {
     }
 }
 
-/// Clock sweep that refuses to evict prefetched pages that have not yet been
-/// referenced, falling back to plain Clock when every evictable frame is a
-/// protected prefetch (so it can never deadlock). This implements the
-/// prefetcher/replacement coordination the paper leaves as future work (§7):
-/// with plain Clock, a concurrent query's demand reads can wash out another
-/// query's just-unpinned prefetched pages before they are used.
-#[derive(Debug)]
-pub struct PrefetchAwareClock {
-    inner: ClockPolicy,
-}
-
-impl PrefetchAwareClock {
-    pub fn new(frames: usize) -> Self {
-        PrefetchAwareClock {
-            inner: ClockPolicy::new(frames),
-        }
-    }
-}
-
-impl ReplacementPolicy for PrefetchAwareClock {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PrefetchAwareClock
-    }
-
-    fn on_access(&mut self, frame: FrameId) {
-        self.inner.on_access(frame);
-    }
-
-    fn on_load(&mut self, frame: FrameId) {
-        self.inner.on_load(frame);
-    }
-
-    fn on_load_transient(&mut self, frame: FrameId) {
-        self.inner.on_load_transient(frame);
-    }
-
-    fn pick_victim(&mut self, frames: &[Frame]) -> Option<FrameId> {
-        // First pass: sweep like Clock but treat protected prefetches as
-        // unevictable.
-        let max_steps = self.inner.n * (Frame::MAX_USAGE as usize + 2);
-        for _ in 0..max_steps {
-            let idx = self.inner.hand;
-            self.inner.hand = (self.inner.hand + 1) % self.inner.n;
-            let f = &frames[idx];
-            if !f.is_evictable() || (f.prefetched && !f.referenced) {
-                continue;
-            }
-            if self.inner.usage[idx] == 0 {
-                return Some(FrameId(idx as u32));
-            }
-            self.inner.usage[idx] -= 1;
-        }
-        // Everything unprotected is pinned: fall back to plain Clock so the
-        // pool can still make progress.
-        self.inner.pick_victim(frames)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,54 +332,6 @@ mod tests {
         for k in PolicyKind::ALL {
             assert_eq!(k.build(4).kind(), k);
         }
-        assert_eq!(
-            PolicyKind::PrefetchAwareClock.build(4).kind(),
-            PolicyKind::PrefetchAwareClock
-        );
-    }
-
-    #[test]
-    fn prefetch_aware_clock_protects_unread_prefetches() {
-        let mut frames = vec![Frame::empty(); 3];
-        let mut p = PrefetchAwareClock::new(3);
-        for i in 0..3 {
-            resident(&mut frames, i, i as u32);
-            p.on_load(FrameId(i as u32));
-        }
-        // Frame 1 is a prefetched page nobody has read yet.
-        frames[1].prefetched = true;
-        frames[1].referenced = false;
-        // Frame 0 and 2 get referenced heavily... no: leave usage low so
-        // Clock would normally pick any of them; the protected one must be
-        // skipped regardless.
-        let victim = p.pick_victim(&frames).unwrap();
-        assert_ne!(victim, FrameId(1), "unread prefetch must survive");
-    }
-
-    #[test]
-    fn prefetch_aware_clock_falls_back_when_all_protected() {
-        let mut frames = vec![Frame::empty(); 2];
-        let mut p = PrefetchAwareClock::new(2);
-        for i in 0..2 {
-            resident(&mut frames, i, i as u32);
-            p.on_load(FrameId(i as u32));
-            frames[i].prefetched = true;
-            frames[i].referenced = false;
-        }
-        assert!(p.pick_victim(&frames).is_some(), "must not deadlock");
-    }
-
-    #[test]
-    fn prefetch_aware_clock_evicts_referenced_prefetches_normally() {
-        let mut frames = vec![Frame::empty(); 2];
-        let mut p = PrefetchAwareClock::new(2);
-        for i in 0..2 {
-            resident(&mut frames, i, i as u32);
-            p.on_load(FrameId(i as u32));
-        }
-        frames[0].prefetched = true;
-        frames[0].referenced = true; // consumed: fair game
-        assert!(p.pick_victim(&frames).is_some());
     }
 
     #[test]

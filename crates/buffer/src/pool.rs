@@ -70,11 +70,6 @@ impl BufferPool {
         self.frames.len()
     }
 
-    /// Number of frames currently holding a page.
-    pub fn resident_count(&self) -> usize {
-        self.page_table.len()
-    }
-
     /// Frame holding `pid`, if resident.
     pub fn lookup(&self, pid: PageId) -> Option<FrameId> {
         self.page_table.get(&pid).copied()
@@ -100,13 +95,12 @@ impl BufferPool {
 
     /// A reference that is not a query's read — a prefetcher meeting a
     /// resident page, where "nothing happens except increasing its use
-    /// count" (§3.3): bumps usage, sets the reference bit and notifies the
-    /// policy, but leaves a prefetched frame unsettled, so another stream's
-    /// prefetch counts as useful only once a query reads it.
+    /// count" (§3.3): bumps usage and notifies the policy, but leaves a
+    /// prefetched frame unsettled, so another stream's prefetch counts as
+    /// useful only once a query reads it.
     pub(crate) fn bump(&mut self, fid: FrameId) {
         let f = &mut self.frames[fid.0 as usize];
         f.usage_count = (f.usage_count + 1).min(Frame::MAX_USAGE);
-        f.referenced = true;
         self.policy.on_access(fid);
     }
 
@@ -170,7 +164,6 @@ impl BufferPool {
         f.usage_count = if transient { 0 } else { 1 };
         f.available_at = available_at;
         f.prefetched = prefetched;
-        f.referenced = false;
         f.settled = false;
         self.page_table.insert(pid, fid);
         if transient {
@@ -204,7 +197,6 @@ impl BufferPool {
         }
         f.usage_count = 0;
         f.prefetched = false;
-        f.referenced = false;
         f.settled = false;
     }
 
@@ -251,11 +243,6 @@ impl BufferPool {
         self.policy.reset();
         self.stats = BufferStats::default();
     }
-
-    /// Iterate over resident pages (diagnostics, tests).
-    pub fn resident_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.page_table.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -271,12 +258,17 @@ mod tests {
         BufferPool::new(cap, PolicyKind::Lru)
     }
 
+    /// Number of frames currently holding a page.
+    fn resident_count(b: &BufferPool) -> usize {
+        b.page_table.len()
+    }
+
     #[test]
     fn load_and_lookup() {
         let mut b = pool(4);
         let f = b.load(pid(7), false, SimTime::ZERO).unwrap();
         assert_eq!(b.lookup(pid(7)), Some(f));
-        assert_eq!(b.resident_count(), 1);
+        assert_eq!(resident_count(&b), 1);
     }
 
     #[test]
@@ -358,10 +350,8 @@ mod tests {
         b.finish_accounting();
         b.finish_accounting();
         assert_eq!(b.stats().prefetch_wasted, 2, "a second close adds nothing");
-        // Written off, then read after all: still one count, and the frame
-        // is referenced as far as the replacement policy can tell.
+        // Written off, then read after all: still one count.
         b.touch(f1);
-        assert!(b.frame(f1).referenced);
         assert_eq!(b.stats().prefetch_useful, 0);
         // Written off, then evicted: not wasted twice.
         b.load(pid(3), false, SimTime::ZERO).unwrap();
@@ -378,7 +368,7 @@ mod tests {
         let mut b = pool(2);
         b.load(pid(1), false, SimTime::ZERO).unwrap();
         b.reset();
-        assert_eq!(b.resident_count(), 0);
+        assert_eq!(resident_count(&b), 0);
         assert_eq!(b.stats(), &BufferStats::default());
         // All frames usable again.
         assert!(b.load(pid(5), false, SimTime::ZERO).is_some());

@@ -534,7 +534,10 @@ mod tests {
 
     /// The two objects every `mini_star` query probes: dim's heap and index.
     fn dim_objects(db: &Database) -> (ObjectId, ObjectId) {
-        let named = |name: &str| db.object_ids().find(|&o| db.object_name(o) == name);
+        let named = |name: &str| {
+            let mut ids = (0..db.object_count() as u32).map(ObjectId);
+            ids.find(|&o| db.object_name(o) == name)
+        };
         (named("dim").unwrap(), named("dim_pk").unwrap())
     }
 

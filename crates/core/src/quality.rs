@@ -122,11 +122,6 @@ impl QualityTracker {
         self.slots.get(&(tenant, template)).map(|s| s.sum)
     }
 
-    /// Tenants that produced at least one observation, ascending.
-    pub fn tenant_ids(&self) -> Vec<u32> {
-        self.tenants.keys().copied().collect()
-    }
-
     /// Observations fed for a tenant.
     pub fn observations(&self, tenant: u32) -> u64 {
         self.tenants.get(&tenant).copied().unwrap_or(0)

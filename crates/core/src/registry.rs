@@ -165,6 +165,7 @@ mod tests {
     use crate::config::PythiaConfig;
     use crate::predictor::train_workload;
     use crate::prefetch::prefetch_list;
+    use pythia_db::catalog::ObjectId;
     use pythia_db::exec::execute;
     use pythia_db::expr::Pred;
     use pythia_db::types::Schema;
@@ -187,13 +188,20 @@ mod tests {
         (db, plans)
     }
 
+    /// The index `star_db` builds on `dim`.
+    fn dim_pk(db: &Database) -> ObjectId {
+        let mut ids = (0..db.object_count() as u32).map(ObjectId);
+        ids.find(|&o| db.object_name(o) == "dim_pk")
+            .expect("star_db indexes dim")
+    }
+
     fn star_plan(db: &Database, lo: i64) -> PlanNode {
         let dim = db.table("dim").unwrap();
         PlanNode::IndexNLJoin {
             outer: Box::new(fact_scan(db, lo, lo + 10)),
             outer_key: 2,
             inner: dim,
-            inner_index: db.index_on(dim, 0).unwrap().object,
+            inner_index: dim_pk(db),
             inner_pred: None,
         }
     }
@@ -261,7 +269,7 @@ mod tests {
         };
         let dim = db.table("dim").unwrap();
         let heap = db.table_info(dim).object;
-        let idx = db.index_on(dim, 0).unwrap().object;
+        let idx = dim_pk(&db);
         let fleet = TenantFleet::new();
         for only in [heap, idx] {
             fleet.publish(train_workload(

@@ -108,18 +108,6 @@ pub fn pick_next_by_overlap_scored(
         .expect("non-empty candidates")
 }
 
-/// Total consecutive-pair overlap of an ordering (diagnostics / tests).
-pub fn consecutive_overlap(predictions: &[Vec<PageId>], order: &[usize]) -> f64 {
-    let sets: Vec<BTreeSet<PageId>> = predictions
-        .iter()
-        .map(|p| p.iter().copied().collect())
-        .collect();
-    order
-        .windows(2)
-        .map(|w| jaccard(&sets[w[0]], &sets[w[1]]))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +115,18 @@ mod tests {
 
     fn pages(ps: &[u32]) -> Vec<PageId> {
         ps.iter().map(|&p| PageId::new(FileId(0), p)).collect()
+    }
+
+    /// Total consecutive-pair overlap of an ordering.
+    fn consecutive_overlap(predictions: &[Vec<PageId>], order: &[usize]) -> f64 {
+        let sets: Vec<BTreeSet<PageId>> = predictions
+            .iter()
+            .map(|p| p.iter().copied().collect())
+            .collect();
+        order
+            .windows(2)
+            .map(|w| jaccard(&sets[w[0]], &sets[w[1]]))
+            .sum()
     }
 
     #[test]

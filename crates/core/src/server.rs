@@ -2109,7 +2109,10 @@ mod tests {
         assert_eq!(rec.event_count("quality.observe"), rep.waves.len());
         assert_eq!(rec.counter("quality.observations"), rep.waves.len() as u64);
         let q = srv.quality().expect("a tracker was attached");
-        assert_eq!(q.tenant_ids(), vec![0, 1]);
+        // Both tenants observed, and no other.
+        assert!(q.observations(0) > 0 && q.observations(1) > 0);
+        let observed = q.observations(0) + q.observations(1);
+        assert_eq!(observed, rep.waves.len() as u64);
         // Each tenant's window holds fewer intervals than the window length,
         // so it is exactly the merge of the report's intervals for that
         // tenant — the same `BufferStats`, handed over as they are.

@@ -172,23 +172,9 @@ impl Database {
             .unwrap_or_else(|| panic!("object {object:?} is not an index"))
     }
 
-    /// The index on `table`.`key_col`, if one exists.
-    pub fn index_on(&self, table: TableId, key_col: usize) -> Option<&IndexInfo> {
-        self.tables[table.0 as usize]
-            .indexes
-            .iter()
-            .map(|&i| &self.indexes[i])
-            .find(|i| i.key_col == key_col)
-    }
-
     /// Number of catalogued objects (tables + indexes).
     pub fn object_count(&self) -> usize {
         self.objects.len()
-    }
-
-    /// All object ids.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> {
-        (0..self.objects.len() as u32).map(ObjectId)
     }
 
     /// Name of an object.
@@ -282,19 +268,12 @@ mod tests {
     }
 
     #[test]
-    fn index_on_finds_by_column() {
-        let (mut db, t) = small_db();
-        db.create_index("t_val", t, 1);
-        assert!(db.index_on(t, 1).is_some());
-        assert!(db.index_on(t, 0).is_none());
-    }
-
-    #[test]
     fn object_ids_cover_tables_and_indexes() {
         let (mut db, t) = small_db();
         db.create_index("t_val", t, 1);
         assert_eq!(db.object_count(), 2);
-        let names: Vec<&str> = db.object_ids().map(|o| db.object_name(o)).collect();
+        let ids = (0..db.object_count() as u32).map(ObjectId);
+        let names: Vec<&str> = ids.map(|o| db.object_name(o)).collect();
         assert_eq!(names, vec!["t", "t_val"]);
     }
 

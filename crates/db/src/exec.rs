@@ -717,11 +717,7 @@ mod tests {
 
     #[test]
     fn index_scan_range() {
-        let (db, dim, _, _) = {
-            let (db, _f, d, i) = star_db();
-            (db, d, d, i)
-        };
-        let idx = db.index_on(dim, 0).unwrap().object;
+        let (db, _, dim, idx) = star_db();
         let plan = PlanNode::IndexScan {
             table: dim,
             index: idx,

@@ -266,7 +266,8 @@ impl EventStream {
     }
 
     /// Bytes the stream holds on the heap.
-    pub fn byte_capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn byte_capacity(&self) -> usize {
         self.bytes.capacity()
     }
 
@@ -551,7 +552,8 @@ impl Trace {
     }
 
     /// Total CPU units recorded.
-    pub fn cpu_units(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cpu_units(&self) -> u64 {
         self.iter()
             .map(|e| match e {
                 TraceEvent::Cpu { units } => units as u64,

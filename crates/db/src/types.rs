@@ -30,11 +30,6 @@ impl Datum {
             _ => None,
         }
     }
-
-    /// Whether this is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Datum::Null)
-    }
 }
 
 impl fmt::Display for Datum {
@@ -118,7 +113,6 @@ mod tests {
         assert_eq!(Datum::Int(5).as_int(), Some(5));
         assert_eq!(Datum::Str("x".into()).as_int(), None);
         assert_eq!(Datum::Str("x".into()).as_str(), Some("x"));
-        assert!(Datum::Null.is_null());
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Run the paper's §7 future-work extensions: prefetch-aware scheduling and
-//! prefetch-aware buffer replacement.
+//! Run the paper's §7 future-work extension: prefetch-aware scheduling.
 use pythia_experiments::{extensions, Env, ExpConfig};
 
 fn main() {
     let env = Env::new(ExpConfig::from_env());
     extensions::run_scheduler(&env).emit("ext_scheduler");
-    extensions::run_replacement(&env).emit("ext_replacement");
 }

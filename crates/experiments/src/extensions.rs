@@ -5,21 +5,18 @@
 //!   overlapping reads"): a queued batch is reordered by
 //!   [`pythia_core::scheduler::schedule_by_overlap`] over Pythia's
 //!   *predictions* (no execution needed), then run warm-sequentially.
-//! * **Prefetcher/replacement coordination** ("improve the coordination
-//!   between the prefetcher of Pythia and the buffer manager"):
-//!   [`pythia_buffer::PolicyKind::PrefetchAwareClock`] protects prefetched
-//!   pages until first use; measured under concurrent queries with a small
-//!   buffer, where plain Clock lets demand reads wash out another query's
-//!   prefetches.
+//!
+//! §7's other direction, a replacement policy that protects unread
+//! prefetches, measured null: `docs/measurements.md`, "Prefetch-aware
+//! replacement: three measured nulls".
 
-use pythia_buffer::PolicyKind;
-use pythia_db::runtime::{QueryRun, RunConfig};
+use pythia_db::runtime::QueryRun;
 use pythia_workloads::templates::Template;
 
 use crate::harness::Env;
-use crate::output::{f2, Table};
+use crate::output::Table;
 
-/// Extension 1: prefetch-aware scheduling of a queued batch.
+/// Prefetch-aware scheduling of a queued batch.
 pub fn run_scheduler(env: &Env) -> Table {
     let mut t = Table::new(
         "Extension (paper §7): prefetch-aware query scheduling — warm-sequential total latency",
@@ -62,53 +59,6 @@ pub fn run_scheduler(env: &Env) -> Table {
                 "{:.1}%",
                 (1.0 - sched.as_micros() as f64 / fifo.as_micros() as f64) * 100.0
             ),
-        ]);
-    }
-    t
-}
-
-/// Extension 2: prefetch-aware replacement under concurrent pressure.
-pub fn run_replacement(env: &Env) -> Table {
-    let mut t = Table::new(
-        "Extension (paper §7): prefetch-aware replacement — concurrent T18 queries, small buffer",
-        &["policy", "makespan speedup vs DFLT", "prefetch precision"],
-    );
-    let w = env.prepare(Template::T18);
-    let tw = env.trained_default(Template::T18);
-    let queries: Vec<usize> = w.test_idx.iter().copied().take(4).collect();
-
-    for policy in [PolicyKind::Clock, PolicyKind::PrefetchAwareClock] {
-        let run_cfg = RunConfig {
-            policy,
-            pool_frames: (env.run_cfg.pool_frames / 3).max(96),
-            readahead_window: (env.run_cfg.pool_frames / 12).max(16),
-            ..env.run_cfg.clone()
-        };
-        let plans: Vec<_> = queries.iter().map(|&qi| &w.queries[qi].plan).collect();
-        let prefetches = env.pythia_prefetch_batch(&run_cfg, &tw, &plans);
-        let makespan_of = |prefetch: bool| {
-            let mut rt = env.runtime_with(&run_cfg);
-            let runs: Vec<QueryRun<'_>> = queries
-                .iter()
-                .enumerate()
-                .map(|(k, &qi)| {
-                    if prefetch {
-                        let (pf, inf) = prefetches[k].clone();
-                        QueryRun::with_prefetch(&w.traces[qi], pf, inf)
-                    } else {
-                        QueryRun::default_run(&w.traces[qi])
-                    }
-                })
-                .collect();
-            let res = rt.run(&runs);
-            (res.makespan(), res.stats)
-        };
-        let (dflt, _) = makespan_of(false);
-        let (pyth, stats) = makespan_of(true);
-        t.row(vec![
-            policy.to_string(),
-            f2(dflt.as_micros() as f64 / pyth.as_micros().max(1) as f64),
-            f2(stats.prefetch_precision()),
         ]);
     }
     t

@@ -285,9 +285,9 @@ mod tests {
     use crate::optim::Adam;
     use crate::pool::set_thread_override;
     use crate::rng::cases;
+    use crate::tape::tests::{backward, bce};
     use crate::tape::{
-        bce_with_logits, bce_with_logits_over, forward_only, free_recording_arena, recording,
-        Gradients,
+        bce_with_logits_over, forward_only, free_recording_arena, recording, Gradients,
     };
     use std::cell::Cell;
 
@@ -381,8 +381,8 @@ mod tests {
         // Force a recognizable bias.
         *p.get_mut(lin.b) = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         *p.get_mut(lin.w) = Tensor::zeros(4, 3);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let x = tape.leaf(Tensor::full(2, 4, 1.0));
         let y = lin.forward(&mut tape, &vars, x);
         assert_eq!(tape.value(y).shape(), (2, 3));
@@ -394,8 +394,8 @@ mod tests {
     fn embedding_adds_positions() {
         let (mut p, mut init) = setup();
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 16);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         // The same token at three positions embeds three ways.
         let y = emb.forward(&mut tape, &vars, &[3, 3, 3]);
         let v = tape.value(y);
@@ -409,8 +409,8 @@ mod tests {
     fn embedding_rejects_long_sequences() {
         let (mut p, mut init) = setup();
         let emb = Embedding::new(&mut p, &mut init, "e", 10, 6, 2);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         emb.forward(&mut tape, &vars, &[1, 2, 3]);
     }
 
@@ -418,15 +418,15 @@ mod tests {
     fn attention_output_shape_and_grads() {
         let (mut p, mut init) = setup();
         let mha = MultiHeadSelfAttention::new(&mut p, &mut init, "a", 8, 2);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let x = tape.leaf(Initializer::new(1).uniform(5, 8, 1.0));
         let y = mha.forward(&mut tape, &vars, x, None);
         assert_eq!(tape.value(y).shape(), (5, 8));
         // All attention params receive gradients.
         let targets = Tensor::zeros(5, 8);
-        let loss = bce_with_logits(&mut tape, y, targets, 1.0);
-        let grads = tape.backward(loss);
+        let loss = bce(&mut tape, y, targets, 1.0);
+        let grads = backward(&mut tape, loss);
         for v in &vars {
             assert!(grads.try_get(*v).is_some(), "param without grad");
         }
@@ -436,8 +436,8 @@ mod tests {
     fn encoder_layer_preserves_shape() {
         let (mut p, mut init) = setup();
         let layer = TransformerEncoderLayer::new(&mut p, &mut init, "t", 8, 2, 16);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let x = tape.leaf(Initializer::new(2).uniform(7, 8, 1.0));
         let y = layer.forward(&mut tape, &vars, x, None);
         assert_eq!(tape.value(y).shape(), (7, 8));
@@ -447,8 +447,8 @@ mod tests {
     fn encoder_last_token_representation() {
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 2, 32);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let q = enc.encode(&mut tape, &vars, &[1, 5, 7, 2], 0);
         assert_eq!(tape.value(q).shape(), (1, 8));
         // Different sequences produce different representations.
@@ -461,8 +461,8 @@ mod tests {
         // Positional encodings + attention: token order must matter.
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 1, 32);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let a = enc.encode(&mut tape, &vars, &[4, 9, 9, 4], 0);
         let b = enc.encode(&mut tape, &vars, &[9, 4, 4, 9], 0);
         assert!(tape.value(a).max_abs_diff(tape.value(b)) > 1e-6);
@@ -472,8 +472,8 @@ mod tests {
     fn an_empty_sequence_encodes_as_one_pad_token() {
         let (mut p, mut init) = setup();
         let enc = TransformerEncoder::new(&mut p, &mut init, "enc", 20, 8, 2, 16, 2, 32);
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         let empty = enc.encode(&mut tape, &vars, &[], 7);
         let pad = enc.encode(&mut tape, &vars, &[7], 7);
         assert_eq!(bits(tape.value(empty)), bits(tape.value(pad)));
@@ -489,18 +489,19 @@ mod tests {
         let data = [(vec![1usize, 2, 3], 1.0f32), (vec![3usize, 2, 1], 0.0)];
         let mut last_loss = f32::INFINITY;
         for epoch in 0..120 {
-            let mut tape = Tape::new();
-            let vars = p.inject(&mut tape);
-            let reps: Vec<Var> = data
-                .iter()
-                .map(|(ids, _)| enc.encode(&mut tape, &vars, ids, 0))
-                .collect();
-            let batch = tape.stack_rows(&reps);
-            let logits = head.forward(&mut tape, &vars, batch);
-            let targets = Tensor::from_vec(2, 1, data.iter().map(|(_, t)| *t).collect());
-            let loss = bce_with_logits(&mut tape, logits, targets, 1.0);
-            last_loss = tape.value(loss).get(0, 0);
-            let grads = tape.backward(loss);
+            // Both sequences in one minibatch, one pass each.
+            let (mut grads, mut vars, mut total) = (Gradients::default(), Vec::new(), 0.0);
+            for (ids, target) in &data {
+                let mut tape = Tape::default();
+                vars = p.lend(&mut tape);
+                let rep = enc.encode(&mut tape, &vars, ids, 0);
+                let logits = head.forward(&mut tape, &vars, rep);
+                let target = Tensor::full(1, 1, *target);
+                let rows = data.len();
+                let loss = bce_with_logits_over(&mut tape, logits, target, 1.0, rows, &mut total);
+                last_loss = tape.value(loss).get(0, 0);
+                grads = tape.backward_into(loss, grads);
+            }
             adam.step(&mut p, &vars, &grads);
             if epoch == 0 {
                 assert!(last_loss > 0.1);
@@ -668,10 +669,10 @@ mod tests {
         let model = Model::new(2, 32, 4, 64, 128, 50);
         let seq = [3usize; 77];
         let record = |model: &Model| {
-            let mut tape = Tape::new();
-            let vars = model.params.inject(&mut tape);
+            let mut tape = Tape::default();
+            let vars = model.params.lend(&mut tape);
             let logits = model.logits(&mut tape, &vars, &seq);
-            bce_with_logits(&mut tape, logits, Tensor::zeros(1, 50), 1.0);
+            bce(&mut tape, logits, Tensor::zeros(1, 50), 1.0);
             tape.len()
         };
         // One attention node per layer; the final layer's two gathers
@@ -701,8 +702,8 @@ mod tests {
     fn forward_only_tape_lends_params_and_keeps_one_layer() {
         let model = Model::new(2, 8, 2, 16, 16, 6);
         let seq = [4usize, 9, 1, 7, 7, 2];
-        let mut tape = Tape::new();
-        let vars = model.params.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = model.params.lend(&mut tape);
         let logits = model.logits(&mut tape, &vars, &seq);
         let recorded = tape.value(logits).clone();
 
@@ -737,8 +738,8 @@ mod tests {
     fn backward_from(tape: &mut Tape, y: Var) -> Gradients {
         let (rows, cols) = tape.value(y).shape();
         let targets = Tensor::from_fn(rows, cols, |r, c| ((r + c) % 3) as f32 / 2.0);
-        let loss = bce_with_logits(tape, y, targets, 1.5);
-        tape.backward(loss)
+        let loss = bce(tape, y, targets, 1.5);
+        backward(tape, loss)
     }
 
     /// Attention forward + backward on one sequence of `len` rows — every
@@ -757,8 +758,8 @@ mod tests {
         let mut params = ParamSet::new();
         let mut init = Initializer::new(seed);
         let mha = MultiHeadSelfAttention::new(&mut params, &mut init, "a", dim, heads);
-        let mut tape = Tape::new();
-        let vars = params.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = params.lend(&mut tape);
         let x = tape.leaf(init.uniform(len, dim, 1.5));
         let y = mha.forward(&mut tape, &vars, x, rows);
         let grads = backward_from(&mut tape, y);
@@ -775,7 +776,7 @@ mod tests {
         let last = [len - 1];
         let rows = last_only.then_some(&last[..]);
         let mut init = Initializer::new(seed);
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let qkv = [(); 3].map(|_| tape.leaf(init.uniform(len, dim, 1.5)));
         let [q, k, v] = qkv;
         let y = if use_oracle() {

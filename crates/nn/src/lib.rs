@@ -14,14 +14,14 @@
 //! * [`Tape`] / [`Var`] — eager tape-based reverse-mode autograd.
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head
 //!   self-attention, transformer encoder layers, positional encodings.
-//! * [`Adam`] — the Adam optimizer; [`bce_with_logits`] — the multi-label
-//!   objective (with optional positive-class weighting for the extremely
-//!   sparse page labels).
+//! * [`Adam`] — the Adam optimizer; [`tape::bce_with_logits_over`] — the
+//!   multi-label objective (with optional positive-class weighting for the
+//!   extremely sparse page labels).
 //!
 //! Design: parameters live in a [`ParamSet`] of plain tensors. Every training
 //! pass *lends* them to a fresh [`Tape`] as leaves, builds the forward graph
-//! eagerly, calls [`Tape::backward`], and hands gradients to the optimizer
-//! once the tape is gone. No graph caching, no parameter copies — simple and
+//! eagerly, calls [`Tape::backward_into`], and hands gradients to the
+//! optimizer once the tape is gone. No graph caching, no parameter copies — simple and
 //! easy to verify against finite differences (see the property tests).
 //! Inference lends the parameters to a [`tape::forward_only`] tape the same
 //! way.
@@ -47,6 +47,6 @@ mod rng;
 pub mod tape;
 pub mod tensor;
 
-pub use optim::{grad_l2_norm, Adam, Sgd};
-pub use tape::{bce_with_logits, ParamSet, Tape, Var};
+pub use optim::{grad_l2_norm, Adam};
+pub use tape::{ParamSet, Tape, Var};
 pub use tensor::Tensor;

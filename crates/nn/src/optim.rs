@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the paper's choice) and SGD (for tests/ablations).
+//! The optimizer: Adam, the paper's choice.
 
 use crate::tape::{Gradients, ParamSet, Var};
 use crate::tensor::Tensor;
@@ -38,9 +38,9 @@ impl Adam {
     }
 
     /// Apply one update. `param_vars[i]` must be the tape var that
-    /// `ParamId(i)` was injected as (i.e. the output of
-    /// [`ParamSet::inject`]). Parameters whose gradient is absent (not on the
-    /// loss path this step) are left unchanged.
+    /// `ParamId(i)` was lent as (i.e. the output of [`ParamSet::lend`]),
+    /// on a tape that is gone by now. Parameters whose gradient is absent
+    /// (not on the loss path this step) are left unchanged.
     #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
     pub fn step(&mut self, params: &mut ParamSet, param_vars: &[Var], grads: &Gradients) {
         self.t += 1;
@@ -86,66 +86,30 @@ pub fn grad_l2_norm(grads: &Gradients, vars: &[Var]) -> f32 {
     sq.sqrt() as f32
 }
 
-/// Plain SGD (tests and ablations).
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Apply `p -= lr * g` for every parameter with a gradient.
-    #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
-    pub fn step(&self, params: &mut ParamSet, param_vars: &[Var], grads: &Gradients) {
-        for i in 0..params.len() {
-            let Some(g) = grads.try_get(param_vars[i]) else {
-                continue;
-            };
-            params
-                .get_mut(crate::tape::ParamId(i))
-                .add_scaled(g, -self.lr);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::{bce_with_logits, Tape};
+    use crate::tape::tests::{backward, bce};
+    use crate::tape::{ParamId, Tape};
 
-    /// Minimize BCE of a single logit toward target 1: the logit must grow.
-    fn train(optimize: impl Fn(&mut ParamSet, &[Var], &Gradients)) -> f32 {
-        let mut params = ParamSet::new();
-        let w = params.add("w", Tensor::full(1, 1, 0.0));
-        for _ in 0..200 {
-            let mut tape = Tape::new();
-            let vars = params.inject(&mut tape);
-            let loss = bce_with_logits(&mut tape, vars[w.0], Tensor::full(1, 1, 1.0), 1.0);
-            let grads = tape.backward(loss);
-            optimize(&mut params, &vars, &grads);
-        }
-        params.get(w).get(0, 0)
+    /// One step's gradients of BCE of the parameter `w` against `targets`,
+    /// on a tape that borrows `params` and is gone when this returns.
+    fn grads_toward(params: &ParamSet, w: ParamId, targets: &Tensor) -> (Vec<Var>, Gradients) {
+        let mut tape = Tape::default();
+        let vars = params.lend(&mut tape);
+        let loss = bce(&mut tape, vars[w.0], targets.clone(), 1.0);
+        let grads = backward(&mut tape, loss);
+        (vars, grads)
     }
 
     #[test]
-    fn sgd_minimizes() {
-        let sgd = Sgd::new(0.5);
-        let w = train(|p, v, g| sgd.step(p, v, g));
-        assert!(w > 2.0, "logit should grow toward +inf, got {w}");
-    }
-
-    #[test]
-    fn adam_minimizes_faster_than_tiny_sgd() {
+    fn adam_minimizes() {
+        // Minimize BCE of a single logit toward target 1: the logit must grow.
         let mut params = ParamSet::new();
         let w = params.add("w", Tensor::full(1, 1, 0.0));
         let mut adam = Adam::new(&params, 0.1);
         for _ in 0..200 {
-            let mut tape = Tape::new();
-            let vars = params.inject(&mut tape);
-            let loss = bce_with_logits(&mut tape, vars[w.0], Tensor::full(1, 1, 1.0), 1.0);
-            let grads = tape.backward(loss);
+            let (vars, grads) = grads_toward(&params, w, &Tensor::full(1, 1, 1.0));
             adam.step(&mut params, &vars, &grads);
         }
         assert!(params.get(w).get(0, 0) > 3.0);
@@ -158,10 +122,7 @@ mod tests {
         let used = params.add("used", Tensor::full(1, 1, 0.0));
         let unused = params.add("unused", Tensor::full(1, 1, 5.0));
         let mut adam = Adam::new(&params, 0.1);
-        let mut tape = Tape::new();
-        let vars = params.inject(&mut tape);
-        let loss = bce_with_logits(&mut tape, vars[used.0], Tensor::full(1, 1, 1.0), 1.0);
-        let grads = tape.backward(loss);
+        let (vars, grads) = grads_toward(&params, used, &Tensor::full(1, 1, 1.0));
         adam.step(&mut params, &vars, &grads);
         assert_eq!(params.get(unused).get(0, 0), 5.0);
         assert_ne!(params.get(used).get(0, 0), 0.0);
@@ -172,12 +133,9 @@ mod tests {
         let mut params = ParamSet::new();
         let w = params.add("w", Tensor::zeros(1, 2));
         let unused = params.add("unused", Tensor::zeros(1, 3));
-        let mut tape = Tape::new();
-        let vars = params.inject(&mut tape);
         // BCE-with-logits at logit 0 / target 1 has gradient sigmoid(0)-1 =
         // -0.5 per element (mean-reduced over the 2 elements → -0.25 each).
-        let loss = bce_with_logits(&mut tape, vars[w.0], Tensor::full(1, 2, 1.0), 1.0);
-        let grads = tape.backward(loss);
+        let (vars, grads) = grads_toward(&params, w, &Tensor::full(1, 2, 1.0));
         let norm = grad_l2_norm(&grads, &vars);
         let per_elem = 0.25f32;
         let expected = (2.0 * per_elem * per_elem).sqrt();
@@ -198,10 +156,7 @@ mod tests {
         let targets = Tensor::from_vec(1, 4, vec![1.0, 0.0, 1.0, 0.0]);
         let mut adam = Adam::new(&params, 0.05);
         for _ in 0..500 {
-            let mut tape = Tape::new();
-            let vars = params.inject(&mut tape);
-            let loss = bce_with_logits(&mut tape, vars[w.0], targets.clone(), 1.0);
-            let grads = tape.backward(loss);
+            let (vars, grads) = grads_toward(&params, w, &targets);
             adam.step(&mut params, &vars, &grads);
         }
         let t = params.get(w);

@@ -3,23 +3,32 @@
 //! Usage pattern per training step:
 //!
 //! ```
-//! use pythia_nn::{ParamSet, Tape, Tensor, bce_with_logits};
+//! use pythia_nn::tape::{bce_with_logits_over, recording, Gradients};
+//! use pythia_nn::{Adam, ParamSet, Tensor};
 //!
 //! let mut params = ParamSet::new();
 //! let w = params.add("w", Tensor::full(2, 1, 0.5));
+//! let b = params.add("b", Tensor::zeros(1, 1));
+//! let mut adam = Adam::new(&params, 0.1);
 //!
-//! let mut tape = Tape::new();
-//! let vars = params.lend(&mut tape);
-//! let x = tape.leaf(Tensor::from_vec(1, 2, vec![1.0, -1.0]));
-//! let logits = tape.matmul(x, vars[w.0]);
-//! let loss = bce_with_logits(&mut tape, logits, Tensor::full(1, 1, 1.0), 1.0);
-//! let grads = tape.backward(loss);
+//! // One pass of a one-row minibatch, on a tape the parameters are lent to.
+//! let (grads, vars) = recording(|tape| {
+//!     let vars = params.lend(tape);
+//!     let x = tape.leaf(Tensor::from_vec(1, 2, vec![1.0, -1.0]));
+//!     let logits = tape.linear(x, vars[w.0], vars[b.0]);
+//!     let target = Tensor::full(1, 1, 1.0);
+//!     let loss = bce_with_logits_over(tape, logits, target, 1.0, 1, &mut 0.0);
+//!     (tape.backward_into(loss, Gradients::default()), vars)
+//! });
 //! assert_eq!(grads.get(vars[w.0]).shape(), (2, 1));
+//! // The tape is gone, so the parameters it borrowed can be stepped.
+//! adam.step(&mut params, &vars, &grads);
+//! recording(|tape| tape.absorb(grads));
 //! ```
 //!
-//! Values are computed eagerly when an op is recorded; `backward` walks the
-//! tape in reverse accumulating gradients. Every op's gradient is verified
-//! against central finite differences in this module's tests.
+//! Values are computed eagerly when an op is recorded; `backward_into` walks
+//! the tape in reverse accumulating gradients. Every op's gradient is
+//! verified against central finite differences in this module's tests.
 //!
 //! Every op output, saved activation, gradient and backward temporary comes
 //! from the tape's best-fit [`Arena`] and goes back to it on
@@ -119,14 +128,6 @@ impl ParamSet {
             op: Op::Leaf,
         }));
         (first..tape.nodes.len()).map(Var).collect()
-    }
-
-    /// [`ParamSet::lend`], but each parameter copied into the tape's arena:
-    /// for a caller that updates the set while the tape is still in use.
-    pub fn inject(&self, tape: &mut Tape<'_>) -> Vec<Var> {
-        tape.params = Some(tape.nodes.len());
-        tape.param_names = Cow::Owned(self.names.clone());
-        self.tensors.iter().map(|t| tape.leaf_copy(t)).collect()
     }
 
     /// Iterate `(id, tensor)` pairs.
@@ -253,13 +254,10 @@ enum Op {
         bias: Var,
     },
     Transpose(Var),
-    /// The block of `x` at `(row, col)`, shaped like the node's value.
-    Slice(Var, (usize, usize)),
-    /// Blocks side by side (`cols`) or stacked (arbitrary heights).
-    Concat {
-        xs: Vec<Var>,
-        cols: bool,
-    },
+    /// The columns of `x` from this one on, as many as the node's value has.
+    SliceCols(Var, usize),
+    /// Blocks side by side.
+    ConcatCols(Vec<Var>),
     /// Gather arbitrary rows (backward scatter-adds) — also the embedding
     /// lookup.
     GatherRows {
@@ -294,8 +292,8 @@ fn val<'a>(nodes: &'a [Node<'_>], var: Var) -> &'a Tensor {
     &nodes[var.0].value
 }
 
-/// Gradients produced by [`Tape::backward`], or carried from one pass to the
-/// next by [`Tape::backward_into`] (the default: none yet).
+/// Gradients produced by [`Tape::backward_into`], and carried by it from one
+/// pass to the next (the default: none yet).
 #[derive(Default)]
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
@@ -328,7 +326,7 @@ pub struct Tape<'p> {
     /// buffers here; see [`Arena`] for what it retains.
     arena: Arena,
     /// Set by [`forward_only`]: [`Tape::collapse`] frees finished
-    /// sub-graphs and [`Tape::backward`] is refused.
+    /// sub-graphs and [`Tape::backward_into`] is refused.
     forward_only: bool,
     /// The var of the first parameter [`ParamSet::lend`] recorded since
     /// the last [`Tape::reset`], and the names of all of them.
@@ -398,11 +396,6 @@ pub fn free_inference_arena() {
 const LN_EPS: f32 = 1e-5;
 
 impl<'p> Tape<'p> {
-    /// An empty recording tape.
-    pub fn new() -> Self {
-        Tape::default()
-    }
-
     /// Number of recorded nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -467,20 +460,14 @@ impl<'p> Tape<'p> {
 
     /// A zeroed `[rows, cols]` tensor from the tape's arena, for inputs the
     /// caller fills and hands back (e.g. the targets of
-    /// [`bce_with_logits`]).
+    /// [`bce_with_logits_over`]).
     pub fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
         self.arena.zeros(rows, cols)
     }
 
-    /// Record a leaf (input or parameter copy).
+    /// Record a leaf (an input).
     pub fn leaf(&mut self, t: Tensor) -> Var {
         self.push(t, Op::Leaf)
-    }
-
-    /// Record a leaf holding a copy of `t` in an arena buffer.
-    pub fn leaf_copy(&mut self, t: &Tensor) -> Var {
-        let v = self.arena.copy_of(t);
-        self.push(v, Op::Leaf)
     }
 
     /// Clear all recorded nodes, returning their buffers to the arena. The
@@ -635,82 +622,29 @@ impl<'p> Tape<'p> {
         self.push(v, Op::Transpose(a))
     }
 
-    /// The `size` block of `x` at `at`, both `(rows, cols)`.
-    fn slice(&mut self, x: Var, at: (usize, usize), size: (usize, usize)) -> Var {
-        let xv = val(&self.nodes, x);
-        assert!(
-            at.0 + size.0 <= xv.rows() && at.1 + size.1 <= xv.cols(),
-            "slice out of range"
-        );
-        let mut v = self.arena.zeros(size.0, size.1);
-        blit(&mut v, (0, 0), xv, at, size);
-        self.push(v, Op::Slice(x, at))
-    }
-
     /// Columns `[start, start+len)` of `x`.
     pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let m = self.value(x).rows();
-        self.slice(x, (0, start), (m, len))
-    }
-
-    /// Rows `[start, start+len)` of `x`.
-    pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let n = self.value(x).cols();
-        self.slice(x, (start, 0), (len, n))
-    }
-
-    /// `xs` side by side (`cols`) or stacked on top of each other.
-    fn concat(&mut self, xs: &[Var], cols: bool) -> Var {
-        assert!(!xs.is_empty());
-        // (extent along the joined axis, extent across it) of one block.
-        let dims = |t: &Tensor| {
-            if cols {
-                (t.cols(), t.rows())
-            } else {
-                t.shape()
-            }
-        };
-        let across = dims(val(&self.nodes, xs[0])).1;
-        let total: usize = xs.iter().map(|&x| dims(val(&self.nodes, x)).0).sum();
-        let mut v = if cols {
-            self.arena.zeros(across, total)
-        } else {
-            self.arena.zeros(total, across)
-        };
-        let mut off = 0;
-        for &x in xs {
-            let xv = val(&self.nodes, x);
-            assert_eq!(dims(xv).1, across, "concat shape mismatch");
-            let at = if cols { (0, off) } else { (off, 0) };
-            blit(&mut v, at, xv, (0, 0), xv.shape());
-            off += dims(xv).0;
-        }
-        self.push(
-            v,
-            Op::Concat {
-                xs: xs.to_vec(),
-                cols,
-            },
-        )
+        let xv = val(&self.nodes, x);
+        assert!(start + len <= xv.cols(), "slice out of range");
+        let mut v = self.arena.zeros(xv.rows(), len);
+        blit_cols(&mut v, 0, xv, start, len);
+        self.push(v, Op::SliceCols(x, start))
     }
 
     /// Concatenate along columns.
     pub fn concat_cols(&mut self, xs: &[Var]) -> Var {
-        self.concat(xs, true)
-    }
-
-    /// Concatenate blocks along rows.
-    pub fn concat_rows(&mut self, xs: &[Var]) -> Var {
-        self.concat(xs, false)
-    }
-
-    /// Stack `[1,n]` vars into `[k,n]` (batching per-sample query embeddings
-    /// for the decoder).
-    pub fn stack_rows(&mut self, xs: &[Var]) -> Var {
+        assert!(!xs.is_empty());
+        let rows = val(&self.nodes, xs[0]).rows();
+        let total: usize = xs.iter().map(|&x| val(&self.nodes, x).cols()).sum();
+        let mut v = self.arena.zeros(rows, total);
+        let mut off = 0;
         for &x in xs {
-            assert_eq!(self.value(x).rows(), 1, "stack_rows expects [1,n] inputs");
+            let xv = val(&self.nodes, x);
+            assert_eq!(xv.rows(), rows, "concat shape mismatch");
+            blit_cols(&mut v, off, xv, 0, xv.cols());
+            off += xv.cols();
         }
-        self.concat(xs, false)
+        self.push(v, Op::ConcatCols(xs.to_vec()))
     }
 
     /// Gather rows `idxs` from `x` (extracting a sequence's last-token
@@ -775,32 +709,25 @@ impl<'p> Tape<'p> {
         self.push(out, op)
     }
 
-    /// Run reverse-mode accumulation from `loss` (seeded with ones).
+    /// Run reverse-mode accumulation from `loss` (seeded with ones) for one
+    /// pass of a minibatch recorded in one or several, continuing the
+    /// parameter gradients in `running` (`Gradients::default()` for the
+    /// first pass), which the pass before returned and whose parameters this
+    /// pass lent at the same vars (what it holds for other leaves goes back
+    /// to the arena). A parameter gradient is one reduction over the
+    /// minibatch's rows in ascending order, and this pass's arm resumes it
+    /// where the last pass left off instead of starting at `+0.0` and adding:
+    /// `at_b` continues into a weight ([`Chain::Continue`]), column sums into
+    /// a bias, the layer norm's row loop into its gain and bias, the scatter
+    /// into an embedding table. So after the last pass each is what one pass
+    /// over every row computes, bit for bit (DESIGN.md, "NN step memory").
     ///
     /// # Panics
-    /// Panics on a [`forward_only`] tape, whose layers freed what this walks.
-    pub fn backward(&mut self, loss: Var) -> Gradients {
-        self.backward_into(loss, Gradients::default())
-    }
-
-    /// [`Tape::backward`] for one pass of a minibatch recorded in several,
-    /// continuing the parameter gradients in `running`, which the pass
-    /// before returned and whose parameters this pass lent at the same
-    /// vars (what it holds for other leaves goes back to the arena). A
-    /// parameter gradient is one reduction over the minibatch's rows in
-    /// ascending order, and this pass's arm resumes it where the last pass
-    /// left off instead of starting at `+0.0` and adding: `at_b` continues
-    /// into a weight ([`Chain::Continue`]), column sums into a bias, the
-    /// layer norm's row loop into its gain and bias, the scatter into an
-    /// embedding table. So after the last pass each is what one pass over
-    /// every row computes, bit for bit (DESIGN.md, "NN step memory").
-    ///
-    /// # Panics
-    /// Panics on a [`forward_only`] tape; if `running` holds a parameter
-    /// gradient this pass has no such parameter for; and, naming the
-    /// parameter, if a carried gradient takes a second contribution in one
-    /// pass or one from an op that does not sum over rows — no single chain
-    /// continues those.
+    /// Panics on a [`forward_only`] tape, whose layers freed what this walks;
+    /// if `running` holds a parameter gradient this pass has no such
+    /// parameter for; and, naming the parameter, if a carried gradient takes
+    /// a second contribution in one pass or one from an op that does not sum
+    /// over rows — no single chain continues those.
     pub fn backward_into(&mut self, loss: Var, running: Gradients) -> Gradients {
         assert!(!self.forward_only, "backward on a forward-only tape");
         let Tape {
@@ -955,21 +882,20 @@ impl<'p> Tape<'p> {
                     slots.accum(arena, a, ga);
                     arena.recycle(g);
                 }
-                &Op::Slice(x, at) => {
+                &Op::SliceCols(x, start) => {
                     let (m, n) = val(nodes, x).shape();
                     let mut gx = arena.zeros(m, n);
-                    blit(&mut gx, at, &g, (0, 0), g.shape());
+                    blit_cols(&mut gx, start, &g, 0, g.cols());
                     slots.accum(arena, x, gx);
                     arena.recycle(g);
                 }
-                Op::Concat { xs, cols } => {
+                Op::ConcatCols(xs) => {
                     let mut off = 0;
                     for &xvar in xs {
                         let (m, n) = val(nodes, xvar).shape();
                         let mut gx = arena.zeros(m, n);
-                        let from = if *cols { (0, off) } else { (off, 0) };
-                        blit(&mut gx, (0, 0), &g, from, (m, n));
-                        off += if *cols { n } else { m };
+                        blit_cols(&mut gx, 0, &g, off, n);
+                        off += n;
                         slots.accum(arena, xvar, gx);
                     }
                     arena.recycle(g);
@@ -1120,37 +1046,19 @@ fn add_tiled(arena: &mut Arena, a: &Tensor, c: &Tensor) -> Tensor {
 
 fn transposed(arena: &mut Arena, a: &Tensor) -> Tensor {
     let mut out = arena.zeros(a.cols(), a.rows());
-    blit_t(&mut out, (0, 0), a, (0, 0), a.shape());
+    for r in 0..a.rows() {
+        for c in 0..a.cols() {
+            out.set(c, r, a.get(r, c));
+        }
+    }
     out
 }
 
-/// Copy the `size` block of `src` at `from` over the block of `dst` at `at`
-/// (all `(rows, cols)`).
-fn blit(
-    dst: &mut Tensor,
-    at: (usize, usize),
-    src: &Tensor,
-    from: (usize, usize),
-    size: (usize, usize),
-) {
-    for r in 0..size.0 {
-        dst.row_mut(at.0 + r)[at.1..at.1 + size.1]
-            .copy_from_slice(&src.row(from.0 + r)[from.1..from.1 + size.1]);
-    }
-}
-
-/// [`blit`] transposing on the way: the block lands as `[size.1, size.0]`.
-fn blit_t(
-    dst: &mut Tensor,
-    at: (usize, usize),
-    src: &Tensor,
-    from: (usize, usize),
-    size: (usize, usize),
-) {
-    for r in 0..size.0 {
-        for c in 0..size.1 {
-            dst.set(at.0 + c, at.1 + r, src.get(from.0 + r, from.1 + c));
-        }
+/// Copy columns `[from, from + width)` of each row of `src` over columns
+/// `[at, at + width)` of the same row of `dst`.
+fn blit_cols(dst: &mut Tensor, at: usize, src: &Tensor, from: usize, width: usize) {
+    for r in 0..src.rows() {
+        dst.row_mut(r)[at..at + width].copy_from_slice(&src.row(r)[from..from + width]);
     }
 }
 
@@ -1349,19 +1257,13 @@ fn softplus(z: f32) -> f32 {
 
 /// Numerically stable multi-label binary cross-entropy with logits, averaged
 /// over all elements — PyTorch's `BCEWithLogitsLoss` with an optional
-/// `pos_weight` (useful here because almost all page labels are 0).
-/// Returns a `[1,1]` scalar var.
-pub fn bce_with_logits(tape: &mut Tape<'_>, logits: Var, targets: Tensor, pos_weight: f32) -> Var {
-    let rows = tape.value(logits).rows();
-    bce_with_logits_over(tape, logits, targets, pos_weight, rows, &mut 0.0)
-}
-
-/// [`bce_with_logits`] of one pass of a minibatch of `rows` rows. `total`
-/// holds the `f64` sum of the element losses of the passes before; this
-/// pass's are added on, element after element, and the node's value is
-/// `total / (rows·cols)` — after the last pass, exactly the mean one pass
-/// over every row reports. Backward scales by `1 / (rows·cols)` too, so each
-/// pass contributes its rows' share of that mean's gradient.
+/// `pos_weight` (useful here because almost all page labels are 0) — as a
+/// `[1,1]` scalar var, for one pass of a minibatch of `rows` rows. `total`
+/// holds the `f64` sum of the element losses of the passes before (`0.0`
+/// for the first); this pass's are added on, element after element, and the
+/// node's value is `total / (rows·cols)` — after the last pass, exactly the
+/// mean one pass over every row reports. Backward scales by `1 / (rows·cols)`
+/// too, so each pass contributes its rows' share of that mean's gradient.
 pub fn bce_with_logits_over(
     tape: &mut Tape<'_>,
     logits: Var,
@@ -1392,18 +1294,30 @@ pub fn bce_with_logits_over(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The mean BCE of `logits` against `targets`, as one pass over all of
+    /// their rows.
+    pub(crate) fn bce(tape: &mut Tape, logits: Var, targets: Tensor, pos_weight: f32) -> Var {
+        let rows = tape.value(logits).rows();
+        bce_with_logits_over(tape, logits, targets, pos_weight, rows, &mut 0.0)
+    }
+
+    /// Backward from `loss`, carrying no gradient in.
+    pub(crate) fn backward(tape: &mut Tape, loss: Var) -> Gradients {
+        tape.backward_into(loss, Gradients::default())
+    }
 
     /// Central finite-difference check: `build` must construct the full graph
     /// from a leaf injected with tensor `x` and return the scalar loss var.
     fn gradcheck(x0: Tensor, build: impl Fn(&mut Tape, Var) -> Var) {
         // Analytic gradient.
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let x = tape.leaf(x0.clone());
         let loss = build(&mut tape, x);
         assert_eq!(tape.value(loss).shape(), (1, 1), "loss must be scalar");
-        let grads = tape.backward(loss);
+        let grads = backward(&mut tape, loss);
         let analytic = grads.get(x).clone();
 
         // Numeric gradient.
@@ -1416,7 +1330,7 @@ mod tests {
                 let mut minus = x0.clone();
                 minus.set(r, c, minus.get(r, c) - eps);
                 let f = |t: Tensor| {
-                    let mut tape = Tape::new();
+                    let mut tape = Tape::default();
                     let x = tape.leaf(t);
                     let loss = build(&mut tape, x);
                     tape.value(loss).get(0, 0)
@@ -1436,7 +1350,7 @@ mod tests {
     fn to_scalar(tape: &mut Tape, v: Var) -> Var {
         let (m, n) = tape.value(v).shape();
         let targets = Tensor::from_fn(m, n, |r, c| if (r + c) % 2 == 0 { 1.0 } else { 0.0 });
-        bce_with_logits(tape, v, targets, 1.0)
+        bce(tape, v, targets, 1.0)
     }
 
     fn test_input(m: usize, n: usize) -> Tensor {
@@ -1452,7 +1366,7 @@ mod tests {
     fn grad_bce_pos_weight() {
         gradcheck(test_input(2, 3), |tape, x| {
             let t = Tensor::from_fn(2, 3, |r, _| if r == 0 { 1.0 } else { 0.0 });
-            bce_with_logits(tape, x, t, 3.5)
+            bce(tape, x, t, 3.5)
         });
     }
 
@@ -1524,7 +1438,7 @@ mod tests {
                 let b = tape.leaf(Tensor::from_fn(1, width, |_, c| 0.3 - 0.2 * c as f32));
                 let y = tape.linear(x, w, b);
                 let t = Tensor::from_fn(2, width, |r, c| ((r + c + width) % 2) as f32);
-                bce_with_logits(tape, y, t, pos_weight)
+                bce(tape, y, t, pos_weight)
             };
             let (narrow, wide) = (head(2, 1.0), head(5, 3.5));
             tape.add(narrow, wide)
@@ -1564,15 +1478,15 @@ mod tests {
     #[test]
     fn a_tied_weight_in_one_pass_takes_the_sum_of_both_contributions() {
         let params = tied();
-        let mut tape = Tape::new();
-        let w = params.inject(&mut tape)[0];
+        let mut tape = Tape::default();
+        let w = params.lend(&mut tape)[0];
         let loss = two_weight_graph(&mut tape, [w, w], 0..4, &mut 0.0);
-        let tied = tape.backward(loss);
+        let tied = backward(&mut tape, loss);
         // The same weight as two parameters.
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let ws = [(); 2].map(|_| tape.leaf(params.get(ParamId(0)).clone()));
         let loss = two_weight_graph(&mut tape, ws, 0..4, &mut 0.0);
-        let untied = tape.backward(loss);
+        let untied = backward(&mut tape, loss);
         let sum = untied.get(ws[0]).add(untied.get(ws[1]));
         let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(tied.get(w)), bits(&sum));
@@ -1584,11 +1498,11 @@ mod tests {
     )]
     fn a_tied_weight_in_two_passes_is_refused_by_name() {
         let params = tied();
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let (mut grads, mut total) = (Gradients::default(), 0.0);
         for rows in [0..2, 2..4] {
             tape.reset();
-            let w = params.inject(&mut tape)[0];
+            let w = params.lend(&mut tape)[0];
             let loss = two_weight_graph(&mut tape, [w, w], rows, &mut total);
             grads = tape.backward_into(loss, grads);
         }
@@ -1599,12 +1513,12 @@ mod tests {
     fn a_parameter_the_loss_reads_directly_cannot_continue() {
         let mut params = ParamSet::new();
         params.add("w", Tensor::zeros(1, 2));
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let mut grads = Gradients::default();
         for _ in 0..2 {
             tape.reset();
-            let w = params.inject(&mut tape)[0];
-            let loss = bce_with_logits(&mut tape, w, Tensor::full(1, 2, 1.0), 1.0);
+            let w = params.lend(&mut tape)[0];
+            let loss = bce(&mut tape, w, Tensor::full(1, 2, 1.0), 1.0);
             grads = tape.backward_into(loss, grads);
         }
     }
@@ -1615,7 +1529,7 @@ mod tests {
         let wv = Tensor::from_fn(4, 2, |r, c| 0.07 * (r as f32) - 0.11 * c as f32);
         let bv = Tensor::from_fn(1, 2, |_, c| 0.4 - 0.3 * c as f32);
 
-        let mut t1 = Tape::new();
+        let mut t1 = Tape::default();
         let (x1, w1, b1) = (
             t1.leaf(xv.clone()),
             t1.leaf(wv.clone()),
@@ -1623,14 +1537,14 @@ mod tests {
         );
         let y1 = t1.linear(x1, w1, b1);
         let l1 = to_scalar(&mut t1, y1);
-        let g1 = t1.backward(l1);
+        let g1 = backward(&mut t1, l1);
 
-        let mut t2 = Tape::new();
+        let mut t2 = Tape::default();
         let (x2, w2, b2) = (t2.leaf(xv), t2.leaf(wv), t2.leaf(bv));
         let xw = t2.matmul(x2, w2);
         let y2 = t2.add_row(xw, b2);
         let l2 = to_scalar(&mut t2, y2);
-        let g2 = t2.backward(l2);
+        let g2 = backward(&mut t2, l2);
 
         assert_eq!(t1.value(y1), t2.value(y2));
         assert_eq!(g1.get(x1), g2.get(x2));
@@ -1652,18 +1566,18 @@ mod tests {
             let h = tape.linear(x, w, b);
             let a = tape.relu(h);
             let loss = to_scalar(tape, a);
-            let grads = tape.backward(loss);
+            let grads = backward(tape, loss);
             let (gw, gb) = (grads.get(w).clone(), grads.get(b).clone());
             tape.absorb(grads);
             (tape.value(loss).get(0, 0), gw, gb)
         };
-        let mut reused = Tape::new();
+        let mut reused = Tape::default();
         let first_reused = run(&mut reused, 0.8);
         reused.reset();
         let second_reused = run(&mut reused, 0.3);
 
-        let mut f1 = Tape::new();
-        let mut f2 = Tape::new();
+        let mut f1 = Tape::default();
+        let mut f2 = Tape::default();
         assert_eq!(first_reused, run(&mut f1, 0.8));
         assert_eq!(second_reused, run(&mut f2, 0.3));
     }
@@ -1671,29 +1585,29 @@ mod tests {
     /// One training-shaped step on a reused tape: inputs drawn from the
     /// arena, forward, backward, gradients absorbed. The input is as wide as
     /// the model (6), and its `rows` are sequences of (at most) 4
-    /// positions, an attention node each, so a shorter minibatch has fewer
-    /// sequences of the same length.
+    /// positions, gathered and attended each, so a shorter minibatch has
+    /// fewer sequences of the same length.
     fn arena_step(tape: &mut Tape, rows: usize) {
         tape.reset();
         let mut x = tape.zeros(rows, 6);
         x.as_mut_slice().fill(0.3);
         let mut wv = tape.zeros(6, 6);
         wv.as_mut_slice().fill(0.1);
-        let (x, w) = (tape.leaf(x), tape.leaf(wv));
-        let b = tape.leaf_copy(&Tensor::zeros(1, 6));
+        let bv = tape.zeros(1, 6);
+        let [x, w, b] = [x, wv, bv].map(|t| tape.leaf(t));
         let q = tape.linear(x, w, b);
         let len = rows.min(4);
-        let seqs: Vec<Var> = (0..rows / len)
-            .map(|s| {
-                let q = tape.slice_rows(q, len * s, len);
-                tape.attention(q, q, q, 2)
-            })
-            .collect();
-        let a = tape.concat_rows(&seqs);
-        let h = tape.relu(a);
-        let targets = tape.zeros(rows, 6);
-        let loss = bce_with_logits(tape, h, targets, 2.0);
-        let grads = tape.backward(loss);
+        let mut sum = None;
+        for s in 0..rows / len {
+            let seq: Vec<usize> = (len * s..len * (s + 1)).collect();
+            let q = tape.gather_rows(q, &seq);
+            let a = tape.attention(q, q, q, 2);
+            sum = Some(sum.map_or(a, |sum| tape.add(sum, a)));
+        }
+        let h = tape.relu(sum.expect("at least one sequence"));
+        let targets = tape.zeros(len, 6);
+        let loss = bce(tape, h, targets, 2.0);
+        let grads = backward(tape, loss);
         tape.absorb(grads);
     }
 
@@ -1702,7 +1616,7 @@ mod tests {
         // The old LIFO pool grew every buffer to the largest tensor's size
         // and kept every backward temporary: retained bytes rose with each
         // step. The arena holds exactly one step's buffers, forever.
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         for _ in 0..2 {
             arena_step(&mut tape, 8);
         }
@@ -1720,7 +1634,7 @@ mod tests {
     #[test]
     fn a_short_minibatch_reuses_the_full_ones_buffers() {
         let warm = |rows: usize| {
-            let mut tape = Tape::new();
+            let mut tape = Tape::default();
             for _ in 0..2 {
                 arena_step(&mut tape, rows);
             }
@@ -1805,8 +1719,8 @@ mod tests {
     fn forward_only_tape_refuses_backward() {
         forward_only(|tape| {
             let x = tape.leaf(Tensor::full(1, 1, 0.5));
-            let loss = bce_with_logits(tape, x, Tensor::full(1, 1, 1.0), 1.0);
-            tape.backward(loss);
+            let loss = bce(tape, x, Tensor::full(1, 1, 1.0), 1.0);
+            backward(tape, loss);
         });
     }
 
@@ -1958,28 +1872,9 @@ mod tests {
     }
 
     #[test]
-    fn grad_slice_and_concat_rows() {
-        gradcheck(test_input(4, 3), |tape, x| {
-            let top = tape.slice_rows(x, 0, 2);
-            let bottom = tape.slice_rows(x, 1, 3); // overlapping
-            let y = tape.concat_rows(&[bottom, top]);
-            to_scalar(tape, y)
-        });
-    }
-
-    #[test]
     fn grad_gather_rows_with_duplicates() {
         gradcheck(test_input(4, 3), |tape, x| {
             let y = tape.gather_rows(x, &[3, 0, 3, 2]);
-            to_scalar(tape, y)
-        });
-    }
-
-    #[test]
-    fn grad_stack_rows() {
-        gradcheck(test_input(1, 3), |tape, x| {
-            let x2 = tape.scale(x, 2.0);
-            let y = tape.stack_rows(&[x, x2, x]);
             to_scalar(tape, y)
         });
     }
@@ -2026,19 +1921,19 @@ mod tests {
         assert_eq!(p.size_bytes(), 40);
         assert_eq!(p.name(a), "a");
         assert_eq!(p.get(b).shape(), (1, 4));
-        let mut tape = Tape::new();
-        let vars = p.inject(&mut tape);
+        let mut tape = Tape::default();
+        let vars = p.lend(&mut tape);
         assert_eq!(vars.len(), 2);
         assert_eq!(tape.value(vars[0]).shape(), (2, 3));
     }
 
     #[test]
     fn no_grad_for_unused_leaf() {
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let x = tape.leaf(Tensor::full(1, 1, 1.0));
         let unused = tape.leaf(Tensor::full(1, 1, 1.0));
-        let loss = bce_with_logits(&mut tape, x, Tensor::full(1, 1, 1.0), 1.0);
-        let grads = tape.backward(loss);
+        let loss = bce(&mut tape, x, Tensor::full(1, 1, 1.0), 1.0);
+        let grads = backward(&mut tape, loss);
         assert!(grads.try_get(unused).is_none());
         assert!(grads.try_get(x).is_some());
     }
@@ -2046,11 +1941,11 @@ mod tests {
     #[test]
     fn shared_subexpression_accumulates() {
         // y = x + x  ->  dy/dx = 2.
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let x = tape.leaf(Tensor::full(1, 1, 0.3));
         let y = tape.add(x, x);
-        let loss = bce_with_logits(&mut tape, y, Tensor::full(1, 1, 1.0), 1.0);
-        let grads = tape.backward(loss);
+        let loss = bce(&mut tape, y, Tensor::full(1, 1, 1.0), 1.0);
+        let grads = backward(&mut tape, loss);
         let gx = grads.get(x).get(0, 0);
         // dL/dy = sigmoid(0.6) - 1; dL/dx = 2 * that.
         let expected = 2.0 * (1.0 / (1.0 + (-0.6f32).exp()) - 1.0);

@@ -334,8 +334,9 @@ impl Tensor {
         self.data.fill(0.0);
     }
 
-    /// Maximum absolute difference to another tensor (test helper).
-    pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
+    /// Maximum absolute difference to another tensor.
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape(), other.shape());
         self.data
             .iter()

@@ -81,17 +81,6 @@ impl IoWorkerPool {
         }
     }
 
-    /// Earliest time at which any lane is free (i.e. when a newly scheduled
-    /// fetch could start).
-    pub fn earliest_free(&self) -> SimTime {
-        self.free_at.iter().copied().min().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Time at which all in-flight work drains.
-    pub fn drained_at(&self) -> SimTime {
-        self.free_at.iter().copied().max().unwrap_or(SimTime::ZERO)
-    }
-
     /// Forget all in-flight work (cold restart between runs).
     pub fn reset(&mut self) {
         self.free_at.fill(SimTime::ZERO);
@@ -130,13 +119,27 @@ mod tests {
         assert_eq!(t.as_micros(), 1_500);
     }
 
+    /// When each lane is next free, earliest first: the starts of one long
+    /// fetch per lane scheduled on a copy of `p`.
+    fn lane_free_times(p: &IoWorkerPool) -> Vec<u64> {
+        let mut probe = p.clone();
+        let long = SimDuration::from_micros(1_000_000);
+        (0..p.workers())
+            .map(|_| {
+                probe
+                    .schedule_detailed(SimTime::ZERO, long)
+                    .start
+                    .as_micros()
+            })
+            .collect()
+    }
+
     #[test]
     fn earliest_free_and_drained() {
         let mut p = IoWorkerPool::new(2);
         p.schedule(SimTime::ZERO, MS);
         p.schedule(SimTime::ZERO, SimDuration::from_micros(3_000));
-        assert_eq!(p.earliest_free().as_micros(), 1_000);
-        assert_eq!(p.drained_at().as_micros(), 3_000);
+        assert_eq!(lane_free_times(&p), [1_000, 3_000]);
     }
 
     #[test]
@@ -144,7 +147,7 @@ mod tests {
         let mut p = IoWorkerPool::new(2);
         p.schedule(SimTime::ZERO, MS);
         p.reset();
-        assert_eq!(p.earliest_free(), SimTime::ZERO);
+        assert_eq!(lane_free_times(&p), [0, 0]);
         assert_eq!(p.issued(), 0);
     }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use pythia::core::metrics::{f1_score, ObjPage};
 use pythia::db::catalog::ObjectId;
-use pythia::nn::tape::{bce_with_logits, ParamSet, Tape};
+use pythia::nn::tape::{bce_with_logits_over, Gradients, ParamSet, Tape, Var};
 use pythia::nn::{Adam, Tensor};
 use pythia::sim::rng::{cases, Rng};
 
@@ -17,6 +17,20 @@ fn page_set(pages: &[u8]) -> BTreeSet<ObjPage> {
 fn pages(rng: &mut Rng) -> Vec<u8> {
     let n = rng.gen_range(0..30);
     (0..n).map(|_| rng.gen_range(0..40)).collect()
+}
+
+/// The mean BCE of `logits` against `targets`, as one pass over all of their
+/// rows.
+fn bce(tape: &mut Tape, logits: Var, targets: Tensor) -> Var {
+    let rows = tape.value(logits).rows();
+    bce_with_logits_over(tape, logits, targets, 1.0, rows, &mut 0.0)
+}
+
+/// Maximum absolute difference between two tensors of one shape.
+fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
+    assert_eq!(a.shape(), b.shape());
+    let pairs = a.as_slice().iter().zip(b.as_slice());
+    pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
 }
 
 /// Twelve values in `-2..2`.
@@ -63,11 +77,11 @@ fn bce_gradient_sign() {
         let z = rng.gen_range(-5.0f32..5.0);
         let t = rng.gen_range(0..=1) == 1;
         let target = if t { 1.0f32 } else { 0.0 };
-        let mut tape = Tape::new();
+        let mut tape = Tape::default();
         let logit = tape.leaf(Tensor::full(1, 1, z));
-        let loss = bce_with_logits(&mut tape, logit, Tensor::full(1, 1, target), 1.0);
+        let loss = bce(&mut tape, logit, Tensor::full(1, 1, target));
         assert!(tape.value(loss).get(0, 0) >= 0.0);
-        let grads = tape.backward(loss);
+        let grads = tape.backward_into(loss, Gradients::default());
         let g = grads.get(logit).get(0, 0);
         // Gradient sign: positive target wants the logit to grow (negative
         // gradient), zero target wants it to shrink.
@@ -91,17 +105,20 @@ fn adam_reduces_loss() {
         let w = params.add("w", Tensor::zeros(1, n));
         let mut adam = Adam::new(&params, 0.05);
         let loss_at = |params: &ParamSet| {
-            let mut tape = Tape::new();
-            let vars = params.inject(&mut tape);
-            let loss = bce_with_logits(&mut tape, vars[w.0], tgt.clone(), 1.0);
+            let mut tape = Tape::default();
+            let vars = params.lend(&mut tape);
+            let loss = bce(&mut tape, vars[w.0], tgt.clone());
             tape.value(loss).get(0, 0)
         };
         let start = loss_at(&params);
         for _ in 0..50 {
-            let mut tape = Tape::new();
-            let vars = params.inject(&mut tape);
-            let loss = bce_with_logits(&mut tape, vars[w.0], tgt.clone(), 1.0);
-            let grads = tape.backward(loss);
+            // Step once the tape that borrows the parameters is gone.
+            let (vars, grads) = {
+                let mut tape = Tape::default();
+                let vars = params.lend(&mut tape);
+                let loss = bce(&mut tape, vars[w.0], tgt.clone());
+                (vars, tape.backward_into(loss, Gradients::default()))
+            };
             adam.step(&mut params, &vars, &grads);
         }
         let end = loss_at(&params);
@@ -120,10 +137,10 @@ fn tensor_algebra() {
         // A(B + C) == AB + AC.
         let left = a.matmul(&b.add(&c));
         let right = a.matmul(&b).add(&a.matmul(&c));
-        assert!(left.max_abs_diff(&right) < 1e-4);
+        assert!(max_abs_diff(&left, &right) < 1e-4);
         // (A B)^T == B^T A^T.
         let t1 = a.matmul(&b).transpose();
         let t2 = b.transpose().matmul(&a.transpose());
-        assert!(t1.max_abs_diff(&t2) < 1e-4);
+        assert!(max_abs_diff(&t1, &t2) < 1e-4);
     });
 }

@@ -108,7 +108,8 @@ fn tenant_counts_partition_the_total_and_idle_tenants_are_nan_free() {
         }
 
         let mut total = 0;
-        for t in tracker.tenant_ids() {
+        // Every tenant the stream can name, observed or not.
+        for t in 0..3 {
             let mine = (0..fed.len()).filter(|&i| tenants[i] == t).count() as u64;
             assert_eq!(tracker.observations(t), mine, "tenant {t}");
             total += tracker.observations(t);
@@ -127,7 +128,6 @@ fn tenant_counts_partition_the_total_and_idle_tenants_are_nan_free() {
         );
 
         // A tenant that never served anything: zeros, no window.
-        assert!(!tracker.tenant_ids().contains(&9));
         assert_eq!(tracker.observations(9), 0);
         assert!(tracker.window(9, TEMPLATES[0]).is_none());
         let idle = tracker.health_json(9, None);

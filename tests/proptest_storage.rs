@@ -162,13 +162,18 @@ fn buffer_pool_invariants() {
                     }
                 }
             }
-            // Invariants after every operation:
-            assert!(pool.resident_count() <= pool.capacity());
+            // Invariants after every operation, over every page the ops
+            // can name (so the whole page table):
+            let resident: Vec<PageId> = (0..64)
+                .map(|p| PageId::new(FileId(0), p))
+                .filter(|&p| pool.lookup(p).is_some())
+                .collect();
+            assert!(resident.len() <= pool.capacity());
             for (p, _) in &pinned {
                 assert!(pool.lookup(*p).is_some(), "pinned page {p} was evicted");
             }
             // Page table and frames agree.
-            for rp in pool.resident_pages() {
+            for rp in resident {
                 let fid = pool.lookup(rp).expect("page table entry");
                 assert_eq!(pool.frame(fid).page, Some(rp));
             }

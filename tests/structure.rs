@@ -108,7 +108,96 @@ const ROWS: &[(S, Rule, S)] = &[
     // rebuilds it, and no registry probe picks between two gates.
     ("one_ci_path/offline_branch", Never(&["offline_subset", "rustc --edition", "cargo metadata"], "ci.sh .github"), "ci.sh has a second path again; tier-1 is cargo, and it needs no registry"),
     ("one_ci_path/workspace", Code(every_cargo_test_names_workspace), "a cargo test in CI tests only the root package; every one names --workspace"),
+    // Production code is what production calls: a `pub fn` of a library crate is named again outside test items,
+    // by the workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason it stays.
+    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn is named only by its own definition outside test items (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
+    // One tape vocabulary: the ops the model records, and the composed ops the fused attention is pinned against.
+    ("one_tape_vocabulary", Code(tape_ops_are_the_models), "pythia-nn's Op lists other variants than the model's ops and the attention oracle's; an op nothing records does not come back"),
 ];
+
+/// The `pub fn`s that stay with no caller outside test items, and why.
+const ONE_CALLER_OK: &[(S, S)] = &[
+    ("search", "BTree::search: the reference lookup tests/exec_reference.rs replays the executor's index probes against"),
+    ("read_page", "HeapFile::read_page: the reference page decode of the executor in tests/exec_reference.rs"),
+    ("slice_cols", "Tape::slice_cols: oracle of fused_attention_equals_composed_oracle* (a head's columns)"),
+    ("concat_cols", "Tape::concat_cols: oracle of fused_attention_equals_composed_oracle* (the heads joined)"),
+    ("advance_to", "Runtime::advance_to: the serial comparator of tests/proptest_server.rs, a bit pin kept byte-identical"),
+    ("tenant_report", "ServeReport::tenant_report: read by tests/proptest_server.rs, a bit pin kept byte-identical"),
+    ("mean_latency", "TenantReport::mean_latency: read by tests/proptest_server.rs, a bit pin kept byte-identical"),
+    ("event_count", "Recorder::event_count: tests/proptest_server.rs (kept byte-identical) and tests/trace_obs.rs count spans by it"),
+    ("retained_bytes", "Tape::retained_bytes: pythia-core's arena tests assert the bytes a thread's private arena holds"),
+];
+
+const TAPE_OPS: [&str; 16] = [
+    "Leaf",
+    "MatMul",
+    "Linear",
+    "Add",
+    "AddRow",
+    "Scale",
+    "AddConst",
+    "Relu",
+    "SoftmaxRows",
+    "LayerNorm",
+    "Transpose",
+    "SliceCols",
+    "ConcatCols",
+    "GatherRows",
+    "Attention",
+    "BceWithLogits",
+];
+
+fn every_pub_fn_has_a_caller() -> Result<(), String> {
+    let texts = files("crates src examples benchmark/src");
+    let (mut named, mut defs) = (std::collections::HashMap::<&str, usize>::new(), Vec::new());
+    for (path, text) in &texts {
+        let library = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+        for (n, line) in code_lines(text, true) {
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+                *named.entry(word).or_default() += 1;
+            }
+            let def = line.trim_start().strip_prefix("pub fn ").and_then(ident_at);
+            if let Some(name) = def.filter(|_| library) {
+                defs.push((name, format!("{path}:{n}: {}", line.trim())));
+            }
+        }
+    }
+    let lonely: Vec<&(&str, String)> = defs.iter().filter(|(name, _)| named[name] == 1).collect();
+    let allowed = |name: &str| ONE_CALLER_OK.iter().any(|&(ok, _)| ok == name);
+    let mut found: Vec<String> = lonely
+        .iter()
+        .filter(|(name, _)| !allowed(name))
+        .map(|(_, at)| at.clone())
+        .collect();
+    for (ok, _) in ONE_CALLER_OK {
+        if !lonely.iter().any(|(name, _)| name == ok) {
+            found.push(format!(
+                "ONE_CALLER_OK holds {ok}, which has a caller or no definition"
+            ));
+        }
+    }
+    check(found.is_empty(), found)
+}
+
+/// The identifier `rest` starts with, if any.
+fn ident_at(rest: &str) -> Option<&str> {
+    let len = rest.bytes().take_while(|&c| is_ident(c)).count();
+    (len > 0).then(|| &rest[..len])
+}
+
+fn tape_ops_are_the_models() -> Result<(), String> {
+    let text = read("crates/nn/src/tape.rs");
+    let op = block(&text, &[("enum Op {", "}")]);
+    let variants: Vec<&str> = op
+        .iter()
+        .filter_map(|l| {
+            l.strip_prefix("    ")
+                .filter(|v| v.starts_with(|c: char| c.is_ascii_uppercase()))
+        })
+        .filter_map(ident_at)
+        .collect();
+    check(variants == TAPE_OPS, variants)
+}
 
 fn softmax_block_callers() -> Result<(), String> {
     let (nn, mut callers) = (files("crates/nn"), Vec::new());
@@ -281,9 +370,8 @@ fn block<'t>(text: &'t str, nest: &[(&str, &str)]) -> Vec<&'t str> {
 /// The name after the first `fn ` on `line` that starts a word.
 fn fn_name(line: &str) -> Option<&str> {
     line.match_indices("fn ").find_map(|(at, _)| {
-        let rest = &line[at + 3..];
-        let len = rest.bytes().take_while(|&c| is_ident(c)).count();
-        ((at == 0 || !is_ident(line.as_bytes()[at - 1])) && len > 0).then(|| &rest[..len])
+        let starts_word = at == 0 || !is_ident(line.as_bytes()[at - 1]);
+        starts_word.then(|| ident_at(&line[at + 3..])).flatten()
     })
 }
 
