@@ -7,10 +7,10 @@
 //!
 //! This module reproduces that design point from scratch: block accesses are
 //! tokenized (one token per distinct page seen in training, plus `[EOS]`),
-//! a transformer encoder over the last K tokens predicts the next token, and
-//! generation rolls the model forward one block per step. Both the paper's
-//! variants exist: raw traces (with repetitions) and deduplicated traces,
-//! each with context windows 32 or 64.
+//! and a transformer encoder over the last K tokens predicts the next token,
+//! so a query's blocks take one inference each. Both the paper's variants
+//! exist: raw traces (with repetitions) and deduplicated traces, each with
+//! context windows 32 or 64.
 
 use std::collections::HashMap;
 
@@ -71,8 +71,7 @@ pub struct SeqModel {
     params: ParamSet,
     encoder: TransformerEncoder,
     head: Linear,
-    /// token id -> page (ids 0/1 reserved).
-    pages: Vec<PageId>,
+    /// page -> token id (ids 0/1 reserved).
     page_to_token: HashMap<PageId, usize>,
     pub train_seconds: f64,
 }
@@ -102,19 +101,17 @@ impl SeqModel {
     pub fn train(cfg: &SeqModelConfig, traces: &[Trace]) -> SeqModel {
         let start = std::time::Instant::now();
         // Build the block vocabulary from training traces.
-        let mut pages = vec![PageId::new(pythia_sim::FileId(u32::MAX), 0); 2];
         let mut page_to_token = HashMap::new();
         for t in traces {
             for e in t.iter() {
                 if let TraceEvent::Read { page, kind, .. } = e {
                     if !kind.is_sequential() && !page_to_token.contains_key(&page) {
-                        page_to_token.insert(page, pages.len());
-                        pages.push(page);
+                        page_to_token.insert(page, page_to_token.len() + 2);
                     }
                 }
             }
         }
-        let vocab = pages.len();
+        let vocab = page_to_token.len() + 2;
 
         let mut params = ParamSet::new();
         let mut init = Initializer::new(cfg.seed);
@@ -155,7 +152,6 @@ impl SeqModel {
             params,
             encoder,
             head,
-            pages,
             page_to_token,
             train_seconds: 0.0,
         };
@@ -198,7 +194,7 @@ impl SeqModel {
 
     /// Vocabulary size (distinct blocks + 2 specials).
     pub fn vocab(&self) -> usize {
-        self.pages.len()
+        self.page_to_token.len() + 2
     }
 
     /// One inference step: most likely next token given a context.
@@ -224,32 +220,6 @@ impl SeqModel {
             }
             best
         })
-    }
-
-    /// Autoregressive generation of up to `max_blocks` block predictions
-    /// (stops at `[EOS]`). Returns the pages and the number of inference
-    /// steps performed — each generated block costs one model inference,
-    /// which is the impracticality the paper measures.
-    pub fn generate(&self, max_blocks: usize) -> (Vec<PageId>, usize) {
-        let mut ctx = vec![BOS];
-        let mut out = Vec::new();
-        let mut steps = 0;
-        while out.len() < max_blocks {
-            let t = self.next_token(&ctx);
-            steps += 1;
-            if t == EOS || t == BOS {
-                break;
-            }
-            out.push(self.pages[t]);
-            ctx.push(t);
-            // Dedup-trained models can loop on their most confident block;
-            // cut obvious 2-cycles to keep generation productive.
-            let n = ctx.len();
-            if n >= 4 && ctx[n - 1] == ctx[n - 3] && ctx[n - 2] == ctx[n - 4] {
-                break;
-            }
-        }
-        (out, steps)
     }
 
     /// Tokens of a trace under this model's vocabulary (for evaluation).
@@ -315,15 +285,6 @@ mod tests {
         assert_eq!(m.vocab(), 12, "10 distinct pages + 2 specials");
         let acc = m.teacher_forced_accuracy(&stride_trace(30), 1);
         assert!(acc > 0.8, "teacher-forced accuracy {acc}");
-    }
-
-    #[test]
-    fn generation_counts_steps() {
-        let traces: Vec<Trace> = (0..6).map(|_| stride_trace(30)).collect();
-        let m = SeqModel::train(&quick_cfg(), &traces);
-        let (pages, steps) = m.generate(10);
-        assert!(steps >= pages.len(), "one inference per block minimum");
-        assert!(steps <= 11);
     }
 
     #[test]

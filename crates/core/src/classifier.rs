@@ -15,9 +15,7 @@
 
 use pythia_nn::init::Initializer;
 use pythia_nn::layers::{Linear, TransformerEncoder};
-use pythia_nn::tape::{
-    bce_with_logits_over, forward_only, recording, Gradients, ParamId, ParamSet, Tape,
-};
+use pythia_nn::tape::{bce_with_logits_over, forward_only, recording, Gradients, ParamSet, Tape};
 use pythia_nn::{grad_l2_norm, Adam, Tensor, Var};
 use pythia_obs::{to_e6, wall};
 use pythia_sim::rng::Rng;
@@ -117,70 +115,10 @@ impl PlanClassifier {
         }
     }
 
-    /// The scalar count of the parameters [`Self::new`] registers for these
-    /// arguments, computed without building them (`None` past `usize`): a
-    /// model file's tensors are checked against it before anything of that
-    /// size is allocated.
-    pub(crate) fn scalar_count(
-        cfg: &PythiaConfig,
-        vocab_size: usize,
-        head_labels: &[usize],
-    ) -> Option<usize> {
-        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(o);
-        let d = cfg.embed_dim;
-        let layer = [
-            linear(d, d)?.checked_mul(4)?,
-            d.checked_mul(4)?,
-            linear(d, cfg.ff_dim)?,
-            linear(cfg.ff_dim, d)?,
-        ];
-        let layers = layer
-            .into_iter()
-            .try_fold(0usize, usize::checked_add)?
-            .checked_mul(cfg.layers)?;
-        let mut total = vocab_size.max(2).checked_mul(d)?.checked_add(layers)?;
-        for &width in head_labels {
-            total = total
-                .checked_add(linear(d, cfg.decoder_hidden)?)?
-                .checked_add(linear(cfg.decoder_hidden, width)?)?;
-        }
-        Some(total)
-    }
-
-    /// Each decoder head's label count, in head order.
-    pub(crate) fn head_labels(&self) -> Vec<usize> {
-        self.heads.iter().map(|h| h.fc2.out_dim).collect()
-    }
-
     /// The parameter tensors, in the order [`Self::new`] registers them.
+    #[cfg(test)]
     pub(crate) fn tensors(&self) -> impl Iterator<Item = &Tensor> {
         self.params.iter().map(|(_, t)| t)
-    }
-
-    /// Replace the parameters with `tensors`, given in [`Self::tensors`]'
-    /// order: as many, each of its parameter's shape, or nothing changes.
-    pub(crate) fn set_tensors(&mut self, tensors: Vec<Tensor>) -> Result<(), String> {
-        if tensors.len() != self.params.len() {
-            return Err(format!(
-                "{} tensors for a model of {}",
-                tensors.len(),
-                self.params.len()
-            ));
-        }
-        for ((id, have), t) in self.params.iter().zip(&tensors) {
-            if have.shape() != t.shape() {
-                return Err(format!(
-                    "tensor {} is {:?}, but the model's is {:?}",
-                    id.0,
-                    t.shape(),
-                    have.shape()
-                ));
-            }
-        }
-        for (i, t) in tensors.into_iter().enumerate() {
-            *self.params.get_mut(ParamId(i)) = t;
-        }
-        Ok(())
     }
 
     /// Number of output labels, all heads together.
@@ -478,30 +416,6 @@ mod tests {
         let long: Vec<usize> = (0..100).map(|i| 2 + i % 8).collect();
         let s = clf.scores(&long);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn scalar_count_is_what_new_registers() {
-        let base = PythiaConfig::fast;
-        let no_layers = PythiaConfig {
-            layers: 0,
-            ..base()
-        };
-        for (cfg, vocab, heads) in [
-            (base(), 10, &[12usize][..]),
-            (base(), 1, &[5, 1, 6]),
-            (no_layers, 50, &[3]),
-        ] {
-            let clf = PlanClassifier::new(&cfg, vocab, heads);
-            let count = PlanClassifier::scalar_count(&cfg, vocab, heads);
-            assert_eq!(count, Some(clf.params.scalar_count()));
-            assert_eq!(clf.head_labels(), heads);
-        }
-        let wide = PythiaConfig {
-            embed_dim: 1 << 40,
-            ..base()
-        };
-        assert_eq!(PlanClassifier::scalar_count(&wide, 10, &[3]), None);
     }
 
     #[test]

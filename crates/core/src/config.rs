@@ -2,7 +2,7 @@
 
 /// Longest `max_seq_len` a configuration may ask for: far past any plan the
 /// serializer emits, and it bounds the positional table a model builds
-/// (`max_seq_len × embed_dim`), which no model file stores.
+/// (`max_seq_len × embed_dim`).
 pub const MAX_SEQ_LEN: usize = 1 << 12;
 
 /// Which of a workload's page labels share one encoder (one

@@ -27,8 +27,8 @@
 //!   [`server::PrefetchServer`] serves from one [`registry::TenantFleet`]
 //!   (empty for the DFLT server; `with_predictor` publishes a clone, which
 //!   shares the weights) and engages every query once the fleet holds a
-//!   model, so only tests call `match_plan`. A saved model is a
-//!   [`model_file`], checked against the serving catalog once, on load.
+//!   model, so only tests call `match_plan`. A trained model lives in
+//!   its fleet, in memory; nothing writes it to disk.
 //!
 //! Beyond the paper's evaluated system, two §7 extensions are implemented —
 //! prefetch-aware query scheduling ([`scheduler`]) and incremental model
@@ -50,7 +50,6 @@ pub mod config;
 pub mod frontend;
 pub mod metrics;
 pub mod model;
-pub mod model_file;
 pub mod predictor;
 pub mod prefetch;
 pub mod quality;

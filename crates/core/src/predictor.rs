@@ -29,7 +29,7 @@ use crate::config::PythiaConfig;
 use crate::metrics::ObjPage;
 use crate::model::{ModelGroup, PageSets, Span};
 use crate::prefetch::{cap_to_budget, default_budget, prefetch_list};
-use crate::serialize::{object_token, serialize_plan, ValueBinner};
+use crate::serialize::{serialize_plan, ValueBinner};
 use crate::vocab::Vocab;
 
 /// A fully trained Pythia instance for one workload.
@@ -397,57 +397,6 @@ impl TrainedWorkload {
         }
     }
 
-    /// Verify these models were trained against (a catalog identical to)
-    /// `db`: every modeled object must exist, have the page count its labels
-    /// were laid out for, and carry the name the vocabulary interned. Any
-    /// mismatch means predictions would index the wrong pages — the caller
-    /// must refuse to serve, not degrade silently.
-    pub fn check_compat(&self, db: &Database) -> Result<(), String> {
-        let exists = |obj: ObjectId| (obj.0 as usize) < db.object_count();
-        for span in self.spans() {
-            let obj = span.object;
-            if !exists(obj) {
-                return Err(format!(
-                    "model '{}' predicts object {obj:?}, which does not exist in this catalog \
-                     ({} objects)",
-                    self.name,
-                    db.object_count()
-                ));
-            }
-            let have = db.object_pages(obj);
-            if have != span.n_pages {
-                return Err(format!(
-                    "model '{}' was trained on object {obj:?} ('{}') with {} pages, but this \
-                     catalog has {have}",
-                    self.name,
-                    db.object_name(obj),
-                    span.n_pages
-                ));
-            }
-            // Plan serialization names catalog objects; a modeled object
-            // whose current name was never interned would encode to [UNK] and
-            // silently degrade every prediction (e.g. a renamed table).
-            let token = object_token(db, obj);
-            if self.vocab.get(&token).is_none() {
-                return Err(format!(
-                    "model '{}' has no vocabulary token for object {obj:?}'s current name \
-                     '{token}' — the catalog changed since training",
-                    self.name
-                ));
-            }
-        }
-        for obj in &self.object_union {
-            if !exists(*obj) {
-                return Err(format!(
-                    "workload signature of '{}' references object {obj:?}, which does not exist \
-                     in this catalog",
-                    self.name
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Total model size in bytes (paper §5.1 reports this per template).
     pub fn size_bytes(&self) -> usize {
         self.groups.iter().map(ModelGroup::size_bytes).sum()
@@ -459,8 +408,6 @@ mod tests {
     use super::*;
     use crate::config::Grouping;
     use crate::metrics::f1_score;
-    use crate::model_file;
-    use crate::registry::{load_model, save_model};
     use pythia_db::exec::execute;
     use pythia_db::expr::{CmpOp, Pred};
     use pythia_db::types::Schema;
@@ -469,12 +416,6 @@ mod tests {
     /// index, with fact.dkey clustered by fact.date so date ranges select
     /// learnable dim page ranges.
     fn mini_star() -> (Database, Vec<PlanNode>, Vec<Trace>) {
-        star(600)
-    }
-
-    /// [`mini_star`] with `dim_rows` rows in dim (the fact table probes the
-    /// first 600).
-    fn star(dim_rows: i64) -> (Database, Vec<PlanNode>, Vec<Trace>) {
         let mut db = Database::new();
         let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         let dim = db.create_table("dim", Schema::ints(&["d_id", "attr"]));
@@ -483,7 +424,7 @@ mod tests {
             let dkey = (date * 600 / 1000 + i % 3).min(599);
             db.insert(fact, &Database::row([i, date, dkey]));
         }
-        for d in 0..dim_rows {
+        for d in 0..600i64 {
             db.insert(dim, &Database::row([d, d % 9]));
         }
         let idx = db.create_index("dim_pk", dim, 0);
@@ -534,10 +475,8 @@ mod tests {
 
     /// The two objects every `mini_star` query probes: dim's heap and index.
     fn dim_objects(db: &Database) -> (ObjectId, ObjectId) {
-        let named = |name: &str| {
-            let mut ids = (0..db.object_count() as u32).map(ObjectId);
-            ids.find(|&o| db.object_name(o) == name)
-        };
+        // Both exist, so the search ends before it runs past the catalog.
+        let named = |name: &str| (0..).map(ObjectId).find(|&o| db.object_name(o) == name);
         (named("dim").unwrap(), named("dim_pk").unwrap())
     }
 
@@ -910,101 +849,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn save_load_roundtrip_preserves_predictions() {
-        let (db, plans, traces) = mini_star();
-        let path = std::env::temp_dir().join("pythia_model_roundtrip.json");
-        for grouping in GROUPINGS {
-            let quick = PythiaConfig {
-                epochs: 4,
-                grouping,
-                ..cfg()
-            };
-            let mut tw = train_workload(&db, "mini", &plans[..10], &traces[..10], None, &quick);
-            // A threshold no config names: a reader that rebuilt it from the
-            // config would write a different file below.
-            tw.set_threshold(0.375);
-            save_model(&path, 1, &tw).unwrap();
-            let (_, mut loaded) = load_model(&path, &db).unwrap();
-            assert_eq!(loaded.name, tw.name);
-            assert_eq!(loaded.modeled_objects(), tw.modeled_objects());
-            for p in &plans[10..14] {
-                let a = tw.infer(&db, p);
-                let b = loaded.infer(&db, p);
-                assert_eq!(
-                    a.pages, b.pages,
-                    "{grouping:?}: loaded model must predict identically"
-                );
-            }
-            // save → load → save writes the same bytes.
-            let saved = std::fs::read_to_string(&path).unwrap();
-            save_model(&path, 1, &loaded).unwrap();
-            assert!(
-                std::fs::read_to_string(&path).unwrap() == saved,
-                "{grouping:?}"
-            );
-            // Refined alike, the two carry on alike: no state was dropped.
-            tw.refine(&db, &plans[10..14], &traces[10..14]);
-            loaded.refine(&db, &plans[10..14], &traces[10..14]);
-            assert!(
-                model_file::write(1, &loaded) == model_file::write(1, &tw),
-                "{grouping:?}: the reloaded model refined differently"
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_rejects_a_catalog_missing_a_modeled_object() {
-        let (db, plans, traces) = mini_star();
-        let quick = PythiaConfig { epochs: 4, ..cfg() };
-        let tw = train_workload(&db, "mini", &plans[..10], &traces[..10], None, &quick);
-        let path = std::env::temp_dir().join("pythia_model_compat_check.json");
-        save_model(&path, 1, &tw).unwrap();
-
-        // An object the model predicts for is gone.
-        let mut shrunk = Database::new();
-        let f2 = shrunk.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
-        for i in 0..2000i64 {
-            shrunk.insert(f2, &Database::row([i, i / 2, 0]));
-        }
-        let err = load_model(&path, &shrunk)
-            .err()
-            .expect("shrunk catalog must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("objects"), "{err}");
-        // The body check behind the header names the same fault.
-        let err = tw.check_compat(&shrunk).unwrap_err();
-        assert!(err.contains("does not exist"), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn a_resized_object_is_refused_in_every_grouping() {
-        let (db, plans, traces) = mini_star();
-        let (grown, _, _) = star(900);
-        let (dim, idx) = dim_objects(&db);
-        assert!(grown.object_pages(dim) > db.object_pages(dim));
-        assert!(grown.object_pages(idx) > db.object_pages(idx));
-        for grouping in GROUPINGS {
-            let c = PythiaConfig {
-                epochs: 1,
-                grouping,
-                ..cfg()
-            };
-            let tw = train_workload(&db, "mini", &plans[..6], &traces[..6], None, &c);
-            tw.check_compat(&db).unwrap();
-            // Labels past the old page count would split at the wrong page.
-            let err = tw.check_compat(&grown).unwrap_err();
-            assert!(
-                err.contains("pages, but this catalog has"),
-                "{grouping:?}: {err}"
-            );
-            // Both resized objects are modeled, so the check sized each.
-            assert_eq!(tw.modeled_objects().len(), 2, "{grouping:?}");
-        }
-    }
-
     /// A clone shares its weights until one of them is written: refining or
     /// recalibrating the clone copies them once, and the original scores as
     /// before, bit for bit.
@@ -1032,6 +876,128 @@ mod tests {
         assert!(!Arc::ptr_eq(&tw.groups, &recalibrated.groups));
         assert_eq!(recalibrated.threshold(), Some(0.9));
         assert_eq!(tw.threshold(), Some(0.5));
+    }
+
+    /// A small star: fact(600) probing dim(150) through an index, with the
+    /// dim key clustered by date so the labels are learnable.
+    fn tiny_star() -> (Database, Vec<PlanNode>, Vec<Trace>) {
+        let mut db = Database::new();
+        let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
+        let dim = db.create_table("dim", Schema::ints(&["d_id", "attr"]));
+        for i in 0..600i64 {
+            let date = i / 2; // 300 dates
+            let dkey = (date * 150 / 300 + i % 3).min(149);
+            db.insert(fact, &Database::row([i, date, dkey]));
+        }
+        for d in 0..150i64 {
+            db.insert(dim, &Database::row([d, d % 9]));
+        }
+        let idx = db.create_index("dim_pk", dim, 0);
+
+        let mut plans = Vec::new();
+        let mut traces = Vec::new();
+        for q in 0..12i64 {
+            let lo = (q * 37) % 200;
+            let plan = PlanNode::IndexNLJoin {
+                outer: Box::new(PlanNode::SeqScan {
+                    table: fact,
+                    pred: Some(Pred::Between {
+                        col: 1,
+                        lo,
+                        hi: lo + 40,
+                    }),
+                }),
+                outer_key: 2,
+                inner: dim,
+                inner_index: idx,
+                inner_pred: Some(Pred::Cmp {
+                    col: 1,
+                    op: CmpOp::Ge,
+                    lit: 0,
+                }),
+            };
+            let (_, trace) = execute(&plan, &db);
+            plans.push(plan);
+            traces.push(trace);
+        }
+        (db, plans, traces)
+    }
+
+    /// Every group's threshold and parameter tensors, as bit patterns: all
+    /// that training, calibration and refinement write.
+    fn weight_bits(tw: &TrainedWorkload) -> Vec<((usize, usize), Vec<u32>)> {
+        let mut out = Vec::new();
+        for g in tw.groups.iter() {
+            out.push(((1, 1), vec![g.threshold().to_bits()]));
+            for t in g.classifier.tensors() {
+                out.push((
+                    t.shape(),
+                    t.as_slice().iter().map(|x| x.to_bits()).collect(),
+                ));
+            }
+        }
+        out
+    }
+
+    /// Training, inference and refinement on the worker pool are
+    /// bit-identical to a single-thread run, in every grouping, across seeds
+    /// and thread counts.
+    #[test]
+    fn parallel_fleet_is_bit_identical_to_serial() {
+        use pythia_nn::pool::set_thread_override;
+        use pythia_sim::rng::cases;
+        /// Restores the pool to its environment-configured width even when
+        /// a failed assertion unwinds mid-test.
+        struct RestoreThreads;
+        impl Drop for RestoreThreads {
+            fn drop(&mut self) {
+                set_thread_override(0);
+            }
+        }
+        cases(6, |rng| {
+            let seed = rng.gen_range(0..1000);
+            let grouping = GROUPINGS[rng.gen_range(0..3usize)];
+            let n_threads = rng.gen_range(2..6);
+            let _guard = RestoreThreads;
+            let (db, plans, traces) = tiny_star();
+            let cfg = PythiaConfig {
+                epochs: 2,
+                batch_size: 4,
+                lr: 5e-3,
+                seed,
+                grouping,
+                ..PythiaConfig::fast()
+            };
+            let (train_p, train_t) = (&plans[..9], &traces[..9]);
+            let (extra_p, extra_t) = (&plans[9..], &traces[9..]);
+
+            set_thread_override(1);
+            let mut tw_serial = train_workload(&db, "tiny", train_p, train_t, None, &cfg);
+            set_thread_override(n_threads);
+            let mut tw_pooled = train_workload(&db, "tiny", train_p, train_t, None, &cfg);
+
+            assert!(
+                weight_bits(&tw_serial) == weight_bits(&tw_pooled),
+                "pooled training diverged from serial (seed {seed}, {grouping:?}, {n_threads} threads)"
+            );
+            for p in &plans {
+                set_thread_override(1);
+                let a = tw_serial.infer(&db, p);
+                set_thread_override(n_threads);
+                let b = tw_pooled.infer(&db, p);
+                assert_eq!(a.pages, b.pages, "pooled inference diverged");
+            }
+
+            // Refinement fans out over the same pool; it must stay bit-identical.
+            set_thread_override(1);
+            tw_serial.refine(&db, extra_p, extra_t);
+            set_thread_override(n_threads);
+            tw_pooled.refine(&db, extra_p, extra_t);
+            assert!(
+                weight_bits(&tw_serial) == weight_bits(&tw_pooled),
+                "pooled refinement diverged from serial"
+            );
+        });
     }
 
     #[test]

@@ -185,10 +185,8 @@ fn emit_pred(
     }
 }
 
-/// The token a plan names `obj` by wherever it scans it. A model can only
-/// know an object whose token its vocabulary interned
-/// ([`crate::predictor::TrainedWorkload::check_compat`]).
-pub fn object_token(db: &Database, obj: ObjectId) -> String {
+/// The token a plan names `obj` by wherever it scans it.
+fn object_token(db: &Database, obj: ObjectId) -> String {
     let prefix = match db.object_kind(obj) {
         ObjectKind::Table => "rel",
         ObjectKind::Index => "idx",

@@ -172,11 +172,6 @@ impl Database {
             .unwrap_or_else(|| panic!("object {object:?} is not an index"))
     }
 
-    /// Number of catalogued objects (tables + indexes).
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Name of an object.
     pub fn object_name(&self, id: ObjectId) -> &str {
         &self.objects[id.0 as usize].name
@@ -270,11 +265,12 @@ mod tests {
     #[test]
     fn object_ids_cover_tables_and_indexes() {
         let (mut db, t) = small_db();
-        db.create_index("t_val", t, 1);
-        assert_eq!(db.object_count(), 2);
-        let ids = (0..db.object_count() as u32).map(ObjectId);
-        let names: Vec<&str> = ids.map(|o| db.object_name(o)).collect();
+        let idx = db.create_index("t_val", t, 1);
+        // One id space, numbered in creation order.
+        assert_eq!([db.table_info(t).object, idx], [ObjectId(0), ObjectId(1)]);
+        let names: Vec<&str> = [ObjectId(0), ObjectId(1)].map(|o| db.object_name(o)).into();
         assert_eq!(names, vec!["t", "t_val"]);
+        assert_eq!(db.file_lengths().len(), 2);
     }
 
     #[test]

@@ -158,55 +158,6 @@ impl RunResult {
             .unwrap_or(SimTime::ZERO);
         last.since(first)
     }
-
-    /// Sum of per-query latencies.
-    pub fn total_latency(&self) -> SimDuration {
-        self.timings
-            .iter()
-            .fold(SimDuration::ZERO, |acc, t| acc + t.elapsed())
-    }
-
-    /// EXPLAIN ANALYZE-style report: per-query timings plus the buffer
-    /// manager's read-class breakdown and prefetch effectiveness.
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "Replay report ({} queries)", self.timings.len());
-        for (i, t) in self.timings.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  query {i}: arrival {} start {} end {}  elapsed {}",
-                t.arrival,
-                t.start,
-                t.end,
-                t.elapsed()
-            );
-        }
-        let s = &self.stats;
-        let _ = writeln!(out, "  makespan: {}", self.makespan());
-        let _ = writeln!(
-            out,
-            "  reads: {} total = {} buffer hits ({:.1}%) + {} OS-cache copies + {} disk reads ({} pass-through)",
-            s.total_reads(),
-            s.hits,
-            s.hit_rate() * 100.0,
-            s.os_copies,
-            s.disk_reads,
-            s.pass_through
-        );
-        let _ = writeln!(
-            out,
-            "  prefetch: {} issued, {} useful ({:.1}% precision), {} wasted, {} waits, {} already resident",
-            s.prefetch_issued,
-            s.prefetch_useful,
-            s.prefetch_precision() * 100.0,
-            s.prefetch_wasted,
-            s.prefetch_waits,
-            s.prefetch_already_resident
-        );
-        let _ = writeln!(out, "  evictions: {}", s.evictions);
-        out
-    }
 }
 
 struct QState<'a> {
@@ -1089,26 +1040,6 @@ mod tests {
             assert_eq!((s.prefetch_useful, s.prefetch_wasted), (0, 30), "run {run}");
         }
         assert_eq!(rt.stats().hits, 20);
-    }
-
-    #[test]
-    fn report_mentions_every_section() {
-        let cfg = config();
-        let t = random_trace(30, 1);
-        let mut rt = Runtime::new(&cfg, vec![20_000]);
-        let pages = t.page_sequence();
-        let res = rt.run(&[QueryRun::with_prefetch(&t, pages, SimDuration::ZERO)]);
-        let rpt = res.report();
-        for needle in [
-            "Replay report",
-            "query 0",
-            "makespan",
-            "buffer hits",
-            "prefetch",
-            "evictions",
-        ] {
-            assert!(rpt.contains(needle), "missing '{needle}' in:\n{rpt}");
-        }
     }
 
     #[test]

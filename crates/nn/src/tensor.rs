@@ -324,11 +324,6 @@ impl Tensor {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Fill with zeros.
     pub fn zero_(&mut self) {
         self.data.fill(0.0);
@@ -500,7 +495,6 @@ mod tests {
         let a = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.col_sums().as_slice(), &[4., 6.]);
-        assert!((a.norm() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Property test for the parallel model fleet: training, inference and
-//! refinement on the worker pool must be **bit-identical** to a single-thread
-//! run, for every way of grouping labels under encoders (a model per object,
-//! the combined table+index ablation, one encoder for the workload), across
-//! random seeds and thread counts.
-//!
-//! Identity is checked on the model file each `TrainedWorkload` writes (every
-//! model weight, the vocabulary and the binner) and on the per-plan
-//! predictions.
+//! Property test for batched inference on the worker pool: it must be
+//! **bit-identical** to one query at a time on one thread, for every way of
+//! grouping labels under encoders (a model per object, the combined
+//! table+index ablation, one encoder for the workload), across random seeds,
+//! batch sizes and thread counts. Training and refinement on the pool are
+//! pinned against serial runs, weight for weight, by pythia-core's
+//! `parallel_fleet_is_bit_identical_to_serial`.
 
 use pythia::core::config::{Grouping, PythiaConfig};
-use pythia::core::model_file;
 use pythia::core::predictor::train_workload;
+use pythia::core::registry::TenantFleet;
 use pythia::db::catalog::Database;
 use pythia::db::exec::execute;
 use pythia::db::expr::{CmpOp, Pred};
@@ -82,61 +80,10 @@ fn tiny_star() -> (Database, Vec<PlanNode>, Vec<Trace>) {
     (db, plans, traces)
 }
 
-#[test]
-fn parallel_fleet_is_bit_identical_to_serial() {
-    cases(6, |rng| {
-        let seed = rng.gen_range(0..1000);
-        let grouping = any_grouping(rng);
-        let n_threads = rng.gen_range(2..6);
-        let _guard = RestoreThreads;
-        let (db, plans, traces) = tiny_star();
-        let cfg = PythiaConfig {
-            epochs: 2,
-            batch_size: 4,
-            lr: 5e-3,
-            seed,
-            grouping,
-            ..PythiaConfig::fast()
-        };
-        let (train_p, train_t) = (&plans[..9], &traces[..9]);
-        let (extra_p, extra_t) = (&plans[9..], &traces[9..]);
-
-        set_thread_override(1);
-        let mut tw_serial = train_workload(&db, "tiny", train_p, train_t, None, &cfg);
-        set_thread_override(n_threads);
-        let mut tw_pooled = train_workload(&db, "tiny", train_p, train_t, None, &cfg);
-
-        assert!(
-            model_file::write(0, &tw_serial) == model_file::write(0, &tw_pooled),
-            "pooled training diverged from serial (seed {}, {:?}, {} threads)",
-            seed,
-            grouping,
-            n_threads
-        );
-        for p in &plans {
-            set_thread_override(1);
-            let a = tw_serial.infer(&db, p);
-            set_thread_override(n_threads);
-            let b = tw_pooled.infer(&db, p);
-            assert_eq!(a.pages, b.pages, "pooled inference diverged");
-        }
-
-        // Refinement fans out over the same pool; it must stay bit-identical.
-        set_thread_override(1);
-        tw_serial.refine(&db, extra_p, extra_t);
-        set_thread_override(n_threads);
-        tw_pooled.refine(&db, extra_p, extra_t);
-        assert!(
-            model_file::write(0, &tw_serial) == model_file::write(0, &tw_pooled),
-            "pooled refinement diverged from serial"
-        );
-    });
-}
-
 /// Batched inference must be bit-identical to the serial one-query-at-a-
-/// time path for any batch size and thread count — checked on a model
-/// read back from its model file (the deployed shape: loaded weights),
-/// in every model design.
+/// time path for any batch size and thread count — checked on the snapshot a
+/// fleet serves after a publish (the shape a server infers with), in every
+/// model design.
 #[test]
 fn batched_inference_is_bit_identical_to_serial() {
     cases(6, |rng| {
@@ -152,8 +99,11 @@ fn batched_inference_is_bit_identical_to_serial() {
             grouping,
             ..PythiaConfig::fast()
         };
-        let tw = train_workload(&db, "tiny", &plans[..9], &traces[..9], None, &cfg);
-        let (_, tw) = model_file::read(&model_file::write(0, &tw), &db).unwrap();
+        let trained = train_workload(&db, "tiny", &plans[..9], &traces[..9], None, &cfg);
+        let fleet = TenantFleet::new();
+        fleet.publish(trained.clone());
+        let snapshot = fleet.any().expect("a fleet serves what it was published");
+        let tw = &snapshot.workload;
 
         // Serial single-thread reference: one forward pass per plan.
         set_thread_override(1);
