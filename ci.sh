@@ -209,8 +209,8 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
 
 # The traced mini serving run's gate, against any build of the `serving` and
 # `trace_diff` bins: both traces load; same seed and a fixed inference charge,
-# so two runs are byte-identical; and the trace matches the golden summary up
-# to the allowlist (tests/golden/README.md has the bless recipe).
+# so two runs are byte-identical; and the trace matches the golden summary
+# exactly (tests/golden/README.md has the bless recipe).
 trace_gate() { # the serving binary, the trace_diff binary
   local serving=$1 diff=$2
   mkdir -p results
@@ -221,8 +221,7 @@ trace_gate() { # the serving binary, the trace_diff binary
     && "$diff" --validate results/serving_trace_rerun.json \
     && "$diff" results/serving_trace.json results/serving_trace_rerun.json \
     && "$diff" --summary results/serving_trace.json > results/serving_trace_summary.txt \
-    && "$diff" tests/golden/serving_trace_summary.txt results/serving_trace.json \
-      --allow-file tests/golden/trace_allowlist.txt
+    && "$diff" tests/golden/serving_trace_summary.txt results/serving_trace.json
 }
 
 # `attempted virt_mean_ms virt_latency_speedup` of each result line.

@@ -56,7 +56,6 @@ pub struct PlanClassifier {
     encoder: TransformerEncoder,
     heads: Vec<Head>,
     n_labels: usize,
-    threshold: f32,
     max_seq_len: usize,
 }
 
@@ -108,9 +107,6 @@ impl PlanClassifier {
             encoder,
             heads,
             n_labels,
-            // A threshold left to calibration starts at the paper's reading;
-            // `train_workload` replaces it once the model is trained.
-            threshold: cfg.threshold.unwrap_or(0.5),
             max_seq_len: cfg.max_seq_len,
         }
     }
@@ -122,7 +118,8 @@ impl PlanClassifier {
     }
 
     /// Number of output labels, all heads together.
-    pub fn n_labels(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_labels(&self) -> usize {
         self.n_labels
     }
 
@@ -135,51 +132,44 @@ impl PlanClassifier {
         &toks[..toks.len().min(self.max_seq_len)]
     }
 
-    /// Train with Adam on BCE-with-logits (paper's objective).
-    ///
-    /// Each minibatch is recorded one sequence per pass, each on a tape the
-    /// parameters are lent to, not copied into; every node,
-    /// target and gradient buffer goes back to one best-fit arena, where a
-    /// request takes a free buffer of at most twice its size, so a pass no
-    /// longer than one of the two passes before it and at least half as
-    /// long allocates no tensor storage. The arena frees
-    /// what two consecutive passes did not use, so it holds one sequence's
-    /// working set — beside the gradients the passes continue — when the
-    /// lengths repeat, and never more than two. The arena is the calling
-    /// thread's ([`recording`]): the next model trained on this thread
-    /// starts on warm buffers, and it is the caller of a round of trainings
-    /// that frees it (`train_workload` and `TrainedWorkload::refine` do).
-    pub fn train(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, false)
-    }
-
-    /// Continue training from the current parameters on additional examples
-    /// (fresh Adam state). This is the paper's incremental-training path:
+    /// Train with Adam on BCE-with-logits (paper's objective), or, with
+    /// `refine`, continue training from the current parameters on additional
+    /// examples (fresh Adam state) — the paper's incremental-training path:
     /// "Every new query run can be used as a new training data point to
     /// improve Pythia models" (§5.3).
-    pub fn refine(&mut self, data: &[Example<'_>], cfg: &PythiaConfig) -> TrainReport {
-        self.train_phase(data, cfg, true)
-    }
-
-    /// The shared train/refine loop: each step records its minibatch one
-    /// plan per pass — each pass encodes its plan once, runs every head on
-    /// the `[1, dim]` representation and back-propagates the sum of the
-    /// heads' losses (one head records no sum), continuing the gradients of
-    /// the pass before — then takes one Adam step. Each head's loss is the
-    /// mean over the whole minibatch: its `f64` sum is carried from pass to
-    /// pass, so the loss after the last pass is the minibatch's. A parameter
-    /// gradient is one chain of additions over the minibatch's rows in
-    /// ascending order, which each pass resumes ([`Tape::backward_into`]);
-    /// what passes of one bound is working memory, one sequence's
-    /// activations whatever `batch_size` (DESIGN.md, "NN step memory").
-    /// `refine` only matters for telemetry:
-    /// with capture on ([`pythia_obs::wall::set_enabled`]) every epoch emits
-    /// one record carrying its mean minibatch loss, mean gradient L2 norm,
-    /// step count, and wall timing, tagged with the `(worker, model)` context
-    /// the pool set for this thread. With capture off (the default) the only
-    /// cost is one atomic load per call — the optimizer math is untouched
-    /// either way, so trained weights are bit-identical.
-    fn train_phase(
+    ///
+    /// Each step records its minibatch one plan per pass — each pass encodes
+    /// its plan once, runs every head on the `[1, dim]` representation and
+    /// back-propagates the sum of the heads' losses (one head records no
+    /// sum), continuing the gradients of the pass before — then takes one
+    /// Adam step. Each head's loss is the mean over the whole minibatch: its
+    /// `f64` sum is carried from pass to pass, so the loss after the last
+    /// pass is the minibatch's. A parameter gradient is one chain of
+    /// additions over the minibatch's rows in ascending order, which each
+    /// pass resumes ([`Tape::backward_into`]); what passes of one bound is
+    /// working memory, one sequence's activations whatever `batch_size`
+    /// (DESIGN.md, "NN step memory").
+    ///
+    /// Each pass records on a tape the parameters are lent to, not copied
+    /// into; every node, target and gradient buffer goes back to one best-fit
+    /// arena, where a request takes a free buffer of at most twice its size,
+    /// so a pass no longer than one of the two passes before it and at least
+    /// half as long allocates no tensor storage. The arena frees what two
+    /// consecutive passes did not use, so it holds one sequence's working set
+    /// — beside the gradients the passes continue — when the lengths repeat,
+    /// and never more than two. The arena is the calling thread's
+    /// ([`recording`]): the next model trained on this thread starts on warm
+    /// buffers, and it is the caller of a round of trainings that frees it
+    /// (`train_workload` and `TrainedWorkload::refine` do).
+    ///
+    /// `refine` only matters for telemetry: with capture on
+    /// ([`pythia_obs::wall::set_enabled`]) every epoch emits one record
+    /// carrying its mean minibatch loss, mean gradient L2 norm, step count,
+    /// and wall timing, tagged with the `(worker, model)` context the pool
+    /// set for this thread. With capture off (the default) the only cost is
+    /// one atomic load per call — the optimizer math is untouched either way,
+    /// so trained weights are bit-identical.
+    pub(crate) fn train_phase(
         &mut self,
         data: &[Example<'_>],
         cfg: &PythiaConfig,
@@ -310,28 +300,6 @@ impl PlanClassifier {
                 .collect()
         })
     }
-
-    /// [`Self::scores`] for each of a batch of serialized plans, one plan
-    /// per forward, so the inference arena never holds more than one plan's
-    /// activations.
-    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
-        toks_list.iter().map(|toks| self.scores(toks)).collect()
-    }
-
-    /// The score a label must exceed to be predicted.
-    pub fn threshold(&self) -> f32 {
-        self.threshold
-    }
-
-    /// Set the decision threshold (the trainer's calibration does).
-    pub fn set_threshold(&mut self, threshold: f32) {
-        self.threshold = threshold;
-    }
-
-    /// Labels whose score exceeds the threshold.
-    pub fn predict(&self, toks: &[usize]) -> Vec<usize> {
-        labels_above(&self.scores(toks), self.threshold).collect()
-    }
 }
 
 /// The labels whose score in `scores` exceeds `threshold`, ascending.
@@ -373,6 +341,11 @@ mod tests {
             .collect()
     }
 
+    /// The labels of one plan at the paper's threshold.
+    fn labels(clf: &PlanClassifier, toks: &[usize]) -> Vec<usize> {
+        labels_above(&clf.scores(toks), 0.5).collect()
+    }
+
     fn tiny_cfg() -> PythiaConfig {
         PythiaConfig {
             epochs: 40,
@@ -388,10 +361,10 @@ mod tests {
         let owned = block_task();
         let data = as_examples(&owned);
         let mut clf = PlanClassifier::new(&cfg, 10, &[12]);
-        let report = clf.train(&data, &cfg);
+        let report = clf.train_phase(&data, &cfg, false);
         assert!(report.final_loss < report.first_loss, "loss must decrease");
         for t in 2..5usize {
-            let pred = clf.predict(&[t, 5]);
+            let pred = labels(&clf, &[t, 5]);
             let expect: Vec<usize> = ((t - 2) * 4..(t - 2) * 4 + 4).collect();
             assert_eq!(pred, expect, "token {t}");
         }
@@ -437,11 +410,11 @@ mod tests {
         let data = as_examples(&owned);
         let mut clf = PlanClassifier::new(&cfg, 10, &[5, 1, 6]);
         assert_eq!(clf.n_labels(), 12);
-        let report = clf.train(&data, &cfg);
+        let report = clf.train_phase(&data, &cfg, false);
         assert!(report.final_loss < report.first_loss, "loss must decrease");
         for t in 2..5usize {
             let expect: Vec<usize> = ((t - 2) * 4..(t - 2) * 4 + 4).collect();
-            assert_eq!(clf.predict(&[t, 5]), expect, "token {t}");
+            assert_eq!(labels(&clf, &[t, 5]), expect, "token {t}");
             assert_eq!(clf.scores(&[t, 5]).len(), 12);
         }
         // Three decoders cost two more hidden layers than one.
@@ -451,63 +424,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_scores_bit_identical_to_serial() {
-        // A batch of plans of mixed lengths scores exactly the floats each
-        // plan scores alone, under one head and under several.
-        for heads in [&[12usize][..], &[5, 1, 6]] {
-            batched_scores_match_serial(heads);
-        }
-    }
-
-    fn batched_scores_match_serial(heads: &[usize]) {
-        let cfg = tiny_cfg();
-        let owned = block_task();
-        let data = as_examples(&owned);
-        let mut clf = PlanClassifier::new(&cfg, 10, heads);
-        clf.train(&data, &cfg);
-        let seqs: Vec<Vec<usize>> = vec![vec![2, 5], vec![3, 5, 6, 7, 8], vec![4], vec![2, 6, 7]];
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let batched = clf.scores_batch(&refs);
-        assert_eq!(batched.len(), seqs.len());
-        for (q, s) in seqs.iter().enumerate() {
-            assert_eq!(
-                batched[q],
-                clf.scores(s),
-                "batch row {q} diverged from the serial forward"
-            );
-        }
-        // Thresholding commutes with batching.
-        for (q, s) in seqs.iter().enumerate() {
-            let labels: Vec<usize> = labels_above(&batched[q], clf.threshold()).collect();
-            assert_eq!(labels, clf.predict(s));
-        }
-    }
-
-    #[test]
-    fn long_batches_and_empty_plans_match_serial() {
-        for heads in [&[7usize][..], &[2, 4, 1]] {
-            long_batch(heads);
-        }
-    }
-
-    fn long_batch(heads: &[usize]) {
+    fn an_empty_plan_scores_as_one_pad() {
         let cfg = PythiaConfig::fast();
-        let clf = PlanClassifier::new(&cfg, 10, heads);
-        // 70 plans, an empty plan among them.
-        let mut seqs: Vec<Vec<usize>> = (0..70)
-            .map(|q| (0..1 + q % 9).map(|i| 2 + (q + i) % 8).collect())
-            .collect();
-        seqs[40].clear();
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let batched = clf.scores_batch(&refs);
-        assert_eq!(batched.len(), seqs.len());
-        for (q, s) in seqs.iter().enumerate() {
-            assert_eq!(batched[q], clf.scores(s), "batch row {q}");
+        for heads in [&[7usize][..], &[2, 4, 1]] {
+            let clf = PlanClassifier::new(&cfg, 10, heads);
+            assert_eq!(clf.scores(&[]), clf.scores(&[Vocab::PAD]), "{heads:?}");
         }
-        // Serial and batched agree on the edge: an empty plan is one PAD.
-        assert_eq!(clf.scores(&[]), clf.scores_batch(&[&[]])[0]);
-        assert_eq!(clf.scores(&[]), clf.scores(&[Vocab::PAD]));
-        assert!(clf.scores_batch(&[]).is_empty());
     }
 
     #[test]
@@ -538,14 +460,14 @@ mod tests {
         let owned = block_task();
         let data = as_examples(&owned);
         let allocations = || recording(|tape| tape.allocations());
-        PlanClassifier::new(&cfg, 10, &[12]).train(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[12]).train_phase(&data, &cfg, false);
         let first = allocations();
         assert!(first > 0);
-        PlanClassifier::new(&cfg, 10, &[12]).train(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[12]).train_phase(&data, &cfg, false);
         assert_eq!(allocations(), first, "a same-shaped model allocated");
         // Another label count: the encoder's buffers still serve, and the
         // arena has let go of the first model's label-shaped ones.
-        PlanClassifier::new(&cfg, 10, &[20]).refine(&data, &cfg);
+        PlanClassifier::new(&cfg, 10, &[20]).train_phase(&data, &cfg, true);
         let fresh = allocations() - first;
         assert!(0 < fresh && fresh < first / 4, "{fresh} of {first} fresh");
         assert!(recording(|tape| tape.retained_bytes()) > 0);
@@ -568,8 +490,8 @@ mod tests {
         let data = as_examples(&owned);
         // Baseline run through the same train + refine sequence, capture off.
         let mut plain = PlanClassifier::new(&cfg, 10, &[12]);
-        plain.train(&data, &cfg);
-        plain.refine(&data, &cfg);
+        plain.train_phase(&data, &cfg, false);
+        plain.train_phase(&data, &cfg, true);
 
         let mut clf = PlanClassifier::new(&cfg, 10, &[12]);
         // Other tests may train concurrently while the flag is on; a unique
@@ -579,8 +501,8 @@ mod tests {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         wall::set_context(0, 424_242);
         wall::set_enabled(true);
-        clf.train(&data, &cfg);
-        clf.refine(&data, &cfg);
+        clf.train_phase(&data, &cfg, false);
+        clf.train_phase(&data, &cfg, true);
         wall::set_enabled(false);
         wall::set_context(0, 0);
 
@@ -642,7 +564,7 @@ mod tests {
         let mut clf = PlanClassifier::new(&cfg, 10, &[4]);
         let (t1, t2) = (vec![2usize, 3], vec![3usize, 4]);
         let data: Vec<Example<'_>> = vec![(&t1, vec![]), (&t2, vec![0])];
-        let report = clf.train(&data, &cfg);
+        let report = clf.train_phase(&data, &cfg, false);
         assert!(report.final_loss.is_finite());
     }
 }

@@ -12,7 +12,9 @@
 //!   database object, sort by offset, and train the multi-label classifiers
 //!   ([`model::ModelGroup`]s, built on [`classifier::PlanClassifier`]) — one
 //!   per object in the paper, one for the workload with a decoder head per
-//!   object by default ([`Grouping`]).
+//!   object by default ([`Grouping`]). A workload predicts at one decision
+//!   threshold, [`predictor::TrainedWorkload::threshold`], which training
+//!   calibrates by replay unless the configuration fixes it.
 //! * **Algorithm 2 (serialization)** — [`serialize`]: preorder walk of the
 //!   plan emitting operator tokens (`[NLJ]`, `[HJ]`, `[SEQ]`, `[IDX]`),
 //!   object names and `[PRED] col op value` tokens; numeric literals are

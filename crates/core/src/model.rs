@@ -247,21 +247,12 @@ impl ModelGroup {
                 (toks.as_slice(), labels)
             })
             .collect();
-        if refine {
-            self.classifier.refine(&data, cfg);
-        } else {
-            self.classifier.train(&data, cfg);
-        }
-    }
-
-    /// Predicted `(object, page)`s for one plan, in label order.
-    pub fn predict(&self, toks: &[usize]) -> Vec<(ObjectId, u32)> {
-        self.pages_above(&self.scores(toks), self.threshold())
+        self.classifier.train_phase(&data, cfg, refine);
     }
 
     /// The `(object, page)`s whose label scores above `threshold` in one
-    /// plan's `scores` (as [`Self::scores_batch`] returns them), in label
-    /// order.
+    /// plan's `scores` (as [`PlanClassifier::scores`] returns them), in
+    /// label order.
     pub fn pages_above(&self, scores: &[f32], threshold: f32) -> Vec<(ObjectId, u32)> {
         let mut out = Vec::new();
         let mut first = 0;
@@ -271,32 +262,6 @@ impl ModelGroup {
             first += span.len();
         }
         out
-    }
-
-    /// The score a label must exceed to be predicted.
-    pub fn threshold(&self) -> f32 {
-        self.classifier.threshold()
-    }
-
-    /// Set the decision threshold.
-    pub fn set_threshold(&mut self, threshold: f32) {
-        self.classifier.set_threshold(threshold);
-    }
-
-    /// Per-label sigmoid scores per plan, span after span, one plan per
-    /// forward.
-    pub fn scores_batch(&self, toks_list: &[&[usize]]) -> Vec<Vec<f32>> {
-        self.classifier.scores_batch(toks_list)
-    }
-
-    /// Per-label sigmoid scores for one plan, span after span.
-    pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
-        self.classifier.scores(toks)
-    }
-
-    /// Model size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.classifier.size_bytes()
     }
 }
 
@@ -355,9 +320,10 @@ mod tests {
         groups
     }
 
-    /// Every group's pages for one plan, sorted.
-    fn predict(groups: &[ModelGroup], toks: &[usize]) -> Vec<(ObjectId, u32)> {
-        let mut out: Vec<_> = groups.iter().flat_map(|g| g.predict(toks)).collect();
+    /// Every group's pages for one plan at the paper's threshold, sorted.
+    fn pages(groups: &[ModelGroup], toks: &[usize]) -> Vec<(ObjectId, u32)> {
+        let scored = groups.iter().map(|g| (g, g.classifier.scores(toks)));
+        let mut out: Vec<_> = scored.flat_map(|(g, s)| g.pages_above(&s, 0.5)).collect();
         out.sort_unstable();
         out
     }
@@ -371,8 +337,8 @@ mod tests {
         let groups = trained(&cfg(Grouping::PerObject), &[TABLE]);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].spans().len(), 1);
-        assert_eq!(predict(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
-        assert_eq!(predict(&groups, &[3, 5]), on(TABLE, &[7, 8, 9]));
+        assert_eq!(pages(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
+        assert_eq!(pages(&groups, &[3, 5]), on(TABLE, &[7, 8, 9]));
     }
 
     #[test]
@@ -393,8 +359,8 @@ mod tests {
             };
             assert_eq!(groups.len(), expect, "{grouping:?}");
             // Pages 7-9 live in partitions 1 and 2; prediction must still work.
-            assert_eq!(predict(&groups, &[3, 5]), on(TABLE, &[7, 8, 9]));
-            assert_eq!(predict(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
+            assert_eq!(pages(&groups, &[3, 5]), on(TABLE, &[7, 8, 9]));
+            assert_eq!(pages(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
         }
     }
 
@@ -415,9 +381,9 @@ mod tests {
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].spans()[0].len(), 3);
             groups[0].fit(&c, &toks, &sets, false);
-            assert_eq!(predict(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
+            assert_eq!(pages(&groups, &[2, 5]), on(TABLE, &[0, 1, 2]));
             // Pages outside the top-3 can never be predicted.
-            let high = predict(&groups, &[3, 5]);
+            let high = pages(&groups, &[3, 5]);
             assert!(high.iter().all(|(_, p)| [0, 1, 2].contains(p)), "{high:?}");
         }
     }
@@ -430,45 +396,19 @@ mod tests {
             assert_eq!(groups[0].spans().len(), 2);
             let low = [on(TABLE, &[0, 1, 2]), on(INDEX, &[0])].concat();
             let high = [on(TABLE, &[7, 8, 9]), on(INDEX, &[2])].concat();
-            assert_eq!(predict(&groups, &[2, 5]), low, "{grouping:?}");
-            assert_eq!(predict(&groups, &[3, 5]), high, "{grouping:?}");
-            assert!(groups[0].size_bytes() > 0);
+            assert_eq!(pages(&groups, &[2, 5]), low, "{grouping:?}");
+            assert_eq!(pages(&groups, &[3, 5]), high, "{grouping:?}");
+            assert!(groups[0].classifier.size_bytes() > 0);
         }
         // The pair is one decoder over both objects; the workload group has
         // one per object, which costs a second hidden layer.
         let pair = &trained(&cfg(Grouping::TableIndexPair), &[TABLE, INDEX])[0];
         let workload = &trained(&cfg(Grouping::Workload), &[TABLE, INDEX])[0];
-        assert!(pair.size_bytes() < workload.size_bytes());
+        assert!(pair.classifier.size_bytes() < workload.classifier.size_bytes());
         // An index whose table is not modeled is modeled alone.
         let alone = trained(&cfg(Grouping::TableIndexPair), &[INDEX]);
         assert_eq!(alone.len(), 1);
         assert_eq!(alone[0].spans().len(), 1);
-    }
-
-    #[test]
-    fn batched_predict_matches_serial_in_every_grouping() {
-        for grouping in [
-            Grouping::PerObject,
-            Grouping::TableIndexPair,
-            Grouping::Workload,
-        ] {
-            let c = PythiaConfig {
-                partition_pages: 4,
-                epochs: 20,
-                ..cfg(grouping)
-            };
-            let groups = trained(&c, &[TABLE, INDEX]);
-            let plans: Vec<Vec<usize>> = vec![vec![2, 5], vec![3, 5], vec![2, 6], vec![3, 6]];
-            let refs: Vec<&[usize]> = plans.iter().map(|p| p.as_slice()).collect();
-            for g in &groups {
-                let batched = g.scores_batch(&refs);
-                assert_eq!(batched.len(), plans.len());
-                for (q, p) in plans.iter().enumerate() {
-                    let pages = g.pages_above(&batched[q], g.threshold());
-                    assert_eq!(pages, g.predict(p), "{grouping:?} query {q}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -487,7 +427,7 @@ mod tests {
                 g.fit(&c, &toks, &sets, true);
             }
             let high = [on(TABLE, &[7, 8, 9]), on(INDEX, &[2])].concat();
-            assert_eq!(predict(&groups, &[2, 5]), high, "{grouping:?}");
+            assert_eq!(pages(&groups, &[2, 5]), high, "{grouping:?}");
         }
     }
 }

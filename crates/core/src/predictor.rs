@@ -40,9 +40,13 @@ pub struct TrainedWorkload {
     pub binner: ValueBinner,
     /// The models: one per object (per partition) in the paper's design, one
     /// for the whole workload by default ([`PythiaConfig::grouping`]). A
-    /// clone shares them; a write (calibration, [`Self::refine`]) copies
-    /// them first if they are shared.
+    /// clone shares them; [`Self::refine`] copies them first if they are
+    /// shared.
     pub groups: Arc<Vec<ModelGroup>>,
+    /// The score a label must exceed to be predicted, one for every group:
+    /// `cfg.threshold`, else the paper's 0.5 until calibration replaces it.
+    /// Re-thresholding a clone copies no weight.
+    pub threshold: f32,
     /// Every object scanned by any training plan — the workload signature
     /// used for matching incoming queries.
     pub object_union: BTreeSet<ObjectId>,
@@ -168,13 +172,13 @@ pub fn train_workload(
         vocab,
         binner,
         groups: Arc::new(groups),
+        threshold: cfg.threshold.unwrap_or(0.5),
         object_union,
         cfg: cfg.clone(),
     };
     if cfg.threshold.is_none() && !tw.groups.is_empty() {
         let n = plans.len().min(CALIBRATION_QUERIES);
-        let threshold = tw.calibrate(db, &plans[..n], &traces[..n]);
-        tw.set_threshold(threshold);
+        tw.threshold = tw.calibrate(db, &plans[..n], &traces[..n]);
     }
     tw
 }
@@ -272,38 +276,30 @@ impl TrainedWorkload {
     /// A query's prediction does not depend on what shares its batch: groups
     /// run in a fixed order, batched rows are bit-identical whatever the
     /// batch size, and each query's pages go through the same assembly
-    /// ([`Self::assemble`]).
+    /// (`assemble`) at [`Self::threshold`].
     pub fn infer_batch(&self, db: &Database, plans: &[&PlanNode]) -> Vec<Prediction> {
         if plans.is_empty() {
             return Vec::new();
         }
-        self.assemble(plans.len(), &self.score_batch(db, plans), None)
+        self.assemble(plans.len(), &self.score_batch(db, plans), self.threshold)
     }
 
     /// Every group's per-label scores for each of `plans`, group-major,
     /// one plan per forward.
     fn score_batch(&self, db: &Database, plans: &[&PlanNode]) -> Vec<Vec<Vec<f32>>> {
         let toks: Vec<Vec<usize>> = plans.iter().map(|p| self.encode_plan(db, p)).collect();
-        let toks_refs: Vec<&[usize]> = toks.iter().map(Vec::as_slice).collect();
         parallel_map_labeled("nn.infer_batch", &self.groups, |_, group| {
-            group.scores_batch(&toks_refs)
+            toks.iter().map(|t| group.classifier.scores(t)).collect()
         })
     }
 
     /// Turn `n` queries' scores ([`Self::score_batch`]) into predictions:
-    /// each group's pages scoring above `threshold` (the group's own when
-    /// `None`), pushed in group order, then sorted and deduplicated per
-    /// object. Inference and calibration share it, so a calibrated list is
-    /// the list served at that threshold.
-    fn assemble(
-        &self,
-        n: usize,
-        scores: &[Vec<Vec<f32>>],
-        threshold: Option<f32>,
-    ) -> Vec<Prediction> {
+    /// each group's pages scoring above `threshold`, pushed in group order,
+    /// then sorted and deduplicated per object. Inference and calibration
+    /// share it, so a calibrated list is the list served at that threshold.
+    fn assemble(&self, n: usize, scores: &[Vec<Vec<f32>>], threshold: f32) -> Vec<Prediction> {
         let mut results: Vec<Prediction> = (0..n).map(|_| Prediction::default()).collect();
         for (group, per_query) in self.groups.iter().zip(scores) {
-            let threshold = threshold.unwrap_or_else(|| group.threshold());
             for (pred, scores) in results.iter_mut().zip(per_query) {
                 for (obj, page) in group.pages_above(scores, threshold) {
                     pred.pages.entry(obj).or_default().push(page);
@@ -317,19 +313,6 @@ impl TrainedWorkload {
             }
         }
         results
-    }
-
-    /// The decision threshold every group predicts at (`None` when nothing
-    /// is modeled).
-    pub fn threshold(&self) -> Option<f32> {
-        self.groups.first().map(ModelGroup::threshold)
-    }
-
-    /// Set every group's decision threshold.
-    fn set_threshold(&mut self, threshold: f32) {
-        for group in Arc::make_mut(&mut self.groups) {
-            group.set_threshold(threshold);
-        }
     }
 
     /// Choose the decision threshold on the paper's metric (§5.1's virtual
@@ -371,7 +354,7 @@ impl TrainedWorkload {
         threshold: f32,
         budget: usize,
     ) -> Vec<Vec<PageId>> {
-        self.assemble(n, scores, Some(threshold))
+        self.assemble(n, scores, threshold)
             .iter()
             .map(|prediction| cap_to_budget(prefetch_list(db, prediction), budget))
             .collect()
@@ -399,7 +382,7 @@ impl TrainedWorkload {
 
     /// Total model size in bytes (paper §5.1 reports this per template).
     pub fn size_bytes(&self) -> usize {
-        self.groups.iter().map(ModelGroup::size_bytes).sum()
+        self.groups.iter().map(|g| g.classifier.size_bytes()).sum()
     }
 }
 
@@ -520,7 +503,7 @@ mod tests {
         // call has freed.
         let retained = || recording(|tape| tape.retained_bytes());
         let warm = || {
-            PlanClassifier::new(&quick, 10, &[4]).train(&[(&[2, 3], vec![1])], &quick);
+            PlanClassifier::new(&quick, 10, &[4]).train_phase(&[(&[2, 3], vec![1])], &quick, false);
             assert!(retained() > 0);
         };
         // Calibration's forward pass runs on this thread's inference arena.
@@ -529,12 +512,12 @@ mod tests {
         let mut tw = train_workload(&db, "mini", &plans[..8], &traces[..8], None, &quick);
         assert_eq!(retained(), 0, "train_workload left a training arena");
         assert_eq!(inference(), 0, "calibration left an inference arena");
-        let chosen = tw.threshold().expect("mini_star is modeled");
+        let chosen = tw.threshold;
         assert!(THRESHOLD_GRID.contains(&chosen), "{chosen}");
         warm();
         tw.refine(&db, &plans[8..12], &traces[8..12]);
         assert_eq!(retained(), 0, "refine left a training arena");
-        assert_eq!(tw.threshold(), Some(chosen), "refine kept the threshold");
+        assert_eq!(tw.threshold, chosen, "refine kept the threshold");
     }
 
     /// Total virtual latency of `traces` served in order at concurrency 1
@@ -564,15 +547,15 @@ mod tests {
         };
         let n = CALIBRATION_QUERIES;
         let mut tw = train_workload(&db, "mini", &plans[..20], &traces[..20], None, &c);
-        let chosen = tw.threshold().expect("mini_star is modeled");
+        let chosen = tw.threshold;
         let total_pages = db.file_lengths().iter().map(|&l| u64::from(l)).sum();
         let budget = default_budget(RunConfig::sized_for(total_pages).pool_frames);
         let refs: Vec<&PlanNode> = plans[..n].iter().collect();
         let scores = tw.score_batch(&db, &refs);
         let mut served_totals = Vec::new();
         for threshold in THRESHOLD_GRID {
-            // Served: each group predicts at `threshold` through `infer`.
-            tw.set_threshold(threshold);
+            // Served: every group predicts at `threshold` through `infer`.
+            tw.threshold = threshold;
             let served: Vec<Vec<PageId>> = plans[..n]
                 .iter()
                 .map(|p| cap_to_budget(prefetch_list(&db, &tw.infer(&db, p)), budget))
@@ -608,7 +591,7 @@ mod tests {
                 ..cfg()
             };
             let tw = train_workload(&db, "mini", &plans[..8], &traces[..8], None, &c);
-            assert_eq!(tw.threshold(), Some(threshold));
+            assert_eq!(tw.threshold, threshold);
         }
     }
 
@@ -736,7 +719,7 @@ mod tests {
         for p in plans {
             let toks = tw.encode_plan(db, p);
             for g in tw.groups.iter() {
-                bits.extend(g.scores(&toks).into_iter().map(f32::to_bits));
+                bits.extend(g.classifier.scores(&toks).into_iter().map(f32::to_bits));
             }
         }
         bits
@@ -770,7 +753,7 @@ mod tests {
             set_simd_override(simd);
             let mut tw = train_workload(&db, "mini", &plans[..12], &traces[..12], None, &quick);
             let trained = score_bits(&tw, &db, &plans[12..20]);
-            let threshold = tw.threshold().map(f32::to_bits);
+            let threshold = tw.threshold.to_bits();
             let batch: Vec<&PlanNode> = plans[12..20].iter().collect();
             let preds: Vec<_> = tw.infer_batch(&db, &batch);
             let pages: Vec<_> = preds.into_iter().map(|p| p.pages).collect();
@@ -849,9 +832,9 @@ mod tests {
         }
     }
 
-    /// A clone shares its weights until one of them is written: refining or
-    /// recalibrating the clone copies them once, and the original scores as
-    /// before, bit for bit.
+    /// A clone shares its weights until one of them is written: refining the
+    /// clone copies them once, and the original scores as before, bit for
+    /// bit; re-thresholding the clone copies nothing.
     #[test]
     fn a_clone_shares_weights_until_written() {
         let (db, plans, traces) = mini_star();
@@ -872,10 +855,12 @@ mod tests {
         assert_eq!(bits(&tw), before, "refining a clone changed the original");
 
         let mut recalibrated = tw.clone();
-        recalibrated.set_threshold(0.9);
-        assert!(!Arc::ptr_eq(&tw.groups, &recalibrated.groups));
-        assert_eq!(recalibrated.threshold(), Some(0.9));
-        assert_eq!(tw.threshold(), Some(0.5));
+        recalibrated.threshold = 0.9;
+        assert!(
+            Arc::ptr_eq(&tw.groups, &recalibrated.groups),
+            "a re-threshold copied"
+        );
+        assert_eq!(tw.threshold, 0.5);
     }
 
     /// A small star: fact(600) probing dim(150) through an index, with the
@@ -923,12 +908,11 @@ mod tests {
         (db, plans, traces)
     }
 
-    /// Every group's threshold and parameter tensors, as bit patterns: all
-    /// that training, calibration and refinement write.
+    /// The threshold, then every group's parameter tensors, as bit patterns:
+    /// all that training, calibration and refinement write.
     fn weight_bits(tw: &TrainedWorkload) -> Vec<((usize, usize), Vec<u32>)> {
-        let mut out = Vec::new();
+        let mut out = vec![((1, 1), vec![tw.threshold.to_bits()])];
         for g in tw.groups.iter() {
-            out.push(((1, 1), vec![g.threshold().to_bits()]));
             for t in g.classifier.tensors() {
                 out.push((
                     t.shape(),

@@ -3,16 +3,15 @@
 //! ```text
 //! trace_diff --validate FILE          # parse + require virtual events
 //! trace_diff --summary FILE           # print the golden-able summary
-//! trace_diff A B [--allow NAME]...    # compare; exit 1 on drift
-//!           [--allow-file PATH]
+//! trace_diff A B                      # compare; exit 1 on drift
 //! ```
 //!
 //! `A`/`B` are Chrome trace JSON files from a traced run, or checked-in
 //! golden summaries previously produced by `--summary` (detected by the
 //! `# trace_diff summary v1` header). Wall-clock events never participate
 //! ([`pythia_obs::diff::summarize`] keeps only the virtual process), so the
-//! comparison is deterministic across hosts. Allowlist entries (exact names
-//! or `prefix*`) mark intentional drift, e.g. a deliberate span rename.
+//! comparison is deterministic across hosts. It is exact: a deliberate
+//! change, such as a span rename, re-blesses the golden.
 //!
 //! Exit codes: 0 = identical (or valid), 1 = drift / invalid trace,
 //! 2 = usage error.
@@ -23,7 +22,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: trace_diff --validate FILE\n\
          \x20      trace_diff --summary FILE\n\
-         \x20      trace_diff A B [--allow NAME]... [--allow-file PATH]"
+         \x20      trace_diff A B"
     );
     std::process::exit(2)
 }
@@ -45,18 +44,6 @@ fn load_or_die(path: &str) -> TraceSummary {
     })
 }
 
-fn allow_file_entries(path: &str) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("trace_diff: reading allowlist {path}: {e}");
-        std::process::exit(1)
-    });
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_owned)
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -75,25 +62,13 @@ fn main() {
             print!("{}", load_or_die(file).render());
         }
         Some(_) => {
-            let mut positional = Vec::new();
-            let mut allow = Vec::new();
-            let mut it = args.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--allow" => allow.push(it.next().unwrap_or_else(|| usage()).clone()),
-                    "--allow-file" => {
-                        allow.extend(allow_file_entries(it.next().unwrap_or_else(|| usage())))
-                    }
-                    flag if flag.starts_with("--") => usage(),
-                    _ => positional.push(a.clone()),
-                }
-            }
-            let [a, b] = positional.as_slice() else {
+            let [a, b] = args.as_slice() else { usage() };
+            if a.starts_with("--") || b.starts_with("--") {
                 usage()
-            };
+            }
             let sa = load_or_die(a);
             let sb = load_or_die(b);
-            let drift = diff::diff(&sa, &sb, &allow);
+            let drift = diff::diff(&sa, &sb);
             if drift.is_empty() {
                 eprintln!(
                     "trace_diff: {a} and {b} are structurally identical \

@@ -13,11 +13,9 @@
 //! * the virtual track names (`thread_name` metadata),
 //! * a canonical line-per-event re-emission for byte-level comparison.
 //!
-//! [`diff`] compares two summaries structurally; an *allowlist* of event
-//! names (exact, or `prefix.*`) marks intentional drift so a golden trace
-//! can survive a deliberate change without hiding unrelated regressions.
-//! Wall-clock tracks never participate — they are non-deterministic by
-//! construction.
+//! [`diff`] compares two summaries exactly: a deliberate change re-blesses
+//! the golden (`tests/golden/README.md`). Wall-clock tracks never
+//! participate — they are non-deterministic by construction.
 
 use std::collections::BTreeMap;
 
@@ -195,31 +193,15 @@ fn render_args(args: Option<&Json>) -> String {
     out
 }
 
-/// Does `name` match an allowlist entry (exact, or `prefix.*`)?
-fn allowed(name: &str, allow: &[String]) -> bool {
-    allow.iter().any(|a| {
-        if let Some(prefix) = a.strip_suffix('*') {
-            name.starts_with(prefix)
-        } else {
-            a == name
-        }
-    })
-}
-
 /// Compare two summaries. Returns one human-readable message per drift;
-/// empty means the virtual traces are structurally identical. Event names
-/// on the allowlist may drift (including appearing/disappearing) without
-/// being reported. When both summaries carry canonical event blocks and the
-/// allowlist is empty, a final byte-level pass catches reorderings and
-/// timestamp shifts that leave per-name totals intact.
-pub fn diff(a: &TraceSummary, b: &TraceSummary, allow: &[String]) -> Vec<String> {
+/// empty means the virtual traces are structurally identical. When both
+/// summaries carry canonical event blocks, a final byte-level pass catches
+/// reorderings and timestamp shifts that leave per-name totals intact.
+pub fn diff(a: &TraceSummary, b: &TraceSummary) -> Vec<String> {
     let mut msgs = Vec::new();
     let names: std::collections::BTreeSet<&String> =
         a.per_name.keys().chain(b.per_name.keys()).collect();
     for name in names {
-        if allowed(name, allow) {
-            continue;
-        }
         let sa = a.per_name.get(name).copied().unwrap_or_default();
         let sb = b.per_name.get(name).copied().unwrap_or_default();
         if sa.count != sb.count {
@@ -239,12 +221,11 @@ pub fn diff(a: &TraceSummary, b: &TraceSummary, allow: &[String]) -> Vec<String>
     for tid in tids {
         let ta = a.tracks.get(tid).map(String::as_str).unwrap_or("<absent>");
         let tb = b.tracks.get(tid).map(String::as_str).unwrap_or("<absent>");
-        if ta != tb && !allowed(ta, allow) && !allowed(tb, allow) {
+        if ta != tb {
             msgs.push(format!("track {tid}: name {ta:?} -> {tb:?}"));
         }
     }
     if msgs.is_empty()
-        && allow.is_empty()
         && !a.canonical.is_empty()
         && !b.canonical.is_empty()
         && a.canonical != b.canonical
@@ -541,24 +522,18 @@ mod tests {
     fn identical_traces_have_zero_drift() {
         let a = summarize(&sample_recorder("query.replay").chrome_trace_json()).unwrap();
         let b = summarize(&sample_recorder("query.replay").chrome_trace_json()).unwrap();
-        assert_eq!(diff(&a, &b, &[]), Vec::<String>::new());
+        assert_eq!(diff(&a, &b), Vec::<String>::new());
     }
 
     #[test]
-    fn deliberate_span_rename_fails_the_gate_unless_allowlisted() {
+    fn a_deliberate_span_rename_fails_the_gate() {
         let a = summarize(&sample_recorder("query.replay").chrome_trace_json()).unwrap();
         let b = summarize(&sample_recorder("query.replay.T18").chrome_trace_json()).unwrap();
-        let drift = diff(&a, &b, &[]);
+        let drift = diff(&a, &b);
         assert!(
             drift.iter().any(|m| m.contains("query.replay")),
             "rename must be reported: {drift:?}"
         );
-        // Exact allowlist entries cover both the old and the new name...
-        let allow = vec!["query.replay".to_owned(), "query.replay.T18".to_owned()];
-        assert_eq!(diff(&a, &b, &allow), Vec::<String>::new());
-        // ...and a prefix entry covers the whole family.
-        let allow = vec!["query.replay*".to_owned()];
-        assert_eq!(diff(&a, &b, &allow), Vec::<String>::new());
     }
 
     #[test]
@@ -585,7 +560,7 @@ mod tests {
         shifted.instant(Track::virt(0), "server", "server.arrive", 5, &[("q", 0)]);
         let a = summarize(&sample_recorder("query.replay").chrome_trace_json()).unwrap();
         let b = summarize(&shifted.chrome_trace_json()).unwrap();
-        let drift = diff(&a, &b, &[]);
+        let drift = diff(&a, &b);
         assert_eq!(drift.len(), 1, "{drift:?}");
         assert!(drift[0].contains("differ in order, timestamps, or args"));
     }
@@ -644,7 +619,7 @@ mod tests {
             FlowDir::Finish,
         );
         let s2 = summarize(&repaired.chrome_trace_json()).unwrap();
-        let drift = diff(&s, &s2, &[]);
+        let drift = diff(&s, &s2);
         assert_eq!(drift.len(), 1, "{drift:?}");
         assert!(drift[0].contains("differ in order, timestamps, or args"));
         // A flow endpoint missing its id is a malformed trace.
@@ -710,8 +685,8 @@ mod tests {
         assert!(back.canonical.is_empty());
         // A golden comparison (no canonical block) still catches drift.
         let renamed = summarize(&sample_recorder("query.other").chrome_trace_json()).unwrap();
-        assert!(!diff(&back, &renamed, &[]).is_empty());
-        assert_eq!(diff(&back, &s, &[]), Vec::<String>::new());
+        assert!(!diff(&back, &renamed).is_empty());
+        assert_eq!(diff(&back, &s), Vec::<String>::new());
     }
 
     #[test]

@@ -85,9 +85,7 @@ fn main() {
     println!("model size {:.2} MB", tw.size_bytes() as f64 / 1e6);
     // No threshold in the config: training chose it by replaying the first
     // training queries through the simulator.
-    if let Some(threshold) = tw.threshold() {
-        println!("decision threshold {threshold} (chosen by replay)");
-    }
+    println!("decision threshold {} (chosen by replay)", tw.threshold);
     let fleet = Arc::new(TenantFleet::new());
     println!("published 'orders-by-day' as version {}", fleet.publish(tw));
 

@@ -5,7 +5,7 @@
 //! tree's root. The rules never read this file, which holds every forbidden
 //! name.
 
-use std::{fs, path::Path};
+use std::{collections::HashMap, fs, path::Path};
 
 type S = &'static str;
 
@@ -95,6 +95,9 @@ const ROWS: &[(S, Rule, S)] = &[
     // A model lives in its fleet: `train_workload` hands it to `TenantFleet::publish` in memory, and no binary reads or
     // writes a model file, so no format, writer or reader is kept for one.
     ("no_model_file", Never(&["mod model_file", "fn save_model", "fn load_model", r"const FORMAT\w*"], "crates src examples"), "a model format is back without a binary that reads it"),
+    // One operating point per model: the decision threshold is `TrainedWorkload::threshold`, one value the trainer
+    // calibrates; neither a classifier nor a model group keeps a copy, so re-thresholding a clone copies no weight.
+    ("one_operating_point", Never(&["threshold: f32,", "self.threshold", "fn threshold(", "fn set_threshold", "fn predict("], "crates/core/src/classifier.rs crates/core/src/model.rs"), "a classifier or a model group keeps a threshold again; the operating point is TrainedWorkload::threshold"),
     // One way in for a model: a server serves from one fleet (empty is DFLT; `with_predictor` publishes a clone that
     // shares the weights).
     ("one_predictor_source", Never(&["PredictorSource"], "crates"), "a second predictor source is back; a PrefetchServer serves from one Arc<TenantFleet>"),
@@ -109,9 +112,10 @@ const ROWS: &[(S, Rule, S)] = &[
     // rebuilds it, and no registry probe picks between two gates.
     ("one_ci_path/offline_branch", Never(&["offline_subset", "rustc --edition", "cargo metadata"], "ci.sh .github"), "ci.sh has a second path again; tier-1 is cargo, and it needs no registry"),
     ("one_ci_path/workspace", Code(every_cargo_test_names_workspace), "a cargo test in CI tests only the root package; every one names --workspace"),
-    // Production code is what production calls: a `pub fn` of a library crate is named again outside test items,
-    // by the workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason it stays.
-    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn is named only by its own definition outside test items (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
+    // Production code is what production calls: a `pub fn` of a library crate is named outside test items more often
+    // than it is defined, by the workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason
+    // it stays.
+    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn is named outside test items no more often than it is defined (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
     // One tape vocabulary: the ops the model records, and the composed ops the fused attention is pinned against.
     ("one_tape_vocabulary", Code(tape_ops_are_the_models), "pythia-nn's Op lists other variants than the model's ops and the attention oracle's; an op nothing records does not come back"),
 ];
@@ -130,6 +134,7 @@ const ONE_CALLER_OK: &[(S, S)] = &[
     ("allocations", "Tape::allocations: the arena tests of pythia-nn and pythia-core assert that a warm step allocates nothing"),
     ("leaf", "Tape::leaf: the tape's gradient tests and the attention oracle in pythia-nn's layer tests feed their inputs through it"),
     ("softmax_rows", "Tape::softmax_rows: oracle of fused_attention_equals_composed_oracle* (the composed softmax)"),
+    ("transpose", "Tape::transpose: oracle of fused_attention_equals_composed_oracle* (a head's keys turned); Tensor::transpose: tests/proptest_model.rs's tensor_algebra reads (AB)ᵀ = BᵀAᵀ through it"),
     ("set_simd_override", "kernels::set_simd_override: tests/proptest_kernels.rs and pythia-nn's layer tests pin SIMD against scalar in one process"),
     ("set_flight_capacity", "Recorder::set_flight_capacity: the flight-ring tests (tests/proptest_server.rs, a bit pin kept byte-identical) size a small ring to see it wrap"),
     ("virtual_trace_json", "Recorder::virtual_trace_json: tests/trace_obs.rs and the serving tests compare the virtual process alone, byte for byte"),
@@ -157,7 +162,8 @@ const TAPE_OPS: [&str; 16] = [
 
 fn every_pub_fn_has_a_caller() -> Result<(), String> {
     let texts = files("crates src examples benchmark/src");
-    let (mut named, mut defs) = (std::collections::HashMap::<&str, usize>::new(), Vec::new());
+    let (mut named, mut defined) = (HashMap::<&str, usize>::new(), HashMap::<&str, usize>::new());
+    let mut defs = Vec::new();
     for (path, text) in &texts {
         let library = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
         for (n, line) in code_lines(text, true).filter(|(_, l)| !l.trim_start().starts_with("//")) {
@@ -166,11 +172,16 @@ fn every_pub_fn_has_a_caller() -> Result<(), String> {
             }
             let def = line.trim_start().strip_prefix("pub fn ").and_then(ident_at);
             if let Some(name) = def.filter(|_| library) {
+                *defined.entry(name).or_insert(0) += 1;
                 defs.push((name, format!("{path}:{n}: {}", line.trim())));
             }
         }
     }
-    let lonely: Vec<&(&str, String)> = defs.iter().filter(|(name, _)| named[name] == 1).collect();
+    // Two layers' `pub fn`s of one name each count the other's definition.
+    let lonely: Vec<&(&str, String)> = defs
+        .iter()
+        .filter(|(name, _)| named[name] <= defined[name])
+        .collect();
     let allowed = |name: &str| ONE_CALLER_OK.iter().any(|&(ok, _)| ok == name);
     let mut found: Vec<String> = lonely
         .iter()
