@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate for the workspace: formatting, lints, release build, tests
+# Tier-1 gate for the workspace: formatting, lints, docs, release build, tests
 # (tests/structure.rs holds the structural rules), the traced serving run
 # against its golden, the socket smoke and the benchmark's contracts.
 #
 #   ./ci.sh            # run everything
-#   ./ci.sh --fast     # skip the release build (fmt + clippy + tests)
+#   ./ci.sh --fast     # skip the release build (fmt + clippy + doc + tests)
 #
 # Every step must pass; clippy warnings are errors. The root's registry
 # declarations are patched to benchmark/shims/* and Cargo.lock is committed,
@@ -169,8 +169,10 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
   # Bounded memory: the demo's recorders keep counters, histograms and a
   # fixed event ring, so its high-water mark must not follow the number of
   # requests served. 100 requests warm every buffer; 400 more must add
-  # (almost) nothing (docs/measurements.md has the readings). Linux only: the
-  # reading comes from /proc.
+  # (almost) nothing. And no tenant's page bytes outlive set-up: the ceiling
+  # is the highest of four readings (7392, 7136, 6924, 6956 kB) plus about
+  # 1 MB, under one tenant's 1.85 MB of pages (docs/measurements.md has the
+  # readings). Linux only: the reading comes from /proc.
   if [[ -r "/proc/$demo_pid/status" ]]; then
     demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
     demo_burst() { # first request ordinal, count
@@ -184,9 +186,9 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
     hwm_100=$(demo_hwm_kb)
     demo_burst 100 400
     hwm_500=$(demo_hwm_kb)
-    if ((hwm_500 - hwm_100 > 1024 || hwm_500 > 16384)); then
-      echo "!!> serve_demo memory follows requests served: VmHWM ${hwm_100} kB" \
-        "after 100 requests, ${hwm_500} kB after 500 (limits: +1024 kB, 16384 kB)" >&2
+    if ((hwm_500 - hwm_100 > 1024 || hwm_500 > 8448)); then
+      echo "!!> serve_demo memory follows requests served or holds pages: VmHWM ${hwm_100} kB" \
+        "after 100 requests, ${hwm_500} kB after 500 (limits: +1024 kB, 8448 kB)" >&2
       return 1
     fi
     echo "    serve_demo VmHWM: ${hwm_100} kB after 100 requests, ${hwm_500} kB after 500"
@@ -304,6 +306,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
+
+# Docs build without a warning, so a public doc that links a private item
+# (or a link that no longer resolves) fails here, not in a reader's browser.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 
 if [[ "$fast" -eq 0 ]]; then
   echo "==> cargo build --release"

@@ -393,7 +393,7 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 /// published at the start, before each of that tenant's answers and once
 /// more after the sessions finish.
 ///
-/// [`SHED_BURST`] newly shed requests between two drains fire the first
+/// `SHED_BURST` (eight) newly shed requests between two drains fire the first
 /// tenant's flight recorder. Once everything accepted before `/shutdown` is
 /// answered, every session is finished and the pump returns; what arrives
 /// later is for the caller's [`Frontend::shutdown`] to refuse.

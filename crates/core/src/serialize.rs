@@ -24,7 +24,6 @@ use std::collections::HashMap;
 use pythia_db::catalog::{Database, ObjectId, ObjectKind, TableId};
 use pythia_db::expr::{CmpOp, Pred};
 use pythia_db::plan::PlanNode;
-use pythia_db::tuple::Layout;
 
 /// Domain size at or below which literals are emitted exactly. Kept small:
 /// exact tokens only make sense for categorical columns whose every value
@@ -67,10 +66,11 @@ pub(crate) struct ColumnStats {
 }
 
 /// Per-column min/max statistics used to normalize literals — the analogue
-/// of the optimizer's statistics catalog. An all-`Int` heap's bounds are
-/// folded from its zones, one `(min, max)` per column per extent, which are
-/// exact; any other heap's are read record by record through
-/// [`Layout::int_at`]. No row is decoded.
+/// of the optimizer's statistics catalog. Each heap keeps its columns'
+/// bounds as rows are inserted ([`HeapFile::bounds`]), so no page is read:
+/// the binner is built the same on a database whose pages were released.
+///
+/// [`HeapFile::bounds`]: pythia_db::heap::HeapFile::bounds
 #[derive(Debug, Clone)]
 pub struct ValueBinner {
     pub(crate) stats: HashMap<(ObjectId, usize), ColumnStats>,
@@ -81,26 +81,7 @@ impl ValueBinner {
     pub fn from_database(db: &Database) -> Self {
         let mut stats = HashMap::new();
         for t in db.tables() {
-            let mut bounds = vec![(i64::MAX, i64::MIN); t.schema.arity()];
-            match t.heap.layout() {
-                Layout::Ints(_) => {
-                    for zone in t.heap.zones() {
-                        for (b, &(lo, hi)) in bounds.iter_mut().zip(zone) {
-                            *b = (b.0.min(lo), b.1.max(hi));
-                        }
-                    }
-                }
-                Layout::Tagged => {
-                    for (_, rec) in t.heap.records(&db.disk) {
-                        for (c, b) in bounds.iter_mut().enumerate() {
-                            if let Some(v) = Layout::Tagged.int_at(rec, c) {
-                                *b = (b.0.min(v), b.1.max(v));
-                            }
-                        }
-                    }
-                }
-            }
-            for (c, (min, max)) in bounds.into_iter().enumerate() {
+            for (c, &(min, max)) in t.heap.bounds().iter().enumerate() {
                 if min <= max {
                     stats.insert((t.object, c), ColumnStats { min, max });
                 }
@@ -282,6 +263,7 @@ pub fn serialize_plan(db: &Database, binner: &ValueBinner, plan: &PlanNode) -> V
 mod tests {
     use super::*;
     use pythia_db::plan::AggFunc;
+    use pythia_db::tuple::Layout;
     use pythia_db::types::{Datum, Schema};
 
     fn sample_db() -> (Database, TableId, TableId, ObjectId) {
@@ -345,23 +327,51 @@ mod tests {
         let empty = db.create_table("empty", Schema::ints(&["x"]));
         let heap = |t| &db.table_info(t).heap;
         assert_eq!(heap(ints).layout(), Layout::Ints(3));
-        assert!(heap(ints).zones().count() > 2, "several extents");
+        assert!(heap(ints).page_count(&db.disk) > 16, "several extents");
         assert_eq!(heap(mixed).layout(), Layout::Tagged);
         assert_eq!(heap(empty).tuple_count(), 0);
 
-        let binner = ValueBinner::from_database(&db);
-        let mut bounds: Vec<_> = binner
-            .stats
-            .iter()
-            .map(|(&key, s)| (key, (s.min, s.max)))
-            .collect();
-        bounds.sort_unstable();
-        assert_eq!(bounds, decoded_bounds(&db));
+        let bounds = |db: &Database| {
+            let mut bounds: Vec<_> = ValueBinner::from_database(db)
+                .stats
+                .iter()
+                .map(|(&key, s)| (key, (s.min, s.max)))
+                .collect();
+            bounds.sort_unstable();
+            bounds
+        };
+        let before = bounds(&db);
+        assert_eq!(before, decoded_bounds(&db));
+        assert_eq!(before, record_bounds(&db));
         assert_eq!(
-            bounds.len(),
+            before.len(),
             3 + 3,
             "every column of ints and mixed, none of empty"
         );
+        // The binner reads no page: a released database bins the same.
+        db.disk.release_pages();
+        assert_eq!(bounds(&db), before);
+    }
+
+    /// The binner's bounds as it used to fold them from the disk: each
+    /// record's columns in place, through [`Layout::int_at`].
+    fn record_bounds(db: &Database) -> Vec<((ObjectId, usize), (i64, i64))> {
+        let mut out = Vec::new();
+        for t in db.tables() {
+            let layout = t.heap.layout();
+            for c in 0..t.schema.arity() {
+                let col = t
+                    .heap
+                    .records(&db.disk)
+                    .filter_map(|(_, rec)| layout.int_at(rec, c));
+                let fold = col.fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+                if fold.0 <= fold.1 {
+                    out.push(((t.object, c), fold));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
     }
 
     #[test]

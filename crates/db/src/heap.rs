@@ -27,6 +27,10 @@ pub struct HeapFile {
     /// While the layout is `Ints(n)`: `n` `(min, max)` pairs per extent of
     /// [`ZONE_PAGES`] pages, the bounds of each column over the extent's rows.
     zones: Vec<(i64, i64)>,
+    /// Column `c`'s `(min, max)` over every `Int` the heap holds in it,
+    /// `(i64::MAX, i64::MIN)` while it holds none; as long as the longest
+    /// row.
+    bounds: Vec<(i64, i64)>,
 }
 
 impl HeapFile {
@@ -37,6 +41,7 @@ impl HeapFile {
             tuple_count: 0,
             layout: Layout::Tagged,
             zones: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
@@ -61,16 +66,11 @@ impl HeapFile {
         Some(&self.zones[start..start + n])
     }
 
-    /// Every extent's zone in page order, each as [`Self::zone`] returns it;
-    /// nothing unless the heap's layout is `Ints`.
-    pub fn zones(&self) -> impl Iterator<Item = &[(i64, i64)]> {
-        // Any chunk width reads an empty `zones` as no extents, and `chunks`
-        // takes no zero, which an `Ints(0)` heap would give.
-        let n = match self.layout {
-            Layout::Ints(n) => n.max(1),
-            Layout::Tagged => 1,
-        };
-        self.zones.chunks(n)
+    /// Each column's `(min, max)` over every `Int` in it, of any layout:
+    /// what the zones of an `Ints` heap fold to, and `(i64::MAX, i64::MIN)`
+    /// for a column that holds none. Kept at insert, so it reads no page.
+    pub fn bounds(&self) -> &[(i64, i64)] {
+        &self.bounds
     }
 
     /// Number of pages in the heap.
@@ -96,6 +96,7 @@ impl HeapFile {
         let slot = SlottedPage::insert(disk.write(pid), len, |dst| tuple::encode(row, dst));
         self.tuple_count += 1;
         self.widen_zone(pid.page_no, row);
+        self.widen_bounds(row);
         RecordId {
             page_no: pid.page_no,
             slot,
@@ -121,6 +122,18 @@ impl HeapFile {
         for (zone, datum) in self.zones[start..].iter_mut().zip(row) {
             let v = datum.as_int().expect("an Ints row");
             *zone = (zone.0.min(v), zone.1.max(v));
+        }
+    }
+
+    /// Keep [`Self::bounds`] true of `row`.
+    fn widen_bounds(&mut self, row: &[Datum]) {
+        if self.bounds.len() < row.len() {
+            self.bounds.resize(row.len(), (i64::MAX, i64::MIN));
+        }
+        for (b, datum) in self.bounds.iter_mut().zip(row) {
+            if let Some(v) = datum.as_int() {
+                *b = (b.0.min(v), b.1.max(v));
+            }
         }
     }
 

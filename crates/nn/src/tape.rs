@@ -31,7 +31,7 @@
 //! verified against central finite differences in this module's tests.
 //!
 //! Every op output, saved activation, gradient and backward temporary comes
-//! from the tape's best-fit [`Arena`] and goes back to it on
+//! from the tape's best-fit `Arena` and goes back to it on
 //! [`Tape::reset`] / [`Tape::absorb`]: a step whose shapes repeat allocates
 //! nothing. A minibatch is recorded in passes of one sequence, each
 //! [`Tape::backward_into`] continuing the parameter gradients of the pass
@@ -674,7 +674,7 @@ impl<'p> Tape<'p> {
     ///
     /// Per head this runs what the composed ops `softmax_rows(Q·Kᵀ·scale)·V`
     /// run — the same products summed in the same order — on the head's
-    /// columns where they lie (row stride `dim`): [`softmax_block`] computes
+    /// columns where they lie (row stride `dim`): `softmax_block` computes
     /// the head's `[q_len, len]` probabilities into one scratch block, reused
     /// by every head, and the output goes straight into its column block. No
     /// probabilities are saved: backward recomputes each block through the

@@ -105,16 +105,23 @@ impl Hasher for PageHasher {
     }
 }
 
-/// One simulated file: an ordered sequence of pages.
+/// One simulated file: its page count, and each page's bytes until
+/// [`SimDisk::release_pages`] drops them.
 #[derive(Debug, Default)]
 struct SimFile {
+    len: u32,
     pages: Vec<[u8; PAGE_SIZE]>,
 }
 
 /// The simulated disk: all persistent bytes of the database.
+///
+/// Once the bytes have been read for the last time — a serving process
+/// replays the traces it recorded and needs only each file's length —
+/// [`Self::release_pages`] drops them and keeps the lengths.
 #[derive(Debug, Default)]
 pub struct SimDisk {
     files: Vec<SimFile>,
+    released: bool,
 }
 
 impl SimDisk {
@@ -139,42 +146,84 @@ impl SimDisk {
     ///
     /// # Panics
     /// Panics if `file` does not exist — allocation against a missing file is
-    /// a programming error in the storage layer, not a runtime condition.
+    /// a programming error in the storage layer, not a runtime condition —
+    /// or if the pages were released.
     pub fn allocate_page(&mut self, file: FileId) -> PageId {
         let f = &mut self.files[file.0 as usize];
-        let page_no = f.pages.len() as u32;
+        let pid = PageId::new(file, f.len);
+        if self.released {
+            no_page(pid, true, "allocated");
+        }
         f.pages.push([0u8; PAGE_SIZE]);
-        PageId::new(file, page_no)
+        f.len += 1;
+        pid
     }
 
     /// Number of pages currently allocated in `file`.
     pub fn file_len(&self, file: FileId) -> u32 {
-        self.files[file.0 as usize].pages.len() as u32
+        self.files[file.0 as usize].len
     }
 
     /// Total pages across all files.
     pub fn total_pages(&self) -> u64 {
-        self.files.iter().map(|f| f.pages.len() as u64).sum()
+        self.files.iter().map(|f| f.len as u64).sum()
     }
 
     /// Read-only view of a page's bytes.
     ///
     /// # Panics
-    /// Panics on an out-of-range page id (storage-layer invariant violation).
+    /// Panics on an out-of-range page id (storage-layer invariant violation),
+    /// or if the pages were released.
+    #[inline]
     pub fn read(&self, pid: PageId) -> &[u8; PAGE_SIZE] {
-        &self.files[pid.file.0 as usize].pages[pid.page_no as usize]
+        let pages = &self.files[pid.file.0 as usize].pages;
+        match pages.get(pid.page_no as usize) {
+            Some(page) => page,
+            None => no_page(pid, self.released, "read"),
+        }
     }
 
     /// Mutable view of a page's bytes.
+    ///
+    /// # Panics
+    /// As [`Self::read`].
+    #[inline]
     pub fn write(&mut self, pid: PageId) -> &mut [u8; PAGE_SIZE] {
-        &mut self.files[pid.file.0 as usize].pages[pid.page_no as usize]
+        let pages = &mut self.files[pid.file.0 as usize].pages;
+        match pages.get_mut(pid.page_no as usize) {
+            Some(page) => page,
+            None => no_page(pid, self.released, "written"),
+        }
     }
 
     /// Whether `pid` addresses an allocated page.
     pub fn contains(&self, pid: PageId) -> bool {
-        (pid.file.0 as usize) < self.files.len()
-            && (pid.page_no as usize) < self.files[pid.file.0 as usize].pages.len()
+        self.files
+            .get(pid.file.0 as usize)
+            .is_some_and(|f| pid.page_no < f.len)
     }
+
+    /// Drop every page's bytes and keep each file's length: [`Self::file_len`],
+    /// [`Self::total_pages`] and [`Self::contains`] answer as before, and a
+    /// later [`Self::read`], [`Self::write`] or [`Self::allocate_page`]
+    /// panics rather than serve a page that is gone.
+    pub fn release_pages(&mut self) {
+        for f in &mut self.files {
+            f.pages = Vec::new();
+        }
+        self.released = true;
+    }
+}
+
+/// The panic of a page access that finds no bytes, off the hot path: a
+/// page id past its file's end, or any page once they were released.
+#[cold]
+#[inline(never)]
+fn no_page(pid: PageId, released: bool, what: &str) -> ! {
+    if released {
+        panic!("page {pid} {what} after SimDisk::release_pages dropped every page's bytes");
+    }
+    panic!("page {pid} {what}, past the end of its file");
 }
 
 #[cfg(test)]
@@ -228,6 +277,56 @@ mod tests {
         assert!(d.contains(p));
         assert!(!d.contains(PageId::new(f, 99)));
         assert!(!d.contains(PageId::new(FileId(9), 0)));
+    }
+
+    /// A disk of three files, one of them empty, with a byte on each page.
+    fn three_files() -> (SimDisk, [FileId; 3]) {
+        let mut d = SimDisk::new();
+        let files = [d.create_file(), d.create_file(), d.create_file()];
+        for (f, pages) in files.into_iter().zip([3, 0, 5]) {
+            for _ in 0..pages {
+                let pid = d.allocate_page(f);
+                d.write(pid)[0] = 1;
+            }
+        }
+        (d, files)
+    }
+
+    #[test]
+    fn a_release_keeps_every_length() {
+        let (mut d, files) = three_files();
+        let lens = files.map(|f| d.file_len(f));
+        let probes = [
+            PageId::new(files[0], 2),
+            PageId::new(files[0], 3),
+            PageId::new(files[1], 0),
+            PageId::new(files[2], 4),
+            PageId::new(FileId(3), 0),
+        ];
+        let held = probes.map(|pid| d.contains(pid));
+        d.release_pages();
+        assert_eq!(files.map(|f| d.file_len(f)), lens);
+        assert_eq!(lens, [3, 0, 5]);
+        assert_eq!(d.total_pages(), 8);
+        assert_eq!(d.file_count(), 3);
+        assert_eq!(probes.map(|pid| d.contains(pid)), held);
+        assert_eq!(held, [true, false, false, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read after SimDisk::release_pages")]
+    fn a_read_after_a_release_panics() {
+        let (mut d, files) = three_files();
+        d.release_pages();
+        d.read(PageId::new(files[0], 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "allocated after SimDisk::release_pages")]
+    fn an_allocation_after_a_release_panics() {
+        let (mut d, files) = three_files();
+        d.release_pages();
+        d.allocate_page(files[1]);
     }
 
     #[test]

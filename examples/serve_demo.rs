@@ -16,7 +16,8 @@
 //! ```
 //!
 //! Builds one small DSB-like benchmark database **per tenant** (different
-//! generator seeds) with a catalog of Template-18 queries, then puts the
+//! generator seeds) with a catalog of Template-18 queries, runs each
+//! catalog once to record the traces it replays, then puts the
 //! zero-dependency TCP [`Frontend`] in front of a [`PrefetchServer`] fleet —
 //! one server per tenant, each over its own database — and hands both to
 //! [`pump`], the library's serving loop: `GET /t/<tenant>/query/<idx>`
@@ -51,7 +52,16 @@
 //! requests over `--slow-ms`, and shed bursts (8+ newly shed requests between
 //! drains).
 //!
-//! **What a long-lived process retains.** Each tenant's recorder is
+//! **What a long-lived process retains.** Each tenant's database keeps its
+//! catalog, its column bounds and its files' lengths, not its pages. Set-up
+//! runs one tenant at a time: build the database, sample the catalog and
+//! execute it once to record its traces, release the page bytes
+//! ([`SimDisk::release_pages`]), then — with `--train` — train on the
+//! released database, and only then build the next tenant. Serving replays
+//! the recorded traces and encodes plans against the catalog, and training
+//! reads no page either, so at most one tenant's pages (≈ 1.85 MB at this
+//! scale) are ever resident, none while a model trains, and no page byte
+//! outlives set-up. Each tenant's recorder is
 //! [`Recorder::bounded`]: counters and histograms (what `/metrics` serves),
 //! plus the last 4096 trace events in a fixed ring — 4096 slots of 80
 //! bytes, 320 KiB per tenant, allocated at start. Nothing is kept per
@@ -63,6 +73,8 @@
 //! full trace is a *capture* — `Recorder::enabled()`, which keeps every
 //! event and is what `serving --trace-out` and the tests run for as long as
 //! a run lasts — not something a server holds by default.
+//!
+//! [`SimDisk::release_pages`]: pythia::sim::SimDisk::release_pages
 //!
 //! `/shutdown` serves what the front had accepted by then, settles every
 //! session and exits cleanly (later arrivals get `503`) — that is how the CI
@@ -114,50 +126,47 @@ fn main() {
         .unwrap_or(0);
     let flight_out = flag_value("flight-out");
 
-    eprintln!("[serve_demo] building {tenants} tenant database(s) + query catalogs...");
-    let benches: Vec<_> = (0..tenants)
+    // One model fleet per tenant (versioned, hot-swappable mid-serving).
+    // Without --train a fleet stays empty and its tenant is served by the
+    // DFLT baseline (instant startup, which is what the CI smoke test wants).
+    let fleets: Vec<Arc<TenantFleet>> =
+        (0..tenants).map(|_| Arc::new(TenantFleet::new())).collect();
+    // One tenant at a time: build its database, sample its catalog and run
+    // it once to record the traces that serving replays, release the
+    // database's page bytes (serving and training read only its catalog,
+    // column bounds and file lengths), and only then train — so at most one
+    // tenant's pages are ever resident, and training holds none.
+    let tenant_dbs: Vec<_> = (0..tenants)
         .map(|t| {
-            build_benchmark(&GeneratorConfig {
+            eprintln!("[serve_demo] building tenant {t}'s database + query catalog...");
+            let mut b = build_benchmark(&GeneratorConfig {
                 scale: 0.05,
                 seed: 7 + t as u64,
-            })
-        })
-        .collect();
-    let catalogs: Vec<_> = benches
-        .iter()
-        .map(|b| {
-            let queries = sample_workload(b, Template::T18, 12, 42);
+            });
+            let queries = sample_workload(&b, Template::T18, 12, 42);
             let traces: Vec<_> = queries
                 .iter()
                 .map(|q| pythia::db::exec::execute(&q.plan, &b.db).1)
                 .collect();
-            (queries, traces)
+            b.db.disk.release_pages();
+            if train {
+                eprintln!("[serve_demo] training tenant {t}'s predictor (--train)...");
+                let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
+                // The paper's threshold, not a calibrated one: the demo's
+                // 1 024-frame pool holds each tenant's database whole, which a
+                // calibration stack sized to the database would not model.
+                let cfg = PythiaConfig {
+                    threshold: Some(0.5),
+                    ..PythiaConfig::fast()
+                };
+                let tw = train_workload(&b.db, "demo-t18", &plans, &traces, None, &cfg);
+                let v = fleets[t].publish(tw);
+                eprintln!("[serve_demo] tenant {t} fleet at version {v}");
+            }
+            (b, queries, traces)
         })
         .collect();
-    let catalog_len = catalogs[0].0.len();
-
-    // One model fleet per tenant (versioned, hot-swappable mid-serving).
-    // Optionally train Pythia per tenant and publish to its fleet; without
-    // --train the demo serves the DFLT baseline (instant startup, which is
-    // what the CI smoke test wants).
-    let fleets: Vec<Arc<TenantFleet>> =
-        (0..tenants).map(|_| Arc::new(TenantFleet::new())).collect();
-    if train {
-        for (t, (b, (queries, traces))) in benches.iter().zip(&catalogs).enumerate() {
-            eprintln!("[serve_demo] training tenant {t}'s predictor (--train)...");
-            let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
-            // The paper's threshold, not a calibrated one: the demo's
-            // 1 024-frame pool holds each tenant's database whole, which a
-            // calibration stack sized to the database would not model.
-            let cfg = PythiaConfig {
-                threshold: Some(0.5),
-                ..PythiaConfig::fast()
-            };
-            let tw = train_workload(&b.db, "demo-t18", &plans, traces, None, &cfg);
-            let v = fleets[t].publish(tw);
-            eprintln!("[serve_demo] tenant {t} fleet at version {v}");
-        }
-    }
+    let catalog_len = tenant_dbs[0].1.len();
 
     let fe = Frontend::start(
         &addr,
@@ -192,11 +201,10 @@ fn main() {
         charge: InferenceCharge::Fixed(INFER_CHARGE),
         ..ServerConfig::default()
     };
-    let mut fleet: Vec<Tenant<'_>> = benches
+    let mut fleet: Vec<Tenant<'_>> = tenant_dbs
         .iter()
-        .zip(&catalogs)
         .enumerate()
-        .map(|(t, (b, (queries, traces)))| {
+        .map(|(t, (b, queries, traces))| {
             // Each server's own tracker is what its /t/<tenant>/health serves;
             // without --train its fleet stays empty, the DFLT server.
             let mut s = PrefetchServer::new(&b.db, &RunConfig::default(), cfg)

@@ -11,7 +11,9 @@
 //!   reserves nothing for its nominal capacity;
 //! - set-up allocates per table and per index, not per row: building the
 //!   benchmark database makes fewer allocations than it writes pages, and
-//!   the value binner a few per table.
+//!   the value binner a few per table;
+//! - a released database holds no page: releasing a tenant as `serve_demo`
+//!   builds one frees at least its page count times the page size.
 //!
 //! The tests run one at a time, so that nothing else allocates beside the
 //! one measuring the whole process.
@@ -36,7 +38,7 @@ use pythia::nn::pool::set_thread_override;
 use pythia::obs::flight::DEFAULT_CAPACITY;
 use pythia::obs::request::request_track;
 use pythia::obs::{tid, FlowDir, Recorder, Shared, Track};
-use pythia::sim::{OsPageCache, SimDuration};
+use pythia::sim::{OsPageCache, SimDuration, PAGE_SIZE};
 use pythia::workloads::templates::{sample_workload, Template};
 use pythia::workloads::{build_benchmark, GeneratorConfig};
 
@@ -269,6 +271,35 @@ fn a_serving_session_stops_growing_once_warm() {
         grew < 4096,
         "serving requests 200 to 5 200 left {grew} B more live heap"
     );
+}
+
+/// `serve_demo` releases a tenant's page bytes once its catalog has run:
+/// the live process keeps the catalog and the file lengths, and the heap
+/// gives back at least every page.
+#[test]
+fn releasing_a_tenants_pages_frees_every_page() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let live = || THREAD_LIVE.with(Cell::get);
+    let mut bench = build_benchmark(&GeneratorConfig {
+        scale: 0.05,
+        seed: 7,
+    });
+    let queries = sample_workload(&bench, Template::T18, 12, 42);
+    // The traces serving replays stay live across the release.
+    let _traces: Vec<_> = queries
+        .iter()
+        .map(|q| execute(&q.plan, &bench.db).1)
+        .collect();
+    let pages = bench.db.disk.total_pages();
+    let before = live();
+    bench.db.disk.release_pages();
+    let freed = before - live();
+    let page_bytes = (pages * PAGE_SIZE as u64) as isize;
+    assert!(
+        freed >= page_bytes,
+        "releasing {pages} pages ({page_bytes} B) freed {freed} B"
+    );
+    assert_eq!(bench.db.disk.total_pages(), pages);
 }
 
 /// The OS cache reserves nothing for pages it may never hold: at the

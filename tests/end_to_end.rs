@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use pythia::core::metrics::f1_score;
 use pythia::core::predictor::ground_truth;
+use pythia::core::prefetch::INFER_CHARGE;
 use pythia::core::{
-    train_workload, PrefetchServer, PythiaConfig, ServerConfig, ServerRequest, TenantFleet,
+    train_workload, InferenceCharge, PrefetchServer, PythiaConfig, QueryOutcome, ServerConfig,
+    ServerRequest, TenantFleet,
 };
 use pythia::db::plan::PlanNode;
 use pythia::db::runtime::{QueryRun, RunConfig, Runtime};
@@ -188,4 +190,74 @@ fn multiple_workloads_route_correctly() {
     assert_eq!(routed(&t18.plan), "t18");
     let imdb = sample_workload(&bench, Template::Imdb1a, 1, 77).remove(0);
     assert_eq!(routed(&imdb.plan), "imdb");
+}
+
+/// Once `serve_demo` has run a tenant's catalog it releases the database's
+/// page bytes, then trains and serves from the catalog and file lengths
+/// alone. The same twelve queries, arriving together at C = 2, must see the
+/// same virtual outcomes from a released database as from one that keeps its
+/// pages: DFLT, and with a fleet trained on each side's own database.
+#[test]
+fn a_released_database_serves_what_a_whole_one_does() {
+    let build = || {
+        build_benchmark(&GeneratorConfig {
+            scale: 0.05,
+            seed: 7,
+        })
+    };
+    let whole = build();
+    let mut released = build();
+    let queries = sample_workload(&whole, Template::T18, 12, 42);
+    let traces: Vec<_> = queries
+        .iter()
+        .map(|q| pythia::db::exec::execute(&q.plan, &whole.db).1)
+        .collect();
+    let pages = released.db.disk.total_pages();
+    released.db.disk.release_pages();
+    assert_eq!(released.db.disk.total_pages(), pages);
+    assert_eq!(released.db.file_lengths(), whole.db.file_lengths());
+
+    let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
+    let requests: Vec<_> = queries
+        .iter()
+        .zip(&traces)
+        .map(|(q, trace)| ServerRequest::new(&q.plan, trace, SimDuration::ZERO))
+        .collect();
+    let cfg = ServerConfig {
+        concurrency: 2,
+        charge: InferenceCharge::Fixed(INFER_CHARGE),
+        ..ServerConfig::default()
+    };
+    // `serve_demo`'s model: the paper's threshold, not a calibrated one.
+    let model = PythiaConfig {
+        threshold: Some(0.5),
+        ..PythiaConfig::fast()
+    };
+    let outcomes = |bench: &BenchmarkDb, trained: bool| {
+        let fleet = Arc::new(TenantFleet::new());
+        if trained {
+            fleet.publish(train_workload(
+                &bench.db, "demo-t18", &plans, &traces, None, &model,
+            ));
+        }
+        let mut server =
+            PrefetchServer::new(&bench.db, &RunConfig::default(), cfg).with_registry(fleet);
+        let report = server.serve(&requests);
+        let virtual_fields = |o: &QueryOutcome| {
+            let times = [o.arrival, o.admitted, o.start, o.end];
+            (times, o.wave, o.inference, o.tenant, o.request)
+        };
+        report
+            .queries
+            .iter()
+            .map(virtual_fields)
+            .collect::<Vec<_>>()
+    };
+    for trained in [false, true] {
+        let served = outcomes(&whole, trained);
+        assert_eq!(served.len(), 12);
+        // A trained fleet is consulted, and charged for, on every query.
+        assert!(served.iter().all(|o| (o.2 == INFER_CHARGE) == trained));
+        assert_eq!(outcomes(&released, trained), served, "trained: {trained}");
+    }
 }

@@ -68,7 +68,8 @@ const ROWS: &[(S, Rule, S)] = &[
     // outside tests, index builds and the value binner decode no row.
     ("one_column_reader/tag_walk", Never(&["tuple::int_at("], "crates src examples tests -crates/db/src/tuple.rs"), "an encoded column is read past Layout::int_at; only crates/db/src/tuple.rs walks the tags"),
     ("one_column_reader/hash_build", Never(&["HashMap<i64, Vec<Tuple>>"], "crates/db/src/exec.rs"), "the hash join decodes its build side again; it keeps (key, RecordId) pairs"),
-    ("one_column_reader/set_up", NeverInCode(&[".scan(&", "read_page(", "read_tuple("], "crates/db/src/catalog.rs crates/core/src/serialize.rs"), "set-up decodes rows to read a column; index keys come through Layout::int_at, binner bounds from zones"),
+    ("one_column_reader/set_up", NeverInCode(&[".scan(&", "read_page(", "read_tuple("], "crates/db/src/catalog.rs crates/core/src/serialize.rs"), "set-up decodes rows to read a column; index keys come through Layout::int_at, binner bounds from HeapFile::bounds"),
+    ("one_column_reader/binner", NeverInCode(&[".disk"], "crates/core/src/serialize.rs"), "the value binner reads the disk again; it reads HeapFile::bounds, so it bins a released database"),
     // No alert without a consumer: an alert nothing acts on, its drill and its sweep do not come back.
     ("no_unread_alert", Never(&["DriftAlert", "force_alert", "\"drift.alert\"", "force-drift", "drift-out"], CODE_AND_CI), "a drift alert, its drill or its sweep is back; nothing reads an alert, so none is raised"),
     // One front door: train with `train_workload`, publish to a `TenantFleet`, serve by a `PrefetchServer`. The root
@@ -84,8 +85,10 @@ const ROWS: &[(S, Rule, S)] = &[
     ("one_listener/start", One(&["Listener::start("], "crates src examples tests -crates/obs/src/http.rs", "crates/core/src/frontend.rs"), "Listener::start( must appear exactly once outside crates/obs/src/http.rs, in crates/core/src/frontend.rs"),
     ("one_listener/module", Never(&["mod serve", "obs/src/serve.rs"], CODE), "a second listener module is back; the query front serves /metrics and /debug/*"),
     ("one_listener/names", Never(&["MetricsServer", "DebugEndpoints", "set_publisher", "metrics-addr", "HealthProvider", "set_health_provider", "set_labeled", "LabeledSeries"], CODE_AND_CI), "a second listener, its cells, the snapshot publisher, its address flag, a health callback or a labeled metric series is back"),
-    // Nothing the live process never reads is kept: tracks are named by rule, and the OS cache reserves nothing.
+    // Nothing the live process never reads is kept: tracks are named by rule, the OS cache reserves nothing, and
+    // serve_demo releases each tenant's page bytes once its catalog has run.
     ("no_unread_memory/declare_track", NeverInCode(&["declare_track"], "crates src examples"), "a track is declared again; tracks are named by rule when a trace renders"),
+    ("no_unread_memory/pages", One(&[".release_pages()"], "examples", "examples/serve_demo.rs"), "examples/serve_demo.rs must release each tenant's pages once, after its catalog has run; the live process keeps the catalog, not the pages"),
     ("no_unread_memory/lru_new", Code(lru_new_reserves_nothing), "LruSet::new reserves room for its capacity (or left crates/sim/src/oscache.rs); its map grows with what it holds"),
     // One budget rule, `prefetch::default_budget` (rustfmt spaces a copy as `* 3 / 4`), and one sizing rule.
     ("one_budget_rule/default_budget", One(&["fn default_budget("], "crates", "crates/core/src/prefetch.rs"), "crates/ must define default_budget exactly once, in crates/core/src/prefetch.rs"),
