@@ -192,11 +192,6 @@ impl SeqModel {
         model
     }
 
-    /// Vocabulary size (distinct blocks + 2 specials).
-    pub fn vocab(&self) -> usize {
-        self.page_to_token.len() + 2
-    }
-
     /// One inference step: most likely next token given a context.
     fn next_token(&self, ctx: &[usize]) -> usize {
         let lo = ctx.len().saturating_sub(self.cfg.context);
@@ -282,7 +277,7 @@ mod tests {
     fn learns_a_deterministic_sequence() {
         let traces: Vec<Trace> = (0..6).map(|_| stride_trace(30)).collect();
         let m = SeqModel::train(&quick_cfg(), &traces);
-        assert_eq!(m.vocab(), 12, "10 distinct pages + 2 specials");
+        assert_eq!(m.page_to_token.len(), 10, "10 distinct pages");
         let acc = m.teacher_forced_accuracy(&stride_trace(30), 1);
         assert!(acc > 0.8, "teacher-forced accuracy {acc}");
     }

@@ -96,11 +96,6 @@ impl AioPrefetcher {
         self.stream
     }
 
-    /// Readahead window size `R`.
-    pub fn window_size(&self) -> usize {
-        self.window_size
-    }
-
     /// Pages still waiting in the producer queue.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -266,6 +261,22 @@ mod tests {
         aio.window.len()
     }
 
+    /// The I/O lanes `setup` builds its pool with.
+    const LANES: usize = 2;
+
+    /// When each of `io`'s lanes is next free, earliest first: the starts of
+    /// one long fetch per lane scheduled on a copy of it.
+    fn lane_free_times(io: &IoWorkerPool) -> Vec<u64> {
+        let mut probe = io.clone();
+        let long = SimDuration::from_micros(1_000_000);
+        (0..LANES)
+            .map(|_| {
+                let start = probe.schedule_detailed(SimTime::ZERO, long).start;
+                start.as_micros()
+            })
+            .collect()
+    }
+
     fn pid(p: u32) -> PageId {
         PageId::new(FileId(0), p)
     }
@@ -287,7 +298,7 @@ mod tests {
         (
             BufferPool::new(frames, PolicyKind::Clock),
             OsPageCache::new(1024, 32),
-            IoWorkerPool::new(2),
+            IoWorkerPool::new(LANES),
             cost,
             AioPrefetcher::new(window),
         )
@@ -479,13 +490,12 @@ mod tests {
             OsCacheStats::default(),
             "no OS-cache traffic on failed load"
         );
-        assert_eq!(io.issued(), 0, "no I/O worker slot consumed");
         // Worker timeline untouched: every lane still takes a fetch at 0.
-        let mut probe = io.clone();
-        for _ in 0..probe.workers() {
-            let start = probe.schedule_detailed(SimTime::ZERO, cost.disk_read).start;
-            assert_eq!(start, SimTime::ZERO, "worker timeline untouched");
-        }
+        assert_eq!(
+            lane_free_times(&io),
+            [0; LANES],
+            "no I/O worker slot consumed"
+        );
         assert_eq!(pool.stats().prefetch_issued, 0);
         // After the pins release, the retry accounts each page exactly once.
         for p in 0..2 {
@@ -507,7 +517,12 @@ mod tests {
             2,
             "one OS read per page"
         );
-        assert_eq!(io.issued(), 2, "one worker slot per page");
+        // Both fetches started at 0, one on each lane, so the lanes' busy
+        // time is exactly the two reads' latencies.
+        let OsCacheStats { hits, misses, .. } = os.stats();
+        let reads = hits * cost.os_cache_copy.as_micros() + misses * cost.disk_read.as_micros();
+        let busy: u64 = lane_free_times(&io).iter().sum();
+        assert_eq!(busy, reads, "one worker slot per page");
         assert_eq!(pool.stats().prefetch_issued, 2);
     }
 

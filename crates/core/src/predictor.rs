@@ -395,6 +395,12 @@ mod tests {
     use pythia_db::expr::{CmpOp, Pred};
     use pythia_db::types::Schema;
 
+    /// The star's `dim` table.
+    fn dim_object(db: &Database) -> ObjectId {
+        let dim = db.tables().iter().find(|t| t.name == "dim");
+        dim.expect("a star has dim").object
+    }
+
     /// A miniature star: fact(2000 rows) probing dim(600 rows) through an
     /// index, with fact.dkey clustered by fact.date so date ranges select
     /// learnable dim page ranges.
@@ -666,7 +672,7 @@ mod tests {
     #[test]
     fn restrict_objects_limits_models() {
         let (db, plans, traces) = mini_star();
-        let dim_obj = db.table_info(db.table("dim").unwrap()).object;
+        let dim_obj = dim_object(&db);
         let tw = train_workload(
             &db,
             "mini",
@@ -987,7 +993,7 @@ mod tests {
     #[test]
     fn ground_truth_restricted_to_modeled() {
         let (db, plans, traces) = mini_star();
-        let dim_obj = db.table_info(db.table("dim").unwrap()).object;
+        let dim_obj = dim_object(&db);
         let modeled: BTreeSet<ObjectId> = [dim_obj].into_iter().collect();
         let gt = ground_truth(&traces[0], &modeled);
         assert!(gt.iter().all(|(o, _)| *o == dim_obj));

@@ -144,13 +144,22 @@ mod tests {
     use crate::config::PythiaConfig;
     use crate::predictor::train_workload;
     use crate::prefetch::prefetch_list;
-    use pythia_db::catalog::ObjectId;
+    use pythia_db::catalog::{ObjectId, TableId};
     use pythia_db::exec::execute;
     use pythia_db::expr::Pred;
     use pythia_db::types::Schema;
 
+    /// The ids the catalog returned for `star_db`'s tables and index.
+    #[derive(Clone, Copy)]
+    struct Star {
+        fact: TableId,
+        dim: TableId,
+        other: TableId,
+        dim_pk: ObjectId,
+    }
+
     /// fact ⋈ dim through `dim_pk`, plus a table no plan below touches.
-    fn star_db() -> (Database, Vec<PlanNode>) {
+    fn star_db() -> (Database, Vec<PlanNode>, Star) {
         let mut db = Database::new();
         let fact = db.create_table("fact", Schema::ints(&["id", "date", "dkey"]));
         let dim = db.create_table("dim", Schema::ints(&["d_id", "attr"]));
@@ -158,37 +167,34 @@ mod tests {
             db.insert(fact, &Database::row([i, i % 100, i % 50]));
             db.insert(dim, &Database::row([i % 50, i % 7]));
         }
-        db.create_index("dim_pk", dim, 0);
+        let dim_pk = db.create_index("dim_pk", dim, 0);
         let other = db.create_table("other", Schema::ints(&["o_id"]));
         for i in 0..600i64 {
             db.insert(other, &Database::row([i]));
         }
-        let plans: Vec<PlanNode> = (0..8).map(|i| star_plan(&db, i * 7)).collect();
-        (db, plans)
+        let star = Star {
+            fact,
+            dim,
+            other,
+            dim_pk,
+        };
+        let plans: Vec<PlanNode> = (0..8).map(|i| star_plan(star, i * 7)).collect();
+        (db, plans, star)
     }
 
-    /// The index `star_db` builds on `dim`.
-    fn dim_pk(db: &Database) -> ObjectId {
-        // It exists, so the search ends before it runs past the catalog.
-        let mut ids = (0..).map(ObjectId);
-        ids.find(|&o| db.object_name(o) == "dim_pk")
-            .expect("star_db indexes dim")
-    }
-
-    fn star_plan(db: &Database, lo: i64) -> PlanNode {
-        let dim = db.table("dim").unwrap();
+    fn star_plan(star: Star, lo: i64) -> PlanNode {
         PlanNode::IndexNLJoin {
-            outer: Box::new(fact_scan(db, lo, lo + 10)),
+            outer: Box::new(fact_scan(star, lo, lo + 10)),
             outer_key: 2,
-            inner: dim,
-            inner_index: dim_pk(db),
+            inner: star.dim,
+            inner_index: star.dim_pk,
             inner_pred: None,
         }
     }
 
-    fn fact_scan(db: &Database, lo: i64, hi: i64) -> PlanNode {
+    fn fact_scan(star: Star, lo: i64, hi: i64) -> PlanNode {
         PlanNode::SeqScan {
-            table: db.table("fact").unwrap(),
+            table: star.fact,
             pred: Some(Pred::Between { col: 1, lo, hi }),
         }
     }
@@ -204,7 +210,7 @@ mod tests {
 
     #[test]
     fn publish_bumps_versions_and_swaps_atomically() {
-        let (db, plans) = star_db();
+        let (db, plans, _) = star_db();
         let fleet = TenantFleet::new();
         assert!(fleet.is_empty());
         assert!(fleet.any().is_none());
@@ -238,7 +244,7 @@ mod tests {
     /// the matcher never picked, so the stale model kept serving.
     #[test]
     fn relearning_a_workload_replaces_the_stale_model() {
-        let (db, plans) = star_db();
+        let (db, plans, star) = star_db();
         let traces: Vec<_> = plans.iter().map(|p| execute(p, &db).1).collect();
         // Threshold below every sigmoid score: a model predicts all pages of
         // the object it covers, so which weights served is unmistakable.
@@ -247,9 +253,7 @@ mod tests {
             threshold: Some(-1.0),
             ..PythiaConfig::fast()
         };
-        let dim = db.table("dim").unwrap();
-        let heap = db.table_info(dim).object;
-        let idx = dim_pk(&db);
+        let (heap, idx) = (db.table_info(star.dim).object, star.dim_pk);
         let fleet = TenantFleet::new();
         for only in [heap, idx] {
             fleet.publish(train_workload(
@@ -263,7 +267,7 @@ mod tests {
         }
         assert_eq!(fleet.len(), 1);
 
-        let probe = star_plan(&db, 5);
+        let probe = star_plan(star, 5);
         let matched = fleet.match_plan(&db, &probe).expect("matches");
         assert_eq!(matched.version, 2);
         let list = prefetch_list(&db, &matched.workload.infer(&db, &probe));
@@ -276,7 +280,7 @@ mod tests {
     /// beside them: nothing deadlocks and no read misses.
     #[test]
     fn readers_match_while_a_publish_lands() {
-        let (db, plans) = star_db();
+        let (db, plans, star) = star_db();
         let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans, "w"));
         let (db, plans, fleet) = (&db, &plans, &fleet);
@@ -287,7 +291,7 @@ mod tests {
                     s.spawn(move || {
                         (0..20)
                             .filter(|i| {
-                                let p = star_plan(db, (r * 20 + i) % 80);
+                                let p = star_plan(star, (r * 20 + i) % 80);
                                 fleet.match_plan(db, &p).is_some()
                             })
                             .count()
@@ -303,18 +307,18 @@ mod tests {
 
     #[test]
     fn matches_same_shape_rejects_foreign() {
-        let (db, plans) = star_db();
+        let (db, plans, star) = star_db();
         let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans, "star"));
         assert_eq!(fleet.len(), 1);
 
         // Same-shape unseen query matches.
-        let hit = fleet.match_plan(&db, &star_plan(&db, 55));
+        let hit = fleet.match_plan(&db, &star_plan(star, 55));
         assert_eq!(hit.expect("star matches").workload.name, "star");
 
         // A query over an unrelated table does not.
         let foreign = PlanNode::SeqScan {
-            table: db.table("other").unwrap(),
+            table: star.other,
             pred: None,
         };
         assert!(fleet.match_plan(&db, &foreign).is_none());
@@ -322,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_never_matches() {
-        let (db, plans) = star_db();
+        let (db, plans, _) = star_db();
         let fleet = TenantFleet::new();
         assert!(fleet.is_empty());
         assert!(fleet.match_plan(&db, &plans[0]).is_none());
@@ -330,18 +334,18 @@ mod tests {
 
     #[test]
     fn best_of_multiple_workloads_wins() {
-        let (db, plans) = star_db();
+        let (db, plans, star) = star_db();
         // Workload A: the star join. Workload B: fact-only scans.
-        let scans: Vec<PlanNode> = (0..6).map(|i| fact_scan(&db, i, i + 5)).collect();
+        let scans: Vec<PlanNode> = (0..6).map(|i| fact_scan(star, i, i + 5)).collect();
         let fleet = TenantFleet::new();
         fleet.publish(train(&db, &plans[..6], "star"));
         fleet.publish(train(&db, &scans, "scan"));
 
-        let m = fleet.match_plan(&db, &star_plan(&db, 42));
+        let m = fleet.match_plan(&db, &star_plan(star, 42));
         assert_eq!(m.expect("matches").workload.name, "star");
 
         let unfiltered = PlanNode::SeqScan {
-            table: db.table("fact").unwrap(),
+            table: star.fact,
             pred: None,
         };
         let m2 = fleet.match_plan(&db, &unfiltered);
@@ -350,7 +354,7 @@ mod tests {
 
     #[test]
     fn tenants_are_isolated() {
-        let (db, plans) = star_db();
+        let (db, plans, _) = star_db();
         let (a, b) = (TenantFleet::new(), TenantFleet::new());
         a.publish(train(&db, &plans, "star"));
         assert_eq!(a.len(), 1);
@@ -364,7 +368,7 @@ mod tests {
     /// lookup, publish and match still answers.
     #[test]
     fn a_poisoned_fleet_lock_still_serves() {
-        let (db, plans) = star_db();
+        let (db, plans, _) = star_db();
         let tw = train(&db, &plans, "star");
         let fleet = TenantFleet::new();
         fleet.publish(tw.clone());

@@ -11,20 +11,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Vocab {
     map: HashMap<String, usize>,
-    tokens: Vec<String>,
 }
 
 impl Vocab {
     /// Id of the unknown token.
     pub const UNK: usize = 0;
-    /// Id of the padding token (used when packing batches).
+    /// Id of the padding token: what an empty plan encodes as.
     pub const PAD: usize = 1;
 
     /// A vocabulary containing only the reserved tokens.
     pub fn new() -> Self {
         let mut v = Vocab {
             map: HashMap::new(),
-            tokens: Vec::new(),
         };
         v.intern("[UNK]");
         v.intern("[PAD]");
@@ -36,8 +34,7 @@ impl Vocab {
         if let Some(&id) = self.map.get(tok) {
             return id;
         }
-        let id = self.tokens.len();
-        self.tokens.push(tok.to_owned());
+        let id = self.map.len();
         self.map.insert(tok.to_owned(), id);
         id
     }
@@ -61,17 +58,12 @@ impl Vocab {
 
     /// Number of known tokens.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.map.len()
     }
 
     /// Whether only reserved tokens exist.
     pub fn is_empty(&self) -> bool {
-        self.tokens.len() <= 2
-    }
-
-    /// Token string for an id (diagnostics).
-    pub fn token(&self, id: usize) -> &str {
-        &self.tokens[id]
+        self.map.len() <= 2
     }
 }
 
@@ -100,7 +92,7 @@ mod tests {
         let b = v.intern("x");
         assert_eq!(a, b);
         assert_eq!(v.len(), 3);
-        assert_eq!(v.token(a), "x");
+        assert_eq!(v.get("x"), Some(a));
     }
 
     #[test]

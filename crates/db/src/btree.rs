@@ -55,8 +55,6 @@ const INT_FILL: usize = INT_CAP * 9 / 10;
 pub struct BTree {
     pub file: FileId,
     root: u32,
-    height: u32,
-    entry_count: u64,
 }
 
 fn put_u16(buf: &mut [u8], off: usize, v: u16) {
@@ -125,7 +123,6 @@ impl BTree {
     pub fn bulk_build(disk: &mut SimDisk, mut entries: Vec<(i64, RecordId)>) -> BTree {
         entries.sort_unstable_by_key(|(k, rid)| (*k, rid.page_no, rid.slot));
         let file = disk.create_file();
-        let n = entries.len() as u64;
 
         // Empty index: a single empty leaf as root.
         if entries.is_empty() {
@@ -137,8 +134,6 @@ impl BTree {
             return BTree {
                 file,
                 root: pid.page_no,
-                height: 1,
-                entry_count: 0,
             };
         }
 
@@ -169,9 +164,7 @@ impl BTree {
         }
 
         // Upper levels until a single root remains.
-        let mut height = 1;
         while level.len() > 1 {
-            height += 1;
             let mut next_level = Vec::new();
             for group in level.chunks(INT_FILL + 1) {
                 let pid = disk.allocate_page(file);
@@ -192,24 +185,7 @@ impl BTree {
         BTree {
             file,
             root: level[0].0,
-            height,
-            entry_count: n,
         }
-    }
-
-    /// Root page number.
-    pub fn root(&self) -> u32 {
-        self.root
-    }
-
-    /// Tree height in levels (1 = root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Number of indexed entries.
-    pub fn entry_count(&self) -> u64 {
-        self.entry_count
     }
 
     /// Pages in the index file.
@@ -324,10 +300,17 @@ mod tests {
 
     fn nop(_: PageId, _: NodeKind) {}
 
+    /// Levels from the root to a leaf (1 = the root is a leaf).
+    fn height(t: &BTree, disk: &SimDisk) -> usize {
+        let mut levels = 0;
+        t.descend(disk, i64::MIN, &mut |_, _| levels += 1);
+        levels
+    }
+
     #[test]
     fn empty_tree() {
         let (disk, t) = build([]);
-        assert_eq!(t.height(), 1);
+        assert_eq!(height(&t, &disk), 1);
         assert!(t.search(&disk, 5, &mut nop).is_empty());
         assert!(t.range(&disk, i64::MIN, i64::MAX, &mut nop).is_empty());
     }
@@ -335,7 +318,7 @@ mod tests {
     #[test]
     fn single_leaf_lookup() {
         let (disk, t) = build(0..100);
-        assert_eq!(t.height(), 1);
+        assert_eq!(height(&t, &disk), 1);
         for k in [0i64, 50, 99] {
             assert_eq!(t.search(&disk, k, &mut nop).len(), 1);
         }
@@ -347,7 +330,8 @@ mod tests {
     fn multi_level_lookup() {
         let n = 100_000i64;
         let (disk, t) = build(0..n);
-        assert!(t.height() >= 3, "height {} for {n} keys", t.height());
+        let levels = height(&t, &disk);
+        assert!(levels >= 3, "height {levels} for {n} keys");
         for k in [0, 1, 12_345, n / 2, n - 1] {
             let hits = t.search(&disk, k, &mut nop);
             assert_eq!(hits.len(), 1, "key {k}");
@@ -412,7 +396,7 @@ mod tests {
         let keys =
             (0..400i64).flat_map(|k| std::iter::repeat_n(k * 2, 1 + (k * 37 % 300) as usize));
         let (disk, t) = build(keys);
-        assert!(t.height() >= 2);
+        assert!(height(&t, &disk) >= 2);
         for k in -1..=801 {
             let (mut point, mut ranged, mut linear) = (Vec::new(), Vec::new(), Vec::new());
             let rids = t.search(&disk, k, &mut |pid, kind| point.push((pid, kind)));
@@ -438,8 +422,8 @@ mod tests {
         let (disk, t) = build(0..100_000);
         let mut path = Vec::new();
         t.search(&disk, 55_555, &mut |pid, kind| path.push((pid, kind)));
-        assert!(path.len() >= t.height() as usize);
-        assert_eq!(path[0].0.page_no, t.root());
+        assert!(path.len() >= height(&t, &disk));
+        assert_eq!(path[0].0.page_no, t.root);
         assert_eq!(path[0].1, NodeKind::Internal);
         assert_eq!(path.last().unwrap().1, NodeKind::Leaf);
         // Internal prefix then leaves.
@@ -475,7 +459,6 @@ mod tests {
     fn full_range_returns_everything() {
         let (disk, t) = build(0..50_000);
         assert_eq!(t.range(&disk, i64::MIN, i64::MAX, &mut nop).len(), 50_000);
-        assert_eq!(t.entry_count(), 50_000);
     }
 
     #[test]
@@ -498,6 +481,6 @@ mod tests {
             }
             assert!(!(leaf && seen_internal), "leaf after internal at page {p}");
         }
-        assert_eq!(t.root(), total - 1, "root allocated last");
+        assert_eq!(t.root, total - 1, "root allocated last");
     }
 }

@@ -4,8 +4,6 @@
 //! every object gets a stable [`ObjectId`] that the trace, the training data
 //! and the model registry all key on.
 
-use std::collections::HashMap;
-
 use pythia_sim::{FileId, SimDisk};
 
 use crate::btree::BTree;
@@ -63,7 +61,6 @@ pub struct Database {
     objects: Vec<ObjectMeta>,
     tables: Vec<TableInfo>,
     indexes: Vec<IndexInfo>,
-    by_name: HashMap<String, TableId>,
 }
 
 impl Database {
@@ -74,7 +71,6 @@ impl Database {
             objects: Vec::new(),
             tables: Vec::new(),
             indexes: Vec::new(),
-            by_name: HashMap::new(),
         }
     }
 
@@ -90,7 +86,7 @@ impl Database {
     /// Panics if the name is already taken.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> TableId {
         assert!(
-            !self.by_name.contains_key(name),
+            !self.tables.iter().any(|t| t.name == name),
             "table {name} already exists"
         );
         let heap = HeapFile::create(&mut self.disk);
@@ -103,7 +99,6 @@ impl Database {
             heap,
             indexes: Vec::new(),
         });
-        self.by_name.insert(name.to_owned(), tid);
         tid
     }
 
@@ -146,11 +141,6 @@ impl Database {
         });
         self.tables[table.0 as usize].indexes.push(idx_no);
         object
-    }
-
-    /// Table handle by name.
-    pub fn table(&self, name: &str) -> Option<TableId> {
-        self.by_name.get(name).copied()
     }
 
     /// Catalog info for a table.
@@ -229,8 +219,7 @@ mod tests {
     #[test]
     fn create_and_lookup() {
         let (db, t) = small_db();
-        assert_eq!(db.table("t"), Some(t));
-        assert_eq!(db.table("nope"), None);
+        assert_eq!(db.table_info(t).name, "t");
         assert_eq!(db.table_info(t).heap.tuple_count(), 1000);
         assert_eq!(db.object_kind(db.table_info(t).object), ObjectKind::Table);
     }
@@ -250,7 +239,10 @@ mod tests {
         assert_eq!(db.object_kind(idx), ObjectKind::Index);
         let info = db.index_info(idx);
         assert_eq!(info.key_col, 1);
-        assert_eq!(info.btree.entry_count(), 1000);
+        let entries = info
+            .btree
+            .range(&db.disk, i64::MIN, i64::MAX, &mut |_, _| {});
+        assert_eq!(entries.len(), 1000);
         // 100 rows have val == 3.
         let rids = info.btree.search(&db.disk, 3, &mut |_, _| {});
         assert_eq!(rids.len(), 100);

@@ -93,11 +93,6 @@ impl Schema {
         self.columns.len()
     }
 
-    /// Index of the column named `name`.
-    pub fn col(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Column name at `idx` (for EXPLAIN output).
     pub fn name(&self, idx: usize) -> &str {
         &self.columns[idx].name
@@ -124,8 +119,7 @@ mod tests {
     fn schema_lookup() {
         let s = Schema::ints(&["a", "b", "c"]);
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.col("b"), Some(1));
-        assert_eq!(s.col("z"), None);
+        assert_eq!(s.name(1), "b");
         assert_eq!(s.name(2), "c");
     }
 

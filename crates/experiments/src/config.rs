@@ -83,9 +83,10 @@ impl ExpConfig {
         }
     }
 
-    /// Number of held-out test queries.
-    pub fn n_test(&self) -> usize {
-        ((self.n_queries as f64 * self.test_frac).round() as usize).clamp(4, self.n_queries / 2)
+    /// Number of held-out test queries of a workload of `n`: its
+    /// `test_frac` share, at least 2 and at most half.
+    pub fn n_test(&self, n: usize) -> usize {
+        ((n as f64 * self.test_frac).round() as usize).clamp(2, n / 2)
     }
 
     /// Size the replay stack relative to the database:
@@ -116,8 +117,8 @@ mod tests {
         q.pythia.validate().unwrap();
         f.pythia.validate().unwrap();
         assert!(q.n_queries < f.n_queries);
-        assert!(q.n_test() >= 4);
-        assert_eq!(f.n_test(), 50);
+        assert_eq!(q.n_test(q.n_queries), 16);
+        assert_eq!(f.n_test(f.n_queries), 50);
     }
 
     #[test]

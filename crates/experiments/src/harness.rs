@@ -155,8 +155,7 @@ impl Env {
         let mut idx: Vec<usize> = (0..n).collect();
         let mut rng = Rng::seed_from_u64(self.cfg.seed ^ 0x5EED);
         rng.shuffle(&mut idx);
-        let n_test = ((n as f64 * self.cfg.test_frac).round() as usize).clamp(2, n / 2);
-        let (test_idx, train_idx) = idx.split_at(n_test);
+        let (test_idx, train_idx) = idx.split_at(self.cfg.n_test(n));
         PreparedWorkload {
             template,
             queries,

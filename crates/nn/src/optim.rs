@@ -32,11 +32,6 @@ impl Adam {
         }
     }
 
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Apply one update. `param_vars[i]` must be the tape var that
     /// `ParamId(i)` was lent as (i.e. the output of [`ParamSet::lend`]),
     /// on a tape that is gone by now. Parameters whose gradient is absent
@@ -113,7 +108,7 @@ mod tests {
             adam.step(&mut params, &vars, &grads);
         }
         assert!(params.get(w).get(0, 0) > 3.0);
-        assert_eq!(adam.steps(), 200);
+        assert_eq!(adam.t, 200);
     }
 
     #[test]

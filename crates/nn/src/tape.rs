@@ -518,10 +518,10 @@ impl<'p> Tape<'p> {
 
     /// Fused `x·w + bias` where `bias` is `[1,n]`, broadcast over rows: the
     /// whole affine layer as one tape node. Forward runs the dispatched
-    /// [`Tensor::matmul_bias`] kernel (bias added after the matmul is fully
-    /// accumulated, so rounding order matches `matmul` + `add_row`); backward
-    /// uses the transpose-free kernels [`Tensor::matmul_a_bt`] /
-    /// [`Tensor::matmul_at_b`].
+    /// [`Tensor::matmul_bias_into`] kernel (bias added after the matmul is
+    /// fully accumulated, so rounding order matches `matmul` + `add_row`);
+    /// backward uses the transpose-free kernels
+    /// [`Tensor::matmul_a_bt_into`] / [`Tensor::matmul_at_b_into`].
     pub fn linear(&mut self, x: Var, w: Var, bias: Var) -> Var {
         let (xv, wv) = (val(&self.nodes, x), val(&self.nodes, w));
         let mut v = self.arena.unfilled(xv.rows(), wv.cols());

@@ -209,21 +209,14 @@ impl Tensor {
     }
 
     /// `selfᵀ × other` without materializing the transpose — the backward
-    /// pass's `gW = xᵀ·g`. `self: [m,k]`, `other: [m,n]` → `[k,n]`, summed in
-    /// the same order as `self.transpose().matmul(other)` (bit-identical).
+    /// pass's `gW = xᵀ·g`. `self: [m,k]`, `other: [m,n]` → `out: [k,n]`,
+    /// summed in the same order as `self.transpose().matmul(other)`
+    /// (bit-identical): written over whatever `out` held ([`Chain::Start`]),
+    /// or continuing from it as if `self`'s and `other`'s rows followed the
+    /// rows it was reduced over ([`Chain::Continue`]).
     ///
     /// # Panics
     /// Panics if the row counts disagree.
-    pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        self.matmul_at_b_into(other, &mut out, Chain::Start);
-        out
-    }
-
-    /// [`Tensor::matmul_at_b`] into a `[k,n]` tensor: written over whatever
-    /// it held ([`Chain::Start`]), or continuing from it as if `self`'s and
-    /// `other`'s rows followed the rows it was reduced over
-    /// ([`Chain::Continue`]).
     pub fn matmul_at_b_into(&self, other: &Tensor, out: &mut Tensor, chain: Chain) {
         assert_eq!(
             self.rows,
@@ -241,19 +234,12 @@ impl Tensor {
     }
 
     /// `self × otherᵀ` without materializing the transpose — the backward
-    /// pass's `gx = g·Wᵀ`. `self: [m,k]`, `other: [n,k]` → `[m,n]`, summed in
-    /// the same order as `self.matmul(&other.transpose())` (bit-identical).
+    /// pass's `gx = g·Wᵀ`. `self: [m,k]`, `other: [n,k]` → `out: [m,n]`,
+    /// written over whatever it held, summed in the same order as
+    /// `self.matmul(&other.transpose())` (bit-identical).
     ///
     /// # Panics
     /// Panics if the column counts disagree.
-    pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, other.rows);
-        self.matmul_a_bt_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_a_bt`] written over an `[m,n]` tensor, whatever it
-    /// held.
     pub fn matmul_a_bt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
@@ -271,20 +257,14 @@ impl Tensor {
     }
 
     /// Fused `self × w + bias` (`bias: [1,n]`, broadcast over rows) — the
-    /// Linear layer forward as one call. The matmul runs through the
-    /// dispatched kernels; the bias lands *after* the full accumulation, so
-    /// the result is bit-identical to `matmul` followed by a row add.
+    /// Linear layer forward as one call — written over a
+    /// `[self.rows, w.cols]` tensor, whatever it held. The matmul runs
+    /// through the dispatched kernels; the bias lands *after* the full
+    /// accumulation, so the result is bit-identical to `matmul` followed by
+    /// a row add.
     ///
     /// # Panics
     /// Panics if inner dimensions disagree or `bias` is not `[1, w.cols]`.
-    pub fn matmul_bias(&self, w: &Tensor, bias: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, w.cols);
-        self.matmul_bias_into(w, bias, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_bias`] written over a `[self.rows, w.cols]` tensor,
-    /// whatever it held.
     pub fn matmul_bias_into(&self, w: &Tensor, bias: &Tensor, out: &mut Tensor) {
         assert_eq!(bias.shape(), (1, w.cols), "matmul_bias bias shape mismatch");
         self.matmul_into(w, out);
@@ -301,14 +281,7 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Column-wise sums as a `[1, cols]` tensor.
-    pub fn col_sums(&self) -> Tensor {
-        let mut out = Tensor::zeros(1, self.cols);
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::col_sums`] added onto what a `[1, cols]` tensor holds, row
+    /// Column-wise sums added onto what a `[1, cols]` tensor holds, row
     /// after row: into zeros it is the column sums, and into the sums of
     /// earlier rows it continues them as one chain.
     pub fn col_sums_into(&self, out: &mut Tensor) {
@@ -383,6 +356,20 @@ impl fmt::Debug for Tensor {
 mod tests {
     use super::*;
 
+    /// `aᵀ × b` into fresh zeros.
+    fn at_b(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.cols, b.cols);
+        a.matmul_at_b_into(b, &mut out, Chain::Start);
+        out
+    }
+
+    /// `a × bᵀ` into fresh zeros.
+    fn a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.rows);
+        a.matmul_a_bt_into(b, &mut out);
+        out
+    }
+
     #[test]
     fn construction_and_access() {
         let mut t = Tensor::zeros(2, 3);
@@ -437,14 +424,14 @@ mod tests {
     fn at_b_matches_explicit_transpose() {
         let a = Tensor::from_fn(5, 3, |r, c| ((r * 7 + c * 3) % 11) as f32 - 4.0);
         let b = Tensor::from_fn(5, 4, |r, c| ((r * 5 + c) % 9) as f32 - 3.0);
-        assert_eq!(a.matmul_at_b(&b), a.transpose().matmul(&b));
+        assert_eq!(at_b(&a, &b), a.transpose().matmul(&b));
     }
 
     #[test]
     fn a_bt_matches_explicit_transpose() {
         let a = Tensor::from_fn(4, 6, |r, c| ((r * 3 + c * 5) % 13) as f32 - 5.0);
         let b = Tensor::from_fn(3, 6, |r, c| ((r * 11 + c * 2) % 7) as f32 - 2.0);
-        assert_eq!(a.matmul_a_bt(&b), a.matmul(&b.transpose()));
+        assert_eq!(a_bt(&a, &b), a.matmul(&b.transpose()));
     }
 
     #[test]
@@ -453,11 +440,11 @@ mod tests {
         let a = Tensor::from_fn(128, 96, |r, c| ((r * 31 + c * 17) % 13) as f32 - 6.0);
         let b = Tensor::from_fn(128, 96, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
         crate::pool::set_thread_override(1);
-        let at_b_serial = a.matmul_at_b(&b);
-        let a_bt_serial = a.matmul_a_bt(&b);
+        let at_b_serial = at_b(&a, &b);
+        let a_bt_serial = a_bt(&a, &b);
         crate::pool::set_thread_override(6);
-        let at_b_par = a.matmul_at_b(&b);
-        let a_bt_par = a.matmul_a_bt(&b);
+        let at_b_par = at_b(&a, &b);
+        let a_bt_par = a_bt(&a, &b);
         crate::pool::set_thread_override(0);
         assert_eq!(at_b_serial, at_b_par);
         assert_eq!(a_bt_serial, a_bt_par);
@@ -468,7 +455,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn at_b_shape_mismatch_panics() {
-        Tensor::zeros(2, 3).matmul_at_b(&Tensor::zeros(3, 2));
+        at_b(&Tensor::zeros(2, 3), &Tensor::zeros(3, 2));
     }
 
     #[test]
@@ -494,7 +481,9 @@ mod tests {
     fn reductions() {
         let a = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
         assert_eq!(a.sum(), 10.0);
-        assert_eq!(a.col_sums().as_slice(), &[4., 6.]);
+        let mut sums = Tensor::zeros(1, 2);
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums.as_slice(), &[4., 6.]);
     }
 
     #[test]
@@ -502,7 +491,8 @@ mod tests {
         let x = Tensor::from_fn(5, 3, |r, c| ((r * 7 + c * 3) % 11) as f32 - 4.0);
         let w = Tensor::from_fn(3, 4, |r, c| ((r * 5 + c) % 9) as f32 - 3.0);
         let b = Tensor::from_vec(1, 4, vec![0.5, -1.5, 2.0, 0.0]);
-        let fused = x.matmul_bias(&w, &b);
+        let mut fused = Tensor::zeros(5, 4);
+        x.matmul_bias_into(&w, &b, &mut fused);
         let mut reference = x.matmul(&w);
         for r in 0..reference.rows() {
             for c in 0..reference.cols() {
@@ -516,7 +506,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn matmul_bias_shape_mismatch_panics() {
-        Tensor::zeros(2, 3).matmul_bias(&Tensor::zeros(3, 4), &Tensor::zeros(1, 3));
+        let (w, bias) = (Tensor::zeros(3, 4), Tensor::zeros(1, 3));
+        Tensor::zeros(2, 3).matmul_bias_into(&w, &bias, &mut Tensor::zeros(2, 4));
     }
 
     /// Regression: the band kernels used to skip zero multipliers, which
@@ -533,7 +524,7 @@ mod tests {
         // at_b: A = [0; 1] (a [2,1] column), B rows [NaN], [2].
         let a = Tensor::from_vec(2, 1, vec![0.0, 1.0]);
         let b = Tensor::from_vec(2, 1, vec![f32::NAN, 2.0]);
-        assert!(a.matmul_at_b(&b).get(0, 0).is_nan(), "at_b dropped 0*NaN");
+        assert!(at_b(&a, &b).get(0, 0).is_nan(), "at_b dropped 0*NaN");
         assert!(
             a.transpose().matmul(&b).get(0, 0).is_nan(),
             "transpose reference disagrees"
@@ -542,7 +533,7 @@ mod tests {
         // a_bt: [0, 1] × [inf, 2]ᵀ → NaN.
         let a = Tensor::from_vec(1, 2, vec![0.0, 1.0]);
         let b = Tensor::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
-        assert!(a.matmul_a_bt(&b).get(0, 0).is_nan(), "a_bt dropped 0*inf");
+        assert!(a_bt(&a, &b).get(0, 0).is_nan(), "a_bt dropped 0*inf");
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct IoWorkerPool {
     free_at: Vec<SimTime>,
-    issued: u64,
 }
 
 /// Full placement of one scheduled fetch: which lane ran it and when it
@@ -41,18 +40,7 @@ impl IoWorkerPool {
         assert!(workers > 0, "I/O pool needs at least one worker");
         IoWorkerPool {
             free_at: vec![SimTime::ZERO; workers],
-            issued: 0,
         }
-    }
-
-    /// Number of lanes.
-    pub fn workers(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Total fetches scheduled since construction or [`Self::reset`].
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Schedule an asynchronous fetch costing `latency`, requested at `now`.
@@ -73,7 +61,6 @@ impl IoWorkerPool {
         let start = self.free_at[idx].max(now);
         let done = start + latency;
         self.free_at[idx] = done;
-        self.issued += 1;
         IoSchedule {
             lane: idx,
             start,
@@ -84,7 +71,6 @@ impl IoWorkerPool {
     /// Forget all in-flight work (cold restart between runs).
     pub fn reset(&mut self) {
         self.free_at.fill(SimTime::ZERO);
-        self.issued = 0;
     }
 }
 
@@ -124,7 +110,7 @@ mod tests {
     fn lane_free_times(p: &IoWorkerPool) -> Vec<u64> {
         let mut probe = p.clone();
         let long = SimDuration::from_micros(1_000_000);
-        (0..p.workers())
+        (0..p.free_at.len())
             .map(|_| {
                 probe
                     .schedule_detailed(SimTime::ZERO, long)
@@ -148,7 +134,6 @@ mod tests {
         p.schedule(SimTime::ZERO, MS);
         p.reset();
         assert_eq!(lane_free_times(&p), [0, 0]);
-        assert_eq!(p.issued(), 0);
     }
 
     #[test]
@@ -181,6 +166,6 @@ mod tests {
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(c.start.as_micros(), 1_000, "third queues behind a lane");
         assert_eq!(c.completes.as_micros(), 2_000);
-        assert_eq!(p.issued(), 3);
+        assert_eq!(lane_free_times(&p), [1_000, 2_000], "three fetches of 1 ms");
     }
 }

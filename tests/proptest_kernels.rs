@@ -1,6 +1,7 @@
 //! Property tests for the GEMM microkernels: the dispatched SIMD path must
 //! be **bit-identical** to the forced-scalar fallback for all three variants
-//! (`matmul`, `matmul_at_b`, `matmul_a_bt`) and the fused `matmul_bias`,
+//! (`matmul`, `matmul_at_b_into`, `matmul_a_bt_into`) and the fused
+//! `matmul_bias_into`, each written over a fresh zero tensor,
 //! across random shapes — including 1×N, N×1 and non-multiple-of-lane-width
 //! dimensions — values (with occasional exact zeros and non-finite
 //! operands), and thread counts.
@@ -9,10 +10,31 @@
 //! zeros count too. A NaN must meet a NaN, but of any payload and sign: the
 //! kernels' contract (`kernels.rs`) leaves those unspecified, as Rust does.
 
-use pythia::nn::kernels::{set_simd_override, SimdOverride};
+use pythia::nn::kernels::{set_simd_override, Chain, SimdOverride};
 use pythia::nn::pool::set_thread_override;
 use pythia::nn::Tensor;
 use pythia::sim::rng::cases;
+
+/// `aᵀ × b` into fresh zeros.
+fn at_b(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.cols(), b.cols());
+    a.matmul_at_b_into(b, &mut out, Chain::Start);
+    out
+}
+
+/// `a × bᵀ` into fresh zeros.
+fn a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.rows(), b.rows());
+    a.matmul_a_bt_into(b, &mut out);
+    out
+}
+
+/// `a × w + bias` into fresh zeros.
+fn linear(a: &Tensor, w: &Tensor, bias: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.rows(), w.cols());
+    a.matmul_bias_into(w, bias, &mut out);
+    out
+}
 
 /// Restores the dispatch ladder and pool width even when a failed
 /// assertion unwinds mid-test.
@@ -88,15 +110,15 @@ fn dispatched_is_bit_identical_to_scalar() {
 
         set_simd_override(SimdOverride::ForceScalar);
         let mm_s = bits(&a.matmul(&b));
-        let atb_s = bits(&a.matmul_at_b(&b2));
-        let abt_s = bits(&a.matmul_a_bt(&bt));
-        let lin_s = bits(&a.matmul_bias(&b, &bias));
+        let atb_s = bits(&at_b(&a, &b2));
+        let abt_s = bits(&a_bt(&a, &bt));
+        let lin_s = bits(&linear(&a, &b, &bias));
 
         set_simd_override(SimdOverride::ForceDetect);
         assert_eq!(bits(&a.matmul(&b)), mm_s, "matmul {m}x{k}x{n}");
-        assert_eq!(bits(&a.matmul_at_b(&b2)), atb_s, "at_b {m}x{k}x{n}");
-        assert_eq!(bits(&a.matmul_a_bt(&bt)), abt_s, "a_bt {m}x{k}x{n}");
-        assert_eq!(bits(&a.matmul_bias(&b, &bias)), lin_s, "linear {m}x{k}x{n}");
+        assert_eq!(bits(&at_b(&a, &b2)), atb_s, "at_b {m}x{k}x{n}");
+        assert_eq!(bits(&a_bt(&a, &bt)), abt_s, "a_bt {m}x{k}x{n}");
+        assert_eq!(bits(&linear(&a, &b, &bias)), lin_s, "linear {m}x{k}x{n}");
     });
 }
 

@@ -5,7 +5,7 @@
 //! tree's root. The rules never read this file, which holds every forbidden
 //! name.
 
-use std::{collections::HashMap, fs, path::Path};
+use std::{collections::HashSet, fs, path::Path};
 
 type S = &'static str;
 
@@ -115,10 +115,10 @@ const ROWS: &[(S, Rule, S)] = &[
     // rebuilds it, and no registry probe picks between two gates.
     ("one_ci_path/offline_branch", Never(&["offline_subset", "rustc --edition", "cargo metadata"], "ci.sh .github"), "ci.sh has a second path again; tier-1 is cargo, and it needs no registry"),
     ("one_ci_path/workspace", Code(every_cargo_test_names_workspace), "a cargo test in CI tests only the root package; every one names --workspace"),
-    // Production code is what production calls: a `pub fn` of a library crate is named outside test items more often
-    // than it is defined, by the workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason
-    // it stays.
-    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn is named outside test items no more often than it is defined (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
+    // Production code is what production calls: a `pub fn` of a library crate is called outside test items, by the
+    // workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason it stays. A field, a local
+    // or a parameter of the same name is no call.
+    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn has no call outside test items (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
     // One tape vocabulary: the ops the model records, and the composed ops the fused attention is pinned against.
     ("one_tape_vocabulary", Code(tape_ops_are_the_models), "pythia-nn's Op lists other variants than the model's ops and the attention oracle's; an op nothing records does not come back"),
 ];
@@ -142,6 +142,13 @@ const ONE_CALLER_OK: &[(S, S)] = &[
     ("set_flight_capacity", "Recorder::set_flight_capacity: the flight-ring tests (tests/proptest_server.rs, a bit pin kept byte-identical) size a small ring to see it wrap"),
     ("virtual_trace_json", "Recorder::virtual_trace_json: tests/trace_obs.rs and the serving tests compare the virtual process alone, byte for byte"),
     ("cases", "rng::cases: the seeded case loop every property test (tests/proptest_*.rs) runs its cases in"),
+    ("refine", "TrainedWorkload::refine: the paper's incremental retraining (§5.3); ROADMAP item 26 gives it its live caller or deletes it"),
+    ("window", "QualityTracker::window: a tenant's windowed precision and recall, the input ROADMAP item 4's budget controller reads"),
+    ("add_row", "Tape::add_row: oracle of linear_matches_matmul_add_row, the row add Op::AddRow records (on TAPE_OPS)"),
+    ("flight", "Recorder::flight: tests/proptest_server.rs (kept byte-identical) reads the flight ring through it"),
+    ("tail", "EventLog::tail: tests/proptest_server.rs (kept byte-identical) compares the ring with the tail of the event stream"),
+    ("counter", "Recorder::counter: tests/trace_obs.rs reconciles every counter against ReplayStats"),
+    ("bytes", "EventStream::bytes: pythia-workloads' bytes-per-event ceilings read the trace encoding through it"),
 ];
 
 const TAPE_OPS: [&str; 16] = [
@@ -165,25 +172,21 @@ const TAPE_OPS: [&str; 16] = [
 
 fn every_pub_fn_has_a_caller() -> Result<(), String> {
     let texts = files("crates src examples benchmark/src");
-    let (mut named, mut defined) = (HashMap::<&str, usize>::new(), HashMap::<&str, usize>::new());
-    let mut defs = Vec::new();
+    let (mut called, mut defs) = (HashSet::new(), Vec::new());
     for (path, text) in &texts {
         let library = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
         for (n, line) in code_lines(text, true).filter(|(_, l)| !l.trim_start().starts_with("//")) {
-            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-                *named.entry(word).or_default() += 1;
-            }
+            called.extend(calls(line));
             let def = line.trim_start().strip_prefix("pub fn ").and_then(ident_at);
             if let Some(name) = def.filter(|_| library) {
-                *defined.entry(name).or_insert(0) += 1;
                 defs.push((name, format!("{path}:{n}: {}", line.trim())));
             }
         }
     }
-    // Two layers' `pub fn`s of one name each count the other's definition.
+    // The count keys on names, not types: one type's call of `counter` vouches for another type's `counter`.
     let lonely: Vec<&(&str, String)> = defs
         .iter()
-        .filter(|(name, _)| named[name] <= defined[name])
+        .filter(|(name, _)| !called.contains(name))
         .collect();
     let allowed = |name: &str| ONE_CALLER_OK.iter().any(|&(ok, _)| ok == name);
     let mut found: Vec<String> = lonely
@@ -199,6 +202,29 @@ fn every_pub_fn_has_a_caller() -> Result<(), String> {
         }
     }
     check(found.is_empty(), found)
+}
+
+/// The names `line` calls: each followed by `(` or `::<`, or the last segment
+/// of a `::` path, so a method, a function, a path's function and a function
+/// passed by its path. The name at a `fn name` site is none, nor is a path's
+/// module segment, a field, a local or a parameter.
+fn calls(line: &str) -> Vec<&str> {
+    let (s, mut at, mut names) = (line.as_bytes(), 0, Vec::new());
+    while at < s.len() {
+        let len = s[at..].iter().take_while(|&&c| is_ident(c)).count();
+        if len == 0 {
+            at += 1;
+            continue;
+        }
+        let (before, after) = (&line[..at], &line[at + len..]);
+        let call = after.starts_with('(') || after.starts_with("::<");
+        let path_end = before.ends_with("::") && !after.starts_with("::");
+        if !before.ends_with("fn ") && (call || path_end) {
+            names.push(&line[at..at + len]);
+        }
+        at += len;
+    }
+    names
 }
 
 /// The identifier `rest` starts with, if any.
@@ -453,6 +479,22 @@ fn skipper_drops_test_items_whole() {
     assert_eq!(kept(nested), [8]);
     let lower = "    #[cfg(test)]\n    fn b() {\n        let s = \"\n}\";\n    }\n    fn c() {}";
     assert_eq!(kept(lower), [6]);
+}
+
+#[test]
+fn calls_are_call_shaped_uses_only() {
+    for line in ["x.f(", "T::f", "f::<u8>(", ".map(Self::f)"] {
+        assert!(calls(line).contains(&"f"), "{line} calls f");
+    }
+    for line in [
+        "pub fn f<T>(",
+        "crate::f::G",
+        "self.f",
+        "let f =",
+        "f: bool",
+    ] {
+        assert!(!calls(line).contains(&"f"), "{line} does not call f");
+    }
 }
 
 #[test]
