@@ -30,7 +30,7 @@ fn nonseq_page_set(trace: &Trace) -> BTreeSet<PageId> {
 }
 
 /// Jaccard similarity of two page sets (1.0 when both empty).
-pub fn jaccard(a: &BTreeSet<PageId>, b: &BTreeSet<PageId>) -> f64 {
+pub(crate) fn jaccard(a: &BTreeSet<PageId>, b: &BTreeSet<PageId>) -> f64 {
     let union = a.union(b).count();
     if union == 0 {
         return 1.0;
@@ -45,16 +45,6 @@ impl NearestNeighbor {
         NearestNeighbor {
             train_sets: train_traces.iter().map(nonseq_page_set).collect(),
         }
-    }
-
-    /// Number of stored training queries.
-    pub fn len(&self) -> usize {
-        self.train_sets.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.train_sets.is_empty()
     }
 
     /// The prefetch list for a test query: the blocks of its most similar

@@ -218,7 +218,7 @@ impl SeqModel {
     }
 
     /// Tokens of a trace under this model's vocabulary (for evaluation).
-    pub fn tokens_of(&self, trace: &Trace) -> Vec<usize> {
+    pub(crate) fn tokens_of(&self, trace: &Trace) -> Vec<usize> {
         trace_tokens(trace, self.cfg.dedup, &self.page_to_token)
     }
 

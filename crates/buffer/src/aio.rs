@@ -55,19 +55,20 @@ pub struct AioPrefetcher {
 }
 
 impl AioPrefetcher {
-    /// An idle prefetcher with readahead window `R` (pages pinned at once),
-    /// reading under OS-cache stream 0 (unit-test convenience; real callers
-    /// should allocate a distinct stream via [`Self::with_file_lens`]).
-    ///
-    /// # Panics
-    /// Panics if `window_size == 0`.
-    pub fn new(window_size: usize) -> Self {
+    /// The unit tests' prefetcher: [`Self::with_file_lens`] with no file
+    /// lengths, under OS-cache stream 0.
+    #[cfg(test)]
+    fn new(window_size: usize) -> Self {
         Self::with_file_lens(window_size, Vec::<u32>::new(), StreamId(0))
     }
 
-    /// Like [`Self::new`] but with the per-file page counts used to clamp
-    /// the OS readahead the prefetcher's sequential reads trigger, and the
-    /// OS-cache stream identity those reads run under.
+    /// An idle prefetcher with readahead window `window_size` (pages pinned
+    /// at once), the per-file page counts used to clamp the OS readahead its
+    /// sequential reads trigger, and the OS-cache stream those reads run
+    /// under.
+    ///
+    /// # Panics
+    /// Panics if `window_size == 0`.
     pub fn with_file_lens(
         window_size: usize,
         file_lens: impl Into<Arc<[u32]>>,
@@ -97,7 +98,8 @@ impl AioPrefetcher {
     }
 
     /// Pages still waiting in the producer queue.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.queue.len()
     }
 

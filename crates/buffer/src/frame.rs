@@ -40,7 +40,7 @@ impl Frame {
     pub const MAX_USAGE: u32 = 5;
 
     /// An empty frame.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Frame {
             page: None,
             pin_count: 0,
@@ -52,7 +52,7 @@ impl Frame {
     }
 
     /// Whether the frame may be chosen as an eviction victim.
-    pub fn is_evictable(&self) -> bool {
+    pub(crate) fn is_evictable(&self) -> bool {
         self.page.is_some() && self.pin_count == 0
     }
 }

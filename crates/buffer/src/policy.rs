@@ -16,7 +16,7 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Instantiate the policy for a pool of `frames` frames.
-    pub fn build(self, frames: usize) -> Box<dyn ReplacementPolicy> {
+    pub(crate) fn build(self, frames: usize) -> Box<dyn ReplacementPolicy> {
         match self {
             PolicyKind::Clock => Box::new(ClockPolicy::new(frames)),
             PolicyKind::Lru => Box::new(LruPolicy::new(frames)),
@@ -83,7 +83,7 @@ pub struct ClockPolicy {
 }
 
 impl ClockPolicy {
-    pub fn new(frames: usize) -> Self {
+    pub(crate) fn new(frames: usize) -> Self {
         ClockPolicy {
             hand: 0,
             n: frames,
@@ -144,7 +144,7 @@ pub struct LruPolicy {
 }
 
 impl LruPolicy {
-    pub fn new(frames: usize) -> Self {
+    pub(crate) fn new(frames: usize) -> Self {
         LruPolicy {
             stamp: vec![0; frames],
             tick: 0,
@@ -200,7 +200,7 @@ pub struct MruPolicy {
 }
 
 impl MruPolicy {
-    pub fn new(frames: usize) -> Self {
+    pub(crate) fn new(frames: usize) -> Self {
         MruPolicy {
             stamp: vec![0; frames],
             tick: 0,

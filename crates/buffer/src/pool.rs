@@ -204,7 +204,7 @@ impl BufferPool {
     /// reserves a frame first — so a pin-saturated pool causes no OS-cache or
     /// I/O-worker side effects — and only then schedules the I/O that
     /// determines the real arrival time.
-    pub fn set_available_at(&mut self, fid: FrameId, at: SimTime) {
+    pub(crate) fn set_available_at(&mut self, fid: FrameId, at: SimTime) {
         self.frames[fid.0 as usize].available_at = at;
     }
 

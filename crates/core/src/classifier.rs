@@ -62,7 +62,7 @@ pub struct PlanClassifier {
 impl PlanClassifier {
     /// Construct an untrained classifier with one decoder head per entry of
     /// `head_labels`, that many labels wide.
-    pub fn new(cfg: &PythiaConfig, vocab_size: usize, head_labels: &[usize]) -> Self {
+    pub(crate) fn new(cfg: &PythiaConfig, vocab_size: usize, head_labels: &[usize]) -> Self {
         cfg.validate().expect("invalid config");
         assert!(
             !head_labels.is_empty() && head_labels.iter().all(|&n| n > 0),
@@ -124,7 +124,7 @@ impl PlanClassifier {
     }
 
     /// Model size in bytes (paper reports per-template model sizes).
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.params.size_bytes()
     }
 
@@ -289,7 +289,7 @@ impl PlanClassifier {
     /// forward-only tape: the parameters are lent, not copied, no activation
     /// outlives its layer, and a repeat call at the same shapes allocates
     /// nothing.
-    pub fn scores(&self, toks: &[usize]) -> Vec<f32> {
+    pub(crate) fn scores(&self, toks: &[usize]) -> Vec<f32> {
         forward_only(|tape| {
             let vars = self.params.lend(tape);
             let logits = self.logits(tape, &vars, toks);

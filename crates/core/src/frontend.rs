@@ -34,7 +34,7 @@
 //!   flight-recorder dump (Chrome-trace JSON), `404` until a trigger fires.
 //!   These four are unprefixed only.
 //! - `GET /shutdown` — acknowledge and set a flag the serving loop can poll
-//!   ([`Frontend::shutdown_requested`]) for a clean drain-then-exit.
+//!   (`Frontend::shutdown_requested`) for a clean drain-then-exit.
 //!   [`Frontend::shutdown`] then closes the queue and answers anything still
 //!   in it with `503`; a connection that finishes its request head later
 //!   still finds the queue closed and is answered `503` too, so no client is
@@ -128,7 +128,7 @@ pub struct FrontendStats {
 
 impl FrontendStats {
     /// JSON rendering (the `/stats` endpoint body).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             "{{\"accepted\":{},\"shed\":{},\"rejected\":{},\"depth\":{}}}\n",
             self.accepted, self.shed, self.rejected, self.depth
@@ -152,7 +152,7 @@ impl Responder {
     }
 
     /// Answer an error status with a plain-text body.
-    pub fn error(mut self, status: &str, body: &str) {
+    pub(crate) fn error(mut self, status: &str, body: &str) {
         let _ = http::respond(&mut self.stream, status, "text/plain", body, None);
     }
 }
@@ -297,7 +297,7 @@ impl Frontend {
 
     /// True once a client has requested `/shutdown`; the serving loop polls
     /// this for a clean drain-then-exit.
-    pub fn shutdown_requested(&self) -> bool {
+    pub(crate) fn shutdown_requested(&self) -> bool {
         self.shared.shutdown_req.load(Ordering::Relaxed)
     }
 

@@ -34,7 +34,7 @@
 //!
 //! Beyond the paper's evaluated system, two §7 extensions are implemented —
 //! prefetch-aware query scheduling ([`scheduler`]) and incremental model
-//! refinement ([`predictor::TrainedWorkload::refine`]) — plus an
+//! refinement (`TrainedWorkload::refine`, which only tests call) — plus an
 //! admission-controlled serving loop ([`server`]) that batches inference per
 //! admission wave and makes scheduling policies one-flag variants, and the
 //! streaming quality telemetry it feeds ([`quality`]).

@@ -164,7 +164,7 @@ impl ModelGroup {
     /// The untrained groups that model `objects` of `db` under
     /// `cfg.grouping`. `page_sets` (the training queries') rank pages for
     /// top-k spans.
-    pub fn plan(
+    pub(crate) fn plan(
         cfg: &PythiaConfig,
         db: &Database,
         vocab_size: usize,
@@ -216,7 +216,7 @@ impl ModelGroup {
     }
 
     /// What each run of this group's labels means, in label order.
-    pub fn spans(&self) -> &[Span] {
+    pub(crate) fn spans(&self) -> &[Span] {
         &self.spans
     }
 
@@ -224,7 +224,7 @@ impl ModelGroup {
     /// §5.3) on per-query plan tokens and page sets. A query that touches
     /// none of the group's objects is a negative for every label; the spans
     /// (so a top-k span's page list) are a layout-time decision and stay.
-    pub fn fit(
+    pub(crate) fn fit(
         &mut self,
         cfg: &PythiaConfig,
         token_seqs: &[Vec<usize>],
@@ -253,7 +253,7 @@ impl ModelGroup {
     /// The `(object, page)`s whose label scores above `threshold` in one
     /// plan's `scores` (as [`PlanClassifier::scores`] returns them), in
     /// label order.
-    pub fn pages_above(&self, scores: &[f32], threshold: f32) -> Vec<(ObjectId, u32)> {
+    pub(crate) fn pages_above(&self, scores: &[f32], threshold: f32) -> Vec<(ObjectId, u32)> {
         let mut out = Vec::new();
         let mut first = 0;
         for span in &self.spans {

@@ -40,7 +40,7 @@ pub struct TrainedWorkload {
     pub binner: ValueBinner,
     /// The models: one per object (per partition) in the paper's design, one
     /// for the whole workload by default ([`PythiaConfig::grouping`]). A
-    /// clone shares them; [`Self::refine`] copies them first if they are
+    /// clone shares them; `refine` copies them first if they are
     /// shared.
     pub groups: Arc<Vec<ModelGroup>>,
     /// The score a label must exceed to be predicted, one for every group:
@@ -365,8 +365,10 @@ impl TrainedWorkload {
     /// (tokens unseen at initial training map to `[UNK]`; value tokens are a
     /// closed set, so parameters always encode), and the label spaces are
     /// unchanged — this is the cheap periodic-refresh path the paper
-    /// recommends over full retraining.
-    pub fn refine(&mut self, db: &Database, plans: &[PlanNode], traces: &[Trace]) {
+    /// recommends over full retraining. Only tests call it until the server
+    /// refits a served model from the queries it serves.
+    #[cfg(test)]
+    pub(crate) fn refine(&mut self, db: &Database, plans: &[PlanNode], traces: &[Trace]) {
         assert_eq!(plans.len(), traces.len());
         if plans.is_empty() {
             return;

@@ -43,7 +43,7 @@ pub struct Window {
 
 impl Window {
     /// Mean admission wait in µs (integer division); 0 when empty.
-    pub fn mean_wait_us(&self) -> u64 {
+    pub(crate) fn mean_wait_us(&self) -> u64 {
         self.wait_us.checked_div(self.outcomes).unwrap_or(0)
     }
 }
@@ -73,7 +73,7 @@ impl Slot {
 
 /// The streaming quality tracker. Not internally synchronized: a server owns
 /// one by value ([`crate::server::PrefetchServer::with_quality`]) and lends it
-/// out through [`crate::server::PrefetchServer::quality`].
+/// out through `PrefetchServer::quality`.
 #[derive(Debug, Default)]
 pub struct QualityTracker {
     slots: BTreeMap<(u32, &'static str), Slot>,

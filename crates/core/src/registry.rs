@@ -30,9 +30,6 @@
 //! Every serving batch reads the fleet's lock, so a poisoned lock is taken
 //! back, not passed on as a panic: a publish holds the write lock for one
 //! map insert, and the map is whole whether or not that insert finished.
-//!
-//! Cross-*process* sharding (splitting one tenant's objects across machines)
-//! is future work; see ROADMAP.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

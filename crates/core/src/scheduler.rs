@@ -91,7 +91,7 @@ pub fn pick_next_by_overlap(prev: &[PageId], candidates: &[impl AsRef<[PageId]>]
 /// so a postmortem dump shows *how good* each overlap pick was, not just
 /// which query won. Same tie-break, so `pick_next_by_overlap(p, c) ==
 /// pick_next_by_overlap_scored(p, c).0` always.
-pub fn pick_next_by_overlap_scored(
+pub(crate) fn pick_next_by_overlap_scored(
     prev: &[PageId],
     candidates: &[impl AsRef<[PageId]>],
 ) -> (usize, f64) {

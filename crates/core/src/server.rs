@@ -13,7 +13,7 @@
 //! [`submit`](ServeSession::submit) hands it a request whenever one turns up,
 //! [`poll_completion`](ServeSession::poll_completion) processes arrivals,
 //! admissions and replay events in global virtual-time order up to and
-//! including the next completion, and [`finish`](ServeSession::finish)
+//! including the next completion, and `finish`
 //! settles. [`PrefetchServer::serve`], the batch entry, is that session with
 //! every request submitted up front, drained, finished; the socket pump
 //! ([`crate::frontend::pump`]) holds one session per tenant for as long as it
@@ -322,7 +322,7 @@ impl ServeReport {
     /// Log₂-bucket histogram of per-query admission waits in microseconds —
     /// the same estimator the recorder's `server.admission_wait_us`
     /// histogram uses, so the report and the live metrics endpoint agree.
-    pub fn admission_wait_hist(&self) -> pythia_obs::hist::Histogram {
+    pub(crate) fn admission_wait_hist(&self) -> pythia_obs::hist::Histogram {
         let mut h = pythia_obs::hist::Histogram::new();
         for q in &self.queries {
             h.record(q.admission_wait().as_micros());
@@ -333,7 +333,7 @@ impl ServeReport {
     /// The `k` slowest requests by end-to-end latency, slowest first: the
     /// queries offered in input order to a [`SlowLog`], the log behind the
     /// front-end's `/debug/slow` route, so both rank and break ties alike.
-    pub fn slow_requests(&self, k: usize) -> Vec<RequestBreakdown> {
+    pub(crate) fn slow_requests(&self, k: usize) -> Vec<RequestBreakdown> {
         let mut log = SlowLog::with_k(k);
         for q in &self.queries {
             log.offer(q.breakdown());
@@ -464,7 +464,7 @@ impl ServeReport {
 }
 
 /// One tenant's slice of a [`ServeReport`] (see [`ServeReport::by_tenant`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// Queries this tenant completed.
     pub queries: usize,
@@ -480,28 +480,7 @@ pub struct TenantReport {
     pub stats: BufferStats,
 }
 
-impl Default for TenantReport {
-    fn default() -> Self {
-        TenantReport {
-            queries: 0,
-            admissions: 0,
-            total_admission_wait: SimDuration::ZERO,
-            total_latency: SimDuration::ZERO,
-            inference: SimDuration::ZERO,
-            stats: BufferStats::default(),
-        }
-    }
-}
-
 impl TenantReport {
-    /// Mean queueing delay; zero (not NaN) for a zero-query tenant.
-    pub fn mean_admission_wait(&self) -> SimDuration {
-        if self.queries == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_micros(self.total_admission_wait.as_micros() / self.queries as u64)
-    }
-
     /// Mean end-to-end latency; zero (not NaN) for a zero-query tenant.
     pub fn mean_latency(&self) -> SimDuration {
         if self.queries == 0 {
@@ -574,7 +553,7 @@ impl<'d> PrefetchServer<'d> {
     /// plans, with inference batched per admission. `tw` is cloned into a
     /// fleet of its own, and a clone shares the weights, so no server copies
     /// them. Like any fleet's first publish, the server then reports
-    /// [`model_version`](Self::model_version)` == Some(1)`.
+    /// `model_version() == Some(1)`.
     pub fn with_predictor(self, tw: &'d TrainedWorkload) -> Self {
         let fleet = TenantFleet::new();
         fleet.publish(tw.clone());
@@ -610,14 +589,14 @@ impl<'d> PrefetchServer<'d> {
     }
 
     /// The quality tracker, if one is attached.
-    pub fn quality(&self) -> Option<&QualityTracker> {
+    pub(crate) fn quality(&self) -> Option<&QualityTracker> {
         self.quality.as_ref()
     }
 
     /// The live model version of the fleet this server serves from; `None`
     /// while the fleet is empty (the DFLT server). A server built
     /// [`with_predictor`](Self::with_predictor) reports `Some(1)`.
-    pub fn model_version(&self) -> Option<u64> {
+    pub(crate) fn model_version(&self) -> Option<u64> {
         self.fleet.any().map(|v| v.version)
     }
 
@@ -665,7 +644,7 @@ impl<'d> PrefetchServer<'d> {
 
     /// Open a serving session on this server's stack, starting at the
     /// stack's clock. Drive it with this server and no other; one session at
-    /// a time (its [`ServeSession::finish`] is what advances the stack's
+    /// a time (its `finish` is what advances the stack's
     /// clock for the next).
     pub fn session<'q>(&mut self) -> ServeSession<'q> {
         let now = self.rt.now();
@@ -899,7 +878,7 @@ const STEP: u8 = 2;
 /// The admission loop, driven incrementally beside a [`PrefetchServer`] (see
 /// the module doc): [`submit`](Self::submit) requests whenever they turn up,
 /// [`poll_completion`](Self::poll_completion) to run the arrive / admit /
-/// step events up to the next completion, [`finish`](Self::finish) to
+/// step events up to the next completion, `finish` to
 /// settle. With its intervals [taken](Self::take_intervals) as it goes, a
 /// session is as small after a million requests as after one.
 pub struct ServeSession<'q> {
@@ -950,7 +929,7 @@ impl<'q> ServeSession<'q> {
     /// Hand the session a request; returns its ticket (0, 1, 2, … in
     /// submission order), which [`Self::poll_completion`] reports back. The
     /// request arrives at `session start + req.arrival`, or at
-    /// [`Self::clock`] if that instant has already passed. A request id of 0
+    /// the session's clock if that instant has already passed. A request id of 0
     /// becomes `ticket + 1`.
     pub fn submit(&mut self, mut req: ServerRequest<'q>) -> u64 {
         let ticket = self.next_ticket;
@@ -975,18 +954,18 @@ impl<'q> ServeSession<'q> {
     }
 
     /// Requests submitted and not yet completed.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.future.len() + self.queue.len() + self.in_flight.len()
     }
 
     /// The latest virtual instant the session has reached.
-    pub fn clock(&self) -> SimTime {
+    pub(crate) fn clock(&self) -> SimTime {
         self.clock
     }
 
     /// The admission intervals closed since the last call, in admission
     /// order. An interval closes at the next admission (or at
-    /// [`Self::finish`]), so the latest admission's is not among them yet.
+    /// `finish`), so the latest admission's is not among them yet.
     pub fn take_intervals(&mut self) -> Vec<WaveStats> {
         std::mem::take(&mut self.closed)
     }
@@ -1238,7 +1217,7 @@ impl<'q> ServeSession<'q> {
     /// (end-of-session prefetch-waste accounting, stack clock past the last
     /// completion), close the tail interval over what that added, and return
     /// every interval nobody has taken.
-    pub fn finish(mut self, srv: &mut PrefetchServer<'_>) -> Vec<WaveStats> {
+    pub(crate) fn finish(mut self, srv: &mut PrefetchServer<'_>) -> Vec<WaveStats> {
         debug_assert_eq!(self.pending(), 0, "finish() with requests pending");
         std::mem::take(&mut self.replay).finish(&mut srv.rt);
         let (final_stats, now) = (srv.rt.stats(), srv.rt.now());
@@ -2373,7 +2352,6 @@ mod tests {
         let ghost = rep.tenant_report(9);
         assert_eq!(ghost.queries, 0);
         assert_eq!(ghost.admissions, 0);
-        assert_eq!(ghost.mean_admission_wait(), SimDuration::ZERO);
         assert_eq!(ghost.mean_latency(), SimDuration::ZERO);
         assert_eq!(ghost.stats, BufferStats::default());
         assert_eq!(ghost.stats.hit_rate(), 0.0);

@@ -40,7 +40,7 @@ impl Vocab {
     }
 
     /// Id of `tok` if known.
-    pub fn get(&self, tok: &str) -> Option<usize> {
+    pub(crate) fn get(&self, tok: &str) -> Option<usize> {
         self.map.get(tok).copied()
     }
 
@@ -57,13 +57,8 @@ impl Vocab {
     }
 
     /// Number of known tokens.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether only reserved tokens exist.
-    pub fn is_empty(&self) -> bool {
-        self.map.len() <= 2
     }
 }
 

@@ -188,11 +188,6 @@ impl BTree {
         }
     }
 
-    /// Pages in the index file.
-    pub fn page_count(&self, disk: &SimDisk) -> u32 {
-        disk.file_len(self.file)
-    }
-
     /// Descend to the leftmost leaf that could contain `key`, reporting every
     /// node visited. Returns the leaf page number.
     fn descend(&self, disk: &SimDisk, key: i64, visit: &mut impl FnMut(PageId, NodeKind)) -> u32 {
@@ -216,7 +211,7 @@ impl BTree {
     /// every index page visited to `visit` as it is read. The first leaf is
     /// binary-searched as the descent searches each internal node; the
     /// leaves right of it are read from their first entry.
-    pub fn scan(
+    pub(crate) fn scan(
         &self,
         disk: &SimDisk,
         lo: i64,
@@ -472,7 +467,7 @@ mod tests {
     fn leaf_pages_are_contiguous_prefix() {
         let (disk, t) = build(0..100_000);
         // Leaves were allocated first: pages 0..n_leaves are all leaves.
-        let total = t.page_count(&disk);
+        let total = disk.file_len(t.file);
         let mut seen_internal = false;
         for p in 0..total {
             let leaf = is_leaf(disk.read(PageId::new(t.file, p)));

@@ -64,7 +64,7 @@ impl Pred {
 
     /// [`Pred::eval`] on the tuple's encoding ([`crate::tuple::encode`]),
     /// laid out as `layout`, without decoding it.
-    pub fn eval_encoded(&self, bytes: &[u8], layout: Layout) -> bool {
+    pub(crate) fn eval_encoded(&self, bytes: &[u8], layout: Layout) -> bool {
         self.eval_with(&|col| layout.int_at(bytes, col))
     }
 
@@ -86,7 +86,7 @@ impl Pred {
     /// A column past the zone reads as unbounded, and a conjunction stops
     /// there unless a conjunct before it already rules the zone out — just
     /// where the per-row evaluation panics or not.
-    pub fn may_match(&self, zone: &[(i64, i64)]) -> bool {
+    pub(crate) fn may_match(&self, zone: &[(i64, i64)]) -> bool {
         self.rules_out(zone) != Some(true)
     }
 
@@ -118,29 +118,6 @@ impl Pred {
                 }
                 Some(false)
             }
-        }
-    }
-
-    /// Shift every column reference by `offset` (used when a predicate
-    /// written against one side of a join is evaluated over the concatenated
-    /// join output).
-    pub fn shift_cols(&self, offset: usize) -> Pred {
-        match self {
-            Pred::Cmp { col, op, lit } => Pred::Cmp {
-                col: col + offset,
-                op: *op,
-                lit: *lit,
-            },
-            Pred::In { col, set } => Pred::In {
-                col: col + offset,
-                set: set.clone(),
-            },
-            Pred::Between { col, lo, hi } => Pred::Between {
-                col: col + offset,
-                lo: *lo,
-                hi: *hi,
-            },
-            Pred::And(ps) => Pred::And(ps.iter().map(|p| p.shift_cols(offset)).collect()),
         }
     }
 }
@@ -242,24 +219,6 @@ mod tests {
             set: vec![0]
         }
         .eval(&r));
-    }
-
-    #[test]
-    fn shift_cols_moves_references() {
-        let p = Pred::And(vec![
-            Pred::Cmp {
-                col: 1,
-                op: CmpOp::Eq,
-                lit: 3,
-            },
-            Pred::Between {
-                col: 0,
-                lo: 1,
-                hi: 2,
-            },
-        ]);
-        let shifted = p.shift_cols(4);
-        assert!(shifted.eval(&row(&[9, 9, 9, 9, 1, 3])));
     }
 
     /// Every `Pred` variant over columns 0..4, nested conjunctions included.

@@ -138,7 +138,7 @@ impl HeapFile {
     }
 
     /// The encoded bytes of the tuple at `rid`, borrowed from the disk.
-    pub fn record<'d>(&self, disk: &'d SimDisk, rid: RecordId) -> &'d [u8] {
+    pub(crate) fn record<'d>(&self, disk: &'d SimDisk, rid: RecordId) -> &'d [u8] {
         let page = disk.read(PageId::new(self.file, rid.page_no));
         SlottedPage::record(page, rid.slot)
     }
@@ -149,7 +149,7 @@ impl HeapFile {
     }
 
     /// Number of tuples on page `page_no`.
-    pub fn tuples_on_page(&self, disk: &SimDisk, page_no: u32) -> u16 {
+    pub(crate) fn tuples_on_page(&self, disk: &SimDisk, page_no: u32) -> u16 {
         SlottedPage::slot_count(disk.read(PageId::new(self.file, page_no)))
     }
 

@@ -23,13 +23,13 @@ pub struct SlottedPage;
 
 impl SlottedPage {
     /// Initialize an empty slotted page in `buf`.
-    pub fn init(buf: &mut [u8; PAGE_SIZE]) {
+    pub(crate) fn init(buf: &mut [u8; PAGE_SIZE]) {
         buf[0..2].copy_from_slice(&0u16.to_le_bytes());
         buf[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
     }
 
     /// Number of records on the page.
-    pub fn slot_count(buf: &[u8; PAGE_SIZE]) -> u16 {
+    pub(crate) fn slot_count(buf: &[u8; PAGE_SIZE]) -> u16 {
         u16::from_le_bytes([buf[0], buf[1]])
     }
 
@@ -38,13 +38,13 @@ impl SlottedPage {
     }
 
     /// Free bytes remaining (accounting for the slot the record would need).
-    pub fn free_space(buf: &[u8; PAGE_SIZE]) -> usize {
+    pub(crate) fn free_space(buf: &[u8; PAGE_SIZE]) -> usize {
         let slots_end = HEADER + Self::slot_count(buf) as usize * SLOT;
         (Self::free_end(buf) as usize).saturating_sub(slots_end)
     }
 
     /// Whether a record of `len` bytes fits.
-    pub fn fits(buf: &[u8; PAGE_SIZE], len: usize) -> bool {
+    pub(crate) fn fits(buf: &[u8; PAGE_SIZE], len: usize) -> bool {
         Self::free_space(buf) >= len + SLOT
     }
 
@@ -53,7 +53,11 @@ impl SlottedPage {
     ///
     /// # Panics
     /// Panics if the record does not fit — callers must check [`Self::fits`].
-    pub fn insert(buf: &mut [u8; PAGE_SIZE], len: usize, write: impl FnOnce(&mut [u8])) -> u16 {
+    pub(crate) fn insert(
+        buf: &mut [u8; PAGE_SIZE],
+        len: usize,
+        write: impl FnOnce(&mut [u8]),
+    ) -> u16 {
         assert!(Self::fits(buf, len), "record does not fit in page");
         let n = Self::slot_count(buf);
         let end = Self::free_end(buf) as usize;
@@ -71,7 +75,7 @@ impl SlottedPage {
     ///
     /// # Panics
     /// Panics if `slot` is out of range.
-    pub fn record(buf: &[u8; PAGE_SIZE], slot: u16) -> &[u8] {
+    pub(crate) fn record(buf: &[u8; PAGE_SIZE], slot: u16) -> &[u8] {
         let n = Self::slot_count(buf);
         assert!(slot < n, "slot {slot} out of range ({n} slots)");
         let slot_off = HEADER + slot as usize * SLOT;

@@ -72,7 +72,7 @@ pub enum PlanNode {
 
 impl PlanNode {
     /// Children of this node, outer/probe side first where relevant.
-    pub fn children(&self) -> Vec<&PlanNode> {
+    pub(crate) fn children(&self) -> Vec<&PlanNode> {
         match self {
             PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } => vec![],
             PlanNode::IndexNLJoin { outer, .. } => vec![outer],

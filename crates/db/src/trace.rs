@@ -398,7 +398,7 @@ impl<'a> Events<'a> {
 
     /// Whether every event has been decoded.
     #[inline]
-    pub fn at_end(&self) -> bool {
+    pub(crate) fn at_end(&self) -> bool {
         self.bytes.is_empty() && self.pending == 0
     }
 

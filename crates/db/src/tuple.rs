@@ -15,7 +15,7 @@ const TAG_STR: u8 = 1;
 const TAG_NULL: u8 = 2;
 
 /// Serialized size of `tuple` in bytes.
-pub fn encoded_len(tuple: &[Datum]) -> usize {
+pub(crate) fn encoded_len(tuple: &[Datum]) -> usize {
     2 + tuple
         .iter()
         .map(|d| match d {
@@ -32,7 +32,7 @@ pub fn encoded_len(tuple: &[Datum]) -> usize {
 ///
 /// # Panics
 /// Panics if `out` is not [`encoded_len`] bytes long.
-pub fn encode(tuple: &[Datum], out: &mut [u8]) {
+pub(crate) fn encode(tuple: &[Datum], out: &mut [u8]) {
     out[..2].copy_from_slice(&(tuple.len() as u16).to_le_bytes());
     let mut off = 2;
     for d in tuple {
@@ -63,7 +63,7 @@ pub fn encode(tuple: &[Datum], out: &mut [u8]) {
 /// # Panics
 /// Panics on malformed input — page bytes are written only by [`encode`], so
 /// corruption is an internal invariant violation, not a user error.
-pub fn decode(bytes: &[u8]) -> Tuple {
+pub(crate) fn decode(bytes: &[u8]) -> Tuple {
     let arity = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
     let mut off = 2;
     let mut out = Vec::with_capacity(arity);
@@ -103,7 +103,7 @@ pub enum Layout {
 
 impl Layout {
     /// The layout of `tuple` alone.
-    pub fn of(tuple: &[Datum]) -> Layout {
+    pub(crate) fn of(tuple: &[Datum]) -> Layout {
         if tuple.iter().all(|d| matches!(d, Datum::Int(_))) {
             Layout::Ints(tuple.len())
         } else {
@@ -118,7 +118,7 @@ impl Layout {
     ///
     /// # Panics
     /// Panics if `col` is past the tuple's arity, as indexing the decoded
-    /// tuple does, and on malformed input, as [`decode`] does.
+    /// tuple does, and on malformed input, as `decode` does.
     #[inline]
     pub fn int_at(self, bytes: &[u8], col: usize) -> Option<i64> {
         match self {

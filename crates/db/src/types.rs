@@ -22,14 +22,6 @@ impl Datum {
             _ => None,
         }
     }
-
-    /// The string payload, if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Datum::Str(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Datum {
@@ -107,7 +99,6 @@ mod tests {
     fn datum_accessors() {
         assert_eq!(Datum::Int(5).as_int(), Some(5));
         assert_eq!(Datum::Str("x".into()).as_int(), None);
-        assert_eq!(Datum::Str("x".into()).as_str(), Some("x"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `A`/`B` are Chrome trace JSON files from a traced run, or checked-in
 //! golden summaries previously produced by `--summary` (detected by the
 //! `# trace_diff summary v1` header). Wall-clock events never participate
-//! ([`pythia_obs::diff::summarize`] keeps only the virtual process), so the
+//! (`pythia_obs::diff::summarize` keeps only the virtual process), so the
 //! comparison is deterministic across hosts. It is exact: a deliberate
 //! change, such as a span rename, re-blesses the golden.
 //!

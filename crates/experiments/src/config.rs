@@ -57,7 +57,7 @@ impl ExpConfig {
 
     /// The full configuration: paper model dimensions and 1000 queries per
     /// workload. Hours of CPU time.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ExpConfig {
             scale: 1.0,
             n_queries: 1000,
@@ -75,7 +75,7 @@ impl ExpConfig {
         }
     }
 
-    /// `PYTHIA_FULL=1` selects [`Self::full`], anything else [`Self::quick`].
+    /// `PYTHIA_FULL=1` selects `full`, anything else [`Self::quick`].
     pub fn from_env() -> Self {
         match std::env::var("PYTHIA_FULL") {
             Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => ExpConfig::full(),
@@ -85,7 +85,7 @@ impl ExpConfig {
 
     /// Number of held-out test queries of a workload of `n`: its
     /// `test_frac` share, at least 2 and at most half.
-    pub fn n_test(&self, n: usize) -> usize {
+    pub(crate) fn n_test(&self, n: usize) -> usize {
         ((n as f64 * self.test_frac).round() as usize).clamp(2, n / 2)
     }
 
@@ -94,7 +94,7 @@ impl ExpConfig {
     /// pages), with floors of 256 frames and 1 024 pages for the small
     /// databases of the quick runs, and this configuration's readahead
     /// window clamped the same way.
-    pub fn sized_run(&self, total_pages: u64) -> RunConfig {
+    pub(crate) fn sized_run(&self, total_pages: u64) -> RunConfig {
         let sized = RunConfig::sized_for(total_pages);
         let pool = sized.pool_frames.max(256);
         RunConfig {

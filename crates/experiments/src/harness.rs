@@ -25,7 +25,7 @@ pub struct PreparedWorkload {
 
 impl PreparedWorkload {
     /// Training plans (cloned).
-    pub fn train_plans(&self) -> Vec<PlanNode> {
+    pub(crate) fn train_plans(&self) -> Vec<PlanNode> {
         self.train_idx
             .iter()
             .map(|&i| self.queries[i].plan.clone())
@@ -33,7 +33,7 @@ impl PreparedWorkload {
     }
 
     /// Training traces (cloned).
-    pub fn train_traces(&self) -> Vec<Trace> {
+    pub(crate) fn train_traces(&self) -> Vec<Trace> {
         self.train_idx
             .iter()
             .map(|&i| self.traces[i].clone())
@@ -41,7 +41,7 @@ impl PreparedWorkload {
     }
 
     /// Iterate `(plan, trace)` of the held-out test queries.
-    pub fn test_queries(&self) -> impl Iterator<Item = (&PlanNode, &Trace)> {
+    pub(crate) fn test_queries(&self) -> impl Iterator<Item = (&PlanNode, &Trace)> {
         self.test_idx
             .iter()
             .map(|&i| (&self.queries[i].plan, &self.traces[i]))
@@ -49,7 +49,7 @@ impl PreparedWorkload {
 
     /// Borrowed test-query plans, in [`Self::test_queries`] order — the
     /// input shape batched inference wants.
-    pub fn test_plans(&self) -> Vec<&PlanNode> {
+    pub(crate) fn test_plans(&self) -> Vec<&PlanNode> {
         self.test_idx
             .iter()
             .map(|&i| &self.queries[i].plan)
@@ -93,7 +93,7 @@ impl Env {
     }
 
     /// Like [`Env::new`] but at an explicit scale (Figure 12a).
-    pub fn at_scale(cfg: ExpConfig, scale: f64) -> Env {
+    pub(crate) fn at_scale(cfg: ExpConfig, scale: f64) -> Env {
         let bench = build_benchmark(&GeneratorConfig {
             scale,
             seed: cfg.seed,
@@ -117,7 +117,11 @@ impl Env {
     /// [`Env::prepare`] with an explicit workload size. Cached per
     /// `(template, n)`; the lock is held across a miss so each workload is
     /// sampled exactly once even under concurrent callers.
-    pub fn prepare_n(&self, template: Template, n: usize) -> std::sync::Arc<PreparedWorkload> {
+    pub(crate) fn prepare_n(
+        &self,
+        template: Template,
+        n: usize,
+    ) -> std::sync::Arc<PreparedWorkload> {
         let mut cache = self.prepared.lock().unwrap();
         if let Some(w) = cache.get(&(template, n)) {
             return w.clone();
@@ -166,12 +170,16 @@ impl Env {
     }
 
     /// Train Pythia on a prepared workload with the default model config.
-    pub fn train(&self, w: &PreparedWorkload) -> TrainedWorkload {
+    pub(crate) fn train(&self, w: &PreparedWorkload) -> TrainedWorkload {
         self.train_with(w, &self.cfg.pythia)
     }
 
     /// Train with an explicit model config (ablations).
-    pub fn train_with(&self, w: &PreparedWorkload, pythia: &PythiaConfig) -> TrainedWorkload {
+    pub(crate) fn train_with(
+        &self,
+        w: &PreparedWorkload,
+        pythia: &PythiaConfig,
+    ) -> TrainedWorkload {
         let restrict = w.template.prefetch_objects(&self.bench);
         train_workload(
             &self.bench.db,
@@ -184,18 +192,18 @@ impl Env {
     }
 
     /// A cold replay stack under this environment's sizing.
-    pub fn runtime(&self) -> Runtime {
+    pub(crate) fn runtime(&self) -> Runtime {
         Runtime::new(&self.run_cfg, self.bench.db.file_lengths())
     }
 
     /// A cold replay stack with an explicit configuration.
-    pub fn runtime_with(&self, cfg: &RunConfig) -> Runtime {
+    pub(crate) fn runtime_with(&self, cfg: &RunConfig) -> Runtime {
         Runtime::new(cfg, self.bench.db.file_lengths())
     }
 
     /// Cold-cache runtime of one query (paper methodology: restart +
     /// drop caches between runs).
-    pub fn cold_time(
+    pub(crate) fn cold_time(
         &self,
         run_cfg: &RunConfig,
         trace: &Trace,
@@ -214,7 +222,7 @@ impl Env {
     }
 
     /// Speedup of a prefetch variant over DFLT for one query, cold cache.
-    pub fn speedup(
+    pub(crate) fn speedup(
         &self,
         run_cfg: &RunConfig,
         trace: &Trace,
@@ -230,7 +238,7 @@ impl Env {
     /// budget-capped prefetch list and the inference latency a deployed
     /// Pythia charges it, [`INFER_CHARGE`] — the paper charges its 1–1.5 s
     /// the same way, before the query's replay starts.
-    pub fn pythia_prefetch_batch(
+    pub(crate) fn pythia_prefetch_batch(
         &self,
         run_cfg: &RunConfig,
         tw: &TrainedWorkload,
@@ -246,7 +254,7 @@ impl Env {
 }
 
 /// Mean of a sample (0 for empty).
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -257,7 +265,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 /// Poisson arrival offsets: exponential inter-arrival gaps with the given
 /// mean (first arrival at zero). Consecutive expected overlap `f` is a mean
 /// gap of `(1 - f) ×` the expected query runtime.
-pub fn poisson_arrivals(n: usize, mean_gap_us: f64, rng: &mut Rng) -> Vec<SimDuration> {
+pub(crate) fn poisson_arrivals(n: usize, mean_gap_us: f64, rng: &mut Rng) -> Vec<SimDuration> {
     let mut arrivals = Vec::with_capacity(n);
     let mut t = 0.0f64;
     for i in 0..n {
@@ -272,7 +280,7 @@ pub fn poisson_arrivals(n: usize, mean_gap_us: f64, rng: &mut Rng) -> Vec<SimDur
 
 /// Quartile bucket per element: 0 = bottom 25%, 1 = middle 50%, 2 = top 25%
 /// (the paper's Figures 7/8/10/11 bucketing).
-pub fn quartile_buckets(values: &[f64]) -> Vec<usize> {
+pub(crate) fn quartile_buckets(values: &[f64]) -> Vec<usize> {
     let n = values.len();
     if n == 0 {
         return Vec::new();

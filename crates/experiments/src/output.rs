@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// A table with the given title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Self {
         Table {
             title: title.to_owned(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -22,13 +22,13 @@ impl Table {
     }
 
     /// Append a row (must match the header count).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
     }
 
     /// Render aligned for the console.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -55,7 +55,7 @@ impl Table {
     }
 
     /// CSV encoding (quotes cells containing commas).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |c: &str| {
             if c.contains(',') || c.contains('"') {
                 format!("\"{}\"", c.replace('"', "\"\""))
@@ -94,12 +94,12 @@ impl Table {
 }
 
 /// Format a float with 3 decimals.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
 /// Format a float with 2 decimals.
-pub fn f2(v: f64) -> String {
+pub(crate) fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 

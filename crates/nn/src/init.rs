@@ -18,7 +18,7 @@ impl Initializer {
     }
 
     /// Uniform in `[-a, a]`.
-    pub fn uniform(&mut self, rows: usize, cols: usize, a: f32) -> Tensor {
+    pub(crate) fn uniform(&mut self, rows: usize, cols: usize, a: f32) -> Tensor {
         let mut t = Tensor::zeros(rows, cols);
         for v in t.as_mut_slice() {
             *v = self.rng.gen_range(-a..=a);
@@ -27,13 +27,13 @@ impl Initializer {
     }
 
     /// Xavier/Glorot uniform for a `[fan_in, fan_out]` weight.
-    pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
+    pub(crate) fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Tensor {
         let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
         self.uniform(fan_in, fan_out, a)
     }
 
     /// Normal(0, std) — embedding tables.
-    pub fn normal(&mut self, rows: usize, cols: usize, std: f32) -> Tensor {
+    pub(crate) fn normal(&mut self, rows: usize, cols: usize, std: f32) -> Tensor {
         let mut t = Tensor::zeros(rows, cols);
         for v in t.as_mut_slice() {
             // Box-Muller.
@@ -48,7 +48,7 @@ impl Initializer {
 /// Sinusoidal positional encodings (`[max_len, dim]`), as in "Attention Is
 /// All You Need" — the paper appends "sequence information" to the embedded
 /// tokens before the transformer encoder.
-pub fn positional_encoding(max_len: usize, dim: usize) -> Tensor {
+pub(crate) fn positional_encoding(max_len: usize, dim: usize) -> Tensor {
     Tensor::from_fn(max_len, dim, |pos, i| {
         let exponent = (2 * (i / 2)) as f32 / dim as f32;
         let angle = pos as f32 / 10_000f32.powf(exponent);
@@ -86,7 +86,7 @@ mod tests {
     fn normal_has_roughly_right_std() {
         let t = Initializer::new(3).normal(100, 100, 0.5);
         let n = t.len() as f32;
-        let mean = t.sum() / n;
+        let mean = t.as_slice().iter().sum::<f32>() / n;
         let var = t
             .as_slice()
             .iter()

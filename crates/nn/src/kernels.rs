@@ -2,8 +2,8 @@
 //! dispatch — the floor the whole NN stack stands on.
 //!
 //! Three band-level entry points mirror the three matmul variants on
-//! [`Tensor`](crate::Tensor): [`matmul_band`] (`C = A·B`), [`at_b_band`]
-//! (`C = Aᵀ·B`) and [`a_bt_band`] (`C = A·Bᵀ`). Each computes a horizontal
+//! [`Tensor`](crate::Tensor): `matmul_band` (`C = A·B`), `at_b_band`
+//! (`C = Aᵀ·B`) and `a_bt_band` (`C = A·Bᵀ`). Each computes a horizontal
 //! band of output rows, which is exactly the unit the threaded paths in
 //! `tensor.rs` hand to one worker — so the same kernels serve the serial and
 //! banded-parallel paths.
@@ -16,7 +16,7 @@
 //! and a dense caller passes its widths. `C` is **written**, not accumulated
 //! into: whatever the output block held is overwritten, and nothing outside
 //! the block is touched. The one exception is asked for by name:
-//! [`at_b_band`] under [`Chain::Continue`] resumes each element's chain from
+//! `at_b_band` under [`Chain::Continue`] resumes each element's chain from
 //! the value `C` holds, which is how a parameter gradient is summed over a
 //! minibatch recorded in several passes. Every entry point checks, before
 //! any pointer is formed, that each slice reaches the last element its view
@@ -55,12 +55,12 @@
 //!   roundings as the scalar `*o += a * bv`. FMA would contract this to one
 //!   rounding and change bits, so the kernels use explicit mul-then-add even
 //!   when `fma` is available;
-//! * packing the `B` panel (and the `A` panel in [`at_b_band`]) is a pure
-//!   copy; the transpose-pack in [`a_bt_band`] turns the scalar path's
+//! * packing the `B` panel (and the `A` panel in `at_b_band`) is a pure
+//!   copy; the transpose-pack in `a_bt_band` turns the scalar path's
 //!   sequential dot product into the same ascending-index
 //!   multiply-accumulate sequence, starting from the same `0.0`, and so
 //!   does its one-row AVX2 path, which transposes eight rows of `B` in
-//!   registers instead of packing them (the one-row [`matmul_band`] path
+//!   registers instead of packing them (the one-row `matmul_band` path
 //!   reads `B`'s rows in place, the last vector under a mask);
 //! * a row's last, partial vector runs the same lane arithmetic as a full
 //!   one: the panel is zero-padded to a lane multiple and only `C` is
@@ -81,10 +81,10 @@
 //! panel row zero-padded to whole vectors. The microkernel holds an
 //! `MR=4`-row by 16-column accumulator tile in registers for the whole
 //! `KC` pass — 8 YMM accumulators on AVX2, 16 q-registers on NEON — cutting
-//! `C` traffic by `4·KC×` versus the naive axpy loop. [`at_b_band`]
+//! `C` traffic by `4·KC×` versus the naive axpy loop. `at_b_band`
 //! additionally packs the strided `A`-column tile (`MC` rows at a time) so
-//! its broadcast loads are contiguous. A one-row [`matmul_band`] or
-//! [`a_bt_band`] on AVX2 packs nothing: with one row to spread it over,
+//! its broadcast loads are contiguous. A one-row `matmul_band` or
+//! `a_bt_band` on AVX2 packs nothing: with one row to spread it over,
 //! copying or transposing `B` into the panel costs as much as the products
 //! (a training pass of one sequence makes such calls for every decoder
 //! layer), so it reads `B` where it lies.
@@ -182,7 +182,7 @@ fn detected_isa() -> Isa {
 
 /// The ISA the next band call will dispatch to: runtime override, then
 /// `PYTHIA_SIMD`, then CPU-feature detection.
-pub fn active_isa() -> Isa {
+pub(crate) fn active_isa() -> Isa {
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     {
         match OVERRIDE.load(Ordering::SeqCst) {
@@ -258,7 +258,7 @@ fn reach(rows: usize, cols: usize, rs: usize) -> usize {
 /// # Panics
 /// Panics if a slice is shorter than the view the strides describe.
 #[allow(clippy::too_many_arguments)] // band geometry: two operands + split
-pub fn matmul_band(
+pub(crate) fn matmul_band(
     a: &[f32],
     b: &[f32],
     out_band: &mut [f32],
@@ -299,7 +299,7 @@ pub fn matmul_band(
     unsafe { blocked(isa, a, a_rs, out_band, c_rs, k, n, rows_here, pack_b) }
 }
 
-/// Where an [`at_b_band`] element's chain of additions starts.
+/// Where an `at_b_band` element's chain of additions starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chain {
     /// At `+0.0`: `C = AᵀB`, whatever `C` held.
@@ -320,7 +320,7 @@ pub enum Chain {
 /// # Panics
 /// Panics if a slice is shorter than the view the strides describe.
 #[allow(clippy::too_many_arguments)] // band geometry: two operands + split
-pub fn at_b_band(
+pub(crate) fn at_b_band(
     a: &[f32],
     b: &[f32],
     out_band: &mut [f32],
@@ -419,7 +419,7 @@ pub fn at_b_band(
 /// # Panics
 /// Panics if a slice is shorter than the view the strides describe.
 #[allow(clippy::too_many_arguments)] // band geometry: two operands + split
-pub fn a_bt_band(
+pub(crate) fn a_bt_band(
     a: &[f32],
     b: &[f32],
     out_band: &mut [f32],

@@ -58,7 +58,7 @@ pub struct Embedding {
 impl Embedding {
     /// Register an embedding for `vocab` tokens of `dim` dims; positions up
     /// to `max_len` get sinusoidal encodings added.
-    pub fn new(
+    pub(crate) fn new(
         params: &mut ParamSet,
         init: &mut Initializer,
         name: &str,
@@ -80,7 +80,7 @@ impl Embedding {
     /// # Panics
     /// Panics if the sequence is longer than `max_len` or an id exceeds the
     /// vocabulary.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
+    pub(crate) fn forward(&self, tape: &mut Tape, vars: &[Var], ids: &[usize]) -> Var {
         assert!(ids.len() <= self.pe.rows(), "sequence longer than max_len");
         let emb = tape.embed(vars[self.table.0], ids);
         tape.add_const(emb, &self.pe)
@@ -95,13 +95,13 @@ pub struct LayerNorm {
 }
 
 impl LayerNorm {
-    pub fn new(params: &mut ParamSet, name: &str, dim: usize) -> Self {
+    pub(crate) fn new(params: &mut ParamSet, name: &str, dim: usize) -> Self {
         let gain = params.add(&format!("{name}.gain"), Tensor::full(1, dim, 1.0));
         let bias = params.add(&format!("{name}.bias"), Tensor::zeros(1, dim));
         LayerNorm { gain, bias }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var) -> Var {
+    pub(crate) fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var) -> Var {
         tape.layer_norm(x, vars[self.gain.0], vars[self.bias.0])
     }
 }
@@ -120,7 +120,7 @@ pub struct MultiHeadSelfAttention {
 
 impl MultiHeadSelfAttention {
     /// `dim` must be divisible by `heads`.
-    pub fn new(
+    pub(crate) fn new(
         params: &mut ParamSet,
         init: &mut Initializer,
         name: &str,
@@ -146,7 +146,13 @@ impl MultiHeadSelfAttention {
     /// `None` is all of them. K and V are projected for every token either
     /// way, while Q, the scores and the output projection cover only `rows`,
     /// and the result has one row per entry.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, rows: Option<&[usize]>) -> Var {
+    pub(crate) fn forward(
+        &self,
+        tape: &mut Tape,
+        vars: &[Var],
+        x: Var,
+        rows: Option<&[usize]>,
+    ) -> Var {
         #[cfg(test)]
         if tests::use_oracle() {
             return self.forward_composed(tape, vars, x, rows);
@@ -175,7 +181,7 @@ pub struct TransformerEncoderLayer {
 }
 
 impl TransformerEncoderLayer {
-    pub fn new(
+    pub(crate) fn new(
         params: &mut ParamSet,
         init: &mut Initializer,
         name: &str,
@@ -196,7 +202,13 @@ impl TransformerEncoderLayer {
     /// (see [`MultiHeadSelfAttention::forward`]) or, for `None`, every row.
     /// On a forward-only tape the layer's intermediates are freed on the way
     /// out.
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var, rows: Option<&[usize]>) -> Var {
+    pub(crate) fn forward(
+        &self,
+        tape: &mut Tape,
+        vars: &[Var],
+        x: Var,
+        rows: Option<&[usize]>,
+    ) -> Var {
         let mark = tape.len();
         let a = self.attn.forward(tape, vars, x, rows);
         // A second gather, recorded after the projections: backward then

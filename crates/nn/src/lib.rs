@@ -11,7 +11,10 @@
 //!   runtime ISA dispatch (AVX2 / NEON / portable scalar, `PYTHIA_SIMD`
 //!   override); every path accumulates in the same fixed order so outputs
 //!   are bit-identical across ISA and thread count.
-//! * [`Tape`] / [`Var`] — eager tape-based reverse-mode autograd.
+//! * [`Tape`] / [`Var`] — eager tape-based reverse-mode autograd over the
+//!   ops the model records. The composed ops the fused attention is pinned
+//!   against (`matmul`, `add_row`, `scale`, `softmax_rows`, `transpose`,
+//!   `slice_cols`, `concat_cols`) exist in test builds only.
 //! * [`layers`] — `Linear`, `Embedding`, `LayerNorm`, multi-head
 //!   self-attention, transformer encoder layers, positional encodings.
 //! * [`Adam`] — the Adam optimizer; [`tape::bce_with_logits_over`] — the

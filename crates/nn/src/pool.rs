@@ -7,7 +7,7 @@
 //! row bands and `pythia-core`'s model-group fan-out both size
 //! themselves from [`configured_threads`].
 //!
-//! Determinism contract: [`parallel_map_vec`] assigns each item a fixed
+//! Determinism contract: `parallel_map_vec` assigns each item a fixed
 //! output slot (its input index) and every item is processed by exactly one
 //! worker with no shared mutable state, so the returned vector is identical
 //! for any thread count — including 1. Callers guarantee `f` itself is a
@@ -57,7 +57,7 @@ pub fn configured_threads() -> usize {
 /// per-item cost is uneven, e.g. object models of very different sizes);
 /// each result lands in the slot of its input index, so the output is
 /// bit-identical to the serial `items.into_iter().enumerate().map(f)` run.
-pub fn parallel_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn parallel_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -66,7 +66,7 @@ where
     parallel_map_vec_labeled("nn.task", items, f)
 }
 
-/// [`parallel_map_vec`] with a static task label: when capture is on
+/// `parallel_map_vec` with a static task label: when capture is on
 /// ([`pythia_obs::wall::set_enabled`]), every item's execution is recorded
 /// as a `(label, worker, item, start, duration)` span for the trace's
 /// wall-clock process, and the worker thread is tagged with its `(worker,
@@ -134,7 +134,7 @@ where
         .collect()
 }
 
-/// [`parallel_map_vec`] over a slice of `Sync` items.
+/// `parallel_map_vec` over a slice of `Sync` items.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -32,7 +32,7 @@
 //!
 //! Every op output, saved activation, gradient and backward temporary comes
 //! from the tape's best-fit `Arena` and goes back to it on
-//! [`Tape::reset`] / [`Tape::absorb`]: a step whose shapes repeat allocates
+//! `Tape::reset` / [`Tape::absorb`]: a step whose shapes repeat allocates
 //! nothing. A minibatch is recorded in passes of one sequence, each
 //! [`Tape::backward_into`] continuing the parameter gradients of the pass
 //! before, so the arena holds one sequence's activations and the gradients
@@ -89,7 +89,7 @@ impl ParamSet {
     }
 
     /// Total scalar parameter count (for the paper's model-size reporting).
-    pub fn scalar_count(&self) -> usize {
+    pub(crate) fn scalar_count(&self) -> usize {
         self.tensors.iter().map(Tensor::len).sum()
     }
 
@@ -99,12 +99,13 @@ impl ParamSet {
     }
 
     /// Read a parameter.
-    pub fn get(&self, id: ParamId) -> &Tensor {
+    #[cfg(test)]
+    pub(crate) fn get(&self, id: ParamId) -> &Tensor {
         &self.tensors[id.0]
     }
 
     /// Mutate a parameter (optimizer updates).
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
+    pub(crate) fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.tensors[id.0]
     }
 
@@ -236,27 +237,34 @@ impl Arena {
 #[derive(Debug)]
 enum Op {
     Leaf,
+    #[cfg(test)]
     MatMul(Var, Var),
     /// Fused `x·w + bias` (`[m,k]×[k,n] + [1,n]`): one kernel forward,
     /// transpose-free backward.
     Linear(Var, Var, Var),
     Add(Var, Var),
     /// `[m,n] + [1,n]` row broadcast.
+    #[cfg(test)]
     AddRow(Var, Var),
+    #[cfg(test)]
     Scale(Var, f32),
     /// Add a constant (no gradient flows to it) — positional encodings.
     AddConst(Var),
     Relu(Var),
+    #[cfg(test)]
     SoftmaxRows(Var),
     LayerNorm {
         x: Var,
         gain: Var,
         bias: Var,
     },
+    #[cfg(test)]
     Transpose(Var),
     /// The columns of `x` from this one on, as many as the node's value has.
+    #[cfg(test)]
     SliceCols(Var, usize),
     /// Blocks side by side.
+    #[cfg(test)]
     ConcatCols(Vec<Var>),
     /// Gather arbitrary rows (backward scatter-adds) — also the embedding
     /// lookup.
@@ -311,7 +319,7 @@ impl Gradients {
     }
 
     /// Gradient if any reached `var`.
-    pub fn try_get(&self, var: Var) -> Option<&Tensor> {
+    pub(crate) fn try_get(&self, var: Var) -> Option<&Tensor> {
         self.grads[var.0].as_ref()
     }
 }
@@ -362,7 +370,7 @@ fn on_thread_arena<'p, R>(
 }
 
 /// Run `f` on a forward-only tape backed by this thread's reusable arena:
-/// parameters can be lent rather than copied, [`Tape::collapse`] frees each
+/// parameters can be lent rather than copied, `Tape::collapse` frees each
 /// finished layer, and every buffer goes back to the thread's arena when `f`
 /// returns — a repeat call with the same shapes allocates nothing.
 pub fn forward_only<'p, R>(f: impl FnOnce(&mut Tape<'p>) -> R) -> R {
@@ -397,13 +405,8 @@ const LN_EPS: f32 = 1e-5;
 
 impl<'p> Tape<'p> {
     /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Fresh heap allocations the tape's arena has made so far. Stops
@@ -413,7 +416,7 @@ impl<'p> Tape<'p> {
     }
 
     /// Bytes of free buffers the arena holds (everything, right after
-    /// [`Tape::reset`]).
+    /// `Tape::reset`).
     pub fn retained_bytes(&self) -> usize {
         let held = |(len, class): (&usize, &SizeClass)| len * class.bufs.len() * 4;
         self.arena.free.iter().map(held).sum()
@@ -473,7 +476,7 @@ impl<'p> Tape<'p> {
     /// Clear all recorded nodes, returning their buffers to the arena. The
     /// tape is then ready for the next minibatch's graph; this is the step
     /// boundary at which the arena frees what recent steps did not use.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for node in self.nodes.drain(..) {
             release(&mut self.arena, node);
         }
@@ -495,7 +498,7 @@ impl<'p> Tape<'p> {
     /// calls this so inference holds one layer's activations, not the whole
     /// network's. A recording tape needs them for backward and returns
     /// `keep` unchanged.
-    pub fn collapse(&mut self, mark: usize, keep: Var) -> Var {
+    pub(crate) fn collapse(&mut self, mark: usize, keep: Var) -> Var {
         if !self.forward_only {
             return keep;
         }
@@ -509,7 +512,8 @@ impl<'p> Tape<'p> {
     }
 
     /// `a × b`.
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+    #[cfg(test)]
+    pub(crate) fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (av, bv) = (val(&self.nodes, a), val(&self.nodes, b));
         let mut v = self.arena.unfilled(av.rows(), bv.cols());
         av.matmul_into(bv, &mut v);
@@ -541,7 +545,8 @@ impl<'p> Tape<'p> {
     }
 
     /// `[m,n] + [1,n]`: add `row` to every row of `a` (bias add).
-    pub fn add_row(&mut self, a: Var, row: Var) -> Var {
+    #[cfg(test)]
+    pub(crate) fn add_row(&mut self, a: Var, row: Var) -> Var {
         let (av, rt) = (val(&self.nodes, a), val(&self.nodes, row));
         assert_eq!(rt.shape(), (1, av.cols()), "add_row shape mismatch");
         let v = add_tiled(&mut self.arena, av, rt);
@@ -549,7 +554,8 @@ impl<'p> Tape<'p> {
     }
 
     /// `a * s`.
-    pub fn scale(&mut self, a: Var, s: f32) -> Var {
+    #[cfg(test)]
+    pub(crate) fn scale(&mut self, a: Var, s: f32) -> Var {
         let mut v = self.arena.copy_of(val(&self.nodes, a));
         for x in v.as_mut_slice() {
             *x *= s;
@@ -560,7 +566,7 @@ impl<'p> Tape<'p> {
     /// `a + c` for a constant `c` at least as tall as `a`: row `r` of `a`
     /// gets row `r` of `c`, and `c` takes no gradient. Positional encodings
     /// add this way without a copy of their top rows.
-    pub fn add_const(&mut self, a: Var, c: &Tensor) -> Var {
+    pub(crate) fn add_const(&mut self, a: Var, c: &Tensor) -> Var {
         let av = val(&self.nodes, a);
         assert!(
             av.cols() == c.cols() && av.rows() <= c.rows(),
@@ -580,7 +586,8 @@ impl<'p> Tape<'p> {
     }
 
     /// Row-wise softmax (attention weights).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
+    #[cfg(test)]
+    pub(crate) fn softmax_rows(&mut self, a: Var) -> Var {
         let mut v = self.arena.copy_of(val(&self.nodes, a));
         for r in 0..v.rows() {
             softmax_in_place(v.row_mut(r));
@@ -589,7 +596,7 @@ impl<'p> Tape<'p> {
     }
 
     /// Row-wise layer normalization with learned gain/bias (`[1,n]` each).
-    pub fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
+    pub(crate) fn layer_norm(&mut self, x: Var, gain: Var, bias: Var) -> Var {
         let xv = val(&self.nodes, x);
         let (g, b) = (val(&self.nodes, gain), val(&self.nodes, bias));
         let (m, n) = xv.shape();
@@ -612,18 +619,20 @@ impl<'p> Tape<'p> {
 
     /// Gather rows `ids` from embedding `table` (`[vocab, dim]` → `[len, dim]`):
     /// [`Tape::gather_rows`] under its usual name.
-    pub fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
+    pub(crate) fn embed(&mut self, table: Var, ids: &[usize]) -> Var {
         self.gather_rows(table, ids)
     }
 
     /// Transpose.
-    pub fn transpose(&mut self, a: Var) -> Var {
+    #[cfg(test)]
+    pub(crate) fn transpose(&mut self, a: Var) -> Var {
         let v = transposed(&mut self.arena, val(&self.nodes, a));
         self.push(v, Op::Transpose(a))
     }
 
     /// Columns `[start, start+len)` of `x`.
-    pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
+    #[cfg(test)]
+    pub(crate) fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
         let xv = val(&self.nodes, x);
         assert!(start + len <= xv.cols(), "slice out of range");
         let mut v = self.arena.zeros(xv.rows(), len);
@@ -632,7 +641,8 @@ impl<'p> Tape<'p> {
     }
 
     /// Concatenate along columns.
-    pub fn concat_cols(&mut self, xs: &[Var]) -> Var {
+    #[cfg(test)]
+    pub(crate) fn concat_cols(&mut self, xs: &[Var]) -> Var {
         assert!(!xs.is_empty());
         let rows = val(&self.nodes, xs[0]).rows();
         let total: usize = xs.iter().map(|&x| val(&self.nodes, x).cols()).sum();
@@ -650,7 +660,7 @@ impl<'p> Tape<'p> {
     /// Gather rows `idxs` from `x` (extracting a sequence's last-token
     /// representation, or looking up embeddings).
     /// Duplicate indices are allowed.
-    pub fn gather_rows(&mut self, x: Var, idxs: &[usize]) -> Var {
+    pub(crate) fn gather_rows(&mut self, x: Var, idxs: &[usize]) -> Var {
         let xv = val(&self.nodes, x);
         let mut v = self.arena.zeros(idxs.len(), xv.cols());
         for (r, &i) in idxs.iter().enumerate() {
@@ -679,7 +689,7 @@ impl<'p> Tape<'p> {
     /// by every head, and the output goes straight into its column block. No
     /// probabilities are saved: backward recomputes each block through the
     /// same function, bit for bit.
-    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
+    pub(crate) fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
         let [qv, kv, vv] = [q, k, v].map(|var| val(&self.nodes, var));
         let ((s, dim), ql) = (kv.shape(), qv.rows());
         assert!(
@@ -770,6 +780,7 @@ impl<'p> Tape<'p> {
             // Every arm hands `g` on or returns it to the arena.
             match &nodes[i].op {
                 Op::Leaf => slots.grads[i] = Some(g),
+                #[cfg(test)]
                 &Op::MatMul(a, b) => {
                     let ga = a_bt(arena, &g, val(nodes, b));
                     slots.accum(arena, a, ga);
@@ -794,12 +805,14 @@ impl<'p> Tape<'p> {
                     slots.accum(arena, a, copy);
                     slots.accum(arena, b, g);
                 }
+                #[cfg(test)]
                 &Op::AddRow(a, row) => {
                     let mut gr = slots.open(arena, row, (1, g.cols()));
                     g.col_sums_into(&mut gr);
                     slots.close(arena, row, gr);
                     slots.accum(arena, a, g);
                 }
+                #[cfg(test)]
                 &Op::Scale(a, s) => {
                     let mut ga = g;
                     for x in ga.as_mut_slice() {
@@ -818,6 +831,7 @@ impl<'p> Tape<'p> {
                     }
                     slots.accum(arena, a, gx);
                 }
+                #[cfg(test)]
                 &Op::SoftmaxRows(a) => {
                     let mut gx = g;
                     let y = val(nodes, Var(i));
@@ -877,11 +891,13 @@ impl<'p> Tape<'p> {
                     slots.close(arena, bias, gbias);
                     arena.recycle(g);
                 }
+                #[cfg(test)]
                 &Op::Transpose(a) => {
                     let ga = transposed(arena, &g);
                     slots.accum(arena, a, ga);
                     arena.recycle(g);
                 }
+                #[cfg(test)]
                 &Op::SliceCols(x, start) => {
                     let (m, n) = val(nodes, x).shape();
                     let mut gx = arena.zeros(m, n);
@@ -889,6 +905,7 @@ impl<'p> Tape<'p> {
                     slots.accum(arena, x, gx);
                     arena.recycle(g);
                 }
+                #[cfg(test)]
                 Op::ConcatCols(xs) => {
                     let mut off = 0;
                     for &xvar in xs {
@@ -1042,24 +1059,6 @@ fn add_tiled(arena: &mut Arena, a: &Tensor, c: &Tensor) -> Tensor {
         }
     }
     out
-}
-
-fn transposed(arena: &mut Arena, a: &Tensor) -> Tensor {
-    let mut out = arena.zeros(a.cols(), a.rows());
-    for r in 0..a.rows() {
-        for c in 0..a.cols() {
-            out.set(c, r, a.get(r, c));
-        }
-    }
-    out
-}
-
-/// Copy columns `[from, from + width)` of each row of `src` over columns
-/// `[at, at + width)` of the same row of `dst`.
-fn blit_cols(dst: &mut Tensor, at: usize, src: &Tensor, from: usize, width: usize) {
-    for r in 0..src.rows() {
-        dst.row_mut(r)[at..at + width].copy_from_slice(&src.row(r)[from..from + width]);
-    }
 }
 
 /// Lanes of [`fold_lanes`].
@@ -1291,6 +1290,26 @@ pub fn bce_with_logits_over(
             rows,
         },
     )
+}
+
+#[cfg(test)]
+fn transposed(arena: &mut Arena, a: &Tensor) -> Tensor {
+    let mut out = arena.zeros(a.cols(), a.rows());
+    for r in 0..a.rows() {
+        for c in 0..a.cols() {
+            out.set(c, r, a.get(r, c));
+        }
+    }
+    out
+}
+
+/// Copy columns `[from, from + width)` of each row of `src` over columns
+/// `[at, at + width)` of the same row of `dst`.
+#[cfg(test)]
+fn blit_cols(dst: &mut Tensor, at: usize, src: &Tensor, from: usize, width: usize) {
+    for r in 0..src.rows() {
+        dst.row_mut(r)[at..at + width].copy_from_slice(&src.row(r)[from..from + width]);
+    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ impl Tensor {
     }
 
     /// Take the flat row-major buffer (tape buffer recycling).
-    pub fn into_data(self) -> Vec<f32> {
+    pub(crate) fn into_data(self) -> Vec<f32> {
         self.data
     }
 
@@ -82,13 +82,8 @@ impl Tensor {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the matrix has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Element at `(r, c)`.
@@ -113,7 +108,7 @@ impl Tensor {
 
     /// Row `r` as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -123,17 +118,8 @@ impl Tensor {
     }
 
     /// Flat mutable view.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Elementwise map into a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            data: self.data.iter().map(|&v| f(v)).collect(),
-            rows: self.rows,
-            cols: self.cols,
-        }
     }
 
     /// Elementwise addition.
@@ -156,16 +142,11 @@ impl Tensor {
     }
 
     /// In-place `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
+    pub(crate) fn add_scaled(&mut self, other: &Tensor, scale: f32) {
         assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += scale * b;
         }
-    }
-
-    /// Scalar multiply.
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|v| v * s)
     }
 
     /// Transpose.
@@ -192,7 +173,7 @@ impl Tensor {
     /// [`Tensor::matmul`] written over a caller-supplied
     /// `[self.rows, other.cols]` tensor, whatever it held (the tape hands in
     /// arena buffers it has not cleared).
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
             other.rows,
@@ -276,15 +257,10 @@ impl Tensor {
         }
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
     /// Column-wise sums added onto what a `[1, cols]` tensor holds, row
     /// after row: into zeros it is the column sums, and into the sums of
     /// earlier rows it continues them as one chain.
-    pub fn col_sums_into(&self, out: &mut Tensor) {
+    pub(crate) fn col_sums_into(&self, out: &mut Tensor) {
         assert_eq!(
             out.shape(),
             (1, self.cols),
@@ -298,7 +274,7 @@ impl Tensor {
     }
 
     /// Fill with zeros.
-    pub fn zero_(&mut self) {
+    pub(crate) fn zero_(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -470,8 +446,6 @@ mod tests {
         let a = Tensor::from_vec(1, 3, vec![1., -2., 3.]);
         let b = Tensor::from_vec(1, 3, vec![10., 20., 30.]);
         assert_eq!(a.add(&b).as_slice(), &[11., 18., 33.]);
-        assert_eq!(a.scale(2.0).as_slice(), &[2., -4., 6.]);
-        assert_eq!(a.map(f32::abs).as_slice(), &[1., 2., 3.]);
         let mut c = a.clone();
         c.add_scaled(&b, 0.1);
         assert_eq!(c.as_slice(), &[2., 0., 6.]);
@@ -480,7 +454,6 @@ mod tests {
     #[test]
     fn reductions() {
         let a = Tensor::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        assert_eq!(a.sum(), 10.0);
         let mut sums = Tensor::zeros(1, 2);
         a.col_sums_into(&mut sums);
         assert_eq!(sums.as_slice(), &[4., 6.]);

@@ -11,7 +11,7 @@
 //!
 //! * `M` — metadata: a `process_name` for every process and a `thread_name`
 //!   for every track that has an event in what is rendered, in (pid, tid)
-//!   order, named by [`crate::tid::name`];
+//!   order, named by `tid::name`;
 //! * `X` — complete spans (`ts` + `dur`);
 //! * `i` — instant events (thread scope);
 //! * `s` / `f` — flow arrows linking tracks (`id` pairs the endpoints; the
@@ -62,7 +62,10 @@ fn process_name(pid: u32) -> &'static str {
 /// trace-event JSON. `pid_filter` restricts the output to one process (used
 /// to export the deterministic virtual-time trace on its own). The input is
 /// an iterator so a wrapped ring renders in place.
-pub fn trace_json(events: impl Iterator<Item = Event> + Clone, pid_filter: Option<u32>) -> String {
+pub(crate) fn trace_json(
+    events: impl Iterator<Item = Event> + Clone,
+    pid_filter: Option<u32>,
+) -> String {
     let keep = |pid: u32| pid_filter.map(|f| f == pid).unwrap_or(true);
     let mut lines: Vec<String> = Vec::new();
 

@@ -3,7 +3,7 @@
 //!
 //! A Chrome trace-event file from [`crate::Recorder::chrome_trace_json`]
 //! mixes two processes: the deterministic virtual clock ([`crate::VIRTUAL_PID`])
-//! and wall-clock worker spans ([`crate::WALL_PID`]). [`summarize`] parses a
+//! and wall-clock worker spans ([`crate::WALL_PID`]). `summarize` parses a
 //! trace with a built-in minimal JSON reader (objects, arrays, strings,
 //! unsigned integers, booleans, null — exactly what our emitter produces;
 //! phases `M`, `X`, `i`, and the `s`/`f` flow endpoints), keeps only the
@@ -92,7 +92,7 @@ impl TraceSummary {
 }
 
 /// Parse a Chrome trace-event JSON file and reduce its virtual process.
-pub fn summarize(text: &str) -> Result<TraceSummary, String> {
+pub(crate) fn summarize(text: &str) -> Result<TraceSummary, String> {
     let root = parse_json(text)?;
     let Json::Arr(events) = root else {
         return Err("trace root is not a JSON array".to_owned());
@@ -171,7 +171,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
     Ok(out)
 }
 
-/// [`summarize`], additionally rejecting traces with no virtual events —
+/// `summarize`, additionally rejecting traces with no virtual events —
 /// what a silently broken recorder would produce.
 pub fn validate(text: &str) -> Result<TraceSummary, String> {
     let summary = summarize(text)?;

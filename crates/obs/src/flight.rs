@@ -8,7 +8,7 @@
 //! site's first event and found by one hash after. Recording never allocates
 //! per event; reads decode slots back into the [`Event`]s recorded. Nothing
 //! is kept per track: a render names each track it has an event on by
-//! [`crate::tid::name`]. The only variable is how much of the stream the log
+//! `tid::name`. The only variable is how much of the stream the log
 //! keeps:
 //!
 //! * [`Retention::All`] — everything, forever: a *capture*
@@ -112,7 +112,7 @@ pub struct EventLog {
 
 impl EventLog {
     /// An empty log with a tail of `capacity` events.
-    pub fn new(retention: Retention, capacity: usize) -> EventLog {
+    pub(crate) fn new(retention: Retention, capacity: usize) -> EventLog {
         EventLog {
             retention,
             capacity,
@@ -123,7 +123,7 @@ impl EventLog {
 
     /// Whether the log has a tail to dump (capacity > 0).
     #[inline]
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.capacity > 0
     }
 
@@ -215,7 +215,7 @@ impl EventLog {
 
     /// The capture, decoded: every event in insertion order under `All`;
     /// nothing under `LastN`, which holds a tail, not a trace.
-    pub fn captured(&self) -> impl Iterator<Item = Event> + Clone + '_ {
+    pub(crate) fn captured(&self) -> impl Iterator<Item = Event> + Clone + '_ {
         let kept = match self.retention {
             Retention::All => &self.slots[..],
             Retention::LastN => &[],
@@ -241,19 +241,19 @@ impl EventLog {
     }
 
     /// The capture as Chrome trace-event JSON, optionally one process only.
-    pub fn trace_json(&self, pid_filter: Option<u32>) -> String {
+    pub(crate) fn trace_json(&self, pid_filter: Option<u32>) -> String {
         chrome::trace_json(self.captured(), pid_filter)
     }
 
     /// The tail as Chrome trace-event JSON — a flight dump.
-    pub fn tail_json(&self) -> String {
+    pub(crate) fn tail_json(&self) -> String {
         chrome::trace_json(self.tail_iter(), None)
     }
 
     /// Change the tail length (0 turns dumps off, and a ring with them).
     /// A ring's layout depends on it, so `LastN` drops what it retains; a
     /// capture keeps everything and only its dumps change length.
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
         if self.retention == Retention::LastN {
             self.clear();
@@ -262,7 +262,7 @@ impl EventLog {
 
     /// Drop all retained events (the monotone `seq`, the retention and the
     /// capacity are preserved).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots = Vec::with_capacity(self.capacity);
         self.next = 0;
     }

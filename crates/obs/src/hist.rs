@@ -66,19 +66,9 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Estimated `q`-quantile (`q` in `[0, 1]`): the upper bound of the
     /// bucket holding the rank, clamped to the observed max. Zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -102,32 +92,19 @@ impl Histogram {
         self.max
     }
 
-    /// Median estimate ([`Histogram::quantile`] at 0.50).
+    /// Median estimate (`Histogram::quantile` at 0.50).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile estimate ([`Histogram::quantile`] at 0.95).
+    /// 95th-percentile estimate (`Histogram::quantile` at 0.95).
     pub fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
-    /// 99th-percentile estimate ([`Histogram::quantile`] at 0.99).
+    /// 99th-percentile estimate (`Histogram::quantile` at 0.99).
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Fold `other` into `self`, bucket by bucket. Equivalent to having
-    /// recorded both value streams into one histogram (sum saturates the
-    /// same way [`Histogram::record`] does).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Summary statistics for export.
@@ -215,11 +192,10 @@ mod tests {
     #[test]
     fn empty_histogram_quantiles_and_accessors_are_zero() {
         let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
         assert_eq!((h.p50(), h.p95(), h.p99()), (0, 0, 0));
         assert_eq!(h.quantile(1.0), 0);
         let s = h.summary();
+        assert_eq!((s.count, s.sum), (0, 0));
         assert_eq!((s.min, s.max, s.p50, s.p95, s.p99), (0, 0, 0, 0, 0));
     }
 
@@ -253,36 +229,5 @@ mod tests {
             (s.min, s.max, s.p50, s.p99),
             (u64::MAX, u64::MAX, u64::MAX, u64::MAX)
         );
-    }
-
-    #[test]
-    fn merge_of_disjoint_histograms_matches_combined_recording() {
-        let mut low = Histogram::new();
-        let mut high = Histogram::new();
-        let mut combined = Histogram::new();
-        for v in [1u64, 2, 3, 3] {
-            low.record(v);
-            combined.record(v);
-        }
-        for v in [1000u64, 2000, 4000] {
-            high.record(v);
-            combined.record(v);
-        }
-        low.merge(&high);
-        assert_eq!(low.count(), combined.count());
-        assert_eq!(low.sum(), combined.sum());
-        assert_eq!(low.summary(), combined.summary());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_in_both_directions() {
-        let mut h = Histogram::new();
-        h.record(42);
-        let before = h.summary();
-        h.merge(&Histogram::new());
-        assert_eq!(h.summary(), before, "merging in an empty histogram");
-        let mut empty = Histogram::new();
-        empty.merge(&h);
-        assert_eq!(empty.summary(), before, "merging into an empty histogram");
     }
 }

@@ -1,9 +1,8 @@
 //! # pythia-obs
 //!
 //! Zero-dependency structured tracing and metrics for the whole
-//! reproduction — the introspection layer the ROADMAP's scaling steps
-//! (sharded fleets, preemptive admission, socket front-ends) are debugged
-//! through.
+//! reproduction — the introspection layer the serving path (admission,
+//! replay, the socket front end) is debugged through.
 //!
 //! The central type is [`Recorder`]: a sink for
 //!
@@ -27,7 +26,7 @@
 //! Events have **one store**, [`flight::EventLog`]: a log of 80-byte slots,
 //! decoded into [`Event`]s for readers. Tracks are not declared: an export
 //! names each track it has an event on by one rule over its ids
-//! ([`tid::name`]: `serving-loop`, `query-7`, `nn-worker-1`, ...). Each
+//! (`tid::name`: `serving-loop`, `query-7`, `nn-worker-1`, ...). Each
 //! `span`/`instant`/`flow` is one write and no allocation; what varies per
 //! recorder is only the log's *retention*, kept only where something reads
 //! it, and whether metrics are kept:
@@ -212,7 +211,7 @@ pub mod tid {
     /// its kind's prefix and index (`query-7`), a wall track as its pool
     /// worker (`nn-worker-1`) or the held-out evaluation's. Nothing stores a
     /// name: an export derives one for each track it has an event on.
-    pub fn name(track: crate::Track) -> String {
+    pub(crate) fn name(track: crate::Track) -> String {
         let fixed = match (track.pid, track.tid) {
             (crate::WALL_PID, crate::wall::EVAL_TID) => "nn-heldout-eval",
             (crate::WALL_PID, worker) => return format!("nn-worker-{worker}"),
@@ -246,7 +245,7 @@ impl Track {
     }
 
     /// A track in the wall-clock process.
-    pub const fn wall(tid: u32) -> Track {
+    pub(crate) const fn wall(tid: u32) -> Track {
         Track { pid: WALL_PID, tid }
     }
 }
@@ -278,7 +277,7 @@ impl Args {
     /// site (widen the constant): it fails debug builds rather than being
     /// truncated silently.
     #[inline]
-    pub fn new(args: &[(&'static str, u64)]) -> Args {
+    pub(crate) fn new(args: &[(&'static str, u64)]) -> Args {
         debug_assert!(args.len() <= MAX_ARGS, "{} args > MAX_ARGS", args.len());
         let len = args.len().min(MAX_ARGS);
         let mut pairs = [("", 0); MAX_ARGS];
@@ -365,7 +364,7 @@ impl Recorder {
     /// [`Recorder::enabled`], and the last N events, for flight dumps.
     /// Its event memory is fixed at start: the 320 KiB ring and nothing per
     /// track, since a dump derives each track's name from its ids
-    /// ([`tid::name`]). So it holds the same heap after its first request
+    /// (`tid::name`). So it holds the same heap after its first request
     /// as after thousands more (`tests/bounded_memory.rs`).
     pub fn bounded() -> Recorder {
         Recorder {
@@ -633,15 +632,6 @@ impl Recorder {
             },
         }
     }
-
-    /// Drop all recorded data (metrics and events), keeping the
-    /// constructor's state and the tail length.
-    pub fn clear(&mut self) {
-        if let Some(m) = self.metrics.as_mut() {
-            **m = Metrics::default();
-        }
-        self.log.clear();
-    }
 }
 
 #[cfg(test)]
@@ -796,16 +786,6 @@ mod tests {
         want.extend(&virt[3..]);
         want.push(wtask);
         assert_eq!(r.chrome_trace_json(), array(&want));
-    }
-
-    #[test]
-    fn clear_keeps_enabled_state() {
-        let mut r = Recorder::enabled();
-        r.add("n", 1);
-        r.clear();
-        assert!(r.is_enabled());
-        assert_eq!(r.counter("n"), 0);
-        assert!(r.events().is_empty());
     }
 
     /// Byte pin for the capture channel: these strings were produced at the

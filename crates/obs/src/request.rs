@@ -65,7 +65,7 @@ impl RequestBreakdown {
     }
 
     /// One-line JSON rendering (the `/debug/slow` entry shape).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             "{{\"request\":{},\"tenant\":{},\"arrival_us\":{},\"queue_us\":{},\
              \"admission_us\":{},\"infer_us\":{},\"replay_us\":{},\"latency_us\":{}}}",

@@ -197,14 +197,15 @@ impl SimDisk {
     }
 
     /// Whether `pid` addresses an allocated page.
-    pub fn contains(&self, pid: PageId) -> bool {
+    #[cfg(test)]
+    fn contains(&self, pid: PageId) -> bool {
         self.files
             .get(pid.file.0 as usize)
             .is_some_and(|f| pid.page_no < f.len)
     }
 
-    /// Drop every page's bytes and keep each file's length: [`Self::file_len`],
-    /// [`Self::total_pages`] and [`Self::contains`] answer as before, and a
+    /// Drop every page's bytes and keep each file's length: [`Self::file_len`]
+    /// and [`Self::total_pages`] answer as before, and a
     /// later [`Self::read`], [`Self::write`] or [`Self::allocate_page`]
     /// panics rather than serve a page that is gone.
     pub fn release_pages(&mut self) {

@@ -62,10 +62,6 @@ impl LruSet {
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     fn contains(&self, key: PageId) -> bool {
         self.map.contains_key(&key)
     }
@@ -191,18 +187,15 @@ impl OsPageCache {
     }
 
     /// Whether `pid` is currently cached.
-    pub fn contains(&self, pid: PageId) -> bool {
+    #[cfg(test)]
+    fn contains(&self, pid: PageId) -> bool {
         self.lru.contains(pid)
     }
 
     /// Number of cached pages.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lru.len() == 0
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lru.map.len()
     }
 
     /// Counters accumulated since construction or the last [`Self::reset`].
@@ -459,7 +452,7 @@ mod tests {
         c.read(S, pid(0, 0), 100);
         c.read(S, pid(0, 1), 100);
         c.reset();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.stats(), OsCacheStats::default());
         // Pattern detector must also be clear: next read is "first".
         assert_eq!(c.read(S, pid(0, 2), 100).readahead_pages, 0);

@@ -30,18 +30,13 @@ impl SimTime {
     }
 
     /// Seconds since simulation start, as a float (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 
     /// Duration elapsed since `earlier` (saturating at zero).

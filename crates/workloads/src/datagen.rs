@@ -19,7 +19,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf over empty domain");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -35,7 +35,7 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 = most popular).
-    pub fn sample(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -48,7 +48,7 @@ impl Zipf {
 /// near a center that moves with the sale date, so date-range predicates map
 /// to (noisy) contiguous customer-page ranges — a *learnable* access pattern,
 /// like customers acquired over time in a real warehouse.
-pub fn clustered(rng: &mut Rng, center: f64, sd: f64, n: usize, outlier_frac: f64) -> i64 {
+pub(crate) fn clustered(rng: &mut Rng, center: f64, sd: f64, n: usize, outlier_frac: f64) -> i64 {
     debug_assert!(n > 0);
     if rng.gen_range(0.0..1.0) < outlier_frac {
         return rng.gen_range(0..n as i64);
@@ -61,7 +61,7 @@ pub fn clustered(rng: &mut Rng, center: f64, sd: f64, n: usize, outlier_frac: f6
 }
 
 /// Uniform integer in `[0, n)`.
-pub fn uniform(rng: &mut Rng, n: usize) -> i64 {
+pub(crate) fn uniform(rng: &mut Rng, n: usize) -> i64 {
     rng.gen_range(0..n as i64)
 }
 

@@ -28,7 +28,7 @@ pub struct WorkloadStats {
 /// Plan shape fingerprint: node kinds + scanned objects, parameters ignored
 /// (Table 1 counts "distinct query plans", which for a templated workload
 /// means distinct shapes).
-pub fn plan_shape(q: &QueryInstance) -> String {
+pub(crate) fn plan_shape(q: &QueryInstance) -> String {
     let mut s = String::new();
     q.plan.preorder(&mut |n| {
         use pythia_db::plan::PlanNode::*;

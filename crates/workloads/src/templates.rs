@@ -533,7 +533,7 @@ fn sample_imdb1a(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
 }
 
 /// Sample one query instance from `template`.
-pub fn sample_query(b: &BenchmarkDb, template: Template, rng: &mut Rng) -> QueryInstance {
+pub(crate) fn sample_query(b: &BenchmarkDb, template: Template, rng: &mut Rng) -> QueryInstance {
     let plan = match template {
         Template::T18 => sample_t18(b, rng),
         Template::T19 => sample_t19(b, rng),

@@ -116,10 +116,16 @@ const ROWS: &[(S, Rule, S)] = &[
     ("one_ci_path/offline_branch", Never(&["offline_subset", "rustc --edition", "cargo metadata"], "ci.sh .github"), "ci.sh has a second path again; tier-1 is cargo, and it needs no registry"),
     ("one_ci_path/workspace", Code(every_cargo_test_names_workspace), "a cargo test in CI tests only the root package; every one names --workspace"),
     // Production code is what production calls: a `pub fn` of a library crate is called outside test items, by the
-    // workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason it stays. A field, a local
-    // or a parameter of the same name is no call.
-    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn has no call outside test items (or an ONE_CALLER_OK entry went stale); delete it, or let its test read production surface"),
-    // One tape vocabulary: the ops the model records, and the composed ops the fused attention is pinned against.
+    // workspace, its examples or the benchmark, or it is on ONE_CALLER_OK with the reason it stays; and `pub` means
+    // another crate calls it (a binary, an example, a test, a doctest or the benchmark), so that rustc's dead-code
+    // lint, which skips what a crate exports, judges every other function by its type. A field, a local or a
+    // parameter of the same name is no call, nor is a function's call of itself.
+    ("one_caller", Code(every_pub_fn_has_a_caller), "a pub fn has no call outside test items (or an ONE_CALLER_OK entry went stale), or no call from another crate; delete it, let its test read production surface, or make it pub(crate)"),
+    // Dead code is deleted or test-only, not allowed: the one allow is pythia-nn's private copy of the rng, whose
+    // integer draws nn never makes, until nn depends on pythia-sim.
+    ("no_dead_code_allow", Code(no_dead_code_allow), "production code allows dead_code or an unused lint; delete what the lint flags, or put it under #[cfg(test)]"),
+    // One tape vocabulary: the ops the model records, and the composed ops the fused attention is pinned against,
+    // which only test builds compile.
     ("one_tape_vocabulary", Code(tape_ops_are_the_models), "pythia-nn's Op lists other variants than the model's ops and the attention oracle's; an op nothing records does not come back"),
 ];
 
@@ -127,8 +133,6 @@ const ROWS: &[(S, Rule, S)] = &[
 const ONE_CALLER_OK: &[(S, S)] = &[
     ("search", "BTree::search: the reference lookup tests/exec_reference.rs replays the executor's index probes against"),
     ("read_page", "HeapFile::read_page: the reference page decode of the executor in tests/exec_reference.rs"),
-    ("slice_cols", "Tape::slice_cols: oracle of fused_attention_equals_composed_oracle* (a head's columns)"),
-    ("concat_cols", "Tape::concat_cols: oracle of fused_attention_equals_composed_oracle* (the heads joined)"),
     ("advance_to", "Runtime::advance_to: the serial comparator of tests/proptest_server.rs, a bit pin kept byte-identical"),
     ("tenant_report", "ServeReport::tenant_report: read by tests/proptest_server.rs, a bit pin kept byte-identical"),
     ("mean_latency", "TenantReport::mean_latency: read by tests/proptest_server.rs, a bit pin kept byte-identical"),
@@ -136,15 +140,12 @@ const ONE_CALLER_OK: &[(S, S)] = &[
     ("retained_bytes", "Tape::retained_bytes: pythia-core's arena tests assert the bytes a thread's private arena holds"),
     ("allocations", "Tape::allocations: the arena tests of pythia-nn and pythia-core assert that a warm step allocates nothing"),
     ("leaf", "Tape::leaf: the tape's gradient tests and the attention oracle in pythia-nn's layer tests feed their inputs through it"),
-    ("softmax_rows", "Tape::softmax_rows: oracle of fused_attention_equals_composed_oracle* (the composed softmax)"),
-    ("transpose", "Tape::transpose: oracle of fused_attention_equals_composed_oracle* (a head's keys turned); Tensor::transpose: tests/proptest_model.rs's tensor_algebra reads (AB)ᵀ = BᵀAᵀ through it"),
+    ("transpose", "Tensor::transpose: tests/proptest_model.rs's tensor_algebra reads (AB)ᵀ = BᵀAᵀ through it"),
     ("set_simd_override", "kernels::set_simd_override: tests/proptest_kernels.rs and pythia-nn's layer tests pin SIMD against scalar in one process"),
     ("set_flight_capacity", "Recorder::set_flight_capacity: the flight-ring tests (tests/proptest_server.rs, a bit pin kept byte-identical) size a small ring to see it wrap"),
     ("virtual_trace_json", "Recorder::virtual_trace_json: tests/trace_obs.rs and the serving tests compare the virtual process alone, byte for byte"),
     ("cases", "rng::cases: the seeded case loop every property test (tests/proptest_*.rs) runs its cases in"),
-    ("refine", "TrainedWorkload::refine: the paper's incremental retraining (§5.3); ROADMAP item 26 gives it its live caller or deletes it"),
     ("window", "QualityTracker::window: a tenant's windowed precision and recall, the input ROADMAP item 4's budget controller reads"),
-    ("add_row", "Tape::add_row: oracle of linear_matches_matmul_add_row, the row add Op::AddRow records (on TAPE_OPS)"),
     ("flight", "Recorder::flight: tests/proptest_server.rs (kept byte-identical) reads the flight ring through it"),
     ("tail", "EventLog::tail: tests/proptest_server.rs (kept byte-identical) compares the ring with the tail of the event stream"),
     ("counter", "Recorder::counter: tests/trace_obs.rs reconciles every counter against ReplayStats"),
@@ -171,37 +172,114 @@ const TAPE_OPS: [&str; 16] = [
 ];
 
 fn every_pub_fn_has_a_caller() -> Result<(), String> {
-    let texts = files("crates src examples benchmark/src");
     let (mut called, mut defs) = (HashSet::new(), Vec::new());
-    for (path, text) in &texts {
-        let library = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
-        for (n, line) in code_lines(text, true).filter(|(_, l)| !l.trim_start().starts_with("//")) {
-            called.extend(calls(line));
-            let def = line.trim_start().strip_prefix("pub fn ").and_then(ident_at);
-            if let Some(name) = def.filter(|_| library) {
-                defs.push((name, format!("{path}:{n}: {}", line.trim())));
+    let production = files("crates src examples benchmark/src");
+    for (path, text) in &production {
+        let code = || code_lines(text, true).filter(|(_, l)| !l.trim_start().starts_with("//"));
+        called.extend(calls_in(code().map(|(_, l)| l)));
+        for (n, line) in code().filter(|_| library(path).is_some()) {
+            let def = line.trim_start().strip_prefix("pub ");
+            let def = def.map(|l| l.strip_prefix("const ").unwrap_or(l));
+            if let Some(name) = def.and_then(|l| l.strip_prefix("fn ")).and_then(ident_at) {
+                defs.push((name, library(path), format!("{path}:{n}: {}", line.trim())));
             }
         }
     }
+    // Who calls each name from where, test code and doctests included: a call
+    // from another crate is one whose file is no source of the defining library.
+    let mut callers: HashSet<(&str, Option<&str>)> = HashSet::new();
+    let texts = files("crates src examples tests benchmark/src");
+    for (path, text) in &texts {
+        let code = code_lines(text, false).filter(|(_, l)| !l.trim_start().starts_with("//"));
+        callers.extend(
+            calls_in(code.map(|(_, l)| l))
+                .into_iter()
+                .map(|name| (name, library(path))),
+        );
+        callers.extend(
+            calls_in(doctest_lines(text))
+                .into_iter()
+                .map(|name| (name, None)),
+        );
+    }
+    let crate_private = defs.iter().filter(|(name, krate, _)| {
+        !callers
+            .iter()
+            .any(|&(called, from)| called == *name && from != *krate)
+    });
+    let mut found: Vec<String> = crate_private
+        .map(|(_, _, at)| format!("{at}  <- called only inside its own crate"))
+        .collect();
     // The count keys on names, not types: one type's call of `counter` vouches for another type's `counter`.
-    let lonely: Vec<&(&str, String)> = defs
+    // rustc's dead-code lint keys on types, and it judges every function that is not `pub`.
+    let lonely: Vec<&(&str, Option<&str>, String)> = defs
         .iter()
-        .filter(|(name, _)| !called.contains(name))
+        .filter(|(name, ..)| !called.contains(name))
         .collect();
     let allowed = |name: &str| ONE_CALLER_OK.iter().any(|&(ok, _)| ok == name);
-    let mut found: Vec<String> = lonely
-        .iter()
-        .filter(|(name, _)| !allowed(name))
-        .map(|(_, at)| at.clone())
-        .collect();
+    found.extend(
+        lonely
+            .iter()
+            .filter(|(name, ..)| !allowed(name))
+            .map(|(.., at)| at.clone()),
+    );
     for (ok, _) in ONE_CALLER_OK {
-        if !lonely.iter().any(|(name, _)| name == ok) {
+        if !lonely.iter().any(|(name, ..)| name == ok) {
             found.push(format!(
                 "ONE_CALLER_OK holds {ok}, which has a caller or no definition"
             ));
         }
     }
     check(found.is_empty(), found)
+}
+
+/// The library crate whose source `path` is, as its `crates/<name>/src/`
+/// prefix; `None` for any other crate: a `src/bin` binary, an example, an
+/// integration test, the root or the benchmark.
+fn library(path: &str) -> Option<&str> {
+    let (name, file) = path.strip_prefix("crates/")?.split_once("/src/")?;
+    let lib = !name.contains('/') && !file.starts_with("bin/");
+    lib.then(|| &path[..path.len() - file.len()])
+}
+
+/// The code of the doctests in `text`: the lines inside the fences of its
+/// `///` and `//!` comments, less the comment marker.
+fn doctest_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut fenced = false;
+    text.lines().filter_map(move |line| {
+        let doc = line.trim_start();
+        let doc = doc
+            .strip_prefix("///")
+            .or_else(|| doc.strip_prefix("//!"))?;
+        if doc.trim_start().starts_with("```") {
+            fenced = !fenced;
+            return None;
+        }
+        fenced.then_some(doc)
+    })
+}
+
+/// The names `lines` call, less each function's calls of itself: a call of
+/// `f` in the body of a `fn f` (through the `}` at its indentation, or on its
+/// own line for a one-line body) is no call of `f`.
+fn calls_in<'t>(lines: impl Iterator<Item = &'t str>) -> Vec<&'t str> {
+    let (mut within, mut names): (Option<(&str, String)>, Vec<&str>) = (None, Vec::new());
+    for line in lines {
+        let own = within
+            .as_ref()
+            .map(|(name, _)| *name)
+            .or_else(|| fn_name(line));
+        names.extend(calls(line).into_iter().filter(|&name| Some(name) != own));
+        match &within {
+            Some((_, end)) if end == line => within = None,
+            None if own.is_some() && !line.ends_with(['}', ';']) => {
+                let indent = &line[..line.len() - line.trim_start().len()];
+                within = own.map(|name| (name, format!("{indent}}}")));
+            }
+            _ => {}
+        }
+    }
+    names
 }
 
 /// The names `line` calls: each followed by `(` or `::<`, or the last segment
@@ -310,8 +388,31 @@ fn lru_new_reserves_nothing() -> Result<(), String> {
 
 fn sized_run_builds_on_sized_for() -> Result<(), String> {
     let text = read("crates/experiments/src/config.rs");
-    let body = block(&text, &[("    pub fn sized_run(", "    }")]);
+    let body = block(&text, &[("    pub(crate) fn sized_run(", "    }")]);
     check(body.iter().any(|l| holds(l, "RunConfig::sized_for(")), body)
+}
+
+fn no_dead_code_allow() -> Result<(), String> {
+    const RNG_INCLUDE: (S, S) = (
+        "crates/nn/src/lib.rs",
+        "#[allow(dead_code)] // nn draws only floats",
+    );
+    let mut found = Vec::new();
+    for (path, text) in files("crates src examples") {
+        if path.starts_with("crates/") && path.split('/').nth(2) != Some("src") {
+            continue;
+        }
+        for (n, line) in code_lines(&text, true) {
+            let attr = line.trim_start().split("//").next().unwrap_or_default();
+            let allows =
+                attr.starts_with('#') && (attr.contains("allow(") || attr.contains("expect("));
+            let lints = holds(attr, "dead_code") || holds(attr, r"unused\w*");
+            if allows && lints && (path.as_str(), line) != RNG_INCLUDE {
+                found.push(format!("{path}:{n}: {line}"));
+            }
+        }
+    }
+    check(found.is_empty(), found)
 }
 
 fn every_cargo_test_names_workspace() -> Result<(), String> {
@@ -386,17 +487,24 @@ fn read(path: &str) -> String {
 
 /// The lines of `text` with their 1-based numbers, with `skip_test_items`
 /// less each `#[cfg(test)]` item: its attribute's line through the first
-/// line that is a `}` at the attribute's own indentation.
+/// line that is a `}` at the attribute's own indentation, or through its one
+/// line (a variant, a field, a `use`) when the item's first line at that
+/// indentation ends with `,` or `;`.
 fn code_lines(text: &str, skip_test_items: bool) -> impl Iterator<Item = (usize, &str)> {
     let mut end: Option<String> = None;
     text.lines().enumerate().filter_map(move |(i, line)| {
         let indent = &line[..line.len() - line.trim_start_matches(' ').len()];
-        if end.as_deref() == Some(line) {
-            end = None;
-        } else if end.is_none() && skip_test_items && line[indent.len()..] == *"#[cfg(test)]" {
-            end = Some(format!("{indent}}}"));
-        } else if end.is_none() {
-            return Some((i + 1, line));
+        let item = &line[indent.len()..];
+        match &end {
+            Some(close) if line == close => end = None,
+            Some(close) if close.len() == indent.len() + 1 && !item.starts_with(['#', '/']) => {
+                if item.ends_with([',', ';']) {
+                    end = None;
+                }
+            }
+            Some(_) => {}
+            None if skip_test_items && item == "#[cfg(test)]" => end = Some(format!("{indent}}}")),
+            None => return Some((i + 1, line)),
         }
         None
     })
@@ -479,6 +587,42 @@ fn skipper_drops_test_items_whole() {
     assert_eq!(kept(nested), [8]);
     let lower = "    #[cfg(test)]\n    fn b() {\n        let s = \"\n}\";\n    }\n    fn c() {}";
     assert_eq!(kept(lower), [6]);
+    // A one-line item ends with its own line.
+    let variant = "enum Op {\n    #[cfg(test)]\n    /// Doc.\n    MatMul(Var, Var),\n    Add,\n}\nfn f() {\n    }";
+    assert_eq!(kept(variant), [1, 5, 6, 7, 8]);
+}
+
+#[test]
+fn a_function_is_no_caller_of_itself() {
+    let text = "fn f(n: u8) -> u8 {\n    if n > 0 {\n        f(n - 1)\n    } else {\n        g()\n    }\n}\nfn g() -> u8 {\n    f(1)\n}\nfn h() { h() }";
+    let names = calls_in(text.lines());
+    assert_eq!(
+        names.iter().filter(|&&n| n == "f").count(),
+        1,
+        "g's call of f counts, f's own does not"
+    );
+    assert!(names.contains(&"g") && !names.contains(&"h"), "{names:?}");
+}
+
+#[test]
+fn library_is_the_defining_crate() {
+    assert_eq!(
+        library("crates/core/src/server.rs"),
+        Some("crates/core/src/")
+    );
+    assert_eq!(library("crates/core/src/a/b.rs"), Some("crates/core/src/"));
+    for other in [
+        "crates/experiments/src/bin/all.rs",
+        "crates/core/tests/t.rs",
+        "tests/end_to_end.rs",
+        "examples/quickstart.rs",
+        "benchmark/src/main.rs",
+        "src/lib.rs",
+    ] {
+        assert_eq!(library(other), None, "{other}");
+    }
+    let doc = "/// Text `f(x)`.\n/// ```\n/// let y = g(1);\n/// ```\nfn h() {}";
+    assert_eq!(doctest_lines(doc).collect::<Vec<_>>(), [" let y = g(1);"]);
 }
 
 #[test]
