@@ -216,6 +216,32 @@ impl SimDisk {
     }
 }
 
+/// Hand the heap memory the allocator holds free back to the OS, so that
+/// what [`SimDisk::release_pages`] and the rest of a set-up dropped stops
+/// counting in the process's resident set.
+///
+/// glibc keeps freed memory: a freed chunk below the top of its heap stays
+/// resident, and unmapping one large block raises its dynamic mmap
+/// threshold, so the next tenant's page vectors come from that heap too. Its
+/// trim returns the whole free pages on every arena's free lists and the top
+/// of the main thread's heap. A serving process calls this on its main
+/// thread, once per tenant, at the end of its set-up. On any other target it
+/// does nothing.
+pub fn return_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            #[link_name = "malloc_trim"]
+            fn trim_heap(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: the call has no preconditions: it takes the allocator's
+        // own locks and changes only which free pages stay mapped.
+        unsafe {
+            trim_heap(0);
+        }
+    }
+}
+
 /// The panic of a page access that finds no bytes, off the hot path: a
 /// page id past its file's end, or any page once they were released.
 #[cold]

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod time;
 
 pub use cost::CostModel;
-pub use disk::{FileId, PageHasher, PageId, PageMap, SimDisk, PAGE_SIZE};
+pub use disk::{return_freed_memory, FileId, PageHasher, PageId, PageMap, SimDisk, PAGE_SIZE};
 pub use iopool::{IoSchedule, IoWorkerPool};
 pub use oscache::{OsPageCache, StreamId};
 pub use time::{SimDuration, SimTime};

@@ -57,16 +57,22 @@
 //! runs one tenant at a time: build the database, sample the catalog and
 //! execute it once to record its traces, release the page bytes
 //! ([`SimDisk::release_pages`]), then — with `--train` — train on the
-//! released database, and only then build the next tenant. Serving replays
-//! the recorded traces and encodes plans against the catalog, and training
-//! reads no page either, so at most one tenant's pages (≈ 1.85 MB at this
-//! scale) are ever resident, none while a model trains, and no page byte
-//! outlives set-up. Each tenant's recorder is
-//! [`Recorder::bounded`]: counters and histograms (what `/metrics` serves),
-//! plus the last 4096 trace events in a fixed ring — 4096 slots of 80
-//! bytes, 320 KiB per tenant, allocated at start. Nothing is kept per
-//! track: a flight dump names each track it has an event on when it
-//! renders, by rule from the track's ids (`request-42`, `query-7`,
+//! released database, hand what the set-up freed back to the OS
+//! ([`return_freed_memory`]), and only then build the next tenant. Serving
+//! replays the recorded traces and encodes plans against the catalog, and
+//! training reads no page either, so at most one tenant's pages (≈ 1.85 MB
+//! at this scale) are ever live, none while a model trains, and no page byte
+//! outlives set-up, on the heap or in the resident set. Freeing alone is not
+//! enough for the second: glibc keeps freed memory mapped, and once tenant
+//! 0's largest page vector is unmapped, its raised mmap threshold puts tenant
+//! 1's pages on the heap, whose release then returns nothing.
+//! `docs/measurements.md` ("Freed set-up heap goes back to the OS") has the
+//! resident set at each stage, with and without the trim. Each tenant's
+//! recorder is [`Recorder::bounded`]: counters and histograms (what
+//! `/metrics` serves), plus the last 4096 trace events in a fixed ring —
+//! 4096 slots of 80 bytes, 320 KiB per tenant, allocated at start. Nothing
+//! is kept per track: a flight dump names each track it has an event on
+//! when it renders, by rule from the track's ids (`request-42`, `query-7`,
 //! `serving-loop`), so a tenant's recorder holds the same heap after its
 //! first request as after its millionth. Each tenant's OS cache grows with
 //! the pages its database has, not the 8192 its run configuration allows. A
@@ -75,6 +81,7 @@
 //! a run lasts — not something a server holds by default.
 //!
 //! [`SimDisk::release_pages`]: pythia::sim::SimDisk::release_pages
+//! [`return_freed_memory`]: pythia::sim::return_freed_memory
 //!
 //! `/shutdown` serves what the front had accepted by then, settles every
 //! session and exits cleanly (later arrivals get `503`) — that is how the CI
@@ -91,7 +98,7 @@ use pythia::core::{
 };
 use pythia::db::runtime::RunConfig;
 use pythia::obs::Recorder;
-use pythia::sim::SimDuration;
+use pythia::sim::{return_freed_memory, SimDuration};
 use pythia::workloads::templates::{sample_workload, Template};
 use pythia::workloads::{build_benchmark, GeneratorConfig};
 
@@ -135,7 +142,7 @@ fn main() {
     // it once to record the traces that serving replays, release the
     // database's page bytes (serving and training read only its catalog,
     // column bounds and file lengths), and only then train — so at most one
-    // tenant's pages are ever resident, and training holds none.
+    // tenant's pages are ever live, and training holds none.
     let tenant_dbs: Vec<_> = (0..tenants)
         .map(|t| {
             eprintln!("[serve_demo] building tenant {t}'s database + query catalog...");
@@ -163,6 +170,10 @@ fn main() {
                 let v = fleets[t].publish(tw);
                 eprintln!("[serve_demo] tenant {t} fleet at version {v}");
             }
+            // What this set-up freed (the pages, training's moments and
+            // gradients) goes back to the OS, so the next tenant and the
+            // front start from a trimmed heap.
+            return_freed_memory();
             (b, queries, traces)
         })
         .collect();

@@ -13,7 +13,8 @@
 //!   benchmark database makes fewer allocations than it writes pages, and
 //!   the value binner a few per table;
 //! - a released database holds no page: releasing a tenant as `serve_demo`
-//!   builds one frees at least its page count times the page size.
+//!   builds one frees at least its page count times the page size
+//!   (`tests/heap_trim.rs` checks that the resident set follows).
 //!
 //! The tests run one at a time, so that nothing else allocates beside the
 //! one measuring the whole process.
@@ -274,8 +275,8 @@ fn a_serving_session_stops_growing_once_warm() {
 }
 
 /// `serve_demo` releases a tenant's page bytes once its catalog has run:
-/// the live process keeps the catalog and the file lengths, and the heap
-/// gives back at least every page.
+/// the live process keeps the catalog and the file lengths, and the live
+/// heap gives back at least every page.
 #[test]
 fn releasing_a_tenants_pages_frees_every_page() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);

@@ -85,10 +85,12 @@ const ROWS: &[(S, Rule, S)] = &[
     ("one_listener/start", One(&["Listener::start("], "crates src examples tests -crates/obs/src/http.rs", "crates/core/src/frontend.rs"), "Listener::start( must appear exactly once outside crates/obs/src/http.rs, in crates/core/src/frontend.rs"),
     ("one_listener/module", Never(&["mod serve", "obs/src/serve.rs"], CODE), "a second listener module is back; the query front serves /metrics and /debug/*"),
     ("one_listener/names", Never(&["MetricsServer", "DebugEndpoints", "set_publisher", "metrics-addr", "HealthProvider", "set_health_provider", "set_labeled", "LabeledSeries"], CODE_AND_CI), "a second listener, its cells, the snapshot publisher, its address flag, a health callback or a labeled metric series is back"),
-    // Nothing the live process never reads is kept: tracks are named by rule, the OS cache reserves nothing, and
-    // serve_demo releases each tenant's page bytes once its catalog has run.
+    // Nothing the live process never reads is kept: tracks are named by rule, the OS cache reserves nothing,
+    // serve_demo releases each tenant's page bytes once its catalog has run, and hands what each tenant's set-up
+    // freed back to the OS through pythia_sim::return_freed_memory, the one place that calls glibc's heap trim.
     ("no_unread_memory/declare_track", NeverInCode(&["declare_track"], "crates src examples"), "a track is declared again; tracks are named by rule when a trace renders"),
     ("no_unread_memory/pages", One(&[".release_pages()"], "examples", "examples/serve_demo.rs"), "examples/serve_demo.rs must release each tenant's pages once, after its catalog has run; the live process keeps the catalog, not the pages"),
+    ("no_unread_memory/heap", One(&["return_freed_memory("], "examples", "examples/serve_demo.rs"), "examples/serve_demo.rs must hand each tenant's freed set-up heap back to the OS once, at the end of its set-up; glibc keeps freed pages resident otherwise"),
     ("no_unread_memory/lru_new", Code(lru_new_reserves_nothing), "LruSet::new reserves room for its capacity (or left crates/sim/src/oscache.rs); its map grows with what it holds"),
     // One budget rule, `prefetch::default_budget` (rustfmt spaces a copy as `* 3 / 4`), and one sizing rule.
     ("one_budget_rule/default_budget", One(&["fn default_budget("], "crates", "crates/core/src/prefetch.rs"), "crates/ must define default_budget exactly once, in crates/core/src/prefetch.rs"),
@@ -398,10 +400,7 @@ fn no_dead_code_allow() -> Result<(), String> {
         "#[allow(dead_code)] // nn draws only floats",
     );
     let mut found = Vec::new();
-    for (path, text) in files("crates src examples") {
-        if path.starts_with("crates/") && path.split('/').nth(2) != Some("src") {
-            continue;
-        }
+    for (path, text) in production_files() {
         for (n, line) in code_lines(&text, true) {
             let attr = line.trim_start().split("//").next().unwrap_or_default();
             let allows =
@@ -479,6 +478,14 @@ fn files(under: &str) -> Vec<(String, String)> {
     paths.sort();
     let texts: Vec<String> = paths.iter().map(|p| read(p)).collect();
     paths.into_iter().zip(texts).collect()
+}
+
+/// The files a build compiles: those of `src`, `examples` and each crate's
+/// `src` (its binaries included), not the crates' tests or benches.
+fn production_files() -> Vec<(String, String)> {
+    let mut found = files("crates src examples");
+    found.retain(|(path, _)| !path.starts_with("crates/") || path.split('/').nth(2) == Some("src"));
+    found
 }
 
 fn read(path: &str) -> String {
@@ -574,6 +581,18 @@ fn every_row_holds() {
         }
     }
     assert!(failed.is_empty(), "rows fail: {}", failed.join(", "));
+}
+
+/// The production lines a build compiles: every line of `crates/*/src`,
+/// `examples` and `src` outside `#[cfg(test)]` items, wherever in a file
+/// they stand. Run with `cargo test --test structure production_lines --
+/// --ignored --nocapture`.
+#[test]
+#[ignore = "prints a count; nothing to assert"]
+fn production_lines() {
+    let files = production_files();
+    let lines: usize = files.iter().map(|(_, t)| code_lines(t, true).count()).sum();
+    println!("production lines: {lines}");
 }
 
 #[test]
