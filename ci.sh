@@ -69,6 +69,24 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
     echo "!!> serve_demo never printed its listen address" >&2
     return 1
   fi
+  # Set-up memory: the address is printed once both tenants are built, their
+  # catalogs run and their pages released, so before the first request the
+  # child's high-water mark is set-up's. Each tenant fills only the tables
+  # its catalog reads (build_for); building every table read 5324 to 5540 kB
+  # here. The ceiling is the highest of 25 readings (4152 to 4260 kB,
+  # docs/measurements.md) plus their spread. Linux only: the reading comes
+  # from /proc.
+  demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
+  if [[ -r "/proc/$demo_pid/status" ]]; then
+    local setup_hwm
+    setup_hwm=$(demo_hwm_kb)
+    if ((setup_hwm > 4368)); then
+      echo "!!> serve_demo's set-up peak is ${setup_hwm} kB (limit 4368 kB):" \
+        "a tenant builds or keeps more than its catalog reads" >&2
+      return 1
+    fi
+    echo "    serve_demo set-up VmHWM: ${setup_hwm} kB"
+  fi
   # Every route below, the metrics and debug ones included, is on that one
   # address.
   demo_get() { http_get "${demo_addr%:*}" "${demo_addr##*:}" "$1"; }
@@ -176,7 +194,6 @@ serve_demo_checks() { # child pid, its log, then the flight-dump validator
   # spread (the readings spread 620 kB). Linux only: the reading comes from
   # /proc.
   if [[ -r "/proc/$demo_pid/status" ]]; then
-    demo_hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$demo_pid/status"; }
     demo_burst() { # first request ordinal, count
       local i
       for ((i = $1; i < $1 + $2; i++)); do

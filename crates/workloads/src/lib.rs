@@ -28,6 +28,6 @@ pub mod schema;
 pub mod stats;
 pub mod templates;
 
-pub use schema::{build_benchmark, BenchmarkDb, GeneratorConfig};
+pub use schema::{build_benchmark, build_for, BenchmarkDb, GeneratorConfig};
 pub use stats::{workload_stats, WorkloadStats};
 pub use templates::{QueryInstance, Template};

@@ -5,10 +5,11 @@
 //! (Figure 12a sweeps 0.25 / 0.5 / 1.0 as the analog of SF 25/50/100).
 
 use pythia_db::catalog::{Database, ObjectId, TableId};
-use pythia_db::types::Schema;
+use pythia_db::types::{Datum, Schema};
 use pythia_sim::rng::Rng;
 
 use crate::datagen::{clustered, uniform, Zipf};
+use crate::templates::Template;
 
 /// Knobs for the generator.
 #[derive(Debug, Clone)]
@@ -73,13 +74,33 @@ pub struct BenchmarkDb {
     pub n_sales: i64,
     pub n_returns: i64,
     pub n_cast: i64,
+    /// The templates [`build_for`] filled this database for: sampling any
+    /// other is refused, as its tables may hold no row.
+    pub(crate) filled_for: Vec<Template>,
 }
 
 fn scaled(base: usize, scale: f64) -> usize {
     ((base as f64 * scale).round() as usize).max(8)
 }
 
-/// Build and populate the full benchmark database.
+/// Build and populate the full benchmark database: [`build_for`] every
+/// template.
+pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
+    build_for(cfg, &Template::ALL)
+}
+
+/// Build the benchmark database with rows only in the tables `templates`
+/// read (`Template::tables`).
+///
+/// Every table and index is created, in the same order as for every
+/// template, so every `TableId`, `ObjectId` and `FileId` is the one
+/// [`build_benchmark`] gives it, and so is every read table's and index's
+/// byte. The values of an unread table's rows are still drawn, so no later
+/// row changes; the IMDB-like tables come last, and a build that fills none
+/// of them draws none of their values. An index holds the entries of its
+/// table's rows: an unread table's indexes are one empty leaf each. (The one
+/// index no template reads, `date_dim_pk`, is therefore built whenever
+/// `date_dim` is filled, as [`build_benchmark`] always built it.)
 ///
 /// Correlation summary (what makes access patterns *learnable*):
 /// * a sale's customer is drawn near `date/ndates * ncustomers` (clustered,
@@ -90,9 +111,13 @@ fn scaled(base: usize, scale: f64) -> usize {
 /// * items are Zipf(1.0)-popular — heavy-tailed page popularity;
 /// * IMDB titles are chronological and `cast_info` is grouped by movie —
 ///   production-year ranges select contiguous `cast_info` page ranges.
-pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
+pub fn build_for(cfg: &GeneratorConfig, templates: &[Template]) -> BenchmarkDb {
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut db = Database::new();
+    let mut db = Filler {
+        db: Database::new(),
+        templates,
+        filled: Vec::new(),
+    };
     let s = cfg.scale;
 
     // Row counts mirror the paper's DSB shape: the sequentially scanned fact
@@ -333,11 +358,16 @@ pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
     }
 
     // --- IMDB-like ---
+    // No value is drawn after these four tables, so a build that fills none
+    // of them draws none of their values.
+    let imdb = ["title", "cast_info", "movie_companies", "company_type"]
+        .iter()
+        .any(|name| db.reads(name));
     let title = db.create_table(
         "title",
         Schema::ints(&["t_id", "t_production_year", "t_kind_id"]),
     );
-    {
+    if imdb {
         // Titles are chronological (id maps to year 1920..2020) but stored in
         // shuffled order, like a real dump: a year-range scan therefore
         // probes cast_info in scattered order (defeating OS readahead) while
@@ -358,7 +388,7 @@ pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
         "cast_info",
         Schema::ints(&["ci_id", "ci_movie_id", "ci_person_id", "ci_role_id"]),
     );
-    {
+    if imdb {
         // cast_info grouped by movie (as in the real IMDB dump): movie t gets
         // a variable number of cast rows.
         let mut ci = 0i64;
@@ -387,7 +417,7 @@ pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
             "mc_company_type_id",
         ]),
     );
-    {
+    if imdb {
         let n_mc = scaled(60_000, s) as i64;
         for m in 0..n_mc {
             let movie = m * n_titles / n_mc;
@@ -404,6 +434,7 @@ pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
     }
 
     // --- indexes (all on the probe keys the templates use) ---
+    let mut db = db.db;
     let idx_customer = db.create_index("customer_pk", customer, 0);
     let idx_cdemo = db.create_index("customer_demographics_pk", customer_demographics, 0);
     let idx_hdemo = db.create_index("household_demographics_pk", household_demographics, 0);
@@ -455,6 +486,35 @@ pub fn build_benchmark(cfg: &GeneratorConfig) -> BenchmarkDb {
         n_sales,
         n_returns,
         n_cast,
+        filled_for: templates.to_vec(),
+    }
+}
+
+/// A database under construction that inserts rows only into the tables
+/// its templates read.
+struct Filler<'t> {
+    db: Database,
+    templates: &'t [Template],
+    /// Whether each table, by `TableId`, takes its rows.
+    filled: Vec<bool>,
+}
+
+impl Filler<'_> {
+    /// Whether a template of the build reads table `name`.
+    fn reads(&self, name: &str) -> bool {
+        self.templates.iter().any(|t| t.tables().contains(&name))
+    }
+
+    fn create_table(&mut self, name: &str, schema: Schema) -> TableId {
+        self.filled.push(self.reads(name));
+        self.db.create_table(name, schema)
+    }
+
+    /// Insert `row` if `table` takes rows; its values are drawn either way.
+    fn insert(&mut self, table: TableId, row: &[Datum]) {
+        if self.filled[table.0 as usize] {
+            self.db.insert(table, row);
+        }
     }
 }
 
@@ -493,6 +553,64 @@ mod tests {
                 "{} empty",
                 b.db.table_info(t).name
             );
+        }
+    }
+
+    #[test]
+    fn a_build_for_one_template_is_the_whole_build_on_what_it_reads() {
+        use crate::templates::sample_workload;
+        use pythia_db::exec::execute;
+        use pythia_sim::PageId;
+
+        for seed in [7, 8] {
+            let cfg = GeneratorConfig { scale: 0.05, seed };
+            let whole = build_benchmark(&cfg);
+            for t in Template::ALL {
+                let part = build_for(&cfg, &[t]);
+                let (w, p) = (&whole.db, &part.db);
+                assert_eq!(p.file_lengths().len(), w.file_lengths().len(), "{t}");
+                let reads = |table| t.tables().contains(&w.table_info(table).name.as_str());
+                let same_pages = |obj| {
+                    let file = w.object_file(obj);
+                    assert_eq!(p.object_file(obj), file, "{t}: {}", w.object_name(obj));
+                    assert_eq!(p.object_pages(obj), w.object_pages(obj), "{t}");
+                    for page_no in 0..w.object_pages(obj) {
+                        let pid = PageId::new(file, page_no);
+                        assert!(p.disk.read(pid) == w.disk.read(pid), "{t}: {pid:?}");
+                    }
+                };
+                for (i, (wt, pt)) in w.tables().iter().zip(p.tables()).enumerate() {
+                    assert_eq!((pt.object, &pt.name), (wt.object, &wt.name), "{t}");
+                    if reads(TableId(i as u32)) {
+                        same_pages(wt.object);
+                    } else {
+                        assert_eq!(pt.heap.tuple_count(), 0, "{t}: {} holds rows", pt.name);
+                    }
+                }
+                for idx in [
+                    whole.idx_customer,
+                    whole.idx_cdemo,
+                    whole.idx_hdemo,
+                    whole.idx_caddr,
+                    whole.idx_item,
+                    whole.idx_store,
+                    whole.idx_cc,
+                    whole.idx_date,
+                    whole.idx_cast_movie,
+                    whole.idx_mc_movie,
+                    whole.idx_ct,
+                ] {
+                    if reads(w.index_info(idx).table) {
+                        same_pages(idx);
+                    }
+                }
+                let queries = sample_workload(&part, t, 20, seed);
+                for (q, wq) in queries.iter().zip(sample_workload(&whole, t, 20, seed)) {
+                    assert_eq!(q.plan, wq.plan, "{t}");
+                    let trace = execute(&q.plan, p).1;
+                    assert_eq!(trace.events.bytes(), execute(&q.plan, w).1.events.bytes());
+                }
+            }
         }
     }
 

@@ -73,6 +73,18 @@ impl Template {
         }
     }
 
+    /// The tables this template's plans read, by catalog name: the tables
+    /// [`build_for`](crate::build_for) fills for it. Each list sits above
+    /// its sampler.
+    pub(crate) fn tables(&self) -> &'static [&'static str] {
+        match self {
+            Template::T18 => T18_TABLES,
+            Template::T19 => T19_TABLES,
+            Template::T91 => T91_TABLES,
+            Template::Imdb1a => IMDB1A_TABLES,
+        }
+    }
+
     /// Objects Pythia should build models for / prefetch on this template.
     /// `None` means every non-sequentially accessed object; the paper limits
     /// IMDB 1a to `cast_info` ("we only prefetch the table cast_info").
@@ -108,6 +120,15 @@ fn pick_distinct(rng: &mut Rng, n: i64, k: usize) -> Vec<i64> {
     vals.sort_unstable();
     vals
 }
+
+const T18_TABLES: &[&str] = &[
+    "store_sales",
+    "customer",
+    "customer_demographics",
+    "household_demographics",
+    "item",
+    "date_dim",
+];
 
 fn sample_t18(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     // Date range confined to one year so the date_dim hash join (on d_year)
@@ -238,6 +259,15 @@ fn sample_t18(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     }
 }
 
+const T19_TABLES: &[&str] = &[
+    "store_sales",
+    "item",
+    "customer",
+    "customer_address",
+    "store",
+    "date_dim",
+];
+
 fn sample_t19(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     let width = rng.gen_range(40..=250);
     let year_idx = rng.gen_range(0..(b.n_dates / 365));
@@ -341,6 +371,16 @@ fn sample_t19(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
         agg: AggFunc::Sum(8),
     }
 }
+
+const T91_TABLES: &[&str] = &[
+    "catalog_returns",
+    "customer",
+    "customer_demographics",
+    "household_demographics",
+    "customer_address",
+    "call_center",
+    "date_dim",
+];
 
 fn sample_t91(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     let width = rng.gen_range(60..=500);
@@ -449,6 +489,8 @@ fn sample_t91(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     }
 }
 
+const IMDB1A_TABLES: &[&str] = &["title", "cast_info", "movie_companies", "company_type"];
+
 fn sample_imdb1a(b: &BenchmarkDb, rng: &mut Rng) -> PlanNode {
     let width = rng.gen_range(2..=20);
     let y0 = 1920 + rng.gen_range(0..(100 - width));
@@ -545,12 +587,21 @@ pub(crate) fn sample_query(b: &BenchmarkDb, template: Template, rng: &mut Rng) -
 
 /// Sample a whole workload (the paper's "workload" = many instances of one
 /// template).
+///
+/// # Panics
+/// Panics if `b` was not filled for `template` ([`build_for`](crate::build_for)):
+/// its plans would read tables that hold no row.
 pub fn sample_workload(
     b: &BenchmarkDb,
     template: Template,
     n: usize,
     seed: u64,
 ) -> Vec<QueryInstance> {
+    assert!(
+        b.filled_for.contains(&template),
+        "sample_workload: this database was filled for {:?}, not for {template}",
+        b.filled_for
+    );
     let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| sample_query(b, template, &mut rng))
@@ -560,7 +611,8 @@ pub fn sample_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{build_benchmark, GeneratorConfig};
+    use crate::schema::{build_benchmark, build_for, GeneratorConfig};
+    use pythia_db::catalog::ObjectKind;
     use pythia_db::exec::execute;
     use pythia_db::trace::AccessKind;
     use pythia_db::trace::TraceEvent;
@@ -582,6 +634,38 @@ mod tests {
             assert!(!rows.is_empty(), "{t}: aggregate always returns one row");
             assert!(trace.read_count() > 0, "{t}: no page reads");
         }
+    }
+
+    #[test]
+    fn each_templates_tables_are_the_ones_its_plans_read() {
+        let b = build_benchmark(&GeneratorConfig {
+            scale: 0.05,
+            seed: 1,
+        });
+        for t in Template::ALL {
+            let mut read = std::collections::BTreeSet::new();
+            for q in sample_workload(&b, t, 200, 3) {
+                let objects = q.plan.objects(&b.db).into_iter();
+                let tables = objects.filter(|&o| b.db.object_kind(o) == ObjectKind::Table);
+                read.extend(tables.map(|o| b.db.object_name(o).to_owned()));
+            }
+            let listed: std::collections::BTreeSet<_> =
+                t.tables().iter().map(|&n| n.to_owned()).collect();
+            assert_eq!(listed, read, "{t}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not for Template 19")]
+    fn a_database_refuses_a_template_it_was_not_filled_for() {
+        let b = build_for(
+            &GeneratorConfig {
+                scale: 0.05,
+                seed: 1,
+            },
+            &[Template::T18],
+        );
+        sample_workload(&b, Template::T19, 1, 3);
     }
 
     #[test]

@@ -54,18 +54,21 @@
 //!
 //! **What a long-lived process retains.** Each tenant's database keeps its
 //! catalog, its column bounds and its files' lengths, not its pages. Set-up
-//! runs one tenant at a time: build the database, sample the catalog and
-//! execute it once to record its traces, release the page bytes
+//! runs one tenant at a time: build the database with rows in only the six
+//! tables Template 18 reads ([`build_for`]: every table and index is still
+//! created, so every id is a whole build's), sample the catalog and execute
+//! it once to record its traces, release the page bytes
 //! ([`SimDisk::release_pages`]), then — with `--train` — train on the
 //! released database, hand what the set-up freed back to the OS
 //! ([`return_freed_memory`]), and only then build the next tenant. Serving
 //! replays the recorded traces and encodes plans against the catalog, and
-//! training reads no page either, so at most one tenant's pages (≈ 1.85 MB
-//! at this scale) are ever live, none while a model trains, and no page byte
-//! outlives set-up, on the heap or in the resident set. Freeing alone is not
-//! enough for the second: glibc keeps freed memory mapped, and once tenant
-//! 0's largest page vector is unmapped, its raised mmap threshold puts tenant
-//! 1's pages on the heap, whose release then returns nothing.
+//! training reads no page either, so at most one tenant's pages (414 of the
+//! 925 a whole build makes, ≈ 0.85 MB at this scale) are ever live, none
+//! while a model trains, and no page byte outlives set-up, on the heap or in
+//! the resident set. Freeing alone is not enough for the second: glibc keeps
+//! freed memory mapped, and once tenant 0's largest page vector is unmapped,
+//! its raised mmap threshold puts tenant 1's pages on the heap, whose release
+//! then returns nothing.
 //! `docs/measurements.md` ("Freed set-up heap goes back to the OS") has the
 //! resident set at each stage, with and without the trim. Each tenant's
 //! recorder is [`Recorder::bounded`]: counters and histograms (what
@@ -80,6 +83,7 @@
 //! event and is what `serving --trace-out` and the tests run for as long as
 //! a run lasts — not something a server holds by default.
 //!
+//! [`build_for`]: pythia::workloads::build_for
 //! [`SimDisk::release_pages`]: pythia::sim::SimDisk::release_pages
 //! [`return_freed_memory`]: pythia::sim::return_freed_memory
 //!
@@ -100,7 +104,7 @@ use pythia::db::runtime::RunConfig;
 use pythia::obs::Recorder;
 use pythia::sim::{return_freed_memory, SimDuration};
 use pythia::workloads::templates::{sample_workload, Template};
-use pythia::workloads::{build_benchmark, GeneratorConfig};
+use pythia::workloads::{build_for, GeneratorConfig};
 
 /// Value of a `--<name> <value>` (or `--<name>=<value>`) flag, if present.
 fn flag_value(name: &str) -> Option<String> {
@@ -146,10 +150,13 @@ fn main() {
     let tenant_dbs: Vec<_> = (0..tenants)
         .map(|t| {
             eprintln!("[serve_demo] building tenant {t}'s database + query catalog...");
-            let mut b = build_benchmark(&GeneratorConfig {
-                scale: 0.05,
-                seed: 7 + t as u64,
-            });
+            let mut b = build_for(
+                &GeneratorConfig {
+                    scale: 0.05,
+                    seed: 7 + t as u64,
+                },
+                &[Template::T18],
+            );
             let queries = sample_workload(&b, Template::T18, 12, 42);
             let traces: Vec<_> = queries
                 .iter()

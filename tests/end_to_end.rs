@@ -9,14 +9,14 @@ use pythia::core::predictor::ground_truth;
 use pythia::core::prefetch::INFER_CHARGE;
 use pythia::core::{
     train_workload, InferenceCharge, PrefetchServer, PythiaConfig, QueryOutcome, ServerConfig,
-    ServerRequest, TenantFleet,
+    ServerRequest, TenantFleet, TrainedWorkload,
 };
 use pythia::db::plan::PlanNode;
 use pythia::db::runtime::{QueryRun, RunConfig, Runtime};
 use pythia::db::trace::Trace;
-use pythia::sim::SimDuration;
+use pythia::sim::{SimDuration, SimTime};
 use pythia::workloads::templates::{sample_workload, Template};
-use pythia::workloads::{build_benchmark, BenchmarkDb, GeneratorConfig};
+use pythia::workloads::{build_benchmark, build_for, BenchmarkDb, GeneratorConfig};
 
 fn small_bench() -> BenchmarkDb {
     build_benchmark(&GeneratorConfig {
@@ -192,6 +192,71 @@ fn multiple_workloads_route_correctly() {
     assert_eq!(routed(&imdb.plan), "imdb");
 }
 
+/// `serve_demo`'s tenant 0.
+const DEMO: GeneratorConfig = GeneratorConfig {
+    scale: 0.05,
+    seed: 7,
+};
+
+/// `serve_demo`'s tenant 0 as a whole database, the twelve Template 18
+/// queries of its catalog, and their traces.
+fn demo_tenant() -> (BenchmarkDb, Vec<PlanNode>, Vec<Trace>) {
+    let whole = build_benchmark(&DEMO);
+    let queries = sample_workload(&whole, Template::T18, 12, 42);
+    let traces = queries
+        .iter()
+        .map(|q| pythia::db::exec::execute(&q.plan, &whole.db).1)
+        .collect();
+    (whole, queries.into_iter().map(|q| q.plan).collect(), traces)
+}
+
+/// A query's virtual outcome: its times, wave, inference charge, tenant and
+/// request id.
+type Virtual = ([SimTime; 4], usize, SimDuration, u32, u64);
+
+/// The catalog served from `bench` as `serve_demo` serves it, the twelve
+/// queries arriving together at C = 2: DFLT, or with a fleet trained on
+/// `bench` with `serve_demo`'s model (the paper's threshold, not a
+/// calibrated one). Each query's virtual outcome, and the model.
+fn serve_demo_run(
+    bench: &BenchmarkDb,
+    plans: &[PlanNode],
+    traces: &[Trace],
+    trained: bool,
+) -> (Vec<Virtual>, Option<TrainedWorkload>) {
+    let model = PythiaConfig {
+        threshold: Some(0.5),
+        ..PythiaConfig::fast()
+    };
+    let tw = trained.then(|| train_workload(&bench.db, "demo-t18", plans, traces, None, &model));
+    let fleet = Arc::new(TenantFleet::new());
+    if let Some(tw) = &tw {
+        fleet.publish(tw.clone());
+    }
+    let requests: Vec<_> = plans
+        .iter()
+        .zip(traces)
+        .map(|(plan, trace)| ServerRequest::new(plan, trace, SimDuration::ZERO))
+        .collect();
+    let cfg = ServerConfig {
+        concurrency: 2,
+        charge: InferenceCharge::Fixed(INFER_CHARGE),
+        ..ServerConfig::default()
+    };
+    let mut server =
+        PrefetchServer::new(&bench.db, &RunConfig::default(), cfg).with_registry(fleet);
+    let report = server.serve(&requests);
+    let virtual_fields = |o: &QueryOutcome| {
+        let times = [o.arrival, o.admitted, o.start, o.end];
+        (times, o.wave, o.inference, o.tenant, o.request)
+    };
+    let served: Vec<_> = report.queries.iter().map(virtual_fields).collect();
+    assert_eq!(served.len(), 12);
+    // A trained fleet is consulted, and charged for, on every query.
+    assert!(served.iter().all(|o| (o.2 == INFER_CHARGE) == trained));
+    (served, tw)
+}
+
 /// Once `serve_demo` has run a tenant's catalog it releases the database's
 /// page bytes, then trains and serves from the catalog and file lengths
 /// alone. The same twelve queries, arriving together at C = 2, must see the
@@ -199,65 +264,49 @@ fn multiple_workloads_route_correctly() {
 /// pages: DFLT, and with a fleet trained on each side's own database.
 #[test]
 fn a_released_database_serves_what_a_whole_one_does() {
-    let build = || {
-        build_benchmark(&GeneratorConfig {
-            scale: 0.05,
-            seed: 7,
-        })
-    };
-    let whole = build();
-    let mut released = build();
-    let queries = sample_workload(&whole, Template::T18, 12, 42);
-    let traces: Vec<_> = queries
-        .iter()
-        .map(|q| pythia::db::exec::execute(&q.plan, &whole.db).1)
-        .collect();
+    let (whole, plans, traces) = demo_tenant();
+    let mut released = build_benchmark(&DEMO);
     let pages = released.db.disk.total_pages();
     released.db.disk.release_pages();
     assert_eq!(released.db.disk.total_pages(), pages);
     assert_eq!(released.db.file_lengths(), whole.db.file_lengths());
-
-    let plans: Vec<_> = queries.iter().map(|q| q.plan.clone()).collect();
-    let requests: Vec<_> = queries
-        .iter()
-        .zip(&traces)
-        .map(|(q, trace)| ServerRequest::new(&q.plan, trace, SimDuration::ZERO))
-        .collect();
-    let cfg = ServerConfig {
-        concurrency: 2,
-        charge: InferenceCharge::Fixed(INFER_CHARGE),
-        ..ServerConfig::default()
-    };
-    // `serve_demo`'s model: the paper's threshold, not a calibrated one.
-    let model = PythiaConfig {
-        threshold: Some(0.5),
-        ..PythiaConfig::fast()
-    };
-    let outcomes = |bench: &BenchmarkDb, trained: bool| {
-        let fleet = Arc::new(TenantFleet::new());
-        if trained {
-            fleet.publish(train_workload(
-                &bench.db, "demo-t18", &plans, &traces, None, &model,
-            ));
-        }
-        let mut server =
-            PrefetchServer::new(&bench.db, &RunConfig::default(), cfg).with_registry(fleet);
-        let report = server.serve(&requests);
-        let virtual_fields = |o: &QueryOutcome| {
-            let times = [o.arrival, o.admitted, o.start, o.end];
-            (times, o.wave, o.inference, o.tenant, o.request)
-        };
-        report
-            .queries
-            .iter()
-            .map(virtual_fields)
-            .collect::<Vec<_>>()
-    };
     for trained in [false, true] {
-        let served = outcomes(&whole, trained);
-        assert_eq!(served.len(), 12);
-        // A trained fleet is consulted, and charged for, on every query.
-        assert!(served.iter().all(|o| (o.2 == INFER_CHARGE) == trained));
-        assert_eq!(outcomes(&released, trained), served, "trained: {trained}");
+        let served = serve_demo_run(&whole, &plans, &traces, trained).0;
+        let from_released = serve_demo_run(&released, &plans, &traces, trained).0;
+        assert_eq!(from_released, served, "trained: {trained}");
+    }
+}
+
+/// `serve_demo` builds each tenant with rows in only the tables Template 18
+/// reads, then releases its pages. From that database the catalog must be
+/// served as from a whole one: the same virtual outcomes, DFLT and trained,
+/// and a model trained on it with the same threshold and the same scores,
+/// read as the pages it predicts at each of five thresholds.
+#[test]
+fn a_catalog_only_database_serves_what_a_whole_one_does() {
+    let (whole, plans, traces) = demo_tenant();
+    let mut catalog_only = build_for(&DEMO, &[Template::T18]);
+    assert!(catalog_only.db.disk.total_pages() < whole.db.disk.total_pages() / 2);
+    catalog_only.db.disk.release_pages();
+    let (dflt, _) = serve_demo_run(&whole, &plans, &traces, false);
+    assert_eq!(
+        serve_demo_run(&catalog_only, &plans, &traces, false).0,
+        dflt
+    );
+    let (served, tw) = serve_demo_run(&whole, &plans, &traces, true);
+    let (from_catalog, tw_catalog) = serve_demo_run(&catalog_only, &plans, &traces, true);
+    assert_eq!(from_catalog, served);
+    let (mut tw, mut tw_catalog) = (tw.unwrap(), tw_catalog.unwrap());
+    assert_eq!(tw_catalog.threshold, tw.threshold);
+    for threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
+        (tw.threshold, tw_catalog.threshold) = (threshold, threshold);
+        for plan in &plans {
+            let pages = tw.infer(&whole.db, plan).pages;
+            assert_eq!(
+                tw_catalog.infer(&catalog_only.db, plan).pages,
+                pages,
+                "{threshold}"
+            );
+        }
     }
 }

@@ -6,6 +6,11 @@
 //! holds one test: cargo runs it in a fresh process, where the allocator
 //! starts as `serve_demo`'s does. Linux and glibc only: the reading comes
 //! from `/proc`, and the trim is glibc's.
+//!
+//! Each tenant here is a whole `build_benchmark` database, not the
+//! `build_for(.., &[Template::T18])` one `serve_demo` builds: the test pins
+//! the trim at the set-up size where an untrimmed heap shows above its
+//! margin.
 
 #![cfg(all(target_os = "linux", target_env = "gnu"))]
 

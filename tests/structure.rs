@@ -88,9 +88,11 @@ const ROWS: &[(S, Rule, S)] = &[
     // Nothing the live process never reads is kept: tracks are named by rule, the OS cache reserves nothing,
     // serve_demo releases each tenant's page bytes once its catalog has run, and hands what each tenant's set-up
     // freed back to the OS through pythia_sim::return_freed_memory, the one place that calls glibc's heap trim.
+    // Before that, it builds each tenant with rows in only the tables its Template 18 catalog reads.
     ("no_unread_memory/declare_track", NeverInCode(&["declare_track"], "crates src examples"), "a track is declared again; tracks are named by rule when a trace renders"),
     ("no_unread_memory/pages", One(&[".release_pages()"], "examples", "examples/serve_demo.rs"), "examples/serve_demo.rs must release each tenant's pages once, after its catalog has run; the live process keeps the catalog, not the pages"),
     ("no_unread_memory/heap", One(&["return_freed_memory("], "examples", "examples/serve_demo.rs"), "examples/serve_demo.rs must hand each tenant's freed set-up heap back to the OS once, at the end of its set-up; glibc keeps freed pages resident otherwise"),
+    ("no_unread_memory/tables", Code(serve_demo_builds_only_what_its_catalog_reads), "examples/serve_demo.rs must build each tenant through build_for( and name no build_benchmark(; a tenant fills only the tables its catalog reads"),
     ("no_unread_memory/lru_new", Code(lru_new_reserves_nothing), "LruSet::new reserves room for its capacity (or left crates/sim/src/oscache.rs); its map grows with what it holds"),
     // One budget rule, `prefetch::default_budget` (rustfmt spaces a copy as `* 3 / 4`), and one sizing rule.
     ("one_budget_rule/default_budget", One(&["fn default_budget("], "crates", "crates/core/src/prefetch.rs"), "crates/ must define default_budget exactly once, in crates/core/src/prefetch.rs"),
@@ -386,6 +388,13 @@ fn lru_new_reserves_nothing() -> Result<(), String> {
     let reserves = |l: &&str| holds(l, r"with_capacity\w*") || holds(l, r"reserve\w*");
     let found: Vec<&str> = new.iter().copied().filter(reserves).collect();
     check(!new.is_empty() && found.is_empty(), found)
+}
+
+fn serve_demo_builds_only_what_its_catalog_reads() -> Result<(), String> {
+    let text = read("examples/serve_demo.rs");
+    let build = |l: &&str| holds(l, "build_for(") || holds(l, "build_benchmark(");
+    let builds: Vec<&str> = text.lines().filter(build).collect();
+    check(builds.len() == 1 && holds(builds[0], "build_for("), builds)
 }
 
 fn sized_run_builds_on_sized_for() -> Result<(), String> {
