@@ -775,6 +775,8 @@ mod tests {
             run(1, SimdOverride::ForceScalar) == reference,
             "PYTHIA_SIMD=off"
         );
+        // On an AVX-512 host, the AVX2 arm below the detected one.
+        assert!(run(1, SimdOverride::CapAvx2) == reference, "AVX2");
     }
 
     #[test]

@@ -29,12 +29,16 @@
 //! 1. `PYTHIA_SIMD=off|scalar` (or a runtime [`set_simd_override`]) forces
 //!    the portable scalar kernels — for testing, bisection, and as the
 //!    reference the SIMD paths are pinned against.
-//! 2. On `x86_64`, `is_x86_feature_detected!("avx2")` selects the 8-lane
-//!    AVX2 kernels (`fma` availability is detected and reported, but fused
-//!    multiply-add is deliberately **not** used — see below).
-//! 3. On `aarch64`, NEON (always present, still verified via
+//! 2. On `x86_64`, `is_x86_feature_detected!("avx512f")` (with `avx2`)
+//!    selects the 16-lane AVX-512 rung for every band at least one vector
+//!    wide; a narrower band (a head of `dh = 8`) and the one-row paths take
+//!    the AVX2 kernels below it.
+//! 3. Else on `x86_64`, `is_x86_feature_detected!("avx2")` selects the
+//!    8-lane AVX2 kernels (`fma` availability is detected and reported, but
+//!    fused multiply-add is deliberately **not** used — see below).
+//! 4. On `aarch64`, NEON (always present, still verified via
 //!    `is_aarch64_feature_detected!`) selects the 4-lane kernels.
-//! 4. Everywhere else: the scalar kernels.
+//! 5. Everywhere else: the scalar kernels.
 //!
 //! # Accumulation-order contract
 //!
@@ -64,13 +68,14 @@
 //!   reads `B`'s rows in place, the last vector under a mask);
 //! * a row's last, partial vector runs the same lane arithmetic as a full
 //!   one: the panel is zero-padded to a lane multiple and only `C` is
-//!   touched under a mask (AVX2; NEON finishes the row with scalar chains of
-//!   the same order), so a column's bits do not depend on where in a vector
-//!   it fell.
+//!   touched under a mask (AVX2's lane mask, AVX-512's `__mmask16`; NEON
+//!   finishes the row with scalar chains of the same order), so a column's
+//!   bits do not depend on where in a vector it fell.
 //!
-//! `tests/proptest_kernels.rs` pins dispatched == forced-scalar on the full
-//! bit pattern, every NaN read as one pattern, across shapes and thread
-//! counts.
+//! `tests/proptest_kernels.rs` pins every arm the host has — the detected
+//! rung, and AVX2 under [`SimdOverride::CapAvx2`] — against forced-scalar
+//! on the full bit pattern, every NaN read as one pattern, across shapes and
+//! thread counts.
 //!
 //! # Blocking scheme
 //!
@@ -79,12 +84,13 @@
 //! per call — and reused across every row of the band (`KC*NC*4 = 128 KiB`,
 //! sized for L2; the `MR × 16` register tile streams it from there), each
 //! panel row zero-padded to whole vectors. The microkernel holds an
-//! `MR=4`-row by 16-column accumulator tile in registers for the whole
-//! `KC` pass — 8 YMM accumulators on AVX2, 16 q-registers on NEON — cutting
-//! `C` traffic by `4·KC×` versus the naive axpy loop. `at_b_band`
+//! `MR=4`-row accumulator tile in registers for the whole `KC` pass — 16
+//! columns in 8 YMM accumulators on AVX2 and in 16 q-registers on NEON, 32
+//! columns in 8 ZMM accumulators on AVX-512 — cutting `C` traffic by `4·KC×`
+//! versus the naive axpy loop. `at_b_band`
 //! additionally packs the strided `A`-column tile (`MC` rows at a time) so
 //! its broadcast loads are contiguous. A one-row `matmul_band` or
-//! `a_bt_band` on AVX2 packs nothing: with one row to spread it over,
+//! `a_bt_band` on either x86 rung packs nothing: with one row to spread it over,
 //! copying or transposing `B` into the panel costs as much as the products
 //! (a training pass of one sequence makes such calls for every decoder
 //! layer), so it reads `B` where it lies.
@@ -114,6 +120,9 @@ pub enum Isa {
     Scalar,
     /// 8-lane AVX2 kernels (x86_64).
     Avx2,
+    /// 16-lane AVX-512F kernels (x86_64) for bands at least 16 columns
+    /// wide; narrower ones and the one-row paths run AVX2's.
+    Avx512,
     /// 4-lane NEON kernels (aarch64).
     Neon,
 }
@@ -128,6 +137,9 @@ pub enum SimdOverride {
     /// Auto-detect even if `PYTHIA_SIMD=off` — benches/tests compare both
     /// arms in one process regardless of the environment.
     ForceDetect,
+    /// Auto-detect as `ForceDetect` does, but no higher than AVX2: an
+    /// AVX-512 host's tests pin its AVX2 arm through it.
+    CapAvx2,
 }
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -144,6 +156,7 @@ pub fn set_simd_override(mode: SimdOverride) {
             SimdOverride::Env => 0,
             SimdOverride::ForceScalar => 1,
             SimdOverride::ForceDetect => 2,
+            SimdOverride::CapAvx2 => 3,
         },
         Ordering::SeqCst,
     );
@@ -170,7 +183,12 @@ fn detected_isa() -> Isa {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
+            // The AVX-512 rung hands narrow bands to the AVX2 kernels.
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Isa::Avx512
+            } else {
+                Isa::Avx2
+            };
         }
         #[cfg(target_arch = "aarch64")]
         if std::arch::is_aarch64_feature_detected!("neon") {
@@ -188,6 +206,8 @@ pub(crate) fn active_isa() -> Isa {
         match OVERRIDE.load(Ordering::SeqCst) {
             1 => Isa::Scalar,
             2 => detected_isa(),
+            3 if detected_isa() == Isa::Avx512 => Isa::Avx2,
+            3 => detected_isa(),
             _ if env_forces_scalar() => Isa::Scalar,
             _ => detected_isa(),
         }
@@ -196,22 +216,44 @@ pub(crate) fn active_isa() -> Isa {
     Isa::Scalar
 }
 
-/// Human-readable label of the *detected* hardware arm (ignoring overrides),
-/// for perf snapshots: `"avx2+fma"`, `"avx2"`, `"neon"`, or `"scalar"`.
+/// The rung detection dispatches to (ignoring overrides), for the
+/// benchmark's environment block: `"avx512f"`, `"avx2+fma"`, `"avx2"`,
+/// `"neon"`, or `"scalar"`.
 pub fn detected_isa_label() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return if std::arch::is_x86_feature_detected!("fma") {
-            "avx2+fma"
-        } else {
-            "avx2"
-        };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        return "neon";
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    match detected_isa() {
+        Isa::Avx512 => return "avx512f",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if std::arch::is_x86_feature_detected!("fma") => return "avx2+fma",
+        Isa::Avx2 => return "avx2",
+        Isa::Neon => return "neon",
+        Isa::Scalar => {}
     }
     "scalar"
+}
+
+/// The arm a band `n` columns wide runs on: an AVX-512 tile row is whole
+/// 16-lane vectors, so a band narrower than one (a head of `dh = 8`) takes
+/// the AVX2 kernels.
+fn band_isa(n: usize) -> Isa {
+    match active_isa() {
+        Isa::Avx512 if n < 16 => Isa::Avx2,
+        isa => isa,
+    }
+}
+
+/// Every arm this host runs, the scalar reference first: the rungs the
+/// tests pin against it.
+#[cfg(test)]
+pub(crate) fn host_isas() -> Vec<Isa> {
+    let mut arms = vec![Isa::Scalar];
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    match detected_isa() {
+        Isa::Scalar => {}
+        Isa::Avx512 => arms.extend([Isa::Avx2, Isa::Avx512]),
+        isa => arms.push(isa),
+    }
+    arms
 }
 
 // ---------------------------------------------------------------------------
@@ -278,11 +320,12 @@ pub(crate) fn matmul_band(
             && reach(rows_here, n, c_rs) <= out_band.len(),
         "matmul_band: a slice ends inside its {rows_here}x{k}x{n} view"
     );
-    let isa = active_isa();
+    let isa = band_isa(n);
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 && rows_here == 1 {
+    if matches!(isa, Isa::Avx2 | Isa::Avx512) && rows_here == 1 {
         let a = &a[start * a_rs..][..k];
-        // SAFETY: the assert above; `isa` comes from `active_isa`.
+        // SAFETY: the assert above; `isa` comes from `active_isa`, and the
+        // AVX-512 rung is detected only beside AVX2.
         return unsafe { matmul_row_avx2(a, b, b_rs, &mut out_band[..n], n) };
     }
     if isa == Isa::Scalar || n < lanes(isa) || rows_here * k * n < BLOCK_THRESHOLD {
@@ -341,7 +384,7 @@ pub(crate) fn at_b_band(
             && reach(rows_here, n, c_rs) <= out_band.len(),
         "at_b_band: a slice ends inside its {rows_here}x{m}x{n} view"
     );
-    let isa = active_isa();
+    let isa = band_isa(n);
     if isa == Isa::Scalar || n < lanes(isa) || rows_here * m * n < BLOCK_THRESHOLD {
         return at_b_band_scalar(a, b, out_band, rs, m, n, start, rows_here, chain);
     }
@@ -439,11 +482,12 @@ pub(crate) fn a_bt_band(
             && reach(rows_here, n, c_rs) <= out_band.len(),
         "a_bt_band: a slice ends inside its {rows_here}x{k}x{n} view"
     );
-    let isa = active_isa();
+    let isa = band_isa(n);
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 && rows_here == 1 {
+    if matches!(isa, Isa::Avx2 | Isa::Avx512) && rows_here == 1 {
         let a = &a[start * a_rs..][..k];
-        // SAFETY: the assert above; `isa` comes from `active_isa`.
+        // SAFETY: the assert above; `isa` comes from `active_isa`, and the
+        // AVX-512 rung is detected only beside AVX2.
         return unsafe { a_bt_row_avx2(a, b, b_rs, &mut out_band[..n], k, n) };
     }
     if isa == Isa::Scalar || n < lanes(isa) || rows_here * k * n < BLOCK_THRESHOLD {
@@ -538,6 +582,7 @@ fn lanes(isa: Isa) -> usize {
     match isa {
         Isa::Scalar => usize::MAX,
         Isa::Avx2 => 8,
+        Isa::Avx512 => 16,
         Isa::Neon => 4,
     }
 }
@@ -707,6 +752,16 @@ unsafe fn tile(isa: Isa, p: Panel, bp: *const f32, ld: usize, kc: usize, nb: usi
                 }
             }
         }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => {
+            if mr == MR {
+                mk4_avx512(p, bp, ld, kc, nb);
+            } else {
+                for r in 0..mr {
+                    mk1_avx512(row_panel(p, r), bp, ld, kc, nb);
+                }
+            }
+        }
         #[cfg(target_arch = "aarch64")]
         Isa::Neon => {
             if mr == MR {
@@ -838,6 +893,74 @@ macro_rules! avx2_microkernel {
 avx2_microkernel!(mk4_avx2, 4);
 #[cfg(target_arch = "x86_64")]
 avx2_microkernel!(mk1_avx2, 1);
+
+/// Generates the AVX-512F microkernels for a fixed register-tile height `$R`:
+/// the AVX2 kernels' structure at twice the width, 32-column tiles in two
+/// ZMM accumulators per row, then one vector at a time. The same contract:
+/// `acc = add(acc, mul(alpha, b))`, never `fmadd`, one lane per output
+/// column; a row's last partial vector reads and writes `C` under a
+/// `__mmask16` of its live lanes, over a panel zero-padded to 16 lanes.
+#[cfg(target_arch = "x86_64")]
+macro_rules! avx512_microkernel {
+    ($name:ident, $R:literal) => {
+        /// # Safety
+        /// Caller guarantees AVX-512F is available and the [`tile`] bounds
+        /// contract with `mr == $R`.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn $name(p: Panel, bp: *const f32, ld: usize, kc: usize, nb: usize) {
+            use std::arch::x86_64::*;
+            let mut j = 0usize;
+            while j + 2 * 16 <= nb {
+                let mut acc = [[_mm512_setzero_ps(); 2]; $R];
+                if !p.fresh {
+                    for r in 0..$R {
+                        acc[r][0] = _mm512_loadu_ps(p.out.add(r * p.out_rs + j));
+                        acc[r][1] = _mm512_loadu_ps(p.out.add(r * p.out_rs + j + 16));
+                    }
+                }
+                for c in 0..kc {
+                    let b0 = _mm512_loadu_ps(bp.add(c * ld + j));
+                    let b1 = _mm512_loadu_ps(bp.add(c * ld + j + 16));
+                    for r in 0..$R {
+                        let al = _mm512_set1_ps(*p.alpha.add(r * p.a_rs + c * p.a_cs));
+                        acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(al, b0));
+                        acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(al, b1));
+                    }
+                }
+                for r in 0..$R {
+                    _mm512_storeu_ps(p.out.add(r * p.out_rs + j), acc[r][0]);
+                    _mm512_storeu_ps(p.out.add(r * p.out_rs + j + 16), acc[r][1]);
+                }
+                j += 2 * 16;
+            }
+            while j < nb {
+                let live = (u32::MAX >> (32 - (nb - j).min(16))) as __mmask16;
+                let mut acc = [_mm512_setzero_ps(); $R];
+                if !p.fresh {
+                    for r in 0..$R {
+                        acc[r] = _mm512_maskz_loadu_ps(live, p.out.add(r * p.out_rs + j));
+                    }
+                }
+                for c in 0..kc {
+                    let b0 = _mm512_loadu_ps(bp.add(c * ld + j));
+                    for r in 0..$R {
+                        let al = _mm512_set1_ps(*p.alpha.add(r * p.a_rs + c * p.a_cs));
+                        acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(al, b0));
+                    }
+                }
+                for r in 0..$R {
+                    _mm512_mask_storeu_ps(p.out.add(r * p.out_rs + j), live, acc[r]);
+                }
+                j += 16;
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+avx512_microkernel!(mk4_avx512, 4);
+#[cfg(target_arch = "x86_64")]
+avx512_microkernel!(mk1_avx512, 1);
 
 /// One output row of `A·B`: `out[j] = Σ_kk a[kk]·b[kk,j]`, with `B` read
 /// where it lies instead of copied into a panel — four vectors of columns
@@ -1082,7 +1205,13 @@ mod tests {
         f()
     }
 
-    const MODES: [SimdOverride; 2] = [SimdOverride::ForceScalar, SimdOverride::ForceDetect];
+    /// Every arm the host has: the scalar reference, AVX2 (on an AVX-512
+    /// host only through the cap) and the detected rung.
+    const MODES: [SimdOverride; 3] = [
+        SimdOverride::ForceScalar,
+        SimdOverride::CapAvx2,
+        SimdOverride::ForceDetect,
+    ];
 
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -1145,10 +1274,16 @@ mod tests {
                 })
             };
             let scalar = run(SimdOverride::ForceScalar);
-            let simd = run(SimdOverride::ForceDetect);
-            assert_eq!(bits(&scalar.0), bits(&simd.0), "matmul {m}x{k}x{n}");
-            assert_eq!(bits(&scalar.1), bits(&simd.1), "a_bt {m}x{k}x{n}");
-            assert_eq!(bits(&scalar.2), bits(&simd.2), "at_b {m}x{k}x{n}");
+            for mode in &MODES[1..] {
+                let simd = run(*mode);
+                assert_eq!(
+                    bits(&scalar.0),
+                    bits(&simd.0),
+                    "matmul {m}x{k}x{n} {mode:?}"
+                );
+                assert_eq!(bits(&scalar.1), bits(&simd.1), "a_bt {m}x{k}x{n} {mode:?}");
+                assert_eq!(bits(&scalar.2), bits(&simd.2), "at_b {m}x{k}x{n} {mode:?}");
+            }
         }
     }
 
@@ -1159,26 +1294,28 @@ mod tests {
         let (m, k, n) = (37, 65, 47);
         let a = fill(m * k, 5);
         let b = fill(k * n, 6);
-        with_override(SimdOverride::ForceDetect, || {
-            let mut full = vec![0.0f32; m * n];
-            matmul_band(&a, &b, &mut full, [k, n, n], k, n, 0, m);
-            let mut banded = vec![0.0f32; m * n];
-            let mut start = 0;
-            for band in [5usize, 13, 19] {
-                matmul_band(
-                    &a,
-                    &b,
-                    &mut banded[start * n..(start + band) * n],
-                    [k, n, n],
-                    k,
-                    n,
-                    start,
-                    band,
-                );
-                start += band;
-            }
-            assert_eq!(bits(&full), bits(&banded));
-        });
+        for mode in &MODES[1..] {
+            with_override(*mode, || {
+                let mut full = vec![0.0f32; m * n];
+                matmul_band(&a, &b, &mut full, [k, n, n], k, n, 0, m);
+                let mut banded = vec![0.0f32; m * n];
+                let mut start = 0;
+                for band in [5usize, 13, 19] {
+                    matmul_band(
+                        &a,
+                        &b,
+                        &mut banded[start * n..(start + band) * n],
+                        [k, n, n],
+                        k,
+                        n,
+                        start,
+                        band,
+                    );
+                    start += band;
+                }
+                assert_eq!(bits(&full), bits(&banded), "{mode:?}");
+            });
+        }
     }
 
     /// The three kernels as one: `m` output rows, a reduction of `k`, `n`
@@ -1427,12 +1564,14 @@ mod tests {
                         });
                         c_matrix
                     };
-                    let [scalar, simd] = MODES.map(run);
-                    let what = format!("{kernel:?} k={k} n={n}");
-                    assert_eq!(pattern(&simd), pattern(&scalar), "{what}");
-                    let outside = (0..simd.len()).filter(|&i| !c.holds(i));
-                    for i in outside {
-                        assert_eq!(simd[i], UNTOUCHED, "{what}: wrote element {i}");
+                    let [scalar, arms @ ..] = MODES.map(run);
+                    for (simd, mode) in arms.iter().zip(&MODES[1..]) {
+                        let what = format!("{kernel:?} k={k} n={n} {mode:?}");
+                        assert_eq!(pattern(simd), pattern(&scalar), "{what}");
+                        let outside = (0..simd.len()).filter(|&i| !c.holds(i));
+                        for i in outside {
+                            assert_eq!(simd[i], UNTOUCHED, "{what}: wrote element {i}");
+                        }
                     }
                 }
             }
@@ -1530,13 +1669,25 @@ mod tests {
         });
     }
 
+    /// The label names the rung detection dispatches to, and the cap
+    /// takes an AVX-512 host down to AVX2 and no other host anywhere.
     #[test]
     fn detected_label_matches_isa() {
         let label = detected_isa_label();
-        with_override(SimdOverride::ForceDetect, || match active_isa() {
+        let detected = with_override(SimdOverride::ForceDetect, active_isa);
+        match detected {
             Isa::Scalar => assert_eq!(label, "scalar"),
-            Isa::Avx2 => assert!(label.starts_with("avx2")),
+            Isa::Avx2 => assert!(label == "avx2" || label == "avx2+fma", "{label}"),
+            Isa::Avx512 => assert_eq!(label, "avx512f"),
             Isa::Neon => assert_eq!(label, "neon"),
-        });
+        }
+        let capped = with_override(SimdOverride::CapAvx2, active_isa);
+        let want = if detected == Isa::Avx512 {
+            Isa::Avx2
+        } else {
+            detected
+        };
+        assert_eq!(capped, want);
+        assert_eq!(host_isas().last(), Some(&detected));
     }
 }

@@ -663,6 +663,7 @@ mod tests {
         let _restore = RestoreDispatch;
         for (threads, simd) in [
             (1, SimdOverride::ForceScalar),
+            (1, SimdOverride::CapAvx2),
             (1, SimdOverride::ForceDetect),
             (4, SimdOverride::ForceScalar),
             (4, SimdOverride::ForceDetect),
@@ -735,6 +736,14 @@ mod tests {
         let (_, after) = run();
         assert_eq!(after, warm, "warm forward-only call allocated");
     }
+
+    /// Every dispatch arm the host has: the scalar reference, AVX2 (on an
+    /// AVX-512 host only through the cap) and the detected rung.
+    const ARMS: [SimdOverride; 3] = [
+        SimdOverride::ForceScalar,
+        SimdOverride::CapAvx2,
+        SimdOverride::ForceDetect,
+    ];
 
     /// Restores the dispatch ladder and pool width even when a
     /// failed assertion unwinds mid-test.
@@ -826,15 +835,11 @@ mod tests {
         seed: u64,
         last_only: bool,
         threads: usize,
-        scalar: bool,
+        arm: SimdOverride,
     ) -> [Vec<Vec<u32>>; 2] {
         let _restore = RestoreDispatch;
         set_thread_override(threads);
-        set_simd_override(if scalar {
-            SimdOverride::ForceScalar
-        } else {
-            SimdOverride::ForceDetect
-        });
+        set_simd_override(arm);
         let both = || {
             let mut all = attention_bits(len, heads, dh, seed, last_only);
             all.extend(qkv_bits(len, heads, dh, seed, last_only));
@@ -852,10 +857,10 @@ mod tests {
         for s in [1usize, 4, 5, 7, 8, 9, 39, 76, 77] {
             for (heads, dh) in [(4, 8), (2, 10)] {
                 for last_only in [false, true] {
-                    for scalar in [false, true] {
+                    for arm in ARMS {
                         let [fused, oracle] =
-                            fused_and_oracle(s, heads, dh, s as u64, last_only, 1, scalar);
-                        let what = format!("s={s} dh={dh} last_only={last_only} scalar={scalar}");
+                            fused_and_oracle(s, heads, dh, s as u64, last_only, 1, arm);
+                        let what = format!("s={s} dh={dh} last_only={last_only} {arm:?}");
                         assert_eq!(fused, oracle, "{what}");
                     }
                 }
@@ -877,10 +882,9 @@ mod tests {
             // across the pool on the longer sequences.
             let dh = [2, 5, 10, 24][rng.gen_range(0..4usize)];
             let threads = [1, 4][rng.gen_range(0..2usize)];
-            let scalar = rng.gen_range(0..=1) == 1;
+            let arm = ARMS[rng.gen_range(0..3usize)];
             let seed = rng.gen_range(0..1000);
-            let [fused, oracle] =
-                fused_and_oracle(len, heads, dh, seed, last_only, threads, scalar);
+            let [fused, oracle] = fused_and_oracle(len, heads, dh, seed, last_only, threads, arm);
             assert_eq!(fused, oracle);
         });
     }

@@ -8,9 +8,9 @@
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices with a threaded matmul.
 //! * [`kernels`] — cache-blocked, register-tiled GEMM microkernels with
-//!   runtime ISA dispatch (AVX2 / NEON / portable scalar, `PYTHIA_SIMD`
-//!   override); every path accumulates in the same fixed order so outputs
-//!   are bit-identical across ISA and thread count.
+//!   runtime ISA dispatch (AVX-512 / AVX2 / NEON / portable scalar,
+//!   `PYTHIA_SIMD` override); every path accumulates in the same fixed order
+//!   so outputs are bit-identical across ISA and thread count.
 //! * [`Tape`] / [`Var`] — eager tape-based reverse-mode autograd over the
 //!   ops the model records. The composed ops the fused attention is pinned
 //!   against (`matmul`, `add_row`, `scale`, `softmax_rows`, `transpose`,

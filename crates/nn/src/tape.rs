@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::thread::LocalKey;
 
-use crate::kernels::{a_bt_band, at_b_band, matmul_band, Chain};
+use crate::kernels::{a_bt_band, active_isa, at_b_band, matmul_band, Chain, Isa};
 use crate::tensor::Tensor;
 
 /// Handle to a node on a [`Tape`].
@@ -603,17 +603,17 @@ impl<'p> Tape<'p> {
         assert_eq!(g.shape(), (1, n));
         assert_eq!(b.shape(), (1, n));
         let mut v = self.arena.zeros(m, n);
-        for r in 0..m {
-            let row = xv.row(r);
-            let mean = row.iter().sum::<f32>() / n as f32;
-            let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
-            let inv = 1.0 / (var + LN_EPS).sqrt();
-            for (((o, &xv), &gv), &bv) in
-                v.row_mut(r).iter_mut().zip(row).zip(g.row(0)).zip(b.row(0))
+        ln_rows(active_isa(), xv, None, |r, [mean, inv, ..]| {
+            for (((o, &xv), &gv), &bv) in v
+                .row_mut(r)
+                .iter_mut()
+                .zip(xv.row(r))
+                .zip(g.row(0))
+                .zip(b.row(0))
             {
                 *o = gv * (xv - mean) * inv + bv;
             }
-        }
+        });
         self.push(v, Op::LayerNorm { x, gain, bias })
     }
 
@@ -824,10 +824,10 @@ impl<'p> Tape<'p> {
                 &Op::Relu(a) => {
                     let mut gx = g;
                     let x = val(nodes, a);
+                    // A select, not a conditional store: the same bits, and
+                    // the loop vectorises without a mispredicted branch.
                     for (gv, &xv) in gx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-                        if xv <= 0.0 {
-                            *gv = 0.0;
-                        }
+                        *gv = if xv <= 0.0 { 0.0 } else { *gv };
                     }
                     slots.accum(arena, a, gx);
                 }
@@ -850,40 +850,40 @@ impl<'p> Tape<'p> {
                     let mut gbias = slots.open(arena, bias, (1, n));
                     let [mut xhat_buf, mut dxhat_buf] = [(); 2].map(|_| arena.zeros(1, n));
                     let (xhat, dxhat) = (xhat_buf.as_mut_slice(), dxhat_buf.as_mut_slice());
-                    for r in 0..m {
-                        let (row, grow) = (xv.row(r), g.row(r));
-                        let mean = row.iter().sum::<f32>() / nf;
-                        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / nf;
-                        let inv = 1.0 / (var + LN_EPS).sqrt();
-                        // xhat and dxhat for this row.
-                        let mut sum_dxhat = 0.0;
-                        let mut sum_dxhat_xhat = 0.0;
-                        for (((xh, dxh), &x), (&gy, &gn)) in xhat
-                            .iter_mut()
-                            .zip(dxhat.iter_mut())
-                            .zip(row)
-                            .zip(grow.iter().zip(gv.row(0)))
-                        {
-                            *xh = (x - mean) * inv;
-                            *dxh = gy * gn;
-                            sum_dxhat += *dxh;
-                            sum_dxhat_xhat += *dxh * *xh;
-                        }
-                        for ((gg, gb), (&gy, &xh)) in ggain
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(gbias.as_mut_slice())
-                            .zip(grow.iter().zip(xhat.iter()))
-                        {
-                            *gg += gy * xh;
-                            *gb += gy;
-                        }
-                        for ((o, &dxh), &xh) in
-                            gx.row_mut(r).iter_mut().zip(dxhat.iter()).zip(xhat.iter())
-                        {
-                            *o = inv * (dxh - sum_dxhat / nf - xh * sum_dxhat_xhat / nf);
-                        }
-                    }
+                    let grad = Some((&g, gv.row(0)));
+                    ln_rows(
+                        active_isa(),
+                        xv,
+                        grad,
+                        |r, [mean, inv, sum_dxhat, sum_dxhat_xhat]| {
+                            let (row, grow) = (xv.row(r), g.row(r));
+                            // xhat and dxhat for this row: the operations its
+                            // sums were taken over.
+                            for (((xh, dxh), &x), (&gy, &gn)) in xhat
+                                .iter_mut()
+                                .zip(dxhat.iter_mut())
+                                .zip(row)
+                                .zip(grow.iter().zip(gv.row(0)))
+                            {
+                                *xh = (x - mean) * inv;
+                                *dxh = gy * gn;
+                            }
+                            for ((gg, gb), (&gy, &xh)) in ggain
+                                .as_mut_slice()
+                                .iter_mut()
+                                .zip(gbias.as_mut_slice())
+                                .zip(grow.iter().zip(xhat.iter()))
+                            {
+                                *gg += gy * xh;
+                                *gb += gy;
+                            }
+                            for ((o, &dxh), &xh) in
+                                gx.row_mut(r).iter_mut().zip(dxhat.iter()).zip(xhat.iter())
+                            {
+                                *o = inv * (dxh - sum_dxhat / nf - xh * sum_dxhat_xhat / nf);
+                            }
+                        },
+                    );
                     arena.recycle(xhat_buf);
                     arena.recycle(dxhat_buf);
                     slots.accum(arena, x, gx);
@@ -1066,7 +1066,7 @@ const SOFTMAX_LANES: usize = 8;
 
 /// `f` folded over `row` in [`SOFTMAX_LANES`] independent lanes — element `i`
 /// into lane `i % SOFTMAX_LANES`, however long the row is — and the lanes
-/// then combined, always in this one tree.
+/// then combined in [`fold_tree`].
 fn fold_lanes(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
     let mut lanes = [init; SOFTMAX_LANES];
     let mut chunks = row.chunks_exact(SOFTMAX_LANES);
@@ -1078,9 +1078,44 @@ fn fold_lanes(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
     for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
         *lane = f(*lane, x);
     }
-    let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+    fold_tree(lanes, f)
+}
+
+/// The one tree every lane fold is combined in, the vector row kernels'
+/// included.
+fn fold_tree(
+    [l0, l1, l2, l3, l4, l5, l6, l7]: [f32; SOFTMAX_LANES],
+    f: impl Fn(f32, f32) -> f32,
+) -> f32 {
     f(f(f(l0, l1), f(l2, l3)), f(f(l4, l5), f(l6, l7)))
 }
+
+/// The max fold's step. `>` passes over a NaN as `f32::max` does, and is
+/// one instruction: x86's `maxps(x, m)` is this select, lane for lane.
+fn max_step(m: f32, x: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// [`exp_nonpositive`]'s constants, the Cephes `expf`'s digit for digit.
+/// Adding `EXP_ROUND` (1.5·2²³) leaves no fraction bits.
+const EXP_ROUND: f32 = 12_582_912.0;
+#[allow(clippy::excessive_precision)]
+const LN2_HI: f32 = 0.693359375;
+#[allow(clippy::excessive_precision)]
+const LN2_LO: f32 = -2.12194440e-4;
+#[allow(clippy::excessive_precision)]
+const EXP_POLY: [f32; 6] = [
+    1.9875691500e-4,
+    1.3981999507e-3,
+    8.3334519073e-3,
+    4.1665795894e-2,
+    1.6666665459e-1,
+    5.0000001201e-1,
+];
 
 /// `exp(x)` for `x <= 0`, within 8.1e-8 relative of the exact value down to
 /// −87 (libm's `expf`: 6.0e-8) and exactly `0.0` below, `exp(0) == 1.0`
@@ -1091,31 +1126,22 @@ fn fold_lanes(row: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
 /// is a function of `x` alone, whatever instructions the loop around it
 /// compiles to.
 #[inline]
-#[allow(clippy::excessive_precision)] // Cephes' constants, digit for digit
 fn exp_nonpositive(x: f32) -> f32 {
-    // Adding 1.5·2²³ leaves no fraction bits, so `t` holds `x·log₂e` rounded
-    // to an integer `n` in its low mantissa bits; a `round()` or a cast here
-    // would keep the loop from vectorising on baseline SSE2 / NEON.
-    const ROUND: f32 = 12_582_912.0;
-    const LN2_HI: f32 = 0.693359375;
-    const LN2_LO: f32 = -2.12194440e-4;
-    let t = x * std::f32::consts::LOG2_E + ROUND;
-    let n = t - ROUND;
+    // `t` holds `x·log₂e` rounded to an integer `n` in its low mantissa
+    // bits; a `round()` or a cast here would keep the loop from vectorising
+    // on baseline SSE2 / NEON.
+    let t = x * std::f32::consts::LOG2_E + EXP_ROUND;
+    let n = t - EXP_ROUND;
     let r = (x - n * LN2_HI) - n * LN2_LO;
-    let mut p = 1.9875691500e-4;
-    for c in [
-        1.3981999507e-3,
-        8.3334519073e-3,
-        4.1665795894e-2,
-        1.6666665459e-1,
-        5.0000001201e-1,
-    ] {
+    let mut p = EXP_POLY[0];
+    for c in &EXP_POLY[1..] {
         p = p * r + c;
     }
     let exp_r = p * (r * r) + r + 1.0;
-    // ROUND's own bits shift out: what is left is `n + 127`, the exponent
-    // field of 2ⁿ. Below −87 (2ⁿ leaves the normal range near −87.3) `n` is
-    // out of that field's range and the product is discarded unread.
+    // EXP_ROUND's own bits shift out: what is left is `n + 127`, the
+    // exponent field of 2ⁿ. Below −87 (2ⁿ leaves the normal range near
+    // −87.3) `n` is out of that field's range and the product is discarded
+    // unread.
     let two_n = f32::from_bits(t.to_bits().wrapping_add(127) << 23);
     if x < -87.0 {
         0.0
@@ -1133,8 +1159,7 @@ fn exp_nonpositive(x: f32) -> f32 {
 /// loops compile to. The largest element maps through `exp(0) == 1`. A NaN
 /// anywhere makes the whole row NaN, payload and sign unspecified.
 fn softmax_in_place(row: &mut [f32]) {
-    // `>` passes over a NaN as `f32::max` does, and is one instruction.
-    let mx = fold_lanes(row, f32::NEG_INFINITY, |m, x| if x > m { x } else { m });
+    let mx = fold_lanes(row, f32::NEG_INFINITY, max_step);
     for x in row.iter_mut() {
         *x = exp_nonpositive(*x - mx);
     }
@@ -1146,10 +1171,117 @@ fn softmax_in_place(row: &mut [f32]) {
 
 /// Turn one row of `d loss / d softmax` into `d loss / d input`, in place:
 /// `g ← y · (g − Σ g·y)`.
+#[cfg(test)]
 fn softmax_backward_row(g: &mut [f32], y: &[f32]) {
-    let dot: f32 = g.iter().zip(y).map(|(g, y)| g * y).sum();
+    let dot = softmax_dot(g, y);
     for (g, y) in g.iter_mut().zip(y) {
         *g = y * (*g - dot);
+    }
+}
+
+/// `Σ g·y` of one row: `Sum`'s chain, ascending from `-0.0`.
+fn softmax_dot(g: &[f32], y: &[f32]) -> f32 {
+    g.iter().zip(y).map(|(g, y)| g * y).sum()
+}
+
+/// Rows a vector of the lane = row sums holds.
+const ROW_LANES: usize = 8;
+
+/// Whether `isa` runs the AVX2 row kernels: both x86 rungs do (the
+/// AVX-512 one's row work is AVX2's).
+fn row_kernels(isa: Isa) -> bool {
+    cfg!(target_arch = "x86_64") && matches!(isa, Isa::Avx2 | Isa::Avx512)
+}
+
+/// Each `s`-long row of `p` scaled by `scale`, then [`softmax_in_place`]'s
+/// operations on it, on `isa`'s arm: four rows at a time on the x86 arms,
+/// every row's own operations in its own order, so only their dependency
+/// chains overlap.
+fn softmax_scaled_rows(isa: Isa, p: &mut [f32], s: usize, scale: f32) {
+    if row_kernels(isa) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the x86 arms are detected only where AVX2 runs, and
+        // the row kernels need nothing else.
+        return unsafe { rows_avx2::softmax_scaled_rows(p, s, scale) };
+    }
+    for row in p.chunks_exact_mut(s) {
+        row.iter_mut().for_each(|x| *x *= scale);
+        softmax_in_place(row);
+    }
+}
+
+/// Softmax backward over the `s`-long rows of `ds` and `p`, in place:
+/// `dS = P·(dP − Σ dP·P)·scale` row for row, `ds` holding `dP` in and `dS`
+/// out. The [`softmax_dot`] chains run eight rows at a time, one per lane,
+/// on the x86 arms while eight remain, then one at a time.
+fn softmax_backward_rows(isa: Isa, ds: &mut [f32], p: &[f32], s: usize, scale: f32) {
+    let apply = |g: &mut [f32], y: &[f32], dot: f32| {
+        for (g, y) in g.iter_mut().zip(y) {
+            *g = y * (*g - dot);
+            *g *= scale;
+        }
+    };
+    let (rows, mut r0) = (p.len() / s, 0);
+    if row_kernels(isa) {
+        #[cfg(target_arch = "x86_64")]
+        while rows - r0 >= ROW_LANES {
+            // SAFETY: as in `softmax_scaled_rows`.
+            let dots = unsafe { rows_avx2::softmax_dots(&ds[r0 * s..], &p[r0 * s..], s) };
+            for (r, dot) in (r0..).zip(dots) {
+                apply(&mut ds[r * s..][..s], &p[r * s..][..s], dot);
+            }
+            r0 += ROW_LANES;
+        }
+    }
+    for r in r0..rows {
+        let (g, y) = (&mut ds[r * s..][..s], &p[r * s..][..s]);
+        apply(g, y, softmax_dot(g, y));
+    }
+}
+
+/// One row's layer-norm statistics, `[mean, 1/√(var + ε), Σ dx̂, Σ dx̂·x̂]`
+/// with `x̂ = (x − mean)·inv` and, given `grad = (g, gain)`, `dx̂ = g·gain`
+/// (else the two sums stay `0.0`): the mean and variance are `Sum`'s
+/// chains from `-0.0`, the two gradient sums chains from `+0.0`.
+fn ln_row(row: &[f32], grad: Option<(&[f32], &[f32])>) -> [f32; 4] {
+    let nf = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / nf;
+    let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / nf;
+    let inv = 1.0 / (var + LN_EPS).sqrt();
+    let (mut sum_dxhat, mut sum_dxhat_xhat) = (0.0, 0.0);
+    if let Some((grow, gain)) = grad {
+        for ((&x, &gy), &gn) in row.iter().zip(grow).zip(gain) {
+            let (xh, dxh) = ((x - mean) * inv, gy * gn);
+            sum_dxhat += dxh;
+            sum_dxhat_xhat += dxh * xh;
+        }
+    }
+    [mean, inv, sum_dxhat, sum_dxhat_xhat]
+}
+
+/// [`ln_row`] of each row of `x` (and of `grad`'s `g`), handed to `f` with
+/// the row's index, rows ascending: eight rows at a time, one per lane, on
+/// the x86 arms while eight remain, then one at a time.
+fn ln_rows(
+    isa: Isa,
+    x: &Tensor,
+    grad: Option<(&Tensor, &[f32])>,
+    mut f: impl FnMut(usize, [f32; 4]),
+) {
+    let (m, mut r0) = (x.rows(), 0);
+    if row_kernels(isa) {
+        #[cfg(target_arch = "x86_64")]
+        while m - r0 >= ROW_LANES {
+            let span = r0 * x.cols()..(r0 + ROW_LANES) * x.cols();
+            let grad = grad.map(|(g, gain)| (&g.as_slice()[span.clone()], gain));
+            // SAFETY: as in `softmax_scaled_rows`.
+            let stats = unsafe { rows_avx2::ln_row_stats(&x.as_slice()[span], x.cols(), grad) };
+            (r0..).zip(stats).for_each(|(r, stats)| f(r, stats));
+            r0 += ROW_LANES;
+        }
+    }
+    for r in r0..m {
+        f(r, ln_row(x.row(r), grad.map(|(g, gain)| (g.row(r), gain))));
     }
 }
 
@@ -1170,10 +1302,7 @@ fn softmax_block(
 ) {
     let scale = 1.0 / (dh as f32).sqrt();
     a_bt_band(q, k, p, [dim, dim, s], dh, s, 0, q_len);
-    for row in p.chunks_exact_mut(s) {
-        row.iter_mut().for_each(|x| *x *= scale);
-        softmax_in_place(row);
-    }
+    softmax_scaled_rows(active_isa(), p, s, scale);
 }
 
 /// Backward of [`Tape::attention`]: `[dq, dk, dv]` given `g = d loss / d out`
@@ -1198,6 +1327,7 @@ fn attention_backward(
     let [mut dk, mut dv] = [(); 2].map(|_| arena.unfilled(s, dim));
     let [mut block, mut gp] = [(); 2].map(|_| arena.unfilled(ql, s));
     let [gd, qd, kd, vd] = [g, q, k, v].map(Tensor::as_slice);
+    let isa = active_isa();
     for at in (0..heads).map(|h| h * dh) {
         let p = block.as_mut_slice();
         softmax_block(p, &qd[at..], &kd[at..], dim, s, dh, ql);
@@ -1217,12 +1347,7 @@ fn attention_backward(
             Chain::Start,
         );
         // P = softmax(S·scale).
-        for (grow, prow) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)) {
-            softmax_backward_row(grow, prow);
-            for x in grow.iter_mut() {
-                *x *= scale;
-            }
-        }
+        softmax_backward_rows(isa, ds, p, s, scale);
         // S = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
         let dq_h = &mut dq.as_mut_slice()[at..];
         matmul_band(ds, &kd[at..], dq_h, [s, dim, dim], s, dh, 0, ql);
@@ -1292,6 +1417,221 @@ pub fn bce_with_logits_over(
     )
 }
 
+/// The AVX2 row kernels of both x86 arms. Each lane replays one row's
+/// scalar operations in their order: a softmax row's eight position lanes
+/// stay eight vector lanes, combined in [`fold_tree`]; a row sum of
+/// [`softmax_dot`] or [`ln_row`] is one lane of a vector of eight rows, read
+/// a column at a time by a gather. No `fmadd`: every step is the scalar
+/// path's correctly rounded mul, add, sub, div or sqrt.
+#[cfg(target_arch = "x86_64")]
+mod rows_avx2 {
+    use super::{fold_tree, max_step, EXP_POLY, EXP_ROUND, LN2_HI, LN2_LO, LN_EPS, ROW_LANES};
+    use std::arch::x86_64::*;
+
+    /// The eight lanes of `v`, lane 0 first.
+    fn lanes(v: __m256) -> [f32; 8] {
+        // SAFETY: both are 32 bytes of plain f32s.
+        unsafe { std::mem::transmute(v) }
+    }
+
+    /// [`exp_nonpositive`](super::exp_nonpositive) in each lane: its
+    /// operations, one vector instruction each.
+    #[target_feature(enable = "avx2")]
+    fn exp_nonpositive(x: __m256) -> __m256 {
+        let round = _mm256_set1_ps(EXP_ROUND);
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            round,
+        );
+        let n = _mm256_sub_ps(t, round);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
+            _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
+        );
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let exp_r = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let field = _mm256_add_epi32(_mm256_castps_si256(t), _mm256_set1_epi32(127));
+        let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(field));
+        let below = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(-87.0));
+        _mm256_andnot_ps(below, _mm256_mul_ps(exp_r, two_n))
+    }
+
+    /// [`softmax_scaled_rows`](super::softmax_scaled_rows) on AVX2: four
+    /// rows at a time, then one.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn softmax_scaled_rows(p: &mut [f32], s: usize, scale: f32) {
+        let mut fours = p.chunks_exact_mut(4 * s);
+        for rows in &mut fours {
+            softmax_rows::<4>(rows, s, scale);
+        }
+        for row in fours.into_remainder().chunks_exact_mut(s) {
+            softmax_rows::<1>(row, s, scale);
+        }
+    }
+
+    /// `R` rows of `s` (the whole of `p`), each scaled and then put through
+    /// [`softmax_in_place`](super::softmax_in_place)'s steps: the maximum
+    /// in eight lanes by position, the exp, the sum in the same lanes, both
+    /// folds combined in [`fold_tree`], `1/sum`, the normalize. A row's last
+    /// partial vector is read and written under a mask, and its dead lanes
+    /// keep their fold.
+    #[target_feature(enable = "avx2")]
+    fn softmax_rows<const R: usize>(p: &mut [f32], s: usize, scale: f32) {
+        assert_eq!(p.len(), R * s, "softmax rows of {s}");
+        let whole = s - s % 8;
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((s % 8) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let keep = _mm256_castsi256_ps(live);
+        let base = p.as_mut_ptr();
+        let at = |r: usize, j: usize| base.wrapping_add(r * s + j);
+        // SAFETY (every load and store below): `at(r, j)` with `r < R` and
+        // `j < whole` starts eight floats inside row `r`, and the masked
+        // access at `j = whole` touches only the row's `s % 8` last floats.
+        let scale = _mm256_set1_ps(scale);
+        let mut acc = [_mm256_set1_ps(f32::NEG_INFINITY); R];
+        for j in (0..whole).step_by(8) {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let x = _mm256_mul_ps(unsafe { _mm256_loadu_ps(at(r, j)) }, scale);
+                unsafe { _mm256_storeu_ps(at(r, j), x) };
+                *acc = _mm256_max_ps(x, *acc);
+            }
+        }
+        if whole < s {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let x = _mm256_mul_ps(unsafe { _mm256_maskload_ps(at(r, whole), live) }, scale);
+                unsafe { _mm256_maskstore_ps(at(r, whole), live, x) };
+                *acc = _mm256_blendv_ps(*acc, _mm256_max_ps(x, *acc), keep);
+            }
+        }
+        let mut mx = [_mm256_setzero_ps(); R];
+        for (m, acc) in mx.iter_mut().zip(acc) {
+            *m = _mm256_set1_ps(fold_tree(lanes(acc), max_step));
+        }
+        let mut sum = [_mm256_setzero_ps(); R];
+        for j in (0..whole).step_by(8) {
+            for (r, sum) in sum.iter_mut().enumerate() {
+                let e = exp_nonpositive(_mm256_sub_ps(unsafe { _mm256_loadu_ps(at(r, j)) }, mx[r]));
+                unsafe { _mm256_storeu_ps(at(r, j), e) };
+                *sum = _mm256_add_ps(*sum, e);
+            }
+        }
+        if whole < s {
+            for (r, sum) in sum.iter_mut().enumerate() {
+                let x = unsafe { _mm256_maskload_ps(at(r, whole), live) };
+                let e = exp_nonpositive(_mm256_sub_ps(x, mx[r]));
+                unsafe { _mm256_maskstore_ps(at(r, whole), live, e) };
+                *sum = _mm256_blendv_ps(*sum, _mm256_add_ps(*sum, e), keep);
+            }
+        }
+        let mut inv = [_mm256_setzero_ps(); R];
+        for (inv, sum) in inv.iter_mut().zip(sum) {
+            *inv = _mm256_set1_ps(1.0 / fold_tree(lanes(sum), |sum, x| sum + x));
+        }
+        for j in (0..whole).step_by(8) {
+            for (r, inv) in inv.iter().enumerate() {
+                let y = _mm256_mul_ps(unsafe { _mm256_loadu_ps(at(r, j)) }, *inv);
+                unsafe { _mm256_storeu_ps(at(r, j), y) };
+            }
+        }
+        if whole < s {
+            for (r, inv) in inv.iter().enumerate() {
+                let y = _mm256_mul_ps(unsafe { _mm256_maskload_ps(at(r, whole), live) }, *inv);
+                unsafe { _mm256_maskstore_ps(at(r, whole), live, y) };
+            }
+        }
+    }
+
+    /// Offsets, in floats, of the first elements of eight rows `stride`
+    /// apart: a gather through them reads one column of the eight.
+    #[target_feature(enable = "avx2")]
+    fn row_starts(stride: usize) -> __m256i {
+        let last = i32::try_from(stride * (ROW_LANES - 1));
+        assert!(
+            last.is_ok(),
+            "rows {stride} floats apart are too far to gather"
+        );
+        _mm256_mullo_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(stride as i32),
+        )
+    }
+
+    /// Column `c` of the eight rows at `starts` in `m`.
+    ///
+    /// # Safety
+    /// Each row must reach column `c` inside `m`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn column(m: &[f32], starts: __m256i, c: usize) -> __m256 {
+        _mm256_i32gather_ps::<4>(m.as_ptr().add(c), starts)
+    }
+
+    /// [`softmax_dot`](super::softmax_dot) of the eight `s`-long rows at
+    /// the start of `g` and `y`, row `r` in lane `r`: each lane the chain
+    /// `acc + g·y`, ascending from `-0.0`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn softmax_dots(g: &[f32], y: &[f32], s: usize) -> [f32; ROW_LANES] {
+        assert!(g.len().min(y.len()) >= ROW_LANES * s, "eight rows of {s}");
+        let starts = row_starts(s);
+        let mut dot = _mm256_set1_ps(-0.0);
+        for c in 0..s {
+            // SAFETY: the assert above.
+            let (g, y) = unsafe { (column(g, starts, c), column(y, starts, c)) };
+            dot = _mm256_add_ps(dot, _mm256_mul_ps(g, y));
+        }
+        lanes(dot)
+    }
+
+    /// [`ln_row`](super::ln_row) of the eight `n`-long rows of `x` (and of
+    /// `grad`'s `g`), row `r` in lane `r`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn ln_row_stats(
+        x: &[f32],
+        n: usize,
+        grad: Option<(&[f32], &[f32])>,
+    ) -> [[f32; 4]; ROW_LANES] {
+        assert_eq!(x.len(), ROW_LANES * n, "eight rows of {n}");
+        let (starts, nf) = (row_starts(n), _mm256_set1_ps(n as f32));
+        // SAFETY (every gather): the assert above, and the one on `g`.
+        let mut sum = _mm256_set1_ps(-0.0);
+        for c in 0..n {
+            sum = _mm256_add_ps(sum, unsafe { column(x, starts, c) });
+        }
+        let mean = _mm256_div_ps(sum, nf);
+        let mut sq = _mm256_set1_ps(-0.0);
+        for c in 0..n {
+            let d = _mm256_sub_ps(unsafe { column(x, starts, c) }, mean);
+            sq = _mm256_add_ps(sq, _mm256_mul_ps(d, d));
+        }
+        let var = _mm256_div_ps(sq, nf);
+        let root = _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(LN_EPS)));
+        let inv = _mm256_div_ps(_mm256_set1_ps(1.0), root);
+        let (mut sum_dxhat, mut sum_dxhat_xhat) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+        if let Some((g, gain)) = grad {
+            assert!(
+                g.len() == x.len() && gain.len() == n,
+                "eight gradient rows of {n}"
+            );
+            for (c, &gn) in gain.iter().enumerate() {
+                let xh = _mm256_mul_ps(_mm256_sub_ps(unsafe { column(x, starts, c) }, mean), inv);
+                let dxh = _mm256_mul_ps(unsafe { column(g, starts, c) }, _mm256_set1_ps(gn));
+                sum_dxhat = _mm256_add_ps(sum_dxhat, dxh);
+                sum_dxhat_xhat = _mm256_add_ps(sum_dxhat_xhat, _mm256_mul_ps(dxh, xh));
+            }
+        }
+        let [mean, inv, sum_dxhat, sum_dxhat_xhat] =
+            [mean, inv, sum_dxhat, sum_dxhat_xhat].map(lanes);
+        std::array::from_fn(|r| [mean[r], inv[r], sum_dxhat[r], sum_dxhat_xhat[r]])
+    }
+}
+
 #[cfg(test)]
 fn transposed(arena: &mut Arena, a: &Tensor) -> Tensor {
     let mut out = arena.zeros(a.cols(), a.rows());
@@ -1315,6 +1655,7 @@ fn blit_cols(dst: &mut Tensor, at: usize, src: &Tensor, from: usize, width: usiz
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::kernels::host_isas;
 
     /// The mean BCE of `logits` against `targets`, as one pass over all of
     /// their rows.
@@ -1841,6 +2182,132 @@ pub(crate) mod tests {
                 row[at] = f32::NAN;
                 softmax_in_place(&mut row);
                 assert!(row.iter().all(|p| p.is_nan()), "length {len}, NaN at {at}");
+            }
+        }
+    }
+
+    /// `rows` rows of `len` for the row-kernel pins: scores in [−6, 6], and
+    /// in every eighth row one of what a scalar row meets at its edges — a
+    /// row of `-0.0` (where a sum's start shows), the exp's −87 boundary
+    /// under a maximum of `0.0`, `-inf`, `+inf`, a NaN.
+    fn edge_rows(rows: usize, len: usize, salt: usize) -> Vec<f32> {
+        let below = f32::from_bits((-87.0f32).to_bits() + 1);
+        let above = f32::from_bits((-87.0f32).to_bits() - 1);
+        (0..rows)
+            .flat_map(|r| {
+                let mut row = scores(len, r * 7 + salt);
+                let at = (r * 5 + salt) % len;
+                match (r + salt) % 8 {
+                    0 => row.fill(-0.0),
+                    1 => {
+                        row.iter_mut().for_each(|x| *x -= 6.0);
+                        for (x, edge) in row.iter_mut().zip([0.0, -87.0, below, above]) {
+                            *x = edge;
+                        }
+                    }
+                    2 => row[at] = f32::NEG_INFINITY,
+                    3 => row[at] = f32::INFINITY,
+                    4 => row[at] = f32::NAN,
+                    _ => {}
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// Bit patterns, every NaN read as one.
+    fn pattern(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// Row lengths 1..=200 by row counts 1..=9: every count of rows left
+    /// over from a group of four or eight, every count of columns left over
+    /// from a vector.
+    fn pin_shapes() -> impl Iterator<Item = (usize, usize)> {
+        (1..=200).flat_map(|len| (1..=9).map(move |rows| (rows, len)))
+    }
+
+    /// `softmax_block`'s row pass on every arm the host has equals its
+    /// scalar rows — each scaled, then `softmax_in_place` — bit for bit,
+    /// NaN where and only where they are NaN.
+    #[test]
+    fn softmax_rows_on_every_arm_are_the_scalar_rows() {
+        for (rows, len) in pin_shapes() {
+            let x = edge_rows(rows, len, len);
+            for scale in [1.0, 1.0 / 8f32.sqrt()] {
+                let mut want = x.clone();
+                for row in want.chunks_exact_mut(len) {
+                    row.iter_mut().for_each(|x| *x *= scale);
+                    softmax_in_place(row);
+                }
+                for isa in host_isas() {
+                    let mut got = x.clone();
+                    softmax_scaled_rows(isa, &mut got, len, scale);
+                    let what = format!("{isa:?}: {rows} rows of {len}, scale {scale}");
+                    assert_eq!(pattern(&got), pattern(&want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Attention backward's softmax rows on every arm equal the scalar
+    /// row — `softmax_backward_row`, then the scale — bit for bit: against
+    /// probabilities (no negative number), a row of `-0.0` gradients shows
+    /// the dot's `-0.0` start in the sign of every output.
+    #[test]
+    fn softmax_backward_rows_on_every_arm_are_the_scalar_rows() {
+        for (rows, len) in pin_shapes() {
+            let g = edge_rows(rows, len, len);
+            // Beside the row of `-0.0` gradients, a finite row.
+            let y: Vec<f32> = edge_rows(rows, len, len + 1)
+                .iter()
+                .map(|y| y.abs())
+                .collect();
+            let scale = 1.0 / 8f32.sqrt();
+            let mut want = g.clone();
+            for (grow, yrow) in want.chunks_exact_mut(len).zip(y.chunks_exact(len)) {
+                softmax_backward_row(grow, yrow);
+                grow.iter_mut().for_each(|g| *g *= scale);
+            }
+            for isa in host_isas() {
+                let mut got = g.clone();
+                softmax_backward_rows(isa, &mut got, &y, len, scale);
+                assert_eq!(
+                    pattern(&got),
+                    pattern(&want),
+                    "{isa:?}: {rows} rows of {len}"
+                );
+            }
+        }
+    }
+
+    /// Layer norm's row statistics, forward's and backward's, on every arm
+    /// equal `ln_row` row for row, every row handed on once, in order.
+    #[test]
+    fn layer_norm_rows_on_every_arm_are_the_scalar_rows() {
+        for (rows, len) in pin_shapes() {
+            let x = Tensor::from_vec(rows, len, edge_rows(rows, len, len));
+            let g = Tensor::from_vec(rows, len, edge_rows(rows, len, len + 5));
+            let gain: Vec<f32> = (0..len).map(|c| 0.5 + (c % 11) as f32 / 10.0).collect();
+            for grad in [None, Some((&g, &gain[..]))] {
+                let want: Vec<[f32; 4]> = (0..rows)
+                    .map(|r| ln_row(x.row(r), grad.map(|(g, gain)| (g.row(r), gain))))
+                    .collect();
+                for isa in host_isas() {
+                    let mut got = Vec::new();
+                    ln_rows(isa, &x, grad, |r, stats| {
+                        assert_eq!(r, got.len(), "{isa:?}: row {r} out of turn");
+                        got.push(stats);
+                    });
+                    let what = format!("{isa:?}: {rows} rows of {len}, grad {}", grad.is_some());
+                    assert_eq!(
+                        pattern(got.as_flattened()),
+                        pattern(want.as_flattened()),
+                        "{what}"
+                    );
+                }
             }
         }
     }

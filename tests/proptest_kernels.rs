@@ -1,4 +1,5 @@
-//! Property tests for the GEMM microkernels: the dispatched SIMD path must
+//! Property tests for the GEMM microkernels: every SIMD arm the host has —
+//! the detected rung and, on an AVX-512 host, the AVX2 one below it — must
 //! be **bit-identical** to the forced-scalar fallback for all three variants
 //! (`matmul`, `matmul_at_b_into`, `matmul_a_bt_into`) and the fused
 //! `matmul_bias_into`, each written over a fresh zero tensor,
@@ -77,7 +78,11 @@ fn tensor_from(rows: usize, cols: usize, seed: u32) -> Tensor {
     })
 }
 
-/// Dispatched == forced-scalar, bit for bit, for every GEMM variant.
+/// The arms below the scalar reference: AVX2 (capped) and the detected rung.
+const ARMS: [SimdOverride; 2] = [SimdOverride::CapAvx2, SimdOverride::ForceDetect];
+
+/// Dispatched == forced-scalar, bit for bit, for every GEMM variant on
+/// every arm.
 #[test]
 fn dispatched_is_bit_identical_to_scalar() {
     cases(24, |rng| {
@@ -114,17 +119,20 @@ fn dispatched_is_bit_identical_to_scalar() {
         let abt_s = bits(&a_bt(&a, &bt));
         let lin_s = bits(&linear(&a, &b, &bias));
 
-        set_simd_override(SimdOverride::ForceDetect);
-        assert_eq!(bits(&a.matmul(&b)), mm_s, "matmul {m}x{k}x{n}");
-        assert_eq!(bits(&at_b(&a, &b2)), atb_s, "at_b {m}x{k}x{n}");
-        assert_eq!(bits(&a_bt(&a, &bt)), abt_s, "a_bt {m}x{k}x{n}");
-        assert_eq!(bits(&linear(&a, &b, &bias)), lin_s, "linear {m}x{k}x{n}");
+        for arm in ARMS {
+            set_simd_override(arm);
+            let what = format!("{m}x{k}x{n} {arm:?}");
+            assert_eq!(bits(&a.matmul(&b)), mm_s, "matmul {what}");
+            assert_eq!(bits(&at_b(&a, &b2)), atb_s, "at_b {what}");
+            assert_eq!(bits(&a_bt(&a, &bt)), abt_s, "a_bt {what}");
+            assert_eq!(bits(&linear(&a, &b, &bias)), lin_s, "linear {what}");
+        }
     });
 }
 
 /// The env-default dispatch (whatever `PYTHIA_SIMD` says in this test
 /// process) also matches forced-scalar — pins the whole ladder, not just
-/// the two explicit overrides.
+/// the explicit overrides — and so does every arm.
 #[test]
 fn env_dispatch_matches_scalar() {
     cases(24, |rng| {
@@ -138,7 +146,9 @@ fn env_dispatch_matches_scalar() {
 
         set_simd_override(SimdOverride::ForceScalar);
         let want = bits(&a.matmul(&b));
-        set_simd_override(SimdOverride::Env);
-        assert_eq!(bits(&a.matmul(&b)), want);
+        for arm in [SimdOverride::Env].into_iter().chain(ARMS) {
+            set_simd_override(arm);
+            assert_eq!(bits(&a.matmul(&b)), want, "{m}x{k}x{n} {arm:?}");
+        }
     });
 }
